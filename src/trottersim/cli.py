@@ -30,7 +30,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -423,14 +422,7 @@ def _rates_summary(rates):
 # ------------------------------------------------------------ mode runners
 
 
-def _map_workers(fn, items, workers):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _run_evolve(cfg, out, workers):
+def _run_evolve(cfg, out):
     rates = _effective_rates(cfg)
     rho0 = density(INITIAL_STATES[cfg.initial_state])
     trace = target_trace(rates, rho0, cfg.angles.tau0, cfg.n_steps)
@@ -439,7 +431,7 @@ def _run_evolve(cfg, out, workers):
     return [path]
 
 
-def _run_trotter(cfg, out, workers):
+def _run_trotter(cfg, out):
     rates = _effective_rates(cfg)
     rho0 = density(INITIAL_STATES[cfg.initial_state])
     trace = run_schedule(_schedule(cfg), rates, rho0)
@@ -459,7 +451,7 @@ def _run_trotter(cfg, out, workers):
     return [csv_path, target_path, json_path]
 
 
-def _run_scan(cfg, out, workers):
+def _run_scan(cfg, out):
     rates = _effective_rates(cfg)
     rho0 = density(INITIAL_STATES[cfg.initial_state])
     scan = permutation_scan(
@@ -481,7 +473,7 @@ def _run_scan(cfg, out, workers):
     return [path]
 
 
-def _run_dilate_verify(cfg, out, workers):
+def _run_dilate_verify(cfg, out):
     tau0 = cfg.angles.tau0
     distances = {"dephasing": {}, "damping": {}, "rotation": {}}
     for theta_deg in cfg.theta_grid_deg:
@@ -519,7 +511,7 @@ def _run_dilate_verify(cfg, out, workers):
     return [path]
 
 
-def _run_fit(cfg, out, workers):
+def _run_fit(cfg, out):
     rates = _effective_rates(cfg)
     schedule = _schedule(cfg)
     curves = generate_tomography(
@@ -559,7 +551,7 @@ def _run_fit(cfg, out, workers):
     return [curves_path, json_path]
 
 
-def _run_mitigate(cfg, out, workers):
+def _run_mitigate(cfg, out):
     payload = {"variable": cfg.variable}
     if cfg.input_csv is not None:
         try:
@@ -579,7 +571,7 @@ def _run_mitigate(cfg, out, workers):
                 inverse=cfg.variable == "rate",
             )
 
-        values = _map_workers(measure, cfg.c_list, workers)
+        values = [measure(c) for c in cfg.c_list]
         points = [NoisePoint(c=c, value=v) for c, v in zip(cfg.c_list, values)]
         payload["source"] = "simulated"
         payload["base_rates"] = _rates_summary(base)
@@ -609,7 +601,7 @@ def _run_mitigate(cfg, out, workers):
     return [path]
 
 
-def _run_converge(cfg, out, workers):
+def _run_converge(cfg, out):
     rates = _effective_rates(cfg)
     rho0 = density(INITIAL_STATES[cfg.initial_state])
     t_total = cfg.t_total_us if cfg.t_total_us is not None else cfg.n_steps * cfg.angles.tau0
@@ -673,7 +665,7 @@ _FIG2_SWEEPS = {
 }
 
 
-def _reproduce_fig2(out, workers):
+def _reproduce_fig2(out):
     paths = []
     summary = {"n_steps": 13, "order": 1, "sweeps": {}, "tau0_us": 3.56}
     header = "angle_deg,t1_us,t2_us,omega_mhz,t1_pred_us,t2_pred_us,omega_pred_mhz"
@@ -682,7 +674,7 @@ def _reproduce_fig2(out, workers):
             rates, fit = _fit_noiseless(make(angle_deg))
             return (angle_deg, fit.t1, fit.t2, fit.omega, rates.t1, rates.t2, rates.omega)
 
-        rows = _map_workers(fit_row, sweep["grid"], workers)
+        rows = [fit_row(angle_deg) for angle_deg in sweep["grid"]]
         lines = [header] + [",".join(_fmt(x) for x in row) for row in rows]
         path = out / f"fig2_{name}.csv"
         path.write_text("\n".join(lines) + "\n")
@@ -695,13 +687,13 @@ def _reproduce_fig2(out, workers):
     return paths + [json_path]
 
 
-def _reproduce_fig3(out, workers):
+def _reproduce_fig3(out):
     base = CanonicalRates(
         gamma1=0.0090, gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0)).gamma_phi,
         omega=0.0,
     )
     c_list = _DEFAULT_C_LIST
-    values = _map_workers(lambda c: scaled_damping_t2(base, c), c_list, workers)
+    values = [scaled_damping_t2(base, c) for c in c_list]
     points_path = out / "fig3_points.csv"
     points_path.write_text(
         "\n".join(["c,t2star_us"] + [f"{_fmt(c)},{_fmt(v)}" for c, v in zip(c_list, values)])
@@ -731,7 +723,7 @@ def _reproduce_fig3(out, workers):
     return [points_path, json_path]
 
 
-def _reproduce_fig4(out, workers):
+def _reproduce_fig4(out):
     theta2_grid = tuple(float(x) for x in range(5, 75, 5))
 
     def scan_at(theta2_deg):
@@ -743,7 +735,7 @@ def _reproduce_fig4(out, workers):
             for (order, perm), report in scan.items()
         ]
 
-    tables = _map_workers(scan_at, theta2_grid, workers)
+    tables = [scan_at(theta2_deg) for theta2_deg in theta2_grid]
     rows = sorted(
         (row for table in tables for row in table), key=lambda r: (r[0], r[1], r[2])
     )
@@ -793,7 +785,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None, help="sampling seed (overrides config)")
         p.add_argument(
             "--workers", type=int, default=None,
-            help=f"worker threads for scans (default ${WORKERS_ENV} or 1)",
+            help=f"validated and ignored; runs are serial (default ${WORKERS_ENV} or 1)",
         )
         if name == "reproduce":
             p.add_argument("--figure", choices=FIGURES, default=None)
@@ -819,7 +811,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        workers = _resolve_workers(args.workers)
+        _resolve_workers(args.workers)  # validated, then ignored: runs are serial
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
             seed = _as_int(args.seed, "--seed", lo=0, hi=2**64 - 1)
@@ -836,9 +828,9 @@ def main(argv=None):
     try:
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "reproduce":
-            paths = _REPRODUCERS[figure](out, workers)
+            paths = _REPRODUCERS[figure](out)
         else:
-            paths = RUNNERS[args.command](cfg, out, workers)
+            paths = RUNNERS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

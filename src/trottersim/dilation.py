@@ -130,6 +130,10 @@ class AngleParams:
     tau0: float = 3.56
 
     def __post_init__(self):
+        for name in ("theta1", "theta2", "theta3", "tau0"):
+            v = float(getattr(self, name))
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         for name in ("theta1", "theta2"):
             v = float(getattr(self, name))
             if not 0 <= v <= np.pi / 2:

@@ -10,6 +10,7 @@ so the superoperator acting as ``A @ rho @ B`` on a vectorized state is
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "I2",
@@ -103,42 +104,23 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     raise ValueError(f"keep must be 0 or 1, got {keep}")
 
 
-def expm(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated series.
-
-    Dimensions here are tiny (<= 16), so the plain Taylor series after
-    scaling the norm below 1/2 is both robust and fast enough; the series is
-    summed until the term norm falls below ``tol`` relative to the partial
-    sum, then the result is squared back up.
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scipy's scaling-and-squaring Pade algorithm.
 
     Args:
-        m: Square matrix.
-        tol: Relative truncation tolerance for the scaled series.
+        m: Square matrix, or a stack of them with shape (..., d, d).
 
     Returns:
-        exp(m) to relative accuracy ~tol.
+        exp(m) as a complex array of the same shape, one exponential per
+        trailing (d, d) block.
 
     Raises:
-        ValueError: If m is not square.
+        ValueError: If the trailing two dimensions are not square.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expm requires a square matrix, got shape {m.shape}")
-    d = m.shape[0]
-    norm = np.linalg.norm(m, ord=np.inf)
-    # Scale so the series converges fast: ||m / 2^s|| <= 0.5.
-    s = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    a = m / (2**s)
-    out = np.eye(d, dtype=complex)
-    term = np.eye(d, dtype=complex)
-    for k in range(1, 64):
-        term = term @ a / k
-        out = out + term
-        if np.linalg.norm(term, ord=np.inf) <= tol * max(1.0, np.linalg.norm(out, ord=np.inf)):
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
+    return scipy.linalg.expm(m)
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:

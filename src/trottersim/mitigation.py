@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,10 @@ class NoisePoint:
     sigma: float | None = None
 
     def __post_init__(self):
+        for name in ("c", "value", "sigma"):
+            v = getattr(self, name)
+            if v is not None and not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if not self.c > 0:
             raise ValueError(f"noise scale factor must be positive, got {self.c}")
         if self.sigma is not None and self.sigma < 0:
@@ -196,7 +199,7 @@ def scaled_damping_t2(rates, c, tau0=3.56, n_steps=13, order=1, backend="kraus",
     return 1.0 / t2 if inverse else t2
 
 
-def mitigation_study(base_rates, c_list, extractor=None, n_max=None, workers=1):
+def mitigation_study(base_rates, c_list, extractor=None, n_max=None):
     """Runs the scaled-noise experiment and extrapolates at every order.
 
     Args:
@@ -205,7 +208,6 @@ def mitigation_study(base_rates, c_list, extractor=None, n_max=None, workers=1):
         extractor: Callable (rates, c) -> measured value; defaults to
             scaled_damping_t2, which scales the damping rate and fits T2*.
         n_max: Highest extrapolation order; defaults to len(c_list) - 1.
-        workers: Thread count for running the scale factors concurrently.
 
     Returns:
         List of ExtrapolationResult for orders 0 through n_max.  Order 0 is
@@ -224,11 +226,7 @@ def mitigation_study(base_rates, c_list, extractor=None, n_max=None, workers=1):
         raise ValueError(f"order {n_max} needs {n_max + 1} scale factors")
     if extractor is None:
         extractor = scaled_damping_t2
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda c: extractor(base_rates, c), cs))
-    else:
-        values = [extractor(base_rates, c) for c in cs]
+    values = [extractor(base_rates, c) for c in cs]
     points = [NoisePoint(c=c, value=v) for c, v in zip(cs, values)]
     return [extrapolate(points, n) for n in range(n_max + 1)]
 

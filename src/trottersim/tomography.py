@@ -5,7 +5,9 @@ twelve evolution curves on a shared time grid. The global fit minimizes the
 unweighted sum of squared deviations between those curves and the exact
 master-equation model, parameterized internally by the rates
 (1/T1, pure dephasing, Omega) so the physicality constraint T2 <= 2*T1 holds
-by construction. Optional sampling noise replaces each expectation x by
+by construction. One stacked matrix exponential scores a grid of starts at
+once; the best starts then seed bounded trust-region least squares on the
+12*(N+1) residuals. Optional sampling noise replaces each expectation x by
 2k/s - 1 with k ~ Binomial(s, (1+x)/2).
 """
 
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .linalg import KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, expm, vec
 from .liouvillian import (
@@ -145,7 +146,8 @@ class FitResult:
         t2: Coherence time in us (t2 <= 2*t1 by construction).
         omega: Rabi rate in MHz.
         residual: Root-mean-square deviation over all 12*(N+1) points.
-        converged: Whether the simplex descent met its tolerances.
+        converged: Whether the lowest-cost least-squares run stopped on a
+            tolerance rather than its evaluation cap (not a goodness of fit).
     """
 
     t1: float
@@ -172,17 +174,20 @@ _GEN_RPHI = lindblad_superop(qubit_generators(CanonicalRates(gamma_phi=1.0)))
 _GEN_OMEGA = lindblad_superop(qubit_generators(CanonicalRates(omega=1.0)))
 
 
-def _model_matrix(u: np.ndarray, tau0: float, npoints: int) -> np.ndarray:
-    """(12, npoints) model expectations for internal parameters u = (r1, rphi, omega)."""
-    r1, rphi, omega = u
-    s = r1 * _GEN_R1 + rphi * _GEN_RPHI + omega * _GEN_OMEGA
-    step = expm(s * tau0)
-    cols = _STATE_COLS
-    out = np.empty((12, npoints))
+def _model_batch(u: np.ndarray, tau0: float, npoints: int) -> np.ndarray:
+    """(K, 12, npoints) model expectations for a (K, 3) block u of rows (r1, rphi, omega).
+
+    One stacked expm builds the K step superoperators; all states of all rows step together.
+    """
+    r1, rphi, omega = np.asarray(u, dtype=float).T[:, :, None, None]
+    steps = expm((r1 * _GEN_R1 + rphi * _GEN_RPHI + omega * _GEN_OMEGA) * tau0)
+    cols = np.broadcast_to(_STATE_COLS, steps.shape)
+    out = np.empty((steps.shape[0], 12, npoints))
     for j in range(npoints):
-        out[:, j] = np.real(_OBS_VECS @ cols).T.ravel()
+        # (K, obs, state) -> (K, state, obs) rows in state-major order.
+        out[:, :, j] = np.real(_OBS_VECS @ cols).swapaxes(1, 2).reshape(-1, 12)
         if j < npoints - 1:
-            cols = step @ cols
+            cols = steps @ cols
     return out
 
 
@@ -202,7 +207,7 @@ def _estimate_omega(ts: TomographySet) -> float:
     return float(abs(sy[1] - sy[0]) / (2 * np.pi * ts.times[1]))
 
 
-def _candidate_starts(ts: TomographySet, init_guess) -> list[np.ndarray]:
+def _candidate_starts(ts: TomographySet, init_guess) -> list[list[float]]:
     tau0 = ts.times[1] - ts.times[0]
     nyquist = 0.5 / tau0
     om_est = min(_estimate_omega(ts), nyquist)
@@ -214,36 +219,31 @@ def _candidate_starts(ts: TomographySet, init_guess) -> list[np.ndarray]:
     r2_est = _estimate_t2_rate(ts)
     cands = []
     for r1 in r1s:
-        if r2_est is not None:
-            rphis = [max(0.0, r2_est - r1 / 2)]
-        else:
-            rphis = np.geomspace(1e-4, 0.5, 6)
-        for rphi in rphis:
-            for om in omegas:
-                cands.append(np.array([r1, rphi, om]))
+        rphis = np.geomspace(1e-4, 0.5, 6) if r2_est is None else [max(0.0, r2_est - r1 / 2)]
+        cands += [[r1, rphi, om] for rphi in rphis for om in omegas]
     if init_guess is not None:
         t1, t2, omega = init_guess
         r1 = np.clip(1.0 / t1, _RATE_FLOOR, _RATE_CEIL)
         rphi = max(0.0, 1.0 / t2 - r1 / 2)
-        cands.append(np.array([r1, rphi, float(omega)]))
+        cands.append([r1, rphi, float(omega)])
     return cands
 
 
 def global_fit(ts: TomographySet, init_guess=None, max_restarts: int = 5) -> FitResult:
     """Fit (T1, T2, Omega) to all twelve curves by least squares.
 
-    Derivative-free simplex descent over the internal parameters
-    (1/T1, pure-dephasing rate, Omega), restarted from the best coarse-grid
-    candidates until the objective stops improving.
+    Bounded trust-region reflective least squares over the internal
+    parameters (1/T1, pure-dephasing rate, Omega), restarted from the best
+    coarse-grid candidates, in score order, until the cost stops improving.
 
     Args:
         ts: Tomography curves on a uniform time grid with >= 6 points.
         init_guess: Optional (T1, T2, Omega) starting point.
-        max_restarts: Cap on simplex restarts.
+        max_restarts: Cap on least-squares starts.
 
     Returns:
-        FitResult; `converged` is False when every restart hit its iteration
-        cap before meeting tolerances (the best point is still returned).
+        FitResult at the lowest-cost start; `converged` is True when that
+        start ended on one of its tolerances rather than its evaluation cap.
     """
     npoints = ts.times.size
     if npoints < 6:
@@ -253,47 +253,44 @@ def global_fit(ts: TomographySet, init_guess=None, max_restarts: int = 5) -> Fit
         raise ValueError("global fit requires a uniform time grid")
     tau0 = float(steps[0])
     data = ts.as_matrix()
+    # Imported here: scipy.optimize adds about half again to the package's cold
+    # import, which every CLI command would pay whether or not it fits.
+    from scipy.optimize import least_squares
 
-    def objective(u: np.ndarray) -> float:
-        return float(((_model_matrix(u, tau0, npoints) - data) ** 2).sum())
+    def residuals(u: np.ndarray) -> np.ndarray:
+        return (_model_batch(u[None], tau0, npoints)[0] - data).ravel()
 
-    cands = _candidate_starts(ts, init_guess)
-    scored = sorted(cands, key=objective)
-    nyquist = 0.5 / tau0
-    bounds = [(_RATE_FLOOR, _RATE_CEIL), (0.0, _RATE_CEIL), (0.0, nyquist)]
+    lo = np.array([_RATE_FLOOR, 0.0, 0.0])
+    hi = np.array([_RATE_CEIL, _RATE_CEIL, 0.5 / tau0])
+    cands = np.clip(_candidate_starts(ts, init_guess), lo, hi)
+    scores = ((_model_batch(cands, tau0, npoints) - data) ** 2).sum(axis=(1, 2))
+    scored = cands[np.argsort(scores, kind="stable")]
     rng = np.random.default_rng(0)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
     best = None
     for i in range(max_restarts):
         if i < len(scored):
-            x0 = scored[i].copy()
+            x0 = scored[i]
         else:
             x0 = np.clip(best.x * (1.0 + 0.2 * rng.standard_normal(3)), lo, hi)
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-9, "fatol": 1e-15, "maxiter": 4000, "maxfev": 6000},
+        res = least_squares(
+            residuals, x0, bounds=(lo, hi), method="trf", x_scale="jac",
+            ftol=1e-14, xtol=1e-14, gtol=1e-14,
         )
-        prev_fun = None if best is None else best.fun
-        if best is None or res.fun < best.fun:
+        prev_cost = None if best is None else best.cost
+        if best is None or res.cost < best.cost:
             best = res
-        if best.fun < 1e-16:
+        if best.cost < 1e-16:
             break
         # Stop once a fresh start brings no meaningful improvement.
-        if prev_fun is not None and prev_fun - best.fun <= 1e-9 * prev_fun:
+        if prev_cost is not None and prev_cost - best.cost <= 1e-9 * prev_cost:
             break
-    r1, rphi, omega = best.x
-    r1 = max(r1, _RATE_FLOOR)
-    inv_t2 = r1 / 2 + rphi
+    r1, rphi, omega = best.x  # least_squares keeps r1 >= _RATE_FLOOR > 0
     return FitResult(
         t1=1.0 / r1,
-        t2=1.0 / inv_t2 if inv_t2 > 0 else np.inf,
+        t2=1.0 / (r1 / 2 + rphi),
         omega=float(omega),
-        residual=float(np.sqrt(best.fun / data.size)),
-        converged=bool(best.success),
+        residual=float(np.sqrt(np.mean(best.fun**2))),
+        converged=bool(best.status > 0),
     )
 
 

@@ -250,6 +250,13 @@ def test_angle_params_range_validation():
         AngleParams(tau0=0.0)
 
 
+@pytest.mark.parametrize("field", ["theta1", "theta2", "theta3", "tau0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_angle_params_reject_non_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        AngleParams(**{field: bad})
+
+
 def test_rates_to_angles_round_trip():
     rng = np.random.default_rng(37)
     for _ in range(50):

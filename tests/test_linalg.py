@@ -189,6 +189,17 @@ def test_expm_additive_for_commuting_inputs():
 def test_expm_rejects_non_square():
     with pytest.raises(ValueError):
         expm(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        expm(np.zeros((5, 2, 3)))
+
+
+def test_expm_stack_matches_single_matrices():
+    rng = np.random.default_rng(41)
+    stack = np.stack([2.0 * random_complex(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    got = expm(stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_allclose(got[idx], expm(stack[idx]), rtol=1e-13, atol=1e-13)
 
 
 # ----------------------------------------------------------------- eigh

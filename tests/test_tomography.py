@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottersim.dilation import AngleParams, angle_to_rates, predict_coherence
 from trottersim.liouvillian import CanonicalRates, target_trace
@@ -11,6 +13,7 @@ from trottersim.tomography import (
     STATE_LABELS,
     FitResult,
     TomographySet,
+    _model_batch,
     dephasing_time,
     generate_tomography,
     global_fit,
@@ -129,6 +132,39 @@ def test_fit_on_trotterized_dynamics():
     assert fit.t1 == pytest.approx(t1_pred, rel=0.10)
     assert fit.t2 == pytest.approx(t2_pred, rel=0.10)
     assert fit.omega == pytest.approx(rates.omega, rel=0.10)
+
+
+@pytest.mark.parametrize("angles_deg", [(35.3, 34.9, 66.8), (4.48, 20.04, 52.39)])
+def test_fit_converges_on_trotter_curves(angles_deg):
+    # A simplex fit with an absolute objective tolerance below the objective's
+    # round-off stopped unconverged on the first set, and near the second.
+    rates = angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0))
+    sched = TrotterSchedule(order=1, n_steps=13, dt=TAU0)
+    ts = generate_tomography(
+        rates, TAU0, 13, evolve=lambda rho0: run_schedule(sched, rates, rho0)
+    )
+    fit = global_fit(ts)
+    assert fit.converged
+    u = [1.0 / fit.t1, 1.0 / fit.t2 - 0.5 / fit.t1, fit.omega]
+    model = _model_batch(np.array([u]), TAU0, 14)[0]
+    rms = np.sqrt(np.mean((model - ts.as_matrix()) ** 2))
+    assert fit.residual == pytest.approx(rms, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    t1=st.floats(10.0, 200.0),
+    t2_share=st.floats(0.0, 1.0),
+    omega=st.floats(0.005, 0.1),
+)
+def test_noiseless_round_trip_property(t1, t2_share, omega):
+    t2 = 5.0 + t2_share * (2 * t1 - 5.0)
+    fit = global_fit(generate_tomography(rates_from_times(t1, t2, omega), TAU0, 13))
+    assert fit.converged
+    assert fit.t2 <= 2 * fit.t1 * (1 + 1e-6)
+    assert fit.t1 == pytest.approx(t1, rel=0.01)
+    assert fit.t2 == pytest.approx(t2, rel=0.01)
+    assert fit.omega == pytest.approx(omega, rel=0.01)
 
 
 def test_degenerate_zero_rates_pin_at_bounds():

@@ -46,6 +46,12 @@ def test_schedule_validation():
         TrotterSchedule(backend="kraus", noise=NoiseParams(0.01, 0.01))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_schedule_rejects_non_finite_dt(bad):
+    with pytest.raises(ValueError, match="dt"):
+        TrotterSchedule(dt=bad)
+
+
 def test_all_permutations_enumerated():
     assert len(ALL_PERMUTATIONS) == 6
     assert all(sorted(p) == sorted(ALL_LABELS) for p in ALL_PERMUTATIONS)
@@ -115,6 +121,16 @@ def test_noise_backend_degrades_accuracy():
 def test_run_schedule_rejects_unphysical_initial_state():
     with pytest.raises(ValueError):
         run_schedule(TrotterSchedule(), FIG4_RATES, np.diag([2.0, -1.0]))
+
+
+def test_driven_long_run_stays_physical():
+    # A rotation unitary off unitarity by 1e-14 lets the trace drift past the
+    # 1e-10 state check within a few thousand steps.
+    rates = angle_to_rates(AngleParams.from_degrees(25.705, 25.717, 87.840))
+    sched = TrotterSchedule(order=1, n_steps=10_000, dt=TAU0 / 4)
+    tr = run_schedule(sched, rates, density(KET_1))
+    assert len(tr) == 10_001
+    assert tr.bloch_norms().max() <= 1 + 1e-8
 
 
 # ---------------------------------------------------------------- accuracy
