@@ -43,8 +43,8 @@ from .dilation import (
     angle_to_rates,
     damping_circuit,
     dephasing_circuit,
+    effective_rates,
     induced_channel,
-    predict_coherence,
     rotation_circuit,
 )
 from .linalg import SIGMA_X, density, expm
@@ -376,20 +376,6 @@ def _write_trace_csv(path, trace):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _effective_rates(cfg, drive=True):
-    """Channel rates from the angles plus the intrinsic-decay contribution."""
-    chan = angle_to_rates(cfg.angles)
-    t1_0, t2_0 = cfg.intrinsic
-    gamma1 = chan.gamma1 + (0.0 if np.isinf(t1_0) else 1.0 / t1_0)
-    intrinsic_phi = (0.0 if np.isinf(t2_0) else 1.0 / t2_0) - (
-        0.0 if np.isinf(t1_0) else 0.5 / t1_0
-    )
-    gamma_phi = chan.gamma_phi + max(0.0, intrinsic_phi)
-    return CanonicalRates(
-        gamma1=gamma1, gamma_phi=gamma_phi, omega=chan.omega if drive else 0.0
-    )
-
-
 def _schedule(cfg):
     return TrotterSchedule(
         permutation=cfg.permutation,
@@ -423,7 +409,7 @@ def _rates_summary(rates):
 
 
 def _run_evolve(cfg, out):
-    rates = _effective_rates(cfg)
+    rates = effective_rates(cfg.angles, *cfg.intrinsic)
     rho0 = density(INITIAL_STATES[cfg.initial_state])
     trace = target_trace(rates, rho0, cfg.angles.tau0, cfg.n_steps)
     path = out / "evolve.csv"
@@ -432,7 +418,7 @@ def _run_evolve(cfg, out):
 
 
 def _run_trotter(cfg, out):
-    rates = _effective_rates(cfg)
+    rates = effective_rates(cfg.angles, *cfg.intrinsic)
     rho0 = density(INITIAL_STATES[cfg.initial_state])
     trace = run_schedule(_schedule(cfg), rates, rho0)
     target = target_trace(rates, rho0, cfg.angles.tau0, cfg.n_steps)
@@ -452,7 +438,7 @@ def _run_trotter(cfg, out):
 
 
 def _run_scan(cfg, out):
-    rates = _effective_rates(cfg)
+    rates = effective_rates(cfg.angles, *cfg.intrinsic)
     rho0 = density(INITIAL_STATES[cfg.initial_state])
     scan = permutation_scan(
         rates, n_steps=cfg.n_steps, dt=cfg.angles.tau0, rho0=rho0,
@@ -512,14 +498,13 @@ def _run_dilate_verify(cfg, out):
 
 
 def _run_fit(cfg, out):
-    rates = _effective_rates(cfg)
+    rates = effective_rates(cfg.angles, *cfg.intrinsic)
     schedule = _schedule(cfg)
     curves = generate_tomography(
         rates, cfg.angles.tau0, cfg.n_steps, shots=cfg.shots, seed=cfg.seed,
         evolve=lambda rho0: run_schedule(schedule, rates, rho0),
     )
     fit = global_fit(curves)
-    t1_pred, t2_pred = predict_coherence(cfg.angles, *cfg.intrinsic)
     lines = ["step,time_us,state,obs,value"]
     for state in STATE_LABELS:
         for obs in OBS_LABELS:
@@ -540,8 +525,8 @@ def _run_fit(cfg, out):
         },
         "predicted": {
             "omega_mhz": float(rates.omega),
-            "t1_us": _json_num(t1_pred),
-            "t2_us": _json_num(t2_pred),
+            "t1_us": _json_num(rates.t1),
+            "t2_us": _json_num(rates.t2),
         },
         "seed": cfg.seed,
         "shots": cfg.shots,
@@ -562,7 +547,7 @@ def _run_mitigate(cfg, out):
             raise ConfigError(f"no noise points found in {cfg.input_csv}")
         payload["source"] = str(cfg.input_csv)
     else:
-        base = _effective_rates(cfg, drive=False)
+        base = replace(effective_rates(cfg.angles, *cfg.intrinsic), omega=0.0)
 
         def measure(c):
             return scaled_damping_t2(
@@ -602,7 +587,7 @@ def _run_mitigate(cfg, out):
 
 
 def _run_converge(cfg, out):
-    rates = _effective_rates(cfg)
+    rates = effective_rates(cfg.angles, *cfg.intrinsic)
     rho0 = density(INITIAL_STATES[cfg.initial_state])
     t_total = cfg.t_total_us if cfg.t_total_us is not None else cfg.n_steps * cfg.angles.tau0
     result = convergence_order(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import KrausChannel, apply_channel
 from .linalg import I2, SIGMA_X, SIGMA_Z, dag, kron, partial_trace, vec
 from .liouvillian import CanonicalRates
 
@@ -37,6 +38,7 @@ __all__ = [
     "induced_channel",
     "angle_to_rates",
     "rates_to_angles",
+    "effective_rates",
     "predict_coherence",
     "depolarization_equivalent_time",
 ]
@@ -186,18 +188,14 @@ def rotation_circuit(theta3: float) -> DilationCircuit:
     )
 
 
-def _apply_kraus_pair(rho: np.ndarray, ops: tuple[np.ndarray, ...]) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for e in ops:
-        out += e @ rho @ dag(e)
-    return out
+_FEEDFORWARD = KrausChannel((kron(_PROJ_G, I2), kron(_PROJ_E, SIGMA_X)), label="feedforward")
 
 
-def _ancilla_decay_ops(p: float) -> tuple[np.ndarray, np.ndarray]:
+def _ancilla_decay(p: float) -> KrausChannel:
     e0 = kron(np.diag([1.0, np.sqrt(1.0 - p)]).astype(complex), I2)
     e1 = np.zeros((2, 2), dtype=complex)
     e1[0, 1] = np.sqrt(p)
-    return e0, kron(e1, I2)
+    return KrausChannel((e0, kron(e1, I2)), label="ancilla-decay")
 
 
 def run_circuit(
@@ -227,6 +225,9 @@ def run_circuit(
     if rho_data.shape != (2, 2):
         raise ValueError(f"data operator must be 2x2, got {rho_data.shape}")
     rho = kron(_PROJ_G, rho_data)
+    decay = None
+    if noise is not None and noise.p_ancilla_decay > 0:
+        decay = _ancilla_decay(noise.p_ancilla_decay)
     for gate in circuit.gates:
         if gate.kind == "reset_ancilla":
             out = partial_trace(rho, (2, 2), keep=1)
@@ -234,16 +235,12 @@ def run_circuit(
                 out = (1 - noise.p_grape) * out + noise.p_grape * np.trace(out) * I2 / 2
             return out
         if gate.kind == "cnot_ancilla_ctrl" and adaptive == "feedforward":
-            rho = _apply_kraus_pair(rho, (kron(_PROJ_G, I2), kron(_PROJ_E, SIGMA_X)))
+            rho = apply_channel(_FEEDFORWARD, rho)
         else:
             u = gate_unitary(gate)
             rho = u @ rho @ dag(u)
-        if (
-            noise is not None
-            and noise.p_ancilla_decay > 0
-            and gate.kind in ("cz", "cnot_ancilla_ctrl")
-        ):
-            rho = _apply_kraus_pair(rho, _ancilla_decay_ops(noise.p_ancilla_decay))
+        if decay is not None and gate.kind in ("cz", "cnot_ancilla_ctrl"):
+            rho = apply_channel(decay, rho)
     raise AssertionError("unreachable: circuits always end in reset_ancilla")
 
 
@@ -300,31 +297,44 @@ def rates_to_angles(rates: CanonicalRates, tau0: float = 3.56) -> AngleParams:
     return AngleParams(theta1, theta2, theta3, tau0)
 
 
+def effective_rates(
+    params: AngleParams,
+    t1_intrinsic: float = np.inf,
+    t2_intrinsic: float = np.inf,
+) -> CanonicalRates:
+    """Rates the circuits realize plus intrinsic hardware decay.
+
+    gamma1 gains 1/T1_intrinsic and gamma_phi gains the intrinsic pure
+    dephasing 1/T2_intrinsic - 1/(2 T1_intrinsic), so that 1/T2 gains
+    1/T2_intrinsic. An infinite time means no intrinsic decay of that kind:
+    t2_intrinsic = inf leaves T2 limited by T1_intrinsic alone.
+
+    Raises:
+        ValueError: When an intrinsic time is not positive, or when a finite
+            t2_intrinsic exceeds 2*t1_intrinsic (negative pure dephasing).
+    """
+    if not (t1_intrinsic > 0 and t2_intrinsic > 0):
+        raise ValueError("intrinsic times must be positive (np.inf for ideal)")
+    if np.isfinite(t2_intrinsic) and t2_intrinsic > 2 * t1_intrinsic * (1 + 1e-9):
+        raise ValueError(f"t2_intrinsic={t2_intrinsic} exceeds 2*t1_intrinsic={2 * t1_intrinsic}")
+    chan = angle_to_rates(params)
+    inv_t1 = 0.0 if np.isinf(t1_intrinsic) else 1.0 / t1_intrinsic
+    inv_t2 = 0.0 if np.isinf(t2_intrinsic) else 1.0 / t2_intrinsic
+    return CanonicalRates(
+        gamma1=chan.gamma1 + inv_t1,
+        gamma_phi=chan.gamma_phi + max(0.0, inv_t2 - inv_t1 / 2),
+        omega=chan.omega,
+    )
+
+
 def predict_coherence(
     params: AngleParams,
     t1_intrinsic: float = np.inf,
     t2_intrinsic: float = np.inf,
 ) -> tuple[float, float]:
-    """Simulated coherence times including intrinsic hardware decay.
-
-    1/T1 = gamma1 + 1/T1_intrinsic and 1/T2 = gamma_phi + gamma1/2
-    + 1/T2_intrinsic; infinities drop the intrinsic contribution.
-
-    Returns:
-        (T1, T2) in us.
-    """
-    if t1_intrinsic <= 0 or t2_intrinsic <= 0:
-        raise ValueError("intrinsic times must be positive (np.inf for ideal)")
-    rates = angle_to_rates(params)
-    inv_t1 = rates.gamma1 + (0.0 if np.isinf(t1_intrinsic) else 1.0 / t1_intrinsic)
-    inv_t2 = (
-        rates.gamma_phi
-        + rates.gamma1 / 2
-        + (0.0 if np.isinf(t2_intrinsic) else 1.0 / t2_intrinsic)
-    )
-    t1 = np.inf if inv_t1 == 0 else 1.0 / inv_t1
-    t2 = np.inf if inv_t2 == 0 else 1.0 / inv_t2
-    return t1, t2
+    """Coherence times (T1, T2) in us at :func:`effective_rates`, which raises its errors."""
+    rates = effective_rates(params, t1_intrinsic, t2_intrinsic)
+    return rates.t1, rates.t2
 
 
 def depolarization_equivalent_time(p_grape: float, tau0: float = 3.56) -> float:

@@ -44,8 +44,8 @@ KET_1 = np.array([0, 1], dtype=complex)
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of each matrix in a (..., d, d) stack."""
+    return np.conj(np.asarray(m)).swapaxes(-2, -1)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,24 +152,31 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Check the density-matrix contract and return rho unchanged.
 
-    Enforces Hermiticity within 1e-12, unit trace within 1e-10, and
-    eigenvalues >= -1e-10.
+    Enforces finite entries, Hermiticity within 1e-12, unit trace within
+    1e-10, and eigenvalues >= -1e-10, on one matrix or on every matrix of a
+    (..., d, d) stack at once. For a stack, name is a template whose ``{}``
+    receives the index of the first failing matrix, e.g. "step {} state".
 
     Raises:
-        ValueError: On any violated invariant.
+        ValueError: On the first violated invariant of the first failing matrix.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    safe = rho if finite.all() else np.where(finite[..., None, None], rho, 0)  # for eigvalsh
+    herm_err = np.abs(safe - dag(safe)).max(axis=(-2, -1))
+    tr_err = np.abs(np.trace(safe, axis1=-2, axis2=-1) - 1.0)
+    w_min = np.linalg.eigvalsh(safe).min(axis=-1)  # one triangle; herm_err bounds the other
+    bad = ~finite | (herm_err > 1e-12) | (tr_err > 1e-10) | (w_min < -1e-10)
+    if not bad.any():
+        return rho
+    first = np.unravel_index(np.argmax(bad), bad.shape)  # () for a single matrix
+    name = name.format(*first) if first else name
+    if not finite[first]:
         raise ValueError(f"{name} contains non-finite entries")
-    herm_err = np.abs(rho - dag(rho)).max()
-    if herm_err > 1e-12:
-        raise ValueError(f"{name} is not Hermitian: max deviation {herm_err:.3e}")
-    tr_err = abs(np.trace(rho) - 1.0)
-    if tr_err > 1e-10:
-        raise ValueError(f"{name} trace deviates from 1 by {tr_err:.3e}")
-    w = np.linalg.eigvalsh((rho + dag(rho)) / 2)
-    if w.min() < -1e-10:
-        raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")
-    return rho
+    if herm_err[first] > 1e-12:
+        raise ValueError(f"{name} is not Hermitian: max deviation {herm_err[first]:.3e}")
+    if tr_err[first] > 1e-10:
+        raise ValueError(f"{name} trace deviates from 1 by {tr_err[first]:.3e}")
+    raise ValueError(f"{name} has negative eigenvalue {w_min[first]:.3e}")

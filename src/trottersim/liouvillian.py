@@ -34,6 +34,8 @@ __all__ = [
     "qubit_generators",
     "lindblad_superop",
     "propagator",
+    "PAULI_ROWS",
+    "propagate",
     "pauli_expectations",
     "target_trace",
 ]
@@ -177,13 +179,38 @@ def propagator(superop: np.ndarray, t: float) -> np.ndarray:
     return expm(np.asarray(superop, dtype=complex) * t)
 
 
+# Rows conj(vec(sigma)) for x, y, z, so that PAULI_ROWS @ vec(rho) = (<sx>, <sy>, <sz>).
+PAULI_ROWS = np.stack([vec(SIGMA_X).conj(), vec(SIGMA_Y).conj(), vec(SIGMA_Z).conj()])
+
+
+def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The states step^j @ cols for j = 0..n, as an (n+1, ..., d, m) array.
+
+    step is a (d, d) superoperator or a (..., d, d) stack of them; cols is a
+    (d, m) block of vectorized states, or a stack broadcasting against step.
+    By doubling: the first m states advanced by step^m give the next m, then
+    step^m is squared. That is about log2(n) stacked products and needs no
+    eigendecomposition, so non-diagonalizable steps take the same path.
+    """
+    step, cols = np.asarray(step, dtype=complex), np.asarray(cols, dtype=complex)
+    if n < 0 or cols.ndim < 2 or not step.shape[-1] == step.shape[-2] == cols.shape[-2]:
+        raise ValueError(f"cannot step {cols.shape} states {n} times by {step.shape}")
+    shape = np.broadcast_shapes(step.shape[:-2], cols.shape[:-2]) + cols.shape[-2:]
+    states = np.empty((n + 1,) + shape, dtype=complex)
+    states[0] = cols
+    power, m = step, 1
+    while m <= n:
+        k = min(m, n + 1 - m)
+        np.matmul(power, states[:k], out=states[m : m + k])
+        m += k
+        if m <= n:
+            power = power @ power
+    return states
+
+
 def pauli_expectations(rho: np.ndarray) -> tuple[float, float, float]:
     """(<sigma_x>, <sigma_y>, <sigma_z>) of a qubit state, real parts."""
-    return (
-        float(np.real(np.trace(SIGMA_X @ rho))),
-        float(np.real(np.trace(SIGMA_Y @ rho))),
-        float(np.real(np.trace(SIGMA_Z @ rho))),
-    )
+    return tuple(float(x) for x in np.real(PAULI_ROWS @ vec(rho)))
 
 
 @dataclass(frozen=True)
@@ -242,16 +269,7 @@ def target_trace(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if tau0 <= 0:
         raise ValueError(f"tau0 must be positive, got {tau0}")
-    s = lindblad_superop(qubit_generators(rates))
-    step = propagator(s, tau0)
-    rho_v = vec(np.asarray(rho0, dtype=complex))
-    times = np.arange(n_steps + 1) * tau0
-    sx = np.empty(n_steps + 1)
-    sy = np.empty(n_steps + 1)
-    sz = np.empty(n_steps + 1)
-    for j in range(n_steps + 1):
-        rho = rho_v.reshape(2, 2, order="F")
-        sx[j], sy[j], sz[j] = pauli_expectations(rho)
-        if j < n_steps:
-            rho_v = step @ rho_v
-    return EvolutionTrace(times, sx, sy, sz, label=label)
+    step = propagator(lindblad_superop(qubit_generators(rates)), tau0)
+    states = propagate(step, vec(rho0)[:, None], n_steps)
+    sx, sy, sz = np.real(states[..., 0] @ PAULI_ROWS.T).T
+    return EvolutionTrace(np.arange(n_steps + 1) * tau0, sx, sy, sz, label=label)

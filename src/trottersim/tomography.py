@@ -18,11 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, expm, vec
+from .linalg import KET_0, KET_1, density, expm, vec
 from .liouvillian import (
+    PAULI_ROWS,
     CanonicalRates,
     EvolutionTrace,
     lindblad_superop,
+    propagate,
     qubit_generators,
     target_trace,
 )
@@ -47,9 +49,6 @@ INITIAL_STATES = {
     "+i": (KET_0 + 1j * KET_1) / np.sqrt(2),
     "1": KET_1,
 }
-
-# Rows: conj(vec(sigma)) for x, y, z, so that row @ vec(rho) = <sigma>.
-_OBS_VECS = np.stack([vec(SIGMA_X).conj(), vec(SIGMA_Y).conj(), vec(SIGMA_Z).conj()])
 
 _RATE_FLOOR = 1e-6  # 1/us lower bound keeping infinite-coherence limits stable
 _RATE_CEIL = 2.0
@@ -79,8 +78,8 @@ class TomographySet:
             arr = np.asarray(values, dtype=float)
             if arr.shape != times.shape:
                 raise ValueError(f"curve {key} length {arr.shape} != times {times.shape}")
-            if np.abs(arr).max() > 1 + eps:
-                raise ValueError(f"curve {key} leaves the expectation range [-1, 1]")
+            if not np.all(np.abs(arr) <= 1 + eps):  # also false for NaN
+                raise ValueError(f"curve {key} is not finite within the expectation range [-1, 1]")
             clean[key] = arr
         object.__setattr__(self, "data", clean)
 
@@ -181,14 +180,10 @@ def _model_batch(u: np.ndarray, tau0: float, npoints: int) -> np.ndarray:
     """
     r1, rphi, omega = np.asarray(u, dtype=float).T[:, :, None, None]
     steps = expm((r1 * _GEN_R1 + rphi * _GEN_RPHI + omega * _GEN_OMEGA) * tau0)
-    cols = np.broadcast_to(_STATE_COLS, steps.shape)
-    out = np.empty((steps.shape[0], 12, npoints))
-    for j in range(npoints):
-        # (K, obs, state) -> (K, state, obs) rows in state-major order.
-        out[:, :, j] = np.real(_OBS_VECS @ cols).swapaxes(1, 2).reshape(-1, 12)
-        if j < npoints - 1:
-            cols = steps @ cols
-    return out
+    states = propagate(steps, _STATE_COLS, npoints - 1)
+    expect = np.real(np.tensordot(PAULI_ROWS, states, axes=(1, -2)))
+    # (obs, point, K, state) -> (K, state, obs, point), rows in state-major order.
+    return expect.transpose(2, 3, 0, 1).reshape(len(steps), 12, npoints)
 
 
 def _estimate_t2_rate(ts: TomographySet) -> float | None:

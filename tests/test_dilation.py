@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottersim.channels import (
     channel_distance,
@@ -21,6 +23,7 @@ from trottersim.dilation import (
     damping_circuit,
     dephasing_circuit,
     depolarization_equivalent_time,
+    effective_rates,
     gate_unitary,
     induced_channel,
     predict_coherence,
@@ -288,6 +291,37 @@ def test_predict_coherence_combined_formula():
     rates = angle_to_rates(params)
     _, t2 = predict_coherence(params)
     assert 1 / t2 == pytest.approx(rates.gamma_phi + rates.gamma1 / 2, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    angles_deg=st.tuples(st.floats(0, 80), st.floats(0, 80), st.floats(0, 180)),
+    t1_intrinsic=st.one_of(st.floats(1.0, 1e3), st.just(np.inf)),
+    t2_share=st.floats(0.01, 1.0),
+)
+def test_predict_coherence_matches_rate_sum(angles_deg, t1_intrinsic, t2_share):
+    # 1/T1 = gamma1 + 1/T1_intrinsic and 1/T2 = gamma_phi + gamma1/2 + 1/T2_intrinsic
+    # whenever T2_intrinsic <= 2*T1_intrinsic.
+    params = AngleParams.from_degrees(*angles_deg)
+    t2_intrinsic = t2_share * 2 * t1_intrinsic if np.isfinite(t1_intrinsic) else 1e3 * t2_share
+    chan = angle_to_rates(params)
+    t1, t2 = predict_coherence(params, t1_intrinsic, t2_intrinsic)
+    assert 1 / t1 == pytest.approx(chan.gamma1 + 1 / t1_intrinsic, rel=1e-12)
+    assert 1 / t2 == pytest.approx(chan.gamma_phi + chan.gamma1 / 2 + 1 / t2_intrinsic, rel=1e-12)
+    rates = effective_rates(params, t1_intrinsic, t2_intrinsic)
+    assert (rates.t1, rates.t2, rates.omega) == (t1, t2, chan.omega)
+
+
+@pytest.mark.parametrize("t1_intrinsic, t2_intrinsic", [(50.0, 100.1), (0.0, 10.0), (np.nan, 10.0)])
+def test_intrinsic_rates_reject_unphysical_times(t1_intrinsic, t2_intrinsic):
+    with pytest.raises(ValueError):
+        predict_coherence(AngleParams.from_degrees(20, 20, 0), t1_intrinsic, t2_intrinsic)
+
+
+def test_infinite_intrinsic_t2_is_limited_by_intrinsic_t1():
+    params = AngleParams.from_degrees(0, 0, 30)
+    t1, t2 = predict_coherence(params, t1_intrinsic=114.0)
+    assert (t1, t2) == pytest.approx((114.0, 228.0))
 
 
 def test_depolarization_equivalent_time_anchors():

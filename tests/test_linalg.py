@@ -297,6 +297,47 @@ def test_validate_density_matrix_rejects_negative_eigenvalue():
         validate_density_matrix(m)
 
 
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.ones(3), "rho must be square, got shape (3,)"),
+        (np.array([[np.nan, 0], [0, 1]]), "rho contains non-finite entries"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "rho is not Hermitian: max deviation 5.000e-01"),
+        (2 * density(KET_0), "rho trace deviates from 1 by 1.000e+00"),
+        (np.diag([1.5, -0.5]), "rho has negative eigenvalue -5.000e-01"),
+    ],
+)
+def test_validate_density_matrix_single_matrix_messages(rho, message):
+    with pytest.raises(ValueError) as excinfo:
+        validate_density_matrix(rho)
+    assert str(excinfo.value) == message
+
+
+BAD_STATES = {
+    "non-finite": np.array([[np.inf, 0], [0, 0]]),
+    "trace": 2 * density(KET_0),
+    "negative eigenvalue": np.diag([1.5, -0.5]),
+    "Hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_STATES))
+@pytest.mark.parametrize("k", [0, 4, 9])
+def test_validate_density_matrix_stack_names_first_bad_index(kind, k):
+    stack = np.stack([density(KET_0 + j * KET_1) for j in range(10)])
+    validate_density_matrix(stack, "step {} state")
+    stack[k] = BAD_STATES[kind]
+    if k < 9:  # a later failure of another kind does not mask the first
+        stack[9] = np.diag([2.0, -1.0])
+    with pytest.raises(ValueError, match=rf"^step {k} state .*{kind}"):
+        validate_density_matrix(stack, "step {} state")
+
+
+def test_validate_density_matrix_returns_stack_unchanged():
+    stack = np.stack([density(KET_0), density(KET_1)])
+    np.testing.assert_array_equal(validate_density_matrix(stack), stack)
+
+
 def test_is_hermitian():
     assert is_hermitian(SIGMA_Y)
     assert not is_hermitian(SIGMA_MINUS)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trottersim.linalg import (
     I2,
@@ -27,10 +29,12 @@ from trottersim.liouvillian import (
     jump,
     lindblad_superop,
     pauli_expectations,
+    propagate,
     propagator,
     qubit_generators,
     target_trace,
 )
+from trottersim.trotter import TrotterSchedule, _step_superop
 
 RHO_1 = density(KET_1)
 
@@ -190,6 +194,60 @@ def test_drive_does_not_commute_with_damping():
     a = lindblad_superop([drive_generator(0.1)])
     b = lindblad_superop([damping_generator(0.17)])
     assert np.linalg.norm(a @ b - b @ a) > 1e-6
+
+
+# ------------------------------------------------------ doubling kernel
+
+
+def stepped_one_at_a_time(step, cols, n):
+    """Reference for propagate: v <- step @ v, one step at a time."""
+    out = [np.broadcast_to(cols, (step @ cols).shape)]
+    for _ in range(n):
+        out.append(step @ out[-1])
+    return np.stack(out)
+
+
+# Non-diagonalizable: a single 4x4 Jordan block with eigenvalue 0.9.
+JORDAN_STEP = 0.9 * np.eye(4) + np.eye(4, k=1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(n=5000, source="jordan", stack=2, rates=[(0.0, 0.0, 0.0)] * 3, order=1, dt=1.0, seed=0)
+@example(n=5000, source="dilation", stack=3, order=2, dt=3.56, seed=1,
+         rates=[(0.01, 0.02, 0.05), (0.03, 0.0, 0.1), (0.0, 0.05, 0.0)])
+@given(
+    n=st.integers(1, 5000),
+    source=st.sampled_from(["kraus", "dilation", "jordan"]),
+    stack=st.integers(1, 3),
+    rates=st.lists(st.tuples(st.floats(0, 0.05), st.floats(0, 0.05), st.floats(0, 0.1)),
+                   min_size=3, max_size=3),
+    order=st.sampled_from([1, 2]),
+    dt=st.floats(0.1, 4.0),
+    seed=st.integers(0, 2**16),
+)
+def test_propagate_matches_sequential_stepping(n, source, stack, rates, order, dt, seed):
+    if source == "jordan":
+        steps = np.stack([JORDAN_STEP] * stack)
+    else:
+        sched = TrotterSchedule(order=order, dt=dt, backend=source)
+        steps = np.stack([_step_superop(sched, CanonicalRates(*g)) for g in rates[:stack]])
+    step = steps[0] if stack == 1 else steps  # a single (4, 4) step, or a (K, 4, 4) stack
+    rng = np.random.default_rng(seed)
+    kets = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    cols = np.stack([vec(density(k)) for k in kets], axis=1)
+    fast = propagate(step, cols, n)
+    slow = stepped_one_at_a_time(step, cols, n)
+    assert fast.shape == (n + 1,) + step.shape[:-2] + (4, 2)
+    assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, np.abs(slow).max())
+
+
+def test_propagate_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        propagate(np.eye(4), np.ones(4), 3)
+    with pytest.raises(ValueError):
+        propagate(np.eye(4), np.ones((2, 1)), 3)
+    with pytest.raises(ValueError):
+        propagate(np.eye(4), np.ones((4, 1)), -1)
 
 
 # ----------------------------------------------------------- target trace

@@ -85,6 +85,16 @@ def test_tomography_set_validation():
         TomographySet(times, bad_range)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shots", [None, 500])
+def test_tomography_set_rejects_non_finite_curves(value, shots):
+    # A NaN passes an |x| > 1 range test; global_fit would only stop inside scipy.
+    data = {(s, o): np.zeros(3) for s in STATE_LABELS for o in OBS_LABELS}
+    data[("+", "y")] = np.array([0.0, value, 0.0])
+    with pytest.raises(ValueError, match=r"curve \('\+', 'y'\) is not finite"):
+        TomographySet(np.arange(3.0), data, shots=shots)
+
+
 def test_evolve_hook_grid_must_match():
     rates = rates_from_times(30.0, 20.0, 0.02)
     wrong = lambda rho0: target_trace(rates, rho0, TAU0, 10)

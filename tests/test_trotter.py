@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trottersim import trotter
 from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates
 from trottersim.linalg import KET_0, KET_1, density
 from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
@@ -131,6 +132,14 @@ def test_driven_long_run_stays_physical():
     tr = run_schedule(sched, rates, density(KET_1))
     assert len(tr) == 10_001
     assert tr.bloch_norms().max() <= 1 + 1e-8
+
+
+def test_run_schedule_names_first_unphysical_step(monkeypatch):
+    # A step that gains 3e-11 of trace per application leaves the 1e-10
+    # trace tolerance at step 4; every recorded state is checked.
+    monkeypatch.setattr(trotter, "_step_superop", lambda *_: (1 + 3e-11) * np.eye(4))
+    with pytest.raises(ValueError, match=r"^step 4 state trace deviates"):
+        run_schedule(TrotterSchedule(n_steps=50), FIG4_RATES)
 
 
 # ---------------------------------------------------------------- accuracy
