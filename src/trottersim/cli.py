@@ -31,6 +31,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +49,11 @@ from .dilation import (
     rotation_circuit,
 )
 from .linalg import SIGMA_X, density, expm
-from .liouvillian import CanonicalRates, EvolutionTrace, target_trace
+from .liouvillian import CanonicalRates, target_trace
 from .mitigation import NoisePoint, extrapolate, load_noise_points, scaled_damping_t2
 from .tomography import INITIAL_STATES, OBS_LABELS, STATE_LABELS, generate_tomography, global_fit
 from .trotter import (
     ALL_LABELS,
-    ALL_PERMUTATIONS,
-    BACKENDS,
     TrotterSchedule,
     accuracy,
     convergence_order,
@@ -87,20 +86,17 @@ class NumericalFailure(RuntimeError):
 class ExperimentConfig:
     """Fully validated experiment description.
 
-    Every field is resolved (defaults applied, angles in radians inside
-    AngleParams, worker count still external); construction happens only
-    through config parsing, which rejects unknown keys and out-of-range
-    values before any computation.
+    Every field is resolved: defaults applied, angles in radians inside
+    AngleParams, intrinsic decay folded into ``rates``, and the Trotter
+    settings held by ``schedule`` (dt = tau0).  Construction happens only
+    through build_config, which rejects unknown keys and out-of-range values
+    before any computation.
     """
 
     mode: str
     angles: AngleParams
-    intrinsic: tuple[float, float]
-    n_steps: int
-    order: int
-    permutation: tuple[str, str, str]
-    backend: str
-    noise: NoiseParams | None
+    rates: CanonicalRates
+    schedule: TrotterSchedule
     initial_state: str
     shots: int | None
     seed: int | None
@@ -123,33 +119,27 @@ def _require_mapping(value, context):
     for key in value:
         if not isinstance(key, str):
             raise ConfigError(f"{context} keys must be strings, got {key!r}")
-    return value
 
 
-def _reject_unknown(mapping, allowed, context):
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {', '.join(unknown)}")
-
-
-def _as_float(value, context, lo=None, hi=None, allow_inf=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+def _real(value, context):
+    """A YAML number as a float; NaN and inf are left to the range checks."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
-    if isinstance(value, str):
-        if allow_inf and value.strip().lower() in ("inf", "infinity", ".inf"):
-            value = np.inf
-        else:
-            raise ConfigError(f"{context} must be a number, got {value!r}")
-    x = float(value)
-    if np.isnan(x):
-        raise ConfigError(f"{context} must not be NaN")
-    if np.isinf(x) and not allow_inf:
-        raise ConfigError(f"{context} must be finite")
-    if lo is not None and x < lo:
-        raise ConfigError(f"{context} must be >= {lo}, got {x}")
-    if hi is not None and x > hi:
-        raise ConfigError(f"{context} must be <= {hi}, got {x}")
+    return float(value)
+
+
+def _finite(value, context):
+    x = _real(value, context)
+    if not np.isfinite(x):
+        raise ConfigError(f"{context} must be finite, got {x}")
     return x
+
+
+def _time(value, context):
+    """An intrinsic decay time: a number, or inf also spelled as a plain string."""
+    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity", ".inf"):
+        return np.inf
+    return _real(value, context)
 
 
 def _as_int(value, context, lo=None, hi=None):
@@ -162,78 +152,81 @@ def _as_int(value, context, lo=None, hi=None):
     return int(value)
 
 
-def _as_choice(value, choices, context):
-    if value not in choices:
-        raise ConfigError(f"{context} must be one of {', '.join(map(str, choices))}, got {value!r}")
+def _text(value, context):
+    return str(value)
+
+
+def _as_is(value, context):
     return value
 
 
-def _parse_angles(raw):
-    allowed = ("theta1_deg", "theta2_deg", "theta3_deg", "tau0_us")
-    _require_mapping(raw, "angles")
-    _reject_unknown(raw, allowed, "angles")
-    theta1 = _as_float(raw.get("theta1_deg", 20.0), "angles.theta1_deg", lo=0.0)
-    theta2 = _as_float(raw.get("theta2_deg", 20.0), "angles.theta2_deg", lo=0.0)
-    theta3 = _as_float(raw.get("theta3_deg", 51.4), "angles.theta3_deg", lo=0.0, hi=360.0)
-    tau0 = _as_float(raw.get("tau0_us", 3.56), "angles.tau0_us")
-    if tau0 <= 0:
-        raise ConfigError(f"angles.tau0_us must be positive, got {tau0}")
-    if theta1 >= 90.0 or theta2 >= 90.0:
-        raise ConfigError("angles theta1_deg and theta2_deg must be below 90 degrees")
-    return AngleParams.from_degrees(theta1, theta2, theta3, tau0)
+def _choice(*choices):
+    def coerce(value, context):
+        if value not in choices:
+            raise ConfigError(f"{context} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return coerce
 
 
-def _parse_intrinsic(raw):
-    allowed = ("t1_us", "t2_us")
-    _require_mapping(raw, "intrinsic")
-    _reject_unknown(raw, allowed, "intrinsic")
-    t1 = _as_float(raw.get("t1_us", np.inf), "intrinsic.t1_us", allow_inf=True)
-    t2 = _as_float(raw.get("t2_us", np.inf), "intrinsic.t2_us", allow_inf=True)
-    if t1 <= 0 or t2 <= 0:
-        raise ConfigError("intrinsic times must be positive (inf for ideal)")
-    if t2 > 2 * t1 * (1 + 1e-9):
-        raise ConfigError(f"intrinsic t2_us={t2} exceeds the physical bound 2*t1_us={2 * t1}")
-    return (t1, t2)
+def _list_of(coerce, min_len=1):
+    def coerce_list(value, context):
+        if not isinstance(value, (list, tuple)) or len(value) < min_len:
+            raise ConfigError(f"{context} must be a list of at least {min_len} entries")
+        return tuple(coerce(x, f"{context}[{i}]") for i, x in enumerate(value))
+
+    return coerce_list
 
 
-def _parse_noise(raw):
-    allowed = ("p_grape", "p_ancilla_decay")
-    _require_mapping(raw, "noise")
-    _reject_unknown(raw, allowed, "noise")
-    return NoiseParams(
-        p_grape=_as_float(raw.get("p_grape", 0.0), "noise.p_grape", lo=0.0, hi=1.0),
-        p_ancilla_decay=_as_float(
-            raw.get("p_ancilla_decay", 0.0), "noise.p_ancilla_decay", lo=0.0, hi=1.0
-        ),
-    )
+# Every config key but `mode` (build_config adds its row: the default is the
+# subcommand, the only accepted value) as key -> (default, coerce).  A coercer
+# checks the YAML type only; the physical ranges are checked by the objects
+# build_config makes (AngleParams, effective_rates, NoiseParams,
+# TrotterSchedule).  A table in place of a coercer is a nested section.  Only a
+# key whose default is None may be null.
+CONFIG_TABLE = {
+    "angles": ({}, {
+        "theta1_deg": (20.0, _real),
+        "theta2_deg": (20.0, _real),
+        "theta3_deg": (51.4, _real),
+        "tau0_us": (3.56, _real),
+    }),
+    "intrinsic": ({}, {"t1_us": (np.inf, _time), "t2_us": (np.inf, _time)}),
+    "n_steps": (13, partial(_as_int, hi=100_000)),
+    "order": (1, _as_is),
+    "permutation": (ALL_LABELS, _list_of(_text)),
+    "backend": ("kraus", _as_is),
+    # The section's presence selects NoiseParams; the defaults fill its keys.
+    "noise": ({}, {"p_grape": (0.0, _real), "p_ancilla_decay": (0.0, _real)}),
+    "initial_state": ("1", _choice(*STATE_LABELS)),
+    "shots": (None, partial(_as_int, lo=1)),
+    "seed": (None, partial(_as_int, lo=0, hi=2**64 - 1)),
+    "n_list": ((4, 8, 16, 32, 64, 128), _list_of(partial(_as_int, lo=1), 4)),
+    "theta_grid_deg": (tuple(float(x) for x in range(5, 90, 5)), _list_of(_finite)),
+    "c_list": ((1.0, 2.13, 4.93, 9.96), _list_of(_finite)),
+    "n_max": (None, partial(_as_int, lo=0)),
+    "input_csv": (None, _text),
+    "figure": (None, _choice(*FIGURES)),
+    "variable": ("t2", _choice("t2", "rate")),
+    "t_total_us": (None, _finite),
+}
 
 
-def _parse_permutation(raw):
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ConfigError(f"permutation must list the three generator labels, got {raw!r}")
-    perm = tuple(str(x) for x in raw)
-    if sorted(perm) != sorted(ALL_LABELS):
-        raise ConfigError(
-            f"permutation must rearrange {', '.join(ALL_LABELS)}, got {', '.join(perm)}"
-        )
-    return perm
-
-
-def _parse_number_list(raw, context, lo=None, hi=None):
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigError(f"{context} must be a non-empty list")
-    return tuple(_as_float(x, f"{context}[{i}]", lo=lo, hi=hi) for i, x in enumerate(raw))
-
-
-_TOP_LEVEL_KEYS = (
-    "mode", "angles", "intrinsic", "n_steps", "order", "permutation", "backend",
-    "noise", "initial_state", "shots", "seed", "n_list", "theta_grid_deg",
-    "c_list", "n_max", "input_csv", "figure", "variable", "t_total_us",
-)
-
-_DEFAULT_THETA_GRID = tuple(float(x) for x in range(5, 90, 5))
-_DEFAULT_C_LIST = (1.0, 2.13, 4.93, 9.96)
-_DEFAULT_N_LIST = (4, 8, 16, 32, 64, 128)
+def _resolve(raw, table, context=None):
+    """Coerce a config mapping through its table, filling in the defaults."""
+    _require_mapping(raw, context or "config")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {context or 'config'} keys: {', '.join(unknown)}")
+    values = {}
+    for key, (default, coerce) in table.items():
+        name = f"{context}.{key}" if context else key
+        value = raw.get(key, default)
+        if isinstance(coerce, dict):
+            values[key] = _resolve(value, coerce, name)
+        else:
+            values[key] = None if value is None and default is None else coerce(value, name)
+    return values
 
 
 def build_config(raw, mode):
@@ -247,86 +240,46 @@ def build_config(raw, mode):
         ExperimentConfig with defaults applied.
 
     Raises:
-        ConfigError: On unknown keys, type errors, or out-of-range values.
+        ConfigError: On unknown keys, type errors, or out-of-range values,
+            including every ValueError of the objects it builds.
     """
-    _require_mapping(raw, "config")
-    _reject_unknown(raw, _TOP_LEVEL_KEYS, "config")
-    if "mode" in raw:
-        declared = _as_choice(raw["mode"], MODES + ("reproduce",), "mode")
-        if declared != mode:
-            raise ConfigError(f"config declares mode {declared!r} but the {mode} command was run")
+    v = _resolve(raw, {"mode": (mode, _choice(mode)), **CONFIG_TABLE})
+    deg, intrinsic, noise = v.pop("angles"), v.pop("intrinsic"), v.pop("noise")
+    try:
+        angles = AngleParams.from_degrees(
+            deg["theta1_deg"], deg["theta2_deg"], deg["theta3_deg"], deg["tau0_us"]
+        )
+        rates = effective_rates(angles, intrinsic["t1_us"], intrinsic["t2_us"])
+        schedule = TrotterSchedule(
+            permutation=v.pop("permutation"), order=v.pop("order"), n_steps=v.pop("n_steps"),
+            dt=angles.tau0, backend=v.pop("backend"),
+            noise=NoiseParams(**noise) if "noise" in raw else None,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
-    angles = _parse_angles(raw.get("angles", {}))
-    intrinsic = _parse_intrinsic(raw.get("intrinsic", {}))
-    backend = _as_choice(raw.get("backend", "kraus"), BACKENDS, "backend")
-    noise = None
-    if "noise" in raw:
-        if backend != "dilation+noise":
-            raise ConfigError("noise parameters require backend dilation+noise")
-        noise = _parse_noise(raw["noise"])
-    elif backend == "dilation+noise":
-        raise ConfigError("backend dilation+noise requires a noise section")
-
-    shots = raw.get("shots")
-    if shots is not None:
-        shots = _as_int(shots, "shots", lo=1)
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _as_int(seed, "seed", lo=0, hi=2**64 - 1)
-    n_max = raw.get("n_max")
-    if n_max is not None:
-        n_max = _as_int(n_max, "n_max", lo=0)
-    t_total = raw.get("t_total_us")
-    if t_total is not None:
-        t_total = _as_float(t_total, "t_total_us")
-        if t_total <= 0:
-            raise ConfigError(f"t_total_us must be positive, got {t_total}")
-    figure = raw.get("figure")
-    if figure is not None:
-        figure = _as_choice(figure, FIGURES, "figure")
-
-    n_list_raw = raw.get("n_list", _DEFAULT_N_LIST)
-    if not isinstance(n_list_raw, (list, tuple)) or len(n_list_raw) < 4:
-        raise ConfigError("n_list must hold at least four step counts")
-    n_list = tuple(_as_int(x, f"n_list[{i}]", lo=1) for i, x in enumerate(n_list_raw))
+    if not 0 <= deg["theta3_deg"] <= 360:
+        raise ConfigError(f"angles.theta3_deg must lie in [0, 360], got {deg['theta3_deg']}")
+    n_list, c_list = v["n_list"], v["c_list"]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
-
-    theta_grid = _parse_number_list(
-        raw.get("theta_grid_deg", _DEFAULT_THETA_GRID), "theta_grid_deg", lo=0.0
-    )
-    if any(x >= 90.0 for x in theta_grid):
-        raise ConfigError("theta_grid_deg entries must be below 90 degrees")
-
-    c_list = _parse_number_list(raw.get("c_list", _DEFAULT_C_LIST), "c_list")
+    if not all(0 <= x < 90 for x in v["theta_grid_deg"]):
+        raise ConfigError("theta_grid_deg entries must lie in [0, 90) degrees")
     if any(x <= 0 for x in c_list):
         raise ConfigError("c_list entries must be positive")
     if abs(c_list[0] - 1.0) > 1e-12:
         raise ConfigError(f"c_list must start with the unscaled factor 1, got {c_list[0]}")
-    if n_max is not None and raw.get("input_csv") is None and n_max >= len(c_list):
-        raise ConfigError(f"n_max={n_max} needs {n_max + 1} c_list entries, got {len(c_list)}")
-
-    return ExperimentConfig(
-        mode=mode,
-        angles=angles,
-        intrinsic=intrinsic,
-        n_steps=_as_int(raw.get("n_steps", 13), "n_steps", lo=1, hi=100000),
-        order=_as_choice(raw.get("order", 1), (1, 2), "order"),
-        permutation=_parse_permutation(raw.get("permutation", list(ALL_LABELS))),
-        backend=backend,
-        noise=noise,
-        initial_state=_as_choice(raw.get("initial_state", "1"), STATE_LABELS, "initial_state"),
-        shots=shots,
-        seed=seed,
-        n_list=n_list,
-        theta_grid_deg=theta_grid,
-        c_list=c_list,
-        n_max=n_max,
-        input_csv=None if raw.get("input_csv") is None else str(raw["input_csv"]),
-        figure=figure,
-        variable=_as_choice(raw.get("variable", "t2"), ("t2", "rate"), "variable"),
-        t_total_us=t_total,
-    )
+    if v["input_csv"] is None:
+        if v["n_max"] is not None and v["n_max"] >= len(c_list):
+            raise ConfigError(
+                f"n_max={v['n_max']} needs {v['n_max'] + 1} c_list entries, got {len(c_list)}"
+            )
+        if mode == "mitigate" and schedule.backend == "dilation+noise":
+            raise ConfigError("mitigate simulates without injected noise: backend "
+                              "dilation+noise needs input_csv")
+    if v["t_total_us"] is not None and v["t_total_us"] <= 0:
+        raise ConfigError(f"t_total_us must be positive, got {v['t_total_us']}")
+    return ExperimentConfig(angles=angles, rates=rates, schedule=schedule, **v)
 
 
 def load_config(path, mode):
@@ -376,24 +329,14 @@ def _write_trace_csv(path, trace):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _schedule(cfg):
-    return TrotterSchedule(
-        permutation=cfg.permutation,
-        order=cfg.order,
-        n_steps=cfg.n_steps,
-        dt=cfg.angles.tau0,
-        backend=cfg.backend,
-        noise=cfg.noise,
-    )
-
-
 def _engine_summary(cfg):
+    schedule = cfg.schedule
     return {
-        "backend": cfg.backend,
-        "n_steps": cfg.n_steps,
-        "order": cfg.order,
-        "permutation": "-".join(cfg.permutation),
-        "tau0_us": float(cfg.angles.tau0),
+        "backend": schedule.backend,
+        "n_steps": schedule.n_steps,
+        "order": schedule.order,
+        "permutation": "-".join(schedule.permutation),
+        "tau0_us": float(schedule.dt),
     }
 
 
@@ -409,19 +352,18 @@ def _rates_summary(rates):
 
 
 def _run_evolve(cfg, out):
-    rates = effective_rates(cfg.angles, *cfg.intrinsic)
     rho0 = density(INITIAL_STATES[cfg.initial_state])
-    trace = target_trace(rates, rho0, cfg.angles.tau0, cfg.n_steps)
+    trace = target_trace(cfg.rates, rho0, cfg.schedule.dt, cfg.schedule.n_steps)
     path = out / "evolve.csv"
     _write_trace_csv(path, trace)
     return [path]
 
 
 def _run_trotter(cfg, out):
-    rates = effective_rates(cfg.angles, *cfg.intrinsic)
+    rates, schedule = cfg.rates, cfg.schedule
     rho0 = density(INITIAL_STATES[cfg.initial_state])
-    trace = run_schedule(_schedule(cfg), rates, rho0)
-    target = target_trace(rates, rho0, cfg.angles.tau0, cfg.n_steps)
+    trace = run_schedule(schedule, rates, rho0)
+    target = target_trace(rates, rho0, schedule.dt, schedule.n_steps)
     report = accuracy(trace, target)
     csv_path, target_path, json_path = (
         out / "trotter.csv", out / "trotter_target.csv", out / "trotter.json",
@@ -437,15 +379,19 @@ def _run_trotter(cfg, out):
     return [csv_path, target_path, json_path]
 
 
-def _run_scan(cfg, out):
-    rates = effective_rates(cfg.angles, *cfg.intrinsic)
-    rho0 = density(INITIAL_STATES[cfg.initial_state])
-    scan = permutation_scan(
-        rates, n_steps=cfg.n_steps, dt=cfg.angles.tau0, rho0=rho0,
-        orders=(1, 2), backend=cfg.backend, noise=cfg.noise,
+def _scan(cfg):
+    """Accuracy of every permutation at both orders, at the configured engine."""
+    schedule = cfg.schedule
+    return permutation_scan(
+        cfg.rates, n_steps=schedule.n_steps, dt=schedule.dt,
+        rho0=density(INITIAL_STATES[cfg.initial_state]), orders=(1, 2),
+        backend=schedule.backend, noise=schedule.noise,
     )
+
+
+def _run_scan(cfg, out):
     results = {"1": {}, "2": {}}
-    for (order, perm), report in scan.items():
+    for (order, perm), report in _scan(cfg).items():
         results[str(order)]["-".join(perm)] = float(report.a)
     best = {o: min(table, key=lambda k: (table[k], k)) for o, table in results.items()}
     path = out / "scan.json"
@@ -453,7 +399,7 @@ def _run_scan(cfg, out):
         "best_permutation": best,
         "engine": _engine_summary(cfg),
         "initial_state": cfg.initial_state,
-        "rates": _rates_summary(rates),
+        "rates": _rates_summary(cfg.rates),
         "results": results,
     })
     return [path]
@@ -497,14 +443,18 @@ def _run_dilate_verify(cfg, out):
     return [path]
 
 
-def _run_fit(cfg, out):
-    rates = effective_rates(cfg.angles, *cfg.intrinsic)
-    schedule = _schedule(cfg)
+def _tomography(cfg):
+    """Simulated tomography curves of the configured schedule and their global fit."""
+    rates, schedule = cfg.rates, cfg.schedule
     curves = generate_tomography(
-        rates, cfg.angles.tau0, cfg.n_steps, shots=cfg.shots, seed=cfg.seed,
+        rates, schedule.dt, schedule.n_steps, shots=cfg.shots, seed=cfg.seed,
         evolve=lambda rho0: run_schedule(schedule, rates, rho0),
     )
-    fit = global_fit(curves)
+    return curves, global_fit(curves)
+
+
+def _run_fit(cfg, out):
+    curves, fit = _tomography(cfg)
     lines = ["step,time_us,state,obs,value"]
     for state in STATE_LABELS:
         for obs in OBS_LABELS:
@@ -524,9 +474,9 @@ def _run_fit(cfg, out):
             "t2_us": float(fit.t2),
         },
         "predicted": {
-            "omega_mhz": float(rates.omega),
-            "t1_us": _json_num(rates.t1),
-            "t2_us": _json_num(rates.t2),
+            "omega_mhz": float(cfg.rates.omega),
+            "t1_us": _json_num(cfg.rates.t1),
+            "t2_us": _json_num(cfg.rates.t2),
         },
         "seed": cfg.seed,
         "shots": cfg.shots,
@@ -547,16 +497,12 @@ def _run_mitigate(cfg, out):
             raise ConfigError(f"no noise points found in {cfg.input_csv}")
         payload["source"] = str(cfg.input_csv)
     else:
-        base = replace(effective_rates(cfg.angles, *cfg.intrinsic), omega=0.0)
-
-        def measure(c):
-            return scaled_damping_t2(
-                base, c, tau0=cfg.angles.tau0, n_steps=cfg.n_steps,
-                order=cfg.order, backend=cfg.backend,
-                inverse=cfg.variable == "rate",
-            )
-
-        values = [measure(c) for c in cfg.c_list]
+        base, s = replace(cfg.rates, omega=0.0), cfg.schedule
+        values = [
+            scaled_damping_t2(base, c, s.dt, s.n_steps, s.order, s.backend,
+                              inverse=cfg.variable == "rate")
+            for c in cfg.c_list
+        ]
         points = [NoisePoint(c=c, value=v) for c, v in zip(cfg.c_list, values)]
         payload["source"] = "simulated"
         payload["base_rates"] = _rates_summary(base)
@@ -587,11 +533,11 @@ def _run_mitigate(cfg, out):
 
 
 def _run_converge(cfg, out):
-    rates = effective_rates(cfg.angles, *cfg.intrinsic)
+    schedule = cfg.schedule
     rho0 = density(INITIAL_STATES[cfg.initial_state])
-    t_total = cfg.t_total_us if cfg.t_total_us is not None else cfg.n_steps * cfg.angles.tau0
+    t_total = cfg.t_total_us if cfg.t_total_us is not None else schedule.n_steps * schedule.dt
     result = convergence_order(
-        _schedule(cfg), rates, rho0=rho0, n_list=cfg.n_list, t_total=t_total
+        schedule, cfg.rates, rho0=rho0, n_list=cfg.n_list, t_total=t_total
     )
     path = out / "converge.json"
     _write_json(path, {
@@ -599,7 +545,7 @@ def _run_converge(cfg, out):
         "engine": _engine_summary(cfg),
         "initial_state": cfg.initial_state,
         "n_values": [int(n) for n in result.n_values],
-        "rates": _rates_summary(rates),
+        "rates": _rates_summary(cfg.rates),
         "saturated": bool(result.saturated),
         "slope": None if result.slope is None else float(result.slope),
         "t_total_us": float(t_total),
@@ -619,66 +565,60 @@ RUNNERS = {
 
 
 # --------------------------------------------------------------- reproduce
-
-
-def _fit_noiseless(params, order=1, n_steps=13):
-    rates = angle_to_rates(params)
-    schedule = TrotterSchedule(order=order, n_steps=n_steps, dt=params.tau0)
-    curves = generate_tomography(
-        rates, params.tau0, n_steps,
-        evolve=lambda rho0: run_schedule(schedule, rates, rho0),
-    )
-    return rates, global_fit(curves)
-
+#
+# Each figure protocol fixes its own angles; tau0, N, the order and c_list
+# come from the default config.
 
 _FIG2_SWEEPS = {
     "theta1": {
         "grid": tuple(float(x) for x in range(5, 45, 5)),
         "fixed": {"theta2_deg": 20.0, "theta3_deg": 51.4},
-        "make": lambda a: AngleParams.from_degrees(a, 20.0, 51.4),
     },
     "theta2": {
         "grid": tuple(float(x) for x in range(5, 45, 5)),
         "fixed": {"theta1_deg": 20.0, "theta3_deg": 38.6},
-        "make": lambda a: AngleParams.from_degrees(20.0, a, 38.6),
     },
     "theta3": {
         "grid": tuple(float(x) for x in range(10, 80, 10)),
         "fixed": {"theta1_deg": 20.0, "theta2_deg": 20.0},
-        "make": lambda a: AngleParams.from_degrees(20.0, 20.0, a),
     },
 }
 
 
 def _reproduce_fig2(out):
-    paths = []
-    summary = {"n_steps": 13, "order": 1, "sweeps": {}, "tau0_us": 3.56}
+    paths, sweeps = [], {}
     header = "angle_deg,t1_us,t2_us,omega_mhz,t1_pred_us,t2_pred_us,omega_pred_mhz"
     for name, sweep in _FIG2_SWEEPS.items():
-        def fit_row(angle_deg, make=sweep["make"]):
-            rates, fit = _fit_noiseless(make(angle_deg))
-            return (angle_deg, fit.t1, fit.t2, fit.omega, rates.t1, rates.t2, rates.omega)
-
-        rows = [fit_row(angle_deg) for angle_deg in sweep["grid"]]
-        lines = [header] + [",".join(_fmt(x) for x in row) for row in rows]
+        lines = [header]
+        for angle_deg in sweep["grid"]:
+            cfg = build_config({"angles": {**sweep["fixed"], f"{name}_deg": angle_deg}}, "fit")
+            fit, rates = _tomography(cfg)[1], cfg.rates
+            row = (angle_deg, fit.t1, fit.t2, fit.omega, rates.t1, rates.t2, rates.omega)
+            lines.append(",".join(_fmt(x) for x in row))
         path = out / f"fig2_{name}.csv"
         path.write_text("\n".join(lines) + "\n")
         paths.append(path)
-        summary["sweeps"][name] = {
+        sweeps[name] = {
             "file": path.name, "fixed_deg": sweep["fixed"], "grid_deg": list(sweep["grid"]),
         }
     json_path = out / "fig2.json"
-    _write_json(json_path, summary)
+    _write_json(json_path, {  # every sweep point runs the default tau0, N and order
+        "n_steps": cfg.schedule.n_steps, "order": cfg.schedule.order,
+        "sweeps": sweeps, "tau0_us": cfg.angles.tau0,
+    })
     return paths + [json_path]
 
 
 def _reproduce_fig3(out):
+    default = build_config({}, "mitigate")
+    tau0, n_steps, order = default.angles.tau0, default.schedule.n_steps, default.schedule.order
     base = CanonicalRates(
-        gamma1=0.0090, gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0)).gamma_phi,
+        gamma1=0.0090,
+        gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0, tau0)).gamma_phi,
         omega=0.0,
     )
-    c_list = _DEFAULT_C_LIST
-    values = [scaled_damping_t2(base, c) for c in c_list]
+    c_list = default.c_list
+    values = [scaled_damping_t2(base, c, tau0, n_steps, order) for c in c_list]
     points_path = out / "fig3_points.csv"
     points_path.write_text(
         "\n".join(["c,t2star_us"] + [f"{_fmt(c)},{_fmt(v)}" for c, v in zip(c_list, values)])
@@ -699,9 +639,9 @@ def _reproduce_fig3(out):
             }
             for r in results
         ],
-        "n_steps": 13,
-        "order": 1,
-        "tau0_us": 3.56,
+        "n_steps": n_steps,
+        "order": order,
+        "tau0_us": tau0,
         "theta1_deg": 20.0,
         "zero_damping_dephasing_time_us": truth,
     })
@@ -710,20 +650,14 @@ def _reproduce_fig3(out):
 
 def _reproduce_fig4(out):
     theta2_grid = tuple(float(x) for x in range(5, 75, 5))
-
-    def scan_at(theta2_deg):
-        params = AngleParams.from_degrees(20.0, theta2_deg, 25.7)
-        rates = angle_to_rates(params)
-        scan = permutation_scan(rates, n_steps=13, dt=params.tau0)
-        return [
-            (order, "-".join(perm), theta2_deg, report.a)
-            for (order, perm), report in scan.items()
-        ]
-
-    tables = [scan_at(theta2_deg) for theta2_deg in theta2_grid]
-    rows = sorted(
-        (row for table in tables for row in table), key=lambda r: (r[0], r[1], r[2])
-    )
+    rows = []
+    for theta2_deg in theta2_grid:
+        cfg = build_config(
+            {"angles": {"theta1_deg": 20.0, "theta2_deg": theta2_deg, "theta3_deg": 25.7}}, "scan"
+        )
+        rows += [(order, "-".join(perm), theta2_deg, report.a)
+                 for (order, perm), report in _scan(cfg).items()]
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
     csv_path = out / "fig4_accuracy.csv"
     lines = ["order,permutation,theta2_deg,accuracy"]
     for order, perm, theta2_deg, acc in rows:
@@ -731,8 +665,8 @@ def _reproduce_fig4(out):
     csv_path.write_text("\n".join(lines) + "\n")
     json_path = out / "fig4.json"
     _write_json(json_path, {
-        "n_steps": 13,
-        "tau0_us": 3.56,
+        "n_steps": cfg.schedule.n_steps,
+        "tau0_us": cfg.angles.tau0,
         "theta1_deg": 20.0,
         "theta2_grid_deg": list(theta2_grid),
         "theta3_deg": 25.7,
@@ -799,7 +733,7 @@ def main(argv=None):
         _resolve_workers(args.workers)  # validated, then ignored: runs are serial
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
-            seed = _as_int(args.seed, "--seed", lo=0, hi=2**64 - 1)
+            seed = CONFIG_TABLE["seed"][1](args.seed, "--seed")
             cfg = replace(cfg, seed=seed)
         if args.command == "reproduce":
             figure = args.figure if args.figure is not None else cfg.figure

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply_channel
-from .linalg import I2, SIGMA_X, SIGMA_Z, dag, kron, partial_trace, vec
+from .linalg import I2, SIGMA_X, dag, kron, partial_trace, vec
 from .liouvillian import CanonicalRates
 
 __all__ = [

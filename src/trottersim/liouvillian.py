@@ -16,11 +16,11 @@ Conventions fixed here and used across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, expm, kron, vec
+from .linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, expm, kron, vec
 
 __all__ = [
     "GeneratorSpec",

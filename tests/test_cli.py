@@ -3,11 +3,19 @@
 import csv
 import json
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trottersim.cli as cli
-from trottersim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -265,12 +273,99 @@ def test_reproduce_without_figure_fails(tmp_path, capsys):
         "mode: scan\n",
         "variable: sideways\n",
         "theta_grid_deg: [5.0, 92.0]\n",
+        "mode: mitigate\nbackend: dilation+noise\nnoise: {p_grape: 0.01}\n",
     ],
 )
 def test_invalid_configs_exit_1(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
-    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    command = "mitigate" if text.startswith("mode: mitigate") else "evolve"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+def test_mitigate_from_csv_ignores_noisy_backend(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("c,value\n1,35.56\n2.13,29.63\n")
+    cfg = write_config(
+        tmp_path,
+        f"backend: dilation+noise\nnoise: {{p_grape: 0.01}}\ninput_csv: {table}\n",
+    )
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "key, code",
+    [
+        ("shots", EXIT_OK), ("seed", EXIT_OK), ("n_max", EXIT_OK), ("input_csv", EXIT_OK),
+        ("figure", EXIT_OK), ("t_total_us", EXIT_OK), ("noise", EXIT_CONFIG),
+        ("mode", EXIT_CONFIG),
+    ],
+)
+def test_only_keys_defaulting_to_null_accept_null(tmp_path, key, code):
+    cfg = write_config(tmp_path, f"{key}: null\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == code
+
+
+def test_fit_with_intrinsic_t1_only(tmp_path):
+    cfg = write_config(tmp_path, "intrinsic: {t1_us: 114.0}\n")
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    predicted = json.loads((tmp_path / "fit.json").read_text())["predicted"]
+    channel = angle_to_rates(AngleParams.from_degrees(20.0, 20.0, 51.4))
+    assert 1.0 / predicted["t1_us"] == pytest.approx(channel.gamma1 + 1.0 / 114.0, rel=1e-12)
+    assert 1.0 / predicted["t2_us"] == pytest.approx(1.0 / channel.t2 + 1.0 / 228.0, rel=1e-12)
+
+
+_ANGLE = st.one_of(
+    st.floats(-5.0, 95.0), st.sampled_from([0.0, 89.99995, 89.99999, 90.0, 90.000001])
+)
+_TIME = st.one_of(
+    st.floats(-10.0, 300.0), st.floats(0.5, 300.0), st.just(float("inf")),
+    st.sampled_from(["inf", ".inf"]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(theta1=_ANGLE, theta2=_ANGLE, tau0=st.floats(-1.0, 10.0), t1=_TIME, t2=_TIME)
+def test_config_accepts_angles_and_intrinsic_iff_effective_rates_does(
+    theta1, theta2, tau0, t1, t2
+):
+    raw = {
+        "angles": {"theta1_deg": theta1, "theta2_deg": theta2, "tau0_us": tau0},
+        "intrinsic": {"t1_us": t1, "t2_us": t2},
+    }
+    try:
+        params = AngleParams.from_degrees(theta1, theta2, 51.4, tau0)
+        effective_rates(params, *(np.inf if isinstance(t, str) else t for t in (t1, t2)))
+        physical = True
+    except ValueError:
+        physical = False
+    try:
+        cli.build_config(raw, "evolve")
+        accepted = True
+    except cli.ConfigError:
+        accepted = False
+    assert accepted == physical
+
+
+def _readme_schema():
+    text = README.read_text()
+    block = text.split("### YAML config schema", 1)[1].split("```yaml\n", 1)[1]
+    return yaml.safe_load(block.split("```", 1)[0])
+
+
+def test_readme_schema_matches_config_table():
+    schema = _readme_schema()
+    assert set(schema) == {"mode"} | set(CONFIG_TABLE)
+    for key, (default, coerce) in CONFIG_TABLE.items():
+        if isinstance(coerce, dict):
+            assert set(schema[key]) == set(coerce), key
+            for sub, (sub_default, _) in coerce.items():
+                assert schema[key][sub] == sub_default, f"{key}.{sub}"
+        elif isinstance(default, tuple):
+            if "..." not in schema[key]:
+                assert tuple(schema[key]) == default, key
+        else:
+            assert schema[key] == default, key
 
 
 def test_missing_config_file_exit_1(tmp_path, capsys):
