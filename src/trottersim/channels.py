@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, eigh, kron, vec
+from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, eigh, kron
 
 __all__ = [
     "KrausChannel",
@@ -183,14 +183,8 @@ def to_choi(ch: KrausChannel | np.ndarray) -> np.ndarray:
 
     Normalization: J = sum_{ij} |i><j| (x) E(|i><j|), so Tr J = d.
     """
-    if isinstance(ch, KrausChannel):
-        d = ch.dim
-        j = np.zeros((d * d, d * d), dtype=complex)
-        for e in ch.kraus:
-            v = vec(e)
-            j += np.outer(v, v.conj())
-        return j
-    return _superop_to_choi(np.asarray(ch, dtype=complex))
+    s = to_superop(ch) if isinstance(ch, KrausChannel) else np.asarray(ch, dtype=complex)
+    return _superop_to_choi(s)
 
 
 def choi_to_kraus(choi: np.ndarray, tol: float = 1e-12) -> KrausChannel:

@@ -93,7 +93,6 @@ class ExperimentConfig:
     before any computation.
     """
 
-    mode: str
     angles: AngleParams
     rates: CanonicalRates
     schedule: TrotterSchedule
@@ -244,6 +243,7 @@ def build_config(raw, mode):
             including every ValueError of the objects it builds.
     """
     v = _resolve(raw, {"mode": (mode, _choice(mode)), **CONFIG_TABLE})
+    del v["mode"]  # checked against the subcommand, which picks the runner
     deg, intrinsic, noise = v.pop("angles"), v.pop("intrinsic"), v.pop("noise")
     try:
         angles = AngleParams.from_degrees(

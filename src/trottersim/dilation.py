@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel
-from .linalg import I2, SIGMA_X, dag, kron, partial_trace, vec
+from .linalg import I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, kron, unvec, vec
 from .liouvillian import CanonicalRates
 
 __all__ = [
@@ -188,14 +187,20 @@ def rotation_circuit(theta3: float) -> DilationCircuit:
     )
 
 
-_FEEDFORWARD = KrausChannel((kron(_PROJ_G, I2), kron(_PROJ_E, SIGMA_X)), label="feedforward")
+def _superop(*kraus: np.ndarray) -> np.ndarray:
+    """sum_k conj(E_k) (x) E_k, for square or rectangular E_k."""
+    return sum(kron(np.conj(e), e) for e in kraus)
 
 
-def _ancilla_decay(p: float) -> KrausChannel:
-    e0 = kron(np.diag([1.0, np.sqrt(1.0 - p)]).astype(complex), I2)
-    e1 = np.zeros((2, 2), dtype=complex)
-    e1[0, 1] = np.sqrt(p)
-    return KrausChannel((e0, kron(e1, I2)), label="ancilla-decay")
+# Load ancilla |g> with G = |g> (x) I; the reset keeps sum_a <a| rho |a>.
+_LOAD_G = _superop(kron(KET_0[:, None], I2))
+_RESET = _superop(kron(KET_0[None], I2), kron(KET_1[None], I2))
+_FEEDFORWARD = _superop(kron(_PROJ_G, I2), kron(_PROJ_E, SIGMA_X))
+
+
+def _ancilla_decay(p: float) -> np.ndarray:
+    e0 = np.diag([1.0, np.sqrt(1.0 - p)])
+    return _superop(kron(e0, I2), kron(np.sqrt(p) * SIGMA_MINUS, I2))
 
 
 def run_circuit(
@@ -204,44 +209,13 @@ def run_circuit(
     noise: NoiseParams | None = None,
     adaptive: str = "coherent",
 ) -> np.ndarray:
-    """Execute a dilation circuit on a data-qubit operator.
-
-    Args:
-        circuit: Gate sequence ending in the ancilla reset.
-        rho_data: 2x2 data operator (any matrix; the map is linear).
-        noise: Optional injected imperfections; ancilla decay fires after
-            every two-qubit gate, one depolarization event fires on the data
-            after the whole composite unitary.
-        adaptive: "coherent" keeps the CNOT unitary; "feedforward" replaces
-            it by an ancilla z measurement with a conditional data X (the
-            induced channel is identical).
-
-    Returns:
-        The resulting 2x2 data operator after the ancilla reset.
-    """
-    if adaptive not in ("coherent", "feedforward"):
-        raise ValueError(f"adaptive must be 'coherent' or 'feedforward', got {adaptive!r}")
+    """Apply the :func:`induced_channel` of the circuit to a 2x2 data operator
+    (any matrix; the map is linear) and return the 2x2 result."""
+    channel = induced_channel(circuit, noise, adaptive)
     rho_data = np.asarray(rho_data, dtype=complex)
     if rho_data.shape != (2, 2):
         raise ValueError(f"data operator must be 2x2, got {rho_data.shape}")
-    rho = kron(_PROJ_G, rho_data)
-    decay = None
-    if noise is not None and noise.p_ancilla_decay > 0:
-        decay = _ancilla_decay(noise.p_ancilla_decay)
-    for gate in circuit.gates:
-        if gate.kind == "reset_ancilla":
-            out = partial_trace(rho, (2, 2), keep=1)
-            if noise is not None and noise.p_grape > 0:
-                out = (1 - noise.p_grape) * out + noise.p_grape * np.trace(out) * I2 / 2
-            return out
-        if gate.kind == "cnot_ancilla_ctrl" and adaptive == "feedforward":
-            rho = apply_channel(_FEEDFORWARD, rho)
-        else:
-            u = gate_unitary(gate)
-            rho = u @ rho @ dag(u)
-        if decay is not None and gate.kind in ("cz", "cnot_ancilla_ctrl"):
-            rho = apply_channel(decay, rho)
-    raise AssertionError("unreachable: circuits always end in reset_ancilla")
+    return unvec(channel @ vec(rho_data))
 
 
 def induced_channel(
@@ -249,13 +223,38 @@ def induced_channel(
     noise: NoiseParams | None = None,
     adaptive: str = "coherent",
 ) -> np.ndarray:
-    """Column-stacking superoperator of the data-qubit channel the circuit induces."""
-    s = np.empty((4, 4), dtype=complex)
-    for col in range(4):
-        basis = np.zeros(4)
-        basis[col] = 1.0
-        out = run_circuit(circuit, basis.reshape(2, 2, order="F"), noise, adaptive)
-        s[:, col] = vec(out)
+    """Column-stacking superoperator of the data-qubit channel the circuit induces.
+
+    The gates compose on ancilla (x) data between the load of ancilla |g> and
+    the reset, so the data channel has the Kraus operators <a|E_k|g> of the
+    composite family E_k.
+
+    Args:
+        circuit: Gate sequence ending in the ancilla reset.
+        noise: Optional injected imperfections; ancilla decay fires after
+            every two-qubit gate, one depolarization event fires on the data
+            after the whole composite unitary.
+        adaptive: "coherent" keeps the CNOT unitary; "feedforward" replaces
+            it by an ancilla z measurement with a conditional data X (the
+            induced channel is identical).
+    """
+    if adaptive not in ("coherent", "feedforward"):
+        raise ValueError(f"adaptive must be 'coherent' or 'feedforward', got {adaptive!r}")
+    decay = None
+    if noise is not None and noise.p_ancilla_decay > 0:
+        decay = _ancilla_decay(noise.p_ancilla_decay)
+    s = _LOAD_G
+    for gate in circuit.gates[:-1]:  # the last gate is the reset
+        if gate.kind == "cnot_ancilla_ctrl" and adaptive == "feedforward":
+            s = _FEEDFORWARD @ s
+        else:
+            s = _superop(gate_unitary(gate)) @ s
+        if decay is not None and gate.kind in ("cz", "cnot_ancilla_ctrl"):
+            s = decay @ s
+    s = _RESET @ s
+    if noise is not None and noise.p_grape > 0:
+        # (1 - p) rho + p Tr(rho) I/2; rows 0 and 3 of s read the diagonal.
+        s = (1 - noise.p_grape) * s + noise.p_grape * np.outer(vec(I2), s[0] + s[3]) / 2
     return s
 
 

@@ -52,6 +52,7 @@ INITIAL_STATES = {
 
 _RATE_FLOOR = 1e-6  # 1/us lower bound keeping infinite-coherence limits stable
 _RATE_CEIL = 2.0
+_MAX_STARTS = 5  # least-squares starts from the best-scored grid rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +225,7 @@ def _candidate_starts(ts: TomographySet, init_guess) -> list[list[float]]:
     return cands
 
 
-def global_fit(ts: TomographySet, init_guess=None, max_restarts: int = 5) -> FitResult:
+def global_fit(ts: TomographySet, init_guess=None) -> FitResult:
     """Fit (T1, T2, Omega) to all twelve curves by least squares.
 
     Bounded trust-region reflective least squares over the internal
@@ -234,7 +235,6 @@ def global_fit(ts: TomographySet, init_guess=None, max_restarts: int = 5) -> Fit
     Args:
         ts: Tomography curves on a uniform time grid with >= 6 points.
         init_guess: Optional (T1, T2, Omega) starting point.
-        max_restarts: Cap on least-squares starts.
 
     Returns:
         FitResult at the lowest-cost start; `converged` is True when that
@@ -259,14 +259,8 @@ def global_fit(ts: TomographySet, init_guess=None, max_restarts: int = 5) -> Fit
     hi = np.array([_RATE_CEIL, _RATE_CEIL, 0.5 / tau0])
     cands = np.clip(_candidate_starts(ts, init_guess), lo, hi)
     scores = ((_model_batch(cands, tau0, npoints) - data) ** 2).sum(axis=(1, 2))
-    scored = cands[np.argsort(scores, kind="stable")]
-    rng = np.random.default_rng(0)
     best = None
-    for i in range(max_restarts):
-        if i < len(scored):
-            x0 = scored[i]
-        else:
-            x0 = np.clip(best.x * (1.0 + 0.2 * rng.standard_normal(3)), lo, hi)
+    for x0 in cands[np.argsort(scores, kind="stable")][:_MAX_STARTS]:
         res = least_squares(
             residuals, x0, bounds=(lo, hi), method="trf", x_scale="jac",
             ftol=1e-14, xtol=1e-14, gtol=1e-14,

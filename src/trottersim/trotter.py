@@ -91,6 +91,10 @@ class TrotterSchedule:
                 f"permutation must contain each of {ALL_LABELS} exactly once, got {perm}"
             )
         object.__setattr__(self, "permutation", perm)
+        for name in ("order", "n_steps"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {self.order}")
         if self.n_steps < 1:

@@ -283,6 +283,14 @@ def test_invalid_configs_exit_1(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["order: true\n", "order: 2.0\n", "n_steps: 13.0\n"])
+@pytest.mark.parametrize("command", ["trotter", "scan"])
+def test_non_integer_order_or_steps_exit_1(tmp_path, capsys, text, command):
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_mitigate_from_csv_ignores_noisy_backend(tmp_path):
     table = tmp_path / "table.csv"
     table.write_text("c,value\n1,35.56\n2.13,29.63\n")

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trottersim.channels import (
+    KrausChannel,
     channel_distance,
+    compose_channels,
     damping_channel,
     dephasing_channel,
     identity_channel,
@@ -31,7 +33,7 @@ from trottersim.dilation import (
     rotation_circuit,
     run_circuit,
 )
-from trottersim.linalg import KET_1, SIGMA_Z, dag, density, unvec, vec
+from trottersim.linalg import I2, KET_1, SIGMA_MINUS, SIGMA_Z, dag, density, kron, unvec, vec
 from trottersim.liouvillian import CanonicalRates
 
 TAU0 = 3.56
@@ -187,6 +189,68 @@ def test_rotation_circuit_is_x_rotation():
 
     u = expm(-1j * theta / 2 * SIGMA_X)
     assert channel_distance(s, unitary_channel(u)) < 1e-12
+
+
+_CIRCUITS = {
+    "dephasing": dephasing_circuit,
+    "damping": damping_circuit,
+    "rotation": rotation_circuit,
+}
+_MIXER = np.outer(vec(I2), vec(I2)) / 2  # X -> Tr(X) I/2
+
+
+def _kraus_reference(circuit, p_decay):
+    """Data superoperator from 4x4 Kraus families composed gate by gate, with
+    ancilla decay after each two-qubit gate, read off as the blocks <a|E|g>."""
+    e0 = kron(np.diag([1.0, np.sqrt(1.0 - p_decay)]), I2)
+    decay = KrausChannel((e0, kron(np.sqrt(p_decay) * SIGMA_MINUS, I2)))
+    composite = identity_channel(4)
+    for gate in circuit.gates[:-1]:
+        composite = compose_channels(composite, unitary_channel(gate_unitary(gate)))
+        if gate.kind in ("cz", "cnot_ancilla_ctrl"):
+            composite = compose_channels(composite, decay)
+    blocks = [e[2 * a : 2 * a + 2, :2] for e in composite.kraus for a in (0, 1)]
+    return to_superop(KrausChannel(tuple(blocks)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_CIRCUITS)),
+    theta=st.floats(-2 * np.pi, 2 * np.pi),
+    p_grape=st.floats(0, 1),
+    p_decay=st.floats(0, 1),
+    adaptive=st.sampled_from(["coherent", "feedforward"]),
+    entries=st.lists(st.floats(-2, 2), min_size=8, max_size=8),
+)
+def test_induced_channel_properties(kind, theta, p_grape, p_decay, adaptive, entries):
+    circuit = _CIRCUITS[kind](theta)
+    noise = NoiseParams(p_grape, p_decay)
+    s = induced_channel(circuit, noise, adaptive)
+    assert is_cptp(s)
+    other = "feedforward" if adaptive == "coherent" else "coherent"
+    assert np.abs(s - induced_channel(circuit, noise, other)).max() < 1e-12
+    # One depolarization event mixes the data channel with Tr(.) I/2.
+    clean = induced_channel(circuit, NoiseParams(0.0, p_decay), adaptive)
+    assert np.abs(s - ((1 - p_grape) * clean + p_grape * _MIXER)).max() < 1e-12
+    assert np.abs(clean - _kraus_reference(circuit, p_decay)).max() < 1e-12
+    # Ancilla decay after the dephasing circuit's CZ, the last gate before the
+    # reset, cannot reach the data; the rotation circuit has no two-qubit gate.
+    if kind != "damping":
+        no_decay = induced_channel(circuit, NoiseParams(p_grape, 0.0), adaptive)
+        assert np.abs(s - no_decay).max() < 1e-12
+    x = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
+    out = run_circuit(circuit, x, noise, adaptive)
+    assert np.abs(out - unvec(s @ vec(x))).max() < 1e-12
+
+
+def test_run_circuit_rejects_non_2x2_operator():
+    with pytest.raises(ValueError, match="2x2"):
+        run_circuit(damping_circuit(0.3), np.eye(4) / 4)
+
+
+def test_induced_channel_rejects_bad_adaptive_mode():
+    with pytest.raises(ValueError, match="adaptive"):
+        induced_channel(damping_circuit(0.3), adaptive="magic")
 
 
 # ------------------------------------------------------------------ noise

@@ -53,6 +53,21 @@ def test_schedule_rejects_non_finite_dt(bad):
         TrotterSchedule(dt=bad)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("order", True), ("order", 2.0), ("order", np.bool_(True)), ("order", "1"),
+     ("n_steps", True), ("n_steps", 13.0), ("n_steps", "13")],
+)
+def test_schedule_rejects_non_integer_counts(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TrotterSchedule(**{field: bad})
+
+
+def test_schedule_accepts_numpy_integer_counts():
+    sched = TrotterSchedule(order=np.int64(2), n_steps=np.int32(5))
+    assert (sched.order, sched.n_steps) == (2, 5)
+
+
 def test_all_permutations_enumerated():
     assert len(ALL_PERMUTATIONS) == 6
     assert all(sorted(p) == sorted(ALL_LABELS) for p in ALL_PERMUTATIONS)
