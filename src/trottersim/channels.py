@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, eigh, kron
+from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, eigh, kron, partial_trace
 
 __all__ = [
     "KrausChannel",
@@ -232,5 +232,5 @@ def is_cptp(ch: KrausChannel | np.ndarray, atol_tp: float = 1e-10, atol_cp: floa
     if np.linalg.eigvalsh((j + dag(j)) / 2).min() < -atol_cp:
         return False
     # Trace preservation: partial trace of J over the output factor is I.
-    reduced = np.einsum("ikjk->ij", j.reshape(d, d, d, d))
+    reduced = partial_trace(j, (d, d), keep=0)
     return bool(np.abs(reduced - np.eye(d)).max() <= max(atol_tp, 1e-8))

@@ -70,7 +70,6 @@ TRACE_HEADER = "step,time_us,sx,sy,sz"
 BLOCH_TOL = 1e-8
 DISTANCE_TOL = 1e-10
 
-MODES = ("evolve", "trotter", "scan", "dilate-verify", "fit", "mitigate", "converge")
 FIGURES = ("fig2", "fig3", "fig4")
 
 
@@ -315,18 +314,22 @@ def _write_json(path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path, header, rows):
+    """Write a header line and one line per row: floats as repr, other cells as text."""
+    lines = [header] + [
+        ",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) for row in rows
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _write_trace_csv(path, trace):
     worst = float(trace.bloch_norms().max())
     if worst > 1.0 + BLOCH_TOL:
         raise NumericalFailure(
             f"trace {trace.label!r} leaves the Bloch ball: max norm {worst:.12f}"
         )
-    lines = [TRACE_HEADER]
-    for j, t in enumerate(trace.times):
-        lines.append(
-            f"{j},{_fmt(t)},{_fmt(trace.sx[j])},{_fmt(trace.sy[j])},{_fmt(trace.sz[j])}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    columns = (trace.times, trace.sx, trace.sy, trace.sz)
+    _write_csv(path, TRACE_HEADER, ((j, *v) for j, v in enumerate(zip(*columns))))
 
 
 def _engine_summary(cfg):
@@ -346,6 +349,12 @@ def _rates_summary(rates):
         "gamma_phi_per_us": float(rates.gamma_phi),
         "omega_mhz": float(rates.omega),
     }
+
+
+def _run_summary(cfg):
+    """The engine, initial state and rates that the trotter, scan and converge JSONs share."""
+    return {"engine": _engine_summary(cfg), "initial_state": cfg.initial_state,
+            "rates": _rates_summary(cfg.rates)}
 
 
 # ------------------------------------------------------------ mode runners
@@ -370,12 +379,7 @@ def _run_trotter(cfg, out):
     )
     _write_trace_csv(csv_path, trace)
     _write_trace_csv(target_path, target)
-    _write_json(json_path, {
-        "accuracy": float(report.a),
-        "engine": _engine_summary(cfg),
-        "initial_state": cfg.initial_state,
-        "rates": _rates_summary(rates),
-    })
+    _write_json(json_path, {"accuracy": float(report.a), **_run_summary(cfg)})
     return [csv_path, target_path, json_path]
 
 
@@ -395,35 +399,26 @@ def _run_scan(cfg, out):
         results[str(order)]["-".join(perm)] = float(report.a)
     best = {o: min(table, key=lambda k: (table[k], k)) for o, table in results.items()}
     path = out / "scan.json"
-    _write_json(path, {
-        "best_permutation": best,
-        "engine": _engine_summary(cfg),
-        "initial_state": cfg.initial_state,
-        "rates": _rates_summary(cfg.rates),
-        "results": results,
-    })
+    _write_json(path, {"best_permutation": best, "results": results, **_run_summary(cfg)})
     return [path]
 
 
 def _run_dilate_verify(cfg, out):
     tau0 = cfg.angles.tau0
-    distances = {"dephasing": {}, "damping": {}, "rotation": {}}
+    distances = {}
     for theta_deg in cfg.theta_grid_deg:
         params = AngleParams.from_degrees(theta_deg, theta_deg, theta_deg, tau0)
         rates = angle_to_rates(params)
-        key = _fmt(theta_deg)
-        distances["dephasing"][key] = channel_distance(
-            induced_channel(dephasing_circuit(params.theta1)),
-            dephasing_channel(rates.gamma_phi, tau0),
-        )
-        distances["damping"][key] = channel_distance(
-            induced_channel(damping_circuit(params.theta2)),
-            damping_channel(rates.gamma1, tau0),
-        )
-        distances["rotation"][key] = channel_distance(
-            induced_channel(rotation_circuit(params.theta3)),
-            unitary_channel(expm(-0.5j * params.theta3 * SIGMA_X)),
-        )
+        for label, circuit, analytic in (
+            ("dephasing", dephasing_circuit(params.theta1),
+             dephasing_channel(rates.gamma_phi, tau0)),
+            ("damping", damping_circuit(params.theta2), damping_channel(rates.gamma1, tau0)),
+            ("rotation", rotation_circuit(params.theta3),
+             unitary_channel(expm(-0.5j * params.theta3 * SIGMA_X))),
+        ):
+            distances.setdefault(label, {})[_fmt(theta_deg)] = channel_distance(
+                induced_channel(circuit), analytic
+            )
     max_distance = max(max(d.values()) for d in distances.values())
     passed = max_distance < DISTANCE_TOL
     path = out / "dilate_verify.json"
@@ -455,14 +450,12 @@ def _tomography(cfg):
 
 def _run_fit(cfg, out):
     curves, fit = _tomography(cfg)
-    lines = ["step,time_us,state,obs,value"]
-    for state in STATE_LABELS:
-        for obs in OBS_LABELS:
-            values = curves.curve(state, obs)
-            for j, t in enumerate(curves.times):
-                lines.append(f"{j},{_fmt(t)},{state},{obs},{_fmt(values[j])}")
     curves_path = out / "fit_curves.csv"
-    curves_path.write_text("\n".join(lines) + "\n")
+    _write_csv(curves_path, "step,time_us,state,obs,value", (
+        (j, t, state, obs, v)
+        for state in STATE_LABELS for obs in OBS_LABELS
+        for j, (t, v) in enumerate(zip(curves.times, curves.curve(state, obs)))
+    ))
     json_path = out / "fit.json"
     _write_json(json_path, {
         "engine": _engine_summary(cfg),
@@ -486,6 +479,16 @@ def _run_fit(cfg, out):
     return [curves_path, json_path]
 
 
+def _scaled_points(cfg):
+    """Undriven base rates and one fitted point per c_list factor c, damping scaled by c."""
+    base, s = replace(cfg.rates, omega=0.0), cfg.schedule
+    return base, [
+        NoisePoint(c=c, value=scaled_damping_t2(base, c, s.dt, s.n_steps, s.order, s.backend,
+                                                inverse=cfg.variable == "rate"))
+        for c in cfg.c_list
+    ]
+
+
 def _run_mitigate(cfg, out):
     payload = {"variable": cfg.variable}
     if cfg.input_csv is not None:
@@ -497,13 +500,7 @@ def _run_mitigate(cfg, out):
             raise ConfigError(f"no noise points found in {cfg.input_csv}")
         payload["source"] = str(cfg.input_csv)
     else:
-        base, s = replace(cfg.rates, omega=0.0), cfg.schedule
-        values = [
-            scaled_damping_t2(base, c, s.dt, s.n_steps, s.order, s.backend,
-                              inverse=cfg.variable == "rate")
-            for c in cfg.c_list
-        ]
-        points = [NoisePoint(c=c, value=v) for c, v in zip(cfg.c_list, values)]
+        base, points = _scaled_points(cfg)
         payload["source"] = "simulated"
         payload["base_rates"] = _rates_summary(base)
         if base.gamma_phi > 0:
@@ -519,12 +516,8 @@ def _run_mitigate(cfg, out):
         for p in points
     ]
     payload["results"] = [
-        {
-            "estimate": float(r.estimate),
-            "gammas": [float(g) for g in r.gammas],
-            "order": r.order,
-            "sigma_est": None if r.sigma_est is None else float(r.sigma_est),
-        }
+        {"estimate": float(r.estimate), "gammas": [float(g) for g in r.gammas],
+         "order": r.order, "sigma_est": None if r.sigma_est is None else float(r.sigma_est)}
         for r in results
     ]
     path = out / "mitigate.json"
@@ -536,19 +529,15 @@ def _run_converge(cfg, out):
     schedule = cfg.schedule
     rho0 = density(INITIAL_STATES[cfg.initial_state])
     t_total = cfg.t_total_us if cfg.t_total_us is not None else schedule.n_steps * schedule.dt
-    result = convergence_order(
-        schedule, cfg.rates, rho0=rho0, n_list=cfg.n_list, t_total=t_total
-    )
+    result = convergence_order(schedule, cfg.rates, rho0=rho0, n_list=cfg.n_list, t_total=t_total)
     path = out / "converge.json"
     _write_json(path, {
         "accuracies": [float(a) for a in result.accuracies],
-        "engine": _engine_summary(cfg),
-        "initial_state": cfg.initial_state,
         "n_values": [int(n) for n in result.n_values],
-        "rates": _rates_summary(cfg.rates),
         "saturated": bool(result.saturated),
         "slope": None if result.slope is None else float(result.slope),
         "t_total_us": float(t_total),
+        **_run_summary(cfg),
     })
     return [path]
 
@@ -566,8 +555,8 @@ RUNNERS = {
 
 # --------------------------------------------------------------- reproduce
 #
-# Each figure protocol fixes its own angles; tau0, N, the order and c_list
-# come from the default config.
+# Each figure protocol is a set of configs that fix their own angles (and, for
+# fig3, an intrinsic T1); tau0, N, the order and c_list come from the defaults.
 
 _FIG2_SWEEPS = {
     "theta1": {
@@ -587,16 +576,16 @@ _FIG2_SWEEPS = {
 
 def _reproduce_fig2(out):
     paths, sweeps = [], {}
-    header = "angle_deg,t1_us,t2_us,omega_mhz,t1_pred_us,t2_pred_us,omega_pred_mhz"
     for name, sweep in _FIG2_SWEEPS.items():
-        lines = [header]
+        rows = []
         for angle_deg in sweep["grid"]:
             cfg = build_config({"angles": {**sweep["fixed"], f"{name}_deg": angle_deg}}, "fit")
             fit, rates = _tomography(cfg)[1], cfg.rates
-            row = (angle_deg, fit.t1, fit.t2, fit.omega, rates.t1, rates.t2, rates.omega)
-            lines.append(",".join(_fmt(x) for x in row))
+            rows.append((angle_deg, fit.t1, fit.t2, fit.omega, rates.t1, rates.t2, rates.omega))
         path = out / f"fig2_{name}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        _write_csv(
+            path, "angle_deg,t1_us,t2_us,omega_mhz,t1_pred_us,t2_pred_us,omega_pred_mhz", rows
+        )
         paths.append(path)
         sweeps[name] = {
             "file": path.name, "fixed_deg": sweep["fixed"], "grid_deg": list(sweep["grid"]),
@@ -609,40 +598,34 @@ def _reproduce_fig2(out):
     return paths + [json_path]
 
 
+# Dephasing from theta1 = 20 deg, no drive, and the damping of an intrinsic
+# T1 = 1/0.0090 us in place of a damping circuit.
+_FIG3_CONFIG = {
+    "angles": {"theta1_deg": 20.0, "theta2_deg": 0.0, "theta3_deg": 0.0},
+    "intrinsic": {"t1_us": 1 / 0.0090},
+}
+
+
 def _reproduce_fig3(out):
-    default = build_config({}, "mitigate")
-    tau0, n_steps, order = default.angles.tau0, default.schedule.n_steps, default.schedule.order
-    base = CanonicalRates(
-        gamma1=0.0090,
-        gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0, tau0)).gamma_phi,
-        omega=0.0,
-    )
-    c_list = default.c_list
-    values = [scaled_damping_t2(base, c, tau0, n_steps, order) for c in c_list]
+    cfg = build_config(_FIG3_CONFIG, "mitigate")
+    base, points = _scaled_points(cfg)
     points_path = out / "fig3_points.csv"
-    points_path.write_text(
-        "\n".join(["c,t2star_us"] + [f"{_fmt(c)},{_fmt(v)}" for c, v in zip(c_list, values)])
-        + "\n"
-    )
-    points = [NoisePoint(c=c, value=v) for c, v in zip(c_list, values)]
+    _write_csv(points_path, "c,t2star_us", ((p.c, p.value) for p in points))
     truth = 1.0 / base.gamma_phi
     results = [extrapolate(points, n) for n in range(len(points))]
     json_path = out / "fig3.json"
     _write_json(json_path, {
         "base_rates": _rates_summary(base),
-        "c_list": list(c_list),
+        "c_list": list(cfg.c_list),
         "extrapolations": [
-            {
-                "estimate": float(r.estimate),
-                "order": r.order,
-                "relative_error": float((r.estimate - truth) / truth),
-            }
+            {"estimate": float(r.estimate), "order": r.order,
+             "relative_error": float((r.estimate - truth) / truth)}
             for r in results
         ],
-        "n_steps": n_steps,
-        "order": order,
-        "tau0_us": tau0,
-        "theta1_deg": 20.0,
+        "n_steps": cfg.schedule.n_steps,
+        "order": cfg.schedule.order,
+        "tau0_us": cfg.angles.tau0,
+        "theta1_deg": _FIG3_CONFIG["angles"]["theta1_deg"],
         "zero_damping_dephasing_time_us": truth,
     })
     return [points_path, json_path]
@@ -659,10 +642,7 @@ def _reproduce_fig4(out):
                  for (order, perm), report in _scan(cfg).items()]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     csv_path = out / "fig4_accuracy.csv"
-    lines = ["order,permutation,theta2_deg,accuracy"]
-    for order, perm, theta2_deg, acc in rows:
-        lines.append(f"{order},{perm},{_fmt(theta2_deg)},{_fmt(acc)}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_csv(csv_path, "order,permutation,theta2_deg,accuracy", rows)
     json_path = out / "fig4.json"
     _write_json(json_path, {
         "n_steps": cfg.schedule.n_steps,
@@ -697,7 +677,7 @@ def _build_parser():
         description="Trotterized open-qubit-system simulation harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in MODES + ("reproduce",):
+    for name in (*RUNNERS, "reproduce"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="YAML config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")

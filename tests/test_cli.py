@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
+from trottersim.liouvillian import CanonicalRates
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -208,6 +209,17 @@ def test_reproduce_fig3(tmp_path):
     assert abs(order1["relative_error"]) < 0.15
 
 
+def test_fig3_config_pins_the_paper_base_rates():
+    # fig3 runs the mitigate config cli._FIG3_CONFIG; its rates must stay exactly
+    # the paper's: gamma1 = 0.0090/us, dephasing of theta1 = 20 deg, no drive.
+    cfg = cli.build_config(cli._FIG3_CONFIG, "mitigate")
+    assert cfg.rates == CanonicalRates(
+        gamma1=0.0090,
+        gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0, 3.56)).gamma_phi,
+        omega=0.0,
+    )
+
+
 def test_reproduce_fig4(tmp_path):
     assert main(
         ["reproduce", "--figure", "fig4", "--out", str(tmp_path), "--workers", "2"]
@@ -274,6 +286,7 @@ def test_reproduce_without_figure_fails(tmp_path, capsys):
         "variable: sideways\n",
         "theta_grid_deg: [5.0, 92.0]\n",
         "mode: mitigate\nbackend: dilation+noise\nnoise: {p_grape: 0.01}\n",
+        "mode: mitigate\nn_max: 4\n",
     ],
 )
 def test_invalid_configs_exit_1(tmp_path, capsys, text):
@@ -289,6 +302,23 @@ def test_non_integer_order_or_steps_exit_1(tmp_path, capsys, text, command):
     cfg = write_config(tmp_path, text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "table, extra, message",
+    [
+        ("c,value,sigma\n", "", "no noise points found"),
+        ("c,value\n1,35.56\n2.13,29.63\n", "n_max: 2\n", "needs 3 points"),
+    ],
+    ids=["header-only", "two-rows-n_max-2"],
+)
+def test_mitigate_input_csv_with_too_few_points_exit_1(tmp_path, capsys, table, extra, message):
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    cfg = write_config(tmp_path, f"input_csv: {path}\n{extra}")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "mitigate.json").exists()
 
 
 def test_mitigate_from_csv_ignores_noisy_backend(tmp_path):

@@ -13,6 +13,8 @@ from trottersim.tomography import (
     STATE_LABELS,
     FitResult,
     TomographySet,
+    _candidate_starts,
+    _estimate_t2_rate,
     _model_batch,
     dephasing_time,
     generate_tomography,
@@ -175,6 +177,22 @@ def test_noiseless_round_trip_property(t1, t2_share, omega):
     assert fit.t1 == pytest.approx(t1, rel=0.01)
     assert fit.t2 == pytest.approx(t2, rel=0.01)
     assert fit.omega == pytest.approx(omega, rel=0.01)
+
+
+@pytest.mark.parametrize("t2", [0.5, 1.0, 2.0])
+def test_fast_dephasing_fit_starts_from_the_dephasing_grid(t2):
+    # With T2 below tau0, <x> of |+> drops under the 0.05 seed threshold after
+    # one step, so no 1/T2 seed exists and each of the 10 r1 values spans six
+    # dephasing rates instead of one.
+    rates = rates_from_times(50.0, t2, 0.02)
+    ts = generate_tomography(rates, TAU0, 13)
+    assert _estimate_t2_rate(ts) is None
+    assert len(_candidate_starts(ts, None)) == 660
+    fit = global_fit(ts)
+    assert fit.converged
+    np.testing.assert_allclose(
+        [fit.t1, fit.t2, fit.omega], [rates.t1, rates.t2, rates.omega], rtol=1e-12
+    )
 
 
 def test_degenerate_zero_rates_pin_at_bounds():
