@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, eigh, kron, partial_trace
+from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, eigh, kron, partial_trace, unvec, vec
 
 __all__ = [
     "KrausChannel",
@@ -147,10 +147,7 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"state shape {rho.shape} does not match channel dim {ch.dim}")
-    out = np.zeros_like(rho)
-    for e in ch.kraus:
-        out += e @ rho @ dag(e)
-    return out
+    return unvec(to_superop(ch) @ vec(rho))
 
 
 def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:

@@ -227,6 +227,15 @@ def _resolve(raw, table, context=None):
     return values
 
 
+def _check_scale_factors(cs, n_max, source):
+    """Reject what extrapolate refuses: a first factor other than 1, or a repeat in those used."""
+    used = list(cs)[: len(cs) if n_max is None else n_max + 1]
+    if abs(used[0] - 1.0) > 1e-12:
+        raise ConfigError(f"{source} must start with the unscaled factor 1, got {used[0]}")
+    if len(set(used)) < len(used):
+        raise ConfigError(f"{source} repeats a scale factor among the {len(used)} used: {used}")
+
+
 def build_config(raw, mode):
     """Validate a raw config mapping into an ExperimentConfig.
 
@@ -266,8 +275,9 @@ def build_config(raw, mode):
         raise ConfigError("theta_grid_deg entries must lie in [0, 90) degrees")
     if any(x <= 0 for x in c_list):
         raise ConfigError("c_list entries must be positive")
-    if abs(c_list[0] - 1.0) > 1e-12:
-        raise ConfigError(f"c_list must start with the unscaled factor 1, got {c_list[0]}")
+    # Only a simulated mitigate study extrapolates over c_list; elsewhere only its start counts.
+    simulated = mode == "mitigate" and v["input_csv"] is None
+    _check_scale_factors(c_list, v["n_max"] if simulated else 0, "c_list")
     if v["input_csv"] is None:
         if v["n_max"] is not None and v["n_max"] >= len(c_list):
             raise ConfigError(
@@ -498,6 +508,7 @@ def _run_mitigate(cfg, out):
             raise ConfigError(f"cannot load noise points from {cfg.input_csv}: {exc}") from exc
         if len(points) < 1:
             raise ConfigError(f"no noise points found in {cfg.input_csv}")
+        _check_scale_factors([p.c for p in points], cfg.n_max, f"the c column of {cfg.input_csv}")
         payload["source"] = str(cfg.input_csv)
     else:
         base, points = _scaled_points(cfg)

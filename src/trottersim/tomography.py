@@ -5,10 +5,11 @@ twelve evolution curves on a shared time grid. The global fit minimizes the
 unweighted sum of squared deviations between those curves and the exact
 master-equation model, parameterized internally by the rates
 (1/T1, pure dephasing, Omega) so the physicality constraint T2 <= 2*T1 holds
-by construction. One stacked matrix exponential scores a grid of starts at
-once; the best starts then seed bounded trust-region least squares on the
-12*(N+1) residuals. Optional sampling noise replaces each expectation x by
-2k/s - 1 with k ~ Binomial(s, (1+x)/2).
+by construction. The model is the closed-form (Torrey) Bloch solution: one
+call scores a grid of starts, and the best seed bounded trust-region least
+squares on the 12*(N+1) residuals with an exact complex-step Jacobian.
+Optional sampling noise replaces each expectation x by 2k/s - 1 with
+k ~ Binomial(s, (1+x)/2).
 """
 
 from __future__ import annotations
@@ -18,16 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import KET_0, KET_1, density, expm, vec
-from .liouvillian import (
-    PAULI_ROWS,
-    CanonicalRates,
-    EvolutionTrace,
-    lindblad_superop,
-    propagate,
-    qubit_generators,
-    target_trace,
-)
+from .linalg import KET_0, KET_1, density
+from .liouvillian import CanonicalRates, EvolutionTrace, pauli_expectations, target_trace
 
 __all__ = [
     "STATE_LABELS",
@@ -161,30 +154,46 @@ class FitResult:
             raise ValueError(f"unphysical fit: T2={self.t2} exceeds 2*T1={2 * self.t1}")
 
 
-# Vectorized initial states as columns, shared by every model evaluation.
-_STATE_COLS = np.stack(
-    [vec(density(INITIAL_STATES[lbl])) for lbl in STATE_LABELS], axis=1
-)
-
-# The Lindblad generator is linear in each canonical rate, so the model
-# superoperator is assembled from unit-rate templates built by the same
-# lindblad_superop the simulator uses.
-_GEN_R1 = lindblad_superop(qubit_generators(CanonicalRates(gamma1=1.0)))
-_GEN_RPHI = lindblad_superop(qubit_generators(CanonicalRates(gamma_phi=1.0)))
-_GEN_OMEGA = lindblad_superop(qubit_generators(CanonicalRates(omega=1.0)))
+_BLOCH0 = np.array([pauli_expectations(density(INITIAL_STATES[s])) for s in STATE_LABELS])
+_SERIES_BELOW = 1e-5  # |st|^2 below which cosh(st) and sinh(st)/(st) take their series
+_COMPLEX_STEP = 1e-20
 
 
-def _model_batch(u: np.ndarray, tau0: float, npoints: int) -> np.ndarray:
+def _bloch_model(u: np.ndarray, tau0: float, npoints: int) -> np.ndarray:
     """(K, 12, npoints) model expectations for a (K, 3) block u of rows (r1, rphi, omega).
 
-    One stacked expm builds the K step superoperators; all states of all rows step together.
+    Torrey's solution at t = j*tau0, with G1 = r1, G2 = r1/2 + rphi, w = 2 pi omega:
+    <x> = x0 e^{-G2 t}, (<y>, <z>) = v_ss + e^{Mt} (v0 - v_ss), M = [[-G2, -w], [w, -G1]],
+    v_ss = -M^{-1} (0, G1), e^{Mt} = e^{mt} (cosh(st) I + sinh(st)/s (M - mI)) with
+    m = -(G1 + G2)/2, s^2 = ((G1 - G2)/2)^2 - w^2. Real for real u, analytic in u.
     """
-    r1, rphi, omega = np.asarray(u, dtype=float).T[:, :, None, None]
-    steps = expm((r1 * _GEN_R1 + rphi * _GEN_RPHI + omega * _GEN_OMEGA) * tau0)
-    states = propagate(steps, _STATE_COLS, npoints - 1)
-    expect = np.real(np.tensordot(PAULI_ROWS, states, axes=(1, -2)))
-    # (obs, point, K, state) -> (K, state, obs, point), rows in state-major order.
-    return expect.transpose(2, 3, 0, 1).reshape(len(steps), 12, npoints)
+    g1, rphi, omega = np.asarray(u).T[:, :, None]
+    g2, w = g1 / 2 + rphi, 2 * np.pi * omega
+    m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
+    t = np.arange(npoints) * tau0
+    q, emt = a * a - w * w, np.exp(m * t)  # q = s^2: s is real for q > 0, else imaginary
+    z, hyp = q * t * t, q.real > 0
+    small = np.abs(z) < _SERIES_BELOW  # t = 0, and near s = 0 (the exceptional point a = +-w)
+    x = np.where(small, 1.0, np.sqrt(np.where(hyp, q, -q)) * t)  # |st|
+    # For real s, e^{(m+s)t} (m + s = det/(m - s) cancels nothing) and expm1(-2st) stay in [-1, 1].
+    e, d = np.exp(det * t * t / (m * t - x)), np.expm1(-2 * x)
+    cosh = np.where(small, emt * (1 + z / 2 + z * z / 24),  # e^{mt} cosh(st)
+                    np.where(hyp, e * (1 + d / 2), emt * np.cos(x)))
+    sinh = t * np.where(small, emt * (1 + z / 6 + z * z / 120),  # e^{mt} sinh(st)/s
+                        np.where(hyp, -e * d / (2 * x), emt * np.sin(x) / x))
+    vss = np.concatenate([-w * g1, g1 * g2], axis=1)[:, None] / det[:, None]  # (K, 1, 2)
+    dv = _BLOCH0[:, 1:] - vss  # v0 - v_ss, (K, state, 2)
+    mv = dv @ np.concatenate([a, w, -w, -a], axis=1).reshape(-1, 2, 2)  # (M - mI)(v0 - v_ss)
+    yz = vss[..., None] + dv[..., None] * cosh[:, None, None] + mv[..., None] * sinh[:, None, None]
+    xs = _BLOCH0[:, :1, None] * np.exp(-g2 * t)[:, None, None]
+    return np.concatenate([xs, yz], axis=2).reshape(len(g1), 12, npoints)
+
+
+def _bloch_jacobian(u: np.ndarray, tau0: float, npoints: int) -> np.ndarray:
+    """(12*npoints, 3) derivatives at one row u: stepping parameter k by i*h puts h times
+    its derivative in the imaginary part, exact to round-off as nothing is subtracted."""
+    rows = np.asarray(u) + 1j * _COMPLEX_STEP * np.eye(3)
+    return _bloch_model(rows, tau0, npoints).imag.reshape(3, -1).T / _COMPLEX_STEP
 
 
 def _estimate_t2_rate(ts: TomographySet) -> float | None:
@@ -229,8 +238,9 @@ def global_fit(ts: TomographySet, init_guess=None) -> FitResult:
     """Fit (T1, T2, Omega) to all twelve curves by least squares.
 
     Bounded trust-region reflective least squares over the internal
-    parameters (1/T1, pure-dephasing rate, Omega), restarted from the best
-    coarse-grid candidates, in score order, until the cost stops improving.
+    parameters (1/T1, pure-dephasing rate, Omega) with the closed-form model's
+    complex-step Jacobian, restarted from the best starts of a grid that one
+    model call scores, in score order, until the cost stops improving.
 
     Args:
         ts: Tomography curves on a uniform time grid with >= 6 points.
@@ -253,17 +263,17 @@ def global_fit(ts: TomographySet, init_guess=None) -> FitResult:
     from scipy.optimize import least_squares
 
     def residuals(u: np.ndarray) -> np.ndarray:
-        return (_model_batch(u[None], tau0, npoints)[0] - data).ravel()
+        return (_bloch_model(u[None], tau0, npoints)[0] - data).ravel()
 
     lo = np.array([_RATE_FLOOR, 0.0, 0.0])
     hi = np.array([_RATE_CEIL, _RATE_CEIL, 0.5 / tau0])
     cands = np.clip(_candidate_starts(ts, init_guess), lo, hi)
-    scores = ((_model_batch(cands, tau0, npoints) - data) ** 2).sum(axis=(1, 2))
+    scores = ((_bloch_model(cands, tau0, npoints) - data) ** 2).sum(axis=(1, 2))
     best = None
     for x0 in cands[np.argsort(scores, kind="stable")][:_MAX_STARTS]:
         res = least_squares(
-            residuals, x0, bounds=(lo, hi), method="trf", x_scale="jac",
-            ftol=1e-14, xtol=1e-14, gtol=1e-14,
+            residuals, x0, jac=lambda u: _bloch_jacobian(u, tau0, npoints), bounds=(lo, hi),
+            method="trf", x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14,
         )
         prev_cost = None if best is None else best.cost
         if best is None or res.cost < best.cost:

@@ -260,11 +260,9 @@ def convergence_order(
         tr = run_schedule(sched, rates, rho0)
         tgt = target_trace(rates, rho0, tau0=t_total / n, n_steps=int(n))
         accs.append(accuracy(tr, tgt).a)
-    accs_arr = np.array(accs)
-    if accs_arr.max() < 1e-13:
-        return ConvergenceResult(tuple(int(n) for n in n_list), tuple(accs), None, True)
-    slope = float(np.polyfit(np.log(np.asarray(n_list, float)), np.log(accs_arr), 1)[0])
-    return ConvergenceResult(tuple(int(n) for n in n_list), tuple(accs), slope, False)
+    saturated = bool(np.max(accs) < 1e-13)
+    slope = None if saturated else float(np.polyfit(np.log(n_list), np.log(accs), 1)[0])
+    return ConvergenceResult(tuple(int(n) for n in n_list), tuple(accs), slope, saturated)
 
 
 def permutation_scan(
@@ -284,17 +282,11 @@ def permutation_scan(
     """
     rho0 = RHO_EXCITED if rho0 is None else rho0
     target = target_trace(rates, rho0, tau0=dt, n_steps=n_steps)
+    base = TrotterSchedule(n_steps=n_steps, dt=dt, backend=backend, noise=noise)
     out: dict[tuple[int, tuple[str, str, str]], AccuracyReport] = {}
     for order in sorted(orders):
         for perm in ALL_PERMUTATIONS:
-            sched = TrotterSchedule(
-                permutation=perm,
-                order=order,
-                n_steps=n_steps,
-                dt=dt,
-                backend=backend,
-                noise=noise,
-            )
+            sched = replace(base, permutation=perm, order=order)
             out[(order, perm)] = accuracy(run_schedule(sched, rates, rho0), target)
     return out
 
@@ -322,19 +314,13 @@ def compare_orders(
     if mode not in ("fixed_steps", "fixed_budget"):
         raise ValueError(f"mode must be 'fixed_steps' or 'fixed_budget', got {mode!r}")
     rho0 = RHO_EXCITED if rho0 is None else rho0
+    base = TrotterSchedule(permutation, n_steps=n_steps, dt=dt, backend=backend, noise=noise)
     out: dict[int, AccuracyReport] = {}
     for order in (1, 2):
         n, step_dt = n_steps, dt
         if mode == "fixed_budget" and order == 1:
             n, step_dt = 2 * n_steps, dt / 2
-        sched = TrotterSchedule(
-            permutation=permutation,
-            order=order,
-            n_steps=n,
-            dt=step_dt,
-            backend=backend,
-            noise=noise,
-        )
+        sched = replace(base, order=order, n_steps=n, dt=step_dt)
         tgt = target_trace(rates, rho0, tau0=step_dt, n_steps=n)
         out[order] = accuracy(run_schedule(sched, rates, rho0), tgt)
     return out

@@ -321,6 +321,50 @@ def test_mitigate_input_csv_with_too_few_points_exit_1(tmp_path, capsys, table, 
     assert not (tmp_path / "mitigate.json").exists()
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("c,value\n2,35.56\n3,29.63\n", "must start with the unscaled factor 1, got 2.0"),
+        ("c,value\n1,35.56\n1,29.63\n", "repeats a scale factor among the 2 used"),
+    ],
+    ids=["first-c-not-1", "repeated-c"],
+)
+def test_mitigate_input_csv_with_bad_scale_factors_exit_1(tmp_path, capsys, table, message):
+    # Bad input, not a numerical failure: rejected before any extrapolation.
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    cfg = write_config(tmp_path, f"input_csv: {path}\n")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "mitigate.json").exists()
+
+
+def test_mitigate_input_csv_repeat_beyond_n_max_is_unused(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("c,value\n1,35.56\n2.13,29.63\n2.13,29.60\n")
+    cfg = write_config(tmp_path, f"input_csv: {table}\nn_max: 1\n")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+
+
+def test_mitigate_c_list_with_repeated_factor_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c_list: [1.0, 1.0]\n")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "c_list repeats a scale factor" in capsys.readouterr().err
+    assert not (tmp_path / "mitigate.json").exists()
+
+
+@pytest.mark.parametrize(
+    "raw, mode",
+    [
+        ({"c_list": [1.0, 2.0, 2.0], "n_max": 1}, "mitigate"),  # the repeat is never used
+        ({"c_list": [1.0, 1.0], "input_csv": "points.csv"}, "mitigate"),  # c_list unused
+        ({"c_list": [1.0, 1.0]}, "fit"),  # only mitigate extrapolates
+    ],
+)
+def test_c_list_repeats_that_no_extrapolation_uses_are_accepted(raw, mode):
+    assert cli.build_config(raw, mode).c_list == tuple(raw["c_list"])
+
+
 def test_mitigate_from_csv_ignores_noisy_backend(tmp_path):
     table = tmp_path / "table.csv"
     table.write_text("c,value\n1,35.56\n2.13,29.63\n")

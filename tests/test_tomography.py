@@ -2,28 +2,78 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottersim.dilation import AngleParams, angle_to_rates, predict_coherence
-from trottersim.liouvillian import CanonicalRates, target_trace
+from trottersim.liouvillian import (
+    PAULI_ROWS,
+    CanonicalRates,
+    lindblad_superop,
+    propagate,
+    qubit_generators,
+    target_trace,
+)
 from trottersim.tomography import (
     INITIAL_STATES,
     OBS_LABELS,
     STATE_LABELS,
     FitResult,
     TomographySet,
+    _bloch_jacobian,
+    _bloch_model,
     _candidate_starts,
     _estimate_t2_rate,
-    _model_batch,
     dephasing_time,
     generate_tomography,
     global_fit,
 )
 from trottersim.trotter import TrotterSchedule, run_schedule
-from trottersim.linalg import density
+from trottersim.linalg import density, vec
 
 TAU0 = 3.56
+
+# The Lindblad generator is linear in each canonical rate: unit-rate templates
+# built by the simulator's own lindblad_superop, one per fit parameter.
+_GENERATORS = np.stack([
+    lindblad_superop(qubit_generators(CanonicalRates(**{name: 1.0})))
+    for name in ("gamma1", "gamma_phi", "omega")
+])
+_STATE_COLS = np.stack([vec(density(INITIAL_STATES[s])) for s in STATE_LABELS], axis=1)
+
+
+def _exact_steps(gens):
+    """exp of each generator in a (K, 4, 4) stack, rounded from long double.
+
+    A Taylor series after scaling to norm 1/2, then squared back. scipy's
+    expm is good to about 1e-15 per entry, and 2000 steps add that up past
+    1e-12; with this step the stepped reference stays within about 3e-13.
+    That needs an 80-bit long double (x86-64 Linux); where long double is a
+    double, the long-grid agreement check can fail on the reference's error.
+    """
+    a = np.asarray(gens, dtype=np.clongdouble)
+    k = max(0, int(np.ceil(np.log2(np.abs(a).sum(axis=-1).max() + 1e-300))) + 1)
+    a = a / 2**k
+    term = total = np.broadcast_to(np.eye(4, dtype=a.dtype), a.shape)
+    for j in range(1, 25):
+        term = term @ a / j
+        total = total + term
+    for _ in range(k):
+        total = total @ total
+    return total.astype(complex)
+
+
+def reference_model(u, tau0, npoints):
+    """(K, 12, npoints) expectations for rows (r1, rphi, omega), stepped by propagate.
+
+    Independent of the fit's closed form: it steps the master equation built
+    by lindblad_superop and reads the Pauli rows, as the simulator does.
+    """
+    gens = np.tensordot(np.asarray(u, dtype=float), _GENERATORS, axes=1) * tau0
+    states = propagate(_exact_steps(gens), _STATE_COLS, npoints - 1)
+    expect = np.real(np.tensordot(PAULI_ROWS, states, axes=(1, -2)))
+    # (obs, point, K, state) -> (K, state, obs, point), rows in state-major order.
+    return expect.transpose(2, 3, 0, 1).reshape(len(gens), 12, npoints)
 
 
 def rates_from_times(t1, t2, omega):
@@ -158,9 +208,68 @@ def test_fit_converges_on_trotter_curves(angles_deg):
     fit = global_fit(ts)
     assert fit.converged
     u = [1.0 / fit.t1, 1.0 / fit.t2 - 0.5 / fit.t1, fit.omega]
-    model = _model_batch(np.array([u]), TAU0, 14)[0]
+    model = reference_model([u], TAU0, 14)[0]
     rms = np.sqrt(np.mean((model - ts.as_matrix()) ** 2))
     assert fit.residual == pytest.approx(rms, rel=1e-9)
+
+
+# ------------------------------------------------------ closed-form model
+
+
+def _bloch_row(r1, rphi, share, kind, tau0):
+    """A fit parameter row (r1, rphi, omega) with omega set by kind.
+
+    "free" spans omega over [-1/(2 tau0), 1/(2 tau0)], "undriven" sets 0, and
+    "ep+"/"ep-" put the row on the exceptional point a = (G1 - G2)/2 = +-2 pi
+    omega, where s = 0 and the (y, z) block has no eigenbasis. "ep0" is that
+    point exactly: rphi = r1/2 makes G2 = G1, with no drive.
+    """
+    if kind == "ep0":
+        return [r1, r1 / 2, 0.0]
+    a = (r1 / 2 - rphi) / 2
+    omega = {"free": share * 0.5 / tau0, "undriven": 0.0,
+             "ep+": a / (2 * np.pi), "ep-": -a / (2 * np.pi)}[kind]
+    return [r1, rphi, omega]
+
+
+_ROW = st.tuples(
+    st.floats(1e-6, 2.0), st.floats(0.0, 2.0), st.floats(-1.0, 1.0),
+    st.sampled_from(("free", "undriven", "ep+", "ep-", "ep0")),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.lists(_ROW, min_size=1, max_size=4), tau0=st.floats(0.5, 10.0),
+       npoints=st.integers(2, 2001))
+# 2001 points with fast decay, where e^{mt} and cosh(st) taken apart give 0 * inf, and with
+# m + s = -1e-6 from m ~ -1 and s ~ 1, where the plain sum m + s would put a 5e-12 error
+# into e^{(m+s)t} by t = 2e4.
+@example(
+    rows=[(2.0, 2.0, 1.0, "free"), (2.0, 0.0, 0.0, "undriven"), (1.0, 0.0, 0.0, "ep0"),
+          (1e-6, 2.0, 0.0, "undriven"), (1e-6, 0.0, -1.0, "free")],
+    tau0=10.0, npoints=2001,
+)
+def test_closed_form_matches_stepped_reference(rows, tau0, npoints):
+    u = np.array([_bloch_row(*row, tau0) for row in rows])
+    model = _bloch_model(u, tau0, npoints)
+    assert model.dtype == float and np.isfinite(model).all()
+    np.testing.assert_allclose(model, reference_model(u, tau0, npoints), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(row=_ROW, tau0=st.floats(0.5, 10.0), npoints=st.integers(2, 101))
+def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
+    u = np.array(_bloch_row(*row, tau0))
+    jac = _bloch_jacobian(u, tau0, npoints)
+    # Five-point central differences, with steps small against the curves' time
+    # scale t_max (2 pi t_max for omega): truncation and round-off stay near 1e-9.
+    h = 3e-3 / (tau0 * (npoints - 1)) * np.array([1.0, 1.0, 1.0 / (2 * np.pi)])
+    fd = np.empty_like(jac)
+    for k in range(3):
+        shifted = u + np.outer([2, 1, -1, -2], h[k] * np.eye(3)[k])
+        values = reference_model(shifted, tau0, npoints).reshape(4, -1)
+        fd[:, k] = np.array([-1, 8, -8, 1]) @ values / (12 * h[k])
+    assert np.abs(jac - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
