@@ -9,144 +9,19 @@ zero-noise limit.  The `trottersim` command line (module `cli`) drives the
 same machinery from YAML configs.
 """
 
-from .channels import (
-    KrausChannel,
-    apply_channel,
-    channel_distance,
-    choi_to_kraus,
-    compose_channels,
-    damping_channel,
-    dephasing_channel,
-    depolarizing_channel,
-    identity_channel,
-    is_cptp,
-    to_choi,
-    to_superop,
-    unitary_channel,
-)
-from .dilation import (
-    AngleParams,
-    DilationCircuit,
-    Gate,
-    NoiseParams,
-    angle_to_rates,
-    damping_circuit,
-    dephasing_circuit,
-    depolarization_equivalent_time,
-    effective_rates,
-    gate_unitary,
-    induced_channel,
-    predict_coherence,
-    rates_to_angles,
-    rotation_circuit,
-    run_circuit,
-)
-from .liouvillian import (
-    CanonicalRates,
-    EvolutionTrace,
-    GeneratorSpec,
-    coherent,
-    damping_generator,
-    dephasing_generator,
-    drive_generator,
-    jump,
-    lindblad_superop,
-    pauli_expectations,
-    propagate,
-    propagator,
-    qubit_generators,
-    target_trace,
-)
-from .mitigation import (
-    ExtrapolationResult,
-    NoisePoint,
-    extrapolate,
-    load_noise_points,
-    mitigation_study,
-    richardson_coeffs,
-    scaled_damping_t2,
-)
-from .tomography import (
-    FitResult,
-    TomographySet,
-    dephasing_time,
-    generate_tomography,
-    global_fit,
-)
-from .trotter import (
-    AccuracyReport,
-    ConvergenceResult,
-    TrotterSchedule,
-    accuracy,
-    compare_orders,
-    convergence_order,
-    permutation_scan,
-    run_schedule,
-)
+from . import channels, dilation, liouvillian, mitigation, tomography, trotter
+from .channels import *  # noqa: F403
+from .dilation import *  # noqa: F403
+from .liouvillian import *  # noqa: F403
+from .mitigation import *  # noqa: F403
+from .tomography import *  # noqa: F403
+from .trotter import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ declares its public names; the package re-exports them.
 __all__ = [
-    "AccuracyReport",
-    "AngleParams",
-    "CanonicalRates",
-    "ConvergenceResult",
-    "DilationCircuit",
-    "EvolutionTrace",
-    "ExtrapolationResult",
-    "FitResult",
-    "Gate",
-    "GeneratorSpec",
-    "KrausChannel",
-    "NoiseParams",
-    "NoisePoint",
-    "TomographySet",
-    "TrotterSchedule",
-    "accuracy",
-    "angle_to_rates",
-    "apply_channel",
-    "channel_distance",
-    "choi_to_kraus",
-    "coherent",
-    "compare_orders",
-    "compose_channels",
-    "convergence_order",
-    "damping_channel",
-    "damping_circuit",
-    "damping_generator",
-    "dephasing_channel",
-    "dephasing_circuit",
-    "dephasing_generator",
-    "dephasing_time",
-    "depolarization_equivalent_time",
-    "depolarizing_channel",
-    "drive_generator",
-    "effective_rates",
-    "extrapolate",
-    "gate_unitary",
-    "generate_tomography",
-    "global_fit",
-    "identity_channel",
-    "induced_channel",
-    "is_cptp",
-    "jump",
-    "lindblad_superop",
-    "load_noise_points",
-    "mitigation_study",
-    "pauli_expectations",
-    "permutation_scan",
-    "predict_coherence",
-    "propagate",
-    "propagator",
-    "qubit_generators",
-    "rates_to_angles",
-    "richardson_coeffs",
-    "rotation_circuit",
-    "run_circuit",
-    "run_schedule",
-    "scaled_damping_t2",
-    "target_trace",
-    "to_choi",
-    "to_superop",
-    "unitary_channel",
+    name
+    for module in (channels, dilation, liouvillian, mitigation, tomography, trotter)
+    for name in module.__all__
 ]

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, eigh, kron, partial_trace, unvec, vec
+from .linalg import (
+    I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, eigh, kraus_superop, partial_trace, unvec, vec,
+)
 
 __all__ = [
     "KrausChannel",
@@ -160,11 +162,7 @@ def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
 
 def to_superop(ch: KrausChannel) -> np.ndarray:
     """Column-stacking superoperator sum_k conj(E_k) (x) E_k."""
-    d = ch.dim
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for e in ch.kraus:
-        s += kron(np.conj(e), e)
-    return s
+    return kraus_superop(*ch.kraus)
 
 
 def _superop_to_choi(s: np.ndarray) -> np.ndarray:

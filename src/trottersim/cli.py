@@ -491,9 +491,9 @@ def _run_fit(cfg, out):
 
 def _scaled_points(cfg):
     """Undriven base rates and one fitted point per c_list factor c, damping scaled by c."""
-    base, s = replace(cfg.rates, omega=0.0), cfg.schedule
+    base = replace(cfg.rates, omega=0.0)
     return base, [
-        NoisePoint(c=c, value=scaled_damping_t2(base, c, s.dt, s.n_steps, s.order, s.backend,
+        NoisePoint(c=c, value=scaled_damping_t2(base, c, cfg.schedule,
                                                 inverse=cfg.variable == "rate"))
         for c in cfg.c_list
     ]

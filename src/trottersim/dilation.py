@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, kron, unvec, vec
+from .linalg import I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, kraus_superop, kron, unvec, vec
 from .liouvillian import CanonicalRates
 
 __all__ = [
@@ -187,20 +187,15 @@ def rotation_circuit(theta3: float) -> DilationCircuit:
     )
 
 
-def _superop(*kraus: np.ndarray) -> np.ndarray:
-    """sum_k conj(E_k) (x) E_k, for square or rectangular E_k."""
-    return sum(kron(np.conj(e), e) for e in kraus)
-
-
 # Load ancilla |g> with G = |g> (x) I; the reset keeps sum_a <a| rho |a>.
-_LOAD_G = _superop(kron(KET_0[:, None], I2))
-_RESET = _superop(kron(KET_0[None], I2), kron(KET_1[None], I2))
-_FEEDFORWARD = _superop(kron(_PROJ_G, I2), kron(_PROJ_E, SIGMA_X))
+_LOAD_G = kraus_superop(kron(KET_0[:, None], I2))
+_RESET = kraus_superop(kron(KET_0[None], I2), kron(KET_1[None], I2))
+_FEEDFORWARD = kraus_superop(kron(_PROJ_G, I2), kron(_PROJ_E, SIGMA_X))
 
 
 def _ancilla_decay(p: float) -> np.ndarray:
     e0 = np.diag([1.0, np.sqrt(1.0 - p)])
-    return _superop(kron(e0, I2), kron(np.sqrt(p) * SIGMA_MINUS, I2))
+    return kraus_superop(kron(e0, I2), kron(np.sqrt(p) * SIGMA_MINUS, I2))
 
 
 def run_circuit(
@@ -248,7 +243,7 @@ def induced_channel(
         if gate.kind == "cnot_ancilla_ctrl" and adaptive == "feedforward":
             s = _FEEDFORWARD @ s
         else:
-            s = _superop(gate_unitary(gate)) @ s
+            s = kraus_superop(gate_unitary(gate)) @ s
         if decay is not None and gate.kind in ("cz", "cnot_ancilla_ctrl"):
             s = decay @ s
     s = _RESET @ s
@@ -266,7 +261,8 @@ def angle_to_rates(params: AngleParams) -> CanonicalRates:
 
     Raises:
         ValueError: When theta1 >= pi/2 or theta2 = pi/2 (the logarithm
-            argument hits zero; no finite rate reproduces the step).
+            argument hits zero; no finite rate reproduces the step), or when
+            tau0 is so small that a rate overflows.
     """
     # The thresholds guard the logarithm domain against rounding at pi/2.
     arg_phi = 2 * np.cos(params.theta1 / 2) ** 2 - 1
@@ -279,11 +275,13 @@ def angle_to_rates(params: AngleParams) -> CanonicalRates:
         raise ValueError(
             f"theta2 must be below pi/2 for a finite damping rate, got {params.theta2}"
         )
-    return CanonicalRates(
-        gamma1=-np.log(arg_damp) / params.tau0,
-        gamma_phi=-np.log(arg_phi) / params.tau0,
-        omega=params.theta3 / (2 * np.pi * params.tau0),
-    )
+    with np.errstate(over="ignore"):  # reported below as a tau0 error
+        gamma1 = -np.log(arg_damp) / params.tau0
+        gamma_phi = -np.log(arg_phi) / params.tau0
+        omega = params.theta3 / (2 * np.pi * params.tau0)
+    if not np.isfinite([gamma1, gamma_phi, omega]).all():
+        raise ValueError(f"tau0 is too small for finite rates, got {params.tau0}")
+    return CanonicalRates(gamma1=gamma1, gamma_phi=gamma_phi, omega=omega)
 
 
 def rates_to_angles(rates: CanonicalRates, tau0: float = 3.56) -> AngleParams:

@@ -24,6 +24,7 @@ __all__ = [
     "kron",
     "vec",
     "unvec",
+    "kraus_superop",
     "partial_trace",
     "expm",
     "eigh",
@@ -75,6 +76,14 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if d * d != v.size:
         raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
     return v.reshape((d, d), order="F")
+
+
+def kraus_superop(*kraus: np.ndarray) -> np.ndarray:
+    """Superoperator sum_k conj(E_k) (x) E_k of rho -> sum_k E_k rho E_k^dag.
+
+    The operators may be rectangular (maps between spaces of different size).
+    """
+    return sum(kron(np.conj(e), e) for e in kraus)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:

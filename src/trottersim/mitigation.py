@@ -27,6 +27,16 @@ from .liouvillian import CanonicalRates
 from .tomography import generate_tomography, global_fit
 from .trotter import TrotterSchedule, run_schedule
 
+__all__ = [
+    "NoisePoint",
+    "ExtrapolationResult",
+    "richardson_coeffs",
+    "extrapolate",
+    "scaled_damping_t2",
+    "mitigation_study",
+    "load_noise_points",
+]
+
 _CONDITION_WARN_THRESHOLD = 1e8
 _MOMENT_TOL = 1e-8
 
@@ -163,8 +173,7 @@ def extrapolate(points, n):
     )
 
 
-def scaled_damping_t2(rates, c, tau0=3.56, n_steps=13, order=1, backend="kraus",
-                      inverse=False):
+def scaled_damping_t2(rates, c, schedule=TrotterSchedule(), inverse=False):
     """Measures T2* with the amplitude-damping rate scaled by c.
 
     Runs the repeated dephasing-plus-damping Trotter sequence (no drive) with
@@ -177,10 +186,7 @@ def scaled_damping_t2(rates, c, tau0=3.56, n_steps=13, order=1, backend="kraus",
         rates: Base canonical rates; omega is ignored (the experiment runs
             without drive).
         c: Damping scale factor.
-        tau0: Trotter step duration in microseconds.
-        n_steps: Number of Trotter steps.
-        order: Trotter order, 1 or 2.
-        backend: Elementary-step backend, "kraus" or "dilation".
+        schedule: Trotter run plan; its step dt is the sampling period tau0.
         inverse: When True, returns the rate 1/T2* instead of T2*, the
             alternative extrapolation variable.
 
@@ -190,9 +196,8 @@ def scaled_damping_t2(rates, c, tau0=3.56, n_steps=13, order=1, backend="kraus",
     scaled = CanonicalRates(
         gamma1=c * rates.gamma1, gamma_phi=rates.gamma_phi, omega=0.0
     )
-    schedule = TrotterSchedule(order=order, n_steps=n_steps, dt=tau0, backend=backend)
     curves = generate_tomography(
-        scaled, tau0, n_steps,
+        scaled, schedule.dt, schedule.n_steps,
         evolve=lambda rho0: run_schedule(schedule, scaled, rho0),
     )
     t2 = global_fit(curves).t2

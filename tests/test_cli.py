@@ -179,6 +179,21 @@ def test_mitigate_simulated_study(tmp_path):
     assert len(summary["points"]) == 2
 
 
+def test_mitigate_simulates_the_configured_schedule(tmp_path, monkeypatch):
+    text = ("c_list: [1.0, 2.0]\norder: 2\nn_steps: 7\nbackend: dilation\n"
+            "permutation: [rotation, damping, dephasing]\n")
+    seen = []
+
+    def fake_t2(rates, c, schedule, inverse):
+        seen.append(schedule)
+        return 40.0 / c
+
+    monkeypatch.setattr(cli, "scaled_damping_t2", fake_t2)
+    cfg = write_config(tmp_path, text)
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert seen == 2 * [cli.build_config(yaml.safe_load(text), "mitigate").schedule]
+
+
 # ---------------------------------------------------------------- converge
 
 
@@ -427,6 +442,14 @@ def test_config_accepts_angles_and_intrinsic_iff_effective_rates_does(
     except cli.ConfigError:
         accepted = False
     assert accepted == physical
+
+
+@pytest.mark.filterwarnings("error")
+def test_config_names_tau0_when_the_rates_overflow(tmp_path, capsys):
+    cfg = write_config(tmp_path, "angles: {tau0_us: 2.2e-311}\n")
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "tau0" in err and "gamma1" not in err
 
 
 def _readme_schema():

@@ -308,6 +308,14 @@ def test_angle_to_rates_rejects_domain_boundary():
         angle_to_rates(AngleParams(theta2=np.pi / 2))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau0", [2.2e-311, 1e-320, 1e-308])
+def test_angle_to_rates_rejects_tau0_that_overflows_the_rates(tau0):
+    params = AngleParams.from_degrees(20, 89.9999, 51.4, tau0)
+    with pytest.raises(ValueError, match="tau0"):
+        angle_to_rates(params)
+
+
 def test_angle_params_range_validation():
     with pytest.raises(ValueError):
         AngleParams(theta1=-0.1)

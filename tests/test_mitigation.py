@@ -14,6 +14,7 @@ from trottersim.mitigation import (
     scaled_damping_t2,
 )
 from trottersim.tomography import dephasing_time
+from trottersim.trotter import TrotterSchedule
 
 # Ramsey times measured at four damping scale factors.
 RAMSEY_POINTS = (
@@ -180,6 +181,12 @@ def test_pipeline_matches_dephasing_time_identity():
     )
     rate = scaled_damping_t2(base, 1.0, inverse=True)
     assert rate == pytest.approx(1.0 / t2_unscaled, rel=1e-12)
+
+
+def test_scaled_damping_t2_runs_the_given_schedule():
+    base = CanonicalRates(gamma1=0.0090, gamma_phi=0.0174728, omega=0.0)
+    t2 = scaled_damping_t2(base, 1.0, TrotterSchedule(order=2, n_steps=20, dt=2.0))
+    assert t2 == pytest.approx(1.0 / (base.gamma1 / 2 + base.gamma_phi), rel=1e-5)
 
 
 # --------------------------------------------------------------- CSV input
