@@ -50,7 +50,8 @@ from .dilation import (
 )
 from .linalg import SIGMA_X, density, expm
 from .liouvillian import CanonicalRates, target_trace
-from .mitigation import NoisePoint, extrapolate, load_noise_points, scaled_damping_t2
+from .mitigation import (NoisePoint, _check_scale_factors, extrapolate, load_noise_points,
+                         scaled_damping_t2)
 from .tomography import INITIAL_STATES, OBS_LABELS, STATE_LABELS, generate_tomography, global_fit
 from .trotter import (
     ALL_LABELS,
@@ -227,15 +228,6 @@ def _resolve(raw, table, context=None):
     return values
 
 
-def _check_scale_factors(cs, n_max, source):
-    """Reject what extrapolate refuses: a first factor other than 1, or a repeat in those used."""
-    used = list(cs)[: len(cs) if n_max is None else n_max + 1]
-    if abs(used[0] - 1.0) > 1e-12:
-        raise ConfigError(f"{source} must start with the unscaled factor 1, got {used[0]}")
-    if len(set(used)) < len(used):
-        raise ConfigError(f"{source} repeats a scale factor among the {len(used)} used: {used}")
-
-
 def build_config(raw, mode):
     """Validate a raw config mapping into an ExperimentConfig.
 
@@ -257,6 +249,9 @@ def build_config(raw, mode):
         angles = AngleParams.from_degrees(
             deg["theta1_deg"], deg["theta2_deg"], deg["theta3_deg"], deg["tau0_us"]
         )
+    except ValueError as exc:  # in radians under the field name: name the section as written
+        raise ConfigError(f"angles {raw.get('angles')}: {exc}") from None
+    try:
         rates = effective_rates(angles, intrinsic["t1_us"], intrinsic["t2_us"])
         schedule = TrotterSchedule(
             permutation=v.pop("permutation"), order=v.pop("order"), n_steps=v.pop("n_steps"),
@@ -277,7 +272,10 @@ def build_config(raw, mode):
         raise ConfigError("c_list entries must be positive")
     # Only a simulated mitigate study extrapolates over c_list; elsewhere only its start counts.
     simulated = mode == "mitigate" and v["input_csv"] is None
-    _check_scale_factors(c_list, v["n_max"] if simulated else 0, "c_list")
+    try:
+        _check_scale_factors(c_list, v["n_max"] if simulated else 0, "c_list")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if v["input_csv"] is None:
         if v["n_max"] is not None and v["n_max"] >= len(c_list):
             raise ConfigError(
@@ -508,7 +506,11 @@ def _run_mitigate(cfg, out):
             raise ConfigError(f"cannot load noise points from {cfg.input_csv}: {exc}") from exc
         if len(points) < 1:
             raise ConfigError(f"no noise points found in {cfg.input_csv}")
-        _check_scale_factors([p.c for p in points], cfg.n_max, f"the c column of {cfg.input_csv}")
+        try:
+            _check_scale_factors([p.c for p in points], cfg.n_max,
+                                 f"the c column of {cfg.input_csv}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         payload["source"] = str(cfg.input_csv)
     else:
         base, points = _scaled_points(cfg)

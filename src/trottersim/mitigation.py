@@ -92,6 +92,17 @@ class ExtrapolationResult:
             raise ValueError(f"coefficients must sum to 1, got {total}")
 
 
+def _check_scale_factors(cs, n_max, source):
+    """Reject what extrapolate refuses: a first factor other than 1, or a repeat in those used."""
+    cs = list(cs)
+    if not cs or abs(cs[0] - 1.0) > 1e-12:
+        got = cs[0] if cs else "nothing"
+        raise ValueError(f"{source} must start with the unscaled factor 1, got {got}")
+    used = cs[: len(cs) if n_max is None else n_max + 1]
+    if len(set(used)) < len(used):
+        raise ValueError(f"{source} repeats a scale factor among the {len(used)} used: {used}")
+
+
 def richardson_coeffs(c, n):
     """Solves for the extrapolation coefficients at order n.
 
@@ -219,12 +230,12 @@ def mitigation_study(base_rates, c_list, extractor=None, n_max=None):
         the unmitigated c = 1 measurement.
 
     Raises:
-        ValueError: If c_list does not start with 1 or n_max needs more
-            points than c_list provides.
+        ValueError: If c_list does not start with 1, repeats a factor among
+            the first n_max + 1, or n_max needs more points than c_list
+            provides; raised before any extractor call.
     """
     cs = [float(x) for x in c_list]
-    if not cs or abs(cs[0] - 1.0) > 1e-12:
-        raise ValueError("c_list must start with the unscaled factor 1")
+    _check_scale_factors(cs, n_max, "c_list")
     if n_max is None:
         n_max = len(cs) - 1
     if n_max >= len(cs):

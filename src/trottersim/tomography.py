@@ -6,8 +6,8 @@ unweighted sum of squared deviations between those curves and the exact
 master-equation model, parameterized internally by the rates
 (1/T1, pure dephasing, Omega) so the physicality constraint T2 <= 2*T1 holds
 by construction. The model is the closed-form (Torrey) Bloch solution: one
-call scores a grid of starts, and the best seed bounded trust-region least
-squares on the 12*(N+1) residuals with an exact complex-step Jacobian.
+call scores a grid of starts, and the best row starts one bounded trust-region
+least-squares run on the 12*(N+1) residuals with an exact complex-step Jacobian.
 Optional sampling noise replaces each expectation x by 2k/s - 1 with
 k ~ Binomial(s, (1+x)/2).
 """
@@ -45,7 +45,6 @@ INITIAL_STATES = {
 
 _RATE_FLOOR = 1e-6  # 1/us lower bound keeping infinite-coherence limits stable
 _RATE_CEIL = 2.0
-_MAX_STARTS = 5  # least-squares starts from the best-scored grid rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +61,8 @@ class TomographySet:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
+        if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+            raise ValueError(f"times must be finite and strictly increasing, got {times}")
         object.__setattr__(self, "times", times)
         keys = {(s, o) for s in STATE_LABELS for o in OBS_LABELS}
         if set(self.data) != keys:
@@ -139,8 +140,8 @@ class FitResult:
         t2: Coherence time in us (t2 <= 2*t1 by construction).
         omega: Rabi rate in MHz.
         residual: Root-mean-square deviation over all 12*(N+1) points.
-        converged: Whether the lowest-cost least-squares run stopped on a
-            tolerance rather than its evaluation cap (not a goodness of fit).
+        converged: Whether the least-squares run stopped on a tolerance
+            rather than its evaluation cap (not a goodness of fit).
     """
 
     t1: float
@@ -212,7 +213,7 @@ def _estimate_omega(ts: TomographySet) -> float:
     return float(abs(sy[1] - sy[0]) / (2 * np.pi * ts.times[1]))
 
 
-def _candidate_starts(ts: TomographySet, init_guess) -> list[list[float]]:
+def _candidate_starts(ts: TomographySet) -> list[list[float]]:
     tau0 = ts.times[1] - ts.times[0]
     nyquist = 0.5 / tau0
     om_est = min(_estimate_omega(ts), nyquist)
@@ -226,29 +227,23 @@ def _candidate_starts(ts: TomographySet, init_guess) -> list[list[float]]:
     for r1 in r1s:
         rphis = np.geomspace(1e-4, 0.5, 6) if r2_est is None else [max(0.0, r2_est - r1 / 2)]
         cands += [[r1, rphi, om] for rphi in rphis for om in omegas]
-    if init_guess is not None:
-        t1, t2, omega = init_guess
-        r1 = np.clip(1.0 / t1, _RATE_FLOOR, _RATE_CEIL)
-        rphi = max(0.0, 1.0 / t2 - r1 / 2)
-        cands.append([r1, rphi, float(omega)])
     return cands
 
 
-def global_fit(ts: TomographySet, init_guess=None) -> FitResult:
+def global_fit(ts: TomographySet) -> FitResult:
     """Fit (T1, T2, Omega) to all twelve curves by least squares.
 
     Bounded trust-region reflective least squares over the internal
     parameters (1/T1, pure-dephasing rate, Omega) with the closed-form model's
-    complex-step Jacobian, restarted from the best starts of a grid that one
-    model call scores, in score order, until the cost stops improving.
+    complex-step Jacobian, run once from the best row of a start grid that
+    one model call scores.
 
     Args:
         ts: Tomography curves on a uniform time grid with >= 6 points.
-        init_guess: Optional (T1, T2, Omega) starting point.
 
     Returns:
-        FitResult at the lowest-cost start; `converged` is True when that
-        start ended on one of its tolerances rather than its evaluation cap.
+        FitResult of that run; `converged` is True when it ended on one of
+        its tolerances rather than its evaluation cap.
     """
     npoints = ts.times.size
     if npoints < 6:
@@ -267,29 +262,19 @@ def global_fit(ts: TomographySet, init_guess=None) -> FitResult:
 
     lo = np.array([_RATE_FLOOR, 0.0, 0.0])
     hi = np.array([_RATE_CEIL, _RATE_CEIL, 0.5 / tau0])
-    cands = np.clip(_candidate_starts(ts, init_guess), lo, hi)
+    cands = np.clip(_candidate_starts(ts), lo, hi)
     scores = ((_bloch_model(cands, tau0, npoints) - data) ** 2).sum(axis=(1, 2))
-    best = None
-    for x0 in cands[np.argsort(scores, kind="stable")][:_MAX_STARTS]:
-        res = least_squares(
-            residuals, x0, jac=lambda u: _bloch_jacobian(u, tau0, npoints), bounds=(lo, hi),
-            method="trf", x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14,
-        )
-        prev_cost = None if best is None else best.cost
-        if best is None or res.cost < best.cost:
-            best = res
-        if best.cost < 1e-16:
-            break
-        # Stop once a fresh start brings no meaningful improvement.
-        if prev_cost is not None and prev_cost - best.cost <= 1e-9 * prev_cost:
-            break
-    r1, rphi, omega = best.x  # least_squares keeps r1 >= _RATE_FLOOR > 0
+    res = least_squares(  # from the best row; argmin takes the first of tied rows
+        residuals, cands[np.argmin(scores)], jac=lambda u: _bloch_jacobian(u, tau0, npoints),
+        bounds=(lo, hi), method="trf", x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14,
+    )
+    r1, rphi, omega = res.x  # least_squares keeps r1 >= _RATE_FLOOR > 0
     return FitResult(
         t1=1.0 / r1,
         t2=1.0 / (r1 / 2 + rphi),
         omega=float(omega),
-        residual=float(np.sqrt(np.mean(best.fun**2))),
-        converged=bool(best.status > 0),
+        residual=float(np.sqrt(np.mean(res.fun**2))),
+        converged=bool(res.status > 0),
     )
 
 

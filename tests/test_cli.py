@@ -452,6 +452,13 @@ def test_config_names_tau0_when_the_rates_overflow(tmp_path, capsys):
     assert "tau0" in err and "gamma1" not in err
 
 
+def test_angle_errors_name_the_section_as_written(tmp_path, capsys):
+    cfg = write_config(tmp_path, "angles: {theta1_deg: 100}\n")
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "theta1_deg" in err and "100" in err
+
+
 def _readme_schema():
     text = README.read_text()
     block = text.split("### YAML config schema", 1)[1].split("```yaml\n", 1)[1]

@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports and each private name it defines."""
 
 import ast
 from pathlib import Path
@@ -23,6 +23,29 @@ def _unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _unread_privates(source):
+    """Module-level _x defs, classes and assignments that the module itself never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (line, name) for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom json import dumps, loads\nprint(dumps(1))\n"
     assert _unused_imports(source) == [(1, "os"), (2, "loads")]
@@ -31,3 +54,16 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unread_private_name():
+    source = (
+        "_A = 1\n_B, c = 2, 3\ndef _f():\n    return _A\nclass _K:\n    pass\n"
+        "def g():\n    return _f()\n__all__ = ['g']\n"
+    )
+    assert _unread_privates(source) == [(2, "_B"), (5, "_K")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_each_private_name(path):
+    assert _unread_privates(path.read_text()) == []

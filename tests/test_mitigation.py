@@ -158,6 +158,18 @@ def test_study_input_errors():
         mitigation_study(CanonicalRates(), (1.0, 2.0), poly_extractor((1.0,)), n_max=5)
 
 
+def test_study_rejects_a_repeated_factor_before_measuring():
+    calls = []
+
+    def counting(rates, c):
+        calls.append(c)
+        return 1.0
+
+    with pytest.raises(ValueError, match="repeats a scale factor"):
+        mitigation_study(CanonicalRates(), (1.0, 2.0, 2.0), counting)
+    assert calls == []
+
+
 def test_damping_scaling_pipeline():
     base = CanonicalRates(
         gamma1=0.0090, gamma_phi=-np.log(np.cos(np.radians(20))) / 3.56, omega=0.0
