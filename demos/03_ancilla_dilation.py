@@ -25,7 +25,7 @@ from trottersim import (
     run_circuit,
     unitary_channel,
 )
-from trottersim.linalg import SIGMA_X, expm
+from trottersim.linalg import rx
 
 params = AngleParams.from_degrees(theta1=20, theta2=30, theta3=25.7)
 rates = angle_to_rates(params)
@@ -43,7 +43,7 @@ pairs = (
     ("damping", damping_circuit(params.theta2),
      damping_channel(rates.gamma1, params.tau0)),
     ("rotation", rotation_circuit(params.theta3),
-     unitary_channel(expm(-0.5j * params.theta3 * SIGMA_X))),
+     unitary_channel(rx(params.theta3))),
 )
 print("\ncircuit vs analytic channel (Choi distance):")
 for name, circuit, analytic in pairs:

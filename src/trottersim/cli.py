@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -48,7 +47,7 @@ from .dilation import (
     induced_channel,
     rotation_circuit,
 )
-from .linalg import SIGMA_X, density, expm
+from .linalg import density, rx
 from .liouvillian import CanonicalRates, target_trace
 from .mitigation import (NoisePoint, _check_scale_factors, extrapolate, load_noise_points,
                          scaled_damping_t2)
@@ -66,7 +65,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
-WORKERS_ENV = "TROTTERSIM_WORKERS"
 TRACE_HEADER = "step,time_us,sx,sy,sz"
 BLOCH_TOL = 1e-8
 DISTANCE_TOL = 1e-10
@@ -301,9 +299,7 @@ def load_config(path, mode):
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    return build_config(raw, mode)
+    return build_config({} if raw is None else raw, mode)
 
 
 # --------------------------------------------------------------- emission
@@ -333,9 +329,8 @@ def _write_csv(path, header, rows):
 def _write_trace_csv(path, trace):
     worst = float(trace.bloch_norms().max())
     if worst > 1.0 + BLOCH_TOL:
-        raise NumericalFailure(
-            f"trace {trace.label!r} leaves the Bloch ball: max norm {worst:.12f}"
-        )
+        raise NumericalFailure(f"trace {trace.label!r} leaves the Bloch ball: "
+                               f"max norm {worst:.12f}")
     columns = (trace.times, trace.sx, trace.sy, trace.sz)
     _write_csv(path, TRACE_HEADER, ((j, *v) for j, v in enumerate(zip(*columns))))
 
@@ -421,8 +416,7 @@ def _run_dilate_verify(cfg, out):
             ("dephasing", dephasing_circuit(params.theta1),
              dephasing_channel(rates.gamma_phi, tau0)),
             ("damping", damping_circuit(params.theta2), damping_channel(rates.gamma1, tau0)),
-            ("rotation", rotation_circuit(params.theta3),
-             unitary_channel(expm(-0.5j * params.theta3 * SIGMA_X))),
+            ("rotation", rotation_circuit(params.theta3), unitary_channel(rx(params.theta3))),
         ):
             distances.setdefault(label, {})[_fmt(theta_deg)] = channel_distance(
                 induced_channel(circuit), analytic
@@ -571,28 +565,20 @@ RUNNERS = {
 # Each figure protocol is a set of configs that fix their own angles (and, for
 # fig3, an intrinsic T1); tau0, N, the order and c_list come from the defaults.
 
+# Swept angle -> (its grid in degrees, the two angles it holds fixed).
 _FIG2_SWEEPS = {
-    "theta1": {
-        "grid": tuple(float(x) for x in range(5, 45, 5)),
-        "fixed": {"theta2_deg": 20.0, "theta3_deg": 51.4},
-    },
-    "theta2": {
-        "grid": tuple(float(x) for x in range(5, 45, 5)),
-        "fixed": {"theta1_deg": 20.0, "theta3_deg": 38.6},
-    },
-    "theta3": {
-        "grid": tuple(float(x) for x in range(10, 80, 10)),
-        "fixed": {"theta1_deg": 20.0, "theta2_deg": 20.0},
-    },
+    "theta1": (range(5, 45, 5), {"theta2_deg": 20.0, "theta3_deg": 51.4}),
+    "theta2": (range(5, 45, 5), {"theta1_deg": 20.0, "theta3_deg": 38.6}),
+    "theta3": (range(10, 80, 10), {"theta1_deg": 20.0, "theta2_deg": 20.0}),
 }
 
 
 def _reproduce_fig2(out):
     paths, sweeps = [], {}
-    for name, sweep in _FIG2_SWEEPS.items():
-        rows = []
-        for angle_deg in sweep["grid"]:
-            cfg = build_config({"angles": {**sweep["fixed"], f"{name}_deg": angle_deg}}, "fit")
+    for name, (grid, fixed) in _FIG2_SWEEPS.items():
+        grid, rows = [float(x) for x in grid], []
+        for angle_deg in grid:
+            cfg = build_config({"angles": {**fixed, f"{name}_deg": angle_deg}}, "fit")
             fit, rates = _tomography(cfg)[1], cfg.rates
             rows.append((angle_deg, fit.t1, fit.t2, fit.omega, rates.t1, rates.t2, rates.omega))
         path = out / f"fig2_{name}.csv"
@@ -600,9 +586,7 @@ def _reproduce_fig2(out):
             path, "angle_deg,t1_us,t2_us,omega_mhz,t1_pred_us,t2_pred_us,omega_pred_mhz", rows
         )
         paths.append(path)
-        sweeps[name] = {
-            "file": path.name, "fixed_deg": sweep["fixed"], "grid_deg": list(sweep["grid"]),
-        }
+        sweeps[name] = {"file": path.name, "fixed_deg": fixed, "grid_deg": grid}
     json_path = out / "fig2.json"
     _write_json(json_path, {  # every sweep point runs the default tau0, N and order
         "n_steps": cfg.schedule.n_steps, "order": cfg.schedule.order,
@@ -667,11 +651,7 @@ def _reproduce_fig4(out):
     return [csv_path, json_path]
 
 
-_REPRODUCERS = {
-    "fig2": _reproduce_fig2,
-    "fig3": _reproduce_fig3,
-    "fig4": _reproduce_fig4,
-}
+_REPRODUCERS = {"fig2": _reproduce_fig2, "fig3": _reproduce_fig3, "fig4": _reproduce_fig4}
 
 
 # --------------------------------------------------------------- CLI shell
@@ -685,37 +665,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    parser = _Parser(
-        prog="trottersim",
-        description="Trotterized open-qubit-system simulation harness.",
-    )
+    parser = _Parser(prog="trottersim",
+                     description="Trotterized open-qubit-system simulation harness.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name in (*RUNNERS, "reproduce"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="YAML config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (overrides config)")
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help=f"validated and ignored; runs are serial (default ${WORKERS_ENV} or 1)",
-        )
         if name == "reproduce":
             p.add_argument("--figure", choices=FIGURES, default=None)
     return parser
-
-
-def _resolve_workers(flag_value):
-    if flag_value is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env is None:
-            return 1
-        try:
-            flag_value = int(env)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    if flag_value < 1:
-        raise ConfigError(f"workers must be >= 1, got {flag_value}")
-    return flag_value
 
 
 def main(argv=None):
@@ -723,7 +683,6 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _resolve_workers(args.workers)  # validated, then ignored: runs are serial
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
             seed = CONFIG_TABLE["seed"][1](args.seed, "--seed")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, kraus_superop, kron, unvec, vec
+from .linalg import I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, kraus_superop, kron, rx, unvec, vec
 from .liouvillian import CanonicalRates
 
 __all__ = [
@@ -68,17 +68,12 @@ class Gate:
             raise ValueError("gate angle must be finite")
 
 
-def _rx(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
 def gate_unitary(gate: Gate) -> np.ndarray:
     """4x4 unitary of a non-reset gate in ancilla (x) data ordering."""
     if gate.kind == "ancilla_rx":
-        return kron(_rx(gate.theta), I2)
+        return kron(rx(gate.theta), I2)
     if gate.kind == "data_x":
-        return kron(I2, _rx(gate.theta))
+        return kron(I2, rx(gate.theta))
     if gate.kind == "cz":
         return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     if gate.kind == "cnot_ancilla_ctrl":

@@ -10,7 +10,6 @@ so the superoperator acting as ``A @ rho @ B`` on a vectorized state is
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "I2",
@@ -25,6 +24,7 @@ __all__ = [
     "vec",
     "unvec",
     "kraus_superop",
+    "rx",
     "partial_trace",
     "expm",
     "eigh",
@@ -86,6 +86,12 @@ def kraus_superop(*kraus: np.ndarray) -> np.ndarray:
     return sum(kron(np.conj(e), e) for e in kraus)
 
 
+def rx(theta: float) -> np.ndarray:
+    """x rotation exp(-i theta sigma_x / 2) = cos(theta/2) I - i sin(theta/2) sigma_x."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Trace out one tensor factor of a bipartite operator.
 
@@ -129,6 +135,7 @@ def expm(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expm requires a square matrix, got shape {m.shape}")
+    import scipy.linalg  # here, so that importing the package loads no scipy module
     return scipy.linalg.expm(m)
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, expm, kron, vec
+from .linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, expm, kron,
+                     validate_density_matrix, vec)
 
 __all__ = [
     "GeneratorSpec",
@@ -37,6 +38,7 @@ __all__ = [
     "PAULI_ROWS",
     "propagate",
     "pauli_expectations",
+    "bloch_solution",
     "target_trace",
 ]
 
@@ -246,6 +248,44 @@ class EvolutionTrace:
         return np.sqrt(self.sx**2 + self.sy**2 + self.sz**2)
 
 
+_SERIES_BELOW = 1e-5  # |st|^2 below which cosh(st) and sinh(st)/(st) take their series
+
+
+def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact Bloch vectors of the canonical model, as a (K, S, 3, T) array.
+
+    Torrey's closed form for K rate rows (gamma1, gamma_phi, omega), S initial Bloch
+    vectors and T times t >= 0. With G1 = gamma1, G2 = gamma1/2 + gamma_phi, w = 2 pi omega:
+    <x> = x0 e^{-G2 t}, (<y>, <z>) = v_ss + e^{Mt} (v0 - v_ss), M = [[-G2, -w], [w, -G1]],
+    v_ss = -M^{-1} (0, G1), taken as 0 where det M = 0 (G1 = w = 0, where (0, G1) is 0 too),
+    e^{Mt} = e^{mt} (cosh(st) I + sinh(st)/s (M - mI)), m = -(G1 + G2)/2 and
+    s^2 = ((G1 - G2)/2)^2 - w^2. Real for real rows; analytic in them, so a complex step
+    in a rate gives its derivative.
+    """
+    g1, rphi, omega = np.asarray(rows).T[:, :, None]
+    g2, w = g1 / 2 + rphi, 2 * np.pi * omega
+    m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
+    t = np.asarray(times, dtype=float)
+    q, emt = a * a - w * w, np.exp(m * t)  # q = s^2: s is real for q > 0, else imaginary
+    z, hyp = q * t * t, q.real > 0
+    small = np.abs(z) < _SERIES_BELOW  # t = 0, and near s = 0 (the exceptional point a = +-w)
+    x = np.where(small, 1.0, np.sqrt(np.where(hyp, q, -q)) * t)  # |st|
+    # For real s, e^{(m+s)t} (m + s = det/(m - s) cancels nothing) and expm1(-2st) stay in [-1, 1].
+    e, d = np.exp(det * t * t / (m * t - x)), np.expm1(-2 * x)
+    cosh = np.where(small, emt * (1 + z / 2 + z * z / 24),  # e^{mt} cosh(st)
+                    np.where(hyp, e * (1 + d / 2), emt * np.cos(x)))
+    sinh = t * np.where(small, emt * (1 + z / 6 + z * z / 120),  # e^{mt} sinh(st)/s
+                        np.where(hyp, -e * d / (2 * x), emt * np.sin(x) / x))
+    vss = np.concatenate([-w * g1, g1 * g2], axis=1) / np.where(det == 0, 1, det)  # (K, 2)
+    v0 = np.asarray(bloch0, dtype=float)
+    dv = v0[:, 1:] - vss[:, None]  # v0 - v_ss, (K, S, 2)
+    mv = dv @ np.concatenate([a, w, -w, -a], axis=1).reshape(-1, 2, 2)  # (M - mI)(v0 - v_ss)
+    yz = (vss[:, None, :, None] + dv[..., None] * cosh[:, None, None]
+          + mv[..., None] * sinh[:, None, None])
+    xs = v0[:, 0, None] * np.exp(-g2 * t)[:, None]  # (K, S, T)
+    return np.concatenate([xs[:, :, None], yz], axis=2)
+
+
 def target_trace(
     rates: CanonicalRates,
     rho0: np.ndarray,
@@ -253,23 +293,17 @@ def target_trace(
     n_steps: int,
     label: str = "target",
 ) -> EvolutionTrace:
-    """Exact master-equation reference evolution sampled every tau0.
+    """Exact evolution of rho0 by :func:`bloch_solution` at t = j*tau0, j = 0..n_steps.
 
-    Args:
-        rates: Canonical qubit rates.
-        rho0: Initial density matrix.
-        tau0: Step duration in us (> 0).
-        n_steps: Number of steps N >= 1; the trace has N+1 points.
-        label: Tag stored on the returned trace.
-
-    Returns:
-        EvolutionTrace of the exact propagator applied step by step.
+    Raises:
+        ValueError: When n_steps < 1, tau0 <= 0, or rho0 fails validate_density_matrix.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if tau0 <= 0:
         raise ValueError(f"tau0 must be positive, got {tau0}")
-    step = propagator(lindblad_superop(qubit_generators(rates)), tau0)
-    states = propagate(step, vec(rho0)[:, None], n_steps)
-    sx, sy, sz = np.real(states[..., 0] @ PAULI_ROWS.T).T
-    return EvolutionTrace(np.arange(n_steps + 1) * tau0, sx, sy, sz, label=label)
+    validate_density_matrix(rho0, "rho0")
+    times = np.arange(n_steps + 1) * tau0
+    row = [rates.gamma1, rates.gamma_phi, rates.omega]
+    sx, sy, sz = bloch_solution([row], [pauli_expectations(rho0)], times)[0, 0]
+    return EvolutionTrace(times, sx, sy, sz, label=label)

@@ -5,9 +5,10 @@ twelve evolution curves on a shared time grid. The global fit minimizes the
 unweighted sum of squared deviations between those curves and the exact
 master-equation model, parameterized internally by the rates
 (1/T1, pure dephasing, Omega) so the physicality constraint T2 <= 2*T1 holds
-by construction. The model is the closed-form (Torrey) Bloch solution: one
-call scores a grid of starts, and the best row starts one bounded trust-region
-least-squares run on the 12*(N+1) residuals with an exact complex-step Jacobian.
+by construction. The model is the closed-form (Torrey) Bloch solution
+(liouvillian.bloch_solution): one call scores a grid of starts, and the best row
+starts one projected Levenberg-Marquardt run, written here in numpy, on the
+12*(N+1) residuals with an exact complex-step Jacobian.
 Optional sampling noise replaces each expectation x by 2k/s - 1 with
 k ~ Binomial(s, (1+x)/2).
 """
@@ -20,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .linalg import KET_0, KET_1, density
-from .liouvillian import CanonicalRates, EvolutionTrace, pauli_expectations, target_trace
+from .liouvillian import (CanonicalRates, EvolutionTrace, bloch_solution, pauli_expectations,
+                          target_trace)
 
 __all__ = [
     "STATE_LABELS",
@@ -126,8 +128,7 @@ def generate_tomography(
                 data[(state, obs)] = np.asarray(values, dtype=float)
             else:
                 p = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
-                k = rng.binomial(shots, p)
-                data[(state, obs)] = 2.0 * k / shots - 1.0
+                data[(state, obs)] = 2.0 * rng.binomial(shots, p) / shots - 1.0
     return TomographySet(times, data, shots=shots)
 
 
@@ -138,10 +139,11 @@ class FitResult:
     Attributes:
         t1: Relaxation time in us.
         t2: Coherence time in us (t2 <= 2*t1 by construction).
-        omega: Rabi rate in MHz.
+        omega: Rabi rate in MHz, signed and within the Nyquist band
+            [-1/(2 tau0), 1/(2 tau0)]: a faster drive shows as its alias.
         residual: Root-mean-square deviation over all 12*(N+1) points.
-        converged: Whether the least-squares run stopped on a tolerance
-            rather than its evaluation cap (not a goodness of fit).
+        converged: Whether the Levenberg-Marquardt run stopped on one of its
+            tolerances rather than its iteration cap (not a goodness of fit).
     """
 
     t1: float
@@ -156,45 +158,20 @@ class FitResult:
 
 
 _BLOCH0 = np.array([pauli_expectations(density(INITIAL_STATES[s])) for s in STATE_LABELS])
-_SERIES_BELOW = 1e-5  # |st|^2 below which cosh(st) and sinh(st)/(st) take their series
 _COMPLEX_STEP = 1e-20
 
 
 def _bloch_model(u: np.ndarray, tau0: float, npoints: int) -> np.ndarray:
-    """(K, 12, npoints) model expectations for a (K, 3) block u of rows (r1, rphi, omega).
-
-    Torrey's solution at t = j*tau0, with G1 = r1, G2 = r1/2 + rphi, w = 2 pi omega:
-    <x> = x0 e^{-G2 t}, (<y>, <z>) = v_ss + e^{Mt} (v0 - v_ss), M = [[-G2, -w], [w, -G1]],
-    v_ss = -M^{-1} (0, G1), e^{Mt} = e^{mt} (cosh(st) I + sinh(st)/s (M - mI)) with
-    m = -(G1 + G2)/2, s^2 = ((G1 - G2)/2)^2 - w^2. Real for real u, analytic in u.
-    """
-    g1, rphi, omega = np.asarray(u).T[:, :, None]
-    g2, w = g1 / 2 + rphi, 2 * np.pi * omega
-    m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
-    t = np.arange(npoints) * tau0
-    q, emt = a * a - w * w, np.exp(m * t)  # q = s^2: s is real for q > 0, else imaginary
-    z, hyp = q * t * t, q.real > 0
-    small = np.abs(z) < _SERIES_BELOW  # t = 0, and near s = 0 (the exceptional point a = +-w)
-    x = np.where(small, 1.0, np.sqrt(np.where(hyp, q, -q)) * t)  # |st|
-    # For real s, e^{(m+s)t} (m + s = det/(m - s) cancels nothing) and expm1(-2st) stay in [-1, 1].
-    e, d = np.exp(det * t * t / (m * t - x)), np.expm1(-2 * x)
-    cosh = np.where(small, emt * (1 + z / 2 + z * z / 24),  # e^{mt} cosh(st)
-                    np.where(hyp, e * (1 + d / 2), emt * np.cos(x)))
-    sinh = t * np.where(small, emt * (1 + z / 6 + z * z / 120),  # e^{mt} sinh(st)/s
-                        np.where(hyp, -e * d / (2 * x), emt * np.sin(x) / x))
-    vss = np.concatenate([-w * g1, g1 * g2], axis=1)[:, None] / det[:, None]  # (K, 1, 2)
-    dv = _BLOCH0[:, 1:] - vss  # v0 - v_ss, (K, state, 2)
-    mv = dv @ np.concatenate([a, w, -w, -a], axis=1).reshape(-1, 2, 2)  # (M - mI)(v0 - v_ss)
-    yz = vss[..., None] + dv[..., None] * cosh[:, None, None] + mv[..., None] * sinh[:, None, None]
-    xs = _BLOCH0[:, :1, None] * np.exp(-g2 * t)[:, None, None]
-    return np.concatenate([xs, yz], axis=2).reshape(len(g1), 12, npoints)
+    """(K, 12, npoints) model curves at t = j*tau0 for (K, 3) rows u of (r1, rphi, omega)."""
+    return bloch_solution(u, _BLOCH0, np.arange(npoints) * tau0).reshape(len(u), 12, npoints)
 
 
-def _bloch_jacobian(u: np.ndarray, tau0: float, npoints: int) -> np.ndarray:
-    """(12*npoints, 3) derivatives at one row u: stepping parameter k by i*h puts h times
-    its derivative in the imaginary part, exact to round-off as nothing is subtracted."""
+def _bloch_jacobian(u: np.ndarray, tau0: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (12*npoints,) model curves at row u and their (12*npoints, 3) derivatives: a step
+    i*h in parameter k puts h times its derivative, exact, in the imaginary part."""
     rows = np.asarray(u) + 1j * _COMPLEX_STEP * np.eye(3)
-    return _bloch_model(rows, tau0, npoints).imag.reshape(3, -1).T / _COMPLEX_STEP
+    model = _bloch_model(rows, tau0, npoints).reshape(3, -1)
+    return model[0].real, model.imag.T / _COMPLEX_STEP
 
 
 def _estimate_t2_rate(ts: TomographySet) -> float | None:
@@ -207,20 +184,13 @@ def _estimate_t2_rate(ts: TomographySet) -> float | None:
     return None
 
 
-def _estimate_omega(ts: TomographySet) -> float:
-    """Rabi seed from the initial <sigma_y> slope of the |1> state."""
-    sy = ts.curve("1", "y")
-    return float(abs(sy[1] - sy[0]) / (2 * np.pi * ts.times[1]))
-
-
 def _candidate_starts(ts: TomographySet) -> list[list[float]]:
     tau0 = ts.times[1] - ts.times[0]
     nyquist = 0.5 / tau0
-    om_est = min(_estimate_omega(ts), nyquist)
-    omegas = sorted(
-        {0.0, om_est, 0.5 * om_est, 1.5 * om_est}
-        | set(np.linspace(0.0, nyquist, 8).tolist())
-    )
+    sy = ts.curve("1", "y")  # a signed Rabi seed from the |1> state's first <sigma_y> step
+    om_est = float(np.clip((sy[1] - sy[0]) / (2 * np.pi * tau0), -nyquist, nyquist))
+    half = np.linspace(0.0, nyquist, 8) * (-1.0 if om_est < 0 else 1.0)  # the seed's sign
+    omegas = sorted({0.0, om_est, 0.5 * om_est, 1.5 * om_est} | set(half.tolist()))
     r1s = np.geomspace(1e-4, 0.5, 10)
     r2_est = _estimate_t2_rate(ts)
     cands = []
@@ -230,20 +200,62 @@ def _candidate_starts(ts: TomographySet) -> list[list[float]]:
     return cands
 
 
+_LM_MAX_ITER = 100
+
+
+def _levenberg_marquardt(fun, u, lo, hi):
+    """Projected Levenberg-Marquardt (More, LNM 630 (1978)) from u in the box [lo, hi].
+
+    fun(u) gives residuals r and Jacobian J. A step solves (A + lam diag(A)) du = -g with
+    A = J^T J and g = J^T r on the coordinates not on a bound that -g points through, and is
+    clipped into the box; lam is multiplied by 4 if the cost r.r/2 rose, else divided by 3.
+    Returns the last accepted u, its r, and the rule that stopped the run: 1 free gradient
+    <= 1e-15 cost, 2 cost change < 1e-15 cost, 3 step <= 1e-14 |u|, 0 the iteration cap.
+    """
+    r, jac = fun(u)
+    cost, lam = r @ r / 2, 1e-3
+    for _ in range(_LM_MAX_ITER):
+        g = jac.T @ r
+        free = ~(((u <= lo) & (g > 0)) | ((u >= hi) & (g < 0)))
+        if np.linalg.norm(g[free]) <= 1e-15 * cost:
+            return u, r, 1
+        a = (jac.T @ jac)[np.ix_(free, free)]
+        du = np.zeros_like(u)
+        du[free] = np.linalg.solve(a + lam * np.diag(np.diag(a)), -g[free])
+        trial = np.clip(u + du, lo, hi)
+        r_trial, jac_trial = fun(trial)
+        cost_trial = r_trial @ r_trial / 2
+        small_step = np.linalg.norm(trial - u) <= 1e-14 * np.linalg.norm(u)
+        small_change = abs(cost - cost_trial) < 1e-15 * cost
+        if cost_trial <= cost:
+            u, r, jac, cost, lam = trial, r_trial, jac_trial, cost_trial, lam / 3
+        else:
+            lam *= 4
+        if small_change:
+            return u, r, 2
+        if small_step:
+            return u, r, 3
+    return u, r, 0
+
+
 def global_fit(ts: TomographySet) -> FitResult:
     """Fit (T1, T2, Omega) to all twelve curves by least squares.
 
-    Bounded trust-region reflective least squares over the internal
-    parameters (1/T1, pure-dephasing rate, Omega) with the closed-form model's
-    complex-step Jacobian, run once from the best row of a start grid that
-    one model call scores.
+    Projected Levenberg-Marquardt over the internal parameters (1/T1,
+    pure-dephasing rate, Omega) with the closed-form model's complex-step
+    Jacobian, run once from the best row of a start grid that one model call
+    scores. Omega is signed within the Nyquist band [-1/(2 tau0), 1/(2 tau0)],
+    so a faster drive fits as its alias; the grid takes the sign of the |1>
+    state's first <sigma_y> step. Damping can flip that sign near the band's
+    edge, so a run that ends on the edge is repeated from the mirrored grid,
+    and the better of the two is kept.
 
     Args:
         ts: Tomography curves on a uniform time grid with >= 6 points.
 
     Returns:
         FitResult of that run; `converged` is True when it ended on one of
-        its tolerances rather than its evaluation cap.
+        its tolerances rather than its iteration cap.
     """
     npoints = ts.times.size
     if npoints < 6:
@@ -253,29 +265,25 @@ def global_fit(ts: TomographySet) -> FitResult:
         raise ValueError("global fit requires a uniform time grid")
     tau0 = float(steps[0])
     data = ts.as_matrix()
-    # Imported here: scipy.optimize adds about half again to the package's cold
-    # import, which every CLI command would pay whether or not it fits.
-    from scipy.optimize import least_squares
-
-    def residuals(u: np.ndarray) -> np.ndarray:
-        return (_bloch_model(u[None], tau0, npoints)[0] - data).ravel()
-
-    lo = np.array([_RATE_FLOOR, 0.0, 0.0])
+    lo = np.array([_RATE_FLOOR, 0.0, -0.5 / tau0])
     hi = np.array([_RATE_CEIL, _RATE_CEIL, 0.5 / tau0])
+
+    def fun(u):
+        model, jac = _bloch_jacobian(u, tau0, npoints)
+        return model - data.ravel(), jac
+
+    def fit_from_best(cands):  # argmin takes the first of tied rows
+        scores = ((_bloch_model(cands, tau0, npoints) - data) ** 2).sum(axis=(1, 2))
+        return _levenberg_marquardt(fun, cands[np.argmin(scores)], lo, hi)
+
     cands = np.clip(_candidate_starts(ts), lo, hi)
-    scores = ((_bloch_model(cands, tau0, npoints) - data) ** 2).sum(axis=(1, 2))
-    res = least_squares(  # from the best row; argmin takes the first of tied rows
-        residuals, cands[np.argmin(scores)], jac=lambda u: _bloch_jacobian(u, tau0, npoints),
-        bounds=(lo, hi), method="trf", x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14,
-    )
-    r1, rphi, omega = res.x  # least_squares keeps r1 >= _RATE_FLOOR > 0
-    return FitResult(
-        t1=1.0 / r1,
-        t2=1.0 / (r1 / 2 + rphi),
-        omega=float(omega),
-        residual=float(np.sqrt(np.mean(res.fun**2))),
-        converged=bool(res.status > 0),
-    )
+    u, r, status = fit_from_best(cands)
+    if abs(u[2]) == hi[2]:  # on the Nyquist edge, where a drive of the other sign may fit better
+        other = fit_from_best(cands * [1, 1, -1])
+        u, r, status = other if other[1] @ other[1] < r @ r else (u, r, status)
+    r1, rphi, omega = u  # the box keeps r1 >= _RATE_FLOOR > 0
+    return FitResult(t1=1.0 / r1, t2=1.0 / (r1 / 2 + rphi), omega=float(omega),
+                     residual=float(np.sqrt(np.mean(r**2))), converged=status > 0)
 
 
 def dephasing_time(t1: float, t2: float) -> float:

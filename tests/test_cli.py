@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 from pathlib import Path
 
@@ -131,6 +134,22 @@ def test_fit_recovers_predictions(tmp_path):
     assert len(rows) == 1 + 12 * 14
 
 
+def test_fit_of_an_aliased_drive_recovers_the_folded_rotation(tmp_path):
+    # theta3 = 270 deg turns the drive by 3/4 of a cycle per sample, which the
+    # samples cannot tell from a quarter turn the other way: omega folds to
+    # (270 - 360) / (360 tau0). T1 and T2 carry the first-order Trotter error.
+    cfg = write_config(tmp_path, "angles: {theta3_deg: 270}\n")
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "fit.json").read_text())
+    fitted, predicted = summary["fitted"], summary["predicted"]
+    folded = -90.0 / (360 * 3.56)
+    assert fitted["converged"] is True
+    assert fitted["omega_mhz"] == pytest.approx(folded, rel=0.01)
+    assert predicted["omega_mhz"] == pytest.approx(folded + 1 / 3.56, rel=1e-12)
+    for key in ("t1_us", "t2_us"):
+        assert fitted[key] == pytest.approx(predicted[key], rel=0.15)
+
+
 def test_fit_determinism_and_seed_override(tmp_path):
     cfg = write_config(tmp_path, "shots: 300\nseed: 7\n")
     outs = [tmp_path / f"run{i}" for i in range(3)]
@@ -236,9 +255,7 @@ def test_fig3_config_pins_the_paper_base_rates():
 
 
 def test_reproduce_fig4(tmp_path):
-    assert main(
-        ["reproduce", "--figure", "fig4", "--out", str(tmp_path), "--workers", "2"]
-    ) == EXIT_OK
+    assert main(["reproduce", "--figure", "fig4", "--out", str(tmp_path)]) == EXIT_OK
     rows = read_rows(tmp_path / "fig4_accuracy.csv")
     assert rows[0] == ["order", "permutation", "theta2_deg", "accuracy"]
     assert len(rows) == 1 + 2 * 6 * 14
@@ -250,9 +267,7 @@ def test_reproduce_fig4(tmp_path):
 
 
 def test_reproduce_fig2(tmp_path):
-    assert main(
-        ["reproduce", "--figure", "fig2", "--out", str(tmp_path), "--workers", "2"]
-    ) == EXIT_OK
+    assert main(["reproduce", "--figure", "fig2", "--out", str(tmp_path)]) == EXIT_OK
     for sweep, n_points in (("theta1", 8), ("theta2", 8), ("theta3", 7)):
         rows = read_rows(tmp_path / f"fig2_{sweep}.csv")
         assert rows[0][0] == "angle_deg"
@@ -503,20 +518,30 @@ def test_mitigate_bad_input_csv_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# ----------------------------------------------------------------- workers
+
+def test_workers_flag_is_an_unknown_argument(tmp_path, capsys):
+    assert main(["evolve", "--out", str(tmp_path), "--workers", "2"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
-def test_workers_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == EXIT_OK
+# ------------------------------------------------------------ start-up cost
+
+# Runs every subcommand on its default config in one fresh interpreter, then
+# lists the scipy modules it loaded. Only linalg.expm and propagator load scipy.
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys, tempfile
+import trottersim, trottersim.cli
+commands = [[name] for name in trottersim.cli.RUNNERS]
+commands += [["reproduce", "--figure", fig] for fig in trottersim.cli.FIGURES]
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    codes = [trottersim.cli.main([*cmd, "--out", out]) for cmd in commands]
+print(len(commands), codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
 
 
-def test_workers_env_invalid(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.WORKERS_ENV, "many")
-    assert main(["evolve", "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
-
-
-def test_workers_flag_must_be_positive(tmp_path, capsys):
-    assert main(["evolve", "--out", str(tmp_path), "--workers", "0"]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+def test_no_cli_command_loads_scipy():
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "10 [0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []"

@@ -18,6 +18,7 @@ from trottersim.linalg import (
     is_hermitian,
     kron,
     partial_trace,
+    rx,
     unvec,
     validate_density_matrix,
     vec,
@@ -136,6 +137,12 @@ def test_expm_diagonal():
     np.testing.assert_allclose(
         expm(m), np.diag([1.0, np.e**-1, np.e**-1, 1.0]), atol=1e-13
     )
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, -2.1, np.pi, 3 * np.pi / 2, 7.5])
+def test_rx_is_the_exponential_of_sigma_x(theta):
+    np.testing.assert_allclose(rx(theta), expm(-0.5j * theta * SIGMA_X), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rx(theta) @ dag(rx(theta)), I2, rtol=0, atol=1e-15)
 
 
 def test_expm_nilpotent():

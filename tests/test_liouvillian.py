@@ -289,6 +289,60 @@ def test_target_trace_input_validation():
         target_trace(CanonicalRates(), RHO_1, tau0=-1.0, n_steps=3)
 
 
+@pytest.mark.parametrize(
+    "rho0, message",
+    [(2 * RHO_1, "trace"), (np.array([[0.5, 1.0], [0.0, 0.5]]), "Hermitian"),
+     (np.diag([1.5, -0.5]), "negative eigenvalue")],
+    ids=["trace", "hermitian", "negative"],
+)
+def test_target_trace_rejects_a_non_density_matrix(rho0, message):
+    # The closed form evolves the Bloch vector, so it cannot carry a wrong trace
+    # along as the linear map would: such input is an error, not a quiet change.
+    with pytest.raises(ValueError, match=f"rho0 .*{message}"):
+        target_trace(CanonicalRates(gamma1=0.1), rho0, tau0=1.0, n_steps=3)
+
+
+def _rates_case(gamma1, gamma_phi, omega, kind):
+    """Rates with omega set by kind: "free" keeps it, "zero" drops every rate
+    but gamma_phi and the drive (det M = 0 when omega = 0 too), and "ep+"/"ep-"
+    put the (y, z) block on its exceptional point 2 pi omega = +-(G1 - G2)/2."""
+    if kind == "zero":
+        return CanonicalRates(0.0, gamma_phi, omega)
+    a = (gamma1 / 2 - gamma_phi) / 2
+    omega = {"free": omega, "ep+": a / (2 * np.pi), "ep-": -a / (2 * np.pi)}[kind]
+    return CanonicalRates(gamma1, gamma_phi, omega)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    case=st.tuples(st.sampled_from([0.0, 1e-4, 0.03, 0.5]) | st.floats(0.0, 0.5),
+                   st.sampled_from([0.0, 1e-4, 0.03, 0.5]) | st.floats(0.0, 0.5),
+                   st.floats(-0.2, 0.2), st.sampled_from(("free", "zero", "ep+", "ep-"))),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    radius=st.floats(0.0, 1.0),
+    tau0=st.floats(0.1, 10.0),
+    n_steps=st.integers(1, 40),
+)
+@example(case=(0.0, 0.0, 0.0, "zero"), direction=(0.3, -0.2, 0.9), radius=0.7,
+         tau0=3.56, n_steps=13)
+@example(case=(0.0, 0.02, 0.0, "zero"), direction=(0.0, 0.0, 0.0), radius=0.0,
+         tau0=3.56, n_steps=13)
+@example(case=(0.05, 0.0, 0.0, "ep-"), direction=(1.0, 1.0, -1.0), radius=1.0,
+         tau0=3.56, n_steps=13)
+def test_target_trace_matches_the_general_propagator(case, direction, radius, tau0, n_steps):
+    # Arbitrary rho0, mixed ones included, against expm of the Lindblad
+    # superoperator at each sample time, applied to vec(rho0) directly.
+    rates = _rates_case(*case)
+    d = np.array(direction)
+    bloch = radius * d / np.linalg.norm(d) if np.linalg.norm(d) > 1e-3 else np.zeros(3)
+    rho0 = (I2 + bloch[0] * SIGMA_X + bloch[1] * SIGMA_Y + bloch[2] * SIGMA_Z) / 2
+    tr = target_trace(rates, rho0, tau0, n_steps)
+    superop = lindblad_superop(qubit_generators(rates))
+    want = np.array([pauli_expectations(unvec(propagator(superop, t) @ vec(rho0)))
+                     for t in tr.times])
+    np.testing.assert_allclose(tr.as_matrix(), want, rtol=0, atol=1e-12)
+
+
 def test_evolution_trace_shape_check():
     with pytest.raises(ValueError):
         EvolutionTrace(np.arange(3), np.zeros(3), np.zeros(2), np.zeros(3))

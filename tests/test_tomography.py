@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +14,7 @@ from trottersim.liouvillian import (
     qubit_generators,
     target_trace,
 )
+import trottersim.tomography as tomography
 from trottersim.tomography import (
     INITIAL_STATES,
     OBS_LABELS,
@@ -25,6 +25,7 @@ from trottersim.tomography import (
     _bloch_model,
     _candidate_starts,
     _estimate_t2_rate,
+    _levenberg_marquardt,
     dephasing_time,
     generate_tomography,
     global_fit,
@@ -272,7 +273,9 @@ def test_closed_form_matches_stepped_reference(rows, tau0, npoints):
 @given(row=_ROW, tau0=st.floats(0.5, 10.0), npoints=st.integers(2, 101))
 def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
     u = np.array(_bloch_row(*row, tau0))
-    jac = _bloch_jacobian(u, tau0, npoints)
+    model, jac = _bloch_jacobian(u, tau0, npoints)
+    np.testing.assert_allclose(model, _bloch_model(u[None], tau0, npoints).ravel(),
+                               rtol=0, atol=1e-15)
     # Five-point central differences, with steps small against the curves' time
     # scale t_max (2 pi t_max for omega): truncation and round-off stay near 1e-9.
     h = 3e-3 / (tau0 * (npoints - 1)) * np.array([1.0, 1.0, 1.0 / (2 * np.pi)])
@@ -284,20 +287,21 @@ def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
     assert np.abs(jac - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     t1=st.floats(10.0, 200.0),
     t2_share=st.floats(0.0, 1.0),
-    omega=st.floats(0.005, 0.1),
+    omega=st.floats(0.005, 0.14),
+    sign=st.sampled_from((1.0, -1.0)),
 )
-def test_noiseless_round_trip_property(t1, t2_share, omega):
-    t2 = 5.0 + t2_share * (2 * t1 - 5.0)
+def test_noiseless_round_trip_property(t1, t2_share, omega, sign):
+    # A negative drive turns the |1> state's <sigma_y> downwards first, and the
+    # start grid then spans [-1/(2 tau0), 0].
+    t2, omega = 5.0 + t2_share * (2 * t1 - 5.0), sign * omega
     fit = global_fit(generate_tomography(rates_from_times(t1, t2, omega), TAU0, 13))
     assert fit.converged
     assert fit.t2 <= 2 * fit.t1 * (1 + 1e-6)
-    assert fit.t1 == pytest.approx(t1, rel=0.01)
-    assert fit.t2 == pytest.approx(t2, rel=0.01)
-    assert fit.omega == pytest.approx(omega, rel=0.01)
+    np.testing.assert_allclose([fit.t1, fit.t2, fit.omega], [t1, t2, omega], rtol=1e-6)
 
 
 @pytest.mark.parametrize("t2", [0.5, 1.0, 2.0])
@@ -337,26 +341,117 @@ def test_fit_with_shot_noise_ensemble():
     assert hits.sum() >= 95
 
 
-def test_fit_runs_one_least_squares_from_the_best_scored_row(monkeypatch):
-    # fig2's default point, Trotterized: curves the closed form cannot match exactly.
-    rates = angle_to_rates(AngleParams.from_degrees(20.0, 20.0, 51.4, TAU0))
+def _trotter_set(*angles_deg):
+    """Twelve first-order Trotter curves, 13 steps of TAU0, at the given dilation angles."""
+    rates = angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0))
     schedule = TrotterSchedule(n_steps=13, dt=TAU0)
-    ts = generate_tomography(
+    return generate_tomography(
         rates, TAU0, 13, evolve=lambda rho0: run_schedule(schedule, rates, rho0)
     )
-    least_squares, calls = scipy.optimize.least_squares, []
 
-    def counting(fun, x0, **kwargs):
-        calls.append((np.array(x0), kwargs["bounds"]))
-        return least_squares(fun, x0, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+def test_fit_runs_one_lm_from_the_best_scored_row(monkeypatch):
+    # fig2's default point, Trotterized: curves the closed form cannot match exactly.
+    ts = _trotter_set(20.0, 20.0, 51.4)
+    calls = []
+
+    def spy(fun, u, lo, hi):
+        calls.append((np.array(u), lo, hi))
+        return _levenberg_marquardt(fun, u, lo, hi)
+
+    monkeypatch.setattr(tomography, "_levenberg_marquardt", spy)
     assert global_fit(ts).converged
     assert len(calls) == 1
-    x0, (lo, hi) = calls[0]
+    u0, lo, hi = calls[0]
+    np.testing.assert_array_equal(lo, [1e-6, 0.0, -0.5 / TAU0])
+    np.testing.assert_array_equal(hi, [2.0, 2.0, 0.5 / TAU0])
     cands = np.clip(_candidate_starts(ts), lo, hi)
     scores = ((_bloch_model(cands, TAU0, 14) - ts.as_matrix()) ** 2).sum(axis=(1, 2))
-    np.testing.assert_array_equal(x0, cands[np.argmin(scores)])
+    np.testing.assert_array_equal(u0, cands[np.argmin(scores)])
+
+
+@pytest.mark.parametrize("angles_deg", [(5.8, 36.1, 166.0), (10.0, 40.0, 170.0)])
+def test_fit_near_the_nyquist_edge_tries_the_other_sign(angles_deg):
+    # Strong damping turns the |1> state's first <sigma_y> step negative although
+    # the drive is positive: the grid of that sign ends on the -1/(2 tau0) edge,
+    # and the run from the mirrored grid fits the curves.
+    rates = angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0))
+    ts = generate_tomography(rates, TAU0, 13)
+    sy = ts.curve("1", "y")
+    assert sy[1] < sy[0] and rates.omega > 0
+    fit = global_fit(ts)
+    assert fit.converged
+    np.testing.assert_allclose([fit.t1, fit.t2, fit.omega], [rates.t1, rates.t2, rates.omega],
+                               rtol=1e-6)
+
+
+# ------------------------------------------------- Levenberg-Marquardt stops
+#
+# _levenberg_marquardt returns the rule that stopped it: 1 free gradient, 2 cost
+# change, 3 step size, 0 the iteration cap. Linear residuals A u - b make each
+# rule's turn predictable.
+
+_A = np.array([[1.0, 0.5], [0.2, 2.0], [1.5, -1.0], [0.3, 0.7]])
+
+
+def _linear(b):
+    b = np.asarray(b, dtype=float)
+    return lambda u: (_A @ u - b, _A)
+
+
+def test_lm_stops_on_the_free_gradient_in_a_corner():
+    # The unconstrained optimum (-1, -1) lies beyond the corner the run starts
+    # in: both coordinates freeze and the free gradient is empty.
+    evaluations = []
+    fun = _linear(_A @ [-1.0, -1.0])
+    counted = lambda u: evaluations.append(u) or fun(u)
+    u, r, status = _levenberg_marquardt(counted, np.zeros(2), np.zeros(2), np.ones(2))
+    assert status == 1 and len(evaluations) == 1
+    np.testing.assert_array_equal(u, [0.0, 0.0])
+
+
+def test_lm_stops_on_the_cost_change_with_a_residual():
+    # Inconsistent data: the cost levels off above 0 at the least-squares point.
+    b = np.array([1.0, -2.0, 0.5, 3.0])
+    u, r, status = _levenberg_marquardt(_linear(b), np.array([0.3, 0.1]), -10 * np.ones(2),
+                                        10 * np.ones(2))
+    assert status == 2
+    np.testing.assert_allclose(u, np.linalg.lstsq(_A, b, rcond=None)[0], rtol=1e-12)
+
+
+def test_lm_stops_on_the_step_size_at_a_zero_residual():
+    # Consistent data: the cost falls to round-off, where only the step shrinks.
+    want = np.array([0.7, -0.4])
+    u, r, status = _levenberg_marquardt(_linear(_A @ want), np.array([0.3, 0.1]),
+                                        -10 * np.ones(2), 10 * np.ones(2))
+    assert status == 3
+    np.testing.assert_allclose(u, want, rtol=1e-14)
+
+
+def test_lm_freezes_a_rate_on_its_bound():
+    # No dephasing, Trotterized: the best fit sits on rphi = 0 with the gradient
+    # pointing below it. It must match the fit with rphi pinned to 0.
+    ts = _trotter_set(0.0, 30.0, 30.0)
+    rates = angle_to_rates(AngleParams.from_degrees(0.0, 30.0, 30.0, TAU0))
+    fit = global_fit(ts)
+    assert fit.converged
+    assert fit.t2 == pytest.approx(2 * fit.t1, rel=1e-15)
+    data = ts.as_matrix().ravel()
+
+    def pinned(v):  # (r1, omega) with rphi = 0
+        model, jac = _bloch_jacobian([v[0], 0.0, v[1]], TAU0, 14)
+        return model - data, jac[:, [0, 2]]
+
+    v, _, status = _levenberg_marquardt(pinned, np.array([rates.gamma1, rates.omega]),
+                                        np.array([1e-6, -1.0]), np.array([2.0, 1.0]))
+    assert status > 0
+    np.testing.assert_allclose([1 / fit.t1, fit.omega], v, rtol=1e-7)
+
+
+def test_fit_at_the_iteration_cap_is_not_converged(monkeypatch):
+    monkeypatch.setattr(tomography, "_LM_MAX_ITER", 1)
+    fit = global_fit(_trotter_set(20.0, 20.0, 51.4))
+    assert not fit.converged
 
 
 def test_fit_input_validation():
