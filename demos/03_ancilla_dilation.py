@@ -13,6 +13,7 @@ from trottersim import (
     AngleParams,
     NoiseParams,
     angle_to_rates,
+    apply_channel,
     channel_distance,
     damping_channel,
     damping_circuit,
@@ -22,7 +23,6 @@ from trottersim import (
     induced_channel,
     rates_to_angles,
     rotation_circuit,
-    run_circuit,
     unitary_channel,
 )
 from trottersim.linalg import rx
@@ -54,8 +54,9 @@ for name, circuit, analytic in pairs:
 # The damping dilation uses an adaptive correction; both of its
 # implementations (coherent feedback vs measure-and-feedforward) agree.
 rho = np.array([[0.3, 0.25 - 0.1j], [0.25 + 0.1j, 0.7]])
-coherent = run_circuit(damping_circuit(params.theta2), rho, adaptive="coherent")
-measured = run_circuit(damping_circuit(params.theta2), rho, adaptive="feedforward")
+circuit = damping_circuit(params.theta2)
+coherent = apply_channel(induced_channel(circuit, adaptive="coherent"), rho)
+measured = apply_channel(induced_channel(circuit, adaptive="feedforward"), rho)
 print(f"\nadaptive-correction implementations gap: "
       f"{np.abs(coherent - measured).max():.2e}")
 

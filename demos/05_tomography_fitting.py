@@ -17,7 +17,6 @@ from trottersim import (
     angle_to_rates,
     generate_tomography,
     global_fit,
-    predict_coherence,
     run_schedule,
 )
 
@@ -47,7 +46,7 @@ schedule = TrotterSchedule(order=2, n_steps=n_steps, dt=tau0)
 trotter_curves = generate_tomography(
     rates, tau0, n_steps, evolve=lambda rho0: run_schedule(schedule, rates, rho0))
 fit_trotter = global_fit(trotter_curves)
-t1_pred, t2_pred = predict_coherence(params)
+t1_pred, t2_pred = rates.t1, rates.t2
 print(f"\norder-2 Trotter fit: T1={fit_trotter.t1:.2f} (formula {t1_pred:.2f})  "
       f"T2={fit_trotter.t2:.2f} (formula {t2_pred:.2f})  "
       f"omega={fit_trotter.omega:.6f} "

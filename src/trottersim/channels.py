@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, eigh, kraus_superop, partial_trace, unvec, vec,
+    I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, kraus_superop, partial_trace, unvec, vec,
 )
 
 __all__ = [
@@ -45,7 +45,8 @@ __all__ = [
 class KrausChannel:
     """Trace-preserving quantum channel as a tuple of Kraus operators.
 
-    Invariant (checked on construction): sum_k E_k^dag E_k = I within 1e-10.
+    Invariant (checked on construction): sum_k E_k^dag E_k = I within 1e-10,
+    which no operator with a non-finite entry meets.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -61,13 +62,18 @@ class KrausChannel:
                 raise ValueError(f"Kraus operators must all be {d}x{d}, got {e.shape}")
         comp = sum(dag(e) @ e for e in ops)
         err = np.abs(comp - np.eye(d)).max()
-        if err > 1e-10:
+        if not err <= 1e-10:  # also true for NaN
             raise ValueError(f"Kraus completeness violated by {err:.3e}")
         object.__setattr__(self, "kraus", ops)
 
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
+
+
+def _check_rate_and_time(name: str, rate: float, tau: float) -> None:
+    if not (0 <= rate < np.inf and 0 <= tau < np.inf):  # also false for NaN
+        raise ValueError(f"{name} and tau must be finite and nonnegative, got {rate} and {tau}")
 
 
 def dephasing_channel(gamma_phi: float, tau: float) -> KrausChannel:
@@ -78,14 +84,13 @@ def dephasing_channel(gamma_phi: float, tau: float) -> KrausChannel:
     untouched.
 
     Args:
-        gamma_phi: Pure-dephasing rate in 1/us, >= 0.
-        tau: Step duration in us, >= 0.
+        gamma_phi: Pure-dephasing rate in 1/us, finite and >= 0.
+        tau: Step duration in us, finite and >= 0.
 
     Raises:
-        ValueError: On negative inputs.
+        ValueError: On negative or non-finite inputs.
     """
-    if gamma_phi < 0 or tau < 0:
-        raise ValueError("gamma_phi and tau must be nonnegative")
+    _check_rate_and_time("gamma_phi", gamma_phi, tau)
     mu = np.exp(-gamma_phi * tau)
     e0 = np.diag([1.0, mu]).astype(complex)
     e1 = np.diag([0.0, np.sqrt(max(0.0, 1.0 - mu * mu))]).astype(complex)
@@ -100,14 +105,13 @@ def damping_channel(gamma1: float, tau: float) -> KrausChannel:
     by e^{-gamma1*tau}, off-diagonals by e^{-gamma1*tau/2}.
 
     Args:
-        gamma1: Population decay rate in 1/us, >= 0.
-        tau: Step duration in us, >= 0.
+        gamma1: Population decay rate in 1/us, finite and >= 0.
+        tau: Step duration in us, finite and >= 0.
 
     Raises:
-        ValueError: On negative inputs.
+        ValueError: On negative or non-finite inputs.
     """
-    if gamma1 < 0 or tau < 0:
-        raise ValueError("gamma1 and tau must be nonnegative")
+    _check_rate_and_time("gamma1", gamma1, tau)
     nu = np.exp(-gamma1 * tau / 2)
     e0 = np.diag([1.0, nu]).astype(complex)
     e1 = np.zeros((2, 2), dtype=complex)
@@ -121,7 +125,7 @@ def unitary_channel(u: np.ndarray, label: str = "unitary") -> KrausChannel:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got {u.shape}")
     err = np.abs(dag(u) @ u - np.eye(u.shape[0])).max()
-    if err > 1e-10:
+    if not err <= 1e-10:  # also true for NaN
         raise ValueError(f"matrix is not unitary: deviation {err:.3e}")
     return KrausChannel((u,), label=label)
 
@@ -144,12 +148,17 @@ def depolarizing_channel(p: float) -> KrausChannel:
     return KrausChannel(ops, label="depolarizing")
 
 
-def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel: sum_k E_k rho E_k^dag."""
+def apply_channel(ch: KrausChannel | np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Apply a channel given as KrausChannel or superoperator: sum_k E_k rho E_k^dag.
+
+    rho may be any d x d operator; the map is linear.
+    """
+    s = _superop(ch)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"state shape {rho.shape} does not match channel dim {ch.dim}")
-    return unvec(to_superop(ch) @ vec(rho))
+    d = int(round(np.sqrt(s.shape[0])))
+    if s.shape != (d * d, d * d) or rho.shape != (d, d):
+        raise ValueError(f"operator shape {rho.shape} does not fit a channel of shape {s.shape}")
+    return unvec(s @ vec(rho))
 
 
 def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
@@ -165,6 +174,10 @@ def to_superop(ch: KrausChannel) -> np.ndarray:
     return kraus_superop(*ch.kraus)
 
 
+def _superop(ch: KrausChannel | np.ndarray) -> np.ndarray:
+    return to_superop(ch) if isinstance(ch, KrausChannel) else np.asarray(ch, dtype=complex)
+
+
 def _superop_to_choi(s: np.ndarray) -> np.ndarray:
     d = int(round(np.sqrt(s.shape[0])))
     if s.shape != (d * d, d * d):
@@ -178,8 +191,7 @@ def to_choi(ch: KrausChannel | np.ndarray) -> np.ndarray:
 
     Normalization: J = sum_{ij} |i><j| (x) E(|i><j|), so Tr J = d.
     """
-    s = to_superop(ch) if isinstance(ch, KrausChannel) else np.asarray(ch, dtype=complex)
-    return _superop_to_choi(s)
+    return _superop_to_choi(_superop(ch))
 
 
 def choi_to_kraus(choi: np.ndarray, tol: float = 1e-12) -> KrausChannel:
@@ -200,7 +212,10 @@ def choi_to_kraus(choi: np.ndarray, tol: float = 1e-12) -> KrausChannel:
     d = int(round(np.sqrt(choi.shape[0])))
     if choi.shape != (d * d, d * d):
         raise ValueError(f"Choi shape {choi.shape} is not (d^2, d^2)")
-    w, v = eigh(choi)
+    herm_err = np.abs(choi - dag(choi)).max()
+    if not herm_err <= 1e-10:
+        raise ValueError(f"Choi matrix is not Hermitian: max deviation {herm_err:.3e}")
+    w, v = np.linalg.eigh((choi + dag(choi)) / 2)
     if w.min() < -1e-8:
         raise ValueError(f"Choi matrix is not PSD: eigenvalue {w.min():.3e}")
     ops = []

@@ -12,8 +12,8 @@ Subcommands:
     mitigate       Zero-noise extrapolation study (simulated or from a CSV of
                    measured points) -> mitigate.json.
     converge       Accuracy-versus-step-count slope -> converge.json.
-    reproduce      Fixed figure protocols (--figure fig2|fig3|fig4) -> data
-                   bundles per protocol.
+    reproduce      Fixed figure protocols (required --figure fig2|fig3|fig4) ->
+                   data bundles per protocol.
 
 Configs are YAML mappings with angles written in degrees; they are converted
 to radians at this boundary and validated in full, rejecting unknown keys,
@@ -84,14 +84,12 @@ class NumericalFailure(RuntimeError):
 class ExperimentConfig:
     """Fully validated experiment description.
 
-    Every field is resolved: defaults applied, angles in radians inside
-    AngleParams, intrinsic decay folded into ``rates``, and the Trotter
-    settings held by ``schedule`` (dt = tau0).  Construction happens only
-    through build_config, which rejects unknown keys and out-of-range values
-    before any computation.
+    Every field is resolved: defaults applied, the angles and intrinsic decay
+    folded into ``rates``, and the Trotter settings held by ``schedule``
+    (dt = tau0).  Construction happens only through build_config, which
+    rejects unknown keys and out-of-range values before any computation.
     """
 
-    angles: AngleParams
     rates: CanonicalRates
     schedule: TrotterSchedule
     initial_state: str
@@ -102,7 +100,6 @@ class ExperimentConfig:
     c_list: tuple[float, ...]
     n_max: int | None
     input_csv: str | None
-    figure: str | None
     variable: str
     t_total_us: float | None
 
@@ -203,7 +200,6 @@ CONFIG_TABLE = {
     "c_list": ((1.0, 2.13, 4.93, 9.96), _list_of(_finite)),
     "n_max": (None, partial(_as_int, lo=0)),
     "input_csv": (None, _text),
-    "figure": (None, _choice(*FIGURES)),
     "variable": ("t2", _choice("t2", "rate")),
     "t_total_us": (None, _finite),
 }
@@ -284,7 +280,7 @@ def build_config(raw, mode):
                               "dilation+noise needs input_csv")
     if v["t_total_us"] is not None and v["t_total_us"] <= 0:
         raise ConfigError(f"t_total_us must be positive, got {v['t_total_us']}")
-    return ExperimentConfig(angles=angles, rates=rates, schedule=schedule, **v)
+    return ExperimentConfig(rates=rates, schedule=schedule, **v)
 
 
 def load_config(path, mode):
@@ -391,7 +387,7 @@ def _scan(cfg):
     schedule = cfg.schedule
     return permutation_scan(
         cfg.rates, n_steps=schedule.n_steps, dt=schedule.dt,
-        rho0=density(INITIAL_STATES[cfg.initial_state]), orders=(1, 2),
+        rho0=density(INITIAL_STATES[cfg.initial_state]),
         backend=schedule.backend, noise=schedule.noise,
     )
 
@@ -407,7 +403,7 @@ def _run_scan(cfg, out):
 
 
 def _run_dilate_verify(cfg, out):
-    tau0 = cfg.angles.tau0
+    tau0 = cfg.schedule.dt
     distances = {}
     for theta_deg in cfg.theta_grid_deg:
         params = AngleParams.from_degrees(theta_deg, theta_deg, theta_deg, tau0)
@@ -484,11 +480,9 @@ def _run_fit(cfg, out):
 def _scaled_points(cfg):
     """Undriven base rates and one fitted point per c_list factor c, damping scaled by c."""
     base = replace(cfg.rates, omega=0.0)
-    return base, [
-        NoisePoint(c=c, value=scaled_damping_t2(base, c, cfg.schedule,
-                                                inverse=cfg.variable == "rate"))
-        for c in cfg.c_list
-    ]
+    t2s = [scaled_damping_t2(base, c, cfg.schedule) for c in cfg.c_list]
+    return base, [NoisePoint(c=c, value=1.0 / t2 if cfg.variable == "rate" else t2)
+                  for c, t2 in zip(cfg.c_list, t2s)]
 
 
 def _run_mitigate(cfg, out):
@@ -590,7 +584,7 @@ def _reproduce_fig2(out):
     json_path = out / "fig2.json"
     _write_json(json_path, {  # every sweep point runs the default tau0, N and order
         "n_steps": cfg.schedule.n_steps, "order": cfg.schedule.order,
-        "sweeps": sweeps, "tau0_us": cfg.angles.tau0,
+        "sweeps": sweeps, "tau0_us": cfg.schedule.dt,
     })
     return paths + [json_path]
 
@@ -621,7 +615,7 @@ def _reproduce_fig3(out):
         ],
         "n_steps": cfg.schedule.n_steps,
         "order": cfg.schedule.order,
-        "tau0_us": cfg.angles.tau0,
+        "tau0_us": cfg.schedule.dt,
         "theta1_deg": _FIG3_CONFIG["angles"]["theta1_deg"],
         "zero_damping_dephasing_time_us": truth,
     })
@@ -643,7 +637,7 @@ def _reproduce_fig4(out):
     json_path = out / "fig4.json"
     _write_json(json_path, {
         "n_steps": cfg.schedule.n_steps,
-        "tau0_us": cfg.angles.tau0,
+        "tau0_us": cfg.schedule.dt,
         "theta1_deg": 20.0,
         "theta2_grid_deg": list(theta2_grid),
         "theta3_deg": 25.7,
@@ -674,7 +668,7 @@ def _build_parser():
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (overrides config)")
         if name == "reproduce":
-            p.add_argument("--figure", choices=FIGURES, default=None)
+            p.add_argument("--figure", choices=FIGURES, required=True)
     return parser
 
 
@@ -687,10 +681,6 @@ def main(argv=None):
         if args.seed is not None:
             seed = CONFIG_TABLE["seed"][1](args.seed, "--seed")
             cfg = replace(cfg, seed=seed)
-        if args.command == "reproduce":
-            figure = args.figure if args.figure is not None else cfg.figure
-            if figure is None:
-                raise ConfigError("reproduce needs --figure or a figure config key")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -699,7 +689,7 @@ def main(argv=None):
     try:
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "reproduce":
-            paths = _REPRODUCERS[figure](out)
+            paths = _REPRODUCERS[args.figure](out)
         else:
             paths = RUNNERS[args.command](cfg, out)
     except ConfigError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, kraus_superop, kron, rx, unvec, vec
+from .linalg import I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, kraus_superop, rx, vec
 from .liouvillian import CanonicalRates
 
 __all__ = [
@@ -33,12 +33,10 @@ __all__ = [
     "dephasing_circuit",
     "damping_circuit",
     "rotation_circuit",
-    "run_circuit",
     "induced_channel",
     "angle_to_rates",
     "rates_to_angles",
     "effective_rates",
-    "predict_coherence",
     "depolarization_equivalent_time",
 ]
 
@@ -71,13 +69,13 @@ class Gate:
 def gate_unitary(gate: Gate) -> np.ndarray:
     """4x4 unitary of a non-reset gate in ancilla (x) data ordering."""
     if gate.kind == "ancilla_rx":
-        return kron(rx(gate.theta), I2)
+        return np.kron(rx(gate.theta), I2)
     if gate.kind == "data_x":
-        return kron(I2, rx(gate.theta))
+        return np.kron(I2, rx(gate.theta))
     if gate.kind == "cz":
         return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     if gate.kind == "cnot_ancilla_ctrl":
-        return kron(_PROJ_G, I2) + kron(_PROJ_E, SIGMA_X)
+        return np.kron(_PROJ_G, I2) + np.kron(_PROJ_E, SIGMA_X)
     raise ValueError(f"gate {gate.kind!r} has no unitary realization")
 
 
@@ -183,29 +181,14 @@ def rotation_circuit(theta3: float) -> DilationCircuit:
 
 
 # Load ancilla |g> with G = |g> (x) I; the reset keeps sum_a <a| rho |a>.
-_LOAD_G = kraus_superop(kron(KET_0[:, None], I2))
-_RESET = kraus_superop(kron(KET_0[None], I2), kron(KET_1[None], I2))
-_FEEDFORWARD = kraus_superop(kron(_PROJ_G, I2), kron(_PROJ_E, SIGMA_X))
+_LOAD_G = kraus_superop(np.kron(KET_0[:, None], I2))
+_RESET = kraus_superop(np.kron(KET_0[None], I2), np.kron(KET_1[None], I2))
+_FEEDFORWARD = kraus_superop(np.kron(_PROJ_G, I2), np.kron(_PROJ_E, SIGMA_X))
 
 
 def _ancilla_decay(p: float) -> np.ndarray:
     e0 = np.diag([1.0, np.sqrt(1.0 - p)])
-    return kraus_superop(kron(e0, I2), kron(np.sqrt(p) * SIGMA_MINUS, I2))
-
-
-def run_circuit(
-    circuit: DilationCircuit,
-    rho_data: np.ndarray,
-    noise: NoiseParams | None = None,
-    adaptive: str = "coherent",
-) -> np.ndarray:
-    """Apply the :func:`induced_channel` of the circuit to a 2x2 data operator
-    (any matrix; the map is linear) and return the 2x2 result."""
-    channel = induced_channel(circuit, noise, adaptive)
-    rho_data = np.asarray(rho_data, dtype=complex)
-    if rho_data.shape != (2, 2):
-        raise ValueError(f"data operator must be 2x2, got {rho_data.shape}")
-    return unvec(channel @ vec(rho_data))
+    return kraus_superop(np.kron(e0, I2), np.kron(np.sqrt(p) * SIGMA_MINUS, I2))
 
 
 def induced_channel(
@@ -319,16 +302,6 @@ def effective_rates(
     )
 
 
-def predict_coherence(
-    params: AngleParams,
-    t1_intrinsic: float = np.inf,
-    t2_intrinsic: float = np.inf,
-) -> tuple[float, float]:
-    """Coherence times (T1, T2) in us at :func:`effective_rates`, which raises its errors."""
-    rates = effective_rates(params, t1_intrinsic, t2_intrinsic)
-    return rates.t1, rates.t2
-
-
 def depolarization_equivalent_time(p_grape: float, tau0: float = 3.56) -> float:
     """Coherence-limit equivalent of one depolarization event per step.
 
@@ -337,8 +310,8 @@ def depolarization_equivalent_time(p_grape: float, tau0: float = 3.56) -> float:
     """
     if not 0 <= p_grape < 1:
         raise ValueError(f"p_grape must be in [0, 1), got {p_grape}")
-    if tau0 <= 0:
-        raise ValueError(f"tau0 must be positive, got {tau0}")
+    if not 0 < tau0 < np.inf:  # also true for NaN
+        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
     if p_grape == 0:
         return np.inf
     return tau0 / (-np.log1p(-p_grape))

@@ -4,7 +4,7 @@ Everything downstream (superoperators, channels, dilation circuits) is built
 on plain complex ndarrays plus the checks in this module. The vectorization
 convention is fixed once here and used everywhere: ``vec`` stacks columns,
 so the superoperator acting as ``A @ rho @ B`` on a vectorized state is
-``kron(B.T, A)``.
+``np.kron(B.T, A)``.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ __all__ = [
     "KET_0",
     "KET_1",
     "dag",
-    "kron",
     "vec",
     "unvec",
     "kraus_superop",
     "rx",
     "partial_trace",
     "expm",
-    "eigh",
-    "is_hermitian",
     "validate_density_matrix",
     "density",
 ]
@@ -47,11 +44,6 @@ KET_1 = np.array([0, 1], dtype=complex)
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a (..., d, d) stack."""
     return np.conj(np.asarray(m)).swapaxes(-2, -1)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (dims multiply)."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def density(ket: np.ndarray) -> np.ndarray:
@@ -83,7 +75,7 @@ def kraus_superop(*kraus: np.ndarray) -> np.ndarray:
 
     The operators may be rectangular (maps between spaces of different size).
     """
-    return sum(kron(np.conj(e), e) for e in kraus)
+    return sum(np.kron(np.conj(e), e) for e in kraus)
 
 
 def rx(theta: float) -> np.ndarray:
@@ -137,32 +129,6 @@ def expm(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"expm requires a square matrix, got shape {m.shape}")
     import scipy.linalg  # here, so that importing the package loads no scipy module
     return scipy.linalg.expm(m)
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when max |m_ij - conj(m_ji)| <= tol."""
-    m = np.asarray(m)
-    return bool(np.abs(m - dag(m)).max() <= tol)
-
-
-def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Args:
-        m: Matrix, Hermitian within 1e-10.
-
-    Returns:
-        (w, v) with real eigenvalues w ascending and unitary v such that
-        v @ diag(w) @ v.conj().T reconstructs m within 1e-10.
-
-    Raises:
-        ValueError: If m is not Hermitian within 1e-10.
-    """
-    m = np.asarray(m)
-    if not is_hermitian(m, tol=1e-10):
-        raise ValueError("eigh requires a Hermitian matrix (within 1e-10)")
-    w, v = np.linalg.eigh((m + dag(m)) / 2)
-    return w, v
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, expm, kron,
-                     validate_density_matrix, vec)
+from .linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, expm, validate_density_matrix, vec
 
 __all__ = [
     "GeneratorSpec",
@@ -167,10 +166,10 @@ def lindblad_superop(generators: list[GeneratorSpec], dim: int = 2) -> np.ndarra
             raise ValueError(f"generator dimension {g.dim} does not match {dim}")
         m = g.matrix
         if g.kind == "coherent":
-            s += -1j * (kron(eye, m) - kron(m.T, eye))
+            s += -1j * (np.kron(eye, m) - np.kron(m.T, eye))
         else:
             mm = dag(m) @ m
-            s += 2 * kron(np.conj(m), m) - kron(eye, mm) - kron(mm.T, eye)
+            s += 2 * np.kron(np.conj(m), m) - np.kron(eye, mm) - np.kron(mm.T, eye)
     return s
 
 
@@ -296,12 +295,13 @@ def target_trace(
     """Exact evolution of rho0 by :func:`bloch_solution` at t = j*tau0, j = 0..n_steps.
 
     Raises:
-        ValueError: When n_steps < 1, tau0 <= 0, or rho0 fails validate_density_matrix.
+        ValueError: When n_steps < 1, tau0 is not positive and finite, or rho0
+            fails validate_density_matrix.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if tau0 <= 0:
-        raise ValueError(f"tau0 must be positive, got {tau0}")
+    if not 0 < tau0 < np.inf:  # also true for NaN
+        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
     validate_density_matrix(rho0, "rho0")
     times = np.arange(n_steps + 1) * tau0
     row = [rates.gamma1, rates.gamma_phi, rates.omega]

@@ -184,7 +184,7 @@ def extrapolate(points, n):
     )
 
 
-def scaled_damping_t2(rates, c, schedule=TrotterSchedule(), inverse=False):
+def scaled_damping_t2(rates, c, schedule=TrotterSchedule()):
     """Measures T2* with the amplitude-damping rate scaled by c.
 
     Runs the repeated dephasing-plus-damping Trotter sequence (no drive) with
@@ -198,11 +198,9 @@ def scaled_damping_t2(rates, c, schedule=TrotterSchedule(), inverse=False):
             without drive).
         c: Damping scale factor.
         schedule: Trotter run plan; its step dt is the sampling period tau0.
-        inverse: When True, returns the rate 1/T2* instead of T2*, the
-            alternative extrapolation variable.
 
     Returns:
-        Fitted T2* in microseconds (or its inverse).
+        Fitted T2* in microseconds.
     """
     scaled = CanonicalRates(
         gamma1=c * rates.gamma1, gamma_phi=rates.gamma_phi, omega=0.0
@@ -211,8 +209,7 @@ def scaled_damping_t2(rates, c, schedule=TrotterSchedule(), inverse=False):
         scaled, schedule.dt, schedule.n_steps,
         evolve=lambda rho0: run_schedule(schedule, scaled, rho0),
     )
-    t2 = global_fit(curves).t2
-    return 1.0 / t2 if inverse else t2
+    return global_fit(curves).t2
 
 
 def mitigation_study(base_rates, c_list, extractor=None, n_max=None):

@@ -161,16 +161,16 @@ _BLOCH0 = np.array([pauli_expectations(density(INITIAL_STATES[s])) for s in STAT
 _COMPLEX_STEP = 1e-20
 
 
-def _bloch_model(u: np.ndarray, tau0: float, npoints: int) -> np.ndarray:
-    """(K, 12, npoints) model curves at t = j*tau0 for (K, 3) rows u of (r1, rphi, omega)."""
-    return bloch_solution(u, _BLOCH0, np.arange(npoints) * tau0).reshape(len(u), 12, npoints)
+def _bloch_model(u: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(K, 12, len(times)) model curves for (K, 3) rows u of (r1, rphi, omega)."""
+    return bloch_solution(u, _BLOCH0, times).reshape(len(u), 12, len(times))
 
 
-def _bloch_jacobian(u: np.ndarray, tau0: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (12*npoints,) model curves at row u and their (12*npoints, 3) derivatives: a step
-    i*h in parameter k puts h times its derivative, exact, in the imaginary part."""
+def _bloch_jacobian(u: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (12*len(times),) model curves at row u and their (12*len(times), 3) derivatives:
+    a step i*h in parameter k puts h times its derivative, exact, in the imaginary part."""
     rows = np.asarray(u) + 1j * _COMPLEX_STEP * np.eye(3)
-    model = _bloch_model(rows, tau0, npoints).reshape(3, -1)
+    model = _bloch_model(rows, times).reshape(3, -1)
     return model[0].real, model.imag.T / _COMPLEX_STEP
 
 
@@ -257,8 +257,7 @@ def global_fit(ts: TomographySet) -> FitResult:
         FitResult of that run; `converged` is True when it ended on one of
         its tolerances rather than its iteration cap.
     """
-    npoints = ts.times.size
-    if npoints < 6:
+    if ts.times.size < 6:
         raise ValueError("global fit needs at least 6 time points per curve")
     steps = np.diff(ts.times)
     if np.abs(steps - steps[0]).max() > 1e-9:
@@ -269,11 +268,11 @@ def global_fit(ts: TomographySet) -> FitResult:
     hi = np.array([_RATE_CEIL, _RATE_CEIL, 0.5 / tau0])
 
     def fun(u):
-        model, jac = _bloch_jacobian(u, tau0, npoints)
+        model, jac = _bloch_jacobian(u, ts.times)
         return model - data.ravel(), jac
 
     def fit_from_best(cands):  # argmin takes the first of tied rows
-        scores = ((_bloch_model(cands, tau0, npoints) - data) ** 2).sum(axis=(1, 2))
+        scores = ((_bloch_model(cands, ts.times) - data) ** 2).sum(axis=(1, 2))
         return _levenberg_marquardt(fun, cands[np.argmin(scores)], lo, hi)
 
     cands = np.clip(_candidate_starts(ts), lo, hi)

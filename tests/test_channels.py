@@ -14,10 +14,13 @@ from trottersim.linalg import (
     unvec,
     vec,
 )
+from trottersim.dilation import depolarization_equivalent_time
 from trottersim.liouvillian import (
+    CanonicalRates,
     damping_generator,
     dephasing_generator,
     lindblad_superop,
+    target_trace,
 )
 from trottersim.channels import (
     KrausChannel,
@@ -241,6 +244,16 @@ def test_choi_to_kraus_rejects_non_psd():
         choi_to_kraus(j)
 
 
+def test_choi_to_kraus_rejects_non_hermitian():
+    j = to_choi(identity_channel()).copy()
+    j[0, 1] += 1e-11  # within the 1e-10 tolerance: symmetrised, accepted
+    back = choi_to_kraus(j)
+    np.testing.assert_allclose(to_superop(back), to_superop(identity_channel()), atol=1e-10)
+    j[0, 1] += 1e-9
+    with pytest.raises(ValueError, match="Hermitian"):
+        choi_to_kraus(j)
+
+
 def test_choi_eigenvalue_cutoff_suppresses_rank_inflation():
     j = to_choi(identity_channel()) + 1e-14 * np.eye(4)
     assert len(choi_to_kraus(j).kraus) == 1
@@ -309,3 +322,25 @@ def test_kraus_channels_match_liouvillian_propagators():
     assert channel_distance(s_deph, dephasing_channel(gphi, tau)) < 1e-10
     s_damp = expm(lindblad_superop([damping_generator(g1)]) * tau)
     assert channel_distance(s_damp, damping_channel(g1, tau)) < 1e-10
+
+
+_NAN_OP = np.diag([np.nan, 1.0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: KrausChannel((_NAN_OP,)),
+    lambda: unitary_channel(_NAN_OP),
+    lambda: dephasing_channel(np.nan, 1.0),
+    lambda: dephasing_channel(0.1, np.inf),
+    lambda: damping_channel(np.inf, 1.0),
+    lambda: damping_channel(0.1, np.nan),
+    lambda: target_trace(CanonicalRates(0.03, 0.02), density(KET_1), np.nan, 5),
+    lambda: target_trace(CanonicalRates(0.03, 0.02), density(KET_1), np.inf, 5),
+    lambda: depolarization_equivalent_time(0.1, np.nan),
+    lambda: depolarization_equivalent_time(0.1, np.inf),
+], ids=["kraus-nan", "unitary-nan", "dephasing-rate-nan", "dephasing-tau-inf",
+        "damping-rate-inf", "damping-tau-nan", "target-tau0-nan", "target-tau0-inf",
+        "depolarization-tau0-nan", "depolarization-tau0-inf"])
+def test_public_constructors_reject_non_finite_inputs(build):
+    with pytest.raises(ValueError):
+        build()

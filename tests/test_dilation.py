@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from trottersim.channels import (
     KrausChannel,
+    apply_channel,
     channel_distance,
     compose_channels,
     damping_channel,
@@ -28,12 +29,10 @@ from trottersim.dilation import (
     effective_rates,
     gate_unitary,
     induced_channel,
-    predict_coherence,
     rates_to_angles,
     rotation_circuit,
-    run_circuit,
 )
-from trottersim.linalg import I2, KET_1, SIGMA_MINUS, SIGMA_Z, dag, density, kron, unvec, vec
+from trottersim.linalg import I2, KET_1, SIGMA_MINUS, SIGMA_Z, dag, density, unvec, vec
 from trottersim.liouvillian import CanonicalRates
 
 TAU0 = 3.56
@@ -167,11 +166,6 @@ def test_measurement_feedforward_equivalence():
         assert np.abs(coherent - feedforward).max() < 1e-12
 
 
-def test_run_circuit_rejects_bad_adaptive_mode():
-    with pytest.raises(ValueError, match="adaptive"):
-        run_circuit(damping_circuit(0.3), np.eye(2) / 2, adaptive="magic")
-
-
 def test_dephasing_circuit_is_probabilistic_phase_flip():
     for theta in (0.2, 0.9, 1.4):
         s = induced_channel(dephasing_circuit(theta))
@@ -202,8 +196,8 @@ _MIXER = np.outer(vec(I2), vec(I2)) / 2  # X -> Tr(X) I/2
 def _kraus_reference(circuit, p_decay):
     """Data superoperator from 4x4 Kraus families composed gate by gate, with
     ancilla decay after each two-qubit gate, read off as the blocks <a|E|g>."""
-    e0 = kron(np.diag([1.0, np.sqrt(1.0 - p_decay)]), I2)
-    decay = KrausChannel((e0, kron(np.sqrt(p_decay) * SIGMA_MINUS, I2)))
+    e0 = np.kron(np.diag([1.0, np.sqrt(1.0 - p_decay)]), I2)
+    decay = KrausChannel((e0, np.kron(np.sqrt(p_decay) * SIGMA_MINUS, I2)))
     composite = identity_channel(4)
     for gate in circuit.gates[:-1]:
         composite = compose_channels(composite, unitary_channel(gate_unitary(gate)))
@@ -239,13 +233,14 @@ def test_induced_channel_properties(kind, theta, p_grape, p_decay, adaptive, ent
         no_decay = induced_channel(circuit, NoiseParams(p_grape, 0.0), adaptive)
         assert np.abs(s - no_decay).max() < 1e-12
     x = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
-    out = run_circuit(circuit, x, noise, adaptive)
+    out = apply_channel(s, x)
+    assert out.shape == (2, 2)
     assert np.abs(out - unvec(s @ vec(x))).max() < 1e-12
 
 
-def test_run_circuit_rejects_non_2x2_operator():
-    with pytest.raises(ValueError, match="2x2"):
-        run_circuit(damping_circuit(0.3), np.eye(4) / 4)
+def test_applying_an_induced_channel_rejects_a_non_2x2_operator():
+    with pytest.raises(ValueError, match="shape"):
+        apply_channel(induced_channel(damping_circuit(0.3)), np.eye(4) / 4)
 
 
 def test_induced_channel_rejects_bad_adaptive_mode():
@@ -347,21 +342,21 @@ def test_rates_to_angles_round_trip():
         assert back.theta3 == pytest.approx(params.theta3, abs=1e-10)
 
 
-def test_predict_coherence_ideal_passthrough():
-    t1, t2 = predict_coherence(AngleParams(0, 0, 0.3), 114.0, 80.0)
-    assert t1 == pytest.approx(114.0)
-    assert t2 == pytest.approx(80.0)
+def test_effective_rates_ideal_passthrough():
+    rates = effective_rates(AngleParams(0, 0, 0.3), 114.0, 80.0)
+    assert rates.t1 == pytest.approx(114.0)
+    assert rates.t2 == pytest.approx(80.0)
 
 
-def test_predict_coherence_with_intrinsic_decay():
-    t1, _ = predict_coherence(AngleParams.from_degrees(0, 20, 0), t1_intrinsic=114.0)
-    assert t1 == pytest.approx(22.874, abs=2e-3)
+def test_effective_rates_with_intrinsic_decay():
+    rates = effective_rates(AngleParams.from_degrees(0, 20, 0), t1_intrinsic=114.0)
+    assert rates.t1 == pytest.approx(22.874, abs=2e-3)
 
 
-def test_predict_coherence_combined_formula():
+def test_effective_rates_combined_formula():
     params = AngleParams.from_degrees(25, 35, 10)
     rates = angle_to_rates(params)
-    _, t2 = predict_coherence(params)
+    t2 = effective_rates(params).t2
     assert 1 / t2 == pytest.approx(rates.gamma_phi + rates.gamma1 / 2, rel=1e-12)
 
 
@@ -371,29 +366,30 @@ def test_predict_coherence_combined_formula():
     t1_intrinsic=st.one_of(st.floats(1.0, 1e3), st.just(np.inf)),
     t2_share=st.floats(0.01, 1.0),
 )
-def test_predict_coherence_matches_rate_sum(angles_deg, t1_intrinsic, t2_share):
+def test_effective_rates_matches_rate_sum(angles_deg, t1_intrinsic, t2_share):
     # 1/T1 = gamma1 + 1/T1_intrinsic and 1/T2 = gamma_phi + gamma1/2 + 1/T2_intrinsic
     # whenever T2_intrinsic <= 2*T1_intrinsic.
     params = AngleParams.from_degrees(*angles_deg)
     t2_intrinsic = t2_share * 2 * t1_intrinsic if np.isfinite(t1_intrinsic) else 1e3 * t2_share
     chan = angle_to_rates(params)
-    t1, t2 = predict_coherence(params, t1_intrinsic, t2_intrinsic)
-    assert 1 / t1 == pytest.approx(chan.gamma1 + 1 / t1_intrinsic, rel=1e-12)
-    assert 1 / t2 == pytest.approx(chan.gamma_phi + chan.gamma1 / 2 + 1 / t2_intrinsic, rel=1e-12)
     rates = effective_rates(params, t1_intrinsic, t2_intrinsic)
-    assert (rates.t1, rates.t2, rates.omega) == (t1, t2, chan.omega)
+    assert 1 / rates.t1 == pytest.approx(chan.gamma1 + 1 / t1_intrinsic, rel=1e-12)
+    assert 1 / rates.t2 == pytest.approx(
+        chan.gamma_phi + chan.gamma1 / 2 + 1 / t2_intrinsic, rel=1e-12
+    )
+    assert rates.omega == chan.omega
 
 
 @pytest.mark.parametrize("t1_intrinsic, t2_intrinsic", [(50.0, 100.1), (0.0, 10.0), (np.nan, 10.0)])
 def test_intrinsic_rates_reject_unphysical_times(t1_intrinsic, t2_intrinsic):
     with pytest.raises(ValueError):
-        predict_coherence(AngleParams.from_degrees(20, 20, 0), t1_intrinsic, t2_intrinsic)
+        effective_rates(AngleParams.from_degrees(20, 20, 0), t1_intrinsic, t2_intrinsic)
 
 
 def test_infinite_intrinsic_t2_is_limited_by_intrinsic_t1():
     params = AngleParams.from_degrees(0, 0, 30)
-    t1, t2 = predict_coherence(params, t1_intrinsic=114.0)
-    assert (t1, t2) == pytest.approx((114.0, 228.0))
+    rates = effective_rates(params, t1_intrinsic=114.0)
+    assert (rates.t1, rates.t2) == pytest.approx((114.0, 228.0))
 
 
 def test_depolarization_equivalent_time_anchors():

@@ -7,16 +7,10 @@ from trottersim.linalg import (
     I2,
     KET_0,
     KET_1,
-    SIGMA_MINUS,
     SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     dag,
     density,
-    eigh,
     expm,
-    is_hermitian,
-    kron,
     partial_trace,
     rx,
     unvec,
@@ -44,40 +38,6 @@ def random_hermitian(rng, d):
     return (m + dag(m)) / 2
 
 
-# ---------------------------------------------------------------- kron
-
-
-def test_kron_identity():
-    np.testing.assert_array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_diagonal():
-    a = np.diag([1.0, 2.0])
-    b = np.diag([3.0, 4.0])
-    np.testing.assert_allclose(kron(a, b), np.diag([3.0, 4.0, 6.0, 8.0]))
-
-
-def test_kron_sigma_x_sigma_z_block_structure():
-    m = kron(SIGMA_X, SIGMA_Z)
-    # sigma_x swaps the blocks, sigma_z fills each off-diagonal block.
-    np.testing.assert_allclose(m[:2, :2], np.zeros((2, 2)))
-    np.testing.assert_allclose(m[2:, 2:], np.zeros((2, 2)))
-    np.testing.assert_allclose(m[:2, 2:], SIGMA_Z)
-    np.testing.assert_allclose(m[2:, :2], SIGMA_Z)
-
-
-def test_kron_vector_identity_random():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a = random_complex(rng, 2)
-        b = random_complex(rng, 3)
-        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        np.testing.assert_allclose(
-            kron(a, b) @ np.kron(u, v), np.kron(a @ u, b @ v), atol=1e-12
-        )
-
-
 # ---------------------------------------------------------- partial trace
 
 
@@ -85,7 +45,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(3)
     rho_a = density(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     rho_b = density(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    joint = kron(rho_a, rho_b)
+    joint = np.kron(rho_a, rho_b)
     np.testing.assert_allclose(partial_trace(joint, (2, 2), 0), rho_a, atol=1e-12)
     np.testing.assert_allclose(partial_trace(joint, (2, 2), 1), rho_b, atol=1e-12)
 
@@ -209,45 +169,6 @@ def test_expm_stack_matches_single_matrices():
         np.testing.assert_allclose(got[idx], expm(stack[idx]), rtol=1e-13, atol=1e-13)
 
 
-# ----------------------------------------------------------------- eigh
-
-
-def test_eigh_sigma_z():
-    w, _ = eigh(SIGMA_Z)
-    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-
-
-def test_eigh_maximally_mixed():
-    w, _ = eigh(I2 / 2)
-    np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-14)
-
-
-def test_eigh_sigma_x_eigenvectors():
-    w, v = eigh(SIGMA_X)
-    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-    minus = (KET_0 - KET_1) / np.sqrt(2)
-    plus = (KET_0 + KET_1) / np.sqrt(2)
-    # Compare up to global phase via overlap magnitude.
-    assert abs(np.vdot(minus, v[:, 0])) == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(plus, v[:, 1])) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eigh_reconstruction_many_random():
-    rng = np.random.default_rng(37)
-    for _ in range(1000):
-        d = int(rng.integers(2, 9))
-        m = random_hermitian(rng, d)
-        w, v = eigh(m)
-        assert np.all(np.diff(w) >= -1e-14)
-        recon = v @ np.diag(w) @ dag(v)
-        assert np.linalg.norm(recon - m) <= 1e-10
-
-
-def test_eigh_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 # ------------------------------------------------------------ vec/unvec
 
 
@@ -265,7 +186,7 @@ def test_vec_superoperator_convention():
         b = random_complex(rng, 3)
         rho = random_complex(rng, 3)
         np.testing.assert_allclose(
-            kron(b.T, a) @ vec(rho), vec(a @ rho @ b), atol=1e-12
+            np.kron(b.T, a) @ vec(rho), vec(a @ rho @ b), atol=1e-12
         )
 
 
@@ -343,8 +264,3 @@ def test_validate_density_matrix_stack_names_first_bad_index(kind, k):
 def test_validate_density_matrix_returns_stack_unchanged():
     stack = np.stack([density(KET_0), density(KET_1)])
     np.testing.assert_array_equal(validate_density_matrix(stack), stack)
-
-
-def test_is_hermitian():
-    assert is_hermitian(SIGMA_Y)
-    assert not is_hermitian(SIGMA_MINUS)

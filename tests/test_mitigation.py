@@ -191,8 +191,6 @@ def test_pipeline_matches_dephasing_time_identity():
     assert dephasing_time(1.0 / base.gamma1, t2_unscaled) == pytest.approx(
         1.0 / base.gamma_phi, rel=1e-5
     )
-    rate = scaled_damping_t2(base, 1.0, inverse=True)
-    assert rate == pytest.approx(1.0 / t2_unscaled, rel=1e-12)
 
 
 def test_scaled_damping_t2_runs_the_given_schedule():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trottersim.dilation import AngleParams, angle_to_rates, predict_coherence
+from trottersim.dilation import AngleParams, angle_to_rates
 from trottersim.liouvillian import (
     PAULI_ROWS,
     CanonicalRates,
@@ -198,7 +198,7 @@ def test_round_trip_random_triples():
 def test_fit_on_trotterized_dynamics():
     params = AngleParams.from_degrees(20, 20, 51.4, TAU0)
     rates = angle_to_rates(params)
-    t1_pred, t2_pred = predict_coherence(params)
+    t1_pred, t2_pred = rates.t1, rates.t2
     sched = TrotterSchedule(order=1, n_steps=13, dt=TAU0)
     ts = generate_tomography(
         rates, TAU0, 13, evolve=lambda rho0: run_schedule(sched, rates, rho0)
@@ -264,7 +264,7 @@ _ROW = st.tuples(
 )
 def test_closed_form_matches_stepped_reference(rows, tau0, npoints):
     u = np.array([_bloch_row(*row, tau0) for row in rows])
-    model = _bloch_model(u, tau0, npoints)
+    model = _bloch_model(u, np.arange(npoints) * tau0)
     assert model.dtype == float and np.isfinite(model).all()
     np.testing.assert_allclose(model, reference_model(u, tau0, npoints), rtol=0, atol=1e-12)
 
@@ -273,8 +273,9 @@ def test_closed_form_matches_stepped_reference(rows, tau0, npoints):
 @given(row=_ROW, tau0=st.floats(0.5, 10.0), npoints=st.integers(2, 101))
 def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
     u = np.array(_bloch_row(*row, tau0))
-    model, jac = _bloch_jacobian(u, tau0, npoints)
-    np.testing.assert_allclose(model, _bloch_model(u[None], tau0, npoints).ravel(),
+    times = np.arange(npoints) * tau0
+    model, jac = _bloch_jacobian(u, times)
+    np.testing.assert_allclose(model, _bloch_model(u[None], times).ravel(),
                                rtol=0, atol=1e-15)
     # Five-point central differences, with steps small against the curves' time
     # scale t_max (2 pi t_max for omega): truncation and round-off stay near 1e-9.
@@ -318,6 +319,20 @@ def test_fast_dephasing_fit_starts_from_the_dephasing_grid(t2):
     np.testing.assert_allclose(
         [fit.t1, fit.t2, fit.omega], [rates.t1, rates.t2, rates.omega], rtol=1e-12
     )
+
+
+def test_fit_evaluates_the_model_at_the_data_times():
+    # Exact curves whose first sample is at t = tau0, not 0: a model on the grid
+    # j*tau0 from 0 would be one step behind the data.
+    rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.05)
+    full = generate_tomography(rates, TAU0, 13)
+    shifted = TomographySet(full.times[1:], {key: v[1:] for key, v in full.data.items()})
+    fit = global_fit(shifted)
+    assert fit.converged
+    np.testing.assert_allclose(
+        [fit.t1, fit.t2, fit.omega], [rates.t1, rates.t2, rates.omega], rtol=1e-9
+    )
+    assert fit.residual < 1e-12
 
 
 def test_degenerate_zero_rates_pin_at_bounds():
@@ -366,7 +381,7 @@ def test_fit_runs_one_lm_from_the_best_scored_row(monkeypatch):
     np.testing.assert_array_equal(lo, [1e-6, 0.0, -0.5 / TAU0])
     np.testing.assert_array_equal(hi, [2.0, 2.0, 0.5 / TAU0])
     cands = np.clip(_candidate_starts(ts), lo, hi)
-    scores = ((_bloch_model(cands, TAU0, 14) - ts.as_matrix()) ** 2).sum(axis=(1, 2))
+    scores = ((_bloch_model(cands, ts.times) - ts.as_matrix()) ** 2).sum(axis=(1, 2))
     np.testing.assert_array_equal(u0, cands[np.argmin(scores)])
 
 
@@ -439,7 +454,7 @@ def test_lm_freezes_a_rate_on_its_bound():
     data = ts.as_matrix().ravel()
 
     def pinned(v):  # (r1, omega) with rphi = 0
-        model, jac = _bloch_jacobian([v[0], 0.0, v[1]], TAU0, 14)
+        model, jac = _bloch_jacobian([v[0], 0.0, v[1]], ts.times)
         return model - data, jac[:, [0, 2]]
 
     v, _, status = _levenberg_marquardt(pinned, np.array([rates.gamma1, rates.omega]),

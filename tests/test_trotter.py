@@ -259,8 +259,8 @@ def test_permutation_scan_structure():
 
 def test_permutation_scan_all_commuting_point():
     rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.0)
-    scan = permutation_scan(rates, n_steps=13, dt=TAU0, orders=(1,))
-    accs = [rep.a for rep in scan.values()]
+    scan = permutation_scan(rates, n_steps=13, dt=TAU0)
+    accs = [rep.a for (order, _), rep in scan.items() if order == 1]
     assert max(accs) < 1e-12
     assert max(accs) - min(accs) < 1e-13
 
@@ -268,18 +268,8 @@ def test_permutation_scan_all_commuting_point():
 # ------------------------------------------------------------ order compare
 
 
-def test_compare_orders_fixed_steps_and_budget():
-    for mode in ("fixed_steps", "fixed_budget"):
-        out = compare_orders(FIG4_RATES, mode=mode)
-        assert out[2].a < out[1].a
-
-
 def test_compare_orders_budget_doubles_first_order_steps():
-    out = compare_orders(FIG4_RATES, n_steps=13, dt=TAU0, mode="fixed_budget")
+    out = compare_orders(FIG4_RATES, n_steps=13, dt=TAU0)
     assert out[1].residuals.size == 26
     assert out[2].residuals.size == 13
-
-
-def test_compare_orders_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        compare_orders(FIG4_RATES, mode="matched")
+    assert out[2].a < out[1].a
