@@ -243,6 +243,12 @@ def test_applying_an_induced_channel_rejects_a_non_2x2_operator():
         apply_channel(induced_channel(damping_circuit(0.3)), np.eye(4) / 4)
 
 
+def test_run_circuit_rejects_bad_adaptive_mode():
+    # Running a circuit on an operator is apply_channel of its induced channel.
+    with pytest.raises(ValueError, match="adaptive"):
+        apply_channel(induced_channel(damping_circuit(0.3), adaptive="magic"), np.eye(2) / 2)
+
+
 def test_induced_channel_rejects_bad_adaptive_mode():
     with pytest.raises(ValueError, match="adaptive"):
         induced_channel(damping_circuit(0.3), adaptive="magic")

@@ -268,6 +268,15 @@ def test_permutation_scan_all_commuting_point():
 # ------------------------------------------------------------ order compare
 
 
+def test_compare_orders_fixed_steps_and_budget():
+    # Fixed steps: both orders at n_steps steps of dt, read from permutation_scan.
+    scan = permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0)
+    assert scan[(2, ALL_LABELS)].a < scan[(1, ALL_LABELS)].a
+    # Fixed budget: compare_orders matches the channel applications.
+    out = compare_orders(FIG4_RATES)
+    assert out[2].a < out[1].a
+
+
 def test_compare_orders_budget_doubles_first_order_steps():
     out = compare_orders(FIG4_RATES, n_steps=13, dt=TAU0)
     assert out[1].residuals.size == 26
