@@ -12,8 +12,8 @@ Subcommands:
     mitigate       Zero-noise extrapolation study (simulated or from a CSV of
                    measured points) -> mitigate.json.
     converge       Accuracy-versus-step-count slope -> converge.json.
-    reproduce      Fixed figure protocols (required --figure fig2|fig3|fig4) ->
-                   data bundles per protocol.
+    reproduce      Fixed figure protocols (required --figure fig2|fig3|fig4; no
+                   --config) -> data bundles per protocol.
 
 Configs are YAML mappings with angles written in degrees; they are converted
 to radians at this boundary and validated in full, rejecting unknown keys,
@@ -664,11 +664,13 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name in (*RUNNERS, "reproduce"):
         p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None, help="YAML config file")
+        if name == "reproduce":  # each figure builds its own configs
+            p.add_argument("--figure", choices=FIGURES, required=True)
+            p.set_defaults(config=None)
+        else:
+            p.add_argument("--config", type=Path, default=None, help="YAML config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (overrides config)")
-        if name == "reproduce":
-            p.add_argument("--figure", choices=FIGURES, required=True)
     return parser
 
 

@@ -184,6 +184,8 @@ def rotation_circuit(theta3: float) -> DilationCircuit:
 _LOAD_G = kraus_superop(np.kron(KET_0[:, None], I2))
 _RESET = kraus_superop(np.kron(KET_0[None], I2), np.kron(KET_1[None], I2))
 _FEEDFORWARD = kraus_superop(np.kron(_PROJ_G, I2), np.kron(_PROJ_E, SIGMA_X))
+_CZ = kraus_superop(gate_unitary(Gate("cz")))
+_CNOT = kraus_superop(gate_unitary(Gate("cnot_ancilla_ctrl")))
 
 
 def _ancilla_decay(p: float) -> np.ndarray:
@@ -216,12 +218,11 @@ def induced_channel(
     decay = None
     if noise is not None and noise.p_ancilla_decay > 0:
         decay = _ancilla_decay(noise.p_ancilla_decay)
+    fixed = {"cz": _CZ, "cnot_ancilla_ctrl": _FEEDFORWARD if adaptive == "feedforward" else _CNOT}
     s = _LOAD_G
     for gate in circuit.gates[:-1]:  # the last gate is the reset
-        if gate.kind == "cnot_ancilla_ctrl" and adaptive == "feedforward":
-            s = _FEEDFORWARD @ s
-        else:
-            s = kraus_superop(gate_unitary(gate)) @ s
+        op = fixed[gate.kind] if gate.kind in fixed else kraus_superop(gate_unitary(gate))
+        s = op @ s
         if decay is not None and gate.kind in ("cz", "cnot_ancilla_ctrl"):
             s = decay @ s
     s = _RESET @ s

@@ -7,7 +7,6 @@ and enforces the stated tolerance and runtime budget.
 import time
 
 import numpy as np
-import pytest
 
 from trottersim.channels import (
     channel_distance,

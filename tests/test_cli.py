@@ -283,6 +283,17 @@ def test_reproduce_without_figure_fails(tmp_path, capsys):
     assert "figure" in capsys.readouterr().err
 
 
+def test_reproduce_rejects_config_and_accepts_seed(tmp_path, capsys):
+    # Each figure builds its own configs, so a config file is a usage error,
+    # not a file read and then ignored.
+    cfg, out = write_config(tmp_path, "n_steps: 5\norder: 2\n"), tmp_path / "out"
+    argv = ["reproduce", "--figure", "fig4", "--out", str(out)]
+    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--seed", "7"]) == EXIT_OK
+
+
 # ------------------------------------------------------------- bad configs
 
 

@@ -33,7 +33,6 @@ from trottersim.dilation import (
     rotation_circuit,
 )
 from trottersim.linalg import I2, KET_1, SIGMA_MINUS, SIGMA_Z, dag, density, unvec, vec
-from trottersim.liouvillian import CanonicalRates
 
 TAU0 = 3.56
 THETA_GRID_DEG = np.arange(5, 90, 5)  # 5..85 degrees

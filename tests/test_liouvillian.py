@@ -16,7 +16,6 @@ from trottersim.linalg import (
     dag,
     density,
     unvec,
-    validate_density_matrix,
     vec,
 )
 from trottersim.liouvillian import (
@@ -26,7 +25,6 @@ from trottersim.liouvillian import (
     damping_generator,
     dephasing_generator,
     drive_generator,
-    jump,
     lindblad_superop,
     pauli_expectations,
     propagate,
@@ -34,7 +32,7 @@ from trottersim.liouvillian import (
     qubit_generators,
     target_trace,
 )
-from trottersim.trotter import TrotterSchedule, _step_superop
+from trottersim.trotter import TrotterSchedule, _step_stack
 
 RHO_1 = density(KET_1)
 
@@ -230,7 +228,7 @@ def test_propagate_matches_sequential_stepping(n, source, stack, rates, order, d
         steps = np.stack([JORDAN_STEP] * stack)
     else:
         sched = TrotterSchedule(order=order, dt=dt, backend=source)
-        steps = np.stack([_step_superop(sched, CanonicalRates(*g)) for g in rates[:stack]])
+        steps = np.stack([_step_stack([sched], CanonicalRates(*g))[0] for g in rates[:stack]])
     step = steps[0] if stack == 1 else steps  # a single (4, 4) step, or a (K, 4, 4) stack
     rng = np.random.default_rng(seed)
     kets = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

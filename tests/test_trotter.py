@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottersim import trotter
 from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates
@@ -10,6 +12,7 @@ from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from trottersim.trotter import (
     ALL_LABELS,
     ALL_PERMUTATIONS,
+    BACKENDS,
     DAMPING,
     DEPHASING,
     ROTATION,
@@ -152,8 +155,9 @@ def test_driven_long_run_stays_physical():
 def test_run_schedule_names_first_unphysical_step(monkeypatch):
     # A step that gains 3e-11 of trace per application leaves the 1e-10
     # trace tolerance at step 4; every recorded state is checked.
-    monkeypatch.setattr(trotter, "_step_superop", lambda *_: (1 + 3e-11) * np.eye(4))
-    with pytest.raises(ValueError, match=r"^step 4 state trace deviates"):
+    monkeypatch.setattr(trotter, "_step_stack", lambda *_: (1 + 3e-11) * np.eye(4)[None])
+    with pytest.raises(ValueError, match=r"^step 4 state of trotter-o1-dephasing-damping-rotation "
+                                         r"trace deviates"):
         run_schedule(TrotterSchedule(n_steps=50), FIG4_RATES)
 
 
@@ -263,6 +267,43 @@ def test_permutation_scan_all_commuting_point():
     accs = [rep.a for (order, _), rep in scan.items() if order == 1]
     assert max(accs) < 1e-12
     assert max(accs) - min(accs) < 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    backend=st.sampled_from(BACKENDS),
+    rates=st.tuples(st.floats(0, 0.1), st.floats(0, 0.1), st.floats(-0.2, 0.2)),
+    noise=st.tuples(st.floats(0, 0.05), st.floats(0, 0.05)),
+    n_steps=st.integers(1, 30),
+    dt=st.floats(0.1, 5.0),
+)
+def test_permutation_scan_equals_single_runs_bit_for_bit(backend, rates, noise, n_steps, dt):
+    # The scan steps its twelve schedules as one stack; each entry must be
+    # exactly what run_schedule gives for that schedule alone.
+    rates = CanonicalRates(*rates)
+    noise = NoiseParams(*noise) if backend == "dilation+noise" else None
+    scan = permutation_scan(rates, n_steps=n_steps, dt=dt, backend=backend, noise=noise)
+    target = target_trace(rates, density(KET_1), dt, n_steps)
+    assert list(scan) == [(order, perm) for order in (1, 2) for perm in ALL_PERMUTATIONS]
+    for (order, perm), report in scan.items():
+        single = accuracy(
+            run_schedule(TrotterSchedule(perm, order, n_steps, dt, backend, noise), rates), target
+        )
+        assert report.a == single.a
+        np.testing.assert_array_equal(report.residuals, single.residuals)
+        assert report.descriptor == single.descriptor
+
+
+def test_stacked_run_names_unphysical_step_and_schedule(monkeypatch):
+    # Only the eighth schedule (order 2, second permutation) gains 3e-11 of
+    # trace per step, so it alone leaves the 1e-10 tolerance, at step 4.
+    build = trotter._step_stack
+    gain = np.ones((12, 1, 1))
+    gain[7] += 3e-11
+    monkeypatch.setattr(trotter, "_step_stack", lambda *args: gain * build(*args))
+    label = "trotter-o2-" + "-".join(ALL_PERMUTATIONS[1])
+    with pytest.raises(ValueError, match=rf"^step 4 state of {label} trace deviates"):
+        permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0)
 
 
 # ------------------------------------------------------------ order compare
