@@ -455,6 +455,7 @@ def _run_fit(cfg, out):
         for j, (t, v) in enumerate(zip(curves.times, curves.curve(state, obs)))
     ))
     json_path = out / "fit.json"
+    omega, band = cfg.rates.omega, 1.0 / cfg.schedule.dt  # samples dt apart see omega mod 1/dt
     _write_json(json_path, {
         "engine": _engine_summary(cfg),
         "fitted": {
@@ -465,7 +466,8 @@ def _run_fit(cfg, out):
             "t2_us": float(fit.t2),
         },
         "predicted": {
-            "omega_mhz": float(cfg.rates.omega),
+            "omega_folded_mhz": float(omega - band * np.floor(omega / band + 0.5)),
+            "omega_mhz": float(omega),
             "t1_us": _json_num(cfg.rates.t1),
             "t2_us": _json_num(cfg.rates.t2),
         },

@@ -131,25 +131,38 @@ def expm(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
-def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Check the density-matrix contract and return rho unchanged.
+def _qubit_invariants(rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Finite mask and the closed-form checks of validate_density_matrix on a (..., 2, 2) stack."""
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    safe = rho if finite.all() else np.where(finite[..., None, None], rho, 0)
+    a, c, b, d = np.moveaxis(safe.reshape(*rho.shape[:-2], 4), -1, 0)  # rho00, rho01, rho10, rho11
+    herm_err = np.maximum(2 * np.maximum(np.abs(a.imag), np.abs(d.imag)), np.abs(b - c.conj()))
+    w_min = (a.real + d.real) / 2 - np.hypot((a.real - d.real) / 2, np.abs(b))
+    return finite, herm_err, np.abs(a + d - 1.0), w_min
 
-    Enforces finite entries, Hermiticity within 1e-12, unit trace within
-    1e-10, and eigenvalues >= -1e-10, on one matrix or on every matrix of a
-    (..., d, d) stack at once. For a stack, name is a template whose ``{}``
-    receives the index of the first failing matrix, e.g. "step {} state".
+
+def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+    """Check the qubit density-matrix contract and return rho unchanged.
+
+    Checks qubits only: one (2, 2) matrix or every matrix of a (..., 2, 2)
+    stack at once. In a = rho00, b = rho10, c = rho01 and d = rho11 it
+    enforces, in closed form with no LAPACK call: finite entries;
+    Hermiticity, max(|a - a*|, |d - d*|, |b - c*|) <= 1e-12; unit trace,
+    |a + d - 1| <= 1e-10; and a smallest eigenvalue
+    (Re a + Re d)/2 - sqrt(((Re a - Re d)/2)^2 + |b|^2) >= -1e-10, read from
+    the lower triangle as eigvalsh does (the Hermiticity check bounds the
+    other). For a stack, name is a template whose ``{}`` receives the index
+    of the first failing matrix, e.g. "step {} state".
 
     Raises:
-        ValueError: On the first violated invariant of the first failing matrix.
+        ValueError: On another shape or the first violated invariant of the first failing matrix.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {rho.shape}")
-    finite = np.isfinite(rho).all(axis=(-2, -1))
-    safe = rho if finite.all() else np.where(finite[..., None, None], rho, 0)  # for eigvalsh
-    herm_err = np.abs(safe - dag(safe)).max(axis=(-2, -1))
-    tr_err = np.abs(np.trace(safe, axis1=-2, axis2=-1) - 1.0)
-    w_min = np.linalg.eigvalsh(safe).min(axis=-1)  # one triangle; herm_err bounds the other
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"{name} must be a 2x2 qubit state, got shape {rho.shape}")
+    finite, herm_err, tr_err, w_min = _qubit_invariants(rho)
     bad = ~finite | (herm_err > 1e-12) | (tr_err > 1e-10) | (w_min < -1e-10)
     if not bad.any():
         return rho

@@ -129,6 +129,8 @@ def test_fit_recovers_predictions(tmp_path):
     for key in ("t1_us", "t2_us", "omega_mhz"):
         fitted, predicted = summary["fitted"][key], summary["predicted"][key]
         assert abs(fitted - predicted) < 0.10 * predicted
+    # 51.4 deg per step is inside the band: the folded drive is the configured one.
+    assert summary["predicted"]["omega_folded_mhz"] == summary["predicted"]["omega_mhz"]
     rows = read_rows(tmp_path / "fit_curves.csv")
     assert rows[0] == ["step", "time_us", "state", "obs", "value"]
     assert len(rows) == 1 + 12 * 14
@@ -146,6 +148,7 @@ def test_fit_of_an_aliased_drive_recovers_the_folded_rotation(tmp_path):
     assert fitted["converged"] is True
     assert fitted["omega_mhz"] == pytest.approx(folded, rel=0.01)
     assert predicted["omega_mhz"] == pytest.approx(folded + 1 / 3.56, rel=1e-12)
+    assert predicted["omega_folded_mhz"] == pytest.approx(folded, abs=1e-12)
     for key in ("t1_us", "t2_us"):
         assert fitted[key] == pytest.approx(predicted[key], rel=0.15)
 

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottersim.linalg import (
     I2,
     KET_0,
     KET_1,
     SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _qubit_invariants,
     dag,
     density,
     expm,
@@ -233,6 +238,8 @@ def test_validate_density_matrix_rejects_negative_eigenvalue():
         (np.array([[0.5, 0.5], [0.0, 0.5]]), "rho is not Hermitian: max deviation 5.000e-01"),
         (2 * density(KET_0), "rho trace deviates from 1 by 1.000e+00"),
         (np.diag([1.5, -0.5]), "rho has negative eigenvalue -5.000e-01"),
+        (density(np.ones(4)), "rho must be a 2x2 qubit state, got shape (4, 4)"),
+        (np.stack([np.eye(3) / 3] * 5), "rho must be a 2x2 qubit state, got shape (5, 3, 3)"),
     ],
 )
 def test_validate_density_matrix_single_matrix_messages(rho, message):
@@ -264,3 +271,101 @@ def test_validate_density_matrix_stack_names_first_bad_index(kind, k):
 def test_validate_density_matrix_returns_stack_unchanged():
     stack = np.stack([density(KET_0), density(KET_1)])
     np.testing.assert_array_equal(validate_density_matrix(stack), stack)
+
+
+# The check before its closed form, kept as the reference: the full |m - m^dag|,
+# np.trace and eigvalsh, on a matrix of any size.
+def reference_invariants(rho):
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    safe = np.where(finite[..., None, None], rho, 0)
+    herm_err = np.abs(safe - dag(safe)).max(axis=(-2, -1))
+    tr_err = np.abs(np.trace(safe, axis1=-2, axis2=-1) - 1.0)
+    return finite, herm_err, tr_err, np.linalg.eigvalsh(safe).min(axis=-1)
+
+
+def reference_failure(rho, name):
+    """The message the reference check raises, or None when rho passes."""
+    finite, herm_err, tr_err, w_min = reference_invariants(rho)
+    bad = ~finite | (herm_err > 1e-12) | (tr_err > 1e-10) | (w_min < -1e-10)
+    if not bad.any():
+        return None
+    first = np.unravel_index(np.argmax(bad), bad.shape)
+    name = name.format(*first) if first else name
+    if not finite[first]:
+        return f"{name} contains non-finite entries"
+    if herm_err[first] > 1e-12:
+        return f"{name} is not Hermitian: max deviation {herm_err[first]:.3e}"
+    if tr_err[first] > 1e-10:
+        return f"{name} trace deviates from 1 by {tr_err[first]:.3e}"
+    return f"{name} has negative eigenvalue {w_min[first]:.3e}"
+
+
+def assert_same_failure(rho, name):
+    try:
+        validate_density_matrix(rho, name)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    want = reference_failure(rho, name)
+    if got is None or want is None or "negative eigenvalue" not in want:
+        assert got == want
+        return
+    # Two eigenvalues 1e-15 apart can round to neighbouring four-digit figures.
+    head, _, value = want.rpartition(" ")
+    assert got.startswith(head + " ")
+    assert float(got.rpartition(" ")[2]) == pytest.approx(float(value), rel=1.1e-3)
+
+
+def bloch_state(r):
+    return (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
+
+
+NON_FINITE = [np.inf, -np.inf, np.nan, complex(0, np.inf), complex(np.nan, 1)]
+
+
+@st.composite
+def qubit_matrices(draw):
+    """States in, on and just outside the Bloch ball, or arbitrary complex
+    matrices, then perturbed: off-Hermitian, off-trace, non-finite."""
+    kind = draw(st.sampled_from(["mixed", "pure", "outside", "arbitrary"]))
+    if kind == "arbitrary":
+        entries = draw(st.lists(st.complex_numbers(max_magnitude=0.5), min_size=4, max_size=4))
+        m = np.array(entries, dtype=complex).reshape(2, 2)
+    else:
+        r = np.array(draw(st.tuples(*[st.floats(-1, 1)] * 3)))
+        norm = np.linalg.norm(r)
+        if kind == "mixed":
+            r = r / max(1.0, norm)
+        elif norm > 1e-3:
+            stretch = draw(st.floats(0, 1e-9)) if kind == "outside" else 0.0
+            r = r / norm * (1 + stretch)  # stretch 2e-10 puts the smaller eigenvalue at -1e-10
+        m = bloch_state(r)
+    if draw(st.booleans()):  # trace off by up to 3e-10
+        m = m + draw(st.floats(-3e-10, 3e-10)) * I2 / 2
+    entry = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    if draw(st.integers(0, 2)) == 0:  # one entry off Hermitian by up to 3e-12
+        m[draw(entry)] += draw(st.complex_numbers(max_magnitude=3e-12))
+    if draw(st.integers(0, 9)) == 0:
+        m[draw(entry)] = draw(st.sampled_from(NON_FINITE))
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    mats=st.lists(qubit_matrices(), min_size=1, max_size=8),
+    layout=st.sampled_from(["one", "stack", "blocks"]),
+)
+def test_closed_form_check_matches_the_eigvalsh_reference(mats, layout):
+    rho, name = np.stack(mats), "step {} state"
+    if layout == "one":
+        rho, name = mats[0], "rho"
+    elif layout == "blocks" and len(mats) % 2 == 0:  # a (2, n/2, 2, 2) stack names both indices
+        rho, name = rho.reshape(2, -1, 2, 2), "block {} step {} state"
+    finite, herm_err, tr_err, w_min = _qubit_invariants(rho)
+    ref = reference_invariants(rho)
+    np.testing.assert_array_equal(finite, ref[0])
+    np.testing.assert_array_equal(herm_err, ref[1])
+    np.testing.assert_array_equal(tr_err, ref[2])
+    assert np.abs(w_min - ref[3]).max() <= 1e-15
+    assert_same_failure(rho, name)
+

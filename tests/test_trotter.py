@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trottersim import trotter
 from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates
-from trottersim.linalg import KET_0, KET_1, density
+from trottersim.linalg import I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density
 from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from trottersim.trotter import (
     ALL_LABELS,
@@ -292,6 +292,30 @@ def test_permutation_scan_equals_single_runs_bit_for_bit(backend, rates, noise, 
         assert report.a == single.a
         np.testing.assert_array_equal(report.residuals, single.residuals)
         assert report.descriptor == single.descriptor
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    backend=st.sampled_from(BACKENDS),
+    rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
+    bloch0=st.tuples(*[st.floats(-1, 1)] * 3),
+    noise=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    order=st.sampled_from((1, 2)),
+    permutation=st.sampled_from(ALL_PERMUTATIONS),
+    n_steps=st.integers(1, 400),
+    dt=st.floats(0.01, 5.0),
+)
+def test_run_schedule_keeps_the_bloch_bound_under_every_backend(
+    backend, rates, bloch0, noise, order, permutation, n_steps, dt
+):
+    # Every recorded state passes the density-matrix check, which bounds its
+    # Bloch norm by 1 + 3e-10 (eigenvalues >= -1e-10, trace within 1e-10).
+    r = np.array(bloch0) / max(1.0, np.linalg.norm(bloch0))
+    rho0 = (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
+    noise = NoiseParams(*noise) if backend == "dilation+noise" else None
+    schedule = TrotterSchedule(permutation, order, n_steps, dt, backend, noise)
+    trace = run_schedule(schedule, CanonicalRates(*rates), rho0)
+    assert trace.bloch_norms().max() <= 1 + 3e-10
 
 
 def test_stacked_run_names_unphysical_step_and_schedule(monkeypatch):
