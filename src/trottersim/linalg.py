@@ -27,6 +27,7 @@ __all__ = [
     "partial_trace",
     "expm",
     "validate_density_matrix",
+    "check_count",
     "density",
 ]
 
@@ -129,6 +130,12 @@ def expm(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"expm requires a square matrix, got shape {m.shape}")
     import scipy.linalg  # here, so that importing the package loads no scipy module
     return scipy.linalg.expm(m)
+
+
+def check_count(name: str, value) -> None:
+    """Reject a bool, a non-integer or a value < 1 for a count, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _qubit_invariants(rho: np.ndarray) -> tuple[np.ndarray, ...]:

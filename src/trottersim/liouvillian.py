@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, expm, validate_density_matrix, vec
+from .linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, check_count, dag, expm,
+                     validate_density_matrix, vec)
 
 __all__ = [
     "GeneratorSpec",
@@ -34,6 +35,7 @@ __all__ = [
     "qubit_generators",
     "lindblad_superop",
     "propagator",
+    "BLOCH_ROWS",
     "PAULI_ROWS",
     "propagate",
     "pauli_expectations",
@@ -180,33 +182,36 @@ def propagator(superop: np.ndarray, t: float) -> np.ndarray:
     return expm(np.asarray(superop, dtype=complex) * t)
 
 
-# Rows conj(vec(sigma)) for x, y, z, so that PAULI_ROWS @ vec(rho) = (<sx>, <sy>, <sz>).
-PAULI_ROWS = np.stack([vec(SIGMA_X).conj(), vec(SIGMA_Y).conj(), vec(SIGMA_Z).conj()])
+# Rows conj(vec(s)) for s = I, sigma_x, sigma_y, sigma_z: BLOCH_ROWS @ vec(rho) is the Bloch
+# row (Tr rho, <sx>, <sy>, <sz>), and PAULI_ROWS @ vec(rho) its last three entries.
+BLOCH_ROWS = np.stack([vec(m).conj() for m in (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)])
+PAULI_ROWS = BLOCH_ROWS[1:]
 
 
 def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """The states step^j @ cols for j = 0..n, as an (n+1, ..., d, m) array.
 
-    step is a (d, d) superoperator or a (..., d, d) stack of them; cols is a
-    (d, m) block of vectorized states, or a stack broadcasting against step.
-    By doubling: the first m states advanced by step^m give the next m, then
-    step^m is squared. That is about log2(n) stacked products and needs no
-    eigendecomposition, so non-diagonalizable steps take the same path.
+    step is a (d, d) map (a superoperator or a real Pauli-transfer matrix) or a (..., d, d)
+    stack of them; cols is a (d, m) block of states, or a stack broadcasting against step.
+    The result keeps their common dtype, so real inputs stay real. By doubling: the first j
+    states advanced by step^j give the next j, then step^j is squared. Held as rows, the states
+    take about log2(n) (j*m, d) @ (d, d) products per stack entry and no eigendecomposition,
+    so non-diagonalizable steps take the same path.
     """
-    step, cols = np.asarray(step, dtype=complex), np.asarray(cols, dtype=complex)
+    step, cols = np.asarray(step), np.asarray(cols)
     if n < 0 or cols.ndim < 2 or not step.shape[-1] == step.shape[-2] == cols.shape[-2]:
         raise ValueError(f"cannot step {cols.shape} states {n} times by {step.shape}")
-    shape = np.broadcast_shapes(step.shape[:-2], cols.shape[:-2]) + cols.shape[-2:]
-    states = np.empty((n + 1,) + shape, dtype=complex)
-    states[0] = cols
-    power, m = step, 1
-    while m <= n:
-        k = min(m, n + 1 - m)
-        np.matmul(power, states[:k], out=states[m : m + k])
-        m += k
-        if m <= n:
+    batch, (d, m) = np.broadcast_shapes(step.shape[:-2], cols.shape[:-2]), cols.shape[-2:]
+    rows = np.empty(batch + ((n + 1) * m, d), dtype=np.result_type(step, cols))
+    rows[..., :m, :] = cols.swapaxes(-2, -1)  # state j fills rows j*m .. j*m + m - 1
+    power, j = step.swapaxes(-2, -1), 1  # rows advance by the transposed step
+    while j <= n:
+        k = min(j, n + 1 - j)
+        np.matmul(rows[..., : k * m, :], power, out=rows[..., j * m : (j + k) * m, :])
+        j += k
+        if j <= n:
             power = power @ power
-    return states
+    return np.moveaxis(rows.reshape(batch + (n + 1, m, d)), -3, 0).swapaxes(-2, -1)
 
 
 def pauli_expectations(rho: np.ndarray) -> tuple[float, float, float]:
@@ -295,11 +300,10 @@ def target_trace(
     """Exact evolution of rho0 by :func:`bloch_solution` at t = j*tau0, j = 0..n_steps.
 
     Raises:
-        ValueError: When n_steps < 1, tau0 is not positive and finite, or rho0
+        ValueError: When n_steps is not an integer >= 1, tau0 is not positive and finite, or rho0
             fails validate_density_matrix.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    check_count("n_steps", n_steps)
     if not 0 < tau0 < np.inf:  # also true for NaN
         raise ValueError(f"tau0 must be positive and finite, got {tau0}")
     validate_density_matrix(rho0, "rho0")

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import KET_0, KET_1, density
+from .linalg import KET_0, KET_1, check_count, density
 from .liouvillian import (CanonicalRates, EvolutionTrace, bloch_solution, pauli_expectations,
                           target_trace)
 
@@ -69,6 +69,8 @@ class TomographySet:
         keys = {(s, o) for s in STATE_LABELS for o in OBS_LABELS}
         if set(self.data) != keys:
             raise ValueError("tomography set must hold exactly the 12 state/observable curves")
+        if self.shots is not None:
+            check_count("shots", self.shots)
         eps = 3.0 / np.sqrt(self.shots) if self.shots else 1e-8
         clean = {}
         for key, values in self.data.items():
@@ -101,8 +103,8 @@ def generate_tomography(
     Args:
         rates: Canonical rates of the generating dynamics.
         tau0: Sample spacing in us.
-        n_steps: Number of steps (n_steps + 1 samples per curve).
-        shots: Per-point sampling depth; None for exact expectations.
+        n_steps: Number of steps, an integer >= 1 (n_steps + 1 samples per curve).
+        shots: Per-point sampling depth, an integer >= 1; None for exact expectations.
         seed: Seed for the binomial sampler (fixed seed gives identical output).
         evolve: Optional replacement dynamics, called per initial state as
             evolve(rho0) -> EvolutionTrace on the same grid (e.g. a
@@ -112,8 +114,9 @@ def generate_tomography(
     Returns:
         TomographySet on the grid t = j*tau0.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    check_count("n_steps", n_steps)
+    if shots is not None:
+        check_count("shots", shots)
     if evolve is None:
         evolve = lambda rho0: target_trace(rates, rho0, tau0, n_steps)
     times = np.arange(n_steps + 1) * tau0
@@ -289,17 +292,17 @@ def dephasing_time(t1: float, t2: float) -> float:
     """Pure-dephasing time from 1/T_phi = 1/T2 - 1/(2*T1).
 
     Args:
-        t1: Relaxation time in us, > 0.
-        t2: Coherence time in us, 0 < t2 <= 2*t1.
+        t1: Relaxation time in us, > 0 (inf allowed).
+        t2: Coherence time in us, 0 < t2 <= 2*t1 (inf allowed).
 
     Returns:
         T_phi in us; infinite when T2 = 2*T1 (no pure dephasing).
 
     Raises:
-        ValueError: When T2 > 2*T1 (the implied rate would be negative).
+        ValueError: When a time is NaN or <= 0, or T2 > 2*T1 (negative implied rate).
     """
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("coherence times must be positive")
+    if not (t1 > 0 and t2 > 0):  # also true for NaN
+        raise ValueError(f"coherence times must be positive, got T1={t1}, T2={t2}")
     if t2 > 2 * t1 * (1 + 1e-12):
         raise ValueError(f"T2={t2} exceeds the physical bound 2*T1={2 * t1}")
     inv = 1.0 / t2 - 1.0 / (2.0 * t1)

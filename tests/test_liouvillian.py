@@ -239,6 +239,19 @@ def test_propagate_matches_sequential_stepping(n, source, stack, rates, order, d
     assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, np.abs(slow).max())
 
 
+@pytest.mark.parametrize("stack", [1, 3])
+def test_propagate_keeps_real_inputs_real(stack):
+    # A real Pauli-transfer matrix steps real Bloch rows: no complex round trip.
+    rng = np.random.default_rng(stack)
+    steps = np.eye(4) + 0.1 * rng.standard_normal((stack, 4, 4))
+    cols = rng.standard_normal((4, 2))
+    real = propagate(steps, cols, 300)
+    assert real.dtype == np.float64 and real.shape == (301, stack, 4, 2)
+    slow = stepped_one_at_a_time(steps, cols, 300)
+    assert np.abs(real - slow).max() <= 1e-12 * max(1.0, np.abs(slow).max())
+    assert propagate(steps, cols.astype(complex), 300).dtype == np.complex128
+
+
 def test_propagate_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         propagate(np.eye(4), np.ones(4), 3)
@@ -283,6 +296,9 @@ def test_target_trace_states_stay_physical():
 def test_target_trace_input_validation():
     with pytest.raises(ValueError):
         target_trace(CanonicalRates(), RHO_1, tau0=1.0, n_steps=0)
+    for bad in (2.5, True):  # 2.5 gave four samples, True one step
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            target_trace(CanonicalRates(), RHO_1, tau0=1.0, n_steps=bad)
     with pytest.raises(ValueError):
         target_trace(CanonicalRates(), RHO_1, tau0=-1.0, n_steps=3)
 

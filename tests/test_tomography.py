@@ -149,6 +149,29 @@ def test_tomography_set_rejects_non_finite_curves(value, shots):
         TomographySet(np.arange(3.0), data, shots=shots)
 
 
+@pytest.mark.parametrize("name", ["n_steps", "shots"])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 13.0, True, np.bool_(True), "13"])
+def test_generate_tomography_rejects_bad_counts(name, bad):
+    # shots=0 gave NaN curves, 2.5 curves off the 2k/s - 1 grid and True one shot;
+    # n_steps=2.5 failed on the time grid and True ran one step.
+    kwargs = {"n_steps": 13, "shots": 100, "seed": 1, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got"):
+        generate_tomography(rates_from_times(50.0, 40.0, 0.02), TAU0, **kwargs)
+
+
+def test_generate_tomography_accepts_numpy_integer_counts():
+    ts = generate_tomography(rates_from_times(50.0, 40.0, 0.02), TAU0, np.int64(5),
+                             shots=np.int32(64), seed=3)
+    assert ts.times.size == 6 and ts.shots == 64
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+def test_tomography_set_rejects_bad_shots(bad):
+    data = {(s, o): np.zeros(3) for s in STATE_LABELS for o in OBS_LABELS}
+    with pytest.raises(ValueError, match="^shots must be an integer >= 1, got"):
+        TomographySet(np.arange(3.0), data, shots=bad)
+
+
 @pytest.mark.parametrize(
     "times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 2.0, 1.0]],
     ids=["nan", "inf", "decreasing"],
@@ -497,6 +520,15 @@ def test_dephasing_time_limit_cases():
 
 def test_dephasing_time_reference_value():
     assert dephasing_time(1 / 0.0090, 35.56) == pytest.approx(42.334, abs=1e-3)
+
+
+def test_dephasing_time_infinite_and_nan_times():
+    assert dephasing_time(np.inf, 5.0) == 5.0
+    assert dephasing_time(np.inf, np.inf) == np.inf
+    with pytest.raises(ValueError, match="positive"):
+        dephasing_time(np.nan, 10.0)
+    with pytest.raises(ValueError, match="positive"):
+        dephasing_time(10.0, np.nan)
 
 
 def test_dephasing_time_rejects_unphysical():

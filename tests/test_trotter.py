@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from trottersim import trotter
 from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates
-from trottersim.linalg import I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density
-from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
+from trottersim.linalg import I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, density, vec
+from trottersim.liouvillian import (PAULI_ROWS, CanonicalRates, EvolutionTrace, propagate,
+                                    target_trace)
 from trottersim.trotter import (
     ALL_LABELS,
     ALL_PERMUTATIONS,
@@ -318,6 +319,56 @@ def test_run_schedule_keeps_the_bloch_bound_under_every_backend(
     assert trace.bloch_norms().max() <= 1 + 3e-10
 
 
+def complex_reference_run(schedule, rates, rho0):
+    """(N+1, 3) Bloch vectors by the complex path: propagate vec(rho0) by the step
+    superoperator, take each state's Hermitian part and read PAULI_ROWS."""
+    step = trotter._step_stack([schedule], rates)[0]
+    vecs = propagate(step, vec(rho0)[:, None], schedule.n_steps)[..., 0]
+    rhos = vecs.reshape(-1, 2, 2).swapaxes(-2, -1)  # undo the column-stacking vec
+    herm = ((rhos + dag(rhos)) / 2).swapaxes(-2, -1).reshape(-1, 4)
+    return np.real(herm @ PAULI_ROWS.T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    backend=st.sampled_from(BACKENDS),
+    rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
+    noise=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    order=st.sampled_from((1, 2)),
+    permutation=st.sampled_from(ALL_PERMUTATIONS),
+    n_steps=st.integers(1, 400),
+    dt=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**16),
+)
+def test_run_schedule_matches_the_complex_superoperator_path(
+    backend, rates, noise, order, permutation, n_steps, dt, seed
+):
+    # Stepping real Bloch rows by the Pauli-transfer matrix must give what
+    # stepping the complex superoperator gives, read out after the fact.
+    rng = np.random.default_rng(seed)
+    kets = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    weight = rng.random()
+    rho0 = weight * density(kets[0]) + (1 - weight) * density(kets[1])
+    noise = NoiseParams(*noise) if backend == "dilation+noise" else None
+    schedule = TrotterSchedule(permutation, order, n_steps, dt, backend, noise)
+    rates = CanonicalRates(*rates)
+    trace = run_schedule(schedule, rates, rho0)
+    reference = complex_reference_run(schedule, rates, rho0)
+    assert np.abs(trace.as_matrix() - reference).max() <= 1e-13
+
+
+def test_run_schedule_names_a_step_that_inflates_the_bloch_vector(monkeypatch):
+    # A trace-preserving step that stretches the Bloch vector by 1 + 8e-11 takes
+    # |1><1| to lambda_min = -1.2e-10 at step 3, past the -1e-10 tolerance.
+    ptm = np.diag([1.0] + [1 + 8e-11] * 3)
+    pauli = np.stack([vec(m) for m in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)], axis=1)
+    step = pauli @ ptm @ pauli.conj().T / 2  # the superoperator of that Pauli-transfer matrix
+    monkeypatch.setattr(trotter, "_step_stack", lambda *_: step[None])
+    with pytest.raises(ValueError, match=r"^step 3 state of trotter-o1-dephasing-damping-rotation "
+                                         r"has negative eigenvalue -1\.2"):
+        run_schedule(TrotterSchedule(n_steps=50), FIG4_RATES)
+
+
 def test_stacked_run_names_unphysical_step_and_schedule(monkeypatch):
     # Only the eighth schedule (order 2, second permutation) gains 3e-11 of
     # trace per step, so it alone leaves the 1e-10 tolerance, at step 4.
@@ -327,6 +378,19 @@ def test_stacked_run_names_unphysical_step_and_schedule(monkeypatch):
     monkeypatch.setattr(trotter, "_step_stack", lambda *args: gain * build(*args))
     label = "trotter-o2-" + "-".join(ALL_PERMUTATIONS[1])
     with pytest.raises(ValueError, match=rf"^step 4 state of {label} trace deviates"):
+        permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0)
+
+
+def test_stacked_run_names_the_first_failing_schedule(monkeypatch):
+    # The third schedule leaves the trace tolerance at step 5 and the eighth
+    # already at step 4; the error names the earlier schedule, then its step.
+    build = trotter._step_stack
+    gain = np.ones((12, 1, 1))
+    gain[2] += 2.2e-11
+    gain[7] += 3e-11
+    monkeypatch.setattr(trotter, "_step_stack", lambda *args: gain * build(*args))
+    label = "trotter-o1-" + "-".join(ALL_PERMUTATIONS[2])
+    with pytest.raises(ValueError, match=rf"^step 5 state of {label} trace deviates"):
         permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0)
 
 
