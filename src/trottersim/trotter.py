@@ -4,9 +4,9 @@ A schedule applies the three elementary generators (dephasing, damping,
 rotation) in a chosen permutation. First order applies each full-duration
 channel once per step; second order applies the half-duration sequence
 forward and then reversed, suppressing the step error from O(1/N) to
-O(1/N^2). Elementary channels come either from exact Kraus constructions
-("kraus" backend) or from the ancilla dilation circuits ("dilation",
-"dilation+noise").
+O(1/N^2). Elementary channels come either from the closed-form Pauli-transfer
+matrices of the exact Kraus channels ("kraus" backend) or from the ancilla dilation
+circuits ("dilation", "dilation+noise").
 
 The accuracy of a run against the exact master-equation trace is
 A = sqrt(sum over steps j=1..N and the three Pauli observables of the
@@ -21,16 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import damping_channel, dephasing_channel, to_superop, unitary_channel
-from .dilation import (
-    NoiseParams,
-    damping_circuit,
-    dephasing_circuit,
-    induced_channel,
-    rates_to_angles,
-    rotation_circuit,
-)
-from .linalg import KET_1, check_count, density, rx, validate_density_matrix, vec
+from .dilation import (NoiseParams, damping_circuit, dephasing_circuit, induced_channel,
+                       rates_to_angles, rotation_circuit)
+from .linalg import KET_1, check_count, density, validate_density_matrix, vec
 from .liouvillian import BLOCH_ROWS, CanonicalRates, EvolutionTrace, propagate, target_trace
 
 __all__ = [
@@ -105,36 +98,40 @@ class TrotterSchedule:
             raise ValueError(f"backend {self.backend!r} does not accept noise parameters")
 
 
-def _elementary_superop(
+def _elementary_ptm(
     rates: CanonicalRates, label: str, dt: float, backend: str, noise: NoiseParams | None
 ) -> np.ndarray:
-    """Superoperator of one generator applied for duration dt."""
-    if backend == "kraus":
-        if label == DEPHASING:
-            return to_superop(dephasing_channel(rates.gamma_phi, dt))
-        if label == DAMPING:
-            return to_superop(damping_channel(rates.gamma1, dt))
-        return to_superop(unitary_channel(rx(2 * np.pi * rates.omega * dt)))
-    angles = rates_to_angles(rates, dt)
+    """Real Pauli-transfer matrix of one generator over dt (kraus closed forms: _run_schedules)."""
+    if backend != "kraus":
+        angles = rates_to_angles(rates, dt)
+        circuit = (dephasing_circuit(angles.theta1) if label == DEPHASING
+                   else damping_circuit(angles.theta2) if label == DAMPING
+                   else rotation_circuit(angles.theta3))
+        return np.real(BLOCH_ROWS @ induced_channel(circuit, noise) @ BLOCH_ROWS.conj().T) / 2
+    ptm = np.eye(4)
     if label == DEPHASING:
-        return induced_channel(dephasing_circuit(angles.theta1), noise)
-    if label == DAMPING:
-        return induced_channel(damping_circuit(angles.theta2), noise)
-    return induced_channel(rotation_circuit(angles.theta3), noise)
+        ptm[1, 1] = ptm[2, 2] = np.exp(-rates.gamma_phi * dt)
+    elif label == DAMPING:
+        nu = np.exp(-rates.gamma1 * dt / 2)
+        ptm[1, 1], ptm[2, 2], ptm[3, 3], ptm[3, 0] = nu, nu, nu * nu, 1 - nu * nu
+    else:
+        theta = 2 * np.pi * rates.omega * dt
+        ptm[2:, 2:] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    return ptm
 
 
 def _step_stack(schedules: list[TrotterSchedule], rates: CanonicalRates) -> np.ndarray:
-    """The (K, 4, 4) one-step superoperators of K schedules, each distinct
+    """The (K, 4, 4) one-step Pauli-transfer matrices of K schedules, each distinct
     elementary channel built once."""
     ops: dict[tuple, np.ndarray] = {}
     steps = []
     for s in schedules:
-        step = np.eye(4, dtype=complex)
+        step = np.eye(4)
         # Order 2 runs the half-duration sequence forward, then reversed.
         for label in s.permutation if s.order == 1 else s.permutation + s.permutation[::-1]:
             key = (label, s.dt / s.order, s.backend, s.noise)
             if key not in ops:
-                ops[key] = _elementary_superop(rates, *key)
+                ops[key] = _elementary_ptm(rates, *key)
             step = ops[key] @ step
         steps.append(step)
     return np.stack(steps)
@@ -145,12 +142,15 @@ def _run_schedules(
 ) -> list[EvolutionTrace]:
     """Step K schedules that share n_steps and dt as one stack; one trace each.
 
-    The stack steps Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) by the real Pauli-transfer
-    matrices Re(P^dag S P)/2 of its step superoperators S, with P^dag = BLOCH_ROWS.
+    The stack steps Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) by real Pauli-transfer matrices
+    R_ij = Tr(s_i E(s_j))/2. The kraus backend's are closed forms over dt: dephasing
+    diag(1, mu, mu, 1), mu = e^(-gamma_phi dt); damping diag(1, nu, nu, nu^2) plus
+    R_z0 = 1 - nu^2, nu = e^(-gamma1 dt/2); rx(theta) = exp(-i theta sx/2) turns (<sy>, <sz>)
+    by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. Only the dilation backends convert a
+    superoperator S, once per channel, as Re(P^dag S P)/2 with P^dag = BLOCH_ROWS.
     """
     rho0 = validate_density_matrix(RHO_EXCITED if rho0 is None else rho0, "rho0")
-    n, steps = schedules[0].n_steps, _step_stack(schedules, rates)
-    ptms = np.real(BLOCH_ROWS @ steps @ BLOCH_ROWS.conj().T) / 2
+    n, ptms = schedules[0].n_steps, _step_stack(schedules, rates)
     rows = propagate(ptms, np.real(BLOCH_ROWS @ vec(rho0))[:, None], n)[..., 0].swapaxes(0, 1)
     c0, x, y, z = np.moveaxis(rows, -1, 0)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails both checks

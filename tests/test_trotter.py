@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from trottersim import trotter
 from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates
-from trottersim.linalg import I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, density, vec
-from trottersim.liouvillian import (PAULI_ROWS, CanonicalRates, EvolutionTrace, propagate,
-                                    target_trace)
+from trottersim.channels import (damping_channel, dephasing_channel, to_choi, to_superop,
+                                 unitary_channel)
+from trottersim.linalg import I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, density, rx, vec
+from trottersim.liouvillian import (BLOCH_ROWS, PAULI_ROWS, CanonicalRates, EvolutionTrace,
+                                    propagate, target_trace)
 from trottersim.trotter import (
     ALL_LABELS,
     ALL_PERMUTATIONS,
@@ -319,10 +321,16 @@ def test_run_schedule_keeps_the_bloch_bound_under_every_backend(
     assert trace.bloch_norms().max() <= 1 + 3e-10
 
 
+def superop_of(ptm):
+    """The superoperator S = P R P^dag / 2 of a Pauli-transfer matrix R, where P has the
+    columns vec(I), vec(sx), vec(sy), vec(sz) (P^dag = BLOCH_ROWS)."""
+    return BLOCH_ROWS.conj().T @ ptm @ BLOCH_ROWS / 2
+
+
 def complex_reference_run(schedule, rates, rho0):
-    """(N+1, 3) Bloch vectors by the complex path: propagate vec(rho0) by the step
-    superoperator, take each state's Hermitian part and read PAULI_ROWS."""
-    step = trotter._step_stack([schedule], rates)[0]
+    """(N+1, 3) Bloch vectors by the complex path: propagate vec(rho0) by the superoperator
+    of the step, take each state's Hermitian part and read PAULI_ROWS."""
+    step = superop_of(trotter._step_stack([schedule], rates)[0])
     vecs = propagate(step, vec(rho0)[:, None], schedule.n_steps)[..., 0]
     rhos = vecs.reshape(-1, 2, 2).swapaxes(-2, -1)  # undo the column-stacking vec
     herm = ((rhos + dag(rhos)) / 2).swapaxes(-2, -1).reshape(-1, 4)
@@ -361,12 +369,46 @@ def test_run_schedule_names_a_step_that_inflates_the_bloch_vector(monkeypatch):
     # A trace-preserving step that stretches the Bloch vector by 1 + 8e-11 takes
     # |1><1| to lambda_min = -1.2e-10 at step 3, past the -1e-10 tolerance.
     ptm = np.diag([1.0] + [1 + 8e-11] * 3)
-    pauli = np.stack([vec(m) for m in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)], axis=1)
-    step = pauli @ ptm @ pauli.conj().T / 2  # the superoperator of that Pauli-transfer matrix
-    monkeypatch.setattr(trotter, "_step_stack", lambda *_: step[None])
+    monkeypatch.setattr(trotter, "_step_stack", lambda *_: ptm[None])
     with pytest.raises(ValueError, match=r"^step 3 state of trotter-o1-dephasing-damping-rotation "
                                          r"has negative eigenvalue -1\.2"):
         run_schedule(TrotterSchedule(n_steps=50), FIG4_RATES)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    gamma1=st.one_of(st.just(0.0), st.floats(0, 5)),
+    gamma_phi=st.one_of(st.just(0.0), st.floats(0, 5)),
+    omega=st.one_of(st.just(0.0), st.floats(-5, 5)),
+    dt=st.floats(0.01, 20.0),
+)
+def test_closed_form_ptms_match_their_kraus_channels(gamma1, gamma_phi, omega, dt):
+    # Angles 2 pi omega dt reach 200 pi, far beyond one turn.
+    rates = CanonicalRates(gamma1, gamma_phi, omega)
+    channels = {DEPHASING: dephasing_channel(gamma_phi, dt), DAMPING: damping_channel(gamma1, dt),
+                ROTATION: unitary_channel(rx(2 * np.pi * omega * dt))}
+    for label, channel in channels.items():
+        ptm = trotter._elementary_ptm(rates, label, dt, "kraus", None)
+        reference = np.real(BLOCH_ROWS @ to_superop(channel) @ BLOCH_ROWS.conj().T) / 2
+        assert np.abs(ptm - reference).max() <= 4.5e-16
+        assert ptm[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    backend=st.sampled_from(BACKENDS),
+    label=st.sampled_from(ALL_LABELS),
+    rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
+    noise=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    dt=st.floats(0.01, 5.0),
+)
+def test_every_elementary_ptm_is_cptp(backend, label, rates, noise, dt):
+    # The Choi matrix rebuilt from the Pauli-transfer matrix is positive semidefinite,
+    # and the trace row (1, 0, 0, 0) makes the channel trace preserving.
+    noise = NoiseParams(*noise) if backend == "dilation+noise" else None
+    ptm = trotter._elementary_ptm(CanonicalRates(*rates), label, dt, backend, noise)
+    assert np.linalg.eigvalsh(to_choi(superop_of(ptm))).min() >= -1e-12
+    assert np.abs(ptm[0] - [1, 0, 0, 0]).max() <= 1e-15
 
 
 def test_stacked_run_names_unphysical_step_and_schedule(monkeypatch):
