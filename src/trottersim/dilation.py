@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, kraus_superop, rx, vec
+from .linalg import I2, KET_0, SIGMA_MINUS, SIGMA_X, rx, vec
 from .liouvillian import CanonicalRates
 
 __all__ = [
@@ -40,11 +40,9 @@ __all__ = [
     "depolarization_equivalent_time",
 ]
 
-_UNITARY_KINDS = ("ancilla_rx", "cz", "cnot_ancilla_ctrl", "data_x")
-_KINDS = _UNITARY_KINDS + ("reset_ancilla",)
-
-_PROJ_G = np.diag([1.0, 0.0]).astype(complex)
-_PROJ_E = np.diag([0.0, 1.0]).astype(complex)
+_KINDS = ("ancilla_rx", "cz", "cnot_ancilla_ctrl", "data_x", "reset_ancilla")
+# Ancilla z measurement and conditional data X; its Kraus pair sums to the CNOT.
+_FEEDFORWARD = np.stack([np.kron(np.diag([1.0, 0.0]), I2), np.kron(np.diag([0.0, 1.0]), SIGMA_X)])
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     if gate.kind == "cz":
         return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     if gate.kind == "cnot_ancilla_ctrl":
-        return np.kron(_PROJ_G, I2) + np.kron(_PROJ_E, SIGMA_X)
+        return _FEEDFORWARD.sum(axis=0)
     raise ValueError(f"gate {gate.kind!r} has no unitary realization")
 
 
@@ -180,17 +178,9 @@ def rotation_circuit(theta3: float) -> DilationCircuit:
     )
 
 
-# Load ancilla |g> with G = |g> (x) I; the reset keeps sum_a <a| rho |a>.
-_LOAD_G = kraus_superop(np.kron(KET_0[:, None], I2))
-_RESET = kraus_superop(np.kron(KET_0[None], I2), np.kron(KET_1[None], I2))
-_FEEDFORWARD = kraus_superop(np.kron(_PROJ_G, I2), np.kron(_PROJ_E, SIGMA_X))
-_CZ = kraus_superop(gate_unitary(Gate("cz")))
-_CNOT = kraus_superop(gate_unitary(Gate("cnot_ancilla_ctrl")))
-
-
-def _ancilla_decay(p: float) -> np.ndarray:
-    e0 = np.diag([1.0, np.sqrt(1.0 - p)])
-    return kraus_superop(np.kron(e0, I2), np.kron(np.sqrt(p) * SIGMA_MINUS, I2))
+# Kraus stacks (m, 4, 4) of the two-qubit gates; the load of ancilla |g> is |g> (x) I.
+_LOAD_G = np.kron(KET_0[:, None], I2)
+_CZ, _CNOT = (gate_unitary(Gate(kind))[None] for kind in ("cz", "cnot_ancilla_ctrl"))
 
 
 def induced_channel(
@@ -202,7 +192,9 @@ def induced_channel(
 
     The gates compose on ancilla (x) data between the load of ancilla |g> and
     the reset, so the data channel has the Kraus operators <a|E_k|g> of the
-    composite family E_k.
+    composite family E_k. The family is carried as the (k, 4, 2) stack E_k|g>;
+    a gate with m Kraus operators multiplies k by m, and a one-qubit gate acts
+    on its qubit's axis alone.
 
     Args:
         circuit: Gate sequence ending in the ancilla reset.
@@ -215,17 +207,20 @@ def induced_channel(
     """
     if adaptive not in ("coherent", "feedforward"):
         raise ValueError(f"adaptive must be 'coherent' or 'feedforward', got {adaptive!r}")
-    decay = None
-    if noise is not None and noise.p_ancilla_decay > 0:
-        decay = _ancilla_decay(noise.p_ancilla_decay)
+    p = 0.0 if noise is None else noise.p_ancilla_decay
+    decay = np.stack([np.diag([1.0, np.sqrt(1.0 - p)]), np.sqrt(p) * SIGMA_MINUS]) if p else None
     fixed = {"cz": _CZ, "cnot_ancilla_ctrl": _FEEDFORWARD if adaptive == "feedforward" else _CNOT}
-    s = _LOAD_G
+    family = _LOAD_G[None]  # rows (a, i) of E_k|g>, a the ancilla
     for gate in circuit.gates[:-1]:  # the last gate is the reset
-        op = fixed[gate.kind] if gate.kind in fixed else kraus_superop(gate_unitary(gate))
-        s = op @ s
-        if decay is not None and gate.kind in ("cz", "cnot_ancilla_ctrl"):
-            s = decay @ s
-    s = _RESET @ s
+        if gate.kind in fixed:
+            family = (fixed[gate.kind][:, None] @ family).reshape(-1, 4, 2)
+            if decay is not None:  # acts on the ancilla rows a
+                family = (decay[:, None] @ family.reshape(-1, 2, 4)).reshape(-1, 4, 2)
+        else:  # an x rotation of the ancilla (rows a) or of the data (rows i)
+            shape = (-1, 2, 4) if gate.kind == "ancilla_rx" else (-1, 2, 2)
+            family = (rx(gate.theta) @ family.reshape(shape)).reshape(-1, 4, 2)
+    data = family.reshape(-1, 2, 2)  # A = <a|E_k|g>: rows 2a, 2a + 1 of each E_k|g>
+    s = np.einsum("kac,kbd->abcd", data.conj(), data).reshape(4, 4)  # sum_A conj(A) (x) A
     if noise is not None and noise.p_grape > 0:
         # (1 - p) rho + p Tr(rho) I/2; rows 0 and 3 of s read the diagonal.
         s = (1 - noise.p_grape) * s + noise.p_grape * np.outer(vec(I2), s[0] + s[3]) / 2

@@ -22,7 +22,6 @@ __all__ = [
     "dag",
     "vec",
     "unvec",
-    "kraus_superop",
     "rx",
     "partial_trace",
     "expm",
@@ -69,14 +68,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if d * d != v.size:
         raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
     return v.reshape((d, d), order="F")
-
-
-def kraus_superop(*kraus: np.ndarray) -> np.ndarray:
-    """Superoperator sum_k conj(E_k) (x) E_k of rho -> sum_k E_k rho E_k^dag.
-
-    The operators may be rectangular (maps between spaces of different size).
-    """
-    return sum(np.kron(np.conj(e), e) for e in kraus)
 
 
 def rx(theta: float) -> np.ndarray:

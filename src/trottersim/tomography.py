@@ -156,6 +156,8 @@ class FitResult:
     converged: bool
 
     def __post_init__(self):
+        if not np.isfinite([self.t1, self.t2, self.omega, self.residual]).all():
+            raise ValueError(f"fit values must be finite, got {self}")
         if self.t2 > 2 * self.t1 * (1 + 1e-6):
             raise ValueError(f"unphysical fit: T2={self.t2} exceeds 2*T1={2 * self.t1}")
 

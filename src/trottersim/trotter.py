@@ -101,7 +101,13 @@ class TrotterSchedule:
 def _elementary_ptm(
     rates: CanonicalRates, label: str, dt: float, backend: str, noise: NoiseParams | None
 ) -> np.ndarray:
-    """Real Pauli-transfer matrix of one generator over dt (kraus closed forms: _run_schedules)."""
+    """Real Pauli-transfer matrix R_ij = Tr(s_i E(s_j))/2 of one generator over dt.
+
+    The kraus closed forms: dephasing diag(1, mu, mu, 1), mu = e^(-gamma_phi dt); damping
+    diag(1, nu, nu, nu^2) plus R_z0 = 1 - nu^2, nu = e^(-gamma1 dt/2); rx(theta) turns
+    (<sy>, <sz>) by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. The dilation backends
+    convert their induced superoperator S as Re(P^dag S P)/2, with P^dag = BLOCH_ROWS.
+    """
     if backend != "kraus":
         angles = rates_to_angles(rates, dt)
         circuit = (dephasing_circuit(angles.theta1) if label == DEPHASING
@@ -116,39 +122,35 @@ def _elementary_ptm(
         ptm[1, 1], ptm[2, 2], ptm[3, 3], ptm[3, 0] = nu, nu, nu * nu, 1 - nu * nu
     else:
         theta = 2 * np.pi * rates.omega * dt
+        if not np.isfinite(theta):
+            raise ValueError(f"drive angle 2 pi omega dt overflows: omega={rates.omega}, dt={dt}")
         ptm[2:, 2:] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     return ptm
 
 
 def _step_stack(schedules: list[TrotterSchedule], rates: CanonicalRates) -> np.ndarray:
-    """The (K, 4, 4) one-step Pauli-transfer matrices of K schedules, each distinct
-    elementary channel built once."""
-    ops: dict[tuple, np.ndarray] = {}
-    steps = []
-    for s in schedules:
-        step = np.eye(4)
-        # Order 2 runs the half-duration sequence forward, then reversed.
-        for label in s.permutation if s.order == 1 else s.permutation + s.permutation[::-1]:
-            key = (label, s.dt / s.order, s.backend, s.noise)
-            if key not in ops:
-                ops[key] = _elementary_ptm(rates, *key)
-            step = ops[key] @ step
-        steps.append(step)
-    return np.stack(steps)
+    """The (K, 4, 4) one-step Pauli-transfer matrices of K schedules. Each distinct elementary
+    channel is built once; index 0 is the identity, which pads order 1 rows in front, and one
+    batched product per slot composes all K."""
+    keys: dict[tuple, int] = {}
+    width = 3 * max(s.order for s in schedules)
+    idx = np.zeros((len(schedules), width), dtype=int)
+    for k, s in enumerate(schedules):  # order 2: the half-duration sequence, then reversed
+        seq = s.permutation if s.order == 1 else s.permutation + s.permutation[::-1]
+        idx[k, width - len(seq):] = [keys.setdefault((label, s.dt / s.order, s.backend, s.noise),
+                                                      len(keys) + 1) for label in seq]
+    ops = np.array([np.eye(4)] + [_elementary_ptm(rates, *key) for key in keys])[idx]
+    step = np.eye(4)
+    for slot in range(width):
+        step = ops[:, slot] @ step
+    return step
 
 
 def _run_schedules(
     schedules: list[TrotterSchedule], rates: CanonicalRates, rho0: np.ndarray | None
-) -> list[EvolutionTrace]:
-    """Step K schedules that share n_steps and dt as one stack; one trace each.
-
-    The stack steps Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) by real Pauli-transfer matrices
-    R_ij = Tr(s_i E(s_j))/2. The kraus backend's are closed forms over dt: dephasing
-    diag(1, mu, mu, 1), mu = e^(-gamma_phi dt); damping diag(1, nu, nu, nu^2) plus
-    R_z0 = 1 - nu^2, nu = e^(-gamma1 dt/2); rx(theta) = exp(-i theta sx/2) turns (<sy>, <sz>)
-    by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. Only the dilation backends convert a
-    superoperator S, once per channel, as Re(P^dag S P)/2 with P^dag = BLOCH_ROWS.
-    """
+) -> tuple[np.ndarray, list[str]]:
+    """The checked (K, n+1, 4) Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) of K schedules that
+    share n_steps, stepped as one stack, and their labels."""
     rho0 = validate_density_matrix(RHO_EXCITED if rho0 is None else rho0, "rho0")
     n, ptms = schedules[0].n_steps, _step_stack(schedules, rates)
     rows = propagate(ptms, np.real(BLOCH_ROWS @ vec(rho0))[:, None], n)[..., 0].swapaxes(0, 1)
@@ -165,8 +167,7 @@ def _run_schedules(
         if tr_err[k, j] > 1e-10:
             raise ValueError(f"{name} trace deviates from 1 by {tr_err[k, j]:.3e}")
         raise ValueError(f"{name} has negative eigenvalue {w_min[k, j]:.3e}")
-    times = np.arange(n + 1) * schedules[0].dt
-    return [EvolutionTrace(times, *r[:, 1:].T, label=label) for r, label in zip(rows, labels)]
+    return rows, labels
 
 
 def run_schedule(
@@ -186,7 +187,9 @@ def run_schedule(
         row c is checked in closed form: finite, |c0 - 1| <= 1e-10 and smallest
         eigenvalue (c0 - |(c1, c2, c3)|)/2 >= -1e-10, so each Bloch norm is <= 1 + 3e-10.
     """
-    return _run_schedules([schedule], rates, rho0)[0]
+    rows, labels = _run_schedules([schedule], rates, rho0)
+    times = np.arange(schedule.n_steps + 1) * schedule.dt
+    return EvolutionTrace(times, *rows[0, :, 1:].T, label=labels[0])
 
 
 @dataclass(frozen=True)
@@ -199,8 +202,14 @@ class AccuracyReport:
 
     def __post_init__(self):
         object.__setattr__(self, "residuals", np.asarray(self.residuals, dtype=float))
-        if self.a < 0:
-            raise ValueError("accuracy metric must be nonnegative")
+        if not (np.isfinite(self.a) and self.a >= 0 and np.isfinite(self.residuals).all()):
+            raise ValueError(f"accuracy values must be finite and nonnegative, got {self}")
+
+
+def _scores(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A and the per-step residuals of (..., N, 3) deviations from the target at j = 1..N."""
+    sq = diff**2
+    return np.sqrt(sq.reshape(*sq.shape[:-2], -1).sum(-1) / diff.shape[-2]), np.sqrt(sq.sum(-1))
 
 
 def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
@@ -220,11 +229,8 @@ def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
         raise ValueError(f"trace lengths differ: {len(trace)} vs {len(target)}")
     if np.abs(trace.times - target.times).max() > 1e-9:
         raise ValueError("trace time grids differ")
-    diff = trace.as_matrix()[1:] - target.as_matrix()[1:]
-    residuals = np.sqrt((diff**2).sum(axis=1))
-    n = len(trace) - 1
-    a = float(np.sqrt((diff**2).sum() / n))
-    return AccuracyReport(a, residuals, descriptor=trace.label)
+    a, residuals = _scores(trace.as_matrix()[1:] - target.as_matrix()[1:])
+    return AccuracyReport(float(a), residuals, descriptor=trace.label)
 
 
 @dataclass(frozen=True)
@@ -235,6 +241,10 @@ class ConvergenceResult:
     accuracies: tuple[float, ...]
     slope: float | None
     saturated: bool
+
+    def __post_init__(self):
+        if not np.isfinite([*self.accuracies, 0.0 if self.slope is None else self.slope]).all():
+            raise ValueError(f"convergence values must be finite, got {self}")
 
 
 def convergence_order(
@@ -289,8 +299,8 @@ def permutation_scan(
     """Accuracy of every generator permutation at both orders.
 
     The twelve schedules share six elementary channels (three labels at the
-    full and the half duration), each built once, and step as one stacked
-    propagation.
+    full and the half duration), each built once; they step as one stacked
+    propagation and are scored against the target as one array.
 
     Returns:
         Mapping (order, permutation) -> AccuracyReport, keys in deterministic
@@ -300,8 +310,10 @@ def permutation_scan(
     target = target_trace(rates, rho0, tau0=dt, n_steps=n_steps)
     schedules = [TrotterSchedule(perm, order, n_steps, dt, backend, noise)
                  for order in (1, 2) for perm in ALL_PERMUTATIONS]
-    traces = _run_schedules(schedules, rates, rho0)
-    return {(s.order, s.permutation): accuracy(tr, target) for s, tr in zip(schedules, traces)}
+    rows, labels = _run_schedules(schedules, rates, rho0)
+    a, residuals = _scores(rows[:, 1:, 1:] - target.as_matrix()[1:])
+    return {(s.order, s.permutation): AccuracyReport(float(a[k]), residuals[k], labels[k])
+            for k, s in enumerate(schedules)}
 
 
 def compare_orders(

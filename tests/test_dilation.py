@@ -14,6 +14,7 @@ from trottersim.channels import (
     dephasing_channel,
     identity_channel,
     is_cptp,
+    to_choi,
     to_superop,
     unitary_channel,
 )
@@ -32,7 +33,8 @@ from trottersim.dilation import (
     rates_to_angles,
     rotation_circuit,
 )
-from trottersim.linalg import I2, KET_1, SIGMA_MINUS, SIGMA_Z, dag, density, unvec, vec
+from trottersim.linalg import (I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, SIGMA_Z, dag, density,
+                               partial_trace, unvec, vec)
 
 TAU0 = 3.56
 THETA_GRID_DEG = np.arange(5, 90, 5)  # 5..85 degrees
@@ -235,6 +237,58 @@ def test_induced_channel_properties(kind, theta, p_grape, p_decay, adaptive, ent
     out = apply_channel(s, x)
     assert out.shape == (2, 2)
     assert np.abs(out - unvec(s @ vec(x))).max() < 1e-12
+
+
+def _kraus_superop(*kraus):
+    """sum_k conj(E_k) (x) E_k; the operators may be rectangular."""
+    return sum(np.kron(np.conj(e), e) for e in kraus)
+
+
+def _superop_reference(circuit, noise, adaptive):
+    """The induced channel as a product of 16x16 superoperators on ancilla (x) data: load
+    ancilla |g>, each gate (ancilla decay after each two-qubit gate), then the reset that
+    keeps sum_a <a| rho |a>; one depolarization event mixes in Tr(.) I/2 at the end."""
+    p = 0.0 if noise is None else noise.p_ancilla_decay
+    decay = _kraus_superop(np.kron(np.diag([1.0, np.sqrt(1.0 - p)]), I2),
+                           np.kron(np.sqrt(p) * SIGMA_MINUS, I2))
+    proj_g, proj_e = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    feedforward = _kraus_superop(np.kron(proj_g, I2), np.kron(proj_e, SIGMA_X))
+    s = _kraus_superop(np.kron(KET_0[:, None], I2))
+    for gate in circuit.gates[:-1]:
+        if gate.kind == "cnot_ancilla_ctrl" and adaptive == "feedforward":
+            s = feedforward @ s
+        else:
+            s = _kraus_superop(gate_unitary(gate)) @ s
+        if p > 0 and gate.kind in ("cz", "cnot_ancilla_ctrl"):
+            s = decay @ s
+    s = _kraus_superop(np.kron(KET_0[None], I2), np.kron(KET_1[None], I2)) @ s
+    p_grape = 0.0 if noise is None else noise.p_grape
+    return (1 - p_grape) * s + p_grape * _MIXER @ s
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_CIRCUITS)),
+    theta=st.floats(allow_nan=False, allow_infinity=False),
+    noise_kind=st.sampled_from(["off", "decay", "both"]),
+    p_grape=st.floats(0, 1),
+    p_decay=st.floats(0, 1),
+    adaptive=st.sampled_from(["coherent", "feedforward"]),
+)
+def test_induced_channel_matches_the_superoperator_composition(
+    kind, theta, noise_kind, p_grape, p_decay, adaptive
+):
+    # The Kraus-family contraction must reproduce the gate-by-gate 16x16
+    # superoperator product and stay completely positive and trace preserving.
+    noise = {"off": None, "decay": NoiseParams(0.0, p_decay),
+             "both": NoiseParams(p_grape, p_decay)}[noise_kind]
+    circuit = _CIRCUITS[kind](theta)
+    s = induced_channel(circuit, noise, adaptive)
+    assert np.abs(s - _superop_reference(circuit, noise, adaptive)).max() <= 1e-14
+    choi = to_choi(s)
+    assert np.abs(choi - dag(choi)).max() <= 1e-14
+    assert np.linalg.eigvalsh(choi).min() >= -1e-14
+    assert np.abs(partial_trace(choi, (2, 2), keep=0) - I2).max() <= 1e-14
 
 
 def test_applying_an_induced_channel_rejects_a_non_2x2_operator():

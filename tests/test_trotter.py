@@ -1,5 +1,7 @@
 """Tests for the Trotterized evolution engine and accuracy metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from trottersim import trotter
 from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates
+from trottersim.tomography import FitResult
 from trottersim.channels import (damping_channel, dephasing_channel, to_choi, to_superop,
                                  unitary_channel)
 from trottersim.linalg import I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, density, rx, vec
@@ -20,6 +23,7 @@ from trottersim.trotter import (
     DEPHASING,
     ROTATION,
     AccuracyReport,
+    ConvergenceResult,
     TrotterSchedule,
     accuracy,
     compare_orders,
@@ -210,6 +214,45 @@ def test_accuracy_report_validation():
         AccuracyReport(-1.0, np.zeros(3))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AccuracyReport(np.nan, np.zeros(3)),
+    lambda: AccuracyReport(np.inf, np.zeros(3)),
+    lambda: AccuracyReport(0.1, [np.nan]),
+    lambda: AccuracyReport(0.1, [0.0, np.inf]),
+    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, np.nan, 1e-3, 1e-4), -1.0, False),
+    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, 1e-3, 1e-3, np.inf), None, False),
+    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, 1e-3, 1e-3, 1e-4), np.nan, False),
+    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, 1e-3, 1e-3, 1e-4), -np.inf, False),
+    lambda: FitResult(np.nan, 10.0, 0.0, 0.0, True),
+    lambda: FitResult(np.inf, 10.0, 0.0, 0.0, True),
+    lambda: FitResult(10.0, np.nan, 0.0, 0.0, True),
+    lambda: FitResult(10.0, 10.0, np.inf, 0.0, True),
+    lambda: FitResult(10.0, 10.0, 0.0, np.nan, True),
+], ids=["a-nan", "a-inf", "residual-nan", "residual-inf", "accuracy-nan", "accuracy-inf",
+        "slope-nan", "slope-inf", "t1-nan", "t1-inf", "t2-nan", "omega-inf", "fit-residual-nan"])
+def test_result_records_reject_non_finite_values(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+def test_result_records_accept_finite_values_and_a_missing_slope():
+    assert AccuracyReport(0.0, [0.0, 0.1]).a == 0.0
+    assert ConvergenceResult((4, 8, 16, 32), (0.0,) * 4, None, True).slope is None
+    assert FitResult(10.0, 20.0, -0.1, 0.0, False).t2 == 20.0
+
+
+def test_overflowing_drive_angle_is_rejected_without_warnings():
+    # 2 pi omega dt overflows to inf; cos and sin of it would warn and yield NaN.
+    rates = CanonicalRates(0.01, 0.01, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"^drive angle 2 pi omega dt overflows: omega=1e\+308, dt=3\.56$"
+        with pytest.raises(ValueError, match=message):
+            run_schedule(TrotterSchedule(dt=TAU0), rates)
+        with pytest.raises(ValueError, match="theta3 must be finite"):
+            run_schedule(TrotterSchedule(dt=TAU0, backend="dilation"), rates)
+
+
 # ------------------------------------------------------------- convergence
 
 
@@ -279,19 +322,30 @@ def test_permutation_scan_all_commuting_point():
     noise=st.tuples(st.floats(0, 0.05), st.floats(0, 0.05)),
     n_steps=st.integers(1, 30),
     dt=st.floats(0.1, 5.0),
+    bloch0=st.tuples(*[st.floats(-1, 1)] * 3),
 )
-def test_permutation_scan_equals_single_runs_bit_for_bit(backend, rates, noise, n_steps, dt):
-    # The scan steps its twelve schedules as one stack; each entry must be
-    # exactly what run_schedule gives for that schedule alone.
+def test_permutation_scan_equals_single_runs_bit_for_bit(
+    backend, rates, noise, n_steps, dt, bloch0
+):
+    # The scan steps its twelve schedules as one stack and scores them as one
+    # array; each entry must be exactly what accuracy(run_schedule(...)) gives
+    # for that schedule alone, and the scan builds each of its six elementary
+    # channels (three labels at dt and at dt/2) once.
+    r = np.array(bloch0) / max(1.0, np.linalg.norm(bloch0))
+    rho0 = (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
     rates = CanonicalRates(*rates)
     noise = NoiseParams(*noise) if backend == "dilation+noise" else None
-    scan = permutation_scan(rates, n_steps=n_steps, dt=dt, backend=backend, noise=noise)
-    target = target_trace(rates, density(KET_1), dt, n_steps)
+    builds = []
+    build = trotter._elementary_ptm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trotter, "_elementary_ptm", lambda *args: builds.append(args) or build(*args))
+        scan = permutation_scan(rates, n_steps, dt, rho0, backend, noise)
+    assert len(builds) <= 6
+    target = target_trace(rates, rho0, dt, n_steps)
     assert list(scan) == [(order, perm) for order in (1, 2) for perm in ALL_PERMUTATIONS]
     for (order, perm), report in scan.items():
-        single = accuracy(
-            run_schedule(TrotterSchedule(perm, order, n_steps, dt, backend, noise), rates), target
-        )
+        schedule = TrotterSchedule(perm, order, n_steps, dt, backend, noise)
+        single = accuracy(run_schedule(schedule, rates, rho0), target)
         assert report.a == single.a
         np.testing.assert_array_equal(report.residuals, single.residuals)
         assert report.descriptor == single.descriptor
