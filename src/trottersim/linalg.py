@@ -25,6 +25,7 @@ __all__ = [
     "rx",
     "partial_trace",
     "expm",
+    "check_bloch_rows",
     "validate_density_matrix",
     "check_count",
     "density",
@@ -129,47 +130,50 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _qubit_invariants(rho: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Finite mask and the closed-form checks of validate_density_matrix on a (..., 2, 2) stack."""
-    finite = np.isfinite(rho).all(axis=(-2, -1))
-    safe = rho if finite.all() else np.where(finite[..., None, None], rho, 0)
-    a, c, b, d = np.moveaxis(safe.reshape(*rho.shape[:-2], 4), -1, 0)  # rho00, rho01, rho10, rho11
-    herm_err = np.maximum(2 * np.maximum(np.abs(a.imag), np.abs(d.imag)), np.abs(b - c.conj()))
-    w_min = (a.real + d.real) / 2 - np.hypot((a.real - d.real) / 2, np.abs(b))
-    return finite, herm_err, np.abs(a + d - 1.0), w_min
+def check_bloch_rows(rows: np.ndarray, name) -> np.ndarray:
+    """Check that each Bloch row c = (Tr rho, <sx>, <sy>, <sz>) of a real (..., 4) array is a
+    qubit state and return rows unchanged: finite entries, |c0 - 1| <= 1e-10 and smallest
+    eigenvalue (c0 - |(c1, c2, c3)|)/2 >= -1e-10, so each Bloch norm is <= 1 + 3e-10.
+
+    Raises:
+        ValueError: On the first violated check of the first failing row in C order, named
+            by name(index) with the row's index tuple.
+    """
+    c0, x, y, z = np.moveaxis(rows, -1, 0)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails both checks
+        tr_err, w_min = np.abs(c0 - 1), (c0 - np.sqrt(x * x + y * y + z * z)) / 2
+    bad = ~((tr_err <= 1e-10) & (w_min >= -1e-10))
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)  # () for a single row
+        if not np.isfinite(rows[first]).all():
+            raise ValueError(f"{name(first)} contains non-finite entries")
+        if tr_err[first] > 1e-10:
+            raise ValueError(f"{name(first)} trace deviates from 1 by {tr_err[first]:.3e}")
+        raise ValueError(f"{name(first)} has negative eigenvalue {w_min[first]:.3e}")
+    return rows
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Check the qubit density-matrix contract and return rho unchanged.
+    """Check that one (2, 2) matrix is a qubit state and return it unchanged.
 
-    Checks qubits only: one (2, 2) matrix or every matrix of a (..., 2, 2)
-    stack at once. In a = rho00, b = rho10, c = rho01 and d = rho11 it
-    enforces, in closed form with no LAPACK call: finite entries;
-    Hermiticity, max(|a - a*|, |d - d*|, |b - c*|) <= 1e-12; unit trace,
-    |a + d - 1| <= 1e-10; and a smallest eigenvalue
-    (Re a + Re d)/2 - sqrt(((Re a - Re d)/2)^2 + |b|^2) >= -1e-10, read from
-    the lower triangle as eigvalsh does (the Hermiticity check bounds the
-    other). For a stack, name is a template whose ``{}`` receives the index
-    of the first failing matrix, e.g. "step {} state".
+    In a = rho00, b = rho10, c = rho01 and d = rho11: finite entries, Hermiticity
+    max(|a - a*|, |d - d*|, |b - c*|) <= 1e-12, then :func:`check_bloch_rows` on the row
+    (Re a + Re d, 2 Re b, 2 Im b, Re a - Re d), read from the lower triangle as eigvalsh does.
 
     Raises:
-        ValueError: On another shape or the first violated invariant of the first failing matrix.
+        ValueError: On another shape or the first violated check.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {rho.shape}")
-    if rho.shape[-2:] != (2, 2):
+    if rho.shape != (2, 2):
         raise ValueError(f"{name} must be a 2x2 qubit state, got shape {rho.shape}")
-    finite, herm_err, tr_err, w_min = _qubit_invariants(rho)
-    bad = ~finite | (herm_err > 1e-12) | (tr_err > 1e-10) | (w_min < -1e-10)
-    if not bad.any():
-        return rho
-    first = np.unravel_index(np.argmax(bad), bad.shape)  # () for a single matrix
-    name = name.format(*first) if first else name
-    if not finite[first]:
+    if not np.isfinite(rho).all():
         raise ValueError(f"{name} contains non-finite entries")
-    if herm_err[first] > 1e-12:
-        raise ValueError(f"{name} is not Hermitian: max deviation {herm_err[first]:.3e}")
-    if tr_err[first] > 1e-10:
-        raise ValueError(f"{name} trace deviates from 1 by {tr_err[first]:.3e}")
-    raise ValueError(f"{name} has negative eigenvalue {w_min[first]:.3e}")
+    (a, c), (b, d) = rho
+    herm_err = max(2 * max(abs(a.imag), abs(d.imag)), abs(b - c.conjugate()))
+    if herm_err > 1e-12:
+        raise ValueError(f"{name} is not Hermitian: max deviation {herm_err:.3e}")
+    check_bloch_rows(np.array([a.real + d.real, 2 * b.real, 2 * b.imag, a.real - d.real]),
+                     lambda _: name)
+    return rho

@@ -301,7 +301,7 @@ def target_trace(
 
     Raises:
         ValueError: When n_steps is not an integer >= 1, tau0 is not positive and finite, or rho0
-            fails validate_density_matrix.
+            fails validate_density_matrix (Hermiticity, then check_bloch_rows on its Bloch row).
     """
     check_count("n_steps", n_steps)
     if not 0 < tau0 < np.inf:  # also true for NaN

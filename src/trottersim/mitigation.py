@@ -113,7 +113,7 @@ def richardson_coeffs(c, n):
     of the c grid evaluated at zero.
 
     Args:
-        c: Sequence of at least n + 1 distinct positive scale factors; only
+        c: Sequence of at least n + 1 distinct positive, finite scale factors; only
             the first n + 1 are used.
         n: Extrapolation order, >= 0.
 
@@ -122,16 +122,16 @@ def richardson_coeffs(c, n):
 
     Raises:
         ValueError: If n is negative, fewer than n + 1 factors are given,
-            a factor is not positive, or two factors coincide (the system
-            is singular).
+            a factor is not positive and finite, or two factors coincide (the
+            system is singular).
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     cs = np.asarray(c, dtype=float).ravel()[: n + 1]
     if cs.size != n + 1:
         raise ValueError(f"order {n} needs {n + 1} scale factors, got {cs.size}")
-    if np.any(cs <= 0):
-        raise ValueError("scale factors must be positive")
+    if not np.all((cs > 0) & (cs < np.inf)):  # also false for NaN
+        raise ValueError(f"scale factors must be positive and finite, got {cs.tolist()}")
     diffs = cs[None, :] - cs[:, None]  # diffs[i, j] = c_j - c_i
     np.fill_diagonal(diffs, 1.0)
     if np.any(diffs == 0):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dilation import (NoiseParams, damping_circuit, dephasing_circuit, induced_channel,
                        rates_to_angles, rotation_circuit)
-from .linalg import KET_1, check_count, density, validate_density_matrix, vec
+from .linalg import KET_1, check_bloch_rows, check_count, density, validate_density_matrix, vec
 from .liouvillian import BLOCH_ROWS, CanonicalRates, EvolutionTrace, propagate, target_trace
 
 __all__ = [
@@ -147,26 +147,14 @@ def _step_stack(schedules: list[TrotterSchedule], rates: CanonicalRates) -> np.n
 
 
 def _run_schedules(
-    schedules: list[TrotterSchedule], rates: CanonicalRates, rho0: np.ndarray | None
+    schedules: list[TrotterSchedule], rates: CanonicalRates, rho0: np.ndarray
 ) -> tuple[np.ndarray, list[str]]:
     """The checked (K, n+1, 4) Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) of K schedules that
-    share n_steps, stepped as one stack, and their labels."""
-    rho0 = validate_density_matrix(RHO_EXCITED if rho0 is None else rho0, "rho0")
+    share n_steps, stepped as one stack from an already checked rho0, and their labels."""
     n, ptms = schedules[0].n_steps, _step_stack(schedules, rates)
     rows = propagate(ptms, np.real(BLOCH_ROWS @ vec(rho0))[:, None], n)[..., 0].swapaxes(0, 1)
-    c0, x, y, z = np.moveaxis(rows, -1, 0)
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails both checks
-        tr_err, w_min = np.abs(c0 - 1), (c0 - np.sqrt(x * x + y * y + z * z)) / 2
-    bad = ~((tr_err <= 1e-10) & (w_min >= -1e-10))
     labels = [f"trotter-o{s.order}-{'-'.join(s.permutation)}" for s in schedules]
-    if bad.any():  # name the first failing schedule and its first failing step
-        k, j = np.unravel_index(np.argmax(bad), bad.shape)
-        name = f"step {j} state of {labels[k]}"
-        if not np.isfinite(rows[k, j]).all():
-            raise ValueError(f"{name} contains non-finite entries")
-        if tr_err[k, j] > 1e-10:
-            raise ValueError(f"{name} trace deviates from 1 by {tr_err[k, j]:.3e}")
-        raise ValueError(f"{name} has negative eigenvalue {w_min[k, j]:.3e}")
+    check_bloch_rows(rows, lambda kj: f"step {kj[1]} state of {labels[kj[0]]}")
     return rows, labels
 
 
@@ -183,10 +171,10 @@ def run_schedule(
         rho0: Initial state; defaults to |1><1|.
 
     Returns:
-        EvolutionTrace with n_steps+1 samples at t = j*dt. Every recorded Bloch
-        row c is checked in closed form: finite, |c0 - 1| <= 1e-10 and smallest
-        eigenvalue (c0 - |(c1, c2, c3)|)/2 >= -1e-10, so each Bloch norm is <= 1 + 3e-10.
+        EvolutionTrace with n_steps+1 samples at t = j*dt, every recorded Bloch
+        row checked by :func:`~trottersim.linalg.check_bloch_rows`.
     """
+    rho0 = validate_density_matrix(RHO_EXCITED if rho0 is None else rho0, "rho0")
     rows, labels = _run_schedules([schedule], rates, rho0)
     times = np.arange(schedule.n_steps + 1) * schedule.dt
     return EvolutionTrace(times, *rows[0, :, 1:].T, label=labels[0])

@@ -12,7 +12,7 @@ from trottersim.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _qubit_invariants,
+    check_bloch_rows,
     dag,
     density,
     expm,
@@ -248,31 +248,6 @@ def test_validate_density_matrix_single_matrix_messages(rho, message):
     assert str(excinfo.value) == message
 
 
-BAD_STATES = {
-    "non-finite": np.array([[np.inf, 0], [0, 0]]),
-    "trace": 2 * density(KET_0),
-    "negative eigenvalue": np.diag([1.5, -0.5]),
-    "Hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(BAD_STATES))
-@pytest.mark.parametrize("k", [0, 4, 9])
-def test_validate_density_matrix_stack_names_first_bad_index(kind, k):
-    stack = np.stack([density(KET_0 + j * KET_1) for j in range(10)])
-    validate_density_matrix(stack, "step {} state")
-    stack[k] = BAD_STATES[kind]
-    if k < 9:  # a later failure of another kind does not mask the first
-        stack[9] = np.diag([2.0, -1.0])
-    with pytest.raises(ValueError, match=rf"^step {k} state .*{kind}"):
-        validate_density_matrix(stack, "step {} state")
-
-
-def test_validate_density_matrix_returns_stack_unchanged():
-    stack = np.stack([density(KET_0), density(KET_1)])
-    np.testing.assert_array_equal(validate_density_matrix(stack), stack)
-
-
 # The check before its closed form, kept as the reference: the full |m - m^dag|,
 # np.trace and eigvalsh, on a matrix of any size.
 def reference_invariants(rho):
@@ -323,6 +298,18 @@ def bloch_state(r):
 NON_FINITE = [np.inf, -np.inf, np.nan, complex(0, np.inf), complex(np.nan, 1)]
 
 
+def draw_bloch_vector(draw, kind):
+    """A Bloch vector in ("mixed"), on ("pure") or just outside ("outside") the ball."""
+    r = np.array(draw(st.tuples(*[st.floats(-1, 1)] * 3)))
+    norm = np.linalg.norm(r)
+    if kind == "mixed":
+        return r / max(1.0, norm)
+    if norm > 1e-3:
+        stretch = draw(st.floats(0, 1e-9)) if kind == "outside" else 0.0
+        r = r / norm * (1 + stretch)  # stretch 2e-10 puts the smaller eigenvalue at -1e-10
+    return r
+
+
 @st.composite
 def qubit_matrices(draw):
     """States in, on and just outside the Bloch ball, or arbitrary complex
@@ -332,14 +319,7 @@ def qubit_matrices(draw):
         entries = draw(st.lists(st.complex_numbers(max_magnitude=0.5), min_size=4, max_size=4))
         m = np.array(entries, dtype=complex).reshape(2, 2)
     else:
-        r = np.array(draw(st.tuples(*[st.floats(-1, 1)] * 3)))
-        norm = np.linalg.norm(r)
-        if kind == "mixed":
-            r = r / max(1.0, norm)
-        elif norm > 1e-3:
-            stretch = draw(st.floats(0, 1e-9)) if kind == "outside" else 0.0
-            r = r / norm * (1 + stretch)  # stretch 2e-10 puts the smaller eigenvalue at -1e-10
-        m = bloch_state(r)
+        m = bloch_state(draw_bloch_vector(draw, kind))
     if draw(st.booleans()):  # trace off by up to 3e-10
         m = m + draw(st.floats(-3e-10, 3e-10)) * I2 / 2
     entry = st.tuples(st.integers(0, 1), st.integers(0, 1))
@@ -351,21 +331,42 @@ def qubit_matrices(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    mats=st.lists(qubit_matrices(), min_size=1, max_size=8),
-    layout=st.sampled_from(["one", "stack", "blocks"]),
-)
-def test_closed_form_check_matches_the_eigvalsh_reference(mats, layout):
-    rho, name = np.stack(mats), "step {} state"
-    if layout == "one":
-        rho, name = mats[0], "rho"
-    elif layout == "blocks" and len(mats) % 2 == 0:  # a (2, n/2, 2, 2) stack names both indices
-        rho, name = rho.reshape(2, -1, 2, 2), "block {} step {} state"
-    finite, herm_err, tr_err, w_min = _qubit_invariants(rho)
-    ref = reference_invariants(rho)
-    np.testing.assert_array_equal(finite, ref[0])
-    np.testing.assert_array_equal(herm_err, ref[1])
-    np.testing.assert_array_equal(tr_err, ref[2])
-    assert np.abs(w_min - ref[3]).max() <= 1e-15
-    assert_same_failure(rho, name)
+@given(rho=qubit_matrices())
+def test_closed_form_check_matches_the_eigvalsh_reference(rho):
+    assert_same_failure(rho, "rho")
 
+
+@st.composite
+def bloch_rows(draw):
+    """Bloch rows (c0, x, y, z) in, on and just outside the Bloch ball, off-trace by up
+    to 3e-10, with an occasional non-finite entry."""
+    r = draw_bloch_vector(draw, draw(st.sampled_from(["mixed", "pure", "outside"])))
+    row = np.array([1.0 + (draw(st.floats(-3e-10, 3e-10)) if draw(st.booleans()) else 0.0), *r])
+    if draw(st.integers(0, 9)) == 0:
+        row[draw(st.integers(0, 3))] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return row
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 4)), data=st.data())
+def test_bloch_row_check_matches_the_eigvalsh_reference(shape, data):
+    # (K, N, 4) rows against eigvalsh of (c0 I + r.sigma)/2; the error names the first
+    # failing (k, j) in C order.
+    rows = np.array(data.draw(st.lists(bloch_rows(), min_size=shape[0] * shape[1],
+                                       max_size=shape[0] * shape[1]))).reshape(*shape, 4)
+    paulis = np.array([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+    with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite row's matrix
+        rho = np.einsum("kji,iab->kjab", rows.astype(complex), paulis) / 2
+    try:
+        assert check_bloch_rows(rows, lambda kj: f"schedule {kj[0]} step {kj[1]} state") is rows
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    want = reference_failure(rho, "schedule {} step {} state")
+    if got is None or want is None or "non-finite" in want:
+        assert got == want
+        return
+    # The matrix trace and eigvalsh round differently from c0 and the closed form.
+    head, _, value = want.rpartition(" ")
+    assert got.startswith(head + " ")
+    assert float(got.rpartition(" ")[2]) == pytest.approx(float(value), rel=1.1e-3)

@@ -54,6 +54,9 @@ def test_coeffs_input_errors():
         richardson_coeffs((1.0,), 1)
     with pytest.raises(ValueError, match="positive"):
         richardson_coeffs((1.0, -2.0), 1)
+    for bad in (np.inf, np.nan):  # rejected before any arithmetic or warning
+        with pytest.raises(ValueError, match="scale factors must be positive and finite"):
+            richardson_coeffs((1.0, bad), 1)
     with pytest.raises(ValueError, match="nonnegative"):
         richardson_coeffs((1.0, 2.0), -1)
 

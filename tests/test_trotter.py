@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trottersim import trotter
+from trottersim import liouvillian, trotter
 from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates
 from trottersim.tomography import FitResult
 from trottersim.channels import (damping_channel, dephasing_channel, to_choi, to_superop,
@@ -488,6 +488,24 @@ def test_stacked_run_names_the_first_failing_schedule(monkeypatch):
     label = "trotter-o1-" + "-".join(ALL_PERMUTATIONS[2])
     with pytest.raises(ValueError, match=rf"^step 5 state of {label} trace deviates"):
         permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0)
+
+
+def test_permutation_scan_checks_rho0_once(monkeypatch):
+    # target_trace checks rho0, and the stacked run takes it as checked.
+    calls = []
+    check = trotter.validate_density_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(trotter, "validate_density_matrix", counted)
+    monkeypatch.setattr(liouvillian, "validate_density_matrix", counted)
+    permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="^rho0 has negative eigenvalue"):
+        permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0, rho0=np.diag([2.0, -1.0]))
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------ order compare
