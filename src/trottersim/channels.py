@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, partial_trace, unvec, vec,
+    I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, kraus_superop, partial_trace, unvec, vec,
 )
 
 __all__ = [
@@ -171,7 +171,7 @@ def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
 
 def to_superop(ch: KrausChannel) -> np.ndarray:
     """Column-stacking superoperator sum_k conj(E_k) (x) E_k of rho -> sum_k E_k rho E_k^dag."""
-    return sum(np.kron(np.conj(e), e) for e in ch.kraus)
+    return kraus_superop(ch.kraus)
 
 
 def _superop(ch: KrausChannel | np.ndarray) -> np.ndarray:

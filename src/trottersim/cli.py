@@ -166,7 +166,8 @@ def _choice(*choices):
 def _list_of(coerce, min_len=1):
     def coerce_list(value, context):
         if not isinstance(value, (list, tuple)) or len(value) < min_len:
-            raise ConfigError(f"{context} must be a list of at least {min_len} entries")
+            at_least = f" of at least {min_len} entries" if min_len else ""
+            raise ConfigError(f"{context} must be a list{at_least}")
         return tuple(coerce(x, f"{context}[{i}]") for i, x in enumerate(value))
 
     return coerce_list
@@ -175,9 +176,9 @@ def _list_of(coerce, min_len=1):
 # Every config key but `mode` (build_config adds its row: the default is the
 # subcommand, the only accepted value) as key -> (default, coerce).  A coercer
 # checks the YAML type only; the physical ranges are checked by the objects
-# build_config makes (AngleParams, effective_rates, NoiseParams,
-# TrotterSchedule).  A table in place of a coercer is a nested section.  Only a
-# key whose default is None may be null.
+# build_config makes (AngleParams, effective_rates, NoiseParams, TrotterSchedule)
+# and by the scale-factor rule (c_list, n_max).  A table in place of a coercer is
+# a nested section.  Only a key whose default is None may be null.
 CONFIG_TABLE = {
     "angles": ({}, {
         "theta1_deg": (20.0, _real),
@@ -197,7 +198,7 @@ CONFIG_TABLE = {
     "seed": (None, partial(_as_int, lo=0, hi=2**64 - 1)),
     "n_list": ((4, 8, 16, 32, 64, 128), _list_of(partial(_as_int, lo=1), 4)),
     "theta_grid_deg": (tuple(float(x) for x in range(5, 90, 5)), _list_of(_finite)),
-    "c_list": ((1.0, 2.13, 4.93, 9.96), _list_of(_finite)),
+    "c_list": ((1.0, 2.13, 4.93, 9.96), _list_of(_real, 0)),
     "n_max": (None, partial(_as_int, lo=0)),
     "input_csv": (None, _text),
     "variable": ("t2", _choice("t2", "rate")),
@@ -245,6 +246,8 @@ def build_config(raw, mode):
         )
     except ValueError as exc:  # in radians under the field name: name the section as written
         raise ConfigError(f"angles {raw.get('angles')}: {exc}") from None
+    # Only a simulated mitigate study extrapolates over c_list and uses n_max.
+    simulated = mode == "mitigate" and v["input_csv"] is None
     try:
         rates = effective_rates(angles, intrinsic["t1_us"], intrinsic["t2_us"])
         schedule = TrotterSchedule(
@@ -252,32 +255,20 @@ def build_config(raw, mode):
             dt=angles.tau0, backend=v.pop("backend"),
             noise=NoiseParams(**noise) if "noise" in raw else None,
         )
+        _check_scale_factors(v["c_list"], v["n_max"] if simulated else 0, "c_list")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     if not 0 <= deg["theta3_deg"] <= 360:
         raise ConfigError(f"angles.theta3_deg must lie in [0, 360], got {deg['theta3_deg']}")
-    n_list, c_list = v["n_list"], v["c_list"]
+    n_list = v["n_list"]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
     if not all(0 <= x < 90 for x in v["theta_grid_deg"]):
         raise ConfigError("theta_grid_deg entries must lie in [0, 90) degrees")
-    if any(x <= 0 for x in c_list):
-        raise ConfigError("c_list entries must be positive")
-    # Only a simulated mitigate study extrapolates over c_list; elsewhere only its start counts.
-    simulated = mode == "mitigate" and v["input_csv"] is None
-    try:
-        _check_scale_factors(c_list, v["n_max"] if simulated else 0, "c_list")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if v["input_csv"] is None:
-        if v["n_max"] is not None and v["n_max"] >= len(c_list):
-            raise ConfigError(
-                f"n_max={v['n_max']} needs {v['n_max'] + 1} c_list entries, got {len(c_list)}"
-            )
-        if mode == "mitigate" and schedule.backend == "dilation+noise":
-            raise ConfigError("mitigate simulates without injected noise: backend "
-                              "dilation+noise needs input_csv")
+    if simulated and schedule.backend == "dilation+noise":
+        raise ConfigError("mitigate simulates without injected noise: backend "
+                          "dilation+noise needs input_csv")
     if v["t_total_us"] is not None and v["t_total_us"] <= 0:
         raise ConfigError(f"t_total_us must be positive, got {v['t_total_us']}")
     return ExperimentConfig(rates=rates, schedule=schedule, **v)
@@ -496,22 +487,19 @@ def _run_mitigate(cfg, out):
             raise ConfigError(f"cannot load noise points from {cfg.input_csv}: {exc}") from exc
         if len(points) < 1:
             raise ConfigError(f"no noise points found in {cfg.input_csv}")
-        try:
-            _check_scale_factors([p.c for p in points], cfg.n_max,
-                                 f"the c column of {cfg.input_csv}")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         payload["source"] = str(cfg.input_csv)
-    else:
+        source = f"the c column of {cfg.input_csv}"
+    else:  # build_config has checked c_list and n_max
         base, points = _scaled_points(cfg)
-        payload["source"] = "simulated"
+        source, payload["source"] = "c_list", "simulated"
         payload["base_rates"] = _rates_summary(base)
         if base.gamma_phi > 0:
             limit = 1.0 / base.gamma_phi
             payload["zero_damping_limit"] = limit if cfg.variable == "t2" else 1.0 / limit
-    n_max = cfg.n_max if cfg.n_max is not None else len(points) - 1
-    if n_max >= len(points):
-        raise ConfigError(f"n_max={n_max} needs {n_max + 1} points, got {len(points)}")
+    try:
+        n_max = _check_scale_factors([p.c for p in points], cfg.n_max, source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     results = [extrapolate(points, n) for n in range(n_max + 1)]
     payload["points"] = [
         {"c": float(p.c), "sigma": None if p.sigma is None else float(p.sigma),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, KET_0, SIGMA_MINUS, SIGMA_X, rx, vec
+from .linalg import I2, KET_0, SIGMA_MINUS, SIGMA_X, kraus_superop, rx, vec
 from .liouvillian import CanonicalRates
 
 __all__ = [
@@ -220,7 +220,7 @@ def induced_channel(
             shape = (-1, 2, 4) if gate.kind == "ancilla_rx" else (-1, 2, 2)
             family = (rx(gate.theta) @ family.reshape(shape)).reshape(-1, 4, 2)
     data = family.reshape(-1, 2, 2)  # A = <a|E_k|g>: rows 2a, 2a + 1 of each E_k|g>
-    s = np.einsum("kac,kbd->abcd", data.conj(), data).reshape(4, 4)  # sum_A conj(A) (x) A
+    s = kraus_superop(data)
     if noise is not None and noise.p_grape > 0:
         # (1 - p) rho + p Tr(rho) I/2; rows 0 and 3 of s read the diagonal.
         s = (1 - noise.p_grape) * s + noise.p_grape * np.outer(vec(I2), s[0] + s[3]) / 2

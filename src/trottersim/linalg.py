@@ -22,6 +22,7 @@ __all__ = [
     "dag",
     "vec",
     "unvec",
+    "kraus_superop",
     "rx",
     "partial_trace",
     "expm",
@@ -69,6 +70,12 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if d * d != v.size:
         raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
     return v.reshape((d, d), order="F")
+
+
+def kraus_superop(ops: np.ndarray) -> np.ndarray:
+    """Column-stacking superoperator sum_k conj(E_k) (x) E_k of a (k, d, d) Kraus stack E."""
+    d = np.shape(ops)[-1]
+    return np.einsum("kac,kbd->abcd", np.conj(ops), ops).reshape(d * d, d * d)
 
 
 def rx(theta: float) -> np.ndarray:
@@ -147,10 +154,16 @@ def check_bloch_rows(rows: np.ndarray, name) -> np.ndarray:
         first = np.unravel_index(np.argmax(bad), bad.shape)  # () for a single row
         if not np.isfinite(rows[first]).all():
             raise ValueError(f"{name(first)} contains non-finite entries")
-        if tr_err[first] > 1e-10:
-            raise ValueError(f"{name(first)} trace deviates from 1 by {tr_err[first]:.3e}")
-        raise ValueError(f"{name(first)} has negative eigenvalue {w_min[first]:.3e}")
+        _raise_row_failure(rows[first], name(first))
     return rows
+
+
+def _raise_row_failure(row, label):
+    """Raise the trace or else the eigenvalue failure of one row, |r| by overflow-safe hypot."""
+    c0, r = row[0], np.hypot(np.hypot(row[1], row[2]), row[3])
+    if abs(c0 - 1) > 1e-10:
+        raise ValueError(f"{label} trace deviates from 1 by {abs(c0 - 1):.3e}")
+    raise ValueError(f"{label} has negative eigenvalue {(c0 - r) / 2:.3e}")
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -174,6 +187,9 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     herm_err = max(2 * max(abs(a.imag), abs(d.imag)), abs(b - c.conjugate()))
     if herm_err > 1e-12:
         raise ValueError(f"{name} is not Hermitian: max deviation {herm_err:.3e}")
-    check_bloch_rows(np.array([a.real + d.real, 2 * b.real, 2 * b.imag, a.real - d.real]),
-                     lambda _: name)
+    with np.errstate(over="ignore"):  # from finite entries, an overflow fails trace or eigenvalue
+        row = np.array([a.real + d.real, 2 * b.real, 2 * b.imag, a.real - d.real])
+    if not np.isfinite(row).all():
+        _raise_row_failure(row, name)
+    check_bloch_rows(row, lambda _: name)
     return rho

@@ -290,13 +290,8 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     return np.concatenate([xs[:, :, None], yz], axis=2)
 
 
-def target_trace(
-    rates: CanonicalRates,
-    rho0: np.ndarray,
-    tau0: float,
-    n_steps: int,
-    label: str = "target",
-) -> EvolutionTrace:
+def target_trace(rates: CanonicalRates, rho0: np.ndarray, tau0: float,
+                 n_steps: int) -> EvolutionTrace:
     """Exact evolution of rho0 by :func:`bloch_solution` at t = j*tau0, j = 0..n_steps.
 
     Raises:
@@ -310,4 +305,4 @@ def target_trace(
     times = np.arange(n_steps + 1) * tau0
     row = [rates.gamma1, rates.gamma_phi, rates.omega]
     sx, sy, sz = bloch_solution([row], [pauli_expectations(rho0)], times)[0, 0]
-    return EvolutionTrace(times, sx, sy, sz, label=label)
+    return EvolutionTrace(times, sx, sy, sz, label="target")

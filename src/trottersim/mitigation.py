@@ -93,14 +93,22 @@ class ExtrapolationResult:
 
 
 def _check_scale_factors(cs, n_max, source):
-    """Reject what extrapolate refuses: a first factor other than 1, or a repeat in those used."""
+    """The one scale-factor rule, in order: all positive and finite, the first 1, n_max + 1 <=
+    len(cs) (None: len(cs) - 1), the first n_max + 1 distinct; returns the resolved n_max."""
     cs = list(cs)
+    if not all(0 < c < np.inf for c in cs):  # also false for NaN
+        raise ValueError(f"{source} scale factors must be positive and finite, got {cs}")
     if not cs or abs(cs[0] - 1.0) > 1e-12:
         got = cs[0] if cs else "nothing"
         raise ValueError(f"{source} must start with the unscaled factor 1, got {got}")
-    used = cs[: len(cs) if n_max is None else n_max + 1]
+    n_max = len(cs) - 1 if n_max is None else n_max
+    if n_max + 1 > len(cs):
+        raise ValueError(f"n_max={n_max} needs {n_max + 1} points, "
+                         f"{source} has {len(cs)} scale factors")
+    used = cs[: n_max + 1]
     if len(set(used)) < len(used):
         raise ValueError(f"{source} repeats a scale factor among the {len(used)} used: {used}")
+    return n_max
 
 
 def richardson_coeffs(c, n):
@@ -217,7 +225,7 @@ def mitigation_study(base_rates, c_list, extractor=None, n_max=None):
 
     Args:
         base_rates: CanonicalRates defining the unscaled (c = 1) experiment.
-        c_list: Scale factors, starting with 1.
+        c_list: Scale factors: positive and finite, starting with 1.
         extractor: Callable (rates, c) -> measured value; defaults to
             scaled_damping_t2, which scales the damping rate and fits T2*.
         n_max: Highest extrapolation order; defaults to len(c_list) - 1.
@@ -227,20 +235,13 @@ def mitigation_study(base_rates, c_list, extractor=None, n_max=None):
         the unmitigated c = 1 measurement.
 
     Raises:
-        ValueError: If c_list does not start with 1, repeats a factor among
-            the first n_max + 1, or n_max needs more points than c_list
-            provides; raised before any extractor call.
+        ValueError: Before any extractor call, if c_list and n_max break the
+            scale-factor rule (_check_scale_factors).
     """
     cs = [float(x) for x in c_list]
-    _check_scale_factors(cs, n_max, "c_list")
-    if n_max is None:
-        n_max = len(cs) - 1
-    if n_max >= len(cs):
-        raise ValueError(f"order {n_max} needs {n_max + 1} scale factors")
-    if extractor is None:
-        extractor = scaled_damping_t2
-    values = [extractor(base_rates, c) for c in cs]
-    points = [NoisePoint(c=c, value=v) for c, v in zip(cs, values)]
+    n_max = _check_scale_factors(cs, n_max, "c_list")
+    extractor = scaled_damping_t2 if extractor is None else extractor
+    points = [NoisePoint(c=c, value=extractor(base_rates, c)) for c in cs]
     return [extrapolate(points, n) for n in range(n_max + 1)]
 
 

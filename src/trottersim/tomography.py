@@ -21,8 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import KET_0, KET_1, check_count, density
-from .liouvillian import (CanonicalRates, EvolutionTrace, bloch_solution, pauli_expectations,
-                          target_trace)
+from .liouvillian import CanonicalRates, EvolutionTrace, bloch_solution, pauli_expectations
 
 __all__ = [
     "STATE_LABELS",
@@ -37,6 +36,8 @@ __all__ = [
 
 STATE_LABELS = ("0", "+", "+i", "1")
 OBS_LABELS = ("x", "y", "z")
+
+_KEYS = tuple((s, o) for s in STATE_LABELS for o in OBS_LABELS)  # as_matrix's row order
 
 INITIAL_STATES = {
     "0": KET_0,
@@ -66,8 +67,7 @@ class TomographySet:
         if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
             raise ValueError(f"times must be finite and strictly increasing, got {times}")
         object.__setattr__(self, "times", times)
-        keys = {(s, o) for s in STATE_LABELS for o in OBS_LABELS}
-        if set(self.data) != keys:
+        if set(self.data) != set(_KEYS):
             raise ValueError("tomography set must hold exactly the 12 state/observable curves")
         if self.shots is not None:
             check_count("shots", self.shots)
@@ -87,7 +87,7 @@ class TomographySet:
 
     def as_matrix(self) -> np.ndarray:
         """(12, npoints) array, rows in (state-major, observable-minor) order."""
-        return np.stack([self.data[(s, o)] for s in STATE_LABELS for o in OBS_LABELS])
+        return np.stack([self.data[key] for key in _KEYS])
 
 
 def generate_tomography(
@@ -102,14 +102,14 @@ def generate_tomography(
 
     Args:
         rates: Canonical rates of the generating dynamics.
-        tau0: Sample spacing in us.
+        tau0: Sample spacing in us, positive and finite.
         n_steps: Number of steps, an integer >= 1 (n_steps + 1 samples per curve).
         shots: Per-point sampling depth, an integer >= 1; None for exact expectations.
         seed: Seed for the binomial sampler (fixed seed gives identical output).
         evolve: Optional replacement dynamics, called per initial state as
             evolve(rho0) -> EvolutionTrace on the same grid (e.g. a
-            Trotterized engine run); defaults to the exact master-equation
-            trace at `rates`.
+            Trotterized engine run); defaults to the exact closed-form
+            solution at `rates`, the model global_fit fits.
 
     Returns:
         TomographySet on the grid t = j*tau0.
@@ -117,22 +117,20 @@ def generate_tomography(
     check_count("n_steps", n_steps)
     if shots is not None:
         check_count("shots", shots)
-    if evolve is None:
-        evolve = lambda rho0: target_trace(rates, rho0, tau0, n_steps)
+    if not 0 < tau0 < np.inf:  # also true for NaN
+        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
     times = np.arange(n_steps + 1) * tau0
-    rng = np.random.default_rng(seed)
-    data: dict[tuple[str, str], np.ndarray] = {}
-    for state in STATE_LABELS:
-        tr = evolve(density(INITIAL_STATES[state]))
-        if len(tr) != n_steps + 1 or np.abs(tr.times - times).max() > 1e-9:
+    if evolve is None:  # the fit's own model
+        curves = _bloch_model(np.array([[rates.gamma1, rates.gamma_phi, rates.omega]]), times)[0]
+    else:
+        traces = [evolve(density(INITIAL_STATES[s])) for s in STATE_LABELS]
+        if any(len(tr) != n_steps + 1 or np.abs(tr.times - times).max() > 1e-9 for tr in traces):
             raise ValueError("evolve returned a trace on a different time grid")
-        for obs, values in zip(OBS_LABELS, (tr.sx, tr.sy, tr.sz)):
-            if shots is None:
-                data[(state, obs)] = np.asarray(values, dtype=float)
-            else:
-                p = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
-                data[(state, obs)] = 2.0 * rng.binomial(shots, p) / shots - 1.0
-    return TomographySet(times, data, shots=shots)
+        curves = np.concatenate([tr.as_matrix().T for tr in traces])
+    if shots is not None:
+        p = np.clip((1.0 + curves) / 2.0, 0.0, 1.0)
+        curves = 2.0 * np.random.default_rng(seed).binomial(shots, p) / shots - 1.0
+    return TomographySet(times, dict(zip(_KEYS, curves)), shots=shots)
 
 
 @dataclass(frozen=True)

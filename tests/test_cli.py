@@ -1,6 +1,8 @@
 """Tests for the command-line harness: configs, artifacts, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,13 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
 from trottersim.liouvillian import CanonicalRates
+from trottersim.mitigation import mitigation_study
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -397,10 +400,85 @@ def test_mitigate_c_list_with_repeated_factor_exit_1(tmp_path, capsys):
         ({"c_list": [1.0, 2.0, 2.0], "n_max": 1}, "mitigate"),  # the repeat is never used
         ({"c_list": [1.0, 1.0], "input_csv": "points.csv"}, "mitigate"),  # c_list unused
         ({"c_list": [1.0, 1.0]}, "fit"),  # only mitigate extrapolates
+        ({"c_list": [1.0, 1.0], "n_max": 5}, "fit"),  # nor uses n_max
+        ({"c_list": [1.0, 2.0], "n_max": 5, "input_csv": "points.csv"}, "mitigate"),
     ],
 )
 def test_c_list_repeats_that_no_extrapolation_uses_are_accepted(raw, mode):
     assert cli.build_config(raw, mode).c_list == tuple(raw["c_list"])
+
+
+def test_n_max_beyond_c_list_exits_0_outside_a_simulated_mitigate(tmp_path):
+    cfg = write_config(tmp_path, "n_max: 9\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+
+
+# Well separated factors, four times as likely as each bad one.
+_FACTOR = st.sampled_from([1.0, 2.0, 3.5, 5.0] * 4 + [0.0, -2.0, np.nan, np.inf, -np.inf])
+
+
+def _rule_failure(cs, n_max):
+    """The kind of failure the scale-factor rule names first, or None when cs passes."""
+    if not all(0 < c < np.inf for c in cs):
+        return "positive and finite"
+    if not cs or cs[0] != 1.0:
+        return "must start with the unscaled factor 1"
+    n_max = len(cs) - 1 if n_max is None else n_max
+    if n_max + 1 > len(cs):
+        return f"n_max={n_max} needs {n_max + 1} points"
+    if len(set(cs[: n_max + 1])) <= n_max:
+        return "repeats a scale factor"
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(cs=[], n_max=None)
+@example(cs=[1.0, -2.0], n_max=None)
+@example(cs=[1.0, 0.0], n_max=None)
+@example(cs=[1.0, np.nan], n_max=None)
+@example(cs=[1.0, np.inf], n_max=None)
+@example(cs=[2.0, 4.0], n_max=None)
+@example(cs=[1.0, 2.0, 2.0], n_max=None)
+@example(cs=[1.0, 2.0, 2.0], n_max=1)  # the repeat is never used
+@example(cs=[1.0, 2.0], n_max=5)
+@given(cs=st.one_of(st.lists(_FACTOR, max_size=5),
+                    st.lists(_FACTOR, max_size=5).map(lambda tail: [1.0, *tail])),
+       n_max=st.one_of(st.none(), st.integers(0, 6)))
+def test_scale_factor_rule_is_one_rule_before_any_measurement(tmp_path_factory, cs, n_max):
+    # build_config (simulated mitigate), mitigate from input_csv and mitigation_study
+    # accept and reject the same factor lists with the same message.
+    failure = _rule_failure(cs, n_max)
+    try:
+        cli.build_config({"c_list": cs, "n_max": n_max}, "mitigate")
+        from_config = None
+    except cli.ConfigError as exc:
+        from_config = str(exc)
+
+    calls = []
+    try:
+        mitigation_study(CanonicalRates(), cs, lambda rates, c: calls.append(c) or 1.0, n_max)
+        from_study = None
+    except ValueError as exc:
+        from_study = str(exc)
+        assert calls == []
+    assert from_config == from_study
+    assert (from_study is None) == (failure is None)
+    assert failure is None or failure in from_study
+
+    out = tmp_path_factory.mktemp("csv")
+    table = out / "t.csv"
+    table.write_text("c,value\n" + "".join(f"{c!r},1.0\n" for c in cs))
+    cfg = write_config(out, f"input_csv: {table}\nn_max: {'null' if n_max is None else n_max}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["mitigate", "--config", str(cfg), "--out", str(out)])
+    assert code == (EXIT_OK if failure is None else EXIT_CONFIG)
+    if not cs:
+        assert "no noise points found" in err.getvalue()
+    elif failure == "positive and finite":  # each NoisePoint rejects its c while loading
+        assert "cannot load noise points" in err.getvalue()
+    elif failure is not None:
+        assert from_study.replace("c_list", f"the c column of {table}") in err.getvalue()
 
 
 def test_mitigate_from_csv_ignores_noisy_backend(tmp_path):

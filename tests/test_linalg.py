@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from trottersim.linalg import (
     dag,
     density,
     expm,
+    kraus_superop,
     partial_trace,
     rx,
     unvec,
@@ -195,6 +198,16 @@ def test_vec_superoperator_convention():
         )
 
 
+def test_kraus_superop_applies_the_kraus_sum():
+    # kraus_superop(E) vec(rho) = vec(sum_k E_k rho E_k^dag) for any stack, complete or not.
+    rng = np.random.default_rng(43)
+    for k, d in [(1, 2), (3, 2), (4, 2), (2, 4)]:
+        ops = np.array([random_complex(rng, d) for _ in range(k)])
+        rho = random_complex(rng, d)
+        want = sum(e @ rho @ dag(e) for e in ops)
+        np.testing.assert_allclose(kraus_superop(ops) @ vec(rho), vec(want), atol=1e-12)
+
+
 def test_unvec_rejects_non_square_length():
     with pytest.raises(ValueError):
         unvec(np.arange(5))
@@ -245,6 +258,23 @@ def test_validate_density_matrix_rejects_negative_eigenvalue():
 def test_validate_density_matrix_single_matrix_messages(rho, message):
     with pytest.raises(ValueError) as excinfo:
         validate_density_matrix(rho)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.diag([1e308, 1e308]), "rho trace deviates from 1 by inf"),
+        (np.array([[0.5, 1e200], [1e200, 0.5]]), "rho has negative eigenvalue -1.000e+200"),
+    ],
+    ids=["trace-overflows", "bloch-norm-overflows"],
+)
+def test_validate_density_matrix_names_an_overflowing_row_without_warnings(rho, message):
+    # Finite entries whose Bloch row overflows fail on the trace or the eigenvalue.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            validate_density_matrix(rho)
     assert str(excinfo.value) == message
 
 

@@ -1,5 +1,7 @@
 """Tests for tomography-curve generation and the global coherence fit."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -181,6 +183,15 @@ def test_tomography_set_rejects_bad_times(times):
     data = {(s, o): np.zeros(3) for s in STATE_LABELS for o in OBS_LABELS}
     with pytest.raises(ValueError, match="finite and strictly increasing"):
         TomographySet(np.array(times), data)
+
+
+@pytest.mark.parametrize("tau0", [np.inf, np.nan, 0.0, -1.0])
+def test_tau0_is_checked_before_the_time_grid(tau0):
+    # 0 * inf in the grid would warn before any check saw tau0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^tau0 must be positive and finite, got {tau0}$"):
+            generate_tomography(CanonicalRates(), tau0, 13)
 
 
 def test_evolve_hook_grid_must_match():
