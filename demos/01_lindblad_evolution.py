@@ -11,11 +11,11 @@ import numpy as np
 from trottersim import (
     CanonicalRates,
     lindblad_superop,
-    pauli_expectations,
     propagator,
     qubit_generators,
     target_trace,
 )
+from trottersim.linalg import validate_density_matrix
 
 rates = CanonicalRates(gamma1=0.0090, gamma_phi=0.0175, omega=0.0401)
 tau0, n_steps = 3.56, 13
@@ -39,7 +39,7 @@ for t, sx, sy, sz in zip(trace.times, trace.sx, trace.sy, trace.sz):
 # One-shot propagation to the final time agrees with the stepwise trace.
 rho_final = (propagator(full, n_steps * tau0) @ rho0.reshape(-1, order="F"))
 rho_final = rho_final.reshape(2, 2, order="F")
-gap = np.abs(np.array(pauli_expectations(rho_final))
+gap = np.abs(validate_density_matrix(rho_final)[1:]
              - np.array([trace.sx[-1], trace.sy[-1], trace.sz[-1]])).max()
 print(f"\nsingle-shot vs stepwise propagation gap: {gap:.2e}")
 

@@ -194,16 +194,15 @@ def to_choi(ch: KrausChannel | np.ndarray) -> np.ndarray:
     return _superop_to_choi(_superop(ch))
 
 
-def choi_to_kraus(choi: np.ndarray, tol: float = 1e-12) -> KrausChannel:
+def choi_to_kraus(choi: np.ndarray) -> KrausChannel:
     """Extract a canonical Kraus decomposition from a Choi matrix.
 
-    Eigenvectors with eigenvalue > tol are kept, scaled by the eigenvalue's
-    square root.
+    Eigenvectors with eigenvalue > 1e-12 are kept, scaled by the eigenvalue's
+    square root; the cutoff suppresses numerical rank inflation.
 
     Args:
         choi: d^2 x d^2 Choi matrix, Hermitian within 1e-10 and PSD
             within -1e-8.
-        tol: Eigenvalue cutoff suppressing numerical rank inflation.
 
     Raises:
         ValueError: If the Choi matrix fails Hermiticity or positivity.
@@ -220,7 +219,7 @@ def choi_to_kraus(choi: np.ndarray, tol: float = 1e-12) -> KrausChannel:
         raise ValueError(f"Choi matrix is not PSD: eigenvalue {w.min():.3e}")
     ops = []
     for k in range(w.size):
-        if w[k] > tol:
+        if w[k] > 1e-12:
             ops.append(np.sqrt(w[k]) * v[:, k].reshape(d, d, order="F"))
     return KrausChannel(tuple(ops), label="from-choi")
 
@@ -233,14 +232,14 @@ def channel_distance(a: KrausChannel | np.ndarray, b: KrausChannel | np.ndarray)
     return float(np.linalg.norm(ja - jb))
 
 
-def is_cptp(ch: KrausChannel | np.ndarray, atol_tp: float = 1e-10, atol_cp: float = 1e-8) -> bool:
-    """Check complete positivity and trace preservation via the Choi matrix."""
+def is_cptp(ch: KrausChannel | np.ndarray) -> bool:
+    """Whether the Choi matrix J is Hermitian within 1e-10, has eigenvalues >= -1e-8 (CP) and a
+    partial trace over the output factor within 1e-8 of the identity (TP)."""
     j = to_choi(ch)
     d = int(round(np.sqrt(j.shape[0])))
-    if np.abs(j - dag(j)).max() > atol_tp:
+    if np.abs(j - dag(j)).max() > 1e-10:
         return False
-    if np.linalg.eigvalsh((j + dag(j)) / 2).min() < -atol_cp:
+    if np.linalg.eigvalsh((j + dag(j)) / 2).min() < -1e-8:
         return False
-    # Trace preservation: partial trace of J over the output factor is I.
     reduced = partial_trace(j, (d, d), keep=0)
-    return bool(np.abs(reduced - np.eye(d)).max() <= max(atol_tp, 1e-8))
+    return bool(np.abs(reduced - np.eye(d)).max() <= 1e-8)

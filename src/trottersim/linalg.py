@@ -167,11 +167,12 @@ def _raise_row_failure(row, label):
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Check that one (2, 2) matrix is a qubit state and return it unchanged.
+    """Check that one (2, 2) matrix is a qubit state and return its Bloch row.
 
     In a = rho00, b = rho10, c = rho01 and d = rho11: finite entries, Hermiticity
     max(|a - a*|, |d - d*|, |b - c*|) <= 1e-12, then :func:`check_bloch_rows` on the row
     (Re a + Re d, 2 Re b, 2 Im b, Re a - Re d), read from the lower triangle as eigvalsh does.
+    That checked row c = (Tr rho, <sx>, <sy>, <sz>) is the one read-out of a state in the package.
 
     Raises:
         ValueError: On another shape or the first violated check.
@@ -191,5 +192,4 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
         row = np.array([a.real + d.real, 2 * b.real, 2 * b.imag, a.real - d.real])
     if not np.isfinite(row).all():
         _raise_row_failure(row, name)
-    check_bloch_rows(row, lambda _: name)
-    return rho
+    return check_bloch_rows(row, lambda _: name)

@@ -36,9 +36,7 @@ __all__ = [
     "lindblad_superop",
     "propagator",
     "BLOCH_ROWS",
-    "PAULI_ROWS",
     "propagate",
-    "pauli_expectations",
     "bloch_solution",
     "target_trace",
 ]
@@ -182,10 +180,9 @@ def propagator(superop: np.ndarray, t: float) -> np.ndarray:
     return expm(np.asarray(superop, dtype=complex) * t)
 
 
-# Rows conj(vec(s)) for s = I, sigma_x, sigma_y, sigma_z: BLOCH_ROWS @ vec(rho) is the Bloch
-# row (Tr rho, <sx>, <sy>, <sz>), and PAULI_ROWS @ vec(rho) its last three entries.
+# Rows conj(vec(s)) for s = I, sigma_x, sigma_y, sigma_z: the P^dag that turns a superoperator S
+# into its Pauli-transfer matrix Re(P^dag S P)/2. States are read by validate_density_matrix.
 BLOCH_ROWS = np.stack([vec(m).conj() for m in (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)])
-PAULI_ROWS = BLOCH_ROWS[1:]
 
 
 def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -212,11 +209,6 @@ def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         if j <= n:
             power = power @ power
     return np.moveaxis(rows.reshape(batch + (n + 1, m, d)), -3, 0).swapaxes(-2, -1)
-
-
-def pauli_expectations(rho: np.ndarray) -> tuple[float, float, float]:
-    """(<sigma_x>, <sigma_y>, <sigma_z>) of a qubit state, real parts."""
-    return tuple(float(x) for x in np.real(PAULI_ROWS @ vec(rho)))
 
 
 @dataclass(frozen=True)
@@ -292,7 +284,8 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
 
 def target_trace(rates: CanonicalRates, rho0: np.ndarray, tau0: float,
                  n_steps: int) -> EvolutionTrace:
-    """Exact evolution of rho0 by :func:`bloch_solution` at t = j*tau0, j = 0..n_steps.
+    """Exact evolution of rho0 by :func:`bloch_solution` at t = j*tau0, j = 0..n_steps, from
+    the Bloch row that validate_density_matrix checks and returns.
 
     Raises:
         ValueError: When n_steps is not an integer >= 1, tau0 is not positive and finite, or rho0
@@ -301,8 +294,7 @@ def target_trace(rates: CanonicalRates, rho0: np.ndarray, tau0: float,
     check_count("n_steps", n_steps)
     if not 0 < tau0 < np.inf:  # also true for NaN
         raise ValueError(f"tau0 must be positive and finite, got {tau0}")
-    validate_density_matrix(rho0, "rho0")
+    v0 = validate_density_matrix(rho0, "rho0")[1:]
     times = np.arange(n_steps + 1) * tau0
-    row = [rates.gamma1, rates.gamma_phi, rates.omega]
-    sx, sy, sz = bloch_solution([row], [pauli_expectations(rho0)], times)[0, 0]
+    sx, sy, sz = bloch_solution([[rates.gamma1, rates.gamma_phi, rates.omega]], [v0], times)[0, 0]
     return EvolutionTrace(times, sx, sy, sz, label="target")

@@ -93,8 +93,10 @@ class ExtrapolationResult:
 
 
 def _check_scale_factors(cs, n_max, source):
-    """The one scale-factor rule, in order: all positive and finite, the first 1, n_max + 1 <=
-    len(cs) (None: len(cs) - 1), the first n_max + 1 distinct; returns the resolved n_max."""
+    """The one scale-factor rule, in order: n_max None or >= 0, all positive and finite, the first
+    1, n_max + 1 <= len(cs) (None: len(cs) - 1), the first n_max + 1 distinct; returns n_max."""
+    if n_max is not None and n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     cs = list(cs)
     if not all(0 < c < np.inf for c in cs):  # also false for NaN
         raise ValueError(f"{source} scale factors must be positive and finite, got {cs}")

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import KET_0, KET_1, check_count, density
-from .liouvillian import CanonicalRates, EvolutionTrace, bloch_solution, pauli_expectations
+from .linalg import KET_0, KET_1, check_count, density, validate_density_matrix
+from .liouvillian import CanonicalRates, EvolutionTrace, bloch_solution
 
 __all__ = [
     "STATE_LABELS",
@@ -160,7 +160,7 @@ class FitResult:
             raise ValueError(f"unphysical fit: T2={self.t2} exceeds 2*T1={2 * self.t1}")
 
 
-_BLOCH0 = np.array([pauli_expectations(density(INITIAL_STATES[s])) for s in STATE_LABELS])
+_BLOCH0 = np.array([validate_density_matrix(density(INITIAL_STATES[s]))[1:] for s in STATE_LABELS])
 _COMPLEX_STEP = 1e-20
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .dilation import (NoiseParams, damping_circuit, dephasing_circuit, induced_channel,
                        rates_to_angles, rotation_circuit)
-from .linalg import KET_1, check_bloch_rows, check_count, density, validate_density_matrix, vec
-from .liouvillian import BLOCH_ROWS, CanonicalRates, EvolutionTrace, propagate, target_trace
+from .linalg import KET_1, check_bloch_rows, check_count, density, validate_density_matrix
+from .liouvillian import BLOCH_ROWS, CanonicalRates, EvolutionTrace, bloch_solution, propagate
 
 __all__ = [
     "DEPHASING",
@@ -146,13 +146,18 @@ def _step_stack(schedules: list[TrotterSchedule], rates: CanonicalRates) -> np.n
     return step
 
 
+def _initial_row(rho0: np.ndarray | None) -> np.ndarray:
+    """The Bloch row of rho0 (|1><1| when None) that validate_density_matrix checks and returns."""
+    return validate_density_matrix(RHO_EXCITED if rho0 is None else rho0, "rho0")
+
+
 def _run_schedules(
-    schedules: list[TrotterSchedule], rates: CanonicalRates, rho0: np.ndarray
+    schedules: list[TrotterSchedule], rates: CanonicalRates, row0: np.ndarray
 ) -> tuple[np.ndarray, list[str]]:
     """The checked (K, n+1, 4) Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) of K schedules that
-    share n_steps, stepped as one stack from an already checked rho0, and their labels."""
+    share n_steps, stepped as one stack from the checked initial row row0, and their labels."""
     n, ptms = schedules[0].n_steps, _step_stack(schedules, rates)
-    rows = propagate(ptms, np.real(BLOCH_ROWS @ vec(rho0))[:, None], n)[..., 0].swapaxes(0, 1)
+    rows = propagate(ptms, row0[:, None], n)[..., 0].swapaxes(0, 1)
     labels = [f"trotter-o{s.order}-{'-'.join(s.permutation)}" for s in schedules]
     check_bloch_rows(rows, lambda kj: f"step {kj[1]} state of {labels[kj[0]]}")
     return rows, labels
@@ -168,14 +173,13 @@ def run_schedule(
     Args:
         schedule: Run plan (permutation, order, steps, backend).
         rates: Canonical qubit rates realized by the elementary channels.
-        rho0: Initial state; defaults to |1><1|.
+        rho0: Initial state, default |1><1|; its checked Bloch row is what gets stepped.
 
     Returns:
         EvolutionTrace with n_steps+1 samples at t = j*dt, every recorded Bloch
         row checked by :func:`~trottersim.linalg.check_bloch_rows`.
     """
-    rho0 = validate_density_matrix(RHO_EXCITED if rho0 is None else rho0, "rho0")
-    rows, labels = _run_schedules([schedule], rates, rho0)
+    rows, labels = _run_schedules([schedule], rates, _initial_row(rho0))
     times = np.arange(schedule.n_steps + 1) * schedule.dt
     return EvolutionTrace(times, *rows[0, :, 1:].T, label=labels[0])
 
@@ -221,6 +225,17 @@ def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
     return AccuracyReport(float(a), residuals, descriptor=trace.label)
 
 
+def _accuracies(schedules: list[TrotterSchedule], rates: CanonicalRates,
+                row0: np.ndarray) -> list[AccuracyReport]:
+    """Accuracy of K schedules that share n_steps and dt, stepped from the checked initial row
+    row0 and scored as one array against :func:`bloch_solution` from the same row."""
+    rows, labels = _run_schedules(schedules, rates, row0)
+    times = np.arange(schedules[0].n_steps + 1) * schedules[0].dt
+    exact = bloch_solution([[rates.gamma1, rates.gamma_phi, rates.omega]], [row0[1:]], times)
+    a, residuals = _scores(rows[:, 1:, 1:] - exact[0, 0, :, 1:].T)
+    return [AccuracyReport(float(a[k]), residuals[k], label) for k, label in enumerate(labels)]
+
+
 @dataclass(frozen=True)
 class ConvergenceResult:
     """Log-log slope of A vs N, or a saturation flag when A is at the floor."""
@@ -264,13 +279,9 @@ def convergence_order(
         raise ValueError("n_list needs at least 4 entries for a slope fit")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    rho0 = RHO_EXCITED if rho0 is None else rho0
-    accs = []
-    for n in n_list:
-        sched = replace(template, n_steps=int(n), dt=t_total / n)
-        tr = run_schedule(sched, rates, rho0)
-        tgt = target_trace(rates, rho0, tau0=t_total / n, n_steps=int(n))
-        accs.append(accuracy(tr, tgt).a)
+    schedules = [replace(template, n_steps=int(n), dt=t_total / n) for n in n_list]
+    row0 = _initial_row(rho0)
+    accs = [_accuracies([s], rates, row0)[0].a for s in schedules]
     saturated = bool(np.max(accs) < 1e-13)
     slope = None if saturated else float(np.polyfit(np.log(n_list), np.log(accs), 1)[0])
     return ConvergenceResult(tuple(int(n) for n in n_list), tuple(accs), slope, saturated)
@@ -294,14 +305,10 @@ def permutation_scan(
         Mapping (order, permutation) -> AccuracyReport, keys in deterministic
         (order, permutation) sort order.
     """
-    rho0 = RHO_EXCITED if rho0 is None else rho0
-    target = target_trace(rates, rho0, tau0=dt, n_steps=n_steps)
     schedules = [TrotterSchedule(perm, order, n_steps, dt, backend, noise)
                  for order in (1, 2) for perm in ALL_PERMUTATIONS]
-    rows, labels = _run_schedules(schedules, rates, rho0)
-    a, residuals = _scores(rows[:, 1:, 1:] - target.as_matrix()[1:])
-    return {(s.order, s.permutation): AccuracyReport(float(a[k]), residuals[k], labels[k])
-            for k, s in enumerate(schedules)}
+    reports = _accuracies(schedules, rates, _initial_row(rho0))
+    return {(s.order, s.permutation): report for s, report in zip(schedules, reports)}
 
 
 def compare_orders(
@@ -323,11 +330,8 @@ def compare_orders(
     Returns:
         {1: AccuracyReport, 2: AccuracyReport}.
     """
-    rho0 = RHO_EXCITED if rho0 is None else rho0
     base = TrotterSchedule(permutation, backend=backend, noise=noise)
-    out: dict[int, AccuracyReport] = {}
-    for order, n, step_dt in ((1, 2 * n_steps, dt / 2), (2, n_steps, dt)):
-        sched = replace(base, order=order, n_steps=n, dt=step_dt)
-        tgt = target_trace(rates, rho0, tau0=step_dt, n_steps=n)
-        out[order] = accuracy(run_schedule(sched, rates, rho0), tgt)
-    return out
+    schedules = [replace(base, order=1, n_steps=2 * n_steps, dt=dt / 2),
+                 replace(base, order=2, n_steps=n_steps, dt=dt)]
+    row0 = _initial_row(rho0)
+    return {s.order: _accuracies([s], rates, row0)[0] for s in schedules}

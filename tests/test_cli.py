@@ -191,6 +191,23 @@ def test_mitigate_from_csv(tmp_path):
     assert summary["source"] == str(table)
 
 
+def test_mitigate_rate_variable(tmp_path):
+    # Each point is 1/T2* of the same study run for t2. The undriven dephasing
+    # and damping channels commute, so 1/T2* is linear in c and every order >= 1
+    # lands on the zero-damping rate.
+    summaries = {}
+    for variable in ("t2", "rate"):
+        cfg = write_config(tmp_path, f"variable: {variable}\n", name=f"{variable}.yaml")
+        out = tmp_path / variable
+        assert main(["mitigate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        summaries[variable] = json.loads((out / "mitigate.json").read_text())
+    t2, rate = summaries["t2"], summaries["rate"]
+    assert [p["value"] for p in rate["points"]] == [1.0 / p["value"] for p in t2["points"]]
+    assert len(rate["results"]) == 4
+    for result in rate["results"][1:]:
+        assert result["estimate"] == pytest.approx(rate["zero_damping_limit"], rel=1e-12, abs=0)
+
+
 def test_mitigate_simulated_study(tmp_path):
     cfg = write_config(
         tmp_path,

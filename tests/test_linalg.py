@@ -226,6 +226,13 @@ def test_validate_density_matrix_accepts_physical_states():
         validate_density_matrix(rho)
 
 
+def test_validate_density_matrix_returns_the_bloch_rows_of_basis_states():
+    assert validate_density_matrix(density(KET_0)).tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert validate_density_matrix(density(KET_1)).tolist() == [1.0, 0.0, 0.0, -1.0]
+    np.testing.assert_allclose(validate_density_matrix(density(KET_0 + KET_1)), [1, 1, 0, 0],
+                               rtol=0, atol=1e-15)
+
+
 def test_validate_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
         validate_density_matrix(2 * density(KET_0))

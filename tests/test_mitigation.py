@@ -159,6 +159,10 @@ def test_study_input_errors():
         mitigation_study(CanonicalRates(), (2.0, 4.0), poly_extractor((1.0,)))
     with pytest.raises(ValueError, match="scale factors"):
         mitigation_study(CanonicalRates(), (1.0, 2.0), poly_extractor((1.0,)), n_max=5)
+    calls = []
+    with pytest.raises(ValueError, match=r"^n_max must be >= 0, got -1$"):
+        mitigation_study(CanonicalRates(), (1.0, 2.0), lambda rates, c: calls.append(c), n_max=-1)
+    assert calls == []
 
 
 def test_study_rejects_a_repeated_factor_before_measuring():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from trottersim.dilation import AngleParams, angle_to_rates
 from trottersim.liouvillian import (
-    PAULI_ROWS,
+    BLOCH_ROWS,
     CanonicalRates,
     lindblad_superop,
     propagate,
@@ -75,7 +75,7 @@ def reference_model(u, tau0, npoints):
     """
     gens = np.tensordot(np.asarray(u, dtype=float), _GENERATORS, axes=1) * tau0
     states = propagate(_exact_steps(gens), _STATE_COLS, npoints - 1)
-    expect = np.real(np.tensordot(PAULI_ROWS, states, axes=(1, -2)))
+    expect = np.real(np.tensordot(BLOCH_ROWS[1:], states, axes=(1, -2)))
     # (obs, point, K, state) -> (K, state, obs, point), rows in state-major order.
     return expect.transpose(2, 3, 0, 1).reshape(len(gens), 12, npoints)
 

@@ -13,8 +13,8 @@ from trottersim.tomography import FitResult
 from trottersim.channels import (damping_channel, dephasing_channel, to_choi, to_superop,
                                  unitary_channel)
 from trottersim.linalg import I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, density, rx, vec
-from trottersim.liouvillian import (BLOCH_ROWS, PAULI_ROWS, CanonicalRates, EvolutionTrace,
-                                    propagate, target_trace)
+from trottersim.liouvillian import (BLOCH_ROWS, CanonicalRates, EvolutionTrace, propagate,
+                                    target_trace)
 from trottersim.trotter import (
     ALL_LABELS,
     ALL_PERMUTATIONS,
@@ -383,12 +383,12 @@ def superop_of(ptm):
 
 def complex_reference_run(schedule, rates, rho0):
     """(N+1, 3) Bloch vectors by the complex path: propagate vec(rho0) by the superoperator
-    of the step, take each state's Hermitian part and read PAULI_ROWS."""
+    of the step, take each state's Hermitian part and read BLOCH_ROWS[1:]."""
     step = superop_of(trotter._step_stack([schedule], rates)[0])
     vecs = propagate(step, vec(rho0)[:, None], schedule.n_steps)[..., 0]
     rhos = vecs.reshape(-1, 2, 2).swapaxes(-2, -1)  # undo the column-stacking vec
     herm = ((rhos + dag(rhos)) / 2).swapaxes(-2, -1).reshape(-1, 4)
-    return np.real(herm @ PAULI_ROWS.T)
+    return np.real(herm @ BLOCH_ROWS[1:].T)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -490,8 +490,16 @@ def test_stacked_run_names_the_first_failing_schedule(monkeypatch):
         permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0)
 
 
-def test_permutation_scan_checks_rho0_once(monkeypatch):
-    # target_trace checks rho0, and the stacked run takes it as checked.
+@pytest.mark.parametrize("call", [
+    lambda rho0: run_schedule(TrotterSchedule(), FIG4_RATES, rho0),
+    lambda rho0: target_trace(FIG4_RATES, rho0, TAU0, 13),
+    lambda rho0: permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0, rho0=rho0),
+    lambda rho0: compare_orders(FIG4_RATES, rho0=rho0),
+    lambda rho0: convergence_order(TrotterSchedule(), FIG4_RATES, rho0=rho0),
+], ids=["run_schedule", "target_trace", "permutation_scan", "compare_orders", "convergence_order"])
+def test_public_call_checks_rho0_once(call, monkeypatch):
+    # One check per call: every run and every target of the call starts from
+    # the Bloch row that check returns.
     calls = []
     check = trotter.validate_density_matrix
 
@@ -501,11 +509,21 @@ def test_permutation_scan_checks_rho0_once(monkeypatch):
 
     monkeypatch.setattr(trotter, "validate_density_matrix", counted)
     monkeypatch.setattr(liouvillian, "validate_density_matrix", counted)
-    permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0)
+    call(density(KET_1))
     assert len(calls) == 1
     with pytest.raises(ValueError, match="^rho0 has negative eigenvalue"):
-        permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0, rho0=np.diag([2.0, -1.0]))
+        call(np.diag([2.0, -1.0]))
     assert len(calls) == 2
+
+
+def test_stepped_and_exact_traces_start_from_the_checked_row():
+    # rho01 sits 5e-13 from conj(rho10), inside the 1e-12 Hermiticity tolerance.
+    # Both engines start from the row the check reads from the lower triangle.
+    b = 0.2 + 0.1j
+    rho0 = np.array([[0.6, np.conj(b) + 5e-13], [b, 0.4]])
+    want = [2 * b.real, 2 * b.imag, 0.6 - 0.4]
+    assert run_schedule(TrotterSchedule(), FIG4_RATES, rho0).as_matrix()[0].tolist() == want
+    assert target_trace(FIG4_RATES, rho0, TAU0, 13).as_matrix()[0].tolist() == want
 
 
 # ------------------------------------------------------------ order compare
