@@ -34,7 +34,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .channels import channel_distance, dephasing_channel, damping_channel, unitary_channel
 from .dilation import (
@@ -282,6 +281,7 @@ def load_config(path, mode):
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    import yaml  # here, so that a run on the default config loads no yaml module
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

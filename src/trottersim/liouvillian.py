@@ -191,24 +191,24 @@ def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     step is a (d, d) map (a superoperator or a real Pauli-transfer matrix) or a (..., d, d)
     stack of them; cols is a (d, m) block of states, or a stack broadcasting against step.
     The result keeps their common dtype, so real inputs stay real. By doubling: the first j
-    states advanced by step^j give the next j, then step^j is squared. Held as rows, the states
-    take about log2(n) (j*m, d) @ (d, d) products per stack entry and no eigendecomposition,
-    so non-diagonalizable steps take the same path.
+    states advanced by step^j give the next j, then step^j is squared. Held component-major in
+    a (..., d, (n+1)*m) buffer that the result views, they take about log2(n) step^j @ (d, j*m)
+    products per stack entry and no eigendecomposition, so defective steps take the same path.
     """
     step, cols = np.asarray(step), np.asarray(cols)
     if n < 0 or cols.ndim < 2 or not step.shape[-1] == step.shape[-2] == cols.shape[-2]:
         raise ValueError(f"cannot step {cols.shape} states {n} times by {step.shape}")
     batch, (d, m) = np.broadcast_shapes(step.shape[:-2], cols.shape[:-2]), cols.shape[-2:]
-    rows = np.empty(batch + ((n + 1) * m, d), dtype=np.result_type(step, cols))
-    rows[..., :m, :] = cols.swapaxes(-2, -1)  # state j fills rows j*m .. j*m + m - 1
-    power, j = step.swapaxes(-2, -1), 1  # rows advance by the transposed step
+    states = np.empty(batch + (d, (n + 1) * m), dtype=np.result_type(step, cols))
+    states[..., :m] = cols
+    power, j = step, 1
     while j <= n:
         k = min(j, n + 1 - j)
-        np.matmul(rows[..., : k * m, :], power, out=rows[..., j * m : (j + k) * m, :])
+        np.matmul(power, states[..., : k * m], out=states[..., j * m : (j + k) * m])
         j += k
         if j <= n:
             power = power @ power
-    return np.moveaxis(rows.reshape(batch + (n + 1, m, d)), -3, 0).swapaxes(-2, -1)
+    return np.moveaxis(states.reshape(batch + (d, n + 1, m)), -2, 0)
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,24 @@ class EvolutionTrace:
         return np.sqrt(self.sx**2 + self.sy**2 + self.sz**2)
 
 
-_SERIES_BELOW = 1e-5  # |st|^2 below which cosh(st) and sinh(st)/(st) take their series
+def _cosh_sinh(m, det, q, t):
+    """e^{mt} cosh(st) and t e^{mt} sinh(st)/(st) for (K, 1) rows, each in its case of s^2 = q."""
+    hyp = q.real[:, 0] > 0  # s is real for q > 0, else imaginary
+    if 0 < hyp.sum() < len(hyp):  # rows of both cases: one call per case
+        out = np.empty((2, len(q), t.size), np.result_type(q, t))
+        out[:, hyp], out[:, ~hyp] = (_cosh_sinh(m[k], det[k], q[k], t) for k in (hyp, ~hyp))
+        return out
+    real, z, emt = hyp.all(), q * t * t, np.exp(m * t)
+    small = np.abs(z) < 1e-5  # |st|^2 < 1e-5: t = 0, and near s = 0 (exceptional point a = +-w)
+    x = np.where(small, 1.0, np.sqrt(q if real else -q) * t)  # |st|
+    if real:  # e^{(m+s)t} (m + s = det/(m - s) cancels nothing) and expm1(-2st) stay in [-1, 1]
+        e, d = np.exp(det * t * t / (m * t - x)), np.expm1(-2 * x)
+        cosh, sinh = e * (1 + d / 2), -e * d / (2 * x)
+    else:
+        cosh, sinh = emt * np.cos(x), emt * np.sin(x) / x
+    zs, es = z[small], emt[small]  # the series in (st)^2, on the small samples alone
+    cosh[small], sinh[small] = es * (1 + zs / 2 + zs * zs / 24), es * (1 + zs / 6 + zs * zs / 120)
+    return cosh, t * sinh
 
 
 def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -256,22 +273,15 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     v_ss = -M^{-1} (0, G1), taken as 0 where det M = 0 (G1 = w = 0, where (0, G1) is 0 too),
     e^{Mt} = e^{mt} (cosh(st) I + sinh(st)/s (M - mI)), m = -(G1 + G2)/2 and
     s^2 = ((G1 - G2)/2)^2 - w^2. Real for real rows; analytic in them, so a complex step
-    in a rate gives its derivative.
+    in a rate gives its derivative. Each row takes only its own case (s real or imaginary).
     """
+    t = np.asarray(times, dtype=float)
+    if not np.all((t >= 0) & (t < np.inf)):  # also false for NaN
+        raise ValueError(f"times must be finite and nonnegative, got {t}")
     g1, rphi, omega = np.asarray(rows).T[:, :, None]
     g2, w = g1 / 2 + rphi, 2 * np.pi * omega
     m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
-    t = np.asarray(times, dtype=float)
-    q, emt = a * a - w * w, np.exp(m * t)  # q = s^2: s is real for q > 0, else imaginary
-    z, hyp = q * t * t, q.real > 0
-    small = np.abs(z) < _SERIES_BELOW  # t = 0, and near s = 0 (the exceptional point a = +-w)
-    x = np.where(small, 1.0, np.sqrt(np.where(hyp, q, -q)) * t)  # |st|
-    # For real s, e^{(m+s)t} (m + s = det/(m - s) cancels nothing) and expm1(-2st) stay in [-1, 1].
-    e, d = np.exp(det * t * t / (m * t - x)), np.expm1(-2 * x)
-    cosh = np.where(small, emt * (1 + z / 2 + z * z / 24),  # e^{mt} cosh(st)
-                    np.where(hyp, e * (1 + d / 2), emt * np.cos(x)))
-    sinh = t * np.where(small, emt * (1 + z / 6 + z * z / 120),  # e^{mt} sinh(st)/s
-                        np.where(hyp, -e * d / (2 * x), emt * np.sin(x) / x))
+    cosh, sinh = _cosh_sinh(m, det, a * a - w * w, t)
     vss = np.concatenate([-w * g1, g1 * g2], axis=1) / np.where(det == 0, 1, det)  # (K, 2)
     v0 = np.asarray(bloch0, dtype=float)
     dv = v0[:, 1:] - vss[:, None]  # v0 - v_ss, (K, S, 2)

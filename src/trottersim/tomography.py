@@ -55,7 +55,7 @@ class TomographySet:
     """Twelve evolution curves keyed by (initial state, observable).
 
     data maps (state label, observable label) to an expectation array on the
-    shared times grid; shots records the sampling depth (None = noiseless).
+    shared times grid, t >= 0; shots records the sampling depth (None = noiseless).
     """
 
     times: np.ndarray
@@ -64,8 +64,8 @@ class TomographySet:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
-            raise ValueError(f"times must be finite and strictly increasing, got {times}")
+        if not (np.all((times >= 0) & (times < np.inf)) and np.all(np.diff(times) > 0)):
+            raise ValueError(f"times must be >= 0, finite and strictly increasing, got {times}")
         object.__setattr__(self, "times", times)
         if set(self.data) != set(_KEYS):
             raise ValueError("tomography set must hold exactly the 12 state/observable curves")

@@ -629,16 +629,22 @@ def test_workers_flag_is_an_unknown_argument(tmp_path, capsys):
 
 # ------------------------------------------------------------ start-up cost
 
-# Runs every subcommand on its default config in one fresh interpreter, then
-# lists the scipy modules it loaded. Only linalg.expm and propagator load scipy.
+# Runs every subcommand on its default config twice, into two directories, in
+# one fresh interpreter. It then compares the artifacts of the two runs byte for
+# byte, and lists the scipy and yaml modules it loaded. Only linalg.expm and
+# propagator load scipy, and only a config file loads yaml.
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, sys, tempfile
+from pathlib import Path
 import trottersim, trottersim.cli
 commands = [[name] for name in trottersim.cli.RUNNERS]
 commands += [["reproduce", "--figure", fig] for fig in trottersim.cli.FIGURES]
-with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-    codes = [trottersim.cli.main([*cmd, "--out", out]) for cmd in commands]
-print(len(commands), codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b, \\
+        contextlib.redirect_stdout(io.StringIO()):
+    codes = [trottersim.cli.main([*cmd, "--out", out]) for out in (a, b) for cmd in commands]
+    runs = [{p.relative_to(out): p.read_bytes() for p in Path(out).rglob("*")} for out in (a, b)]
+print(len(commands), codes, len(runs[0]), runs[0] == runs[1],
+      sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml")))
 """
 
 
@@ -647,4 +653,4 @@ def test_no_cli_command_loads_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "10 [0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []"
+    assert done.stdout.strip() == f"10 {[0] * 20} 18 True []"

@@ -22,6 +22,7 @@ from trottersim.liouvillian import (
     BLOCH_ROWS,
     CanonicalRates,
     EvolutionTrace,
+    bloch_solution,
     coherent,
     damping_generator,
     dephasing_generator,
@@ -252,6 +253,23 @@ def test_propagate_keeps_real_inputs_real(stack):
     assert propagate(steps, cols.astype(complex), 300).dtype == np.complex128
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 2000),
+    stack=st.integers(2, 4),
+    width=st.integers(1, 3),
+    dtype=st.sampled_from([float, complex]),
+    seed=st.integers(0, 2**16),
+)
+def test_propagate_on_a_stack_equals_each_step_alone(n, stack, width, dtype, seed):
+    # Each stack entry is stepped by the same products as a single (d, d) step.
+    rng = np.random.default_rng(seed)
+    steps = (np.eye(4) + 0.1 * rng.standard_normal((stack, 4, 4))).astype(dtype)
+    cols = rng.standard_normal((4, width)).astype(dtype)
+    both = propagate(steps, cols, n)
+    assert all(np.array_equal(both[:, k], propagate(steps[k], cols, n)) for k in range(stack))
+
+
 def test_propagate_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         propagate(np.eye(4), np.ones(4), 3)
@@ -355,6 +373,50 @@ def test_target_trace_matches_the_general_propagator(case, direction, radius, ta
     want = np.array([np.real(BLOCH_ROWS[1:] @ (propagator(superop, t) @ vec(rho0)))
                      for t in tr.times])
     np.testing.assert_allclose(tr.as_matrix(), want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cases=st.lists(st.tuples(st.sampled_from([0.0, 1e-4, 0.03, 0.5]) | st.floats(0.0, 0.5),
+                             st.sampled_from([0.0, 1e-4, 0.03, 0.5]) | st.floats(0.0, 0.5),
+                             st.floats(-0.2, 0.2),
+                             st.sampled_from(("free", "zero", "ep+", "ep-"))),
+                   min_size=1, max_size=8),
+    complex_step=st.sampled_from([None, 0, 1, 2]),
+    starts=st.integers(1, 4),
+    tau0=st.floats(0.1, 10.0),
+    n_steps=st.integers(0, 60),
+    seed=st.integers(0, 2**16),
+)
+@example(cases=[(0.1, 0.0, 0.0, "free"), (0.02, 0.01, 0.1, "free"), (0.05, 0.0, 0.0, "ep+"),
+                (0.05, 0.01, 0.0, "ep-"), (0.0, 0.0, 0.0, "zero"), (0.0, 0.02, 0.0, "zero")],
+         complex_step=None, starts=4, tau0=3.56, n_steps=13, seed=0)
+@example(cases=[(0.1, 0.0, 0.0, "free"), (0.02, 0.01, 0.1, "free"), (0.05, 0.0, 0.0, "ep+")],
+         complex_step=1, starts=2, tau0=3.56, n_steps=13, seed=1)
+def test_bloch_solution_on_a_batch_equals_each_row_alone(cases, complex_step, starts, tau0,
+                                                         n_steps, seed):
+    # Real-s and imaginary-s rows, exceptional points and zero rates in one batch: each
+    # row takes its own case, so a row's curves do not depend on the rows beside it.
+    rates = [_rates_case(*case) for case in cases]
+    rows = np.array([[r.gamma1, r.gamma_phi, r.omega] for r in rates], dtype=complex)
+    if complex_step is None:
+        rows = rows.real
+    else:  # complex-step rows, as _bloch_jacobian passes them
+        rows[:, complex_step] += 1e-20j
+    rng = np.random.default_rng(seed)
+    bloch0 = rng.uniform(-1, 1, (starts, 3)) / np.sqrt(3)
+    times = np.arange(n_steps + 1) * tau0
+    batch = bloch_solution(rows, bloch0, times)
+    assert batch.shape == (len(rows), starts, 3, n_steps + 1)
+    assert all(np.array_equal(batch[k], bloch_solution(rows[k : k + 1], bloch0, times)[0])
+               for k in range(len(rows)))
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_bloch_solution_rejects_negative_or_non_finite_times(bad):
+    # A negative time evolved backwards without complaint; NaN and inf gave NaN with warnings.
+    with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+        bloch_solution([[0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0]], [0.0, bad])
 
 
 def test_evolution_trace_shape_check():

@@ -175,11 +175,12 @@ def test_tomography_set_rejects_bad_shots(bad):
 
 
 @pytest.mark.parametrize(
-    "times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 2.0, 1.0]],
-    ids=["nan", "inf", "decreasing"],
+    "times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 2.0, 1.0], [-1.0, 0.0, 1.0]],
+    ids=["nan", "inf", "decreasing", "negative"],
 )
 def test_tomography_set_rejects_bad_times(times):
     # Else global_fit dies in LAPACK (NaN, inf) or in scipy's bound check (decreasing).
+    # Times before the t = 0 preparation would be fitted by a backward evolution.
     data = {(s, o): np.zeros(3) for s in STATE_LABELS for o in OBS_LABELS}
     with pytest.raises(ValueError, match="finite and strictly increasing"):
         TomographySet(np.array(times), data)
