@@ -6,15 +6,19 @@ unweighted sum of squared deviations between those curves and the exact
 master-equation model, parameterized internally by the rates
 (1/T1, pure dephasing, Omega) so the physicality constraint T2 <= 2*T1 holds
 by construction. The model is the closed-form (Torrey) Bloch solution
-(liouvillian.bloch_solution): one call scores a grid of starts, and the best row
-starts one projected Levenberg-Marquardt run, written here in numpy, on the
-12*(N+1) residuals with an exact complex-step Jacobian.
+(liouvillian.bloch_solution). One model call scores the start rows: two read
+from the curves' own step, which one linear least-squares solve recovers from
+the four states' affine Bloch rows and whose invariants give the rates (exact
+for canonical curves and for Trotter products), beside a grid of starts. The
+best row starts one projected Levenberg-Marquardt run, written here in numpy,
+on the 12*(N+1) residuals with an exact complex-step Jacobian.
 Optional sampling noise replaces each expectation x by 2k/s - 1 with
 k ~ Binomial(s, (1+x)/2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -145,6 +149,11 @@ class FitResult:
         residual: Root-mean-square deviation over all 12*(N+1) points.
         converged: Whether the Levenberg-Marquardt run stopped on one of its
             tolerances rather than its iteration cap (not a goodness of fit).
+        evaluations: Residual-and-Jacobian evaluations over the fit's
+            Levenberg-Marquardt runs, the Nyquist-edge retry included.
+        at_bound: The rates, of ("gamma1", "gamma_phi", "omega"), that end on
+            a face of the fit's box: a gamma1 on its 1e-6/us floor reads as
+            T1 = 1e6 us, a bound rather than a measurement.
     """
 
     t1: float
@@ -152,6 +161,8 @@ class FitResult:
     omega: float
     residual: float
     converged: bool
+    evaluations: int = 0
+    at_bound: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not np.isfinite([self.t1, self.t2, self.omega, self.residual]).all():
@@ -187,20 +198,54 @@ def _estimate_t2_rate(ts: TomographySet) -> float | None:
     return None
 
 
-def _candidate_starts(ts: TomographySet) -> list[list[float]]:
+def _candidate_starts(ts: TomographySet) -> np.ndarray:
+    """The (K, 3) start grid, r1-major: ten r1 values, each with one rphi from the 1/T2 seed
+    (six without one) and every distinct drive of a signed Rabi seed and of the half band it
+    points to, in ascending order."""
     tau0 = ts.times[1] - ts.times[0]
     nyquist = 0.5 / tau0
     sy = ts.curve("1", "y")  # a signed Rabi seed from the |1> state's first <sigma_y> step
-    om_est = float(np.clip((sy[1] - sy[0]) / (2 * np.pi * tau0), -nyquist, nyquist))
+    om_est = min(max((sy[1] - sy[0]) / (2 * np.pi * tau0), -nyquist), nyquist)
     half = np.linspace(0.0, nyquist, 8) * (-1.0 if om_est < 0 else 1.0)  # the seed's sign
     omegas = sorted({0.0, om_est, 0.5 * om_est, 1.5 * om_est} | set(half.tolist()))
-    r1s = np.geomspace(1e-4, 0.5, 10)
+    r1s = np.geomspace(1e-4, 0.5, 10)[:, None]
     r2_est = _estimate_t2_rate(ts)
-    cands = []
-    for r1 in r1s:
-        rphis = np.geomspace(1e-4, 0.5, 6) if r2_est is None else [max(0.0, r2_est - r1 / 2)]
-        cands += [[r1, rphi, om] for rphi in rphis for om in omegas]
-    return cands
+    rphis = np.geomspace(1e-4, 0.5, 6) if r2_est is None else np.maximum(0.0, r2_est - r1s / 2)
+    cands = np.empty((10, rphis.shape[-1], len(omegas), 3))
+    cands[..., 0], cands[..., 1], cands[..., 2] = r1s[..., None], rphis[..., None], omegas
+    return cands.reshape(-1, 3)
+
+
+def _step_starts(curves: np.ndarray, tau0: float) -> np.ndarray:
+    """Rows (r1, rphi, omega) and (r1, rphi, -omega) read from the (12, T) curves' own step.
+
+    One least-squares solve over C_{j+1} = R C_j, on the four states' affine Bloch rows
+    (1, x, y, z), gives the step R. A canonical step of length tau0, and every Trotter product
+    of the three channels, has R_xx = e^{-G2 tau0} and det B = e^{-(G1 + G2) tau0} for its y-z
+    block B: they give G2 and G1. Write B = e^{m tau0} (c I + [[e, f - d], [f + d, -e]]), so
+    e^{m tau0} = sqrt(det B). When c > 1, s is real: c = cosh(s tau0) and d = w sinh(s tau0)/s.
+    Else c = cos(|s| tau0), read with sin^2 = 1 - c^2 = d^2 - e^2 - f^2 so that it stays exact
+    near 0 and pi, and w^2 = a^2 + |s|^2 with a = (G1 - G2)/2 and the sign of d. Each log and
+    root argument is clipped into its domain; the box clips the rows.
+    """
+    affine = np.concatenate([np.ones((4, 1, curves.shape[1])), curves.reshape(4, 3, -1)],
+                            axis=1).transpose(2, 0, 1)  # (point, state, 4)
+    step = np.linalg.lstsq(affine[:-1].reshape(-1, 4), affine[1:].reshape(-1, 4), rcond=None)[0].T
+    (byy, byz), (bzy, bzz) = step[2:, 2:]
+    g2 = -math.log(max(1e-300, step[1, 1])) / tau0
+    det = max(1e-300, byy * bzz - byz * bzy)
+    g1 = -math.log(det) / tau0 - g2
+    scale = 2 * math.sqrt(det)
+    c, d = (byy + bzz) / scale, (bzy - byz) / scale
+    if c > 1:
+        x = math.acosh(c)  # s tau0
+        w = d * x / (tau0 * math.sinh(x))
+    else:
+        e, f = (byy - bzz) / scale, (byz + bzy) / scale
+        x = math.atan2(math.sqrt(max(0.0, d * d - e * e - f * f)), c)  # |s| tau0
+        w = math.copysign(math.hypot((g1 - g2) / 2, x / tau0), d)
+    omega = w / (2 * math.pi)
+    return np.array([[g1, g2 - g1 / 2, omega], [g1, g2 - g1 / 2, -omega]])
 
 
 _LM_MAX_ITER = 100
@@ -216,19 +261,21 @@ def _levenberg_marquardt(fun, u, lo, hi):
     <= 1e-15 cost, 2 cost change < 1e-15 cost, 3 step <= 1e-14 |u|, 0 the iteration cap.
     """
     r, jac = fun(u)
-    cost, lam = r @ r / 2, 1e-3
+    cost, lam, eye = r @ r / 2, 1e-3, np.eye(len(u))
     for _ in range(_LM_MAX_ITER):
-        g = jac.T @ r
+        ag = jac.T @ np.concatenate((jac, r[:, None]), axis=1)  # [A | g]
+        a, g = ag[:, :-1], ag[:, -1]
         free = ~(((u <= lo) & (g > 0)) | ((u >= hi) & (g < 0)))
-        if np.linalg.norm(g[free]) <= 1e-15 * cost:
+        g = g * free
+        if math.sqrt(g @ g) <= 1e-15 * cost:
             return u, r, 1
-        a = (jac.T @ jac)[np.ix_(free, free)]
-        du = np.zeros_like(u)
-        du[free] = np.linalg.solve(a + lam * np.diag(np.diag(a)), -g[free])
-        trial = np.clip(u + du, lo, hi)
+        # a frozen coordinate's row and column become the identity's, and its du is 0
+        du = np.linalg.solve(np.where(free & free[:, None], a + lam * (a * eye), eye), -g)
+        trial = np.minimum(np.maximum(u + du, lo), hi)
         r_trial, jac_trial = fun(trial)
         cost_trial = r_trial @ r_trial / 2
-        small_step = np.linalg.norm(trial - u) <= 1e-14 * np.linalg.norm(u)
+        step = trial - u
+        small_step = math.sqrt(step @ step) <= 1e-14 * math.sqrt(u @ u)
         small_change = abs(cost - cost_trial) < 1e-15 * cost
         if cost_trial <= cost:
             u, r, jac, cost, lam = trial, r_trial, jac_trial, cost_trial, lam / 3
@@ -241,16 +288,24 @@ def _levenberg_marquardt(fun, u, lo, hi):
     return u, r, 0
 
 
+_RATE_NAMES = ("gamma1", "gamma_phi", "omega")
+
+
 def global_fit(ts: TomographySet) -> FitResult:
     """Fit (T1, T2, Omega) to all twelve curves by least squares.
 
     Projected Levenberg-Marquardt over the internal parameters (1/T1,
     pure-dephasing rate, Omega) with the closed-form model's complex-step
-    Jacobian, run once from the best row of a start grid that one model call
-    scores. Omega is signed within the Nyquist band [-1/(2 tau0), 1/(2 tau0)],
-    so a faster drive fits as its alias; the grid takes the sign of the |1>
+    Jacobian, run once from the best of the start rows that one model call
+    scores. The first two rows are read from the curves' own step: a linear
+    least-squares fit of C_{j+1} = R C_j over the four states' affine Bloch
+    rows, whose invariants give the rates exactly for canonical curves and
+    for Trotter products, with the drive of either sign. The start grid
+    follows, so the start scores no worse than the grid's best row.
+    Omega is signed within the Nyquist band [-1/(2 tau0), 1/(2 tau0)], so a
+    faster drive fits as its alias; the grid takes the sign of the |1>
     state's first <sigma_y> step. Damping can flip that sign near the band's
-    edge, so a run that ends on the edge is repeated from the mirrored grid,
+    edge, so a run that ends on the edge is repeated from the mirrored rows,
     and the better of the two is kept.
 
     Args:
@@ -258,7 +313,9 @@ def global_fit(ts: TomographySet) -> FitResult:
 
     Returns:
         FitResult of that run; `converged` is True when it ended on one of
-        its tolerances rather than its iteration cap.
+        its tolerances rather than its iteration cap, `evaluations` counts
+        the model-and-Jacobian calls of both runs, and `at_bound` names the
+        rates that end on a face of the box.
     """
     if ts.times.size < 6:
         raise ValueError("global fit needs at least 6 time points per curve")
@@ -269,8 +326,11 @@ def global_fit(ts: TomographySet) -> FitResult:
     data = ts.as_matrix()
     lo = np.array([_RATE_FLOOR, 0.0, -0.5 / tau0])
     hi = np.array([_RATE_CEIL, _RATE_CEIL, 0.5 / tau0])
+    evaluations = 0
 
     def fun(u):
+        nonlocal evaluations
+        evaluations += 1
         model, jac = _bloch_jacobian(u, ts.times)
         return model - data.ravel(), jac
 
@@ -278,14 +338,16 @@ def global_fit(ts: TomographySet) -> FitResult:
         scores = ((_bloch_model(cands, ts.times) - data) ** 2).sum(axis=(1, 2))
         return _levenberg_marquardt(fun, cands[np.argmin(scores)], lo, hi)
 
-    cands = np.clip(_candidate_starts(ts), lo, hi)
+    cands = np.clip(np.concatenate([_step_starts(data, tau0), _candidate_starts(ts)]), lo, hi)
     u, r, status = fit_from_best(cands)
     if abs(u[2]) == hi[2]:  # on the Nyquist edge, where a drive of the other sign may fit better
         other = fit_from_best(cands * [1, 1, -1])
         u, r, status = other if other[1] @ other[1] < r @ r else (u, r, status)
     r1, rphi, omega = u  # the box keeps r1 >= _RATE_FLOOR > 0
     return FitResult(t1=1.0 / r1, t2=1.0 / (r1 / 2 + rphi), omega=float(omega),
-                     residual=float(np.sqrt(np.mean(r**2))), converged=status > 0)
+                     residual=float(np.sqrt(np.mean(r**2))), converged=status > 0,
+                     evaluations=evaluations,
+                     at_bound=tuple(n for n, on in zip(_RATE_NAMES, (u == lo) | (u == hi)) if on))
 
 
 def dephasing_time(t1: float, t2: float) -> float:

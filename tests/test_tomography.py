@@ -28,6 +28,7 @@ from trottersim.tomography import (
     _candidate_starts,
     _estimate_t2_rate,
     _levenberg_marquardt,
+    _step_starts,
     dephasing_time,
     generate_tomography,
     global_fit,
@@ -270,12 +271,13 @@ def _bloch_row(r1, rphi, share, kind, tau0):
     "free" spans omega over [-1/(2 tau0), 1/(2 tau0)], "undriven" sets 0, and
     "ep+"/"ep-" put the row on the exceptional point a = (G1 - G2)/2 = +-2 pi
     omega, where s = 0 and the (y, z) block has no eigenbasis. "ep0" is that
-    point exactly: rphi = r1/2 makes G2 = G1, with no drive.
+    point exactly: rphi = r1/2 makes G2 = G1, with no drive. "over" takes
+    |2 pi omega| <= |a|, where s is real (overdamped).
     """
     if kind == "ep0":
         return [r1, r1 / 2, 0.0]
     a = (r1 / 2 - rphi) / 2
-    omega = {"free": share * 0.5 / tau0, "undriven": 0.0,
+    omega = {"free": share * 0.5 / tau0, "undriven": 0.0, "over": share * a / (2 * np.pi),
              "ep+": a / (2 * np.pi), "ep-": -a / (2 * np.pi)}[kind]
     return [r1, rphi, omega]
 
@@ -415,7 +417,9 @@ def test_fit_runs_one_lm_from_the_best_scored_row(monkeypatch):
     u0, lo, hi = calls[0]
     np.testing.assert_array_equal(lo, [1e-6, 0.0, -0.5 / TAU0])
     np.testing.assert_array_equal(hi, [2.0, 2.0, 0.5 / TAU0])
-    cands = np.clip(_candidate_starts(ts), lo, hi)
+    # The two rows read from the curves' step come first, then the grid, unchanged.
+    cands = np.clip(np.concatenate([_step_starts(ts.as_matrix(), TAU0), _candidate_starts(ts)]),
+                    lo, hi)
     scores = ((_bloch_model(cands, ts.times) - ts.as_matrix()) ** 2).sum(axis=(1, 2))
     np.testing.assert_array_equal(u0, cands[np.argmin(scores)])
 
@@ -423,16 +427,160 @@ def test_fit_runs_one_lm_from_the_best_scored_row(monkeypatch):
 @pytest.mark.parametrize("angles_deg", [(5.8, 36.1, 166.0), (10.0, 40.0, 170.0)])
 def test_fit_near_the_nyquist_edge_tries_the_other_sign(angles_deg):
     # Strong damping turns the |1> state's first <sigma_y> step negative although
-    # the drive is positive: the grid of that sign ends on the -1/(2 tau0) edge,
-    # and the run from the mirrored grid fits the curves.
+    # the drive is positive: a run from the grid of that sign ends on the
+    # -1/(2 tau0) edge. The rows read from the curves' step carry the drive's
+    # own sign, so the fit needs neither the mirrored run nor the grid.
     rates = angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0))
     ts = generate_tomography(rates, TAU0, 13)
     sy = ts.curve("1", "y")
     assert sy[1] < sy[0] and rates.omega > 0
     fit = global_fit(ts)
-    assert fit.converged
+    assert fit.converged and fit.evaluations <= 3
     np.testing.assert_allclose([fit.t1, fit.t2, fit.omega], [rates.t1, rates.t2, rates.omega],
                                rtol=1e-6)
+
+
+def test_fit_that_ends_on_the_nyquist_edge_reruns_from_the_mirrored_rows(monkeypatch):
+    # Trotter curves near theta3 = 180 deg: the best-scored row runs to the -1/(2 tau0)
+    # edge, the run from the mirrored rows ends inside the band with a lower cost,
+    # and its result is kept. evaluations counts the model calls of both runs.
+    ts = _trotter_set(6.820785868644059, 53.96476987852132, 154.78152913722073)
+    runs, calls = [], []
+
+    def spy(fun, u, lo, hi):
+        runs.append(_levenberg_marquardt(fun, u, lo, hi))
+        return runs[-1]
+
+    def counted(u, times):
+        calls.append(u)
+        return _bloch_jacobian(u, times)
+
+    monkeypatch.setattr(tomography, "_levenberg_marquardt", spy)
+    monkeypatch.setattr(tomography, "_bloch_jacobian", counted)
+    fit = global_fit(ts)
+    assert len(runs) == 2
+    (u_edge, r_edge, _), (u_kept, r_kept, _) = runs
+    assert u_edge[2] == -0.5 / TAU0 and abs(u_kept[2]) < 0.5 / TAU0
+    assert r_kept @ r_kept < r_edge @ r_edge
+    assert fit.omega == u_kept[2] and fit.converged
+    assert fit.evaluations == len(calls) > 2
+
+
+# ------------------------------------------------ starts from the data's step
+#
+# _step_starts reads (G1, G2, omega) from the step that a linear least-squares
+# solve recovers from the curves. Exact curves and Trotter products give it
+# exactly, so an exact fit starts at its optimum.
+
+def _step_row(r1_min):
+    return st.tuples(st.floats(r1_min, 0.5), st.floats(0.0, 0.5), st.floats(-1.0, 1.0),
+                     st.sampled_from(("free", "undriven", "over", "ep+", "ep-", "ep0")))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(row=_step_row(1e-4), first=st.sampled_from((0, 1)))
+@example(row=(0.03, 0.02, -0.7, "free"), first=0)  # a negative drive
+@example(row=(0.2, 0.0, 0.0, "undriven"), first=0)  # omega = 0, s real
+@example(row=(0.2, 0.0, 0.4, "over"), first=1)  # overdamped, from t = tau0
+@example(row=(0.04, 0.001, 0.0, "ep+"), first=0)
+@example(row=(0.04, 0.001, 0.0, "ep-"), first=1)
+@example(row=(0.03, 0.0, 0.0, "ep0"), first=0)  # G1 = G2, no drive: c = 1
+@example(row=(1e-4, 0.0, 1.0, "free"), first=0)  # on the Nyquist edge, |s| tau0 = pi
+def test_step_starts_recover_canonical_rates(row, first):
+    # Canonical curves on the grid j*tau0, or from t = tau0 (first = 1): the first row is
+    # (G1, G2 - G1/2, omega) within 1e-9 relative, the second its mirror in omega.
+    r1, rphi, omega = _bloch_row(*row, TAU0)
+    ts = generate_tomography(CanonicalRates(gamma1=r1, gamma_phi=rphi, omega=omega), TAU0, 13)
+    rows = _step_starts(ts.as_matrix()[:, first:], TAU0)
+    g1, g2 = rows[0, 0], rows[0, 1] + rows[0, 0] / 2
+    np.testing.assert_allclose([g1, g2], [r1, r1 / 2 + rphi], rtol=1e-9, atol=0)
+    # omega = 0 reads as round-off, small against the rates
+    np.testing.assert_allclose(rows[0, 2], omega, rtol=1e-9, atol=1e-9 * (r1 / 2 + rphi))
+    np.testing.assert_array_equal(rows[1], rows[0] * [1, 1, -1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(theta1=st.floats(2.0, 60.0), theta2=st.floats(2.0, 60.0),
+       theta3=st.floats(0.0, 360.0), order=st.sampled_from((1, 2)))
+@example(theta1=48.37255180111569, theta2=14.841168224909438, theta3=169.87152881491664,
+         order=2)  # a product far from exp(G tau0), whose log reads the wrong drive
+def test_step_starts_recover_the_decay_rates_of_trotter_products(theta1, theta2, theta3, order):
+    # A kraus Trotter step scales <x> by e^{-G2 tau0} and the y-z block's determinant
+    # by e^{-(G1 + G2) tau0}, in any order of its three channels.
+    rates = angle_to_rates(AngleParams.from_degrees(theta1, theta2, theta3, TAU0))
+    schedule = TrotterSchedule(order=order, n_steps=13, dt=TAU0)
+    ts = generate_tomography(rates, TAU0, 13,
+                             evolve=lambda rho0: run_schedule(schedule, rates, rho0))
+    rows = _step_starts(ts.as_matrix(), TAU0)
+    g1, g2 = rows[0, 0], rows[0, 1] + rows[0, 0] / 2
+    np.testing.assert_allclose([g1, g2], [rates.gamma1, rates.gamma1 / 2 + rates.gamma_phi],
+                               rtol=1e-9, atol=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(row=_step_row(1e-3))
+@example(row=(0.03, 0.0, 0.0, "ep0"))
+def test_exact_curves_fit_in_at_most_three_evaluations(row):
+    # The start is the optimum: one step confirms it. A count, so it guards the
+    # fit's cost without timing it. T1 runs up to 1000 us, 20x the record; far
+    # beyond it the curves fix 1/T1 only to about the LM's 1e-14 step rule, and a
+    # few more steps at round-off can follow.
+    r1, rphi, omega = _bloch_row(*row, TAU0)
+    omega = float(np.clip(omega, -0.49 / TAU0, 0.49 / TAU0))  # off the edge, where a retry runs
+    fit = global_fit(generate_tomography(CanonicalRates(gamma1=r1, gamma_phi=rphi, omega=omega),
+                                         TAU0, 13))
+    assert fit.converged and fit.evaluations <= 3
+    np.testing.assert_allclose([1 / fit.t1, 1 / fit.t2], [r1, r1 / 2 + rphi], rtol=1e-6)
+
+
+def _grid_only_fit(ts):
+    """The fit from the grid alone, without the step rows: one run from its best row."""
+    data = ts.as_matrix()
+    lo, hi = np.array([1e-6, 0.0, -0.5 / TAU0]), np.array([2.0, 2.0, 0.5 / TAU0])
+    cands = np.clip(_candidate_starts(ts), lo, hi)
+    scores = ((_bloch_model(cands, ts.times) - data) ** 2).sum(axis=(1, 2))
+
+    def fun(u):
+        model, jac = _bloch_jacobian(u, ts.times)
+        return model - data.ravel(), jac
+
+    u, r, status = _levenberg_marquardt(fun, cands[np.argmin(scores)], lo, hi)
+    return np.sqrt(np.mean(r**2)), status > 0
+
+
+def test_step_rows_never_leave_the_fit_worse_than_the_grid_alone():
+    # Near theta3 = 180 deg a Trotter step is far from exp(G tau0) and its rows can start
+    # a run into another basin; they are scored beside the grid, never instead of it.
+    rng = np.random.default_rng(2301)
+    for i in range(40):
+        angles = (rng.uniform(2, 60), rng.uniform(2, 60), rng.uniform(150, 210))
+        order, seed = int(rng.integers(1, 3)), int(rng.integers(2**31))
+        rates = angle_to_rates(AngleParams.from_degrees(*angles, TAU0))
+        schedule = TrotterSchedule(order=order, n_steps=13, dt=TAU0)
+        ts = generate_tomography(rates, TAU0, 13, shots=1000 if i % 2 else None, seed=seed,
+                                 evolve=lambda rho0: run_schedule(schedule, rates, rho0))
+        grid_rms, grid_converged = _grid_only_fit(ts)
+        fit = global_fit(ts)
+        assert fit.residual <= grid_rms * (1 + 1e-9), (angles, order)
+        assert fit.converged or not grid_converged, (angles, order)
+
+
+def test_fit_names_the_rates_on_a_face_of_the_box():
+    # A second-order Trotter set whose best fit pins 1/T1 to the 1e-6 floor: T1 = 1e6 us
+    # there is a bound, not a measurement. Exact curves of the same rates end inside the box.
+    rates = angle_to_rates(AngleParams.from_degrees(48.37255180111569, 14.841168224909438,
+                                                    169.87152881491664, TAU0))
+    schedule = TrotterSchedule(order=2, n_steps=13, dt=TAU0)
+    fit = global_fit(generate_tomography(rates, TAU0, 13,
+                                         evolve=lambda rho0: run_schedule(schedule, rates, rho0)))
+    assert fit.at_bound == ("gamma1",) and fit.t1 == 1e6
+    assert global_fit(generate_tomography(rates, TAU0, 13)).at_bound == ()
+    # Exact curves of a drive beyond the band (theta3 > 180 deg, not folded) end on its top.
+    beyond = angle_to_rates(AngleParams.from_degrees(9.5, 57.0, 223.9, TAU0))
+    assert beyond.omega > 0.5 / TAU0
+    fit = global_fit(generate_tomography(beyond, TAU0, 13))
+    assert fit.at_bound == ("omega",) and fit.omega == 0.5 / TAU0
+    assert FitResult(t1=1.0, t2=1.0, omega=0.0, residual=0.0, converged=True).at_bound == ()
 
 
 # ------------------------------------------------- Levenberg-Marquardt stops
