@@ -46,7 +46,7 @@ from .dilation import (
     induced_channel,
     rotation_circuit,
 )
-from .linalg import density, rx
+from .linalg import check_bloch_rows, density, rx
 from .liouvillian import CanonicalRates, target_trace
 from .mitigation import (NoisePoint, _check_scale_factors, extrapolate, load_noise_points,
                          scaled_damping_t2)
@@ -65,7 +65,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 TRACE_HEADER = "step,time_us,sx,sy,sz"
-BLOCH_TOL = 1e-8
 DISTANCE_TOL = 1e-10
 
 FIGURES = ("fig2", "fig3", "fig4")
@@ -314,10 +313,8 @@ def _write_csv(path, header, rows):
 
 
 def _write_trace_csv(path, trace):
-    worst = float(trace.bloch_norms().max())
-    if worst > 1.0 + BLOCH_TOL:
-        raise NumericalFailure(f"trace {trace.label!r} leaves the Bloch ball: "
-                               f"max norm {worst:.12f}")
+    rows = np.column_stack([np.ones(len(trace)), trace.as_matrix()])  # (1, sx, sy, sz)
+    check_bloch_rows(rows, lambda j: f"trace {trace.label!r} step {j[0]}")
     columns = (trace.times, trace.sx, trace.sy, trace.sz)
     _write_csv(path, TRACE_HEADER, ((j, *v) for j, v in enumerate(zip(*columns))))
 

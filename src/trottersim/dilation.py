@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, KET_0, SIGMA_MINUS, SIGMA_X, kraus_superop, rx, vec
+from .linalg import I2, KET_0, SIGMA_MINUS, SIGMA_X, check_positive, kraus_superop, rx, vec
 from .liouvillian import CanonicalRates
 
 __all__ = [
@@ -122,7 +122,7 @@ class AngleParams:
     tau0: float = 3.56
 
     def __post_init__(self):
-        for name in ("theta1", "theta2", "theta3", "tau0"):
+        for name in ("theta1", "theta2", "theta3"):
             v = float(getattr(self, name))
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -130,8 +130,7 @@ class AngleParams:
             v = float(getattr(self, name))
             if not 0 <= v <= np.pi / 2:
                 raise ValueError(f"{name} must lie in [0, pi/2], got {v}")
-        if self.tau0 <= 0:
-            raise ValueError(f"tau0 must be positive, got {self.tau0}")
+        check_positive("tau0", float(self.tau0))
 
     @classmethod
     def from_degrees(
@@ -260,8 +259,7 @@ def angle_to_rates(params: AngleParams) -> CanonicalRates:
 
 def rates_to_angles(rates: CanonicalRates, tau0: float = 3.56) -> AngleParams:
     """Inverse of :func:`angle_to_rates`: per-step angles realizing the rates over tau0."""
-    if tau0 <= 0:
-        raise ValueError(f"tau0 must be positive, got {tau0}")
+    check_positive("tau0", tau0)
     theta1 = np.arccos(min(1.0, np.exp(-rates.gamma_phi * tau0)))
     theta2 = np.arccos(min(1.0, np.exp(-rates.gamma1 * tau0 / 2)))
     theta3 = 2 * np.pi * rates.omega * tau0
@@ -306,8 +304,7 @@ def depolarization_equivalent_time(p_grape: float, tau0: float = 3.56) -> float:
     """
     if not 0 <= p_grape < 1:
         raise ValueError(f"p_grape must be in [0, 1), got {p_grape}")
-    if not 0 < tau0 < np.inf:  # also true for NaN
-        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
+    check_positive("tau0", tau0)
     if p_grape == 0:
         return np.inf
     return tau0 / (-np.log1p(-p_grape))

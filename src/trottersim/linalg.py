@@ -29,6 +29,7 @@ __all__ = [
     "check_bloch_rows",
     "validate_density_matrix",
     "check_count",
+    "check_positive",
     "density",
 ]
 
@@ -135,6 +136,12 @@ def check_count(name: str, value) -> None:
     """Reject a bool, a non-integer or a value < 1 for a count, naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Reject a value that is not positive and finite (NaN included), naming it."""
+    if not 0 < value < np.inf:  # also true for NaN
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def check_bloch_rows(rows: np.ndarray, name) -> np.ndarray:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, check_count, dag, expm,
-                     validate_density_matrix, vec)
+from .linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, check_count, check_positive, dag,
+                     expm, validate_density_matrix, vec)
 
 __all__ = [
     "GeneratorSpec",
@@ -302,8 +302,7 @@ def target_trace(rates: CanonicalRates, rho0: np.ndarray, tau0: float,
             fails validate_density_matrix (Hermiticity, then check_bloch_rows on its Bloch row).
     """
     check_count("n_steps", n_steps)
-    if not 0 < tau0 < np.inf:  # also true for NaN
-        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
+    check_positive("tau0", tau0)
     v0 = validate_density_matrix(rho0, "rho0")[1:]
     times = np.arange(n_steps + 1) * tau0
     sx, sy, sz = bloch_solution([[rates.gamma1, rates.gamma_phi, rates.omega]], [v0], times)[0, 0]

@@ -9,9 +9,10 @@ by construction. The model is the closed-form (Torrey) Bloch solution
 (liouvillian.bloch_solution). One model call scores the start rows: two read
 from the curves' own step, which one linear least-squares solve recovers from
 the four states' affine Bloch rows and whose invariants give the rates (exact
-for canonical curves and for Trotter products), beside a grid of starts. The
-best row starts one projected Levenberg-Marquardt run, written here in numpy,
-on the 12*(N+1) residuals with an exact complex-step Jacobian.
+for canonical curves and for Trotter products), beside a grid of starts built
+from the first of them: its 1/T2 and the sign of its drive. The best row
+starts one projected Levenberg-Marquardt run, written here in numpy, on the
+12*(N+1) residuals with an exact complex-step Jacobian.
 Optional sampling noise replaces each expectation x by 2k/s - 1 with
 k ~ Binomial(s, (1+x)/2).
 """
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import KET_0, KET_1, check_count, density, validate_density_matrix
+from .linalg import KET_0, KET_1, check_count, check_positive, density, validate_density_matrix
 from .liouvillian import CanonicalRates, EvolutionTrace, bloch_solution
 
 __all__ = [
@@ -121,8 +122,7 @@ def generate_tomography(
     check_count("n_steps", n_steps)
     if shots is not None:
         check_count("shots", shots)
-    if not 0 < tau0 < np.inf:  # also true for NaN
-        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
+    check_positive("tau0", tau0)
     times = np.arange(n_steps + 1) * tau0
     if evolve is None:  # the fit's own model
         curves = _bloch_model(np.array([[rates.gamma1, rates.gamma_phi, rates.omega]]), times)[0]
@@ -188,31 +188,15 @@ def _bloch_jacobian(u: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.nd
     return model[0].real, model.imag.T / _COMPLEX_STEP
 
 
-def _estimate_t2_rate(ts: TomographySet) -> float | None:
-    """1/T2 seed from the drive-invariant <sigma_x> decay of the |+> state."""
-    x = ts.curve("+", "x")
-    mask = x > 0.05
-    if mask.sum() >= 3:
-        slope = np.polyfit(ts.times[mask], np.log(x[mask]), 1)[0]
-        return float(np.clip(-slope, _RATE_FLOOR, _RATE_CEIL))
-    return None
-
-
-def _candidate_starts(ts: TomographySet) -> np.ndarray:
-    """The (K, 3) start grid, r1-major: ten r1 values, each with one rphi from the 1/T2 seed
-    (six without one) and every distinct drive of a signed Rabi seed and of the half band it
-    points to, in ascending order."""
-    tau0 = ts.times[1] - ts.times[0]
-    nyquist = 0.5 / tau0
-    sy = ts.curve("1", "y")  # a signed Rabi seed from the |1> state's first <sigma_y> step
-    om_est = min(max((sy[1] - sy[0]) / (2 * np.pi * tau0), -nyquist), nyquist)
-    half = np.linspace(0.0, nyquist, 8) * (-1.0 if om_est < 0 else 1.0)  # the seed's sign
-    omegas = sorted({0.0, om_est, 0.5 * om_est, 1.5 * om_est} | set(half.tolist()))
+def _candidate_starts(step_row: np.ndarray, tau0: float) -> np.ndarray:
+    """The (80, 3) start grid, r1-major, built from the step's row (r1, rphi, omega): ten r1
+    values, each with the rphi that keeps the step's 1/T2 (capped at the box, floored at 0),
+    and eight drives spanning the half band of the step's drive sign."""
+    r1, rphi, omega = step_row
     r1s = np.geomspace(1e-4, 0.5, 10)[:, None]
-    r2_est = _estimate_t2_rate(ts)
-    rphis = np.geomspace(1e-4, 0.5, 6) if r2_est is None else np.maximum(0.0, r2_est - r1s / 2)
-    cands = np.empty((10, rphis.shape[-1], len(omegas), 3))
-    cands[..., 0], cands[..., 1], cands[..., 2] = r1s[..., None], rphis[..., None], omegas
+    cands = np.empty((10, 8, 3))
+    cands[..., 0], cands[..., 1] = r1s, np.maximum(0.0, min(rphi + r1 / 2, _RATE_CEIL) - r1s / 2)
+    cands[..., 2] = np.linspace(0.0, 0.5 / tau0, 8) * (-1.0 if omega < 0 else 1.0)
     return cands.reshape(-1, 3)
 
 
@@ -301,12 +285,12 @@ def global_fit(ts: TomographySet) -> FitResult:
     least-squares fit of C_{j+1} = R C_j over the four states' affine Bloch
     rows, whose invariants give the rates exactly for canonical curves and
     for Trotter products, with the drive of either sign. The start grid
-    follows, so the start scores no worse than the grid's best row.
+    follows, built from the first row's 1/T2 and drive sign, so the start
+    scores no worse than the grid's best row.
     Omega is signed within the Nyquist band [-1/(2 tau0), 1/(2 tau0)], so a
-    faster drive fits as its alias; the grid takes the sign of the |1>
-    state's first <sigma_y> step. Damping can flip that sign near the band's
-    edge, so a run that ends on the edge is repeated from the mirrored rows,
-    and the better of the two is kept.
+    faster drive fits as its alias. Near the band's edge a Trotter step can
+    read the other sign, so a run that ends on the edge is repeated from the
+    mirrored rows, and the better of the two is kept.
 
     Args:
         ts: Tomography curves on a uniform time grid with >= 6 points.
@@ -338,7 +322,8 @@ def global_fit(ts: TomographySet) -> FitResult:
         scores = ((_bloch_model(cands, ts.times) - data) ** 2).sum(axis=(1, 2))
         return _levenberg_marquardt(fun, cands[np.argmin(scores)], lo, hi)
 
-    cands = np.clip(np.concatenate([_step_starts(data, tau0), _candidate_starts(ts)]), lo, hi)
+    step_rows = _step_starts(data, tau0)
+    cands = np.clip(np.concatenate([step_rows, _candidate_starts(step_rows[0], tau0)]), lo, hi)
     u, r, status = fit_from_best(cands)
     if abs(u[2]) == hi[2]:  # on the Nyquist edge, where a drive of the other sign may fit better
         other = fit_from_best(cands * [1, 1, -1])

@@ -23,7 +23,8 @@ import numpy as np
 
 from .dilation import (NoiseParams, damping_circuit, dephasing_circuit, induced_channel,
                        rates_to_angles, rotation_circuit)
-from .linalg import KET_1, check_bloch_rows, check_count, density, validate_density_matrix
+from .linalg import (KET_1, check_bloch_rows, check_count, check_positive, density,
+                     validate_density_matrix)
 from .liouvillian import BLOCH_ROWS, CanonicalRates, EvolutionTrace, bloch_solution, propagate
 
 __all__ = [
@@ -88,8 +89,7 @@ class TrotterSchedule:
             check_count(name, getattr(self, name))
         if self.order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {self.order}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        check_positive("dt", self.dt)
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.backend == "dilation+noise" and self.noise is None:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
-from trottersim.liouvillian import CanonicalRates
+from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from trottersim.mitigation import mitigation_study
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -67,6 +67,20 @@ def test_evolve_bloch_norms_bounded(tmp_path):
     for row in rows:
         sx, sy, sz = map(float, row[2:])
         assert sx * sx + sy * sy + sz * sz <= 1 + 1e-8
+
+
+def test_evolve_rejects_a_trace_outside_the_bloch_ball(tmp_path, monkeypatch, capsys):
+    # One sample with Bloch norm 1 + 1e-9: past the 1e-10 row check, so no evolve.csv.
+    def outside(rates, rho0, tau0, n_steps):
+        trace = target_trace(rates, rho0, tau0, n_steps)
+        v = trace.as_matrix()
+        v[3] *= (1 + 1e-9) / np.linalg.norm(v[3])
+        return EvolutionTrace(trace.times, *v.T, label=trace.label)
+
+    monkeypatch.setattr(cli, "target_trace", outside)
+    assert main(["evolve", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "trace 'target' step 3 has negative eigenvalue" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
 
 
 # ----------------------------------------------------------------- trotter

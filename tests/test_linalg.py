@@ -25,6 +25,10 @@ from trottersim.linalg import (
     validate_density_matrix,
     vec,
 )
+from trottersim.dilation import AngleParams, depolarization_equivalent_time, rates_to_angles
+from trottersim.liouvillian import CanonicalRates, target_trace
+from trottersim.tomography import generate_tomography
+from trottersim.trotter import TrotterSchedule
 
 
 def series_expm(m, terms=60):
@@ -407,3 +411,25 @@ def test_bloch_row_check_matches_the_eigvalsh_reference(shape, data):
     head, _, value = want.rpartition(" ")
     assert got.startswith(head + " ")
     assert float(got.rpartition(" ")[2]) == pytest.approx(float(value), rel=1.1e-3)
+
+
+# ------------------------------------------------------- positive and finite
+
+_POSITIVE_CALLERS = {
+    "generate_tomography": lambda v: generate_tomography(CanonicalRates(), v, 13),
+    "target_trace": lambda v: target_trace(CanonicalRates(), density(KET_1), v, 5),
+    "depolarization_equivalent_time": lambda v: depolarization_equivalent_time(0.1, v),
+    "TrotterSchedule": lambda v: TrotterSchedule(dt=v),
+    "AngleParams": lambda v: AngleParams(tau0=v),
+    "rates_to_angles": lambda v: rates_to_angles(CanonicalRates(0.03, 0.02, 0.01), v),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("caller", sorted(_POSITIVE_CALLERS))
+def test_step_lengths_must_be_positive_and_finite(caller, bad):
+    # check_positive names the step length before any arithmetic: a bare `tau0 <= 0`
+    # test lets NaN and inf through to a later check that names theta3 instead.
+    with pytest.raises(ValueError, match=rf"^(tau0|dt) must be positive and finite, got {bad}$"):
+        _POSITIVE_CALLERS[caller](bad)

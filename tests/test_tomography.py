@@ -26,7 +26,6 @@ from trottersim.tomography import (
     _bloch_jacobian,
     _bloch_model,
     _candidate_starts,
-    _estimate_t2_rate,
     _levenberg_marquardt,
     _step_starts,
     dephasing_time,
@@ -333,8 +332,8 @@ def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
     sign=st.sampled_from((1.0, -1.0)),
 )
 def test_noiseless_round_trip_property(t1, t2_share, omega, sign):
-    # A negative drive turns the |1> state's <sigma_y> downwards first, and the
-    # start grid then spans [-1/(2 tau0), 0].
+    # The curves' step reads a negative drive with its sign, and the start grid
+    # then spans [-1/(2 tau0), 0].
     t2, omega = 5.0 + t2_share * (2 * t1 - 5.0), sign * omega
     fit = global_fit(generate_tomography(rates_from_times(t1, t2, omega), TAU0, 13))
     assert fit.converged
@@ -344,13 +343,14 @@ def test_noiseless_round_trip_property(t1, t2_share, omega, sign):
 
 @pytest.mark.parametrize("t2", [0.5, 1.0, 2.0])
 def test_fast_dephasing_fit_starts_from_the_dephasing_grid(t2):
-    # With T2 below tau0, <x> of |+> drops under the 0.05 seed threshold after
-    # one step, so no 1/T2 seed exists and each of the 10 r1 values spans six
-    # dephasing rates instead of one.
+    # With T2 below tau0, <x> of |+> falls by e^{-tau0/T2} per step, yet the curves'
+    # step still reads 1/T2 exactly: each of the 10 r1 values gets the one dephasing
+    # rate that keeps it (capped at the box's 2/us), beside eight drives.
     rates = rates_from_times(50.0, t2, 0.02)
     ts = generate_tomography(rates, TAU0, 13)
-    assert _estimate_t2_rate(ts) is None
-    assert len(_candidate_starts(ts)) == 660
+    grid = _candidate_starts(_step_starts(ts.as_matrix(), TAU0)[0], TAU0)
+    assert grid.shape == (80, 3)
+    np.testing.assert_allclose(grid[:, 1] + grid[:, 0] / 2, min(1 / t2, 2.0), rtol=1e-12)
     fit = global_fit(ts)
     assert fit.converged
     np.testing.assert_allclose(
@@ -417,9 +417,9 @@ def test_fit_runs_one_lm_from_the_best_scored_row(monkeypatch):
     u0, lo, hi = calls[0]
     np.testing.assert_array_equal(lo, [1e-6, 0.0, -0.5 / TAU0])
     np.testing.assert_array_equal(hi, [2.0, 2.0, 0.5 / TAU0])
-    # The two rows read from the curves' step come first, then the grid, unchanged.
-    cands = np.clip(np.concatenate([_step_starts(ts.as_matrix(), TAU0), _candidate_starts(ts)]),
-                    lo, hi)
+    # The two rows read from the curves' step come first, then the grid built from the first.
+    step_rows = _step_starts(ts.as_matrix(), TAU0)
+    cands = np.clip(np.concatenate([step_rows, _candidate_starts(step_rows[0], TAU0)]), lo, hi)
     scores = ((_bloch_model(cands, ts.times) - ts.as_matrix()) ** 2).sum(axis=(1, 2))
     np.testing.assert_array_equal(u0, cands[np.argmin(scores)])
 
@@ -427,9 +427,9 @@ def test_fit_runs_one_lm_from_the_best_scored_row(monkeypatch):
 @pytest.mark.parametrize("angles_deg", [(5.8, 36.1, 166.0), (10.0, 40.0, 170.0)])
 def test_fit_near_the_nyquist_edge_tries_the_other_sign(angles_deg):
     # Strong damping turns the |1> state's first <sigma_y> step negative although
-    # the drive is positive: a run from the grid of that sign ends on the
-    # -1/(2 tau0) edge. The rows read from the curves' step carry the drive's
-    # own sign, so the fit needs neither the mirrored run nor the grid.
+    # the drive is positive, so no sign can be read from that step alone. The
+    # rows read from the curves' step carry the drive's own sign, so the fit
+    # starts at the optimum and needs no mirrored run.
     rates = angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0))
     ts = generate_tomography(rates, TAU0, 13)
     sy = ts.curve("1", "y")
@@ -441,10 +441,10 @@ def test_fit_near_the_nyquist_edge_tries_the_other_sign(angles_deg):
 
 
 def test_fit_that_ends_on_the_nyquist_edge_reruns_from_the_mirrored_rows(monkeypatch):
-    # Trotter curves near theta3 = 180 deg: the best-scored row runs to the -1/(2 tau0)
+    # Trotter curves near theta3 = 180 deg: the best-scored row runs to the +1/(2 tau0)
     # edge, the run from the mirrored rows ends inside the band with a lower cost,
     # and its result is kept. evaluations counts the model calls of both runs.
-    ts = _trotter_set(6.820785868644059, 53.96476987852132, 154.78152913722073)
+    ts = _trotter_set(24.810621805668866, 56.63397090773057, 171.99120281121148)
     runs, calls = [], []
 
     def spy(fun, u, lo, hi):
@@ -460,7 +460,7 @@ def test_fit_that_ends_on_the_nyquist_edge_reruns_from_the_mirrored_rows(monkeyp
     fit = global_fit(ts)
     assert len(runs) == 2
     (u_edge, r_edge, _), (u_kept, r_kept, _) = runs
-    assert u_edge[2] == -0.5 / TAU0 and abs(u_kept[2]) < 0.5 / TAU0
+    assert u_edge[2] == 0.5 / TAU0 and abs(u_kept[2]) < 0.5 / TAU0
     assert r_kept @ r_kept < r_edge @ r_edge
     assert fit.omega == u_kept[2] and fit.converged
     assert fit.evaluations == len(calls) > 2
@@ -537,7 +537,7 @@ def _grid_only_fit(ts):
     """The fit from the grid alone, without the step rows: one run from its best row."""
     data = ts.as_matrix()
     lo, hi = np.array([1e-6, 0.0, -0.5 / TAU0]), np.array([2.0, 2.0, 0.5 / TAU0])
-    cands = np.clip(_candidate_starts(ts), lo, hi)
+    cands = np.clip(_candidate_starts(_step_starts(data, TAU0)[0], TAU0), lo, hi)
     scores = ((_bloch_model(cands, ts.times) - data) ** 2).sum(axis=(1, 2))
 
     def fun(u):
