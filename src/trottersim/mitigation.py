@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_positive
 from .liouvillian import CanonicalRates
 from .tomography import generate_tomography, global_fit
 from .trotter import TrotterSchedule, run_schedule
@@ -57,12 +58,11 @@ class NoisePoint:
     sigma: float | None = None
 
     def __post_init__(self):
-        for name in ("c", "value", "sigma"):
+        check_positive("c", self.c)
+        for name in ("value", "sigma"):
             v = getattr(self, name)
             if v is not None and not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        if not self.c > 0:
-            raise ValueError(f"noise scale factor must be positive, got {self.c}")
         if self.sigma is not None and self.sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 

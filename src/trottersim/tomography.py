@@ -6,13 +6,13 @@ unweighted sum of squared deviations between those curves and the exact
 master-equation model, parameterized internally by the rates
 (1/T1, pure dephasing, Omega) so the physicality constraint T2 <= 2*T1 holds
 by construction. The model is the closed-form (Torrey) Bloch solution
-(liouvillian.bloch_solution). One model call scores the start rows: two read
-from the curves' own step, which one linear least-squares solve recovers from
-the four states' affine Bloch rows and whose invariants give the rates (exact
-for canonical curves and for Trotter products), beside a grid of starts built
-from the first of them: its 1/T2 and the sign of its drive. The best row
-starts one projected Levenberg-Marquardt run, written here in numpy, on the
-12*(N+1) residuals with an exact complex-step Jacobian.
+(liouvillian.bloch_solution). The fit starts from the curves' own step: one
+linear least-squares solve recovers it from the four states' affine Bloch rows,
+and its invariants give the rates (exact for canonical curves and for Trotter
+products). From there one projected Levenberg-Marquardt run, written here in
+numpy, fits the 12*(N+1) residuals with an exact complex-step Jacobian; a run
+that ends with 1/T1 or Omega on a face of the box is repeated once from the
+start's drive mirrored in sign, and the lower cost is kept.
 Optional sampling noise replaces each expectation x by 2k/s - 1 with
 k ~ Binomial(s, (1+x)/2).
 """
@@ -147,10 +147,10 @@ class FitResult:
         omega: Rabi rate in MHz, signed and within the Nyquist band
             [-1/(2 tau0), 1/(2 tau0)]: a faster drive shows as its alias.
         residual: Root-mean-square deviation over all 12*(N+1) points.
-        converged: Whether the Levenberg-Marquardt run stopped on one of its
+        converged: Whether the kept Levenberg-Marquardt run stopped on one of its
             tolerances rather than its iteration cap (not a goodness of fit).
         evaluations: Residual-and-Jacobian evaluations over the fit's
-            Levenberg-Marquardt runs, the Nyquist-edge retry included.
+            Levenberg-Marquardt runs, the mirrored retry included.
         at_bound: The rates, of ("gamma1", "gamma_phi", "omega"), that end on
             a face of the fit's box: a gamma1 on its 1e-6/us floor reads as
             T1 = 1e6 us, a bound rather than a measurement.
@@ -188,20 +188,8 @@ def _bloch_jacobian(u: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.nd
     return model[0].real, model.imag.T / _COMPLEX_STEP
 
 
-def _candidate_starts(step_row: np.ndarray, tau0: float) -> np.ndarray:
-    """The (80, 3) start grid, r1-major, built from the step's row (r1, rphi, omega): ten r1
-    values, each with the rphi that keeps the step's 1/T2 (capped at the box, floored at 0),
-    and eight drives spanning the half band of the step's drive sign."""
-    r1, rphi, omega = step_row
-    r1s = np.geomspace(1e-4, 0.5, 10)[:, None]
-    cands = np.empty((10, 8, 3))
-    cands[..., 0], cands[..., 1] = r1s, np.maximum(0.0, min(rphi + r1 / 2, _RATE_CEIL) - r1s / 2)
-    cands[..., 2] = np.linspace(0.0, 0.5 / tau0, 8) * (-1.0 if omega < 0 else 1.0)
-    return cands.reshape(-1, 3)
-
-
-def _step_starts(curves: np.ndarray, tau0: float) -> np.ndarray:
-    """Rows (r1, rphi, omega) and (r1, rphi, -omega) read from the (12, T) curves' own step.
+def _step_start(curves: np.ndarray, tau0: float) -> np.ndarray:
+    """The row (r1, rphi, omega) read from the (12, T) curves' own step.
 
     One least-squares solve over C_{j+1} = R C_j, on the four states' affine Bloch rows
     (1, x, y, z), gives the step R. A canonical step of length tau0, and every Trotter product
@@ -210,7 +198,7 @@ def _step_starts(curves: np.ndarray, tau0: float) -> np.ndarray:
     e^{m tau0} = sqrt(det B). When c > 1, s is real: c = cosh(s tau0) and d = w sinh(s tau0)/s.
     Else c = cos(|s| tau0), read with sin^2 = 1 - c^2 = d^2 - e^2 - f^2 so that it stays exact
     near 0 and pi, and w^2 = a^2 + |s|^2 with a = (G1 - G2)/2 and the sign of d. Each log and
-    root argument is clipped into its domain; the box clips the rows.
+    root argument is clipped into its domain; the box clips the row.
     """
     affine = np.concatenate([np.ones((4, 1, curves.shape[1])), curves.reshape(4, 3, -1)],
                             axis=1).transpose(2, 0, 1)  # (point, state, 4)
@@ -228,8 +216,7 @@ def _step_starts(curves: np.ndarray, tau0: float) -> np.ndarray:
         e, f = (byy - bzz) / scale, (byz + bzy) / scale
         x = math.atan2(math.sqrt(max(0.0, d * d - e * e - f * f)), c)  # |s| tau0
         w = math.copysign(math.hypot((g1 - g2) / 2, x / tau0), d)
-    omega = w / (2 * math.pi)
-    return np.array([[g1, g2 - g1 / 2, omega], [g1, g2 - g1 / 2, -omega]])
+    return np.array([g1, g2 - g1 / 2, w / (2 * math.pi)])
 
 
 _LM_MAX_ITER = 100
@@ -280,23 +267,22 @@ def global_fit(ts: TomographySet) -> FitResult:
 
     Projected Levenberg-Marquardt over the internal parameters (1/T1,
     pure-dephasing rate, Omega) with the closed-form model's complex-step
-    Jacobian, run once from the best of the start rows that one model call
-    scores. The first two rows are read from the curves' own step: a linear
+    Jacobian, run from the row read from the curves' own step: a linear
     least-squares fit of C_{j+1} = R C_j over the four states' affine Bloch
     rows, whose invariants give the rates exactly for canonical curves and
-    for Trotter products, with the drive of either sign. The start grid
-    follows, built from the first row's 1/T2 and drive sign, so the start
-    scores no worse than the grid's best row.
+    for Trotter products.
     Omega is signed within the Nyquist band [-1/(2 tau0), 1/(2 tau0)], so a
     faster drive fits as its alias. Near the band's edge a Trotter step can
-    read the other sign, so a run that ends on the edge is repeated from the
-    mirrored rows, and the better of the two is kept.
+    read the other sign, and a start in the wrong basin can pin 1/T1 to its
+    floor, so a run that ends with 1/T1 or Omega on a face of the box is
+    repeated from the start with its drive mirrored, and the run with the
+    lower cost is kept.
 
     Args:
         ts: Tomography curves on a uniform time grid with >= 6 points.
 
     Returns:
-        FitResult of that run; `converged` is True when it ended on one of
+        FitResult of the kept run; `converged` is True when it ended on one of
         its tolerances rather than its iteration cap, `evaluations` counts
         the model-and-Jacobian calls of both runs, and `at_bound` names the
         rates that end on a face of the box.
@@ -318,16 +304,12 @@ def global_fit(ts: TomographySet) -> FitResult:
         model, jac = _bloch_jacobian(u, ts.times)
         return model - data.ravel(), jac
 
-    def fit_from_best(cands):  # argmin takes the first of tied rows
-        scores = ((_bloch_model(cands, ts.times) - data) ** 2).sum(axis=(1, 2))
-        return _levenberg_marquardt(fun, cands[np.argmin(scores)], lo, hi)
-
-    step_rows = _step_starts(data, tau0)
-    cands = np.clip(np.concatenate([step_rows, _candidate_starts(step_rows[0], tau0)]), lo, hi)
-    u, r, status = fit_from_best(cands)
-    if abs(u[2]) == hi[2]:  # on the Nyquist edge, where a drive of the other sign may fit better
-        other = fit_from_best(cands * [1, 1, -1])
-        u, r, status = other if other[1] @ other[1] < r @ r else (u, r, status)
+    start = np.clip(_step_start(data, tau0), lo, hi)
+    runs = [_levenberg_marquardt(fun, start, lo, hi)]
+    face = (runs[0][0] == lo) | (runs[0][0] == hi)
+    if face[0] or face[2]:  # the box is symmetric in omega, so the mirror needs no clip
+        runs.append(_levenberg_marquardt(fun, start * [1, 1, -1], lo, hi))
+    u, r, status = min(runs, key=lambda run: run[1] @ run[1])  # the first of a tie
     r1, rphi, omega = u  # the box keeps r1 >= _RATE_FLOOR > 0
     return FitResult(t1=1.0 / r1, t2=1.0 / (r1 / 2 + rphi), omega=float(omega),
                      residual=float(np.sqrt(np.mean(r**2))), converged=status > 0,

@@ -275,6 +275,7 @@ def convergence_order(
         floating-point floor, the slope is meaningless, and only the
         saturated flag is set.
     """
+    check_positive("t_total", t_total)
     if len(n_list) < 4:
         raise ValueError("n_list needs at least 4 entries for a slope fit")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -330,6 +331,7 @@ def compare_orders(
     Returns:
         {1: AccuracyReport, 2: AccuracyReport}.
     """
+    check_positive("dt", dt)
     base = TrotterSchedule(permutation, backend=backend, noise=noise)
     schedules = [replace(base, order=1, n_steps=2 * n_steps, dt=dt / 2),
                  replace(base, order=2, n_steps=n_steps, dt=dt)]

@@ -27,8 +27,9 @@ from trottersim.linalg import (
 )
 from trottersim.dilation import AngleParams, depolarization_equivalent_time, rates_to_angles
 from trottersim.liouvillian import CanonicalRates, target_trace
+from trottersim.mitigation import NoisePoint
 from trottersim.tomography import generate_tomography
-from trottersim.trotter import TrotterSchedule
+from trottersim.trotter import TrotterSchedule, compare_orders, convergence_order
 
 
 def series_expm(m, terms=60):
@@ -415,13 +416,17 @@ def test_bloch_row_check_matches_the_eigvalsh_reference(shape, data):
 
 # ------------------------------------------------------- positive and finite
 
-_POSITIVE_CALLERS = {
-    "generate_tomography": lambda v: generate_tomography(CanonicalRates(), v, 13),
-    "target_trace": lambda v: target_trace(CanonicalRates(), density(KET_1), v, 5),
-    "depolarization_equivalent_time": lambda v: depolarization_equivalent_time(0.1, v),
-    "TrotterSchedule": lambda v: TrotterSchedule(dt=v),
-    "AngleParams": lambda v: AngleParams(tau0=v),
-    "rates_to_angles": lambda v: rates_to_angles(CanonicalRates(0.03, 0.02, 0.01), v),
+_POSITIVE_CALLERS = {  # caller -> (the argument it names, the call)
+    "generate_tomography": ("tau0", lambda v: generate_tomography(CanonicalRates(), v, 13)),
+    "target_trace": ("tau0", lambda v: target_trace(CanonicalRates(), density(KET_1), v, 5)),
+    "depolarization_equivalent_time": ("tau0", lambda v: depolarization_equivalent_time(0.1, v)),
+    "TrotterSchedule": ("dt", lambda v: TrotterSchedule(dt=v)),
+    "AngleParams": ("tau0", lambda v: AngleParams(tau0=v)),
+    "rates_to_angles": ("tau0", lambda v: rates_to_angles(CanonicalRates(0.03, 0.02, 0.01), v)),
+    "convergence_order": ("t_total", lambda v: convergence_order(TrotterSchedule(),
+                                                                  CanonicalRates(), t_total=v)),
+    "compare_orders": ("dt", lambda v: compare_orders(CanonicalRates(), dt=v)),
+    "NoisePoint": ("c", lambda v: NoisePoint(c=v, value=1.0)),
 }
 
 
@@ -429,7 +434,9 @@ _POSITIVE_CALLERS = {
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("caller", sorted(_POSITIVE_CALLERS))
 def test_step_lengths_must_be_positive_and_finite(caller, bad):
-    # check_positive names the step length before any arithmetic: a bare `tau0 <= 0`
-    # test lets NaN and inf through to a later check that names theta3 instead.
-    with pytest.raises(ValueError, match=rf"^(tau0|dt) must be positive and finite, got {bad}$"):
-        _POSITIVE_CALLERS[caller](bad)
+    # check_positive names the argument before any arithmetic: a bare `tau0 <= 0`
+    # test lets NaN and inf through to a later check that names theta3 instead, and a
+    # length divided before its check is reported under another name and value.
+    name, call = _POSITIVE_CALLERS[caller]
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {bad}$"):
+        call(bad)

@@ -16,6 +16,7 @@ from trottersim.liouvillian import (
     qubit_generators,
     target_trace,
 )
+import trottersim.cli as cli
 import trottersim.tomography as tomography
 from trottersim.tomography import (
     INITIAL_STATES,
@@ -25,9 +26,8 @@ from trottersim.tomography import (
     TomographySet,
     _bloch_jacobian,
     _bloch_model,
-    _candidate_starts,
     _levenberg_marquardt,
-    _step_starts,
+    _step_start,
     dephasing_time,
     generate_tomography,
     global_fit,
@@ -332,8 +332,8 @@ def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
     sign=st.sampled_from((1.0, -1.0)),
 )
 def test_noiseless_round_trip_property(t1, t2_share, omega, sign):
-    # The curves' step reads a negative drive with its sign, and the start grid
-    # then spans [-1/(2 tau0), 0].
+    # The curves' step reads a negative drive with its sign, so the fit starts on the
+    # drive's own side of the band.
     t2, omega = 5.0 + t2_share * (2 * t1 - 5.0), sign * omega
     fit = global_fit(generate_tomography(rates_from_times(t1, t2, omega), TAU0, 13))
     assert fit.converged
@@ -342,15 +342,13 @@ def test_noiseless_round_trip_property(t1, t2_share, omega, sign):
 
 
 @pytest.mark.parametrize("t2", [0.5, 1.0, 2.0])
-def test_fast_dephasing_fit_starts_from_the_dephasing_grid(t2):
+def test_fast_dephasing_fit_starts_from_the_step_read_out(t2):
     # With T2 below tau0, <x> of |+> falls by e^{-tau0/T2} per step, yet the curves'
-    # step still reads 1/T2 exactly: each of the 10 r1 values gets the one dephasing
-    # rate that keeps it (capped at the box's 2/us), beside eight drives.
+    # step still reads 1/T2 exactly, and the fit from it ends on the rates.
     rates = rates_from_times(50.0, t2, 0.02)
     ts = generate_tomography(rates, TAU0, 13)
-    grid = _candidate_starts(_step_starts(ts.as_matrix(), TAU0)[0], TAU0)
-    assert grid.shape == (80, 3)
-    np.testing.assert_allclose(grid[:, 1] + grid[:, 0] / 2, min(1 / t2, 2.0), rtol=1e-12)
+    r1, rphi, _ = _step_start(ts.as_matrix(), TAU0)
+    np.testing.assert_allclose(rphi + r1 / 2, 1 / t2, rtol=1e-12)
     fit = global_fit(ts)
     assert fit.converged
     np.testing.assert_allclose(
@@ -393,13 +391,12 @@ def test_fit_with_shot_noise_ensemble():
     assert hits.sum() >= 95
 
 
-def _trotter_set(*angles_deg):
+def _trotter_set(*angles_deg, shots=None, seed=None):
     """Twelve first-order Trotter curves, 13 steps of TAU0, at the given dilation angles."""
     rates = angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0))
     schedule = TrotterSchedule(n_steps=13, dt=TAU0)
-    return generate_tomography(
-        rates, TAU0, 13, evolve=lambda rho0: run_schedule(schedule, rates, rho0)
-    )
+    return generate_tomography(rates, TAU0, 13, shots=shots, seed=seed,
+                               evolve=lambda rho0: run_schedule(schedule, rates, rho0))
 
 
 def test_fit_runs_one_lm_from_the_best_scored_row(monkeypatch):
@@ -417,18 +414,15 @@ def test_fit_runs_one_lm_from_the_best_scored_row(monkeypatch):
     u0, lo, hi = calls[0]
     np.testing.assert_array_equal(lo, [1e-6, 0.0, -0.5 / TAU0])
     np.testing.assert_array_equal(hi, [2.0, 2.0, 0.5 / TAU0])
-    # The two rows read from the curves' step come first, then the grid built from the first.
-    step_rows = _step_starts(ts.as_matrix(), TAU0)
-    cands = np.clip(np.concatenate([step_rows, _candidate_starts(step_rows[0], TAU0)]), lo, hi)
-    scores = ((_bloch_model(cands, ts.times) - ts.as_matrix()) ** 2).sum(axis=(1, 2))
-    np.testing.assert_array_equal(u0, cands[np.argmin(scores)])
+    # The one run starts from the row read from the curves' step, clipped into the box.
+    np.testing.assert_array_equal(u0, np.clip(_step_start(ts.as_matrix(), TAU0), lo, hi))
 
 
 @pytest.mark.parametrize("angles_deg", [(5.8, 36.1, 166.0), (10.0, 40.0, 170.0)])
 def test_fit_near_the_nyquist_edge_tries_the_other_sign(angles_deg):
     # Strong damping turns the |1> state's first <sigma_y> step negative although
     # the drive is positive, so no sign can be read from that step alone. The
-    # rows read from the curves' step carry the drive's own sign, so the fit
+    # row read from the curves' step carries the drive's own sign, so the fit
     # starts at the optimum and needs no mirrored run.
     rates = angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0))
     ts = generate_tomography(rates, TAU0, 13)
@@ -441,9 +435,10 @@ def test_fit_near_the_nyquist_edge_tries_the_other_sign(angles_deg):
 
 
 def test_fit_that_ends_on_the_nyquist_edge_reruns_from_the_mirrored_rows(monkeypatch):
-    # Trotter curves near theta3 = 180 deg: the best-scored row runs to the +1/(2 tau0)
-    # edge, the run from the mirrored rows ends inside the band with a lower cost,
-    # and its result is kept. evaluations counts the model calls of both runs.
+    # Trotter curves near theta3 = 180 deg: the run from the step's row ends on the
+    # +1/(2 tau0) edge, the run from that row with its drive mirrored ends inside the
+    # band with a lower cost, and its result is kept. evaluations counts the model
+    # calls of both runs.
     ts = _trotter_set(24.810621805668866, 56.63397090773057, 171.99120281121148)
     runs, calls = [], []
 
@@ -466,9 +461,59 @@ def test_fit_that_ends_on_the_nyquist_edge_reruns_from_the_mirrored_rows(monkeyp
     assert fit.evaluations == len(calls) > 2
 
 
+def test_fit_that_ends_on_the_t1_floor_reruns_from_the_mirrored_row(monkeypatch):
+    # Noiseless Trotter curves whose run from the step's row pins 1/T1 to its floor (and
+    # omega to the band's edge): the run from the mirrored drive ends at a lower cost and
+    # is kept. A run that pins 1/T1 inside the band reruns too, and stays the fit when
+    # the mirrored run ends higher.
+    runs = []
+
+    def spy(fun, u, lo, hi):
+        runs.append(_levenberg_marquardt(fun, u, lo, hi))
+        return runs[-1]
+
+    def rms(r):
+        return np.sqrt(np.mean(r**2))
+
+    monkeypatch.setattr(tomography, "_levenberg_marquardt", spy)
+    fit = global_fit(_trotter_set(18.992553886700986, 44.17248115095125, 177.5444223629221))
+    assert len(runs) == 2
+    (u_floor, r_floor, _), (u_kept, r_kept, _) = runs
+    assert u_floor[0] == 1e-6 and rms(r_floor) == pytest.approx(0.19215, abs=5e-6)
+    assert fit.residual == rms(r_kept) == pytest.approx(0.192064756942722, rel=1e-9)
+    runs.clear()
+    fit = global_fit(_trotter_set(6.820785868644059, 53.96476987852132, 154.78152913722073))
+    assert len(runs) == 2
+    (u_floor, r_floor, _), (_, r_other, _) = runs
+    assert u_floor[0] == 1e-6 and abs(u_floor[2]) < 0.5 / TAU0
+    assert rms(r_other) > rms(r_floor) == fit.residual and fit.at_bound == ("gamma1",)
+
+
+def test_noisy_fit_whose_first_run_pins_t1_ends_off_the_floor():
+    # 100-shot Trotter curves on which the best-scored row of a start grid,
+    # (1e-4, 0.514, -0.120), runs to the 1/T1 floor at residual 0.2556. The one run from
+    # the step's row ends inside the box, at T1 = 10.26 us and a lower residual.
+    ts = _trotter_set(40.49077636075533, 47.42208442429876, 216.65376779503788,
+                      shots=100, seed=731964731)
+    fit = global_fit(ts)
+    assert fit.t1 == pytest.approx(10.26, abs=0.005) and fit.at_bound == ()
+    assert fit.residual <= 0.2546815860229208 * (1 + 1e-9)
+
+
+def test_fig2_fits_cost_at_most_217_evaluations():
+    # A count, so it guards the cost of fig2's 23 Trotter fits without timing them:
+    # each fit starts from its curves' step and at most reruns from the mirrored drive.
+    total = 0
+    for name, (grid, fixed) in cli._FIG2_SWEEPS.items():
+        for angle_deg in grid:
+            cfg = cli.build_config({"angles": {**fixed, f"{name}_deg": float(angle_deg)}}, "fit")
+            total += cli._tomography(cfg)[1].evaluations
+    assert total <= 217
+
+
 # ------------------------------------------------ starts from the data's step
 #
-# _step_starts reads (G1, G2, omega) from the step that a linear least-squares
+# _step_start reads (G1, G2, omega) from the step that a linear least-squares
 # solve recovers from the curves. Exact curves and Trotter products give it
 # exactly, so an exact fit starts at its optimum.
 
@@ -487,16 +532,14 @@ def _step_row(r1_min):
 @example(row=(0.03, 0.0, 0.0, "ep0"), first=0)  # G1 = G2, no drive: c = 1
 @example(row=(1e-4, 0.0, 1.0, "free"), first=0)  # on the Nyquist edge, |s| tau0 = pi
 def test_step_starts_recover_canonical_rates(row, first):
-    # Canonical curves on the grid j*tau0, or from t = tau0 (first = 1): the first row is
-    # (G1, G2 - G1/2, omega) within 1e-9 relative, the second its mirror in omega.
+    # Canonical curves on the grid j*tau0, or from t = tau0 (first = 1): the row is
+    # (G1, G2 - G1/2, omega) within 1e-9 relative.
     r1, rphi, omega = _bloch_row(*row, TAU0)
     ts = generate_tomography(CanonicalRates(gamma1=r1, gamma_phi=rphi, omega=omega), TAU0, 13)
-    rows = _step_starts(ts.as_matrix()[:, first:], TAU0)
-    g1, g2 = rows[0, 0], rows[0, 1] + rows[0, 0] / 2
-    np.testing.assert_allclose([g1, g2], [r1, r1 / 2 + rphi], rtol=1e-9, atol=0)
+    g1, rphi_read, omega_read = _step_start(ts.as_matrix()[:, first:], TAU0)
+    np.testing.assert_allclose([g1, rphi_read + g1 / 2], [r1, r1 / 2 + rphi], rtol=1e-9, atol=0)
     # omega = 0 reads as round-off, small against the rates
-    np.testing.assert_allclose(rows[0, 2], omega, rtol=1e-9, atol=1e-9 * (r1 / 2 + rphi))
-    np.testing.assert_array_equal(rows[1], rows[0] * [1, 1, -1])
+    np.testing.assert_allclose(omega_read, omega, rtol=1e-9, atol=1e-9 * (r1 / 2 + rphi))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -511,10 +554,9 @@ def test_step_starts_recover_the_decay_rates_of_trotter_products(theta1, theta2,
     schedule = TrotterSchedule(order=order, n_steps=13, dt=TAU0)
     ts = generate_tomography(rates, TAU0, 13,
                              evolve=lambda rho0: run_schedule(schedule, rates, rho0))
-    rows = _step_starts(ts.as_matrix(), TAU0)
-    g1, g2 = rows[0, 0], rows[0, 1] + rows[0, 0] / 2
-    np.testing.assert_allclose([g1, g2], [rates.gamma1, rates.gamma1 / 2 + rates.gamma_phi],
-                               rtol=1e-9, atol=0)
+    g1, rphi, _ = _step_start(ts.as_matrix(), TAU0)
+    np.testing.assert_allclose([g1, g1 / 2 + rphi],
+                               [rates.gamma1, rates.gamma1 / 2 + rates.gamma_phi], rtol=1e-9, atol=0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -533,11 +575,23 @@ def test_exact_curves_fit_in_at_most_three_evaluations(row):
     np.testing.assert_allclose([1 / fit.t1, 1 / fit.t2], [r1, r1 / 2 + rphi], rtol=1e-6)
 
 
+def _start_grid(step_row):
+    """An (80, 3) start grid, r1-major, built from the step's row (r1, rphi, omega): ten r1
+    values, each with the rphi that keeps the step's 1/T2 (capped at the box, floored at 0),
+    and eight drives spanning the half band of the step's drive sign."""
+    r1, rphi, omega = step_row
+    r1s = np.geomspace(1e-4, 0.5, 10)[:, None]
+    cands = np.empty((10, 8, 3))
+    cands[..., 0], cands[..., 1] = r1s, np.maximum(0.0, min(rphi + r1 / 2, 2.0) - r1s / 2)
+    cands[..., 2] = np.linspace(0.0, 0.5 / TAU0, 8) * (-1.0 if omega < 0 else 1.0)
+    return cands.reshape(-1, 3)
+
+
 def _grid_only_fit(ts):
-    """The fit from the grid alone, without the step rows: one run from its best row."""
+    """The fit from a start grid alone, without the step's row: one run from its best row."""
     data = ts.as_matrix()
     lo, hi = np.array([1e-6, 0.0, -0.5 / TAU0]), np.array([2.0, 2.0, 0.5 / TAU0])
-    cands = np.clip(_candidate_starts(_step_starts(data, TAU0)[0], TAU0), lo, hi)
+    cands = np.clip(_start_grid(_step_start(data, TAU0)), lo, hi)
     scores = ((_bloch_model(cands, ts.times) - data) ** 2).sum(axis=(1, 2))
 
     def fun(u):
@@ -549,8 +603,9 @@ def _grid_only_fit(ts):
 
 
 def test_step_rows_never_leave_the_fit_worse_than_the_grid_alone():
-    # Near theta3 = 180 deg a Trotter step is far from exp(G tau0) and its rows can start
-    # a run into another basin; they are scored beside the grid, never instead of it.
+    # Near theta3 = 180 deg a Trotter step is far from exp(G tau0) and its row can start
+    # a run into another basin. A grid that spans the band, scored and run once, is the
+    # oracle: the step's run, with its mirrored retry, ends no worse.
     rng = np.random.default_rng(2301)
     for i in range(40):
         angles = (rng.uniform(2, 60), rng.uniform(2, 60), rng.uniform(150, 210))
