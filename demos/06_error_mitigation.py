@@ -14,9 +14,10 @@ from trottersim import (
     CanonicalRates,
     NoisePoint,
     angle_to_rates,
+    check_scale_factors,
     extrapolate,
-    mitigation_study,
     richardson_coeffs,
+    scaled_damping_t2,
 )
 
 # Measured Ramsey coherence times at four damping amplifications.
@@ -47,16 +48,20 @@ result = extrapolate(with_sigma, 1)
 print(f"order 1 with 0.5 us error bars: {result.estimate:.2f} "
       f"+/- {result.sigma_est:.2f} us")
 
-# Synthetic pipeline: simulate Trotterized tomography at each scaled
-# damping rate, fit T2* from the curves, extrapolate, and compare with
-# the exact zero-damping limit 1/gamma_phi.
+# Synthetic pipeline: check the scale factors before measuring anything,
+# simulate Trotterized tomography at each scaled damping rate and fit T2*
+# from the curves, extrapolate at each order, and compare with the exact
+# zero-damping limit 1/gamma_phi.
 base = CanonicalRates(
     gamma1=0.0090,
     gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0)).gamma_phi,
     omega=0.0,
 )
 truth = 1.0 / base.gamma_phi
-study = mitigation_study(base, (1.0, 2.13, 4.93, 9.96), n_max=3)
+cs = (1.0, 2.13, 4.93, 9.96)
+n_max = check_scale_factors(cs, 3, "c_list")
+points = [NoisePoint(c, scaled_damping_t2(base, c)) for c in cs]
+study = [extrapolate(points, n) for n in range(n_max + 1)]
 print(f"\nsynthetic study (true zero-damping T2* = {truth:.2f} us):")
 for result in study:
     err = result.estimate / truth - 1

@@ -29,7 +29,6 @@ __all__ = [
     "dephasing_channel",
     "damping_channel",
     "unitary_channel",
-    "identity_channel",
     "depolarizing_channel",
     "apply_channel",
     "compose_channels",
@@ -119,7 +118,7 @@ def damping_channel(gamma1: float, tau: float) -> KrausChannel:
     return KrausChannel((e0, e1), label="damping")
 
 
-def unitary_channel(u: np.ndarray, label: str = "unitary") -> KrausChannel:
+def unitary_channel(u: np.ndarray) -> KrausChannel:
     """Single-Kraus channel rho -> U rho U^dag for unitary U (within 1e-10)."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -127,12 +126,7 @@ def unitary_channel(u: np.ndarray, label: str = "unitary") -> KrausChannel:
     err = np.abs(dag(u) @ u - np.eye(u.shape[0])).max()
     if not err <= 1e-10:  # also true for NaN
         raise ValueError(f"matrix is not unitary: deviation {err:.3e}")
-    return KrausChannel((u,), label=label)
-
-
-def identity_channel(dim: int = 2) -> KrausChannel:
-    """The do-nothing channel on a dim-dimensional system."""
-    return unitary_channel(np.eye(dim), label="identity")
+    return KrausChannel((u,), label="unitary")
 
 
 def depolarizing_channel(p: float) -> KrausChannel:

@@ -48,7 +48,7 @@ from .dilation import (
 )
 from .linalg import check_bloch_rows, density, rx
 from .liouvillian import CanonicalRates, target_trace
-from .mitigation import (NoisePoint, _check_scale_factors, extrapolate, load_noise_points,
+from .mitigation import (NoisePoint, check_scale_factors, extrapolate, load_noise_points,
                          scaled_damping_t2)
 from .tomography import INITIAL_STATES, OBS_LABELS, STATE_LABELS, generate_tomography, global_fit
 from .trotter import (
@@ -253,7 +253,7 @@ def build_config(raw, mode):
             dt=angles.tau0, backend=v.pop("backend"),
             noise=NoiseParams(**noise) if "noise" in raw else None,
         )
-        _check_scale_factors(v["c_list"], v["n_max"] if simulated else 0, "c_list")
+        check_scale_factors(v["c_list"], v["n_max"] if simulated else 0, "c_list")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -447,6 +447,7 @@ def _run_fit(cfg, out):
     _write_json(json_path, {
         "engine": _engine_summary(cfg),
         "fitted": {
+            "at_bound": list(fit.at_bound),
             "converged": bool(fit.converged),
             "omega_mhz": float(fit.omega),
             "residual": float(fit.residual),
@@ -494,7 +495,7 @@ def _run_mitigate(cfg, out):
             limit = 1.0 / base.gamma_phi
             payload["zero_damping_limit"] = limit if cfg.variable == "t2" else 1.0 / limit
     try:
-        n_max = _check_scale_factors([p.c for p in points], cfg.n_max, source)
+        n_max = check_scale_factors([p.c for p in points], cfg.n_max, source)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     results = [extrapolate(points, n) for n in range(n_max + 1)]

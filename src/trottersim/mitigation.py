@@ -9,10 +9,10 @@ the order-n estimate E*_n = sum_i gamma_i E(lambda_i) with error O(lambda^(n+1))
 The coefficients gamma_i are computed with a Lagrange product formula rather
 than generic elimination, which makes the conditioning of the underlying
 Vandermonde system easy to diagnose; poorly separated scale factors emit a
-warning.  The study driver scales a qubit's amplitude-damping rate, re-runs
-the Trotterized dephasing-plus-damping experiment at each scale factor, fits
-the Ramsey time T2* from the simulated tomography curves, and extrapolates the
-damping rate to zero, where T2* approaches the pure dephasing time.
+warning.  A study checks its factors (check_scale_factors) before measuring one
+NoisePoint per factor with scaled_damping_t2, which scales the damping rate
+and fits the Ramsey time T2*, then extrapolates at each order: at zero damping
+T2* is the pure dephasing time.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .trotter import TrotterSchedule, run_schedule
 __all__ = [
     "NoisePoint",
     "ExtrapolationResult",
+    "check_scale_factors",
     "richardson_coeffs",
     "extrapolate",
     "scaled_damping_t2",
-    "mitigation_study",
     "load_noise_points",
 ]
 
@@ -92,9 +92,10 @@ class ExtrapolationResult:
             raise ValueError(f"coefficients must sum to 1, got {total}")
 
 
-def _check_scale_factors(cs, n_max, source):
+def check_scale_factors(cs, n_max, source):
     """The one scale-factor rule, in order: n_max None or >= 0, all positive and finite, the first
-    1, n_max + 1 <= len(cs) (None: len(cs) - 1), the first n_max + 1 distinct; returns n_max."""
+    1, n_max + 1 <= len(cs) (None: len(cs) - 1), the first n_max + 1 distinct; returns n_max.
+    A study runs it before it measures anything; source names the factors in its messages."""
     if n_max is not None and n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     cs = list(cs)
@@ -220,31 +221,6 @@ def scaled_damping_t2(rates, c, schedule=TrotterSchedule()):
         evolve=lambda rho0: run_schedule(schedule, scaled, rho0),
     )
     return global_fit(curves).t2
-
-
-def mitigation_study(base_rates, c_list, extractor=None, n_max=None):
-    """Runs the scaled-noise experiment and extrapolates at every order.
-
-    Args:
-        base_rates: CanonicalRates defining the unscaled (c = 1) experiment.
-        c_list: Scale factors: positive and finite, starting with 1.
-        extractor: Callable (rates, c) -> measured value; defaults to
-            scaled_damping_t2, which scales the damping rate and fits T2*.
-        n_max: Highest extrapolation order; defaults to len(c_list) - 1.
-
-    Returns:
-        List of ExtrapolationResult for orders 0 through n_max.  Order 0 is
-        the unmitigated c = 1 measurement.
-
-    Raises:
-        ValueError: Before any extractor call, if c_list and n_max break the
-            scale-factor rule (_check_scale_factors).
-    """
-    cs = [float(x) for x in c_list]
-    n_max = _check_scale_factors(cs, n_max, "c_list")
-    extractor = scaled_damping_t2 if extractor is None else extractor
-    points = [NoisePoint(c=c, value=extractor(base_rates, c)) for c in cs]
-    return [extrapolate(points, n) for n in range(n_max + 1)]
 
 
 def load_noise_points(path):

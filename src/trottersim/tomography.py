@@ -274,8 +274,9 @@ def global_fit(ts: TomographySet) -> FitResult:
     Omega is signed within the Nyquist band [-1/(2 tau0), 1/(2 tau0)], so a
     faster drive fits as its alias. Near the band's edge a Trotter step can
     read the other sign, and a start in the wrong basin can pin 1/T1 to its
-    floor, so a run that ends with 1/T1 or Omega on a face of the box is
-    repeated from the start with its drive mirrored, and the run with the
+    floor with Omega still inside the band (exact curves of a drive just past
+    the edge do), so a run that ends with 1/T1 or Omega on a face of the box
+    is repeated from the start with its drive mirrored, and the run with the
     lower cost is kept.
 
     Args:
@@ -307,6 +308,8 @@ def global_fit(ts: TomographySet) -> FitResult:
     start = np.clip(_step_start(data, tau0), lo, hi)
     runs = [_levenberg_marquardt(fun, start, lo, hi)]
     face = (runs[0][0] == lo) | (runs[0][0] == hi)
+    # Both faces count: exact curves at theta = (9.5, 57, 223.9) deg end the first run on the
+    # 1/T1 floor with omega inside the band, and only the mirrored run reaches the edge.
     if face[0] or face[2]:  # the box is symmetric in omega, so the mirror needs no clip
         runs.append(_levenberg_marquardt(fun, start * [1, 1, -1], lo, hi))
     u, r, status = min(runs, key=lambda run: run[1] @ run[1])  # the first of a tie

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trottersim.linalg import (
     I2,
@@ -11,10 +13,18 @@ from trottersim.linalg import (
     dag,
     density,
     expm,
+    rx,
     unvec,
     vec,
 )
-from trottersim.dilation import depolarization_equivalent_time
+from trottersim.dilation import (
+    NoiseParams,
+    damping_circuit,
+    dephasing_circuit,
+    depolarization_equivalent_time,
+    induced_channel,
+    rotation_circuit,
+)
 from trottersim.liouvillian import (
     CanonicalRates,
     damping_generator,
@@ -31,7 +41,6 @@ from trottersim.channels import (
     damping_channel,
     dephasing_channel,
     depolarizing_channel,
-    identity_channel,
     is_cptp,
     to_choi,
     to_superop,
@@ -39,6 +48,7 @@ from trottersim.channels import (
 )
 
 PLUS = density(KET_0 + KET_1)
+IDENTITY = unitary_channel(np.eye(2))
 
 
 def choi_oracle(superop, d):
@@ -69,7 +79,7 @@ def random_rho(rng, d=2):
 
 
 def test_dephasing_zero_is_identity():
-    assert channel_distance(dephasing_channel(0.0, 3.56), identity_channel()) < 1e-14
+    assert channel_distance(dephasing_channel(0.0, 3.56), IDENTITY) < 1e-14
 
 
 def test_dephasing_half_coherence():
@@ -87,7 +97,7 @@ def test_dephasing_keeps_populations():
 
 
 def test_damping_zero_is_identity():
-    assert channel_distance(damping_channel(0.0, 3.56), identity_channel()) < 1e-14
+    assert channel_distance(damping_channel(0.0, 3.56), IDENTITY) < 1e-14
 
 
 def test_damping_half_life():
@@ -112,7 +122,7 @@ def test_negative_inputs_rejected():
 
 
 def test_unitary_channel_basics():
-    assert channel_distance(unitary_channel(np.eye(2)), identity_channel()) < 1e-14
+    np.testing.assert_allclose(to_superop(IDENTITY), np.eye(4), atol=1e-14)
     out = apply_channel(unitary_channel(SIGMA_X), density(KET_0))
     np.testing.assert_allclose(out, density(KET_1), atol=1e-14)
 
@@ -150,12 +160,12 @@ def test_depolarizing_channel():
 def test_apply_identity():
     rng = np.random.default_rng(7)
     rho = random_rho(rng)
-    np.testing.assert_allclose(apply_channel(identity_channel(), rho), rho)
+    np.testing.assert_allclose(apply_channel(IDENTITY, rho), rho)
 
 
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply_channel(identity_channel(2), np.eye(3) / 3)
+        apply_channel(IDENTITY, np.eye(3) / 3)
 
 
 def test_sequential_dephasing_then_damping():
@@ -201,7 +211,7 @@ def test_apply_preserves_state_invariants():
 
 
 def test_identity_choi_matrix():
-    j = to_choi(identity_channel())
+    j = to_choi(IDENTITY)
     expected = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for k in range(2):
@@ -237,7 +247,7 @@ def test_kraus_choi_kraus_round_trip():
 
 
 def test_choi_to_kraus_rejects_non_psd():
-    j = to_choi(identity_channel()).copy()
+    j = to_choi(IDENTITY).copy()
     j[0, 0] -= 1.0  # break positivity
     j[3, 3] += 1.0
     with pytest.raises(ValueError, match="PSD"):
@@ -245,17 +255,17 @@ def test_choi_to_kraus_rejects_non_psd():
 
 
 def test_choi_to_kraus_rejects_non_hermitian():
-    j = to_choi(identity_channel()).copy()
+    j = to_choi(IDENTITY).copy()
     j[0, 1] += 1e-11  # within the 1e-10 tolerance: symmetrised, accepted
     back = choi_to_kraus(j)
-    np.testing.assert_allclose(to_superop(back), to_superop(identity_channel()), atol=1e-10)
+    np.testing.assert_allclose(to_superop(back), to_superop(IDENTITY), atol=1e-10)
     j[0, 1] += 1e-9
     with pytest.raises(ValueError, match="Hermitian"):
         choi_to_kraus(j)
 
 
 def test_choi_eigenvalue_cutoff_suppresses_rank_inflation():
-    j = to_choi(identity_channel()) + 1e-14 * np.eye(4)
+    j = to_choi(IDENTITY) + 1e-14 * np.eye(4)
     assert len(choi_to_kraus(j).kraus) == 1
 
 
@@ -270,7 +280,7 @@ def test_distance_zero_on_same_channel():
 def test_distance_identity_vs_bit_flip():
     # Explicit Choi matrices: rank-one projectors onto vec(I) and vec(X),
     # orthogonal with norm 2 each, so the Frobenius distance is 2*sqrt(2).
-    d = channel_distance(identity_channel(), unitary_channel(SIGMA_X))
+    d = channel_distance(IDENTITY, unitary_channel(SIGMA_X))
     assert d == pytest.approx(2 * np.sqrt(2), abs=1e-12)
 
 
@@ -280,7 +290,7 @@ def test_distance_separates_channel_families():
 
 def test_distance_dim_mismatch():
     with pytest.raises(ValueError):
-        channel_distance(identity_channel(2), identity_channel(3))
+        channel_distance(IDENTITY, unitary_channel(np.eye(3)))
 
 
 def test_distance_accepts_superoperators():
@@ -291,22 +301,36 @@ def test_distance_accepts_superoperators():
 # ------------------------------------------------------------------- CPTP
 
 
-def test_constructed_channels_are_cptp():
-    rng = np.random.default_rng(23)
+_RATE_OR_TIME = st.floats(0, 1e3)
+_PROBABILITY = st.floats(0, 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(gamma_phi=0.0, gamma1=0.0, tau=0.0, p=0.0, theta=0.0, noise=NoiseParams(), seed=0)
+@example(gamma_phi=1e3, gamma1=1e3, tau=1e3, p=1.0, theta=np.pi, noise=NoiseParams(1.0, 1.0),
+         seed=1)
+@given(gamma_phi=_RATE_OR_TIME, gamma1=_RATE_OR_TIME, tau=_RATE_OR_TIME, p=_PROBABILITY,
+       theta=st.floats(-2 * np.pi, 2 * np.pi),
+       noise=st.builds(NoiseParams, _PROBABILITY, _PROBABILITY), seed=st.integers(0, 2**32 - 1))
+def test_constructed_channels_are_cptp(gamma_phi, gamma1, tau, p, theta, noise, seed):
     channels = [
-        dephasing_channel(0.4, 2.0),
-        damping_channel(0.7, 1.0),
-        unitary_channel(expm(-1j * 1.2 * SIGMA_X)),
-        depolarizing_channel(0.25),
-        identity_channel(),
-    ] + [random_channel(rng) for _ in range(20)]
+        dephasing_channel(gamma_phi, tau),
+        damping_channel(gamma1, tau),
+        depolarizing_channel(p),
+        unitary_channel(rx(theta)),
+        random_channel(np.random.default_rng(seed)),
+    ] + [
+        induced_channel(circuit(theta), noise=n)
+        for circuit in (dephasing_circuit, damping_circuit, rotation_circuit)
+        for n in (None, noise)
+    ]
     for ch in channels:
         assert is_cptp(ch)
 
 
 def test_is_cptp_rejects_non_tp_map():
     # A superoperator scaled away from trace preservation.
-    s = 0.9 * to_superop(identity_channel())
+    s = 0.9 * to_superop(IDENTITY)
     assert not is_cptp(s)
 
 

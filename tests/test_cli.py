@@ -20,7 +20,7 @@ import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
 from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
-from trottersim.mitigation import mitigation_study
+from trottersim.mitigation import check_scale_factors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -168,6 +168,23 @@ def test_fit_of_an_aliased_drive_recovers_the_folded_rotation(tmp_path):
     assert predicted["omega_folded_mhz"] == pytest.approx(folded, abs=1e-12)
     for key in ("t1_us", "t2_us"):
         assert fitted[key] == pytest.approx(predicted[key], rel=0.15)
+
+
+_FLOOR_WITNESS = ("angles: {theta1_deg: 48.37255180111569, theta2_deg: 14.841168224909438, "
+                  "theta3_deg: 169.87152881491664}\norder: 2\n")
+
+
+@pytest.mark.parametrize("config, at_bound", [(None, []), (_FLOOR_WITNESS, ["gamma1"])],
+                         ids=["default", "t1-floor"])
+def test_fit_json_names_the_rates_on_a_face_of_the_box(tmp_path, config, at_bound):
+    # The second config's fit pins 1/T1 to its floor: its t1_us of 1e6 is a bound.
+    args = ["fit", "--out", str(tmp_path)]
+    if config is not None:
+        args += ["--config", str(write_config(tmp_path, config))]
+    main(args)
+    fitted = json.loads((tmp_path / "fit.json").read_text())["fitted"]
+    assert fitted["at_bound"] == at_bound
+    assert (fitted["t1_us"] == 1e6) == ("gamma1" in at_bound)
 
 
 def test_fit_determinism_and_seed_override(tmp_path):
@@ -476,7 +493,7 @@ def _rule_failure(cs, n_max):
                     st.lists(_FACTOR, max_size=5).map(lambda tail: [1.0, *tail])),
        n_max=st.one_of(st.none(), st.integers(0, 6)))
 def test_scale_factor_rule_is_one_rule_before_any_measurement(tmp_path_factory, cs, n_max):
-    # build_config (simulated mitigate), mitigate from input_csv and mitigation_study
+    # build_config (simulated mitigate), mitigate from input_csv and check_scale_factors
     # accept and reject the same factor lists with the same message.
     failure = _rule_failure(cs, n_max)
     try:
@@ -485,16 +502,14 @@ def test_scale_factor_rule_is_one_rule_before_any_measurement(tmp_path_factory, 
     except cli.ConfigError as exc:
         from_config = str(exc)
 
-    calls = []
     try:
-        mitigation_study(CanonicalRates(), cs, lambda rates, c: calls.append(c) or 1.0, n_max)
-        from_study = None
+        check_scale_factors(cs, n_max, "c_list")
+        from_rule = None
     except ValueError as exc:
-        from_study = str(exc)
-        assert calls == []
-    assert from_config == from_study
-    assert (from_study is None) == (failure is None)
-    assert failure is None or failure in from_study
+        from_rule = str(exc)
+    assert from_config == from_rule
+    assert (from_rule is None) == (failure is None)
+    assert failure is None or failure in from_rule
 
     out = tmp_path_factory.mktemp("csv")
     table = out / "t.csv"
@@ -509,7 +524,7 @@ def test_scale_factor_rule_is_one_rule_before_any_measurement(tmp_path_factory, 
     elif failure == "positive and finite":  # each NoisePoint rejects its c while loading
         assert "cannot load noise points" in err.getvalue()
     elif failure is not None:
-        assert from_study.replace("c_list", f"the c column of {table}") in err.getvalue()
+        assert from_rule.replace("c_list", f"the c column of {table}") in err.getvalue()
 
 
 def test_mitigate_from_csv_ignores_noisy_backend(tmp_path):

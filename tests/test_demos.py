@@ -1,11 +1,13 @@
-"""Smoke test: every script under demos/ runs to completion in-process."""
+"""Smoke test: every script under demos/ and the README's quick start run to completion
+in-process."""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -16,3 +18,11 @@ def test_demos_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_quick_start_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
+    t1, t2, omega = map(float, capsys.readouterr().out.split())
+    assert 0 < t2 <= 2 * t1 and omega > 0

@@ -12,7 +12,6 @@ from trottersim.channels import (
     compose_channels,
     damping_channel,
     dephasing_channel,
-    identity_channel,
     is_cptp,
     to_choi,
     to_superop,
@@ -171,7 +170,7 @@ def test_dephasing_circuit_is_probabilistic_phase_flip():
     for theta in (0.2, 0.9, 1.4):
         s = induced_channel(dephasing_circuit(theta))
         p = np.sin(theta / 2) ** 2
-        mix = (1 - p) * to_superop(identity_channel()) + p * to_superop(
+        mix = (1 - p) * to_superop(unitary_channel(np.eye(2))) + p * to_superop(
             unitary_channel(SIGMA_Z)
         )
         assert np.abs(s - mix).max() < 1e-12
@@ -199,7 +198,7 @@ def _kraus_reference(circuit, p_decay):
     ancilla decay after each two-qubit gate, read off as the blocks <a|E|g>."""
     e0 = np.kron(np.diag([1.0, np.sqrt(1.0 - p_decay)]), I2)
     decay = KrausChannel((e0, np.kron(np.sqrt(p_decay) * SIGMA_MINUS, I2)))
-    composite = identity_channel(4)
+    composite = unitary_channel(np.eye(4))
     for gate in circuit.gates[:-1]:
         composite = compose_channels(composite, unitary_channel(gate_unitary(gate)))
         if gate.kind in ("cz", "cnot_ancilla_ctrl"):
@@ -313,7 +312,7 @@ def test_induced_channel_rejects_bad_adaptive_mode():
 def test_ancilla_decay_stays_small_relative_to_target():
     # Injected ancilla decay between CZ and CNOT perturbs the damping
     # channel by well under 5% of the channel's distance from identity.
-    ident = to_superop(identity_channel())
+    ident = to_superop(unitary_channel(np.eye(2)))
     for theta_deg in (10, 20, 30):
         circ = damping_circuit(np.radians(theta_deg))
         clean = induced_channel(circ)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from trottersim.dilation import AngleParams, angle_to_rates
 from trottersim.liouvillian import CanonicalRates
 from trottersim.mitigation import (
     ExtrapolationResult,
     NoisePoint,
+    check_scale_factors,
     extrapolate,
     load_noise_points,
-    mitigation_study,
     richardson_coeffs,
     scaled_damping_t2,
 )
@@ -139,53 +140,52 @@ def test_noise_point_rejects_non_finite(field, bad):
 
 
 # ------------------------------------------------------------------ study
-
-
-def poly_extractor(coeffs):
-    return lambda rates, c: float(np.polyval(coeffs[::-1], c))
+#
+# A study is the scale-factor rule, one NoisePoint per factor, then one
+# extrapolation per order.
 
 
 def test_study_order_zero_is_unmitigated():
-    res = mitigation_study(
-        CanonicalRates(), (1.0, 2.0, 3.0), poly_extractor((5.0, -1.0, 0.5)), n_max=2
-    )
+    cs = (1.0, 2.0, 3.0)
+    n_max = check_scale_factors(cs, 2, "c_list")
+    points = [NoisePoint(c, 5.0 - c + 0.5 * c**2) for c in cs]
+    res = [extrapolate(points, n) for n in range(n_max + 1)]
     assert [r.order for r in res] == [0, 1, 2]
     assert res[0].estimate == pytest.approx(5.0 - 1.0 + 0.5)
     assert res[2].estimate == pytest.approx(5.0, abs=1e-10)
 
 
 def test_study_input_errors():
-    with pytest.raises(ValueError, match="start with"):
-        mitigation_study(CanonicalRates(), (2.0, 4.0), poly_extractor((1.0,)))
-    with pytest.raises(ValueError, match="scale factors"):
-        mitigation_study(CanonicalRates(), (1.0, 2.0), poly_extractor((1.0,)), n_max=5)
-    calls = []
+    with pytest.raises(ValueError, match="c_list must start with"):
+        check_scale_factors((2.0, 4.0), None, "c_list")
+    with pytest.raises(ValueError, match="c_list has 2 scale factors"):
+        check_scale_factors((1.0, 2.0), 5, "c_list")
     with pytest.raises(ValueError, match=r"^n_max must be >= 0, got -1$"):
-        mitigation_study(CanonicalRates(), (1.0, 2.0), lambda rates, c: calls.append(c), n_max=-1)
-    assert calls == []
+        check_scale_factors((1.0, 2.0), -1, "c_list")
+    assert check_scale_factors((1.0, 2.0, 4.0), None, "c_list") == 2
 
 
 def test_study_rejects_a_repeated_factor_before_measuring():
-    calls = []
-
-    def counting(rates, c):
-        calls.append(c)
-        return 1.0
-
     with pytest.raises(ValueError, match="repeats a scale factor"):
-        mitigation_study(CanonicalRates(), (1.0, 2.0, 2.0), counting)
-    assert calls == []
+        check_scale_factors((1.0, 2.0, 2.0), None, "c_list")
+    assert check_scale_factors((1.0, 2.0, 2.0), 1, "c_list") == 1  # the repeat is never used
 
 
 def test_damping_scaling_pipeline():
+    # Demo 06's study: gamma1 = 0.0090/us, gamma_phi from theta1 = 20 deg, no drive.
     base = CanonicalRates(
-        gamma1=0.0090, gamma_phi=-np.log(np.cos(np.radians(20))) / 3.56, omega=0.0
+        gamma1=0.0090,
+        gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0)).gamma_phi,
+        omega=0.0,
     )
     truth = 1.0 / base.gamma_phi  # pure dephasing time at zero damping
-    results = mitigation_study(base, (1.0, 2.13, 4.93, 9.96))
+    cs = (1.0, 2.13, 4.93, 9.96)
+    points = [NoisePoint(c, scaled_damping_t2(base, c)) for c in cs]
+    results = [extrapolate(points, n) for n in range(len(cs))]
+    assert [r.estimate for r in results] == [45.51122741162144, 53.08028462997605,
+                                             54.90967958211672, 55.56120363068334]
     # Order 0 is the biased raw measurement, higher orders close in on the
     # zero-damping limit monotonically.
-    assert results[0].estimate == pytest.approx(45.5109, rel=1e-4)
     assert results[1].estimate == pytest.approx(truth, rel=0.15)
     errors = [abs(r.estimate - truth) for r in results]
     assert errors == sorted(errors, reverse=True)
