@@ -48,7 +48,7 @@ from .dilation import (
 )
 from .linalg import check_bloch_rows, density, rx
 from .liouvillian import CanonicalRates, target_trace
-from .mitigation import (NoisePoint, check_scale_factors, extrapolate, load_noise_points,
+from .mitigation import (NoisePoint, _noise_rows, check_scale_factors, extrapolate,
                          scaled_damping_t2)
 from .tomography import INITIAL_STATES, OBS_LABELS, STATE_LABELS, generate_tomography, global_fit
 from .trotter import (
@@ -477,27 +477,30 @@ def _scaled_points(cfg):
 
 
 def _run_mitigate(cfg, out):
-    payload = {"variable": cfg.variable}
+    payload = {"variable": cfg.variable, "source": str(cfg.input_csv or "simulated")}
     if cfg.input_csv is not None:
         try:
-            points = load_noise_points(cfg.input_csv)
+            rows = _noise_rows(cfg.input_csv)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load noise points from {cfg.input_csv}: {exc}") from exc
-        if len(points) < 1:
+        if len(rows) < 1:
             raise ConfigError(f"no noise points found in {cfg.input_csv}")
-        payload["source"] = str(cfg.input_csv)
-        source = f"the c column of {cfg.input_csv}"
+        source, cs = f"the c column of {cfg.input_csv}", [row[0] for row in rows]
     else:  # build_config has checked c_list and n_max
         base, points = _scaled_points(cfg)
-        source, payload["source"] = "c_list", "simulated"
+        source, cs = "c_list", cfg.c_list
         payload["base_rates"] = _rates_summary(base)
         if base.gamma_phi > 0:
             limit = 1.0 / base.gamma_phi
             payload["zero_damping_limit"] = limit if cfg.variable == "t2" else 1.0 / limit
-    try:
-        n_max = check_scale_factors([p.c for p in points], cfg.n_max, source)
+    try:  # the rule reads the c column before NoisePoint checks each c
+        n_max = check_scale_factors(cs, cfg.n_max, source)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    try:
+        points = points if cfg.input_csv is None else [NoisePoint(*row) for row in rows]
+    except ValueError as exc:  # a row's value or sigma
+        raise ConfigError(f"cannot load noise points from {cfg.input_csv}: {exc}") from exc
     results = [extrapolate(points, n) for n in range(n_max + 1)]
     payload["points"] = [
         {"c": float(p.c), "sigma": None if p.sigma is None else float(p.sigma),

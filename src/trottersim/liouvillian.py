@@ -16,6 +16,8 @@ Conventions fixed here and used across the package:
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,24 +246,50 @@ class EvolutionTrace:
         return np.sqrt(self.sx**2 + self.sy**2 + self.sz**2)
 
 
-def _cosh_sinh(m, det, q, t):
-    """e^{mt} cosh(st) and t e^{mt} sinh(st)/(st) for (K, 1) rows, each in its case of s^2 = q."""
-    hyp = q.real[:, 0] > 0  # s is real for q > 0, else imaginary
-    if 0 < hyp.sum() < len(hyp):  # rows of both cases: one call per case
-        out = np.empty((2, len(q), t.size), np.result_type(q, t))
-        out[:, hyp], out[:, ~hyp] = (_cosh_sinh(m[k], det[k], q[k], t) for k in (hyp, ~hyp))
-        return out
-    real, z, emt = hyp.all(), q * t * t, np.exp(m * t)
-    small = np.abs(z) < 1e-5  # |st|^2 < 1e-5: t = 0, and near s = 0 (exceptional point a = +-w)
-    x = np.where(small, 1.0, np.sqrt(q if real else -q) * t)  # |st|
-    if real:  # e^{(m+s)t} (m + s = det/(m - s) cancels nothing) and expm1(-2st) stay in [-1, 1]
-        e, d = np.exp(det * t * t / (m * t - x)), np.expm1(-2 * x)
-        cosh, sinh = e * (1 + d / 2), -e * d / (2 * x)
-    else:
-        cosh, sinh = emt * np.cos(x), emt * np.sin(x) / x
-    zs, es = z[small], emt[small]  # the series in (st)^2, on the small samples alone
-    cosh[small], sinh[small] = es * (1 + zs / 2 + zs * zs / 24), es * (1 + zs / 6 + zs * zs / 120)
-    return cosh, t * sinh
+def _bloch_terms(bloch0) -> np.ndarray:
+    """The (9, 12 S) map from a rate row's monomials (1, a, w) x (1, v_y, v_z) to the
+    coefficients of the basis (1, C, S, E) in the three components of each of S starts."""
+    x0, y0, z0 = np.asarray(bloch0, dtype=float).T
+    terms = np.zeros((3, 3, 3, 4, len(x0)))  # (1, a, w), (1, v_y, v_z), component, basis, start
+    terms[0, 0, 0, 3], terms[0, 1, 1, 0], terms[0, 2, 2, 0] = x0, 1, 1  # x0 on E, v_ss on 1
+    d = terms[0, :, 1:, 1]  # d = (y0, z0) - v_ss on C
+    d[0], d[1, 0], d[2, 1] = (y0, z0), -1, -1
+    terms[1, :, 1:, 2] = d * [[1], [-1]]  # (M - mI) d = a (d_y, -d_z) + w (-d_z, d_y) on S
+    terms[2, :, 1, 2], terms[2, :, 2, 2] = -d[:, 1], d[:, 0]
+    return terms.transpose(0, 1, 4, 2, 3).reshape(9, -1)
+
+
+def _bloch_curves(rows, terms: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`bloch_solution` as (K, 3 S, T) curves for terms = _bloch_terms(bloch0), t checked."""
+    sqrt = cmath.sqrt if np.iscomplexobj(rows) else math.sqrt
+    tmax2, monos, consts, cases = float(t.max(initial=0.0)) ** 2, [], [], []
+    for g1, rphi, omega in np.asarray(rows).tolist():
+        g2, w = g1 / 2 + rphi, 2 * math.pi * omega
+        m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
+        q = a * a - w * w
+        vy, vz = (-w * g1 / det, g1 * g2 / det) if det else (0.0, 0.0)
+        monos.append([p * v for p in (1, a, w) for v in (1, vy, vz)])
+        case = 0 if abs(q) * tmax2 < 1e-5 else 1 if q.real > 0 else 2  # series, s real, imaginary
+        s = q if case == 0 else sqrt(q if case == 1 else -q)
+        consts.append((det / (m - s) if case == 1 else m, -g2, s))  # m + s = det/(m - s)
+        cases.append(case)
+    c = np.array(consts)
+    basis = np.empty((len(c), 4, t.size), c.dtype)  # 1, C, S, E; S is e^{c0 t} until its case
+    basis[:, 0], ct = 1, c[:, 2:] * t
+    np.exp(np.multiply(c[:, :2, None], t, out=basis[:, 2:]), out=basis[:, 2:])
+    for case in set(cases):
+        k = np.equal(cases, case) if len(set(cases)) > 1 else slice(None)
+        e, x, s = basis[k, 2], ct[k], c[k, 2:]  # e = e^{mt}, or e^{(m+s)t} where s is real
+        if case == 0:  # the series in z = (st)^2 = q t^2, |z| < 1e-5
+            z = x * t
+            cs = e * (1 + z / 2 + z * z / 24), e * t * (1 + z / 6 + z * z / 120)
+        elif case == 1:  # e^{(m+s)t} and expm1(-2st) stay in [-1, 1]
+            d = np.expm1(-2 * x)
+            cs = e * (1 + d / 2), e * d / (-2 * s)
+        else:
+            cs = e * np.cos(x), e * np.sin(x) / s
+        basis[k, 1], basis[k, 2] = cs
+    return (np.array(monos)[:, None] @ terms).reshape(len(c), -1, 4) @ basis  # row by row
 
 
 def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -271,25 +299,16 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     vectors and T times t >= 0. With G1 = gamma1, G2 = gamma1/2 + gamma_phi, w = 2 pi omega:
     <x> = x0 e^{-G2 t}, (<y>, <z>) = v_ss + e^{Mt} (v0 - v_ss), M = [[-G2, -w], [w, -G1]],
     v_ss = -M^{-1} (0, G1), taken as 0 where det M = 0 (G1 = w = 0, where (0, G1) is 0 too),
-    e^{Mt} = e^{mt} (cosh(st) I + sinh(st)/s (M - mI)), m = -(G1 + G2)/2 and
-    s^2 = ((G1 - G2)/2)^2 - w^2. Real for real rows; analytic in them, so a complex step
-    in a rate gives its derivative. Each row takes only its own case (s real or imaginary).
+    e^{Mt} = e^{mt} (cosh(st) I + sinh(st)/s (M - mI)), m = -(G1 + G2)/2, s^2 = q = a^2 - w^2
+    and a = (G1 - G2)/2. So a curve is the basis (1, e^{mt} cosh(st), e^{mt} sinh(st)/s,
+    e^{-G2 t}) times the monomials (1, a, w) x (1, v_ss) by a map of the start. A row takes
+    one case: the series in q t^2 where |q| t_max^2 < 1e-5 (t = 0 alone, or s near 0), else
+    s real or imaginary. Real for real rows and analytic: a complex step gives a derivative.
     """
     t = np.asarray(times, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):  # also false for NaN
         raise ValueError(f"times must be finite and nonnegative, got {t}")
-    g1, rphi, omega = np.asarray(rows).T[:, :, None]
-    g2, w = g1 / 2 + rphi, 2 * np.pi * omega
-    m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
-    cosh, sinh = _cosh_sinh(m, det, a * a - w * w, t)
-    vss = np.concatenate([-w * g1, g1 * g2], axis=1) / np.where(det == 0, 1, det)  # (K, 2)
-    v0 = np.asarray(bloch0, dtype=float)
-    dv = v0[:, 1:] - vss[:, None]  # v0 - v_ss, (K, S, 2)
-    mv = dv @ np.concatenate([a, w, -w, -a], axis=1).reshape(-1, 2, 2)  # (M - mI)(v0 - v_ss)
-    yz = (vss[:, None, :, None] + dv[..., None] * cosh[:, None, None]
-          + mv[..., None] * sinh[:, None, None])
-    xs = v0[:, 0, None] * np.exp(-g2 * t)[:, None]  # (K, S, T)
-    return np.concatenate([xs[:, :, None], yz], axis=2)
+    return _bloch_curves(rows, _bloch_terms(bloch0), t).reshape(len(rows), len(bloch0), 3, -1)
 
 
 def target_trace(rates: CanonicalRates, rho0: np.ndarray, tau0: float,

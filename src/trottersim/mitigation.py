@@ -239,7 +239,12 @@ def load_noise_points(path):
         ValueError: If a data row has fewer than two columns or a malformed
             number.
     """
-    points = []
+    return [NoisePoint(*row) for row in _noise_rows(path)]
+
+
+def _noise_rows(path):
+    """A noise-point CSV's (c, value, sigma) float rows (sigma None where absent), unchecked."""
+    rows = []
     with open(path, newline="") as fh:
         for row_number, row in enumerate(csv.reader(fh)):
             cells = [cell.strip() for cell in row]
@@ -255,6 +260,5 @@ def load_noise_points(path):
             sigma = None
             if len(cells) >= 3 and cells[2]:
                 sigma = float(cells[2])
-            points.append(NoisePoint(c=float(cells[0]), value=float(cells[1]),
-                                     sigma=sigma))
-    return points
+            rows.append((float(cells[0]), float(cells[1]), sigma))
+    return rows

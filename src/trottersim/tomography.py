@@ -5,10 +5,11 @@ twelve evolution curves on a shared time grid. The global fit minimizes the
 unweighted sum of squared deviations between those curves and the exact
 master-equation model, parameterized internally by the rates
 (1/T1, pure dephasing, Omega) so the physicality constraint T2 <= 2*T1 holds
-by construction. The model is the closed-form (Torrey) Bloch solution
-(liouvillian.bloch_solution). The fit starts from the curves' own step: one
-linear least-squares solve recovers it from the four states' affine Bloch rows,
-and its invariants give the rates (exact for canonical curves and for Trotter
+by construction. The model is liouvillian.bloch_solution's closed-form
+(Torrey) kernel, called on the set's checked grid with the four states' start
+terms built once. The fit starts from the curves' own step: one linear
+least-squares solve recovers it from the four states' affine Bloch rows, and
+its invariants give the rates (exact for canonical curves and for Trotter
 products). From there one projected Levenberg-Marquardt run, written here in
 numpy, fits the 12*(N+1) residuals with an exact complex-step Jacobian; a run
 that ends with 1/T1 or Omega on a face of the box is repeated once from the
@@ -26,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .linalg import KET_0, KET_1, check_count, check_positive, density, validate_density_matrix
-from .liouvillian import CanonicalRates, EvolutionTrace, bloch_solution
+from .liouvillian import (CanonicalRates, EvolutionTrace, _bloch_curves, _bloch_terms,
+                          bloch_solution)
 
 __all__ = [
     "STATE_LABELS",
@@ -125,7 +127,8 @@ def generate_tomography(
     check_positive("tau0", tau0)
     times = np.arange(n_steps + 1) * tau0
     if evolve is None:  # the fit's own model
-        curves = _bloch_model(np.array([[rates.gamma1, rates.gamma_phi, rates.omega]]), times)[0]
+        rows = [[rates.gamma1, rates.gamma_phi, rates.omega]]
+        curves = bloch_solution(rows, _BLOCH0, times).reshape(12, -1)
     else:
         traces = [evolve(density(INITIAL_STATES[s])) for s in STATE_LABELS]
         if any(len(tr) != n_steps + 1 or np.abs(tr.times - times).max() > 1e-9 for tr in traces):
@@ -172,12 +175,13 @@ class FitResult:
 
 
 _BLOCH0 = np.array([validate_density_matrix(density(INITIAL_STATES[s]))[1:] for s in STATE_LABELS])
+_TERMS = _bloch_terms(_BLOCH0)
 _COMPLEX_STEP = 1e-20
 
 
 def _bloch_model(u: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(K, 12, len(times)) model curves for (K, 3) rows u of (r1, rphi, omega)."""
-    return bloch_solution(u, _BLOCH0, times).reshape(len(u), 12, len(times))
+    """(K, 12, len(times)) model curves for (K, 3) rows u of (r1, rphi, omega); times checked."""
+    return _bloch_curves(u, _TERMS, times)
 
 
 def _bloch_jacobian(u: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

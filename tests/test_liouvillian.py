@@ -375,6 +375,11 @@ def test_target_trace_matches_the_general_propagator(case, direction, radius, ta
     np.testing.assert_allclose(tr.as_matrix(), want, rtol=0, atol=1e-12)
 
 
+_BOUNDARY_CASES = [(2.733167e-4, 0.0, 0.0, "free"), (2.733173e-4, 0.0, 0.0, "free"),
+                   (0.2, 0.1, 1.087493e-05, "free"), (0.2, 0.1, 1.087495e-05, "free"),
+                   (0.1, 0.05, 0.0, "free")]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     cases=st.lists(st.tuples(st.sampled_from([0.0, 1e-4, 0.03, 0.5]) | st.floats(0.0, 0.5),
@@ -393,6 +398,11 @@ def test_target_trace_matches_the_general_propagator(case, direction, radius, ta
          complex_step=None, starts=4, tau0=3.56, n_steps=13, seed=0)
 @example(cases=[(0.1, 0.0, 0.0, "free"), (0.02, 0.01, 0.1, "free"), (0.05, 0.0, 0.0, "ep+")],
          complex_step=1, starts=2, tau0=3.56, n_steps=13, seed=1)
+# Rows on each side of the series boundary |q| t_max^2 = 1e-5 (t_max = 13 * 3.56), s real and
+# s imaginary, beside a row with q = 0 exactly, in real and complex-step batches.
+@example(cases=_BOUNDARY_CASES, complex_step=None, starts=4, tau0=3.56, n_steps=13, seed=2)
+@example(cases=_BOUNDARY_CASES, complex_step=0, starts=4, tau0=3.56, n_steps=13, seed=2)
+@example(cases=_BOUNDARY_CASES, complex_step=2, starts=4, tau0=3.56, n_steps=13, seed=2)
 def test_bloch_solution_on_a_batch_equals_each_row_alone(cases, complex_step, starts, tau0,
                                                          n_steps, seed):
     # Real-s and imaginary-s rows, exceptional points and zero rates in one batch: each

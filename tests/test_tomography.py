@@ -281,6 +281,9 @@ def _bloch_row(r1, rphi, share, kind, tau0):
     return [r1, rphi, omega]
 
 
+_BOUNDARY_ROWS = [(2.733167e-4, 0.0, 0.0, "undriven"), (2.733173e-4, 0.0, 0.0, "undriven"),
+                  (0.2, 0.1, 7.74295e-05, "free"), (0.2, 0.1, 7.742964e-05, "free"),
+                  (0.3, 0.0, 0.0, "ep0")]
 _ROW = st.tuples(
     st.floats(1e-6, 2.0), st.floats(0.0, 2.0), st.floats(-1.0, 1.0),
     st.sampled_from(("free", "undriven", "ep+", "ep-", "ep0")),
@@ -298,6 +301,9 @@ _ROW = st.tuples(
           (1e-6, 2.0, 0.0, "undriven"), (1e-6, 0.0, -1.0, "free")],
     tau0=10.0, npoints=2001,
 )
+# Each row's case at its boundary |q| t_max^2 = 1e-5 (t_max = 13 * 3.56): just below (the
+# series) and just above (s real, then s imaginary), and q = 0 exactly.
+@example(rows=_BOUNDARY_ROWS, tau0=3.56, npoints=14)
 def test_closed_form_matches_stepped_reference(rows, tau0, npoints):
     u = np.array([_bloch_row(*row, tau0) for row in rows])
     model = _bloch_model(u, np.arange(npoints) * tau0)
@@ -307,6 +313,11 @@ def test_closed_form_matches_stepped_reference(rows, tau0, npoints):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(row=_ROW, tau0=st.floats(0.5, 10.0), npoints=st.integers(2, 101))
+@example(row=_BOUNDARY_ROWS[0], tau0=3.56, npoints=14)
+@example(row=_BOUNDARY_ROWS[1], tau0=3.56, npoints=14)
+@example(row=_BOUNDARY_ROWS[2], tau0=3.56, npoints=14)
+@example(row=_BOUNDARY_ROWS[3], tau0=3.56, npoints=14)
+@example(row=_BOUNDARY_ROWS[4], tau0=3.56, npoints=14)  # q = 0 exactly, complex-step rows
 def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
     u = np.array(_bloch_row(*row, tau0))
     times = np.arange(npoints) * tau0
