@@ -17,11 +17,14 @@ Subcommands:
 
 Configs are YAML mappings with angles written in degrees; they are converted
 to radians at this boundary and validated in full, rejecting unknown keys,
-before any computation starts.  Trace CSV files always carry the header
-step,time_us,sx,sy,sz and every emitted trace is checked against the
-Bloch-norm bound.  Identical config and seed produce byte-identical
-artifacts.  Exit codes: 0 success, 1 invalid configuration or usage,
-2 numerical failure (diagnostic on stderr).
+before any computation starts.  Each job (a subcommand runner or a figure
+protocol) yields its artifacts in write order as (file name, content) pairs;
+main writes each one into --out as it arrives and echoes the paths once the
+job has finished, so a job that fails keeps the files it yielded before.
+Trace CSV files always carry the header step,time_us,sx,sy,sz and every
+emitted trace is checked against the Bloch-norm bound.  Identical config and
+seed produce byte-identical artifacts.  Exit codes: 0 success, 1 invalid
+configuration or usage, 2 numerical failure (diagnostic on stderr).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .dilation import (
     rotation_circuit,
 )
 from .linalg import check_bloch_rows, density, rx
-from .liouvillian import CanonicalRates, target_trace
+from .liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from .mitigation import (NoisePoint, _noise_rows, check_scale_factors, extrapolate,
                          scaled_damping_t2)
 from .tomography import INITIAL_STATES, OBS_LABELS, STATE_LABELS, generate_tomography, global_fit
@@ -83,9 +86,10 @@ class ExperimentConfig:
     """Fully validated experiment description.
 
     Every field is resolved: defaults applied, the angles and intrinsic decay
-    folded into ``rates``, and the Trotter settings held by ``schedule``
-    (dt = tau0).  Construction happens only through build_config, which
-    rejects unknown keys and out-of-range values before any computation.
+    folded into ``rates``, the Trotter settings held by ``schedule`` (dt = tau0)
+    and, for a simulated mitigate study, ``n_max`` set by the scale-factor rule.
+    Construction happens only through build_config, which rejects unknown keys
+    and out-of-range values before any computation.
     """
 
     rates: CanonicalRates
@@ -253,7 +257,7 @@ def build_config(raw, mode):
             dt=angles.tau0, backend=v.pop("backend"),
             noise=NoiseParams(**noise) if "noise" in raw else None,
         )
-        check_scale_factors(v["c_list"], v["n_max"] if simulated else 0, "c_list")
+        n_max = check_scale_factors(v["c_list"], v["n_max"] if simulated else 0, "c_list")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -269,6 +273,8 @@ def build_config(raw, mode):
                           "dilation+noise needs input_csv")
     if v["t_total_us"] is not None and v["t_total_us"] <= 0:
         raise ConfigError(f"t_total_us must be positive, got {v['t_total_us']}")
+    if simulated:
+        v["n_max"] = n_max
     return ExperimentConfig(rates=rates, schedule=schedule, **v)
 
 
@@ -300,23 +306,22 @@ def _json_num(x):
     return None if np.isinf(x) else x
 
 
-def _write_json(path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path, header, rows):
-    """Write a header line and one line per row: floats as repr, other cells as text."""
-    lines = [header] + [
-        ",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) for row in rows
-    ]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_trace_csv(path, trace):
-    rows = np.column_stack([np.ones(len(trace)), trace.as_matrix()])  # (1, sx, sy, sz)
-    check_bloch_rows(rows, lambda j: f"trace {trace.label!r} step {j[0]}")
-    columns = (trace.times, trace.sx, trace.sy, trace.sz)
-    _write_csv(path, TRACE_HEADER, ((j, *v) for j, v in enumerate(zip(*columns))))
+def _write(path, content):
+    """Write one artifact: an EvolutionTrace as a trace CSV after its Bloch-row check, a
+    (header, rows) table as CSV (floats as repr, other cells as text), anything else as JSON."""
+    if isinstance(content, EvolutionTrace):
+        bloch = np.column_stack([np.ones(len(content)), content.as_matrix()])  # (1, sx, sy, sz)
+        check_bloch_rows(bloch, lambda j: f"trace {content.label!r} step {j[0]}")
+        columns = (content.times, content.sx, content.sy, content.sz)
+        content = (TRACE_HEADER, ((j, *v) for j, v in enumerate(zip(*columns))))
+    if isinstance(content, tuple):
+        header, rows = content
+        lines = [header] + [
+            ",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) for row in rows
+        ]
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
 
 
 def _engine_summary(cfg):
@@ -347,50 +352,44 @@ def _run_summary(cfg):
 # ------------------------------------------------------------ mode runners
 
 
-def _run_evolve(cfg, out):
-    rho0 = density(INITIAL_STATES[cfg.initial_state])
-    trace = target_trace(cfg.rates, rho0, cfg.schedule.dt, cfg.schedule.n_steps)
-    path = out / "evolve.csv"
-    _write_trace_csv(path, trace)
-    return [path]
+def _rho0(cfg):
+    """The density matrix of the configured initial state."""
+    return density(INITIAL_STATES[cfg.initial_state])
 
 
-def _run_trotter(cfg, out):
+def _run_evolve(cfg):
+    yield "evolve.csv", target_trace(cfg.rates, _rho0(cfg), cfg.schedule.dt, cfg.schedule.n_steps)
+
+
+def _run_trotter(cfg):
     rates, schedule = cfg.rates, cfg.schedule
-    rho0 = density(INITIAL_STATES[cfg.initial_state])
+    rho0 = _rho0(cfg)
     trace = run_schedule(schedule, rates, rho0)
     target = target_trace(rates, rho0, schedule.dt, schedule.n_steps)
     report = accuracy(trace, target)
-    csv_path, target_path, json_path = (
-        out / "trotter.csv", out / "trotter_target.csv", out / "trotter.json",
-    )
-    _write_trace_csv(csv_path, trace)
-    _write_trace_csv(target_path, target)
-    _write_json(json_path, {"accuracy": float(report.a), **_run_summary(cfg)})
-    return [csv_path, target_path, json_path]
+    yield "trotter.csv", trace
+    yield "trotter_target.csv", target
+    yield "trotter.json", {"accuracy": float(report.a), **_run_summary(cfg)}
 
 
 def _scan(cfg):
     """Accuracy of every permutation at both orders, at the configured engine."""
     schedule = cfg.schedule
     return permutation_scan(
-        cfg.rates, n_steps=schedule.n_steps, dt=schedule.dt,
-        rho0=density(INITIAL_STATES[cfg.initial_state]),
+        cfg.rates, n_steps=schedule.n_steps, dt=schedule.dt, rho0=_rho0(cfg),
         backend=schedule.backend, noise=schedule.noise,
     )
 
 
-def _run_scan(cfg, out):
+def _run_scan(cfg):
     results = {"1": {}, "2": {}}
     for (order, perm), report in _scan(cfg).items():
         results[str(order)]["-".join(perm)] = float(report.a)
     best = {o: min(table, key=lambda k: (table[k], k)) for o, table in results.items()}
-    path = out / "scan.json"
-    _write_json(path, {"best_permutation": best, "results": results, **_run_summary(cfg)})
-    return [path]
+    yield "scan.json", {"best_permutation": best, "results": results, **_run_summary(cfg)}
 
 
-def _run_dilate_verify(cfg, out):
+def _run_dilate_verify(cfg):
     tau0 = cfg.schedule.dt
     distances = {}
     for theta_deg in cfg.theta_grid_deg:
@@ -407,21 +406,19 @@ def _run_dilate_verify(cfg, out):
             )
     max_distance = max(max(d.values()) for d in distances.values())
     passed = max_distance < DISTANCE_TOL
-    path = out / "dilate_verify.json"
-    _write_json(path, {
+    yield "dilate_verify.json", {
         "distances": distances,
         "max_distance": max_distance,
         "pass": passed,
         "tau0_us": float(tau0),
         "theta_grid_deg": list(cfg.theta_grid_deg),
         "tolerance": DISTANCE_TOL,
-    })
+    }
     if not passed:
         raise NumericalFailure(
             f"dilation check failed: max Choi distance {max_distance:.3e} "
             f"exceeds {DISTANCE_TOL}"
         )
-    return [path]
 
 
 def _tomography(cfg):
@@ -434,17 +431,15 @@ def _tomography(cfg):
     return curves, global_fit(curves)
 
 
-def _run_fit(cfg, out):
+def _run_fit(cfg):
     curves, fit = _tomography(cfg)
-    curves_path = out / "fit_curves.csv"
-    _write_csv(curves_path, "step,time_us,state,obs,value", (
+    yield "fit_curves.csv", ("step,time_us,state,obs,value", (
         (j, t, state, obs, v)
         for state in STATE_LABELS for obs in OBS_LABELS
         for j, (t, v) in enumerate(zip(curves.times, curves.curve(state, obs)))
     ))
-    json_path = out / "fit.json"
     omega, band = cfg.rates.omega, 1.0 / cfg.schedule.dt  # samples dt apart see omega mod 1/dt
-    _write_json(json_path, {
+    yield "fit.json", {
         "engine": _engine_summary(cfg),
         "fitted": {
             "at_bound": list(fit.at_bound),
@@ -462,10 +457,9 @@ def _run_fit(cfg, out):
         },
         "seed": cfg.seed,
         "shots": cfg.shots,
-    })
+    }
     if not fit.converged:
         raise NumericalFailure("tomography fit did not converge")
-    return [curves_path, json_path]
 
 
 def _scaled_points(cfg):
@@ -476,31 +470,31 @@ def _scaled_points(cfg):
                   for c, t2 in zip(cfg.c_list, t2s)]
 
 
-def _run_mitigate(cfg, out):
+def _run_mitigate(cfg):
     payload = {"variable": cfg.variable, "source": str(cfg.input_csv or "simulated")}
-    if cfg.input_csv is not None:
+    if cfg.input_csv is None:  # build_config has checked c_list and resolved n_max
+        base, points = _scaled_points(cfg)
+        n_max = cfg.n_max
+        payload["base_rates"] = _rates_summary(base)
+        if base.gamma_phi > 0:
+            limit = 1.0 / base.gamma_phi
+            payload["zero_damping_limit"] = limit if cfg.variable == "t2" else 1.0 / limit
+    else:
         try:
             rows = _noise_rows(cfg.input_csv)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load noise points from {cfg.input_csv}: {exc}") from exc
         if len(rows) < 1:
             raise ConfigError(f"no noise points found in {cfg.input_csv}")
-        source, cs = f"the c column of {cfg.input_csv}", [row[0] for row in rows]
-    else:  # build_config has checked c_list and n_max
-        base, points = _scaled_points(cfg)
-        source, cs = "c_list", cfg.c_list
-        payload["base_rates"] = _rates_summary(base)
-        if base.gamma_phi > 0:
-            limit = 1.0 / base.gamma_phi
-            payload["zero_damping_limit"] = limit if cfg.variable == "t2" else 1.0 / limit
-    try:  # the rule reads the c column before NoisePoint checks each c
-        n_max = check_scale_factors(cs, cfg.n_max, source)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        points = points if cfg.input_csv is None else [NoisePoint(*row) for row in rows]
-    except ValueError as exc:  # a row's value or sigma
-        raise ConfigError(f"cannot load noise points from {cfg.input_csv}: {exc}") from exc
+        try:  # the rule reads the c column before NoisePoint checks each c
+            n_max = check_scale_factors([row[0] for row in rows], cfg.n_max,
+                                        f"the c column of {cfg.input_csv}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        try:
+            points = [NoisePoint(*row) for row in rows]
+        except ValueError as exc:  # a row's value or sigma
+            raise ConfigError(f"cannot load noise points from {cfg.input_csv}: {exc}") from exc
     results = [extrapolate(points, n) for n in range(n_max + 1)]
     payload["points"] = [
         {"c": float(p.c), "sigma": None if p.sigma is None else float(p.sigma),
@@ -512,26 +506,22 @@ def _run_mitigate(cfg, out):
          "order": r.order, "sigma_est": None if r.sigma_est is None else float(r.sigma_est)}
         for r in results
     ]
-    path = out / "mitigate.json"
-    _write_json(path, payload)
-    return [path]
+    yield "mitigate.json", payload
 
 
-def _run_converge(cfg, out):
+def _run_converge(cfg):
     schedule = cfg.schedule
-    rho0 = density(INITIAL_STATES[cfg.initial_state])
     t_total = cfg.t_total_us if cfg.t_total_us is not None else schedule.n_steps * schedule.dt
-    result = convergence_order(schedule, cfg.rates, rho0=rho0, n_list=cfg.n_list, t_total=t_total)
-    path = out / "converge.json"
-    _write_json(path, {
+    result = convergence_order(schedule, cfg.rates, rho0=_rho0(cfg), n_list=cfg.n_list,
+                               t_total=t_total)
+    yield "converge.json", {
         "accuracies": [float(a) for a in result.accuracies],
         "n_values": [int(n) for n in result.n_values],
         "saturated": bool(result.saturated),
         "slope": None if result.slope is None else float(result.slope),
         "t_total_us": float(t_total),
         **_run_summary(cfg),
-    })
-    return [path]
+    }
 
 
 RUNNERS = {
@@ -558,26 +548,22 @@ _FIG2_SWEEPS = {
 }
 
 
-def _reproduce_fig2(out):
-    paths, sweeps = [], {}
+def _reproduce_fig2():
+    sweeps = {}
     for name, (grid, fixed) in _FIG2_SWEEPS.items():
         grid, rows = [float(x) for x in grid], []
         for angle_deg in grid:
             cfg = build_config({"angles": {**fixed, f"{name}_deg": angle_deg}}, "fit")
             fit, rates = _tomography(cfg)[1], cfg.rates
             rows.append((angle_deg, fit.t1, fit.t2, fit.omega, rates.t1, rates.t2, rates.omega))
-        path = out / f"fig2_{name}.csv"
-        _write_csv(
-            path, "angle_deg,t1_us,t2_us,omega_mhz,t1_pred_us,t2_pred_us,omega_pred_mhz", rows
+        sweeps[name] = {"file": f"fig2_{name}.csv", "fixed_deg": fixed, "grid_deg": grid}
+        yield sweeps[name]["file"], (
+            "angle_deg,t1_us,t2_us,omega_mhz,t1_pred_us,t2_pred_us,omega_pred_mhz", rows
         )
-        paths.append(path)
-        sweeps[name] = {"file": path.name, "fixed_deg": fixed, "grid_deg": grid}
-    json_path = out / "fig2.json"
-    _write_json(json_path, {  # every sweep point runs the default tau0, N and order
+    yield "fig2.json", {  # every sweep point runs the default tau0, N and order
         "n_steps": cfg.schedule.n_steps, "order": cfg.schedule.order,
         "sweeps": sweeps, "tau0_us": cfg.schedule.dt,
-    })
-    return paths + [json_path]
+    }
 
 
 # Dephasing from theta1 = 20 deg, no drive, and the damping of an intrinsic
@@ -588,15 +574,13 @@ _FIG3_CONFIG = {
 }
 
 
-def _reproduce_fig3(out):
+def _reproduce_fig3():
     cfg = build_config(_FIG3_CONFIG, "mitigate")
     base, points = _scaled_points(cfg)
-    points_path = out / "fig3_points.csv"
-    _write_csv(points_path, "c,t2star_us", ((p.c, p.value) for p in points))
+    yield "fig3_points.csv", ("c,t2star_us", [(p.c, p.value) for p in points])
     truth = 1.0 / base.gamma_phi
     results = [extrapolate(points, n) for n in range(len(points))]
-    json_path = out / "fig3.json"
-    _write_json(json_path, {
+    yield "fig3.json", {
         "base_rates": _rates_summary(base),
         "c_list": list(cfg.c_list),
         "extrapolations": [
@@ -609,11 +593,10 @@ def _reproduce_fig3(out):
         "tau0_us": cfg.schedule.dt,
         "theta1_deg": _FIG3_CONFIG["angles"]["theta1_deg"],
         "zero_damping_dephasing_time_us": truth,
-    })
-    return [points_path, json_path]
+    }
 
 
-def _reproduce_fig4(out):
+def _reproduce_fig4():
     theta2_grid = tuple(float(x) for x in range(5, 75, 5))
     rows = []
     for theta2_deg in theta2_grid:
@@ -623,17 +606,14 @@ def _reproduce_fig4(out):
         rows += [(order, "-".join(perm), theta2_deg, report.a)
                  for (order, perm), report in _scan(cfg).items()]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    csv_path = out / "fig4_accuracy.csv"
-    _write_csv(csv_path, "order,permutation,theta2_deg,accuracy", rows)
-    json_path = out / "fig4.json"
-    _write_json(json_path, {
+    yield "fig4_accuracy.csv", ("order,permutation,theta2_deg,accuracy", rows)
+    yield "fig4.json", {
         "n_steps": cfg.schedule.n_steps,
         "tau0_us": cfg.schedule.dt,
         "theta1_deg": 20.0,
         "theta2_grid_deg": list(theta2_grid),
         "theta3_deg": 25.7,
-    })
-    return [csv_path, json_path]
+    }
 
 
 _REPRODUCERS = {"fig2": _reproduce_fig2, "fig3": _reproduce_fig3, "fig4": _reproduce_fig4}
@@ -678,13 +658,14 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = args.out
+    paths = []
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        if args.command == "reproduce":
-            paths = _REPRODUCERS[args.figure](out)
-        else:
-            paths = RUNNERS[args.command](cfg, out)
+        args.out.mkdir(parents=True, exist_ok=True)
+        job = (_REPRODUCERS[args.figure]() if args.command == "reproduce"
+               else RUNNERS[args.command](cfg))
+        for name, content in job:
+            _write(args.out / name, content)
+            paths.append(args.out / name)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -694,7 +675,6 @@ def main(argv=None):
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK
-
 
 if __name__ == "__main__":
     sys.exit(main())

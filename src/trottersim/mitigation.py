@@ -87,6 +87,12 @@ class ExtrapolationResult:
     def __post_init__(self):
         if self.order < 0 or len(self.gammas) != self.order + 1:
             raise ValueError("need exactly order + 1 coefficients")
+        for name in ("estimate", "gammas", "sigma_est"):
+            v = getattr(self, name)
+            if v is not None and not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite, got {v}")
+        if self.sigma_est is not None and self.sigma_est < 0:
+            raise ValueError(f"sigma_est must be nonnegative, got {self.sigma_est}")
         total = sum(self.gammas)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"coefficients must sum to 1, got {total}")
@@ -148,16 +154,17 @@ def richardson_coeffs(c, n):
     if np.any(diffs == 0):
         raise ValueError("duplicate scale factors make the system singular")
     gammas = np.prod(cs[None, :] / diffs, axis=1) / cs
-    condition = np.linalg.cond(np.vander(cs, increasing=True))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or NaN below
+        powers = cs[None, :] ** np.arange(n + 1)[:, None]  # the transposed Vandermonde matrix
+        residual = powers @ gammas - np.eye(n + 1)[0]
+    condition = np.linalg.cond(powers) if np.isfinite(powers).all() else np.inf
     if condition > _CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"extrapolation system condition estimate {condition:.2e}; "
             "coefficients may amplify noise severely",
             stacklevel=2,
         )
-    powers = cs[None, :] ** np.arange(n + 1)[:, None]
-    residual = powers @ gammas - np.eye(n + 1)[0]
-    if np.abs(residual).max() > _MOMENT_TOL:
+    if not np.abs(residual).max() <= _MOMENT_TOL:  # also true for NaN
         raise ValueError("moment conditions not met; scale factors too ill-conditioned")
     return gammas
 

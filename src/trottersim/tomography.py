@@ -131,7 +131,8 @@ def generate_tomography(
         curves = bloch_solution(rows, _BLOCH0, times).reshape(12, -1)
     else:
         traces = [evolve(density(INITIAL_STATES[s])) for s in STATE_LABELS]
-        if any(len(tr) != n_steps + 1 or np.abs(tr.times - times).max() > 1e-9 for tr in traces):
+        if any(len(tr) != n_steps + 1 or not np.abs(tr.times - times).max() <= 1e-9
+               for tr in traces):  # also true for a NaN time
             raise ValueError("evolve returned a trace on a different time grid")
         curves = np.concatenate([tr.as_matrix().T for tr in traces])
     if shots is not None:

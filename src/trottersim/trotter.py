@@ -219,7 +219,7 @@ def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
     """
     if len(trace) != len(target):
         raise ValueError(f"trace lengths differ: {len(trace)} vs {len(target)}")
-    if np.abs(trace.times - target.times).max() > 1e-9:
+    if not np.abs(trace.times - target.times).max() <= 1e-9:  # also true for NaN
         raise ValueError("trace time grids differ")
     a, residuals = _scores(trace.as_matrix()[1:] - target.as_matrix()[1:])
     return AccuracyReport(float(a), residuals, descriptor=trace.label)

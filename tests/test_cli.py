@@ -7,7 +7,7 @@ import json
 import os
 import subprocess
 import sys
-
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, m
 from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
 from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from trottersim.mitigation import check_scale_factors
+from trottersim.tomography import global_fit
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -203,6 +204,17 @@ def test_fit_determinism_and_seed_override(tmp_path):
     assert json.loads((outs[2] / "fit.json").read_text())["seed"] == 8
 
 
+def test_fit_without_convergence_keeps_its_artifacts_and_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "global_fit",
+                        lambda curves: replace(global_fit(curves), converged=False))
+    assert main(["fit", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure: tomography fit did not converge" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.json", "fit_curves.csv"]
+    assert json.loads((tmp_path / "fit.json").read_text())["fitted"]["converged"] is False
+
+
 # ---------------------------------------------------------------- mitigate
 
 
@@ -265,6 +277,20 @@ def test_mitigate_simulates_the_configured_schedule(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, text)
     assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     assert seen == 2 * [cli.build_config(yaml.safe_load(text), "mitigate").schedule]
+
+
+def test_simulated_mitigate_runs_the_scale_factor_rule_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_scale_factors(*args)
+
+    monkeypatch.setattr(cli, "check_scale_factors", counted)
+    cfg = write_config(tmp_path, "c_list: [1.0, 2.0, 3.0]\nn_max: 1\n")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert calls == [((1.0, 2.0, 3.0), 1, "c_list")]
+    assert len(json.loads((tmp_path / "mitigate.json").read_text())["results"]) == 2
 
 
 # ---------------------------------------------------------------- converge
@@ -652,6 +678,35 @@ def test_mitigate_bad_input_csv_exit_1(tmp_path, capsys):
 def test_workers_flag_is_an_unknown_argument(tmp_path, capsys):
     assert main(["evolve", "--out", str(tmp_path), "--workers", "2"]) == EXIT_CONFIG
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------- artifacts
+
+# Each default command's artifacts, in write order.
+ARTIFACTS = {
+    "evolve": ["evolve.csv"],
+    "trotter": ["trotter.csv", "trotter_target.csv", "trotter.json"],
+    "scan": ["scan.json"],
+    "dilate-verify": ["dilate_verify.json"],
+    "fit": ["fit_curves.csv", "fit.json"],
+    "mitigate": ["mitigate.json"],
+    "converge": ["converge.json"],
+    "fig2": ["fig2_theta1.csv", "fig2_theta2.csv", "fig2_theta3.csv", "fig2.json"],
+    "fig3": ["fig3_points.csv", "fig3.json"],
+    "fig4": ["fig4_accuracy.csv", "fig4.json"],
+}
+
+
+@pytest.mark.parametrize("command", ARTIFACTS)
+def test_each_written_file_is_reported_once_in_write_order(tmp_path, capsys, command):
+    assert set(ARTIFACTS) == {*cli.RUNNERS, *cli.FIGURES}
+    argv = ["reproduce", "--figure", command] if command in cli.FIGURES else [command]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    paths = [tmp_path / name for name in ARTIFACTS[command]]
+    assert capsys.readouterr().out.splitlines() == [f"wrote {path}" for path in paths]
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    mtimes = [path.stat().st_mtime_ns for path in paths]
+    assert mtimes == sorted(mtimes)
 
 
 # ------------------------------------------------------------ start-up cost

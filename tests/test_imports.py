@@ -1,5 +1,5 @@
 """Every module of the package uses each name it imports and each private name it defines;
-every demo script uses each name it imports."""
+every demo script and test file uses each name it imports."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trottersim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 DEMOS = sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source):
@@ -60,6 +61,11 @@ def test_module_has_no_unused_imports(path):
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_has_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_test_file_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 

@@ -1,5 +1,7 @@
 """Tests for Richardson zero-noise extrapolation and the damping-scaling study."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,14 @@ def test_coeffs_input_errors():
             richardson_coeffs((1.0, bad), 1)
     with pytest.raises(ValueError, match="nonnegative"):
         richardson_coeffs((1.0, 2.0), -1)
+    # c^2 overflows: the moments are NaN and the Vandermonde matrix is not finite, so the
+    # condition warning reads inf and no overflow or LAPACK warning is raised.
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(ValueError, match="moment conditions not met"):
+        warnings.simplefilter("always")
+        richardson_coeffs((1.0, 1e200, 2e200), 2)
+    assert [w.category for w in caught] == [UserWarning]
+    assert "condition estimate inf;" in str(caught[0].message)
 
 
 def test_coeffs_ill_conditioned_warns():
@@ -137,6 +147,22 @@ def test_noise_point_rejects_non_finite(field, bad):
     kwargs = {"c": 1.0, "value": 2.0, "sigma": 0.1, field: bad}
     with pytest.raises(ValueError, match=field):
         NoisePoint(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"estimate": np.nan}, "estimate"),
+    ({"estimate": np.inf}, "estimate"),
+    ({"order": 1, "gammas": (np.nan, 1.0)}, "gammas"),
+    ({"order": 1, "gammas": (np.inf, 1.0)}, "gammas"),
+    ({"sigma_est": np.nan}, "sigma_est"),
+    ({"sigma_est": np.inf}, "sigma_est"),
+    ({"sigma_est": -1.0}, "sigma_est must be nonnegative"),
+], ids=["estimate-nan", "estimate-inf", "gammas-nan", "gammas-inf", "sigma_est-nan",
+        "sigma_est-inf", "sigma_est-negative"])
+def test_extrapolation_result_rejects_non_finite(kwargs, field):
+    fields = {"order": 0, "gammas": (1.0,), "estimate": 2.0, "sigma_est": 0.1, **kwargs}
+    with pytest.raises(ValueError, match=field):
+        ExtrapolationResult(**fields)
 
 
 # ------------------------------------------------------------------ study

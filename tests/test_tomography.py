@@ -11,6 +11,7 @@ from trottersim.dilation import AngleParams, angle_to_rates
 from trottersim.liouvillian import (
     BLOCH_ROWS,
     CanonicalRates,
+    EvolutionTrace,
     lindblad_superop,
     propagate,
     qubit_generators,
@@ -200,6 +201,20 @@ def test_evolve_hook_grid_must_match():
     wrong = lambda rho0: target_trace(rates, rho0, TAU0, 10)
     with pytest.raises(ValueError, match="grid"):
         generate_tomography(rates, TAU0, 13, evolve=wrong)
+
+
+
+def test_evolve_hook_grid_with_a_nan_time_is_rejected():
+    rates = rates_from_times(30.0, 20.0, 0.02)
+
+    def nan_time(rho0):
+        trace = target_trace(rates, rho0, TAU0, 13)
+        times = trace.times.copy()
+        times[1] = np.nan
+        return EvolutionTrace(times, trace.sx, trace.sy, trace.sz)
+
+    with pytest.raises(ValueError, match="evolve returned a trace on a different time grid"):
+        generate_tomography(rates, TAU0, 13, evolve=nan_time)
 
 
 # ------------------------------------------------------------- global fit

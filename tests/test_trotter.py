@@ -209,6 +209,15 @@ def test_accuracy_rejects_mismatched_traces():
         accuracy(t1, t3)
 
 
+def test_accuracy_rejects_a_nan_time():
+    target = target_trace(FIG4_RATES, density(KET_1), TAU0, 3)
+    times = target.times.copy()
+    times[1] = np.nan
+    trace = EvolutionTrace(times, target.sx, target.sy, target.sz)
+    with pytest.raises(ValueError, match="trace time grids differ"):
+        accuracy(trace, target)
+
+
 def test_accuracy_report_validation():
     with pytest.raises(ValueError):
         AccuracyReport(-1.0, np.zeros(3))
