@@ -446,6 +446,7 @@ def _run_fit(cfg):
             "converged": bool(fit.converged),
             "omega_mhz": float(fit.omega),
             "residual": float(fit.residual),
+            "stderr": dict(zip(("t1_us", "t2_us", "omega_mhz"), fit.stderr)),
             "t1_us": float(fit.t1),
             "t2_us": float(fit.t2),
         },

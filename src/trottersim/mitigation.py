@@ -192,10 +192,10 @@ def extrapolate(points, n):
         raise ValueError(f"first noise point must have c = 1, got {points[0].c}")
     used = points[: n + 1]
     gammas = richardson_coeffs([p.c for p in used], n)
-    estimate = float(gammas @ [p.value for p in used])
-    sigma_est = None
-    if all(p.sigma is not None for p in used):
-        sigma_est = float(np.sqrt(gammas**2 @ [p.sigma**2 for p in used]))
+    sigmas = [p.sigma for p in used]
+    with np.errstate(over="ignore"):  # an overflow reads as inf, which ExtrapolationResult rejects
+        estimate = float(gammas @ [p.value for p in used])
+        sigma_est = None if None in sigmas else float(np.sqrt(gammas**2 @ np.square(sigmas)))
     return ExtrapolationResult(
         order=n, gammas=tuple(float(g) for g in gammas), estimate=estimate,
         sigma_est=sigma_est,

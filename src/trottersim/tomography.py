@@ -11,9 +11,11 @@ terms built once. The fit starts from the curves' own step: one linear
 least-squares solve recovers it from the four states' affine Bloch rows, and
 its invariants give the rates (exact for canonical curves and for Trotter
 products). From there one projected Levenberg-Marquardt run, written here in
-numpy, fits the 12*(N+1) residuals with an exact complex-step Jacobian; a run
-that ends with 1/T1 or Omega on a face of the box is repeated once from the
-start's drive mirrored in sign, and the lower cost is kept.
+numpy, fits the 12*(N+1) residuals with an exact complex-step Jacobian and
+stops once its next step is under 1e-4 standard errors; a run that ends with
+1/T1 or Omega on a face of the box is repeated once from the start's drive
+mirrored in sign, and the lower cost is kept. The fit's covariance at the kept
+point gives the standard errors of T1, T2 and Omega.
 Optional sampling noise replaces each expectation x by 2k/s - 1 with
 k ~ Binomial(s, (1+x)/2).
 """
@@ -158,6 +160,11 @@ class FitResult:
         at_bound: The rates, of ("gamma1", "gamma_phi", "omega"), that end on
             a face of the fit's box: a gamma1 on its 1e-6/us floor reads as
             T1 = 1e6 us, a bound rather than a measurement.
+        stderr: Standard errors of (t1, t2, omega), in us, us and MHz, from the
+            covariance s^2 (J^T J)^-1 at the fit, s^2 = r.r/(M - 3) over its M
+            residuals; None for a value that depends on a rate in at_bound
+            (t1 on gamma1, t2 on gamma1 and gamma_phi, omega on omega) or
+            whose variance is not finite.
     """
 
     t1: float
@@ -167,10 +174,13 @@ class FitResult:
     converged: bool
     evaluations: int = 0
     at_bound: tuple[str, ...] = ()
+    stderr: tuple[float | None, float | None, float | None] = (None, None, None)
 
     def __post_init__(self):
         if not np.isfinite([self.t1, self.t2, self.omega, self.residual]).all():
             raise ValueError(f"fit values must be finite, got {self}")
+        if len(self.stderr) != 3 or not all(e is None or 0 <= e < np.inf for e in self.stderr):
+            raise ValueError(f"standard errors must be None or finite and >= 0, got {self.stderr}")
         if self.t2 > 2 * self.t1 * (1 + 1e-6):
             raise ValueError(f"unphysical fit: T2={self.t2} exceeds 2*T1={2 * self.t1}")
 
@@ -225,19 +235,25 @@ def _step_start(curves: np.ndarray, tau0: float) -> np.ndarray:
 
 
 _LM_MAX_ITER = 100
+_STOP_SE = 1e-4  # a run stops once the rest of its way is under this many standard errors
 
 
 def _levenberg_marquardt(fun, u, lo, hi):
     """Projected Levenberg-Marquardt (More, LNM 630 (1978)) from u in the box [lo, hi].
 
-    fun(u) gives residuals r and Jacobian J. A step solves (A + lam diag(A)) du = -g with
-    A = J^T J and g = J^T r on the coordinates not on a bound that -g points through, and is
-    clipped into the box; lam is multiplied by 4 if the cost r.r/2 rose, else divided by 3.
-    Returns the last accepted u, its r, and the rule that stopped the run: 1 free gradient
-    <= 1e-15 cost, 2 cost change < 1e-15 cost, 3 step <= 1e-14 |u|, 0 the iteration cap.
+    fun(u) gives M residuals r and their M x n Jacobian J. A step solves
+    (A + lam diag(A)) du = -g with A = J^T J and g = J^T r on the coordinates not on a bound
+    that -g points through, and is clipped into the box; lam is multiplied by 4 if the cost
+    r.r/2 rose, else divided by 3. Before each trial is evaluated the run stops at u on the
+    first of: 1 free gradient <= 1e-15 cost; 2 Gauss-Newton decrement g^T A^-1 g <=
+    (_STOP_SE s)^2 with s^2 = r.r/(M - n), so the Gauss-Newton step is under _STOP_SE
+    standard errors in the fit's covariance s^2 A^-1 (Madsen, Nielsen & Tingleff, "Methods
+    for non-linear least squares problems" (2004)); 3 step <= 1e-14 |u|. Returns the last
+    accepted u, its r, and the rule that stopped the run, 0 for the iteration cap.
     """
     r, jac = fun(u)
     cost, lam, eye = r @ r / 2, 1e-3, np.eye(len(u))
+    decrement_tol = 2 * _STOP_SE**2 / (len(r) - len(u))  # times the cost: (_STOP_SE s)^2
     for _ in range(_LM_MAX_ITER):
         ag = jac.T @ np.concatenate((jac, r[:, None]), axis=1)  # [A | g]
         a, g = ag[:, :-1], ag[:, -1]
@@ -245,22 +261,22 @@ def _levenberg_marquardt(fun, u, lo, hi):
         g = g * free
         if math.sqrt(g @ g) <= 1e-15 * cost:
             return u, r, 1
-        # a frozen coordinate's row and column become the identity's, and its du is 0
-        du = np.linalg.solve(np.where(free & free[:, None], a + lam * (a * eye), eye), -g)
+        # a frozen coordinate's row and column become the identity's, and its du is 0;
+        # one solve gives the Gauss-Newton step and the damped one
+        gn, du = np.linalg.solve(np.where(free & free[:, None], [a, a + lam * (a * eye)], eye),
+                                 -g[:, None])[..., 0]
+        if -g @ gn <= decrement_tol * cost:
+            return u, r, 2
         trial = np.minimum(np.maximum(u + du, lo), hi)
+        step = trial - u
+        if math.sqrt(step @ step) <= 1e-14 * math.sqrt(u @ u):
+            return u, r, 3
         r_trial, jac_trial = fun(trial)
         cost_trial = r_trial @ r_trial / 2
-        step = trial - u
-        small_step = math.sqrt(step @ step) <= 1e-14 * math.sqrt(u @ u)
-        small_change = abs(cost - cost_trial) < 1e-15 * cost
         if cost_trial <= cost:
             u, r, jac, cost, lam = trial, r_trial, jac_trial, cost_trial, lam / 3
         else:
             lam *= 4
-        if small_change:
-            return u, r, 2
-        if small_step:
-            return u, r, 3
     return u, r, 0
 
 
@@ -284,14 +300,18 @@ def global_fit(ts: TomographySet) -> FitResult:
     is repeated from the start with its drive mirrored, and the run with the
     lower cost is kept.
 
+    Each run stops once its Gauss-Newton step is under 1e-4 standard errors,
+    or on a vanishing gradient or step (see _levenberg_marquardt).
+
     Args:
         ts: Tomography curves on a uniform time grid with >= 6 points.
 
     Returns:
         FitResult of the kept run; `converged` is True when it ended on one of
         its tolerances rather than its iteration cap, `evaluations` counts
-        the model-and-Jacobian calls of both runs, and `at_bound` names the
-        rates that end on a face of the box.
+        the model-and-Jacobian calls of both runs, `at_bound` names the
+        rates that end on a face of the box, and `stderr` holds the standard
+        errors of (t1, t2, omega) from the covariance at the kept point.
     """
     if ts.times.size < 6:
         raise ValueError("global fit needs at least 6 time points per curve")
@@ -302,12 +322,11 @@ def global_fit(ts: TomographySet) -> FitResult:
     data = ts.as_matrix()
     lo = np.array([_RATE_FLOOR, 0.0, -0.5 / tau0])
     hi = np.array([_RATE_CEIL, _RATE_CEIL, 0.5 / tau0])
-    evaluations = 0
+    evaluated = []  # (u, J) per model call: the kept u's J gives the standard errors
 
     def fun(u):
-        nonlocal evaluations
-        evaluations += 1
         model, jac = _bloch_jacobian(u, ts.times)
+        evaluated.append((u, jac))
         return model - data.ravel(), jac
 
     start = np.clip(_step_start(data, tau0), lo, hi)
@@ -319,10 +338,24 @@ def global_fit(ts: TomographySet) -> FitResult:
         runs.append(_levenberg_marquardt(fun, start * [1, 1, -1], lo, hi))
     u, r, status = min(runs, key=lambda run: run[1] @ run[1])  # the first of a tie
     r1, rphi, omega = u  # the box keeps r1 >= _RATE_FLOOR > 0
-    return FitResult(t1=1.0 / r1, t2=1.0 / (r1 / 2 + rphi), omega=float(omega),
+    t1, t2 = 1.0 / r1, 1.0 / (r1 / 2 + rphi)
+    on_face = (u == lo) | (u == hi)
+    # s^2 (J^T J)^-1 over the rates off the box's faces (a rate on one keeps an identity
+    # row and column), carried to T1 = 1/r1 and T2 = 1/(r1/2 + rphi) by the delta method
+    jac = next(j for v, j in evaluated if v is u)
+    off = ~on_face
+    s2 = r @ r / (len(r) - 3)
+    cov = np.linalg.inv(np.where(off & off[:, None], jac.T @ jac, np.eye(3))) * s2
+    (c11, c12, _), (_, c22, _), (_, _, c33) = cov.tolist()
+    var = (t1**4 * c11, t2**4 * (c11 / 4 + c12 + c22), c33)
+    face1, face_phi, face_omega = on_face.tolist()
+    stderr = tuple(None if face or not 0 <= v < math.inf else math.sqrt(v)
+                   for face, v in zip((face1, face1 or face_phi, face_omega), var))
+    return FitResult(t1=t1, t2=t2, omega=float(omega),
                      residual=float(np.sqrt(np.mean(r**2))), converged=status > 0,
-                     evaluations=evaluations,
-                     at_bound=tuple(n for n, on in zip(_RATE_NAMES, (u == lo) | (u == hi)) if on))
+                     evaluations=len(evaluated),
+                     at_bound=tuple(n for n, on in zip(_RATE_NAMES, on_face) if on),
+                     stderr=stderr)
 
 
 def dephasing_time(t1: float, t2: float) -> float:

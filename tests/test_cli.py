@@ -188,6 +188,22 @@ def test_fit_json_names_the_rates_on_a_face_of_the_box(tmp_path, config, at_boun
     assert (fitted["t1_us"] == 1e6) == ("gamma1" in at_bound)
 
 
+@pytest.mark.parametrize("config, missing", [(None, set()), (_FLOOR_WITNESS, {"t1_us", "t2_us"})],
+                         ids=["default", "t1-floor"])
+def test_fit_json_carries_standard_errors(tmp_path, config, missing):
+    # A time that depends on a rate on a face of the box has no standard error (null).
+    args = ["fit", "--out", str(tmp_path)]
+    if config is not None:
+        args += ["--config", str(write_config(tmp_path, config))]
+    main(args)
+    stderr = json.loads((tmp_path / "fit.json").read_text())["fitted"]["stderr"]
+    assert set(stderr) == {"omega_mhz", "t1_us", "t2_us"}
+    assert {key for key, se in stderr.items() if se is None} == missing
+    assert all(se > 0 for se in stderr.values() if se is not None)
+    readme = README.read_text()
+    assert "`fitted.stderr`" in readme and all(f"`{key}`" in readme for key in stderr)
+
+
 def test_fit_determinism_and_seed_override(tmp_path):
     cfg = write_config(tmp_path, "shots: 300\nseed: 7\n")
     outs = [tmp_path / f"run{i}" for i in range(3)]
@@ -451,6 +467,21 @@ def test_mitigate_input_csv_with_bad_scale_factors_exit_1(tmp_path, capsys, tabl
     cfg = write_config(tmp_path, f"input_csv: {path}\n")
     assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "mitigate.json").exists()
+
+
+@pytest.mark.parametrize("table, message", [
+    ("c,value,sigma\n1.0,10.0,1e200\n2.0,9.0,0.2\n", "sigma_est must be finite, got inf"),
+    ("c,value\n1.0,1e308\n2.0,-1e308\n", "estimate must be finite, got inf"),
+], ids=["sigma-overflow", "estimate-overflow"])
+def test_mitigate_input_csv_overflow_is_a_numerical_failure(tmp_path, capsys, table, message):
+    # An overflowing combination reaches ExtrapolationResult's check as inf: no
+    # traceback and no RuntimeWarning (an error under this suite's filter).
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    cfg = write_config(tmp_path, f"input_csv: {path}\nn_max: 1\n")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.strip() == f"numerical failure: {message}"
     assert not (tmp_path / "mitigate.json").exists()
 
 

@@ -666,9 +666,9 @@ def test_fit_names_the_rates_on_a_face_of_the_box():
 
 # ------------------------------------------------- Levenberg-Marquardt stops
 #
-# _levenberg_marquardt returns the rule that stopped it: 1 free gradient, 2 cost
-# change, 3 step size, 0 the iteration cap. Linear residuals A u - b make each
-# rule's turn predictable.
+# _levenberg_marquardt returns the rule that stopped it: 1 free gradient, 2 a
+# Gauss-Newton step under _STOP_SE standard errors, 3 step size, 0 the iteration
+# cap. Linear residuals A u - b make each rule's turn predictable.
 
 _A = np.array([[1.0, 0.5], [0.2, 2.0], [1.5, -1.0], [0.3, 0.7]])
 
@@ -689,13 +689,20 @@ def test_lm_stops_on_the_free_gradient_in_a_corner():
     np.testing.assert_array_equal(u, [0.0, 0.0])
 
 
-def test_lm_stops_on_the_cost_change_with_a_residual():
-    # Inconsistent data: the cost levels off above 0 at the least-squares point.
+def _stderrs(jac, r):
+    """Standard errors sqrt(diag(s^2 (J^T J)^-1)), s^2 = r.r/(M - n), of a least-squares fit."""
+    return np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)) * (r @ r) / (len(r) - jac.shape[1]))
+
+
+def test_lm_stops_on_the_decrement_with_a_residual():
+    # Inconsistent data: the cost levels off above 0 at the least-squares point, and the
+    # run stops once the Gauss-Newton step is under _STOP_SE standard errors.
     b = np.array([1.0, -2.0, 0.5, 3.0])
     u, r, status = _levenberg_marquardt(_linear(b), np.array([0.3, 0.1]), -10 * np.ones(2),
                                         10 * np.ones(2))
     assert status == 2
-    np.testing.assert_allclose(u, np.linalg.lstsq(_A, b, rcond=None)[0], rtol=1e-12)
+    want = np.linalg.lstsq(_A, b, rcond=None)[0]
+    assert np.all(np.abs(u - want) <= 2 * tomography._STOP_SE * _stderrs(_A, _A @ want - b))
 
 
 def test_lm_stops_on_the_step_size_at_a_zero_residual():
@@ -724,7 +731,83 @@ def test_lm_freezes_a_rate_on_its_bound():
     v, _, status = _levenberg_marquardt(pinned, np.array([rates.gamma1, rates.omega]),
                                         np.array([1e-6, -1.0]), np.array([2.0, 1.0]))
     assert status > 0
-    np.testing.assert_allclose([1 / fit.t1, fit.omega], v, rtol=1e-7)
+    # Each run stops within _STOP_SE standard errors of the same optimum.
+    assert fit.at_bound == ("gamma_phi",) and fit.stderr[1] is None
+    assert abs(fit.t1 - 1 / v[0]) <= 2 * tomography._STOP_SE * fit.stderr[0]
+    assert abs(fit.omega - v[1]) <= 2 * tomography._STOP_SE * fit.stderr[2]
+
+
+def test_sweep_b_360_converges():
+    # A large-residual Trotter set (RMS 0.318) whose cost still fell by about 2e-14 of
+    # itself per iteration long after the fit had settled; a stop on the cost change
+    # crawled to the iteration cap.
+    fit = global_fit(_trotter_set(18.57, 57.06, 214.86))
+    assert fit.converged and fit.evaluations < 101
+    assert fit.residual == pytest.approx(0.318, abs=5e-4)
+
+
+@pytest.mark.parametrize("angles_deg", [(10, 30, 40), (30, 10, 70), (20, 20, 100), (35, 25, 140),
+                                        (15, 35, 160), (25, 15, 20), (20, 20, 51.4)])
+def test_exact_canonical_curves_stop_after_one_evaluation(angles_deg):
+    # The start read from the curves' step is the optimum to round-off, so the first
+    # step is under 1e-14 of the row and the run stops before evaluating it.
+    fit = global_fit(generate_tomography(
+        angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0)), TAU0, 13))
+    assert fit.converged and fit.evaluations == 1
+
+
+def _nudged(ts, direction):
+    """ts with every point moved one ulp toward direction."""
+    data = np.nextafter(ts.as_matrix(), direction)
+    return TomographySet(ts.times, dict(zip(ts.data, data)), shots=ts.shots)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("exact", "shot", "trotter")), theta1=st.floats(5.0, 40.0),
+       theta2=st.floats(5.0, 40.0), theta3=st.floats(20.0, 160.0), seed=st.integers(0, 2**31))
+def test_one_ulp_moves_the_fit_by_under_1e_10(kind, theta1, theta2, theta3, seed):
+    # Fit-batch-style sets: the stop point does not move with the last bit of the data.
+    if kind == "trotter":
+        ts = _trotter_set(theta1, theta2, theta3)
+    else:
+        rates = angle_to_rates(AngleParams.from_degrees(theta1, theta2, theta3, TAU0))
+        ts = generate_tomography(rates, TAU0, 13, shots=2000 if kind == "shot" else None,
+                                 seed=seed)
+    fit = global_fit(ts)
+    for direction in (np.inf, -np.inf):
+        moved = global_fit(_nudged(ts, direction))
+        np.testing.assert_allclose([moved.t1, moved.t2, moved.omega],
+                                   [fit.t1, fit.t2, fit.omega], rtol=1e-10, atol=0)
+
+
+def test_fit_standard_errors_match_the_sample_spread():
+    # 200 shot-sampled canonical sets: each fitted value's spread over the sets lies
+    # within 20% of its median predicted standard error.
+    rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.04)
+    fits = [global_fit(generate_tomography(rates, TAU0, 13, shots=1000, seed=seed))
+            for seed in range(200)]
+    assert all(f.at_bound == () for f in fits)
+    values = np.array([(f.t1, f.t2, f.omega) for f in fits])
+    predicted = np.median([f.stderr for f in fits], axis=0)
+    np.testing.assert_allclose(values.std(axis=0, ddof=1) / predicted, 1.0, atol=0.2)
+
+
+def test_fit_standard_errors_are_none_for_a_value_on_a_face():
+    # 1/T1 on its floor: T1 and T2 are bounds, and only omega gets a standard error.
+    rates = angle_to_rates(AngleParams.from_degrees(48.37255180111569, 14.841168224909438,
+                                                    169.87152881491664, TAU0))
+    schedule = TrotterSchedule(order=2, n_steps=13, dt=TAU0)
+    fit = global_fit(generate_tomography(rates, TAU0, 13,
+                                         evolve=lambda rho0: run_schedule(schedule, rates, rho0)))
+    assert fit.at_bound == ("gamma1",)
+    assert fit.stderr[:2] == (None, None) and fit.stderr[2] > 0
+
+
+@pytest.mark.parametrize("stderr", [(np.nan, None, None), (None, np.inf, None),
+                                    (None, None, -1e-9), (1.0, 1.0)])
+def test_fit_result_rejects_bad_standard_errors(stderr):
+    with pytest.raises(ValueError, match="standard errors"):
+        FitResult(t1=1.0, t2=1.0, omega=0.0, residual=0.0, converged=True, stderr=stderr)
 
 
 def test_fit_at_the_iteration_cap_is_not_converged(monkeypatch):
