@@ -193,7 +193,8 @@ def induced_channel(
     the reset, so the data channel has the Kraus operators <a|E_k|g> of the
     composite family E_k. The family is carried as the (k, 4, 2) stack E_k|g>;
     a gate with m Kraus operators multiplies k by m, and a one-qubit gate acts
-    on its qubit's axis alone.
+    on its qubit's axis alone. This is the one-circuit case of the batched
+    contraction that builds the dilation backends' steps.
 
     Args:
         circuit: Gate sequence ending in the ancilla reset.
@@ -204,25 +205,34 @@ def induced_channel(
             it by an ancilla z measurement with a conditional data X (the
             induced channel is identical).
     """
+    return _induced_channels([circuit], noise, adaptive)[0]
+
+
+def _induced_channels(
+    circuits: list[DilationCircuit], noise: NoiseParams | None, adaptive: str = "coherent"
+) -> np.ndarray:
+    """The (B, 4, 4) :func:`induced_channel` of B circuits with the first one's gate kinds, as one
+    (B, k, 4, 2) family; the noise Kraus pair and the fixed gate maps are built once per call."""
     if adaptive not in ("coherent", "feedforward"):
         raise ValueError(f"adaptive must be 'coherent' or 'feedforward', got {adaptive!r}")
     p = 0.0 if noise is None else noise.p_ancilla_decay
-    decay = np.stack([np.diag([1.0, np.sqrt(1.0 - p)]), np.sqrt(p) * SIGMA_MINUS]) if p else None
+    decay = np.array([np.diag([1.0, np.sqrt(1.0 - p)]), np.sqrt(p) * SIGMA_MINUS]) if p else None
     fixed = {"cz": _CZ, "cnot_ancilla_ctrl": _FEEDFORWARD if adaptive == "feedforward" else _CNOT}
-    family = _LOAD_G[None]  # rows (a, i) of E_k|g>, a the ancilla
-    for gate in circuit.gates[:-1]:  # the last gate is the reset
+    b = len(circuits)
+    family = _LOAD_G[None, None].repeat(b, axis=0)  # per circuit, rows (a, i) of E_k|g>
+    for j, gate in enumerate(circuits[0].gates[:-1]):  # the last gate is the reset
         if gate.kind in fixed:
-            family = (fixed[gate.kind][:, None] @ family).reshape(-1, 4, 2)
+            family = (fixed[gate.kind][:, None] @ family[:, None]).reshape(b, -1, 4, 2)
             if decay is not None:  # acts on the ancilla rows a
-                family = (decay[:, None] @ family.reshape(-1, 2, 4)).reshape(-1, 4, 2)
+                family = (decay[:, None] @ family.reshape(b, 1, -1, 2, 4)).reshape(b, -1, 4, 2)
         else:  # an x rotation of the ancilla (rows a) or of the data (rows i)
-            shape = (-1, 2, 4) if gate.kind == "ancilla_rx" else (-1, 2, 2)
-            family = (rx(gate.theta) @ family.reshape(shape)).reshape(-1, 4, 2)
-    data = family.reshape(-1, 2, 2)  # A = <a|E_k|g>: rows 2a, 2a + 1 of each E_k|g>
-    s = kraus_superop(data)
+            shape = (2, 4) if gate.kind == "ancilla_rx" else (2, 2)
+            turn = rx(np.array([c.gates[j].theta for c in circuits]))[:, None]
+            family = (turn @ family.reshape(b, -1, *shape)).reshape(b, -1, 4, 2)
+    s = kraus_superop(family.reshape(b, -1, 2, 2))  # A = <a|E_k|g>: rows 2a, 2a + 1 of E_k|g>
     if noise is not None and noise.p_grape > 0:
         # (1 - p) rho + p Tr(rho) I/2; rows 0 and 3 of s read the diagonal.
-        s = (1 - noise.p_grape) * s + noise.p_grape * np.outer(vec(I2), s[0] + s[3]) / 2
+        s = (1 - noise.p_grape) * s + noise.p_grape * (vec(I2)[:, None] * (s[:, :1] + s[:, 3:])) / 2
     return s
 
 

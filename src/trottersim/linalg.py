@@ -9,6 +9,8 @@ so the superoperator acting as ``A @ rho @ B`` on a vectorized state is
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -74,15 +76,17 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 def kraus_superop(ops: np.ndarray) -> np.ndarray:
-    """Column-stacking superoperator sum_k conj(E_k) (x) E_k of a (k, d, d) Kraus stack E."""
-    d = np.shape(ops)[-1]
-    return np.einsum("kac,kbd->abcd", np.conj(ops), ops).reshape(d * d, d * d)
+    """Column-stacking superoperator sum_k conj(E_k) (x) E_k of each (k, d, d) Kraus stack E."""
+    *batch, _, _, d = np.shape(ops)
+    return np.einsum("...kac,...kbd->...abcd", np.conj(ops), ops).reshape(*batch, d * d, d * d)
 
 
-def rx(theta: float) -> np.ndarray:
-    """x rotation exp(-i theta sigma_x / 2) = cos(theta/2) I - i sin(theta/2) sigma_x."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+def rx(theta: float | np.ndarray) -> np.ndarray:
+    """x rotation exp(-i theta sigma_x / 2) = cos(theta/2) I - i sin(theta/2) sigma_x, per angle."""
+    out = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = np.cos(theta / 2)
+    out[..., 0, 1] = out[..., 1, 0] = -1j * np.sin(theta / 2)
+    return out
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -177,9 +181,9 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Check that one (2, 2) matrix is a qubit state and return its Bloch row.
 
     In a = rho00, b = rho10, c = rho01 and d = rho11: finite entries, Hermiticity
-    max(|a - a*|, |d - d*|, |b - c*|) <= 1e-12, then :func:`check_bloch_rows` on the row
-    (Re a + Re d, 2 Re b, 2 Im b, Re a - Re d), read from the lower triangle as eigvalsh does.
-    That checked row c = (Tr rho, <sx>, <sy>, <sz>) is the one read-out of a state in the package.
+    max(|a - a*|, |d - d*|, |b - c*|) <= 1e-12, then :func:`check_bloch_rows`'s checks in Python
+    floats on the row (Re a + Re d, 2 Re b, 2 Im b, Re a - Re d), read from the lower triangle as
+    eigvalsh does. That checked row c = (Tr rho, <sx>, <sy>, <sz>) is the package's state read-out.
 
     Raises:
         ValueError: On another shape or the first violated check.
@@ -195,8 +199,8 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     herm_err = max(2 * max(abs(a.imag), abs(d.imag)), abs(b - c.conjugate()))
     if herm_err > 1e-12:
         raise ValueError(f"{name} is not Hermitian: max deviation {herm_err:.3e}")
-    with np.errstate(over="ignore"):  # from finite entries, an overflow fails trace or eigenvalue
-        row = np.array([a.real + d.real, 2 * b.real, 2 * b.imag, a.real - d.real])
-    if not np.isfinite(row).all():
+    (re_a, _), (re_b, re_d) = rho.real.tolist()  # Python floats: an overflow is inf, rejected
+    row = c0, x, y, z = re_a + re_d, 2 * re_b, 2 * b.imag.item(), re_a - re_d
+    if not (abs(c0 - 1) <= 1e-10 and (c0 - math.sqrt(x * x + y * y + z * z)) / 2 >= -1e-10):
         _raise_row_failure(row, name)
-    return check_bloch_rows(row, lambda _: name)
+    return np.array(row)

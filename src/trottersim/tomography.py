@@ -188,6 +188,7 @@ class FitResult:
 _BLOCH0 = np.array([validate_density_matrix(density(INITIAL_STATES[s]))[1:] for s in STATE_LABELS])
 _TERMS = _bloch_terms(_BLOCH0)
 _COMPLEX_STEP = 1e-20
+_COMPLEX_STEPS = 1j * _COMPLEX_STEP * np.eye(3)  # row k steps parameter k
 
 
 def _bloch_model(u: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -198,7 +199,7 @@ def _bloch_model(u: np.ndarray, times: np.ndarray) -> np.ndarray:
 def _bloch_jacobian(u: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (12*len(times),) model curves at row u and their (12*len(times), 3) derivatives:
     a step i*h in parameter k puts h times its derivative, exact, in the imaginary part."""
-    rows = np.asarray(u) + 1j * _COMPLEX_STEP * np.eye(3)
+    rows = np.asarray(u) + _COMPLEX_STEPS
     model = _bloch_model(rows, times).reshape(3, -1)
     return model[0].real, model.imag.T / _COMPLEX_STEP
 

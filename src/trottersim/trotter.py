@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dilation import (NoiseParams, damping_circuit, dephasing_circuit, induced_channel,
+from .dilation import (NoiseParams, _induced_channels, damping_circuit, dephasing_circuit,
                        rates_to_angles, rotation_circuit)
 from .linalg import (KET_1, check_bloch_rows, check_count, check_positive, density,
                      validate_density_matrix)
@@ -98,51 +98,62 @@ class TrotterSchedule:
             raise ValueError(f"backend {self.backend!r} does not accept noise parameters")
 
 
-def _elementary_ptm(
-    rates: CanonicalRates, label: str, dt: float, backend: str, noise: NoiseParams | None
+def _elementary_ptms(
+    rates: CanonicalRates, durations: list[float], backend: str, noise: NoiseParams | None
 ) -> np.ndarray:
-    """Real Pauli-transfer matrix R_ij = Tr(s_i E(s_j))/2 of one generator over dt.
+    """The (D, 3, 4, 4) real Pauli-transfer matrices R_ij = Tr(s_i E(s_j))/2 of the ALL_LABELS
+    generators over each of D durations dt.
 
     The kraus closed forms: dephasing diag(1, mu, mu, 1), mu = e^(-gamma_phi dt); damping
     diag(1, nu, nu, nu^2) plus R_z0 = 1 - nu^2, nu = e^(-gamma1 dt/2); rx(theta) turns
-    (<sy>, <sz>) by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. The dilation backends
-    convert their induced superoperator S as Re(P^dag S P)/2, with P^dag = BLOCH_ROWS.
+    (<sy>, <sz>) by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. The dilation backends take
+    the angles once per duration, contract each circuit kind over the D angles at once and
+    convert all 3D superoperators S as Re(P^dag S P)/2, with P^dag = BLOCH_ROWS.
     """
     if backend != "kraus":
-        angles = rates_to_angles(rates, dt)
-        circuit = (dephasing_circuit(angles.theta1) if label == DEPHASING
-                   else damping_circuit(angles.theta2) if label == DAMPING
-                   else rotation_circuit(angles.theta3))
-        return np.real(BLOCH_ROWS @ induced_channel(circuit, noise) @ BLOCH_ROWS.conj().T) / 2
-    ptm = np.eye(4)
-    if label == DEPHASING:
-        ptm[1, 1] = ptm[2, 2] = np.exp(-rates.gamma_phi * dt)
-    elif label == DAMPING:
-        nu = np.exp(-rates.gamma1 * dt / 2)
-        ptm[1, 1], ptm[2, 2], ptm[3, 3], ptm[3, 0] = nu, nu, nu * nu, 1 - nu * nu
-    else:
+        angles = [rates_to_angles(rates, dt) for dt in durations]
+        circuits = ([dephasing_circuit(a.theta1) for a in angles],
+                    [damping_circuit(a.theta2) for a in angles],
+                    [rotation_circuit(a.theta3) for a in angles])
+        supers = np.array([_induced_channels(kind, noise) for kind in circuits]).swapaxes(0, 1)
+        return np.real(BLOCH_ROWS @ supers @ BLOCH_ROWS.conj().T) / 2
+    dt = np.array(durations)
+    with np.errstate(over="ignore"):  # a rate that overflows decays to 0; the angle is checked
+        mu, nu = np.exp(-rates.gamma_phi * dt), np.exp(-rates.gamma1 * dt / 2)
         theta = 2 * np.pi * rates.omega * dt
-        if not np.isfinite(theta):
-            raise ValueError(f"drive angle 2 pi omega dt overflows: omega={rates.omega}, dt={dt}")
-        ptm[2:, 2:] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-    return ptm
+    if not np.isfinite(theta).all():  # the longest duration's angle overflows whenever one does
+        raise ValueError(f"drive angle 2 pi omega dt overflows: omega={rates.omega}, dt={dt.max()}")
+    ptms = np.zeros((len(dt), 3, 4, 4)) + np.eye(4)
+    ptms[:, 0, 1, 1] = ptms[:, 0, 2, 2] = mu
+    ptms[:, 1, 1, 1] = ptms[:, 1, 2, 2] = nu
+    ptms[:, 1, 3, 3], ptms[:, 1, 3, 0] = nu * nu, 1 - nu * nu
+    ptms[:, 2, 2, 2] = ptms[:, 2, 3, 3] = np.cos(theta)
+    ptms[:, 2, 2, 3], ptms[:, 2, 3, 2] = -np.sin(theta), np.sin(theta)
+    return ptms
 
 
-def _step_stack(schedules: list[TrotterSchedule], rates: CanonicalRates) -> np.ndarray:
-    """The (K, 4, 4) one-step Pauli-transfer matrices of K schedules. Each distinct elementary
-    channel is built once; index 0 is the identity, which pads order 1 rows in front, and one
-    batched product per slot composes all K."""
-    keys: dict[tuple, int] = {}
-    width = 3 * max(s.order for s in schedules)
-    idx = np.zeros((len(schedules), width), dtype=int)
-    for k, s in enumerate(schedules):  # order 2: the half-duration sequence, then reversed
-        seq = s.permutation if s.order == 1 else s.permutation + s.permutation[::-1]
-        idx[k, width - len(seq):] = [keys.setdefault((label, s.dt / s.order, s.backend, s.noise),
-                                                      len(keys) + 1) for label in seq]
-    ops = np.array([np.eye(4)] + [_elementary_ptm(rates, *key) for key in keys])[idx]
+# The twelve (order, permutation) schedules of a scan, their labels and their rows of indices into
+# [identity, labels over dt, labels over dt/2]: order 2 forward then reversed, order 1 padded.
+_SCAN = tuple((order, perm) for order in (1, 2) for perm in ALL_PERMUTATIONS)
+_SCAN_LABELS = tuple(f"trotter-o{order}-{'-'.join(perm)}" for order, perm in _SCAN)
+_SCAN_ROWS = np.array([[0, 0, 0] + [1 + ALL_LABELS.index(label) for label in perm] if order == 1
+                       else [4 + ALL_LABELS.index(label) for label in perm + perm[::-1]]
+                       for order, perm in _SCAN])
+
+
+def _step_stack(schedule: TrotterSchedule, rates: CanonicalRates, keys: list[int]) -> np.ndarray:
+    """The (K, 4, 4) one-step Pauli-transfer matrices of the K scan rows keys over the
+    schedule's dt, backend and noise. One :func:`_elementary_ptms` call builds the three labels
+    at each duration dt / order the rows use, keyed by (duration, label) behind the identity,
+    and one batched product per slot composes all K."""
+    orders = sorted({_SCAN[k][0] for k in keys})
+    ptms = _elementary_ptms(rates, [schedule.dt / order for order in orders], schedule.backend,
+                            schedule.noise)
+    ops = np.concatenate([np.eye(4)[None], ptms.reshape(-1, 4, 4)])
     step = np.eye(4)
-    for slot in range(width):
-        step = ops[:, slot] @ step
+    # order 1 alone takes 3 slots; order 2 alone builds no dt block, so its indices drop by 3
+    for op in ops[_SCAN_ROWS[keys, 6 - 3 * orders[-1]:].T - 3 * (orders[0] - 1)]:
+        step = op @ step
     return step
 
 
@@ -151,14 +162,14 @@ def _initial_row(rho0: np.ndarray | None) -> np.ndarray:
     return validate_density_matrix(RHO_EXCITED if rho0 is None else rho0, "rho0")
 
 
-def _run_schedules(
-    schedules: list[TrotterSchedule], rates: CanonicalRates, row0: np.ndarray
-) -> tuple[np.ndarray, list[str]]:
-    """The checked (K, n+1, 4) Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) of K schedules that
-    share n_steps, stepped as one stack from the checked initial row row0, and their labels."""
-    n, ptms = schedules[0].n_steps, _step_stack(schedules, rates)
-    rows = propagate(ptms, row0[:, None], n)[..., 0].swapaxes(0, 1)
-    labels = [f"trotter-o{s.order}-{'-'.join(s.permutation)}" for s in schedules]
+def _run_schedules(schedule: TrotterSchedule, rates: CanonicalRates, row0: np.ndarray,
+                   keys: list[int] | None = None) -> tuple[np.ndarray, list[str]]:
+    """The checked (K, n+1, 4) Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) of the scan rows keys
+    (default the schedule's own), stepped as one stack from the checked row row0, and labels."""
+    keys = [_SCAN.index((schedule.order, schedule.permutation))] if keys is None else keys
+    ptms = _step_stack(schedule, rates, keys)
+    rows = propagate(ptms, row0[:, None], schedule.n_steps)[..., 0].swapaxes(0, 1)
+    labels = [_SCAN_LABELS[k] for k in keys]
     check_bloch_rows(rows, lambda kj: f"step {kj[1]} state of {labels[kj[0]]}")
     return rows, labels
 
@@ -179,7 +190,7 @@ def run_schedule(
         EvolutionTrace with n_steps+1 samples at t = j*dt, every recorded Bloch
         row checked by :func:`~trottersim.linalg.check_bloch_rows`.
     """
-    rows, labels = _run_schedules([schedule], rates, _initial_row(rho0))
+    rows, labels = _run_schedules(schedule, rates, _initial_row(rho0))
     times = np.arange(schedule.n_steps + 1) * schedule.dt
     return EvolutionTrace(times, *rows[0, :, 1:].T, label=labels[0])
 
@@ -225,12 +236,12 @@ def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
     return AccuracyReport(float(a), residuals, descriptor=trace.label)
 
 
-def _accuracies(schedules: list[TrotterSchedule], rates: CanonicalRates,
-                row0: np.ndarray) -> list[AccuracyReport]:
-    """Accuracy of K schedules that share n_steps and dt, stepped from the checked initial row
-    row0 and scored as one array against :func:`bloch_solution` from the same row."""
-    rows, labels = _run_schedules(schedules, rates, row0)
-    times = np.arange(schedules[0].n_steps + 1) * schedules[0].dt
+def _accuracies(schedule: TrotterSchedule, rates: CanonicalRates, row0: np.ndarray,
+                keys: list[int] | None = None) -> list[AccuracyReport]:
+    """Accuracy of the runs of :func:`_run_schedules`, scored as one array against
+    :func:`bloch_solution` from the same checked row row0."""
+    rows, labels = _run_schedules(schedule, rates, row0, keys)
+    times = np.arange(schedule.n_steps + 1) * schedule.dt
     exact = bloch_solution([[rates.gamma1, rates.gamma_phi, rates.omega]], [row0[1:]], times)
     a, residuals = _scores(rows[:, 1:, 1:] - exact[0, 0, :, 1:].T)
     return [AccuracyReport(float(a[k]), residuals[k], label) for k, label in enumerate(labels)]
@@ -282,7 +293,7 @@ def convergence_order(
         raise ValueError("n_list must be strictly increasing")
     schedules = [replace(template, n_steps=int(n), dt=t_total / n) for n in n_list]
     row0 = _initial_row(rho0)
-    accs = [_accuracies([s], rates, row0)[0].a for s in schedules]
+    accs = [_accuracies(s, rates, row0)[0].a for s in schedules]
     saturated = bool(np.max(accs) < 1e-13)
     slope = None if saturated else float(np.polyfit(np.log(n_list), np.log(accs), 1)[0])
     return ConvergenceResult(tuple(int(n) for n in n_list), tuple(accs), slope, saturated)
@@ -298,18 +309,17 @@ def permutation_scan(
 ) -> dict[tuple[int, tuple[str, str, str]], AccuracyReport]:
     """Accuracy of every generator permutation at both orders.
 
-    The twelve schedules share six elementary channels (three labels at the
-    full and the half duration), each built once; they step as one stacked
-    propagation and are scored against the target as one array.
+    One schedule checks the arguments; its six elementary channels (three labels
+    at dt and at dt/2) are built as one block and the twelve steps composed from
+    one index table, stepped as one stack and scored as one array.
 
     Returns:
         Mapping (order, permutation) -> AccuracyReport, keys in deterministic
         (order, permutation) sort order.
     """
-    schedules = [TrotterSchedule(perm, order, n_steps, dt, backend, noise)
-                 for order in (1, 2) for perm in ALL_PERMUTATIONS]
-    reports = _accuracies(schedules, rates, _initial_row(rho0))
-    return {(s.order, s.permutation): report for s, report in zip(schedules, reports)}
+    schedule = TrotterSchedule(n_steps=n_steps, dt=dt, backend=backend, noise=noise)
+    reports = _accuracies(schedule, rates, _initial_row(rho0), list(range(len(_SCAN))))
+    return dict(zip(_SCAN, reports))
 
 
 def compare_orders(
@@ -336,4 +346,4 @@ def compare_orders(
     schedules = [replace(base, order=1, n_steps=2 * n_steps, dt=dt / 2),
                  replace(base, order=2, n_steps=n_steps, dt=dt)]
     row0 = _initial_row(rho0)
-    return {s.order: _accuracies([s], rates, row0)[0] for s in schedules}
+    return {s.order: _accuracies(s, rates, row0)[0] for s in schedules}

@@ -22,6 +22,7 @@ from trottersim.dilation import (
     DilationCircuit,
     Gate,
     NoiseParams,
+    _induced_channels,
     angle_to_rates,
     damping_circuit,
     dephasing_circuit,
@@ -288,6 +289,29 @@ def test_induced_channel_matches_the_superoperator_composition(
     assert np.abs(choi - dag(choi)).max() <= 1e-14
     assert np.linalg.eigvalsh(choi).min() >= -1e-14
     assert np.abs(partial_trace(choi, (2, 2), keep=0) - I2).max() <= 1e-14
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_CIRCUITS)),
+    thetas=st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=4),
+    noise_kind=st.sampled_from(["off", "decay", "both"]),
+    p_grape=st.floats(0, 1),
+    p_decay=st.floats(0, 1),
+    adaptive=st.sampled_from(["coherent", "feedforward"]),
+)
+def test_batched_induced_channels_equal_each_circuit_bit_for_bit(
+    kind, thetas, noise_kind, p_grape, p_decay, adaptive
+):
+    # The dilation backends contract B circuits of one kind as one batch; each
+    # batch entry must be exactly the circuit's own induced_channel.
+    noise = {"off": None, "decay": NoiseParams(0.0, p_decay),
+             "both": NoiseParams(p_grape, p_decay)}[noise_kind]
+    circuits = [_CIRCUITS[kind](theta) for theta in thetas]
+    batch = _induced_channels(circuits, noise, adaptive)
+    assert batch.shape == (len(circuits), 4, 4)
+    for circuit, s in zip(circuits, batch):
+        assert s.tobytes() == induced_channel(circuit, noise, adaptive).tobytes()
 
 
 def test_applying_an_induced_channel_rejects_a_non_2x2_operator():

@@ -33,7 +33,7 @@ from trottersim.liouvillian import (
     qubit_generators,
     target_trace,
 )
-from trottersim.trotter import TrotterSchedule, _step_stack
+from trottersim.trotter import _SCAN, TrotterSchedule, _step_stack
 
 RHO_1 = density(KET_1)
 
@@ -229,7 +229,8 @@ def test_propagate_matches_sequential_stepping(n, source, stack, rates, order, d
         steps = np.stack([JORDAN_STEP] * stack)
     else:
         sched = TrotterSchedule(order=order, dt=dt, backend=source)
-        steps = np.stack([_step_stack([sched], CanonicalRates(*g))[0] for g in rates[:stack]])
+        key = [_SCAN.index((order, sched.permutation))]
+        steps = np.stack([_step_stack(sched, CanonicalRates(*g), key)[0] for g in rates[:stack]])
     step = steps[0] if stack == 1 else steps  # a single (4, 4) step, or a (K, 4, 4) stack
     rng = np.random.default_rng(seed)
     kets = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

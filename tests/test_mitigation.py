@@ -1,5 +1,6 @@
 """Tests for Richardson zero-noise extrapolation and the damping-scaling study."""
 
+import math
 import warnings
 
 import numpy as np
@@ -70,6 +71,18 @@ def test_coeffs_input_errors():
         richardson_coeffs((1.0, 1e200, 2e200), 2)
     assert [w.category for w in caught] == [UserWarning]
     assert "condition estimate inf;" in str(caught[0].message)
+
+
+def test_coeffs_reject_a_moment_residual_above_1e_8():
+    # Five factors 1e-3 apart meet their moment conditions only to about 1e-4 in floating
+    # point, far above the 1e-8 tolerance and far below an order-one failure.
+    cs = (1.0, 1.001, 1.002, 1.003, 1.004)
+    gammas = [math.prod(ci / (ci - cj) for ci in cs if ci != cj) for cj in cs]
+    residual = max(abs(sum(g * c**k for g, c in zip(gammas, cs)) - (k == 0)) for k in range(5))
+    assert 1e-7 < residual < 1e-3
+    with pytest.warns(UserWarning, match="condition"), \
+            pytest.raises(ValueError, match="moment conditions not met"):
+        richardson_coeffs(cs, 4)
 
 
 def test_coeffs_ill_conditioned_warns():

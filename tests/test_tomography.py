@@ -142,6 +142,16 @@ def test_tomography_set_validation():
         TomographySet(times, bad_range)
 
 
+def test_tomography_set_shot_range_is_three_standard_errors():
+    # With 100 shots a curve may leave [-1, 1] by 3/sqrt(100) = 0.3 and no further.
+    data = {(s, o): np.zeros(3) for s in STATE_LABELS for o in OBS_LABELS}
+    data[("+", "y")] = np.array([0.0, 1.29, -1.29])
+    TomographySet(np.arange(3.0), data, shots=100)
+    data[("+", "y")] = np.array([0.0, 1.45, 0.0])
+    with pytest.raises(ValueError, match=r"curve \('\+', 'y'\) is not finite within"):
+        TomographySet(np.arange(3.0), data, shots=100)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("shots", [None, 500])
 def test_tomography_set_rejects_non_finite_curves(value, shots):
@@ -790,6 +800,27 @@ def test_fit_standard_errors_match_the_sample_spread():
     values = np.array([(f.t1, f.t2, f.omega) for f in fits])
     predicted = np.median([f.stderr for f in fits], axis=0)
     np.testing.assert_allclose(values.std(axis=0, ddof=1) / predicted, 1.0, atol=0.2)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_fit_standard_errors_match_an_independent_covariance(seed):
+    # s^2 (J^T J)^-1 with s^2 = r.r / (M - 3), rebuilt at the kept point from a central-difference
+    # Jacobian of the exact curves, carried to T1 and T2 by the delta method. The sample-spread
+    # test above allows 20%; a wrong divisor (M for M - 3) moves every error by 0.9% here.
+    ts = generate_tomography(CanonicalRates(0.03, 0.02, 0.04), TAU0, 13, shots=1000, seed=seed)
+    fit = global_fit(ts)
+    assert fit.at_bound == ()
+    u = np.array([1 / fit.t1, 1 / fit.t2 - 0.5 / fit.t1, fit.omega])
+
+    def curves(v):
+        return generate_tomography(CanonicalRates(*v), TAU0, 13).as_matrix().ravel()
+
+    r = curves(u) - ts.as_matrix().ravel()
+    jac = np.stack([(curves(u + 1e-6 * e) - curves(u - 1e-6 * e)) / 2e-6 for e in np.eye(3)], 1)
+    cov = np.linalg.inv(jac.T @ jac) * (r @ r / (r.size - 3))
+    expected = (fit.t1**2 * np.sqrt(cov[0, 0]),
+                fit.t2**2 * np.sqrt(cov[0, 0] / 4 + cov[0, 1] + cov[1, 1]), np.sqrt(cov[2, 2]))
+    np.testing.assert_allclose(fit.stderr, expected, rtol=1e-5)
 
 
 def test_fit_standard_errors_are_none_for_a_value_on_a_face():

@@ -338,18 +338,18 @@ def test_permutation_scan_equals_single_runs_bit_for_bit(
 ):
     # The scan steps its twelve schedules as one stack and scores them as one
     # array; each entry must be exactly what accuracy(run_schedule(...)) gives
-    # for that schedule alone, and the scan builds each of its six elementary
-    # channels (three labels at dt and at dt/2) once.
+    # for that schedule alone, and the scan builds its six elementary channels
+    # (three labels at dt and at dt/2) in one block.
     r = np.array(bloch0) / max(1.0, np.linalg.norm(bloch0))
     rho0 = (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
     rates = CanonicalRates(*rates)
     noise = NoiseParams(*noise) if backend == "dilation+noise" else None
     builds = []
-    build = trotter._elementary_ptm
+    build = trotter._elementary_ptms
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trotter, "_elementary_ptm", lambda *args: builds.append(args) or build(*args))
+        mp.setattr(trotter, "_elementary_ptms", lambda *args: builds.append(args) or build(*args))
         scan = permutation_scan(rates, n_steps, dt, rho0, backend, noise)
-    assert len(builds) <= 6
+    assert builds == [(rates, [dt, dt / 2], backend, noise)]
     target = target_trace(rates, rho0, dt, n_steps)
     assert list(scan) == [(order, perm) for order in (1, 2) for perm in ALL_PERMUTATIONS]
     for (order, perm), report in scan.items():
@@ -393,7 +393,8 @@ def superop_of(ptm):
 def complex_reference_run(schedule, rates, rho0):
     """(N+1, 3) Bloch vectors by the complex path: propagate vec(rho0) by the superoperator
     of the step, take each state's Hermitian part and read BLOCH_ROWS[1:]."""
-    step = superop_of(trotter._step_stack([schedule], rates)[0])
+    key = [trotter._SCAN.index((schedule.order, schedule.permutation))]
+    step = superop_of(trotter._step_stack(schedule, rates, key)[0])
     vecs = propagate(step, vec(rho0)[:, None], schedule.n_steps)[..., 0]
     rhos = vecs.reshape(-1, 2, 2).swapaxes(-2, -1)  # undo the column-stacking vec
     herm = ((rhos + dag(rhos)) / 2).swapaxes(-2, -1).reshape(-1, 4)
@@ -450,8 +451,9 @@ def test_closed_form_ptms_match_their_kraus_channels(gamma1, gamma_phi, omega, d
     rates = CanonicalRates(gamma1, gamma_phi, omega)
     channels = {DEPHASING: dephasing_channel(gamma_phi, dt), DAMPING: damping_channel(gamma1, dt),
                 ROTATION: unitary_channel(rx(2 * np.pi * omega * dt))}
+    ptms = trotter._elementary_ptms(rates, [dt], "kraus", None)[0]
     for label, channel in channels.items():
-        ptm = trotter._elementary_ptm(rates, label, dt, "kraus", None)
+        ptm = ptms[ALL_LABELS.index(label)]
         reference = np.real(BLOCH_ROWS @ to_superop(channel) @ BLOCH_ROWS.conj().T) / 2
         assert np.abs(ptm - reference).max() <= 4.5e-16
         assert ptm[0].tolist() == [1.0, 0.0, 0.0, 0.0]
@@ -469,7 +471,8 @@ def test_every_elementary_ptm_is_cptp(backend, label, rates, noise, dt):
     # The Choi matrix rebuilt from the Pauli-transfer matrix is positive semidefinite,
     # and the trace row (1, 0, 0, 0) makes the channel trace preserving.
     noise = NoiseParams(*noise) if backend == "dilation+noise" else None
-    ptm = trotter._elementary_ptm(CanonicalRates(*rates), label, dt, backend, noise)
+    ptm = trotter._elementary_ptms(CanonicalRates(*rates), [dt], backend, noise)[0][
+        ALL_LABELS.index(label)]
     assert np.linalg.eigvalsh(to_choi(superop_of(ptm))).min() >= -1e-12
     assert np.abs(ptm[0] - [1, 0, 0, 0]).max() <= 1e-15
 
