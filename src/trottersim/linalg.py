@@ -27,7 +27,6 @@ __all__ = [
     "kraus_superop",
     "rx",
     "partial_trace",
-    "expm",
     "check_bloch_rows",
     "validate_density_matrix",
     "check_count",
@@ -116,26 +115,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     raise ValueError(f"keep must be 0 or 1, got {keep}")
 
 
-def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scipy's scaling-and-squaring Pade algorithm.
-
-    Args:
-        m: Square matrix, or a stack of them with shape (..., d, d).
-
-    Returns:
-        exp(m) as a complex array of the same shape, one exponential per
-        trailing (d, d) block.
-
-    Raises:
-        ValueError: If the trailing two dimensions are not square.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expm requires a square matrix, got shape {m.shape}")
-    import scipy.linalg  # here, so that importing the package loads no scipy module
-    return scipy.linalg.expm(m)
-
-
 def check_count(name: str, value) -> None:
     """Reject a bool, a non-integer or a value < 1 for a count, naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
@@ -170,8 +149,9 @@ def check_bloch_rows(rows: np.ndarray, name) -> np.ndarray:
 
 
 def _raise_row_failure(row, label):
-    """Raise the trace or else the eigenvalue failure of one row, |r| by overflow-safe hypot."""
-    c0, r = row[0], np.hypot(np.hypot(row[1], row[2]), row[3])
+    """Raise the trace or else the eigenvalue failure of one row, |r| by math.hypot, which
+    returns inf on overflow where np.hypot warns."""
+    c0, r = row[0], math.hypot(row[1], row[2], row[3])
     if abs(c0 - 1) > 1e-10:
         raise ValueError(f"{label} trace deviates from 1 by {abs(c0 - 1):.3e}")
     raise ValueError(f"{label} has negative eigenvalue {(c0 - r) / 2:.3e}")

@@ -1,14 +1,15 @@
-"""Lindblad superoperators and exact reference evolution of a driven lossy qubit.
+"""Exact evolution of a driven lossy qubit: conventions, stepping kernel and closed form.
 
 Conventions fixed here and used across the package:
 
-* Master equation: d(rho)/dt = sum_j -i[H_j, rho] + sum_k (2 L_k rho L_k^dag
+* Master equation: d(rho)/dt = -i[H, rho] + sum_k (2 L_k rho L_k^dag
   - {L_k^dag L_k, rho}). Note the dissipator carries a factor 2 on the
   sandwich term and no 1/2 on the anticommutator.
 * Canonical rates: ``gamma1`` is the population decay rate of |1> (its
   occupation falls as e^{-gamma1 t}), ``gamma_phi`` the pure-dephasing rate.
   Off-diagonals then decay as e^{-(gamma1/2 + gamma_phi) t}, i.e.
-  1/T1 = gamma1 and 1/T2 = gamma1/2 + gamma_phi.
+  1/T1 = gamma1 and 1/T2 = gamma1/2 + gamma_phi. The jump operators
+  L = sqrt(gamma1/2) sigma_minus and L = (sqrt(gamma_phi)/2) sigma_z give these rates.
 * Drive Hamiltonian H = pi * omega * sigma_x with ``omega`` a full-cycle
   Rabi frequency in MHz: a step of duration tau rotates by 2*pi*omega*tau.
 * Basis |0>, |1> with <sigma_z>(|0>) = +1.
@@ -22,67 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, check_count, check_positive, dag,
-                     expm, validate_density_matrix, vec)
+from .linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, check_count, check_positive,
+                     validate_density_matrix, vec)
 
 __all__ = [
-    "GeneratorSpec",
     "CanonicalRates",
     "EvolutionTrace",
-    "coherent",
-    "jump",
-    "dephasing_generator",
-    "damping_generator",
-    "drive_generator",
-    "qubit_generators",
-    "lindblad_superop",
-    "propagator",
     "BLOCH_ROWS",
     "propagate",
     "bloch_solution",
     "target_trace",
 ]
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """One additive term of a Lindblad generator.
-
-    kind is "coherent" (matrix = Hamiltonian H, contributes -i[H, rho]) or
-    "jump" (matrix = jump operator L, contributes 2 L rho L^dag -
-    {L^dag L, rho}).
-    """
-
-    kind: str
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"generator matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("generator matrix contains non-finite entries")
-        if self.kind == "coherent":
-            if np.abs(m - dag(m)).max() > 1e-12:
-                raise ValueError("coherent generator requires a Hermitian matrix")
-        elif self.kind != "jump":
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def coherent(h: np.ndarray, label: str = "") -> GeneratorSpec:
-    """Coherent term -i[H, rho] from a Hermitian H."""
-    return GeneratorSpec("coherent", h, label)
-
-
-def jump(l: np.ndarray, label: str = "") -> GeneratorSpec:
-    """Dissipative term 2 L rho L^dag - {L^dag L, rho}."""
-    return GeneratorSpec("jump", l, label)
 
 
 @dataclass(frozen=True)
@@ -119,67 +70,6 @@ class CanonicalRates:
         """Coherence time 1/(gamma1/2 + gamma_phi) (inf when lossless)."""
         total = self.gamma1 / 2 + self.gamma_phi
         return np.inf if total == 0 else 1.0 / total
-
-
-def dephasing_generator(gamma_phi: float) -> GeneratorSpec:
-    """Jump term L = (sqrt(gamma_phi)/2) sigma_z giving e^{-gamma_phi t} coherence decay."""
-    return jump(np.sqrt(gamma_phi) / 2 * SIGMA_Z, label="dephasing")
-
-
-def damping_generator(gamma1: float) -> GeneratorSpec:
-    """Jump term L = sqrt(gamma1/2) sigma_minus giving e^{-gamma1 t} population decay."""
-    return jump(np.sqrt(gamma1 / 2) * SIGMA_MINUS, label="damping")
-
-
-def drive_generator(omega: float) -> GeneratorSpec:
-    """Coherent term H = pi*omega*sigma_x (omega in MHz, full-cycle Rabi rate)."""
-    return coherent(np.pi * omega * SIGMA_X, label="rotation")
-
-
-def qubit_generators(rates: CanonicalRates) -> list[GeneratorSpec]:
-    """The three generator terms (dephasing, damping, drive) for given rates."""
-    return [
-        dephasing_generator(rates.gamma_phi),
-        damping_generator(rates.gamma1),
-        drive_generator(rates.omega),
-    ]
-
-
-def lindblad_superop(generators: list[GeneratorSpec], dim: int = 2) -> np.ndarray:
-    """Assemble the d^2 x d^2 Lindblad superoperator in column-stacking form.
-
-    Args:
-        generators: Additive coherent/jump terms of consistent dimension.
-        dim: Hilbert-space dimension used when generators is empty.
-
-    Returns:
-        S with S @ vec(rho) = vec(sum_j -i[H_j,rho]
-        + sum_k (2 L_k rho L_k^dag - {L_k^dag L_k, rho})).
-
-    Raises:
-        ValueError: On mixed generator dimensions.
-    """
-    if generators:
-        dim = generators[0].dim
-    eye = np.eye(dim, dtype=complex)
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for g in generators:
-        if g.dim != dim:
-            raise ValueError(f"generator dimension {g.dim} does not match {dim}")
-        m = g.matrix
-        if g.kind == "coherent":
-            s += -1j * (np.kron(eye, m) - np.kron(m.T, eye))
-        else:
-            mm = dag(m) @ m
-            s += 2 * np.kron(np.conj(m), m) - np.kron(eye, mm) - np.kron(mm.T, eye)
-    return s
-
-
-def propagator(superop: np.ndarray, t: float) -> np.ndarray:
-    """Exact channel superoperator expm(S*t) for evolution time t >= 0."""
-    if t < 0:
-        raise ValueError(f"propagation time must be nonnegative, got {t}")
-    return expm(np.asarray(superop, dtype=complex) * t)
 
 
 # Rows conj(vec(s)) for s = I, sigma_x, sigma_y, sigma_z: the P^dag that turns a superoperator S

@@ -25,7 +25,7 @@ from trottersim.dilation import (
     depolarization_equivalent_time,
     induced_channel,
 )
-from trottersim.linalg import SIGMA_X, expm
+from trottersim.linalg import rx
 from trottersim.liouvillian import CanonicalRates
 from trottersim.mitigation import (
     NoisePoint,
@@ -249,7 +249,7 @@ def test_criterion_9_property_suites():
         cptp_ok &= is_cptp(dephasing_channel(gphi, TAU0))
         cptp_ok &= is_cptp(damping_channel(g1, TAU0))
         cptp_ok &= is_cptp(depolarizing_channel(p))
-        cptp_ok &= is_cptp(unitary_channel(expm(-0.5j * theta * SIGMA_X)))
+        cptp_ok &= is_cptp(unitary_channel(rx(theta)))
         cptp_ok &= is_cptp(
             induced_channel(
                 damping_circuit(theta),

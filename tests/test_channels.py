@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import propagator
 from trottersim.linalg import (
     I2,
     KET_0,
@@ -12,7 +13,6 @@ from trottersim.linalg import (
     SIGMA_X,
     dag,
     density,
-    expm,
     rx,
     unvec,
     vec,
@@ -25,13 +25,7 @@ from trottersim.dilation import (
     induced_channel,
     rotation_circuit,
 )
-from trottersim.liouvillian import (
-    CanonicalRates,
-    damping_generator,
-    dephasing_generator,
-    lindblad_superop,
-    target_trace,
-)
+from trottersim.liouvillian import CanonicalRates, target_trace
 from trottersim.channels import (
     KrausChannel,
     apply_channel,
@@ -128,8 +122,7 @@ def test_unitary_channel_basics():
 
 
 def test_half_rabi_cycle_flips_population():
-    rx_pi = expm(-1j * np.pi / 2 * SIGMA_X)
-    out = apply_channel(unitary_channel(rx_pi), density(KET_0))
+    out = apply_channel(unitary_channel(rx(np.pi)), density(KET_0))
     np.testing.assert_allclose(out, density(KET_1), atol=1e-12)
 
 
@@ -195,7 +188,7 @@ def test_apply_preserves_state_invariants():
     families = [
         dephasing_channel(0.3, 1.7),
         damping_channel(0.2, 2.5),
-        unitary_channel(expm(-1j * 0.4 * SIGMA_X)),
+        unitary_channel(rx(0.8)),
         depolarizing_channel(0.15),
     ]
     for ch in families:
@@ -342,9 +335,9 @@ def test_dephasing_damping_superops_commute():
 
 def test_kraus_channels_match_liouvillian_propagators():
     gphi, g1, tau = 0.23, 0.41, 1.9
-    s_deph = expm(lindblad_superop([dephasing_generator(gphi)]) * tau)
+    s_deph = propagator(0.0, gphi, 0.0, tau)
     assert channel_distance(s_deph, dephasing_channel(gphi, tau)) < 1e-10
-    s_damp = expm(lindblad_superop([damping_generator(g1)]) * tau)
+    s_damp = propagator(g1, 0.0, 0.0, tau)
     assert channel_distance(s_damp, damping_channel(g1, tau)) < 1e-10
 
 

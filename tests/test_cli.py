@@ -16,6 +16,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trottersim
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
@@ -742,21 +743,32 @@ def test_each_written_file_is_reported_once_in_write_order(tmp_path, capsys, com
 
 # ------------------------------------------------------------ start-up cost
 
-# Runs every subcommand on its default config twice, into two directories, in
-# one fresh interpreter. It then compares the artifacts of the two runs byte for
-# byte, and lists the scipy and yaml modules it loaded. Only linalg.expm and
-# propagator load scipy, and only a config file loads yaml.
+# In one fresh interpreter whose import system refuses scipy: imports the package,
+# reads each name in its __all__, and runs every subcommand on its default config
+# twice, into two directories. It then compares the artifacts of the two runs byte
+# for byte, and lists the scipy and yaml modules it loaded. Only a config file
+# loads yaml.
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, sys, tempfile
 from pathlib import Path
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} blocked")
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    print("blocked", end=" ")
 import trottersim, trottersim.cli
+names = [getattr(trottersim, name) for name in trottersim.__all__]
 commands = [[name] for name in trottersim.cli.RUNNERS]
 commands += [["reproduce", "--figure", fig] for fig in trottersim.cli.FIGURES]
 with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b, \\
         contextlib.redirect_stdout(io.StringIO()):
     codes = [trottersim.cli.main([*cmd, "--out", out]) for out in (a, b) for cmd in commands]
     runs = [{p.relative_to(out): p.read_bytes() for p in Path(out).rglob("*")} for out in (a, b)]
-print(len(commands), codes, len(runs[0]), runs[0] == runs[1],
+print(len(names), len(commands), codes, len(runs[0]), runs[0] == runs[1],
       sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml")))
 """
 
@@ -766,4 +778,4 @@ def test_no_cli_command_loads_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == f"10 {[0] * 20} 18 True []"
+    assert done.stdout.strip() == f"blocked {len(trottersim.__all__)} 10 {[0] * 20} 18 True []"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import propagator
 from trottersim.channels import (
     KrausChannel,
     apply_channel,
@@ -180,10 +181,7 @@ def test_dephasing_circuit_is_probabilistic_phase_flip():
 def test_rotation_circuit_is_x_rotation():
     theta = np.radians(51.4)
     s = induced_channel(rotation_circuit(theta))
-    from trottersim.linalg import SIGMA_X, expm
-
-    u = expm(-1j * theta / 2 * SIGMA_X)
-    assert channel_distance(s, unitary_channel(u)) < 1e-12
+    assert channel_distance(s, propagator(0.0, 0.0, theta / (2 * np.pi), 1.0)) < 1e-12
 
 
 _CIRCUITS = {

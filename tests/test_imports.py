@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports and each private name it defines;
-every demo script and test file uses each name it imports."""
+"""Every module of the package uses each name it imports and each private name it defines,
+and none imports scipy; every demo script and test file uses each name it imports."""
 
 import ast
 from pathlib import Path
@@ -24,6 +24,17 @@ def _unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _scipy_imports(source):
+    """Lines of every import of scipy or a scipy submodule, at any depth of the tree."""
+    roots = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.append((node.lineno, node.module.split(".")[0]))
+    return [line for line, root in roots if root == "scipy"]
 
 
 def _unread_privates(source):
@@ -67,6 +78,20 @@ def test_demo_has_no_unused_imports(path):
 @pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
 def test_test_file_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_a_scipy_import_at_any_depth():
+    source = (
+        "import os, scipy.linalg as sl\nfrom scipy import optimize\nfrom .scipy import x\n"
+        "def f():\n    class K:\n        def g(self):\n            import scipy\n"
+    )
+    assert _scipy_imports(source) == [1, 2, 7]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_scipy(path):
+    # scipy is a test dependency only; the package runs on numpy and pyyaml.
+    assert _scipy_imports(path.read_text()) == []
 
 
 def test_checker_flags_an_unread_private_name():

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from trottersim.linalg import (
     check_bloch_rows,
     dag,
     density,
-    expm,
     kraus_superop,
     partial_trace,
     rx,
@@ -32,23 +32,8 @@ from trottersim.tomography import generate_tomography
 from trottersim.trotter import TrotterSchedule, compare_orders, convergence_order
 
 
-def series_expm(m, terms=60):
-    """Independent oracle: plain Taylor sum, accurate for small-norm input."""
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, terms):
-        term = term @ m / k
-        out = out + term
-    return out
-
-
 def random_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def random_hermitian(rng, d):
-    m = random_complex(rng, d)
-    return (m + dag(m)) / 2
 
 
 # ---------------------------------------------------------- partial trace
@@ -98,88 +83,14 @@ def test_partial_trace_preserves_positivity():
             assert w.min() >= -1e-10
 
 
-# ----------------------------------------------------------------- expm
-
-
-def test_expm_zero():
-    np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-14)
-
-
-def test_expm_diagonal():
-    m = np.diag([0.0, -1.0, -1.0, 0.0])
-    np.testing.assert_allclose(
-        expm(m), np.diag([1.0, np.e**-1, np.e**-1, 1.0]), atol=1e-13
-    )
+# ------------------------------------------------------------------- rx
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, -2.1, np.pi, 3 * np.pi / 2, 7.5])
 def test_rx_is_the_exponential_of_sigma_x(theta):
-    np.testing.assert_allclose(rx(theta), expm(-0.5j * theta * SIGMA_X), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rx(theta), scipy.linalg.expm(-0.5j * theta * SIGMA_X), rtol=0,
+                               atol=1e-15)
     np.testing.assert_allclose(rx(theta) @ dag(rx(theta)), I2, rtol=0, atol=1e-15)
-
-
-def test_expm_nilpotent():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(expm(m), np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-14)
-
-
-def test_expm_rotation():
-    theta = 0.7
-    rx = expm(-1j * theta / 2 * SIGMA_X)
-    expected = np.cos(theta / 2) * I2 - 1j * np.sin(theta / 2) * SIGMA_X
-    np.testing.assert_allclose(rx, expected, atol=1e-13)
-
-
-def test_expm_matches_series_oracle():
-    rng = np.random.default_rng(19)
-    for _ in range(30):
-        m = 0.3 * random_complex(rng, 4)
-        got = expm(m)
-        want = series_expm(m)
-        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
-
-
-def test_expm_large_norm_matches_series_of_scaled():
-    rng = np.random.default_rng(23)
-    m = 8.0 * random_complex(rng, 3)
-    # Oracle: exp(m) = exp(m/32)^32 with the plain series on the small factor.
-    small = series_expm(m / 32)
-    want = np.linalg.matrix_power(small, 32)
-    np.testing.assert_allclose(expm(m), want, atol=1e-9 * np.linalg.norm(want))
-
-
-def test_expm_of_i_hermitian_is_unitary():
-    rng = np.random.default_rng(29)
-    for _ in range(25):
-        h = random_hermitian(rng, 4)
-        u = expm(1j * h)
-        np.testing.assert_allclose(u @ dag(u), np.eye(4), atol=1e-10)
-
-
-def test_expm_additive_for_commuting_inputs():
-    rng = np.random.default_rng(31)
-    for _ in range(25):
-        a = random_hermitian(rng, 3)
-        p = rng.standard_normal(3)
-        b = p[0] * np.eye(3) + p[1] * a + p[2] * a @ a
-        assert np.linalg.norm(a @ b - b @ a) < 1e-12
-        np.testing.assert_allclose(expm(a + b), expm(a) @ expm(b), atol=1e-10)
-
-
-def test_expm_rejects_non_square():
-    with pytest.raises(ValueError):
-        expm(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        expm(np.zeros((5, 2, 3)))
-
-
-def test_expm_stack_matches_single_matrices():
-    rng = np.random.default_rng(41)
-    stack = np.stack([2.0 * random_complex(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
-    got = expm(stack)
-    assert got.shape == stack.shape
-    for idx in np.ndindex(2, 3):
-        np.testing.assert_allclose(got[idx], expm(stack[idx]), rtol=1e-13, atol=1e-13)
 
 
 # ------------------------------------------------------------ vec/unvec
@@ -278,8 +189,10 @@ def test_validate_density_matrix_single_matrix_messages(rho, message):
     [
         (np.diag([1e308, 1e308]), "rho trace deviates from 1 by inf"),
         (np.array([[0.5, 1e200], [1e200, 0.5]]), "rho has negative eigenvalue -1.000e+200"),
+        (np.array([[0.5, 0.85e308 - 0.85e308j], [0.85e308 + 0.85e308j, 0.5]]),
+         "rho has negative eigenvalue -inf"),
     ],
-    ids=["trace-overflows", "bloch-norm-overflows"],
+    ids=["trace-overflows", "bloch-norm-overflows", "bloch-norm-past-the-largest-float"],
 )
 def test_validate_density_matrix_names_an_overflowing_row_without_warnings(rho, message):
     # Finite entries whose Bloch row overflows fail on the trace or the eigenvalue.
@@ -288,6 +201,16 @@ def test_validate_density_matrix_names_an_overflowing_row_without_warnings(rho, 
         with pytest.raises(ValueError) as excinfo:
             validate_density_matrix(rho)
     assert str(excinfo.value) == message
+
+
+def test_bloch_row_check_names_a_row_whose_norm_overflows_without_warnings():
+    # |r| of the finite row (1, 1.7e308, 1.7e308, 0) overflows to inf.
+    rows = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 1.7e308, 1.7e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            check_bloch_rows(rows, lambda index: f"step {index[0]} state")
+    assert str(excinfo.value) == "step 1 state has negative eigenvalue -inf"
 
 
 # The check before its closed form, kept as the reference: the full |m - m^dag|,

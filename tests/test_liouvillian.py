@@ -1,10 +1,11 @@
-"""Tests for Lindblad superoperator assembly and exact reference evolution."""
+"""Tests for the exact evolution of the canonical qubit and its reference generator."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import generator, propagator
 from trottersim.linalg import (
     I2,
     KET_0,
@@ -23,14 +24,7 @@ from trottersim.liouvillian import (
     CanonicalRates,
     EvolutionTrace,
     bloch_solution,
-    coherent,
-    damping_generator,
-    dephasing_generator,
-    drive_generator,
-    lindblad_superop,
     propagate,
-    propagator,
-    qubit_generators,
     target_trace,
 )
 from trottersim.trotter import _SCAN, TrotterSchedule, _step_stack
@@ -38,16 +32,13 @@ from trottersim.trotter import _SCAN, TrotterSchedule, _step_stack
 RHO_1 = density(KET_1)
 
 
-def lindblad_rhs(generators, rho):
+def lindblad_rhs(gamma1, gamma_phi, omega, rho):
     """Independent oracle: evaluate the master-equation right side directly."""
-    out = np.zeros_like(rho, dtype=complex)
-    for g in generators:
-        m = g.matrix
-        if g.kind == "coherent":
-            out += -1j * (m @ rho - rho @ m)
-        else:
-            mm = dag(m) @ m
-            out += 2 * m @ rho @ dag(m) - mm @ rho - rho @ mm
+    h = np.pi * omega * SIGMA_X
+    out = -1j * (h @ rho - rho @ h)
+    for op in (np.sqrt(gamma1 / 2) * SIGMA_MINUS, np.sqrt(gamma_phi) / 2 * SIGMA_Z):
+        pos = dag(op) @ op
+        out += 2 * op @ rho @ dag(op) - pos @ rho - rho @ pos
     return out
 
 
@@ -55,21 +46,6 @@ def random_rho(rng):
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     p = a @ dag(a)
     return p / np.trace(p)
-
-
-# ------------------------------------------------------- generator specs
-
-
-def test_coherent_requires_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        coherent(SIGMA_MINUS)
-
-
-def test_unknown_kind_rejected():
-    from trottersim.liouvillian import GeneratorSpec
-
-    with pytest.raises(ValueError, match="kind"):
-        GeneratorSpec("unitary", SIGMA_X)
 
 
 def test_rates_validation():
@@ -83,21 +59,12 @@ def test_rates_validation():
     assert CanonicalRates().t1 == np.inf
 
 
-# ------------------------------------------------------- superop assembly
-
-
-def test_empty_generator_list_gives_zero_superop():
-    np.testing.assert_array_equal(lindblad_superop([]), np.zeros((4, 4)))
-
-
-def test_coherent_sigma_z_half_maps_sigma_x_to_sigma_y():
-    s = lindblad_superop([coherent(SIGMA_Z / 2)])
-    np.testing.assert_allclose(unvec(s @ vec(SIGMA_X)), SIGMA_Y, atol=1e-14)
+# ------------------------------------- the reference generator (tests/reference.py)
 
 
 def test_dephasing_generator_matrix():
     gphi = 0.37
-    s = lindblad_superop([dephasing_generator(gphi)])
+    s = generator(gamma_phi=gphi)
     # Column stacking orders vec as (rho00, rho10, rho01, rho11).
     np.testing.assert_allclose(s, np.diag([0.0, -gphi, -gphi, 0.0]), atol=1e-14)
 
@@ -105,26 +72,16 @@ def test_dephasing_generator_matrix():
 def test_superop_matches_direct_rhs_on_random_states():
     rng = np.random.default_rng(101)
     for _ in range(30):
-        gens = [
-            dephasing_generator(rng.random()),
-            damping_generator(rng.random()),
-            drive_generator(rng.random()),
-        ]
-        s = lindblad_superop(gens)
+        rates = rng.random(3)
         rho = random_rho(rng)
         np.testing.assert_allclose(
-            unvec(s @ vec(rho)), lindblad_rhs(gens, rho), atol=1e-12
+            unvec(generator(*rates) @ vec(rho)), lindblad_rhs(*rates, rho), atol=1e-12
         )
-
-
-def test_superop_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        lindblad_superop([coherent(SIGMA_Z), coherent(np.eye(3))])
 
 
 def test_superop_annihilates_trace_and_preserves_hermiticity():
     rng = np.random.default_rng(103)
-    s = lindblad_superop(qubit_generators(CanonicalRates(0.02, 0.01, 0.1)))
+    s = generator(0.02, 0.01, 0.1)
     # Trace annihilation: vec(I)^dag S = 0.
     np.testing.assert_allclose(vec(I2).conj() @ s, np.zeros(4), atol=1e-10)
     for _ in range(20):
@@ -133,65 +90,49 @@ def test_superop_annihilates_trace_and_preserves_hermiticity():
         assert np.abs(out - dag(out)).max() < 1e-10
 
 
-# ------------------------------------------------------------ propagator
-
-
 def test_propagator_at_zero_time():
-    s = lindblad_superop(qubit_generators(CanonicalRates(0.1, 0.2, 0.3)))
-    np.testing.assert_allclose(propagator(s, 0.0), np.eye(4), atol=1e-14)
-
-
-def test_propagator_rejects_negative_time():
-    with pytest.raises(ValueError):
-        propagator(np.zeros((4, 4)), -1.0)
+    np.testing.assert_allclose(propagator(0.1, 0.2, 0.3, 0.0), np.eye(4), atol=1e-14)
 
 
 def test_pure_dephasing_decay():
     gphi, t = 0.21, 4.2
-    p = propagator(lindblad_superop([dephasing_generator(gphi)]), t)
     rho0 = density(KET_0 + KET_1)
-    rho_t = unvec(p @ vec(rho0))
+    rho_t = unvec(propagator(0.0, gphi, 0.0, t) @ vec(rho0))
     assert rho_t[0, 1] == pytest.approx(0.5 * np.exp(-gphi * t), abs=1e-12)
     assert rho_t[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_damping_half_life():
     g1 = 0.13
-    t = np.log(2) / g1
-    p = propagator(lindblad_superop([damping_generator(g1)]), t)
-    rho_t = unvec(p @ vec(RHO_1))
+    rho_t = unvec(propagator(g1, 0.0, 0.0, np.log(2) / g1) @ vec(RHO_1))
     np.testing.assert_allclose(rho_t, np.diag([0.5, 0.5]), atol=1e-12)
 
 
 def test_propagator_semigroup_property():
-    s = lindblad_superop(qubit_generators(CanonicalRates(0.05, 0.02, 0.08)))
-    t1, t2 = 1.7, 3.9
+    rates, t1, t2 = (0.05, 0.02, 0.08), 1.7, 3.9
     np.testing.assert_allclose(
-        propagator(s, t1) @ propagator(s, t2), propagator(s, t1 + t2), atol=1e-10
+        propagator(*rates, t1) @ propagator(*rates, t2), propagator(*rates, t1 + t2), atol=1e-10
     )
 
 
 def test_propagated_states_stay_physical():
     rng = np.random.default_rng(107)
     for _ in range(10):
-        rates = CanonicalRates(rng.random() * 0.5, rng.random() * 0.5, rng.random())
-        s = lindblad_superop(qubit_generators(rates))
+        rates = rng.random(3) * [0.5, 0.5, 1.0]
         rho = random_rho(rng)
         for t in (0.1, 1.0, 10.0, 100.0):
-            out = unvec(propagator(s, t) @ vec(rho))
+            out = unvec(propagator(*rates, t) @ vec(rho))
             assert abs(np.trace(out) - 1.0) < 1e-8
             assert np.linalg.eigvalsh((out + dag(out)) / 2).min() > -1e-8
 
 
 def test_dephasing_and_damping_superops_commute():
-    a = lindblad_superop([dephasing_generator(0.31)])
-    b = lindblad_superop([damping_generator(0.17)])
+    a, b = generator(gamma_phi=0.31), generator(gamma1=0.17)
     assert np.linalg.norm(a @ b - b @ a) < 1e-14
 
 
 def test_drive_does_not_commute_with_damping():
-    a = lindblad_superop([drive_generator(0.1)])
-    b = lindblad_superop([damping_generator(0.17)])
+    a, b = generator(omega=0.1), generator(gamma1=0.17)
     assert np.linalg.norm(a @ b - b @ a) > 1e-6
 
 
@@ -370,8 +311,8 @@ def test_target_trace_matches_the_general_propagator(case, direction, radius, ta
     bloch = radius * d / np.linalg.norm(d) if np.linalg.norm(d) > 1e-3 else np.zeros(3)
     rho0 = (I2 + bloch[0] * SIGMA_X + bloch[1] * SIGMA_Y + bloch[2] * SIGMA_Z) / 2
     tr = target_trace(rates, rho0, tau0, n_steps)
-    superop = lindblad_superop(qubit_generators(rates))
-    want = np.array([np.real(BLOCH_ROWS[1:] @ (propagator(superop, t) @ vec(rho0)))
+    row = rates.gamma1, rates.gamma_phi, rates.omega
+    want = np.array([np.real(BLOCH_ROWS[1:] @ (propagator(*row, t) @ vec(rho0)))
                      for t in tr.times])
     np.testing.assert_allclose(tr.as_matrix(), want, rtol=0, atol=1e-12)
 

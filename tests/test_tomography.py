@@ -7,14 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import generator
 from trottersim.dilation import AngleParams, angle_to_rates
 from trottersim.liouvillian import (
     BLOCH_ROWS,
     CanonicalRates,
     EvolutionTrace,
-    lindblad_superop,
     propagate,
-    qubit_generators,
     target_trace,
 )
 import trottersim.cli as cli
@@ -39,11 +38,8 @@ from trottersim.linalg import density, vec
 TAU0 = 3.56
 
 # The Lindblad generator is linear in each canonical rate: unit-rate templates
-# built by the simulator's own lindblad_superop, one per fit parameter.
-_GENERATORS = np.stack([
-    lindblad_superop(qubit_generators(CanonicalRates(**{name: 1.0})))
-    for name in ("gamma1", "gamma_phi", "omega")
-])
+# built by tests/reference.py, one per fit parameter (gamma1, gamma_phi, omega).
+_GENERATORS = np.stack([generator(*unit) for unit in np.eye(3)])
 _STATE_COLS = np.stack([vec(density(INITIAL_STATES[s])) for s in STATE_LABELS], axis=1)
 
 
@@ -72,7 +68,7 @@ def reference_model(u, tau0, npoints):
     """(K, 12, npoints) expectations for rows (r1, rphi, omega), stepped by propagate.
 
     Independent of the fit's closed form: it steps the master equation built
-    by lindblad_superop and reads the Pauli rows, as the simulator does.
+    by tests/reference.py and reads the Pauli rows, as the simulator does.
     """
     gens = np.tensordot(np.asarray(u, dtype=float), _GENERATORS, axes=1) * tau0
     states = propagate(_exact_steps(gens), _STATE_COLS, npoints - 1)
