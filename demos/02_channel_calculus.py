@@ -1,65 +1,49 @@
-"""Work with quantum channels as Kraus families, superoperators, and Choi states.
+"""Work with the elementary channels as Pauli-transfer matrices.
 
-Builds the per-step dephasing and damping channels, verifies complete
-positivity and trace preservation, composes them, and measures how far
-the composition sits from the exact joint channel.
+A channel acts on the Bloch row (Tr rho, <sx>, <sy>, <sz>) through its real
+4x4 Pauli-transfer matrix (PTM). The demo builds the per-step dephasing,
+damping and rotation PTMs, checks trace preservation and contraction,
+composes them by matrix products, and measures how far each product sits
+from one exact step of the master equation.
 """
 
 import numpy as np
 
-from trottersim import (
-    CanonicalRates,
-    apply_channel,
-    channel_distance,
-    choi_to_kraus,
-    compose_channels,
-    dephasing_channel,
-    damping_channel,
-    depolarizing_channel,
-    is_cptp,
-    target_trace,
-    to_choi,
-)
+from trottersim import ALL_LABELS, CanonicalRates, elementary_ptms, target_trace
 from trottersim.linalg import validate_density_matrix
 
 tau0 = 3.56
-rates = CanonicalRates(gamma1=0.0190, gamma_phi=0.0175, omega=0.0)
+rates = CanonicalRates(gamma1=0.0190, gamma_phi=0.0175, omega=0.0401)
 
-dephase = dephasing_channel(rates.gamma_phi, tau0)
-damp = damping_channel(rates.gamma1, tau0)
-print(f"dephasing channel: {len(dephase.kraus)} Kraus operators, "
-      f"CPTP={is_cptp(dephase)}")
-print(f"damping channel:   {len(damp.kraus)} Kraus operators, "
-      f"CPTP={is_cptp(damp)}")
+ptms = dict(zip(ALL_LABELS, elementary_ptms(rates, [tau0], "kraus", None)[0]))
+for label, ptm in ptms.items():
+    # Row 0 = (1, 0, 0, 0) keeps the trace; the singular values of the Bloch block
+    # stay <= 1, so the Bloch ball maps into itself.
+    print(f"{label:9s} PTM: trace row {ptm[0].tolist()}, Bloch-block singular values "
+          f"{np.round(np.linalg.svd(ptm[1:, 1:], compute_uv=False), 6)}")
 
-# Apply to the maximally coherent state and watch the off-diagonal shrink.
+# Apply to the maximally coherent state and watch <sx> shrink.
 plus = 0.5 * np.ones((2, 2), dtype=complex)
-after = apply_channel(dephase, plus)
-print(f"\n|+> coherence before {plus[0, 1].real:.4f}, "
-      f"after one dephasing step {after[0, 1].real:.4f} "
+row = validate_density_matrix(plus)
+after = ptms["dephasing"] @ row
+print(f"\n|+> <sx> before {row[1]:.4f}, after one dephasing step {after[1]:.4f} "
       f"(expected factor e^-{rates.gamma_phi * tau0:.4f})")
 
-# Dephasing and damping commute, so the composition order is irrelevant
-# and the product is one exact step of the undriven master equation.
-both_ab = compose_channels(damp, dephase)
-both_ba = compose_channels(dephase, damp)
-print(f"\ncomposition order gap: "
-      f"{channel_distance(both_ab, both_ba):.2e}")
+# Dephasing and damping commute, so their order is irrelevant; with the drive
+# off their product is one exact step of the master equation.
+deph, damp, rot = ptms["dephasing"], ptms["damping"], ptms["rotation"]
+print(f"\ncomposition order gap: {np.linalg.norm(damp @ deph - deph @ damp):.2e}")
 
+undriven = CanonicalRates(gamma1=rates.gamma1, gamma_phi=rates.gamma_phi)
 starts = [plus, np.diag([0.0, 1.0]), np.array([[0.5, -0.5j], [0.5j, 0.5]])]
-gap = max(np.abs(validate_density_matrix(apply_channel(both_ab, rho))[1:]
-                 - target_trace(rates, rho, tau0, 1).as_matrix()[-1]).max() for rho in starts)
-print(f"product vs exact step gap on |+>, |1>, |+i>: {gap:.2e}")
+for name, step, model in (("undriven", damp @ deph, undriven),
+                          ("driven", rot @ damp @ deph, rates)):
+    gap = max(np.abs((step @ validate_density_matrix(rho))[1:]
+                     - target_trace(model, rho, tau0, 1).as_matrix()[-1]).max()
+              for rho in starts)
+    print(f"{name:8s} product vs exact step gap on |+>, |1>, |+i>: {gap:.2e}")
 
-# Round trip through the Choi state recovers an equivalent Kraus family.
-choi = to_choi(damp)
-eigvals = np.linalg.eigvalsh(choi)
-rebuilt = choi_to_kraus(choi)
-print(f"\ndamping Choi eigenvalues: {np.round(eigvals, 6)}")
-print(f"Choi round-trip distance: {channel_distance(damp, rebuilt):.2e}")
-
-# A depolarizing channel contracts the whole Bloch ball uniformly.
-depol = depolarizing_channel(0.05)
-shrunk = apply_channel(depol, plus)
-print(f"\ndepolarizing p=0.05 shrinks |+> coherence to "
-      f"{shrunk[0, 1].real:.4f} (expected {0.5 * (1 - 0.05):.4f})")
+# Damping drives every state toward |0>: its PTM's fixed point is the Bloch row of |0>.
+w, v = np.linalg.eig(damp)
+fixed = np.real(v[:, np.argmin(np.abs(w - 1))])
+print(f"\ndamping fixed point (Bloch row): {np.round(fixed / fixed[0], 6)}")

@@ -1,12 +1,12 @@
 """Trotterized simulation of driven-qubit open-system dynamics.
 
 The package simulates Markovian master-equation evolution of a driven qubit,
-realizes the elementary dephasing, damping, and rotation steps as Kraus
-channels or ancilla-dilation circuits, composes them into first- and
-second-order Trotter schedules, fits coherence parameters from simulated
-tomography curves, and extrapolates scaled-noise measurements to the
-zero-noise limit.  The `trottersim` command line (module `cli`) drives the
-same machinery from YAML configs.
+builds the elementary dephasing, damping, and rotation steps as Pauli-transfer
+matrices (module `channels`), in closed form or from ancilla-dilation
+circuits, composes them into first- and second-order Trotter schedules, fits
+coherence parameters from simulated tomography curves, and extrapolates
+scaled-noise measurements to the zero-noise limit.  The `trottersim` command
+line (module `cli`) drives the same machinery from YAML configs.
 """
 
 from . import channels, dilation, liouvillian, mitigation, tomography, trotter

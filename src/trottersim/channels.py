@@ -1,10 +1,10 @@
-"""Kraus-channel calculus: construction, application, and representation changes.
+"""The elementary qubit channels, as the Pauli-transfer matrices every backend steps with.
 
-Channel equality is always decided on Choi matrices (Kraus decompositions are
-non-unique). The Choi matrix convention matches the global column-stacking
-vectorization: J = sum_k vec(E_k) vec(E_k)^dag = sum_{ij} |i><j| (x) E(|i><j|),
-so Tr J = d and the partial trace over the output (second) factor is I for a
-trace-preserving channel.
+A channel E acts on Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) through its real Pauli-transfer
+matrix (PTM) R_ij = Tr(s_i E(s_j))/2, with s = (I, sigma_x, sigma_y, sigma_z). The PTM is the
+column-stacking superoperator S in the Pauli basis, R = Re(P^dag S P)/2 with P^dag = BLOCH_ROWS;
+P/sqrt(2) is unitary, so the Frobenius distance of two PTMs is that of their superoperators, and
+of their Choi matrices, which only move the superoperators' entries.
 
 Rate conventions follow the canonical form documented in
 :mod:`trottersim.liouvillian`: the dephasing channel multiplies off-diagonals
@@ -16,224 +16,45 @@ gamma_phi; only the canonical form keeps 1/T2 = gamma1/2 + gamma_phi exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import (
-    I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, kraus_superop, partial_trace, unvec, vec,
-)
+from .dilation import (NoiseParams, _induced_channels, damping_circuit, dephasing_circuit,
+                       rates_to_angles, rotation_circuit)
+from .liouvillian import BLOCH_ROWS, CanonicalRates
 
-__all__ = [
-    "KrausChannel",
-    "dephasing_channel",
-    "damping_channel",
-    "unitary_channel",
-    "depolarizing_channel",
-    "apply_channel",
-    "compose_channels",
-    "to_superop",
-    "to_choi",
-    "choi_to_kraus",
-    "channel_distance",
-    "is_cptp",
-]
+__all__ = ["elementary_ptms"]
 
 
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Trace-preserving quantum channel as a tuple of Kraus operators.
+def elementary_ptms(
+    rates: CanonicalRates, durations: list[float], backend: str, noise: NoiseParams | None
+) -> np.ndarray:
+    """The (D, 3, 4, 4) real Pauli-transfer matrices R_ij = Tr(s_i E(s_j))/2 of the three
+    generators over each of D durations dt, in the label order (dephasing, damping, rotation)
+    of trotter.ALL_LABELS.
 
-    Invariant (checked on construction): sum_k E_k^dag E_k = I within 1e-10,
-    which no operator with a non-finite entry meets.
+    The kraus closed forms: dephasing diag(1, mu, mu, 1), mu = e^(-gamma_phi dt); damping
+    diag(1, nu, nu, nu^2) plus R_z0 = 1 - nu^2, nu = e^(-gamma1 dt/2); rx(theta) turns
+    (<sy>, <sz>) by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. The dilation backends take
+    the angles once per duration, contract each circuit kind over the D angles at once and
+    convert all 3D superoperators S as Re(P^dag S P)/2, with P^dag = BLOCH_ROWS.
     """
-
-    kraus: tuple[np.ndarray, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(e, dtype=complex) for e in self.kraus)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        for e in ops:
-            if e.shape != (d, d):
-                raise ValueError(f"Kraus operators must all be {d}x{d}, got {e.shape}")
-        comp = sum(dag(e) @ e for e in ops)
-        err = np.abs(comp - np.eye(d)).max()
-        if not err <= 1e-10:  # also true for NaN
-            raise ValueError(f"Kraus completeness violated by {err:.3e}")
-        object.__setattr__(self, "kraus", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.kraus[0].shape[0]
-
-
-def _check_rate_and_time(name: str, rate: float, tau: float) -> None:
-    if not (0 <= rate < np.inf and 0 <= tau < np.inf):  # also false for NaN
-        raise ValueError(f"{name} and tau must be finite and nonnegative, got {rate} and {tau}")
-
-
-def dephasing_channel(gamma_phi: float, tau: float) -> KrausChannel:
-    """Pure-dephasing channel over a time step.
-
-    Kraus pair E0 = diag(1, mu), E1 = diag(0, sqrt(1 - mu^2)) with
-    mu = e^{-gamma_phi * tau}: off-diagonals shrink by mu, populations are
-    untouched.
-
-    Args:
-        gamma_phi: Pure-dephasing rate in 1/us, finite and >= 0.
-        tau: Step duration in us, finite and >= 0.
-
-    Raises:
-        ValueError: On negative or non-finite inputs.
-    """
-    _check_rate_and_time("gamma_phi", gamma_phi, tau)
-    mu = np.exp(-gamma_phi * tau)
-    e0 = np.diag([1.0, mu]).astype(complex)
-    e1 = np.diag([0.0, np.sqrt(max(0.0, 1.0 - mu * mu))]).astype(complex)
-    return KrausChannel((e0, e1), label="dephasing")
-
-
-def damping_channel(gamma1: float, tau: float) -> KrausChannel:
-    """Amplitude-damping channel over a time step.
-
-    Kraus pair E0 = diag(1, e^{-gamma1*tau/2}),
-    E1 = [[0, sqrt(1 - e^{-gamma1*tau})], [0, 0]]: the |1> population decays
-    by e^{-gamma1*tau}, off-diagonals by e^{-gamma1*tau/2}.
-
-    Args:
-        gamma1: Population decay rate in 1/us, finite and >= 0.
-        tau: Step duration in us, finite and >= 0.
-
-    Raises:
-        ValueError: On negative or non-finite inputs.
-    """
-    _check_rate_and_time("gamma1", gamma1, tau)
-    nu = np.exp(-gamma1 * tau / 2)
-    e0 = np.diag([1.0, nu]).astype(complex)
-    e1 = np.zeros((2, 2), dtype=complex)
-    e1[0, 1] = np.sqrt(max(0.0, 1.0 - nu * nu))
-    return KrausChannel((e0, e1), label="damping")
-
-
-def unitary_channel(u: np.ndarray) -> KrausChannel:
-    """Single-Kraus channel rho -> U rho U^dag for unitary U (within 1e-10)."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitary must be square, got {u.shape}")
-    err = np.abs(dag(u) @ u - np.eye(u.shape[0])).max()
-    if not err <= 1e-10:  # also true for NaN
-        raise ValueError(f"matrix is not unitary: deviation {err:.3e}")
-    return KrausChannel((u,), label="unitary")
-
-
-def depolarizing_channel(p: float) -> KrausChannel:
-    """Qubit depolarization rho -> (1-p) rho + p I/2 for 0 <= p <= 1."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"depolarization probability must be in [0, 1], got {p}")
-    ops = (
-        np.sqrt(1 - 3 * p / 4) * I2,
-        np.sqrt(p / 4) * SIGMA_X,
-        np.sqrt(p / 4) * SIGMA_Y,
-        np.sqrt(p / 4) * SIGMA_Z,
-    )
-    return KrausChannel(ops, label="depolarizing")
-
-
-def apply_channel(ch: KrausChannel | np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply a channel given as KrausChannel or superoperator: sum_k E_k rho E_k^dag.
-
-    rho may be any d x d operator; the map is linear.
-    """
-    s = _superop(ch)
-    rho = np.asarray(rho, dtype=complex)
-    d = int(round(np.sqrt(s.shape[0])))
-    if s.shape != (d * d, d * d) or rho.shape != (d, d):
-        raise ValueError(f"operator shape {rho.shape} does not fit a channel of shape {s.shape}")
-    return unvec(s @ vec(rho))
-
-
-def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
-    """Sequential composition: the returned channel applies `first`, then `then`."""
-    if first.dim != then.dim:
-        raise ValueError("channel dimensions differ")
-    ops = tuple(f @ e for f in then.kraus for e in first.kraus)
-    return KrausChannel(ops, label=f"{then.label}*{first.label}")
-
-
-def to_superop(ch: KrausChannel) -> np.ndarray:
-    """Column-stacking superoperator sum_k conj(E_k) (x) E_k of rho -> sum_k E_k rho E_k^dag."""
-    return kraus_superop(ch.kraus)
-
-
-def _superop(ch: KrausChannel | np.ndarray) -> np.ndarray:
-    return to_superop(ch) if isinstance(ch, KrausChannel) else np.asarray(ch, dtype=complex)
-
-
-def _superop_to_choi(s: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(s.shape[0])))
-    if s.shape != (d * d, d * d):
-        raise ValueError(f"superoperator shape {s.shape} is not (d^2, d^2)")
-    # The same index swap converts either direction (it is an involution).
-    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-
-
-def to_choi(ch: KrausChannel | np.ndarray) -> np.ndarray:
-    """Choi matrix of a channel given as KrausChannel or superoperator.
-
-    Normalization: J = sum_{ij} |i><j| (x) E(|i><j|), so Tr J = d.
-    """
-    return _superop_to_choi(_superop(ch))
-
-
-def choi_to_kraus(choi: np.ndarray) -> KrausChannel:
-    """Extract a canonical Kraus decomposition from a Choi matrix.
-
-    Eigenvectors with eigenvalue > 1e-12 are kept, scaled by the eigenvalue's
-    square root; the cutoff suppresses numerical rank inflation.
-
-    Args:
-        choi: d^2 x d^2 Choi matrix, Hermitian within 1e-10 and PSD
-            within -1e-8.
-
-    Raises:
-        ValueError: If the Choi matrix fails Hermiticity or positivity.
-    """
-    choi = np.asarray(choi, dtype=complex)
-    d = int(round(np.sqrt(choi.shape[0])))
-    if choi.shape != (d * d, d * d):
-        raise ValueError(f"Choi shape {choi.shape} is not (d^2, d^2)")
-    herm_err = np.abs(choi - dag(choi)).max()
-    if not herm_err <= 1e-10:
-        raise ValueError(f"Choi matrix is not Hermitian: max deviation {herm_err:.3e}")
-    w, v = np.linalg.eigh((choi + dag(choi)) / 2)
-    if w.min() < -1e-8:
-        raise ValueError(f"Choi matrix is not PSD: eigenvalue {w.min():.3e}")
-    ops = []
-    for k in range(w.size):
-        if w[k] > 1e-12:
-            ops.append(np.sqrt(w[k]) * v[:, k].reshape(d, d, order="F"))
-    return KrausChannel(tuple(ops), label="from-choi")
-
-
-def channel_distance(a: KrausChannel | np.ndarray, b: KrausChannel | np.ndarray) -> float:
-    """Frobenius norm of the Choi-matrix difference; 0 iff the channels agree."""
-    ja, jb = to_choi(a), to_choi(b)
-    if ja.shape != jb.shape:
-        raise ValueError(f"channel dimensions differ: {ja.shape} vs {jb.shape}")
-    return float(np.linalg.norm(ja - jb))
-
-
-def is_cptp(ch: KrausChannel | np.ndarray) -> bool:
-    """Whether the Choi matrix J is Hermitian within 1e-10, has eigenvalues >= -1e-8 (CP) and a
-    partial trace over the output factor within 1e-8 of the identity (TP)."""
-    j = to_choi(ch)
-    d = int(round(np.sqrt(j.shape[0])))
-    if np.abs(j - dag(j)).max() > 1e-10:
-        return False
-    if np.linalg.eigvalsh((j + dag(j)) / 2).min() < -1e-8:
-        return False
-    reduced = partial_trace(j, (d, d), keep=0)
-    return bool(np.abs(reduced - np.eye(d)).max() <= 1e-8)
+    if backend != "kraus":
+        angles = [rates_to_angles(rates, dt) for dt in durations]
+        circuits = ([dephasing_circuit(a.theta1) for a in angles],
+                    [damping_circuit(a.theta2) for a in angles],
+                    [rotation_circuit(a.theta3) for a in angles])
+        supers = np.array([_induced_channels(kind, noise) for kind in circuits]).swapaxes(0, 1)
+        return np.real(BLOCH_ROWS @ supers @ BLOCH_ROWS.conj().T) / 2
+    dt = np.array(durations)
+    with np.errstate(over="ignore"):  # a rate that overflows decays to 0; the angle is checked
+        mu, nu = np.exp(-rates.gamma_phi * dt), np.exp(-rates.gamma1 * dt / 2)
+        theta = 2 * np.pi * rates.omega * dt
+    if not np.isfinite(theta).all():  # the longest duration's angle overflows whenever one does
+        raise ValueError(f"drive angle 2 pi omega dt overflows: omega={rates.omega}, dt={dt.max()}")
+    ptms = np.zeros((len(dt), 3, 4, 4)) + np.eye(4)
+    ptms[:, 0, 1, 1] = ptms[:, 0, 2, 2] = mu
+    ptms[:, 1, 1, 1] = ptms[:, 1, 2, 2] = nu
+    ptms[:, 1, 3, 3], ptms[:, 1, 3, 0] = nu * nu, 1 - nu * nu
+    ptms[:, 2, 2, 2] = ptms[:, 2, 3, 3] = np.cos(theta)
+    ptms[:, 2, 2, 3], ptms[:, 2, 3, 2] = -np.sin(theta), np.sin(theta)
+    return ptms

@@ -1,10 +1,10 @@
 """Dense complex linear algebra kernel for small (dim <= 16) matrices.
 
-Everything downstream (superoperators, channels, dilation circuits) is built
-on plain complex ndarrays plus the checks in this module. The vectorization
-convention is fixed once here and used everywhere: ``vec`` stacks columns,
-so the superoperator acting as ``A @ rho @ B`` on a vectorized state is
-``np.kron(B.T, A)``.
+Everything downstream (superoperators, dilation circuits, Pauli-transfer
+matrices) is built on plain complex ndarrays plus the checks in this module.
+The vectorization convention is fixed once here and used everywhere: ``vec``
+stacks columns, so the superoperator acting as ``A @ rho @ B`` on a vectorized
+state is ``np.kron(B.T, A)``.
 """
 
 from __future__ import annotations
@@ -21,12 +21,9 @@ __all__ = [
     "SIGMA_MINUS",
     "KET_0",
     "KET_1",
-    "dag",
     "vec",
-    "unvec",
     "kraus_superop",
     "rx",
-    "partial_trace",
     "check_bloch_rows",
     "validate_density_matrix",
     "check_count",
@@ -45,11 +42,6 @@ KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
 
 
-def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix in a (..., d, d) stack."""
-    return np.conj(np.asarray(m)).swapaxes(-2, -1)
-
-
 def density(ket: np.ndarray) -> np.ndarray:
     """Rank-one density matrix |psi><psi| from a (not necessarily normalized) ket."""
     ket = np.asarray(ket, dtype=complex).ravel()
@@ -65,15 +57,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    v = np.asarray(v).ravel()
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape((d, d), order="F")
-
-
 def kraus_superop(ops: np.ndarray) -> np.ndarray:
     """Column-stacking superoperator sum_k conj(E_k) (x) E_k of each (k, d, d) Kraus stack E."""
     *batch, _, _, d = np.shape(ops)
@@ -86,33 +69,6 @@ def rx(theta: float | np.ndarray) -> np.ndarray:
     out[..., 0, 0] = out[..., 1, 1] = np.cos(theta / 2)
     out[..., 0, 1] = out[..., 1, 0] = -1j * np.sin(theta / 2)
     return out
-
-
-def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one tensor factor of a bipartite operator.
-
-    Args:
-        m: Square matrix on the composite space, shape (dA*dB, dA*dB),
-            with subsystem A the slower (leftmost) Kronecker factor.
-        dims: Subsystem dimensions (dA, dB).
-        keep: Index of the subsystem to keep, 0 for A or 1 for B.
-
-    Returns:
-        The reduced operator on the kept subsystem. Its trace equals Tr(m).
-
-    Raises:
-        ValueError: If the shape does not match dims or keep is not 0/1.
-    """
-    m = np.asarray(m)
-    da, db = dims
-    if m.shape != (da * db, da * db):
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    r = m.reshape(da, db, da, db)
-    if keep == 0:
-        return np.einsum("ikjk->ij", r)
-    if keep == 1:
-        return np.einsum("kikj->ij", r)
-    raise ValueError(f"keep must be 0 or 1, got {keep}")
 
 
 def check_count(name: str, value) -> None:

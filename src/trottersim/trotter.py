@@ -4,8 +4,8 @@ A schedule applies the three elementary generators (dephasing, damping,
 rotation) in a chosen permutation. First order applies each full-duration
 channel once per step; second order applies the half-duration sequence
 forward and then reversed, suppressing the step error from O(1/N) to
-O(1/N^2). Elementary channels come either from the closed-form Pauli-transfer
-matrices of the exact Kraus channels ("kraus" backend) or from the ancilla dilation
+O(1/N^2). The elementary channels are :func:`trottersim.channels.elementary_ptms`: the
+closed-form Pauli-transfer matrices ("kraus" backend) or those of the ancilla dilation
 circuits ("dilation", "dilation+noise").
 
 The accuracy of a run against the exact master-equation trace is
@@ -21,11 +21,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dilation import (NoiseParams, _induced_channels, damping_circuit, dephasing_circuit,
-                       rates_to_angles, rotation_circuit)
+from .channels import elementary_ptms
+from .dilation import NoiseParams
 from .linalg import (KET_1, check_bloch_rows, check_count, check_positive, density,
                      validate_density_matrix)
-from .liouvillian import BLOCH_ROWS, CanonicalRates, EvolutionTrace, bloch_solution, propagate
+from .liouvillian import CanonicalRates, EvolutionTrace, bloch_solution, propagate
 
 __all__ = [
     "DEPHASING",
@@ -98,40 +98,6 @@ class TrotterSchedule:
             raise ValueError(f"backend {self.backend!r} does not accept noise parameters")
 
 
-def _elementary_ptms(
-    rates: CanonicalRates, durations: list[float], backend: str, noise: NoiseParams | None
-) -> np.ndarray:
-    """The (D, 3, 4, 4) real Pauli-transfer matrices R_ij = Tr(s_i E(s_j))/2 of the ALL_LABELS
-    generators over each of D durations dt.
-
-    The kraus closed forms: dephasing diag(1, mu, mu, 1), mu = e^(-gamma_phi dt); damping
-    diag(1, nu, nu, nu^2) plus R_z0 = 1 - nu^2, nu = e^(-gamma1 dt/2); rx(theta) turns
-    (<sy>, <sz>) by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. The dilation backends take
-    the angles once per duration, contract each circuit kind over the D angles at once and
-    convert all 3D superoperators S as Re(P^dag S P)/2, with P^dag = BLOCH_ROWS.
-    """
-    if backend != "kraus":
-        angles = [rates_to_angles(rates, dt) for dt in durations]
-        circuits = ([dephasing_circuit(a.theta1) for a in angles],
-                    [damping_circuit(a.theta2) for a in angles],
-                    [rotation_circuit(a.theta3) for a in angles])
-        supers = np.array([_induced_channels(kind, noise) for kind in circuits]).swapaxes(0, 1)
-        return np.real(BLOCH_ROWS @ supers @ BLOCH_ROWS.conj().T) / 2
-    dt = np.array(durations)
-    with np.errstate(over="ignore"):  # a rate that overflows decays to 0; the angle is checked
-        mu, nu = np.exp(-rates.gamma_phi * dt), np.exp(-rates.gamma1 * dt / 2)
-        theta = 2 * np.pi * rates.omega * dt
-    if not np.isfinite(theta).all():  # the longest duration's angle overflows whenever one does
-        raise ValueError(f"drive angle 2 pi omega dt overflows: omega={rates.omega}, dt={dt.max()}")
-    ptms = np.zeros((len(dt), 3, 4, 4)) + np.eye(4)
-    ptms[:, 0, 1, 1] = ptms[:, 0, 2, 2] = mu
-    ptms[:, 1, 1, 1] = ptms[:, 1, 2, 2] = nu
-    ptms[:, 1, 3, 3], ptms[:, 1, 3, 0] = nu * nu, 1 - nu * nu
-    ptms[:, 2, 2, 2] = ptms[:, 2, 3, 3] = np.cos(theta)
-    ptms[:, 2, 2, 3], ptms[:, 2, 3, 2] = -np.sin(theta), np.sin(theta)
-    return ptms
-
-
 # The twelve (order, permutation) schedules of a scan, their labels and their rows of indices into
 # [identity, labels over dt, labels over dt/2]: order 2 forward then reversed, order 1 padded.
 _SCAN = tuple((order, perm) for order in (1, 2) for perm in ALL_PERMUTATIONS)
@@ -143,12 +109,12 @@ _SCAN_ROWS = np.array([[0, 0, 0] + [1 + ALL_LABELS.index(label) for label in per
 
 def _step_stack(schedule: TrotterSchedule, rates: CanonicalRates, keys: list[int]) -> np.ndarray:
     """The (K, 4, 4) one-step Pauli-transfer matrices of the K scan rows keys over the
-    schedule's dt, backend and noise. One :func:`_elementary_ptms` call builds the three labels
+    schedule's dt, backend and noise. One :func:`elementary_ptms` call builds the three labels
     at each duration dt / order the rows use, keyed by (duration, label) behind the identity,
     and one batched product per slot composes all K."""
     orders = sorted({_SCAN[k][0] for k in keys})
-    ptms = _elementary_ptms(rates, [schedule.dt / order for order in orders], schedule.backend,
-                            schedule.noise)
+    ptms = elementary_ptms(rates, [schedule.dt / order for order in orders], schedule.backend,
+                           schedule.noise)
     ops = np.concatenate([np.eye(4)[None], ptms.reshape(-1, 4, 4)])
     step = np.eye(4)
     # order 1 alone takes 3 slots; order 2 alone builds no dt block, so its indices drop by 3

@@ -1,5 +1,7 @@
-"""The tests' exact oracle, independent of the package: the canonical qubit master equation
-of trottersim.liouvillian's docstring as a column-stacking generator, exponentiated by scipy.
+"""The tests' exact oracles, independent of the package: the canonical qubit master equation
+of trottersim.liouvillian's docstring as a column-stacking generator, exponentiated by scipy;
+the dephasing and damping Kraus pairs of trottersim.channels' rate conventions; and the Choi
+matrix and CPTP check that channels are compared and judged by.
 """
 
 import numpy as np
@@ -7,8 +9,11 @@ import scipy.linalg
 
 EYE = np.eye(2)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.diag([1, -1]).astype(complex)
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|, |0> the +1 state of sigma_z
+# Columns vec(I), vec(sx), vec(sy), vec(sz), vec stacking columns.
+PAULI_COLUMNS = np.stack([m.reshape(-1, order="F") for m in (EYE, SIGMA_X, SIGMA_Y, SIGMA_Z)], 1)
 
 
 def generator(gamma1=0.0, gamma_phi=0.0, omega=0.0):
@@ -26,3 +31,64 @@ def generator(gamma1=0.0, gamma_phi=0.0, omega=0.0):
 def propagator(gamma1, gamma_phi, omega, t):
     """The exact channel expm(S t) of :func:`generator`, as a column-stacking superoperator."""
     return scipy.linalg.expm(generator(gamma1, gamma_phi, omega) * t)
+
+
+def dephasing_kraus(gamma_phi, tau):
+    """Kraus pair diag(1, mu), diag(0, sqrt(1 - mu^2)), mu = e^(-gamma_phi tau): off-diagonals
+    shrink by mu, populations stay."""
+    mu = np.exp(-gamma_phi * tau)
+    return np.array([np.diag([1.0, mu]), np.diag([0.0, np.sqrt(1.0 - mu * mu)])], dtype=complex)
+
+
+def damping_kraus(gamma1, tau):
+    """Kraus pair diag(1, nu), sqrt(1 - nu^2) |0><1|, nu = e^(-gamma1 tau/2): the |1> population
+    decays by nu^2, off-diagonals by nu."""
+    nu = np.exp(-gamma1 * tau / 2)
+    return np.array([np.diag([1.0, nu]), np.sqrt(1.0 - nu * nu) * SIGMA_MINUS], dtype=complex)
+
+
+def unvec(v):
+    """Inverse of column-stacking vec for square matrices."""
+    v = np.asarray(v).ravel()
+    d = int(round(np.sqrt(v.size)))
+    if d * d != v.size:
+        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
+    return v.reshape((d, d), order="F")
+
+
+def superop_of(ptm):
+    """The superoperator P R P^dag / 2 of a (4, 4) Pauli-transfer matrix R, with P the columns
+    vec(I), vec(sx), vec(sy), vec(sz)."""
+    return PAULI_COLUMNS @ ptm @ PAULI_COLUMNS.conj().T / 2
+
+
+def choi(superop):
+    """Choi matrix sum_ij |i><j| (x) E(|i><j|) of a (4, 4) column-stacking superoperator, a
+    reshuffle of its entries; Tr J = 2."""
+    return np.asarray(superop).reshape(2, 2, 2, 2).transpose(3, 1, 2, 0).reshape(4, 4)
+
+
+def choi_distance(a, b):
+    """Frobenius norm of the difference of two superoperators' Choi matrices."""
+    return float(np.linalg.norm(choi(a) - choi(b)))
+
+
+def partial_trace(m, dims, keep):
+    """Trace out one factor of a (dA dB, dA dB) operator, A the leftmost Kronecker factor,
+    keeping factor keep (0 for A, 1 for B)."""
+    m = np.asarray(m)
+    da, db = dims
+    if m.shape != (da * db, da * db):
+        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+    return np.einsum(("ikjk->ij", "kikj->ij")[keep], m.reshape(da, db, da, db))
+
+
+def is_cptp(superop):
+    """Whether the Choi matrix J is Hermitian within 1e-10, has eigenvalues >= -1e-8 (CP) and a
+    partial trace over the output factor within 1e-8 of the identity (TP)."""
+    j = choi(superop)
+    if np.abs(j - j.conj().T).max() > 1e-10:
+        return False
+    if np.linalg.eigvalsh((j + j.conj().T) / 2).min() < -1e-8:
+        return False
+    return bool(np.abs(partial_trace(j, (2, 2), keep=0) - EYE).max() <= 1e-8)

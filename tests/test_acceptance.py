@@ -8,14 +8,8 @@ import time
 
 import numpy as np
 
-from trottersim.channels import (
-    channel_distance,
-    damping_channel,
-    dephasing_channel,
-    depolarizing_channel,
-    is_cptp,
-    unitary_channel,
-)
+from reference import choi_distance, damping_kraus, dephasing_kraus, is_cptp, superop_of
+from trottersim.channels import elementary_ptms
 from trottersim.dilation import (
     AngleParams,
     NoiseParams,
@@ -24,8 +18,9 @@ from trottersim.dilation import (
     dephasing_circuit,
     depolarization_equivalent_time,
     induced_channel,
+    rotation_circuit,
 )
-from trottersim.linalg import rx
+from trottersim.linalg import kraus_superop
 from trottersim.liouvillian import CanonicalRates
 from trottersim.mitigation import (
     NoisePoint,
@@ -75,13 +70,13 @@ def test_criterion_1_dilation_matches_analytic_channels():
         rates = angle_to_rates(params)
         worst = max(
             worst,
-            channel_distance(
+            choi_distance(
                 induced_channel(dephasing_circuit(params.theta1)),
-                dephasing_channel(rates.gamma_phi, TAU0),
+                kraus_superop(dephasing_kraus(rates.gamma_phi, TAU0)),
             ),
-            channel_distance(
+            choi_distance(
                 induced_channel(damping_circuit(params.theta2)),
-                damping_channel(rates.gamma1, TAU0),
+                kraus_superop(damping_kraus(rates.gamma1, TAU0)),
             ),
         )
     elapsed = time.monotonic() - start
@@ -246,10 +241,10 @@ def test_criterion_9_property_suites():
     for _ in range(50):
         gphi, g1, p = rng.uniform(0, 0.5), rng.uniform(0, 0.5), rng.uniform(0, 1)
         theta = rng.uniform(0, np.pi / 2 - 0.05)
-        cptp_ok &= is_cptp(dephasing_channel(gphi, TAU0))
-        cptp_ok &= is_cptp(damping_channel(g1, TAU0))
-        cptp_ok &= is_cptp(depolarizing_channel(p))
-        cptp_ok &= is_cptp(unitary_channel(rx(theta)))
+        rates = CanonicalRates(g1, gphi, theta / (2 * np.pi * TAU0))
+        for ptm in elementary_ptms(rates, [TAU0], "kraus", None)[0]:
+            cptp_ok &= is_cptp(superop_of(ptm))
+        cptp_ok &= is_cptp(induced_channel(rotation_circuit(0.0), NoiseParams(p_grape=p)))
         cptp_ok &= is_cptp(
             induced_channel(
                 damping_circuit(theta),

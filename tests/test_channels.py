@@ -1,20 +1,21 @@
-"""Tests for Kraus-channel construction and representation conversions."""
+"""Tests for the elementary channels' Pauli-transfer matrices and the Choi/CPTP oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import propagator
+from reference import (choi, choi_distance, damping_kraus, dephasing_kraus, is_cptp, propagator,
+                       superop_of, unvec)
+from trottersim.channels import elementary_ptms
 from trottersim.linalg import (
     I2,
     KET_0,
     KET_1,
     SIGMA_X,
-    dag,
     density,
-    rx,
-    unvec,
+    kraus_superop,
+    validate_density_matrix,
     vec,
 )
 from trottersim.dilation import (
@@ -26,23 +27,29 @@ from trottersim.dilation import (
     rotation_circuit,
 )
 from trottersim.liouvillian import CanonicalRates, target_trace
-from trottersim.channels import (
-    KrausChannel,
-    apply_channel,
-    channel_distance,
-    choi_to_kraus,
-    compose_channels,
-    damping_channel,
-    dephasing_channel,
-    depolarizing_channel,
-    is_cptp,
-    to_choi,
-    to_superop,
-    unitary_channel,
-)
+from trottersim.trotter import TrotterSchedule
 
 PLUS = density(KET_0 + KET_1)
-IDENTITY = unitary_channel(np.eye(2))
+
+
+def dephasing(gamma_phi, tau):
+    """The package's dephasing Pauli-transfer matrix over tau."""
+    return elementary_ptms(CanonicalRates(gamma_phi=gamma_phi), [tau], "kraus", None)[0, 0]
+
+
+def damping(gamma1, tau):
+    """The package's damping Pauli-transfer matrix over tau."""
+    return elementary_ptms(CanonicalRates(gamma1=gamma1), [tau], "kraus", None)[0, 1]
+
+
+def rotation(theta):
+    """The package's x rotation by theta, as the drive over one microsecond."""
+    return elementary_ptms(CanonicalRates(omega=theta / (2 * np.pi)), [1.0], "kraus", None)[0, 2]
+
+
+def depolarizing(p):
+    """The dilation backend's one depolarization event, rho -> (1-p) rho + p I/2."""
+    return induced_channel(rotation_circuit(0.0), noise=NoiseParams(p_grape=p))
 
 
 def choi_oracle(superop, d):
@@ -56,16 +63,16 @@ def choi_oracle(superop, d):
     return j
 
 
-def random_channel(rng, d=2, k=3):
-    """Random CPTP channel from a Haar-ish isometry."""
+def random_kraus(rng, d=2, k=3):
+    """Kraus stack of a random CPTP channel from a Haar-ish isometry."""
     g = rng.standard_normal((d * k, d)) + 1j * rng.standard_normal((d * k, d))
     q, _ = np.linalg.qr(g)
-    return KrausChannel(tuple(q[i * d : (i + 1) * d, :] for i in range(k)))
+    return q.reshape(k, d, d)
 
 
 def random_rho(rng, d=2):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    p = a @ dag(a)
+    p = a @ a.conj().T
     return p / np.trace(p)
 
 
@@ -73,138 +80,128 @@ def random_rho(rng, d=2):
 
 
 def test_dephasing_zero_is_identity():
-    assert channel_distance(dephasing_channel(0.0, 3.56), IDENTITY) < 1e-14
+    assert np.linalg.norm(dephasing(0.0, 3.56) - np.eye(4)) < 1e-14
 
 
 def test_dephasing_half_coherence():
-    ch = dephasing_channel(np.log(2), 1.0)
-    out = apply_channel(ch, PLUS)
-    np.testing.assert_allclose(out, [[0.5, 0.25], [0.25, 0.5]], atol=1e-12)
+    out = dephasing(np.log(2), 1.0) @ validate_density_matrix(PLUS)
+    np.testing.assert_allclose(out, [1.0, 0.5, 0.0, 0.0], atol=1e-12)
 
 
 def test_dephasing_keeps_populations():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        rho = random_rho(rng)
-        out = apply_channel(dephasing_channel(rng.random(), rng.random() * 5), rho)
-        np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-12)
+        row = validate_density_matrix(random_rho(rng))
+        out = dephasing(rng.random(), rng.random() * 5) @ row
+        np.testing.assert_allclose(out[[0, 3]], row[[0, 3]], atol=1e-12)
 
 
 def test_damping_zero_is_identity():
-    assert channel_distance(damping_channel(0.0, 3.56), IDENTITY) < 1e-14
+    assert np.linalg.norm(damping(0.0, 3.56) - np.eye(4)) < 1e-14
 
 
 def test_damping_half_life():
-    ch = damping_channel(np.log(2), 1.0)
-    out = apply_channel(ch, density(KET_1))
-    np.testing.assert_allclose(out, np.diag([0.5, 0.5]), atol=1e-12)
+    out = damping(np.log(2), 1.0) @ validate_density_matrix(density(KET_1))
+    np.testing.assert_allclose(out, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_damping_full_relaxation():
     rng = np.random.default_rng(3)
-    ch = damping_channel(1.0, 1e4)
+    ptm = damping(1.0, 1e4)
     for _ in range(5):
-        out = apply_channel(ch, random_rho(rng))
-        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-8)
+        out = ptm @ validate_density_matrix(random_rho(rng))
+        np.testing.assert_allclose(out, [1.0, 0.0, 0.0, 1.0], atol=1e-8)
 
 
 def test_negative_inputs_rejected():
+    # The channels take their rates from CanonicalRates and their durations from
+    # TrotterSchedule, which reject negative values.
     with pytest.raises(ValueError):
-        dephasing_channel(-0.1, 1.0)
+        CanonicalRates(gamma_phi=-0.1)
     with pytest.raises(ValueError):
-        damping_channel(0.1, -1.0)
+        TrotterSchedule(dt=-1.0)
 
 
 def test_unitary_channel_basics():
-    np.testing.assert_allclose(to_superop(IDENTITY), np.eye(4), atol=1e-14)
-    out = apply_channel(unitary_channel(SIGMA_X), density(KET_0))
+    np.testing.assert_allclose(kraus_superop(I2[None]), np.eye(4), atol=1e-14)
+    out = unvec(kraus_superop(SIGMA_X[None]) @ vec(density(KET_0)))
     np.testing.assert_allclose(out, density(KET_1), atol=1e-14)
 
 
 def test_half_rabi_cycle_flips_population():
-    out = apply_channel(unitary_channel(rx(np.pi)), density(KET_0))
-    np.testing.assert_allclose(out, density(KET_1), atol=1e-12)
-
-
-def test_unitary_channel_rejects_non_unitary():
-    with pytest.raises(ValueError, match="unitary"):
-        unitary_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_kraus_completeness_enforced():
-    with pytest.raises(ValueError, match="completeness"):
-        KrausChannel((0.5 * I2,))
+    out = rotation(np.pi) @ validate_density_matrix(density(KET_0))
+    np.testing.assert_allclose(out, [1.0, 0.0, 0.0, -1.0], atol=1e-12)
 
 
 def test_depolarizing_channel():
     rng = np.random.default_rng(5)
     rho = random_rho(rng)
-    out = apply_channel(depolarizing_channel(1.0), rho)
+    out = unvec(depolarizing(1.0) @ vec(rho))
     np.testing.assert_allclose(out, I2 / 2, atol=1e-12)
-    out = apply_channel(depolarizing_channel(0.3), rho)
+    out = unvec(depolarizing(0.3) @ vec(rho))
     np.testing.assert_allclose(out, 0.7 * rho + 0.3 * I2 / 2, atol=1e-12)
     with pytest.raises(ValueError):
-        depolarizing_channel(1.5)
+        NoiseParams(p_grape=1.5)
 
 
 # ------------------------------------------------------- apply and compose
 
 
 def test_apply_identity():
+    # At zero rates every elementary channel leaves a state's Bloch row as it is.
     rng = np.random.default_rng(7)
-    rho = random_rho(rng)
-    np.testing.assert_allclose(apply_channel(IDENTITY, rho), rho)
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_channel(IDENTITY, np.eye(3) / 3)
+    row = validate_density_matrix(random_rho(rng))
+    for ptm in elementary_ptms(CanonicalRates(), [3.56], "kraus", None)[0]:
+        np.testing.assert_allclose(ptm @ row, row)
 
 
 def test_sequential_dephasing_then_damping():
-    deph = dephasing_channel(np.log(2), 1.0)
-    damp = damping_channel(np.log(2), 1.0)
-    out = apply_channel(damp, apply_channel(deph, PLUS))
+    deph = dephasing(np.log(2), 1.0)
+    damp = damping(np.log(2), 1.0)
+    plus = validate_density_matrix(PLUS)
+    out = damp @ deph @ plus
     off = 0.25 * np.exp(-np.log(2) / 2)
-    np.testing.assert_allclose(out, [[0.75, off], [off, 0.25]], atol=1e-12)
+    np.testing.assert_allclose(out, [1.0, 2 * off, 0.0, 0.5], atol=1e-12)
     assert off == pytest.approx(0.17677669529663687)
     # Commuting family: reversed order is identical.
-    out_rev = apply_channel(deph, apply_channel(damp, PLUS))
+    out_rev = deph @ damp @ plus
     np.testing.assert_allclose(out, out_rev, atol=1e-14)
 
 
 def test_compose_channels_matches_sequential_apply():
+    # The superoperator of the product family {F_j E_k} is the product of the superoperators:
+    # the rule by which the dilation contraction grows its Kraus family gate by gate.
     rng = np.random.default_rng(11)
-    a, b = random_channel(rng), random_channel(rng)
+    a, b = random_kraus(rng), random_kraus(rng)
     rho = random_rho(rng)
-    combined = compose_channels(a, then=b)
+    combined = kraus_superop(np.array([f @ e for f in b for e in a]))
     np.testing.assert_allclose(
-        apply_channel(combined, rho), apply_channel(b, apply_channel(a, rho)), atol=1e-12
+        combined @ vec(rho), kraus_superop(b) @ (kraus_superop(a) @ vec(rho)), atol=1e-12
     )
 
 
 def test_apply_preserves_state_invariants():
     rng = np.random.default_rng(13)
     families = [
-        dephasing_channel(0.3, 1.7),
-        damping_channel(0.2, 2.5),
-        unitary_channel(rx(0.8)),
-        depolarizing_channel(0.15),
+        superop_of(dephasing(0.3, 1.7)),
+        superop_of(damping(0.2, 2.5)),
+        superop_of(rotation(0.8)),
+        depolarizing(0.15),
     ]
-    for ch in families:
+    for s in families:
         for _ in range(1000):
             rho = random_rho(rng)
-            out = apply_channel(ch, rho)
-            assert np.abs(out - dag(out)).max() < 1e-12
+            out = unvec(s @ vec(rho))
+            assert np.abs(out - out.conj().T).max() < 1e-12
             assert abs(np.trace(out) - 1.0) < 1e-12
-            assert np.linalg.eigvalsh((out + dag(out)) / 2).min() > -1e-10
+            assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() > -1e-10
 
 
 # ------------------------------------------------------------- conversions
 
 
 def test_identity_choi_matrix():
-    j = to_choi(IDENTITY)
+    j = choi(np.eye(4))
     expected = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for k in range(2):
@@ -217,78 +214,39 @@ def test_identity_choi_matrix():
 
 
 def test_complete_dephasing_choi_rank_two():
-    ch = dephasing_channel(1.0, 1e4)  # mu ~ 0
-    w = np.linalg.eigvalsh(to_choi(ch))
+    w = np.linalg.eigvalsh(choi(superop_of(dephasing(1.0, 1e4))))  # mu ~ 0
     assert np.sum(w > 1e-8) == 2
 
 
 def test_superop_to_choi_matches_basis_oracle():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        ch = random_channel(rng)
-        s = to_superop(ch)
-        np.testing.assert_allclose(to_choi(s), choi_oracle(s, 2), atol=1e-12)
-        np.testing.assert_allclose(to_choi(ch), choi_oracle(s, 2), atol=1e-12)
-
-
-def test_kraus_choi_kraus_round_trip():
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        ch = random_channel(rng, k=int(rng.integers(1, 5)))
-        back = choi_to_kraus(to_choi(ch))
-        np.testing.assert_allclose(to_superop(back), to_superop(ch), atol=1e-10)
-
-
-def test_choi_to_kraus_rejects_non_psd():
-    j = to_choi(IDENTITY).copy()
-    j[0, 0] -= 1.0  # break positivity
-    j[3, 3] += 1.0
-    with pytest.raises(ValueError, match="PSD"):
-        choi_to_kraus(j)
-
-
-def test_choi_to_kraus_rejects_non_hermitian():
-    j = to_choi(IDENTITY).copy()
-    j[0, 1] += 1e-11  # within the 1e-10 tolerance: symmetrised, accepted
-    back = choi_to_kraus(j)
-    np.testing.assert_allclose(to_superop(back), to_superop(IDENTITY), atol=1e-10)
-    j[0, 1] += 1e-9
-    with pytest.raises(ValueError, match="Hermitian"):
-        choi_to_kraus(j)
-
-
-def test_choi_eigenvalue_cutoff_suppresses_rank_inflation():
-    j = to_choi(IDENTITY) + 1e-14 * np.eye(4)
-    assert len(choi_to_kraus(j).kraus) == 1
+        s = kraus_superop(random_kraus(rng))
+        np.testing.assert_allclose(choi(s), choi_oracle(s, 2), atol=1e-12)
 
 
 # --------------------------------------------------------------- distance
 
 
 def test_distance_zero_on_same_channel():
-    ch = damping_channel(0.3, 1.0)
-    assert channel_distance(ch, ch) == 0.0
+    # Two builds of one channel are bit-identical, so dilate-verify's distance is 0 on them.
+    rates = CanonicalRates(0.3, 0.2, 0.1)
+    for backend in ("kraus", "dilation"):
+        a, b = (elementary_ptms(rates, [1.0], backend, None) for _ in range(2))
+        assert np.linalg.norm(a - b) == 0.0
 
 
 def test_distance_identity_vs_bit_flip():
     # Explicit Choi matrices: rank-one projectors onto vec(I) and vec(X),
-    # orthogonal with norm 2 each, so the Frobenius distance is 2*sqrt(2).
-    d = channel_distance(IDENTITY, unitary_channel(SIGMA_X))
-    assert d == pytest.approx(2 * np.sqrt(2), abs=1e-12)
+    # orthogonal with norm 2 each, so the Frobenius distance is 2*sqrt(2); the
+    # Pauli-transfer matrices I and diag(1, 1, -1, -1) are as far apart.
+    assert choi_distance(np.eye(4), kraus_superop(SIGMA_X[None])) == pytest.approx(
+        2 * np.sqrt(2), abs=1e-12)
+    assert np.linalg.norm(rotation(np.pi) - np.eye(4)) == pytest.approx(2 * np.sqrt(2), abs=1e-12)
 
 
 def test_distance_separates_channel_families():
-    assert channel_distance(dephasing_channel(np.log(2), 1.0), damping_channel(np.log(2), 1.0)) > 0.1
-
-
-def test_distance_dim_mismatch():
-    with pytest.raises(ValueError):
-        channel_distance(IDENTITY, unitary_channel(np.eye(3)))
-
-
-def test_distance_accepts_superoperators():
-    ch = dephasing_channel(0.2, 1.0)
-    assert channel_distance(to_superop(ch), ch) < 1e-14
+    assert np.linalg.norm(dephasing(np.log(2), 1.0) - damping(np.log(2), 1.0)) > 0.1
 
 
 # ------------------------------------------------------------------- CPTP
@@ -307,57 +265,54 @@ _PROBABILITY = st.floats(0, 1)
        noise=st.builds(NoiseParams, _PROBABILITY, _PROBABILITY), seed=st.integers(0, 2**32 - 1))
 def test_constructed_channels_are_cptp(gamma_phi, gamma1, tau, p, theta, noise, seed):
     channels = [
-        dephasing_channel(gamma_phi, tau),
-        damping_channel(gamma1, tau),
-        depolarizing_channel(p),
-        unitary_channel(rx(theta)),
-        random_channel(np.random.default_rng(seed)),
+        superop_of(dephasing(gamma_phi, tau)),
+        superop_of(damping(gamma1, tau)),
+        depolarizing(p),
+        superop_of(rotation(theta)),
+        kraus_superop(random_kraus(np.random.default_rng(seed))),
     ] + [
         induced_channel(circuit(theta), noise=n)
         for circuit in (dephasing_circuit, damping_circuit, rotation_circuit)
         for n in (None, noise)
     ]
-    for ch in channels:
-        assert is_cptp(ch)
+    for s in channels:
+        assert is_cptp(s)
 
 
 def test_is_cptp_rejects_non_tp_map():
     # A superoperator scaled away from trace preservation.
-    s = 0.9 * to_superop(IDENTITY)
-    assert not is_cptp(s)
+    assert not is_cptp(0.9 * np.eye(4))
 
 
 def test_dephasing_damping_superops_commute():
-    a = to_superop(dephasing_channel(0.31, 1.3))
-    b = to_superop(damping_channel(0.17, 1.3))
+    a = dephasing(0.31, 1.3)
+    b = damping(0.17, 1.3)
     assert np.abs(a @ b - b @ a).max() < 1e-12
 
 
 def test_kraus_channels_match_liouvillian_propagators():
     gphi, g1, tau = 0.23, 0.41, 1.9
     s_deph = propagator(0.0, gphi, 0.0, tau)
-    assert channel_distance(s_deph, dephasing_channel(gphi, tau)) < 1e-10
+    assert choi_distance(s_deph, kraus_superop(dephasing_kraus(gphi, tau))) < 1e-10
+    assert choi_distance(s_deph, superop_of(dephasing(gphi, tau))) < 1e-10
     s_damp = propagator(g1, 0.0, 0.0, tau)
-    assert channel_distance(s_damp, damping_channel(g1, tau)) < 1e-10
+    assert choi_distance(s_damp, kraus_superop(damping_kraus(g1, tau))) < 1e-10
+    assert choi_distance(s_damp, superop_of(damping(g1, tau))) < 1e-10
 
 
-_NAN_OP = np.diag([np.nan, 1.0])
-
-
+# The channels take their rates from CanonicalRates and their durations from TrotterSchedule.
 @pytest.mark.parametrize("build", [
-    lambda: KrausChannel((_NAN_OP,)),
-    lambda: unitary_channel(_NAN_OP),
-    lambda: dephasing_channel(np.nan, 1.0),
-    lambda: dephasing_channel(0.1, np.inf),
-    lambda: damping_channel(np.inf, 1.0),
-    lambda: damping_channel(0.1, np.nan),
+    lambda: CanonicalRates(gamma_phi=np.nan),
+    lambda: TrotterSchedule(dt=np.inf),
+    lambda: CanonicalRates(gamma1=np.inf),
+    lambda: TrotterSchedule(dt=np.nan),
     lambda: target_trace(CanonicalRates(0.03, 0.02), density(KET_1), np.nan, 5),
     lambda: target_trace(CanonicalRates(0.03, 0.02), density(KET_1), np.inf, 5),
     lambda: depolarization_equivalent_time(0.1, np.nan),
     lambda: depolarization_equivalent_time(0.1, np.inf),
-], ids=["kraus-nan", "unitary-nan", "dephasing-rate-nan", "dephasing-tau-inf",
-        "damping-rate-inf", "damping-tau-nan", "target-tau0-nan", "target-tau0-inf",
-        "depolarization-tau0-nan", "depolarization-tau0-inf"])
+], ids=["dephasing-rate-nan", "dephasing-tau-inf", "damping-rate-inf", "damping-tau-nan",
+        "target-tau0-nan", "target-tau0-inf", "depolarization-tau0-nan",
+        "depolarization-tau0-inf"])
 def test_public_constructors_reject_non_finite_inputs(build):
     with pytest.raises(ValueError):
         build()

@@ -16,10 +16,13 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import choi_distance, damping_kraus, dephasing_kraus
 import trottersim
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
+from trottersim.dilation import (AngleParams, angle_to_rates, damping_circuit, dephasing_circuit,
+                                 effective_rates, induced_channel, rotation_circuit)
+from trottersim.linalg import kraus_superop, rx
 from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from trottersim.mitigation import check_scale_factors
 from trottersim.tomography import global_fit
@@ -135,6 +138,65 @@ def test_dilate_verify_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
     report = json.loads((tmp_path / "dilate_verify.json").read_text())
     assert report["pass"] is False
+
+
+def test_dilate_verify_fails_on_a_nan_distance(tmp_path, monkeypatch, capsys):
+    # The fourth norm taken is the dephasing distance at 10 degrees, a NaN after
+    # the finite one at 5 degrees: Python's max would skip it and pass.
+    norm, calls = np.linalg.norm, []
+
+    def nan_fourth(*args, **kwargs):
+        calls.append(None)
+        return np.nan if len(calls) == 4 else norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", nan_fourth)
+    assert main(["dilate-verify", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    report = json.loads((tmp_path / "dilate_verify.json").read_text())
+    assert np.isnan(report["distances"]["dephasing"]["10.0"])
+    assert report["pass"] is False and np.isnan(report["max_distance"])
+
+
+def test_dilate_verify_checks_the_angles_the_dilation_backend_runs(tmp_path, monkeypatch):
+    # A relative 1e-6 error in the damping angle that rates_to_angles hands the
+    # dilation backend must fail the check.
+    to_angles = trottersim.channels.rates_to_angles
+
+    def skewed(rates, tau0):
+        angles = to_angles(rates, tau0)
+        return replace(angles, theta2=angles.theta2 * (1 + 1e-6))
+
+    monkeypatch.setattr(trottersim.channels, "rates_to_angles", skewed)
+    assert main(["dilate-verify", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert json.loads((tmp_path / "dilate_verify.json").read_text())["pass"] is False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(theta_deg=0.0, tau0=0.01)
+@example(theta_deg=89.999, tau0=100.0)
+@given(theta_deg=st.floats(0, 90, exclude_max=True), tau0=st.floats(0.01, 100))
+def test_dilate_verify_distances_are_choi_distances_to_the_kraus_channels(theta_deg, tau0):
+    # Each distance in dilate_verify.json is the Choi distance between the circuit
+    # induced at the grid angle and the Kraus channel at the angle's rates.
+    cfg = cli.build_config({"theta_grid_deg": [theta_deg], "angles": {"tau0_us": tau0}},
+                           "dilate-verify")
+    job = cli._run_dilate_verify(cfg)
+    params = AngleParams.from_degrees(theta_deg, theta_deg, theta_deg, tau0)
+    try:
+        rates = angle_to_rates(params)
+    except ValueError:  # no finite rate reproduces a step this close to 90 degrees
+        with pytest.raises(ValueError):
+            next(job)
+        return
+    _, report = next(job)
+    oracles = {
+        "dephasing": (dephasing_circuit(params.theta1), dephasing_kraus(rates.gamma_phi, tau0)),
+        "damping": (damping_circuit(params.theta2), damping_kraus(rates.gamma1, tau0)),
+        "rotation": (rotation_circuit(params.theta3), rx(params.theta3)[None]),
+    }
+    for label, (circuit, kraus) in oracles.items():
+        choi = choi_distance(induced_channel(circuit), kraus_superop(kraus))
+        assert abs(report["distances"][label][repr(theta_deg)] - choi) <= 1e-15
 
 
 # --------------------------------------------------------------------- fit

@@ -5,19 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import propagator
-from trottersim.channels import (
-    KrausChannel,
-    apply_channel,
-    channel_distance,
-    compose_channels,
-    damping_channel,
-    dephasing_channel,
-    is_cptp,
-    to_choi,
-    to_superop,
-    unitary_channel,
-)
+from reference import (choi, choi_distance, damping_kraus, dephasing_kraus, is_cptp,
+                       partial_trace, propagator, unvec)
 from trottersim.dilation import (
     AngleParams,
     DilationCircuit,
@@ -34,8 +23,8 @@ from trottersim.dilation import (
     rates_to_angles,
     rotation_circuit,
 )
-from trottersim.linalg import (I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, SIGMA_Z, dag, density,
-                               partial_trace, unvec, vec)
+from trottersim.linalg import (I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, SIGMA_Z, density,
+                               kraus_superop, vec)
 
 TAU0 = 3.56
 THETA_GRID_DEG = np.arange(5, 90, 5)  # 5..85 degrees
@@ -52,7 +41,7 @@ def test_gate_unitaries_are_unitary():
         Gate("data_x", -1.3),
     ):
         u = gate_unitary(gate)
-        np.testing.assert_allclose(u @ dag(u), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 
 def test_reset_gate_has_no_unitary():
@@ -117,9 +106,7 @@ def test_damping_circuit_30_degrees_matches_kraus_pair():
     e0 = np.diag([1.0, np.cos(np.radians(30))])
     e1 = np.zeros((2, 2))
     e1[0, 1] = np.sin(np.radians(30))
-    from trottersim.channels import KrausChannel
-
-    assert channel_distance(s, KrausChannel((e0.astype(complex), e1.astype(complex)))) < 1e-12
+    assert choi_distance(s, kraus_superop(np.array([e0, e1], dtype=complex))) < 1e-12
     assert e0[1, 1] == pytest.approx(0.86603, abs=1e-5)
 
 
@@ -133,8 +120,8 @@ def test_damping_circuit_right_angle_fully_relaxes():
 def test_dephasing_circuit_matches_mapped_channel(theta_deg):
     theta = np.radians(theta_deg)
     gamma_phi = -np.log(2 * np.cos(theta / 2) ** 2 - 1) / TAU0
-    d = channel_distance(
-        induced_channel(dephasing_circuit(theta)), dephasing_channel(gamma_phi, TAU0)
+    d = choi_distance(
+        induced_channel(dephasing_circuit(theta)), kraus_superop(dephasing_kraus(gamma_phi, TAU0))
     )
     assert d < 1e-10
 
@@ -143,8 +130,8 @@ def test_dephasing_circuit_matches_mapped_channel(theta_deg):
 def test_damping_circuit_matches_mapped_channel(theta_deg):
     theta = np.radians(theta_deg)
     gamma1 = -np.log(np.cos(theta) ** 2) / TAU0
-    d = channel_distance(
-        induced_channel(damping_circuit(theta)), damping_channel(gamma1, TAU0)
+    d = choi_distance(
+        induced_channel(damping_circuit(theta)), kraus_superop(damping_kraus(gamma1, TAU0))
     )
     assert d < 1e-10
 
@@ -172,16 +159,14 @@ def test_dephasing_circuit_is_probabilistic_phase_flip():
     for theta in (0.2, 0.9, 1.4):
         s = induced_channel(dephasing_circuit(theta))
         p = np.sin(theta / 2) ** 2
-        mix = (1 - p) * to_superop(unitary_channel(np.eye(2))) + p * to_superop(
-            unitary_channel(SIGMA_Z)
-        )
+        mix = (1 - p) * kraus_superop(I2[None]) + p * kraus_superop(SIGMA_Z[None])
         assert np.abs(s - mix).max() < 1e-12
 
 
 def test_rotation_circuit_is_x_rotation():
     theta = np.radians(51.4)
     s = induced_channel(rotation_circuit(theta))
-    assert channel_distance(s, propagator(0.0, 0.0, theta / (2 * np.pi), 1.0)) < 1e-12
+    assert choi_distance(s, propagator(0.0, 0.0, theta / (2 * np.pi), 1.0)) < 1e-12
 
 
 _CIRCUITS = {
@@ -196,14 +181,13 @@ def _kraus_reference(circuit, p_decay):
     """Data superoperator from 4x4 Kraus families composed gate by gate, with
     ancilla decay after each two-qubit gate, read off as the blocks <a|E|g>."""
     e0 = np.kron(np.diag([1.0, np.sqrt(1.0 - p_decay)]), I2)
-    decay = KrausChannel((e0, np.kron(np.sqrt(p_decay) * SIGMA_MINUS, I2)))
-    composite = unitary_channel(np.eye(4))
+    decay = (e0, np.kron(np.sqrt(p_decay) * SIGMA_MINUS, I2))
+    composite = [np.eye(4)]
     for gate in circuit.gates[:-1]:
-        composite = compose_channels(composite, unitary_channel(gate_unitary(gate)))
+        composite = [gate_unitary(gate) @ e for e in composite]
         if gate.kind in ("cz", "cnot_ancilla_ctrl"):
-            composite = compose_channels(composite, decay)
-    blocks = [e[2 * a : 2 * a + 2, :2] for e in composite.kraus for a in (0, 1)]
-    return to_superop(KrausChannel(tuple(blocks)))
+            composite = [f @ e for f in decay for e in composite]
+    return kraus_superop(np.array([e[2 * a : 2 * a + 2, :2] for e in composite for a in (0, 1)]))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -213,9 +197,8 @@ def _kraus_reference(circuit, p_decay):
     p_grape=st.floats(0, 1),
     p_decay=st.floats(0, 1),
     adaptive=st.sampled_from(["coherent", "feedforward"]),
-    entries=st.lists(st.floats(-2, 2), min_size=8, max_size=8),
 )
-def test_induced_channel_properties(kind, theta, p_grape, p_decay, adaptive, entries):
+def test_induced_channel_properties(kind, theta, p_grape, p_decay, adaptive):
     circuit = _CIRCUITS[kind](theta)
     noise = NoiseParams(p_grape, p_decay)
     s = induced_channel(circuit, noise, adaptive)
@@ -231,10 +214,6 @@ def test_induced_channel_properties(kind, theta, p_grape, p_decay, adaptive, ent
     if kind != "damping":
         no_decay = induced_channel(circuit, NoiseParams(p_grape, 0.0), adaptive)
         assert np.abs(s - no_decay).max() < 1e-12
-    x = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
-    out = apply_channel(s, x)
-    assert out.shape == (2, 2)
-    assert np.abs(out - unvec(s @ vec(x))).max() < 1e-12
 
 
 def _kraus_superop(*kraus):
@@ -283,10 +262,10 @@ def test_induced_channel_matches_the_superoperator_composition(
     circuit = _CIRCUITS[kind](theta)
     s = induced_channel(circuit, noise, adaptive)
     assert np.abs(s - _superop_reference(circuit, noise, adaptive)).max() <= 1e-14
-    choi = to_choi(s)
-    assert np.abs(choi - dag(choi)).max() <= 1e-14
-    assert np.linalg.eigvalsh(choi).min() >= -1e-14
-    assert np.abs(partial_trace(choi, (2, 2), keep=0) - I2).max() <= 1e-14
+    j = choi(s)
+    assert np.abs(j - j.conj().T).max() <= 1e-14
+    assert np.linalg.eigvalsh(j).min() >= -1e-14
+    assert np.abs(partial_trace(j, (2, 2), keep=0) - I2).max() <= 1e-14
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -312,15 +291,10 @@ def test_batched_induced_channels_equal_each_circuit_bit_for_bit(
         assert s.tobytes() == induced_channel(circuit, noise, adaptive).tobytes()
 
 
-def test_applying_an_induced_channel_rejects_a_non_2x2_operator():
-    with pytest.raises(ValueError, match="shape"):
-        apply_channel(induced_channel(damping_circuit(0.3)), np.eye(4) / 4)
-
-
 def test_run_circuit_rejects_bad_adaptive_mode():
-    # Running a circuit on an operator is apply_channel of its induced channel.
+    # The batched contraction that runs the dilation backends' circuits checks the mode too.
     with pytest.raises(ValueError, match="adaptive"):
-        apply_channel(induced_channel(damping_circuit(0.3), adaptive="magic"), np.eye(2) / 2)
+        _induced_channels([damping_circuit(0.3)], None, adaptive="magic")
 
 
 def test_induced_channel_rejects_bad_adaptive_mode():
@@ -334,12 +308,12 @@ def test_induced_channel_rejects_bad_adaptive_mode():
 def test_ancilla_decay_stays_small_relative_to_target():
     # Injected ancilla decay between CZ and CNOT perturbs the damping
     # channel by well under 5% of the channel's distance from identity.
-    ident = to_superop(unitary_channel(np.eye(2)))
+    ident = np.eye(4)
     for theta_deg in (10, 20, 30):
         circ = damping_circuit(np.radians(theta_deg))
         clean = induced_channel(circ)
         noisy = induced_channel(circ, noise=NoiseParams(p_ancilla_decay=0.01))
-        ratio = channel_distance(noisy, clean) / channel_distance(clean, ident)
+        ratio = choi_distance(noisy, clean) / choi_distance(clean, ident)
         assert ratio < 0.05
 
 

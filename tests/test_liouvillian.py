@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import generator, propagator
+from reference import generator, propagator, unvec
 from trottersim.linalg import (
     I2,
     KET_0,
@@ -14,9 +14,7 @@ from trottersim.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    dag,
     density,
-    unvec,
     vec,
 )
 from trottersim.liouvillian import (
@@ -37,14 +35,14 @@ def lindblad_rhs(gamma1, gamma_phi, omega, rho):
     h = np.pi * omega * SIGMA_X
     out = -1j * (h @ rho - rho @ h)
     for op in (np.sqrt(gamma1 / 2) * SIGMA_MINUS, np.sqrt(gamma_phi) / 2 * SIGMA_Z):
-        pos = dag(op) @ op
-        out += 2 * op @ rho @ dag(op) - pos @ rho - rho @ pos
+        pos = op.conj().T @ op
+        out += 2 * op @ rho @ op.conj().T - pos @ rho - rho @ pos
     return out
 
 
 def random_rho(rng):
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    p = a @ dag(a)
+    p = a @ a.conj().T
     return p / np.trace(p)
 
 
@@ -87,7 +85,7 @@ def test_superop_annihilates_trace_and_preserves_hermiticity():
     for _ in range(20):
         rho = random_rho(rng)
         out = unvec(s @ vec(rho))
-        assert np.abs(out - dag(out)).max() < 1e-10
+        assert np.abs(out - out.conj().T).max() < 1e-10
 
 
 def test_propagator_at_zero_time():
@@ -123,7 +121,7 @@ def test_propagated_states_stay_physical():
         for t in (0.1, 1.0, 10.0, 100.0):
             out = unvec(propagator(*rates, t) @ vec(rho))
             assert abs(np.trace(out) - 1.0) < 1e-8
-            assert np.linalg.eigvalsh((out + dag(out)) / 2).min() > -1e-8
+            assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() > -1e-8
 
 
 def test_dephasing_and_damping_superops_commute():

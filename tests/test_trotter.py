@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from trottersim import liouvillian, trotter
 from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates
 from trottersim.tomography import FitResult
-from trottersim.channels import (damping_channel, dephasing_channel, to_choi, to_superop,
-                                 unitary_channel)
-from trottersim.linalg import I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, density, rx, vec
+from reference import choi, damping_kraus, dephasing_kraus, superop_of
+from trottersim.channels import elementary_ptms
+from trottersim.linalg import (I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, kraus_superop,
+                               rx, vec)
 from trottersim.liouvillian import (BLOCH_ROWS, CanonicalRates, EvolutionTrace, propagate,
                                     target_trace)
 from trottersim.trotter import (
@@ -345,9 +346,9 @@ def test_permutation_scan_equals_single_runs_bit_for_bit(
     rates = CanonicalRates(*rates)
     noise = NoiseParams(*noise) if backend == "dilation+noise" else None
     builds = []
-    build = trotter._elementary_ptms
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trotter, "_elementary_ptms", lambda *args: builds.append(args) or build(*args))
+        mp.setattr(trotter, "elementary_ptms",
+                   lambda *args: builds.append(args) or elementary_ptms(*args))
         scan = permutation_scan(rates, n_steps, dt, rho0, backend, noise)
     assert builds == [(rates, [dt, dt / 2], backend, noise)]
     target = target_trace(rates, rho0, dt, n_steps)
@@ -384,12 +385,6 @@ def test_run_schedule_keeps_the_bloch_bound_under_every_backend(
     assert trace.bloch_norms().max() <= 1 + 3e-10
 
 
-def superop_of(ptm):
-    """The superoperator S = P R P^dag / 2 of a Pauli-transfer matrix R, where P has the
-    columns vec(I), vec(sx), vec(sy), vec(sz) (P^dag = BLOCH_ROWS)."""
-    return BLOCH_ROWS.conj().T @ ptm @ BLOCH_ROWS / 2
-
-
 def complex_reference_run(schedule, rates, rho0):
     """(N+1, 3) Bloch vectors by the complex path: propagate vec(rho0) by the superoperator
     of the step, take each state's Hermitian part and read BLOCH_ROWS[1:]."""
@@ -397,7 +392,7 @@ def complex_reference_run(schedule, rates, rho0):
     step = superop_of(trotter._step_stack(schedule, rates, key)[0])
     vecs = propagate(step, vec(rho0)[:, None], schedule.n_steps)[..., 0]
     rhos = vecs.reshape(-1, 2, 2).swapaxes(-2, -1)  # undo the column-stacking vec
-    herm = ((rhos + dag(rhos)) / 2).swapaxes(-2, -1).reshape(-1, 4)
+    herm = ((rhos + rhos.conj().swapaxes(-2, -1)) / 2).swapaxes(-2, -1).reshape(-1, 4)
     return np.real(herm @ BLOCH_ROWS[1:].T)
 
 
@@ -449,12 +444,12 @@ def test_run_schedule_names_a_step_that_inflates_the_bloch_vector(monkeypatch):
 def test_closed_form_ptms_match_their_kraus_channels(gamma1, gamma_phi, omega, dt):
     # Angles 2 pi omega dt reach 200 pi, far beyond one turn.
     rates = CanonicalRates(gamma1, gamma_phi, omega)
-    channels = {DEPHASING: dephasing_channel(gamma_phi, dt), DAMPING: damping_channel(gamma1, dt),
-                ROTATION: unitary_channel(rx(2 * np.pi * omega * dt))}
-    ptms = trotter._elementary_ptms(rates, [dt], "kraus", None)[0]
-    for label, channel in channels.items():
+    channels = {DEPHASING: dephasing_kraus(gamma_phi, dt), DAMPING: damping_kraus(gamma1, dt),
+                ROTATION: rx(2 * np.pi * omega * dt)[None]}
+    ptms = elementary_ptms(rates, [dt], "kraus", None)[0]
+    for label, kraus in channels.items():
         ptm = ptms[ALL_LABELS.index(label)]
-        reference = np.real(BLOCH_ROWS @ to_superop(channel) @ BLOCH_ROWS.conj().T) / 2
+        reference = np.real(BLOCH_ROWS @ kraus_superop(kraus) @ BLOCH_ROWS.conj().T) / 2
         assert np.abs(ptm - reference).max() <= 4.5e-16
         assert ptm[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
@@ -471,9 +466,9 @@ def test_every_elementary_ptm_is_cptp(backend, label, rates, noise, dt):
     # The Choi matrix rebuilt from the Pauli-transfer matrix is positive semidefinite,
     # and the trace row (1, 0, 0, 0) makes the channel trace preserving.
     noise = NoiseParams(*noise) if backend == "dilation+noise" else None
-    ptm = trotter._elementary_ptms(CanonicalRates(*rates), [dt], backend, noise)[0][
+    ptm = elementary_ptms(CanonicalRates(*rates), [dt], backend, noise)[0][
         ALL_LABELS.index(label)]
-    assert np.linalg.eigvalsh(to_choi(superop_of(ptm))).min() >= -1e-12
+    assert np.linalg.eigvalsh(choi(superop_of(ptm))).min() >= -1e-12
     assert np.abs(ptm[0] - [1, 0, 0, 0]).max() <= 1e-15
 
 
