@@ -18,33 +18,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dilation import (NoiseParams, _induced_channels, damping_circuit, dephasing_circuit,
-                       rates_to_angles, rotation_circuit)
+from .dilation import _CIRCUIT_GATES, NoiseParams, _induced_channels, rates_to_angles
 from .liouvillian import BLOCH_ROWS, CanonicalRates
 
 __all__ = ["elementary_ptms"]
-
 
 def elementary_ptms(
     rates: CanonicalRates, durations: list[float], backend: str, noise: NoiseParams | None
 ) -> np.ndarray:
     """The (D, 3, 4, 4) real Pauli-transfer matrices R_ij = Tr(s_i E(s_j))/2 of the three
     generators over each of D durations dt, in the label order (dephasing, damping, rotation)
-    of trotter.ALL_LABELS.
+    of trotter.ALL_LABELS. Each dt must be nonnegative and finite.
 
     The kraus closed forms: dephasing diag(1, mu, mu, 1), mu = e^(-gamma_phi dt); damping
     diag(1, nu, nu, nu^2) plus R_z0 = 1 - nu^2, nu = e^(-gamma1 dt/2); rx(theta) turns
-    (<sy>, <sz>) by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. The dilation backends take
-    the angles once per duration, contract each circuit kind over the D angles at once and
-    convert all 3D superoperators S as Re(P^dag S P)/2, with P^dag = BLOCH_ROWS.
+    (<sy>, <sz>) by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. The dilation backends
+    contract each circuit's gate table at rates_to_angles' angles for all D durations at once
+    and convert the 3D superoperators S to Re(P^dag S P)/2, with P^dag = BLOCH_ROWS.
     """
+    for dt in filter(lambda dt: not 0 <= dt < np.inf, durations):  # NaN too; 0 is the identity
+        raise ValueError(f"dt must be nonnegative and finite, got {dt}")
     if backend != "kraus":
         angles = [rates_to_angles(rates, dt) for dt in durations]
-        circuits = ([dephasing_circuit(a.theta1) for a in angles],
-                    [damping_circuit(a.theta2) for a in angles],
-                    [rotation_circuit(a.theta3) for a in angles])
-        supers = np.array([_induced_channels(kind, noise) for kind in circuits]).swapaxes(0, 1)
-        return np.real(BLOCH_ROWS @ supers @ BLOCH_ROWS.conj().T) / 2
+        thetas = np.array([(a.theta1, a.theta2, a.theta3) for a in angles]).T
+        supers = _induced_channels(list(zip(_CIRCUIT_GATES.values(), thetas)), noise)
+        return np.real(BLOCH_ROWS @ supers.swapaxes(0, 1) @ BLOCH_ROWS.conj().T) / 2
     dt = np.array(durations)
     with np.errstate(over="ignore"):  # a rate that overflows decays to 0; the angle is checked
         mu, nu = np.exp(-rates.gamma_phi * dt), np.exp(-rates.gamma1 * dt / 2)

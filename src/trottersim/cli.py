@@ -292,14 +292,10 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _json_num(x):
-    x = float(x)
-    return None if np.isinf(x) else x
-
-
 def _write(path, content):
     """Write one artifact: an EvolutionTrace as a trace CSV after its Bloch-row check, a
-    (header, rows) table as CSV (floats as repr, other cells as text), anything else as JSON."""
+    (header, rows) table as CSV (floats as repr, other cells as text), anything else as strict
+    JSON, a non-finite float written as null."""
     if isinstance(content, EvolutionTrace):
         bloch = np.column_stack([np.ones(len(content)), content.as_matrix()])  # (1, sx, sy, sz)
         check_bloch_rows(bloch, lambda j: f"trace {content.label!r} step {j[0]}")
@@ -311,8 +307,9 @@ def _write(path, content):
             ",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) for row in rows
         ]
         path.write_text("\n".join(lines) + "\n")
-    else:
-        path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+    else:  # strict JSON: a non-finite float, a bare NaN or Infinity to json.dumps, becomes null
+        content = json.loads(json.dumps(content), parse_constant=lambda _: None)
+        path.write_text(json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _engine_summary(cfg):
@@ -441,8 +438,8 @@ def _run_fit(cfg):
         "predicted": {
             "omega_folded_mhz": float(omega - band * np.floor(omega / band + 0.5)),
             "omega_mhz": float(omega),
-            "t1_us": _json_num(cfg.rates.t1),
-            "t2_us": _json_num(cfg.rates.t2),
+            "t1_us": float(cfg.rates.t1),
+            "t2_us": float(cfg.rates.t2),
         },
         "seed": cfg.seed,
         "shots": cfg.shots,

@@ -124,7 +124,7 @@ class AngleParams:
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3"):
             v = float(getattr(self, name))
-            if not np.isfinite(v):
+            if not -np.inf < v < np.inf:  # also true for NaN
                 raise ValueError(f"{name} must be finite, got {v}")
         for name in ("theta1", "theta2"):
             v = float(getattr(self, name))
@@ -139,16 +139,27 @@ class AngleParams:
         return cls(np.radians(theta1), np.radians(theta2), np.radians(theta3), tau0)
 
 
+# Each circuit's gates before the reset, in the label order and written once as (gate kind,
+# multiple of the circuit's angle): the builders below and the dilation backends read them.
+_CIRCUIT_GATES = {
+    "dephasing": (("ancilla_rx", 1), ("cz", 0)),
+    "damping": (("ancilla_rx", 1), ("cz", 0), ("ancilla_rx", -1), ("cnot_ancilla_ctrl", 0)),
+    "rotation": (("data_x", 1),),
+}
+
+
+def _circuit(label: str, theta: float) -> DilationCircuit:
+    gates = tuple(Gate(kind, m * theta if m else 0.0) for kind, m in _CIRCUIT_GATES[label])
+    return DilationCircuit(gates + (Gate("reset_ancilla"),), label=label)
+
+
 def dephasing_circuit(theta1: float) -> DilationCircuit:
     """Ancilla rotation by theta1, CZ, reset: dephases the data qubit.
 
     The circuit applies sigma_z to the data with probability sin^2(theta1/2),
     shrinking off-diagonals by cos(theta1) = 2 cos^2(theta1/2) - 1.
     """
-    return DilationCircuit(
-        (Gate("ancilla_rx", theta1), Gate("cz"), Gate("reset_ancilla")),
-        label="dephasing",
-    )
+    return _circuit("dephasing", theta1)
 
 
 def damping_circuit(theta2: float) -> DilationCircuit:
@@ -158,23 +169,12 @@ def damping_circuit(theta2: float) -> DilationCircuit:
     E1 proportional to [[0, sin(theta2)], [0, 0]]: the data qubit relaxes
     from |1> to |0> with probability sin^2(theta2).
     """
-    return DilationCircuit(
-        (
-            Gate("ancilla_rx", theta2),
-            Gate("cz"),
-            Gate("ancilla_rx", -theta2),
-            Gate("cnot_ancilla_ctrl"),
-            Gate("reset_ancilla"),
-        ),
-        label="damping",
-    )
+    return _circuit("damping", theta2)
 
 
 def rotation_circuit(theta3: float) -> DilationCircuit:
     """Plain data-qubit x rotation by theta3 (ancilla untouched)."""
-    return DilationCircuit(
-        (Gate("data_x", theta3), Gate("reset_ancilla")), label="rotation"
-    )
+    return _circuit("rotation", theta3)
 
 
 # Kraus stacks (m, 4, 4) of the two-qubit gates; the load of ancilla |g> is |g> (x) I.
@@ -205,34 +205,37 @@ def induced_channel(
             it by an ancilla z measurement with a conditional data X (the
             induced channel is identical).
     """
-    return _induced_channels([circuit], noise, adaptive)[0]
+    gates = [(g.kind, g.theta) for g in circuit.gates[:-1]]  # each its own angle at 1; no reset
+    return _induced_channels([(gates, np.ones(1))], noise, adaptive)[0, 0]
 
 
-def _induced_channels(
-    circuits: list[DilationCircuit], noise: NoiseParams | None, adaptive: str = "coherent"
-) -> np.ndarray:
-    """The (B, 4, 4) :func:`induced_channel` of B circuits with the first one's gate kinds, as one
-    (B, k, 4, 2) family; the noise Kraus pair and the fixed gate maps are built once per call."""
+def _induced_channels(circuits, noise: NoiseParams | None, adaptive: str = "coherent"):
+    """The (C, B, 4, 4) :func:`induced_channel` of C kinds, each its (gate kind, multiple) pairs
+    before the reset and (B,) angles, a gate turning by multiple times angle: one rx call, one
+    noise Kraus pair, one (B, k, 4, 2) family per kind and no Gate or DilationCircuit built."""
     if adaptive not in ("coherent", "feedforward"):
         raise ValueError(f"adaptive must be 'coherent' or 'feedforward', got {adaptive!r}")
     p = 0.0 if noise is None else noise.p_ancilla_decay
     decay = np.array([np.diag([1.0, np.sqrt(1.0 - p)]), np.sqrt(p) * SIGMA_MINUS]) if p else None
     fixed = {"cz": _CZ, "cnot_ancilla_ctrl": _FEEDFORWARD if adaptive == "feedforward" else _CNOT}
-    b = len(circuits)
-    family = _LOAD_G[None, None].repeat(b, axis=0)  # per circuit, rows (a, i) of E_k|g>
-    for j, gate in enumerate(circuits[0].gates[:-1]):  # the last gate is the reset
-        if gate.kind in fixed:
-            family = (fixed[gate.kind][:, None] @ family[:, None]).reshape(b, -1, 4, 2)
-            if decay is not None:  # acts on the ancilla rows a
-                family = (decay[:, None] @ family.reshape(b, 1, -1, 2, 4)).reshape(b, -1, 4, 2)
-        else:  # an x rotation of the ancilla (rows a) or of the data (rows i)
-            shape = (2, 4) if gate.kind == "ancilla_rx" else (2, 2)
-            turn = rx(np.array([c.gates[j].theta for c in circuits]))[:, None]
-            family = (turn @ family.reshape(b, -1, *shape)).reshape(b, -1, 4, 2)
-    s = kraus_superop(family.reshape(b, -1, 2, 2))  # A = <a|E_k|g>: rows 2a, 2a + 1 of E_k|g>
+    angles = [np.multiply.outer([m for _, m in gates], theta) for gates, theta in circuits]
+    turns, b, supers = iter(rx(np.concatenate(angles))[:, :, None]), len(circuits[0][1]), []
+    for gates, _ in circuits:
+        family = _LOAD_G[None, None].repeat(b, axis=0)  # per circuit, rows (a, i) of E_k|g>
+        for (kind, _), turn in zip(gates, turns):  # turn: (B, 1, 2, 2), unused by a fixed gate
+            if kind in fixed:
+                family = (fixed[kind][:, None] @ family[:, None]).reshape(b, -1, 4, 2)
+                if decay is not None:  # acts on the ancilla rows a
+                    family = (decay[:, None] @ family.reshape(b, 1, -1, 2, 4)).reshape(b, -1, 4, 2)
+            else:  # an x rotation of the ancilla (rows a) or of the data (rows i)
+                shape = (2, 4) if kind == "ancilla_rx" else (2, 2)
+                family = (turn @ family.reshape(b, -1, *shape)).reshape(b, -1, 4, 2)
+        supers.append(kraus_superop(family.reshape(b, -1, 2, 2)))  # <a|E_k|g>: rows 2a, 2a + 1
+    s = np.array(supers)
     if noise is not None and noise.p_grape > 0:
         # (1 - p) rho + p Tr(rho) I/2; rows 0 and 3 of s read the diagonal.
-        s = (1 - noise.p_grape) * s + noise.p_grape * (vec(I2)[:, None] * (s[:, :1] + s[:, 3:])) / 2
+        trace = vec(I2)[:, None] * (s[:, :, :1] + s[:, :, 3:])
+        s = (1 - noise.p_grape) * s + noise.p_grape * trace / 2
     return s
 
 

@@ -37,6 +37,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # Lowering operator |0><1| in the sigma_z eigenbasis with |0> the +1 state.
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
+_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
@@ -86,22 +87,24 @@ def check_positive(name: str, value) -> None:
 def check_bloch_rows(rows: np.ndarray, name) -> np.ndarray:
     """Check that each Bloch row c = (Tr rho, <sx>, <sy>, <sz>) of a real (..., 4) array is a
     qubit state and return rows unchanged: finite entries, |c0 - 1| <= 1e-10 and smallest
-    eigenvalue (c0 - |(c1, c2, c3)|)/2 >= -1e-10, so each Bloch norm is <= 1 + 3e-10.
+    eigenvalue (c0 - |(c1, c2, c3)|)/2 >= -1e-10, so each Bloch norm is <= 1 + 3e-10. Reductions
+    over all rows decide the usual all-pass case; only their failure runs the per-row search.
 
     Raises:
         ValueError: On the first violated check of the first failing row in C order, named
             by name(index) with the row's index tuple.
     """
-    c0, x, y, z = np.moveaxis(rows, -1, 0)
+    c0, x, y, z = rows.T  # (..., 4) -> four components, their axes reversed
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails both checks
-        tr_err, w_min = np.abs(c0 - 1), (c0 - np.sqrt(x * x + y * y + z * z)) / 2
-    bad = ~((tr_err <= 1e-10) & (w_min >= -1e-10))
-    if bad.any():
-        first = np.unravel_index(np.argmax(bad), bad.shape)  # () for a single row
-        if not np.isfinite(rows[first]).all():
-            raise ValueError(f"{name(first)} contains non-finite entries")
-        _raise_row_failure(rows[first], name(first))
-    return rows
+        w = c0 - np.sqrt(x * x + y * y + z * z)
+    if not rows.size or (_MAX(c0, None) - 1 <= 1e-10 and 1 - _MIN(c0, None) <= 1e-10
+                         and _MIN(w, None) / 2 >= -1e-10):
+        return rows  # |c0 - 1| rounds monotonically in c0: max and min c0 bound it
+    bad = ~((np.abs(c0 - 1) <= 1e-10) & (w / 2 >= -1e-10)).T
+    first = np.unravel_index(np.argmax(bad), bad.shape)  # () for a single row
+    if not np.isfinite(rows[first]).all():
+        raise ValueError(f"{name(first)} contains non-finite entries")
+    _raise_row_failure(rows[first], name(first))
 
 
 def _raise_row_failure(row, label):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, check_count, check_positive,
+from .linalg import (_MAX, _MIN, SIGMA_X, SIGMA_Y, SIGMA_Z, check_count, check_positive,
                      validate_density_matrix, vec)
 
 __all__ = [
@@ -90,7 +90,7 @@ def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     step, cols = np.asarray(step), np.asarray(cols)
     if n < 0 or cols.ndim < 2 or not step.shape[-1] == step.shape[-2] == cols.shape[-2]:
         raise ValueError(f"cannot step {cols.shape} states {n} times by {step.shape}")
-    batch, (d, m) = np.broadcast_shapes(step.shape[:-2], cols.shape[:-2]), cols.shape[-2:]
+    batch, (d, m) = np.broadcast(step[..., :1, :1], cols[..., :1, :1]).shape[:-2], cols.shape[-2:]
     states = np.empty(batch + (d, (n + 1) * m), dtype=np.result_type(step, cols))
     states[..., :m] = cols
     power, j = step, 1
@@ -100,7 +100,7 @@ def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         j += k
         if j <= n:
             power = power @ power
-    return np.moveaxis(states.reshape(batch + (d, n + 1, m)), -2, 0)
+    return np.rollaxis(states.reshape(batch + (d, n + 1, m)), -2)  # moveaxis(-2, 0), cheaper
 
 
 @dataclass(frozen=True)
@@ -139,14 +139,14 @@ class EvolutionTrace:
 def _bloch_terms(bloch0) -> np.ndarray:
     """The (9, 12 S) map from a rate row's monomials (1, a, w) x (1, v_y, v_z) to the
     coefficients of the basis (1, C, S, E) in the three components of each of S starts."""
-    x0, y0, z0 = np.asarray(bloch0, dtype=float).T
-    terms = np.zeros((3, 3, 3, 4, len(x0)))  # (1, a, w), (1, v_y, v_z), component, basis, start
-    terms[0, 0, 0, 3], terms[0, 1, 1, 0], terms[0, 2, 2, 0] = x0, 1, 1  # x0 on E, v_ss on 1
-    d = terms[0, :, 1:, 1]  # d = (y0, z0) - v_ss on C
-    d[0], d[1, 0], d[2, 1] = (y0, z0), -1, -1
-    terms[1, :, 1:, 2] = d * [[1], [-1]]  # (M - mI) d = a (d_y, -d_z) + w (-d_z, d_y) on S
-    terms[2, :, 1, 2], terms[2, :, 2, 2] = -d[:, 1], d[:, 0]
-    return terms.transpose(0, 1, 4, 2, 3).reshape(9, -1)
+    bloch0 = np.asarray(bloch0, dtype=float)
+    terms = np.zeros((3, 3, len(bloch0), 3, 4))  # (1, a, w), (1, v_y, v_z), start, component, basis
+    terms[0, 0, :, 0, 3], terms[0, 1, :, 1, 0], terms[0, 2, :, 2, 0] = bloch0[:, 0], 1, 1
+    d = terms[0, :, :, 1:, 1]  # x0 on E and v_ss on 1 above; d = (y0, z0) - v_ss on C
+    d[0], d[1, :, 0], d[2, :, 1] = bloch0[:, 1:], -1, -1
+    terms[1, :, :, 1:, 2] = d * [1, -1]  # (M - mI) d = a (d_y, -d_z) + w (-d_z, d_y) on S
+    terms[2, :, :, 1, 2], terms[2, :, :, 2, 2] = -d[..., 1], d[..., 0]
+    return terms.reshape(9, -1)
 
 
 def _bloch_curves(rows, terms: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -196,7 +196,7 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     s real or imaginary. Real for real rows and analytic: a complex step gives a derivative.
     """
     t = np.asarray(times, dtype=float)
-    if not np.all((t >= 0) & (t < np.inf)):  # also false for NaN
+    if not (_MIN(t, None, initial=np.inf) >= 0 and _MAX(t, None, initial=0) < np.inf):  # NaN fails
         raise ValueError(f"times must be finite and nonnegative, got {t}")
     return _bloch_curves(rows, _bloch_terms(bloch0), t).reshape(len(rows), len(bloch0), 3, -1)
 

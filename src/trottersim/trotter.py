@@ -116,9 +116,10 @@ def _step_stack(schedule: TrotterSchedule, rates: CanonicalRates, keys: list[int
     ptms = elementary_ptms(rates, [schedule.dt / order for order in orders], schedule.backend,
                            schedule.noise)
     ops = np.concatenate([np.eye(4)[None], ptms.reshape(-1, 4, 4)])
-    step = np.eye(4)
+    step = ops[0]
     # order 1 alone takes 3 slots; order 2 alone builds no dt block, so its indices drop by 3
-    for op in ops[_SCAN_ROWS[keys, 6 - 3 * orders[-1]:].T - 3 * (orders[0] - 1)]:
+    rows = np.take(_SCAN_ROWS, keys, 0)[:, 6 - 3 * orders[-1]:] - 3 * (orders[0] - 1)
+    for op in np.take(ops, rows.T, 0):
         step = op @ step
     return step
 
@@ -171,8 +172,14 @@ class AccuracyReport:
 
     def __post_init__(self):
         object.__setattr__(self, "residuals", np.asarray(self.residuals, dtype=float))
-        if not (np.isfinite(self.a) and self.a >= 0 and np.isfinite(self.residuals).all()):
+        if not (0 <= self.a < np.inf and np.isfinite(self.residuals).all()):  # NaN fails too
             raise ValueError(f"accuracy values must be finite and nonnegative, got {self}")
+
+    @classmethod
+    def _checked(cls, a: float, residuals: np.ndarray, descriptor: str):  # caller-checked values
+        report = object.__new__(cls)
+        report.__dict__.update(a=a, residuals=residuals, descriptor=descriptor)
+        return report
 
 
 def _scores(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,13 +211,15 @@ def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
 
 def _accuracies(schedule: TrotterSchedule, rates: CanonicalRates, row0: np.ndarray,
                 keys: list[int] | None = None) -> list[AccuracyReport]:
-    """Accuracy of the runs of :func:`_run_schedules`, scored as one array against
+    """Accuracy of the runs of :func:`_run_schedules`, scored and checked as one array against
     :func:`bloch_solution` from the same checked row row0."""
     rows, labels = _run_schedules(schedule, rates, row0, keys)
     times = np.arange(schedule.n_steps + 1) * schedule.dt
     exact = bloch_solution([[rates.gamma1, rates.gamma_phi, rates.omega]], [row0[1:]], times)
     a, residuals = _scores(rows[:, 1:, 1:] - exact[0, 0, :, 1:].T)
-    return [AccuracyReport(float(a[k]), residuals[k], label) for k, label in enumerate(labels)]
+    if not (np.isfinite(a).all() and np.isfinite(residuals).all()):  # once for all K reports
+        return list(map(AccuracyReport, a.tolist(), residuals, labels))  # the first failure raises
+    return list(map(AccuracyReport._checked, a.tolist(), residuals, labels))
 
 
 @dataclass(frozen=True)

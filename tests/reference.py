@@ -1,8 +1,11 @@
 """The tests' exact oracles, independent of the package: the canonical qubit master equation
 of trottersim.liouvillian's docstring as a column-stacking generator, exponentiated by scipy;
 the dephasing and damping Kraus pairs of trottersim.channels' rate conventions; and the Choi
-matrix and CPTP check that channels are compared and judged by.
+matrix and CPTP check that channels are compared and judged by; and the Bloch-row check
+written out one row at a time.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -92,3 +95,20 @@ def is_cptp(superop):
     if np.linalg.eigvalsh((j + j.conj().T) / 2).min() < -1e-8:
         return False
     return bool(np.abs(partial_trace(j, (2, 2), keep=0) - EYE).max() <= 1e-8)
+
+
+def check_bloch_rows(rows, name):
+    """trottersim.linalg.check_bloch_rows one row at a time, in Python floats: walk the
+    (..., 4) rows in C order and raise, for the first row that fails, its first violated check
+    with the package's message (finite entries, |c0 - 1| <= 1e-10, then (c0 - |r|)/2 >= -1e-10
+    with |r| = sqrt(x^2 + y^2 + z^2), reported with |r| by math.hypot); return rows."""
+    for index in np.ndindex(np.shape(rows)[:-1]):
+        c0, x, y, z = map(float, rows[index])
+        if not all(map(math.isfinite, (c0, x, y, z))):
+            raise ValueError(f"{name(index)} contains non-finite entries")
+        if not abs(c0 - 1) <= 1e-10:
+            raise ValueError(f"{name(index)} trace deviates from 1 by {abs(c0 - 1):.3e}")
+        if not (c0 - math.sqrt(x * x + y * y + z * z)) / 2 >= -1e-10:
+            w = (c0 - math.hypot(x, y, z)) / 2
+            raise ValueError(f"{name(index)} has negative eigenvalue {w:.3e}")
+    return rows

@@ -316,3 +316,13 @@ def test_kraus_channels_match_liouvillian_propagators():
 def test_public_constructors_reject_non_finite_inputs(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("backend", ["kraus", "dilation"])
+@pytest.mark.parametrize("bad", [-1.0, np.inf, -np.inf, np.nan])
+def test_elementary_ptms_rejects_a_negative_or_non_finite_duration(backend, bad):
+    # Checked before any backend arithmetic: the kraus closed forms turned -1.0 into an
+    # expanding dephasing PTM (mu = 1.105) and reported inf as an overflowing drive angle.
+    with pytest.raises(ValueError, match=rf"^dt must be nonnegative and finite, got {bad}$"):
+        elementary_ptms(CanonicalRates(0.1, 0.1, 0.0), [1.0, bad], backend, None)

@@ -140,6 +140,10 @@ def test_dilate_verify_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert report["pass"] is False
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def test_dilate_verify_fails_on_a_nan_distance(tmp_path, monkeypatch, capsys):
     # The fourth norm taken is the dephasing distance at 10 degrees, a NaN after
     # the finite one at 5 degrees: Python's max would skip it and pass.
@@ -152,9 +156,11 @@ def test_dilate_verify_fails_on_a_nan_distance(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "norm", nan_fourth)
     assert main(["dilate-verify", "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
-    report = json.loads((tmp_path / "dilate_verify.json").read_text())
-    assert np.isnan(report["distances"]["dephasing"]["10.0"])
-    assert report["pass"] is False and np.isnan(report["max_distance"])
+    # Strict JSON: a NaN distance is written as null, never as a bare NaN token.
+    report = json.loads((tmp_path / "dilate_verify.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["distances"]["dephasing"]["10.0"] is None
+    assert report["pass"] is False and report["max_distance"] is None
 
 
 def test_dilate_verify_checks_the_angles_the_dilation_backend_runs(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from trottersim.dilation import (
     DilationCircuit,
     Gate,
     NoiseParams,
+    _CIRCUIT_GATES,
     _induced_channels,
     angle_to_rates,
     damping_circuit,
@@ -280,12 +281,13 @@ def test_induced_channel_matches_the_superoperator_composition(
 def test_batched_induced_channels_equal_each_circuit_bit_for_bit(
     kind, thetas, noise_kind, p_grape, p_decay, adaptive
 ):
-    # The dilation backends contract B circuits of one kind as one batch; each
-    # batch entry must be exactly the circuit's own induced_channel.
+    # The dilation backends contract B circuits of one kind as one batch, from the kind's
+    # gate table and its B angles; each batch entry must be exactly the circuit's own
+    # induced_channel.
     noise = {"off": None, "decay": NoiseParams(0.0, p_decay),
              "both": NoiseParams(p_grape, p_decay)}[noise_kind]
     circuits = [_CIRCUITS[kind](theta) for theta in thetas]
-    batch = _induced_channels(circuits, noise, adaptive)
+    (batch,) = _induced_channels([(_CIRCUIT_GATES[kind], np.array(thetas))], noise, adaptive)
     assert batch.shape == (len(circuits), 4, 4)
     for circuit, s in zip(circuits, batch):
         assert s.tobytes() == induced_channel(circuit, noise, adaptive).tobytes()
@@ -294,7 +296,7 @@ def test_batched_induced_channels_equal_each_circuit_bit_for_bit(
 def test_run_circuit_rejects_bad_adaptive_mode():
     # The batched contraction that runs the dilation backends' circuits checks the mode too.
     with pytest.raises(ValueError, match="adaptive"):
-        _induced_channels([damping_circuit(0.3)], None, adaptive="magic")
+        _induced_channels([(_CIRCUIT_GATES["damping"], np.ones(1))], None, adaptive="magic")
 
 
 def test_induced_channel_rejects_bad_adaptive_mode():

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trottersim import liouvillian, trotter
-from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates
+from trottersim.dilation import (AngleParams, NoiseParams, angle_to_rates, damping_circuit,
+                                 dephasing_circuit, induced_channel, rates_to_angles,
+                                 rotation_circuit)
 from trottersim.tomography import FitResult
 from reference import choi, damping_kraus, dephasing_kraus, superop_of
 from trottersim.channels import elementary_ptms
@@ -251,6 +253,24 @@ def test_result_records_accept_finite_values_and_a_missing_slope():
     assert FitResult(10.0, 20.0, -0.1, 0.0, False).t2 == 20.0
 
 
+def test_scan_checks_its_scores_once_and_names_the_first_bad_report(monkeypatch):
+    # The scan checks its twelve scores as one array before it builds the reports; a
+    # non-finite score fails with the message of the first report AccuracyReport rejects.
+    scores = trotter._scores
+
+    def spoiled(diff):
+        a, residuals = scores(diff)
+        residuals[4, 2], a[7] = np.nan, np.inf
+        return a, residuals
+
+    monkeypatch.setattr(trotter, "_scores", spoiled)
+    with pytest.raises(ValueError) as excinfo:
+        permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0)
+    message = str(excinfo.value)
+    assert message.startswith("accuracy values must be finite and nonnegative, got AccuracyReport(")
+    assert message.endswith(f"descriptor='trotter-o1-{'-'.join(ALL_PERMUTATIONS[4])}')")
+
+
 def test_overflowing_drive_angle_is_rejected_without_warnings():
     # 2 pi omega dt overflows to inf; cos and sin of it would warn and yield NaN.
     rates = CanonicalRates(0.01, 0.01, 1e308)
@@ -470,6 +490,30 @@ def test_every_elementary_ptm_is_cptp(backend, label, rates, noise, dt):
         ALL_LABELS.index(label)]
     assert np.linalg.eigvalsh(choi(superop_of(ptm))).min() >= -1e-12
     assert np.abs(ptm[0] - [1, 0, 0, 0]).max() <= 1e-15
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    backend=st.sampled_from(["dilation", "dilation+noise"]),
+    with_noise=st.booleans(),
+    rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
+    noise=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    durations=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=3),
+)
+def test_dilation_ptms_are_the_public_circuits_bit_for_bit(
+    backend, with_noise, rates, noise, durations
+):
+    # Each circuit's gates are written once: the backends contract them from angle arrays,
+    # and must give exactly Re(P^dag S P)/2 of induced_channel of the public builders'
+    # circuits at the angles rates_to_angles gives each duration.
+    rates = CanonicalRates(*rates)
+    noise = NoiseParams(*noise) if with_noise else None
+    for dt, ptms in zip(durations, elementary_ptms(rates, durations, backend, noise)):
+        angles = rates_to_angles(rates, dt)
+        circuits = (dephasing_circuit(angles.theta1), damping_circuit(angles.theta2),
+                    rotation_circuit(angles.theta3))
+        supers = np.array([induced_channel(circuit, noise) for circuit in circuits])
+        assert ptms.tobytes() == (np.real(BLOCH_ROWS @ supers @ BLOCH_ROWS.conj().T) / 2).tobytes()
 
 
 def test_stacked_run_names_unphysical_step_and_schedule(monkeypatch):
