@@ -23,6 +23,10 @@ from .liouvillian import BLOCH_ROWS, CanonicalRates
 
 __all__ = ["elementary_ptms"]
 
+# kraus PTM entries by row: indices into a duration's 0, 1, mu, nu, nu^2, 1 - nu^2, cos, -sin, sin
+_KRAUS_ENTRIES = np.array(list("1000020000200001" "1000030000305004" "1000010000670086"), int)
+
+
 def elementary_ptms(
     rates: CanonicalRates, durations: list[float], backend: str, noise: NoiseParams | None
 ) -> np.ndarray:
@@ -43,16 +47,15 @@ def elementary_ptms(
         thetas = np.array([(a.theta1, a.theta2, a.theta3) for a in angles]).T
         supers = _induced_channels(list(zip(_CIRCUIT_GATES.values(), thetas)), noise)
         return np.real(BLOCH_ROWS @ supers.swapaxes(0, 1) @ BLOCH_ROWS.conj().T) / 2
-    dt = np.array(durations)
-    with np.errstate(over="ignore"):  # a rate that overflows decays to 0; the angle is checked
-        mu, nu = np.exp(-rates.gamma_phi * dt), np.exp(-rates.gamma1 * dt / 2)
-        theta = 2 * np.pi * rates.omega * dt
-    if not np.isfinite(theta).all():  # the longest duration's angle overflows whenever one does
-        raise ValueError(f"drive angle 2 pi omega dt overflows: omega={rates.omega}, dt={dt.max()}")
-    ptms = np.zeros((len(dt), 3, 4, 4)) + np.eye(4)
-    ptms[:, 0, 1, 1] = ptms[:, 0, 2, 2] = mu
-    ptms[:, 1, 1, 1] = ptms[:, 1, 2, 2] = nu
-    ptms[:, 1, 3, 3], ptms[:, 1, 3, 0] = nu * nu, 1 - nu * nu
-    ptms[:, 2, 2, 2] = ptms[:, 2, 3, 3] = np.cos(theta)
-    ptms[:, 2, 2, 3], ptms[:, 2, 3, 2] = -np.sin(theta), np.sin(theta)
-    return ptms
+    dt = [float(d) for d in durations]  # Python floats: an overflowing rate x dt is inf, silently
+    if not abs(2 * np.pi * rates.omega * max(dt, default=0.0)) < np.inf:  # the longest's angle
+        raise ValueError("drive angle 2 pi omega dt overflows: "
+                         f"omega={rates.omega}, dt={max(durations)}")
+    args = np.array([[0.0, -rates.gamma_phi * d, -rates.gamma1 / 2 * d, 2 * np.pi * rates.omega * d]
+                     for d in dt]).reshape(-1, 4)  # exponents of 1, mu and nu, then theta
+    values = np.zeros((len(dt), 9))
+    np.exp(args[:, :3], out=values[:, 1:4])
+    np.subtract(1, np.multiply(values[:, 3], values[:, 3], out=values[:, 4]), out=values[:, 5])
+    np.cos(args[:, 3], out=values[:, 6])
+    np.negative(np.sin(args[:, 3], out=values[:, 8]), out=values[:, 7])
+    return np.take(values, _KRAUS_ENTRIES, 1).reshape(-1, 3, 4, 4)

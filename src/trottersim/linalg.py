@@ -87,20 +87,26 @@ def check_positive(name: str, value) -> None:
 def check_bloch_rows(rows: np.ndarray, name) -> np.ndarray:
     """Check that each Bloch row c = (Tr rho, <sx>, <sy>, <sz>) of a real (..., 4) array is a
     qubit state and return rows unchanged: finite entries, |c0 - 1| <= 1e-10 and smallest
-    eigenvalue (c0 - |(c1, c2, c3)|)/2 >= -1e-10, so each Bloch norm is <= 1 + 3e-10. Reductions
-    over all rows decide the usual all-pass case; only their failure runs the per-row search.
+    eigenvalue (c0 - |r|)/2 >= -1e-10, |r| = sqrt(x*x + y*y + z*z), so each Bloch norm is <=
+    1 + 3e-10. As rounding is monotone, max and min c0 bound every |c0 - 1| and (min c0 - sqrt(max
+    |r|^2))/2 every eigenvalue; only where those bounds fail does the exact per-row pass run.
 
     Raises:
         ValueError: On the first violated check of the first failing row in C order, named
             by name(index) with the row's index tuple.
     """
     c0, x, y, z = rows.T  # (..., 4) -> four components, their axes reversed
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails both checks
-        w = c0 - np.sqrt(x * x + y * y + z * z)
-    if not rows.size or (_MAX(c0, None) - 1 <= 1e-10 and 1 - _MIN(c0, None) <= 1e-10
-                         and _MIN(w, None) / 2 >= -1e-10):
-        return rows  # |c0 - 1| rounds monotonically in c0: max and min c0 bound it
-    bad = ~((np.abs(c0 - 1) <= 1e-10) & (w / 2 >= -1e-10)).T
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails every check
+        r2 = x * x  # |r|^2 = x*x + y*y + z*z, added in that order in place
+        r2 += y * y
+        r2 += z * z
+        lo = _MIN(c0, None, initial=np.inf)  # the initial values pass an empty array
+        if (_MAX(c0, None, initial=1) - 1 <= 1e-10 and 1 - lo <= 1e-10
+                and (lo - math.sqrt(_MAX(r2, None, initial=0))) / 2 >= -1e-10):
+            return rows
+        bad = ~((np.abs(c0 - 1) <= 1e-10) & ((c0 - np.sqrt(r2)) / 2 >= -1e-10)).T
+    if not bad.any():
+        return rows
     first = np.unravel_index(np.argmax(bad), bad.shape)  # () for a single row
     if not np.isfinite(rows[first]).all():
         raise ValueError(f"{name(first)} contains non-finite entries")
@@ -134,12 +140,11 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
         raise ValueError(f"{name} must be a 2x2 qubit state, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError(f"{name} contains non-finite entries")
-    (a, c), (b, d) = rho
+    (a, c), (b, d) = rho.tolist()  # Python complex numbers: an overflow is inf, rejected
     herm_err = max(2 * max(abs(a.imag), abs(d.imag)), abs(b - c.conjugate()))
     if herm_err > 1e-12:
         raise ValueError(f"{name} is not Hermitian: max deviation {herm_err:.3e}")
-    (re_a, _), (re_b, re_d) = rho.real.tolist()  # Python floats: an overflow is inf, rejected
-    row = c0, x, y, z = re_a + re_d, 2 * re_b, 2 * b.imag.item(), re_a - re_d
+    row = c0, x, y, z = a.real + d.real, 2 * b.real, 2 * b.imag, a.real - d.real
     if not (abs(c0 - 1) <= 1e-10 and (c0 - math.sqrt(x * x + y * y + z * z)) / 2 >= -1e-10):
         _raise_row_failure(row, name)
     return np.array(row)

@@ -1,4 +1,4 @@
-"""Exact evolution of a driven lossy qubit: conventions, stepping kernel and closed form.
+"""Exact evolution of a driven lossy qubit: conventions, stepping kernel, closed form, exact step.
 
 Conventions fixed here and used across the package:
 
@@ -93,17 +93,14 @@ def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     batch, (d, m) = np.broadcast(step[..., :1, :1], cols[..., :1, :1]).shape[:-2], cols.shape[-2:]
     states = np.empty(batch + (d, (n + 1) * m), dtype=np.result_type(step, cols))
     states[..., :m] = cols
-    power, j = step, 1
-    while j <= n:
+    for r in range(int(n).bit_length()):  # rounds j = 2^r <= n, power = step^j
+        j, power = 1 << r, power @ power if r else step
         k = min(j, n + 1 - j)
         np.matmul(power, states[..., : k * m], out=states[..., j * m : (j + k) * m])
-        j += k
-        if j <= n:
-            power = power @ power
-    return np.rollaxis(states.reshape(batch + (d, n + 1, m)), -2)  # moveaxis(-2, 0), cheaper
+    return states.reshape(*batch, d, n + 1, m).transpose(-2, *range(len(batch) + 1), -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionTrace:
     """Bloch-vector record of a stepped qubit evolution.
 
@@ -120,8 +117,7 @@ class EvolutionTrace:
     def __post_init__(self):
         for name in ("times", "sx", "sy", "sz"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.times.size
-        if any(getattr(self, k).size != n for k in ("sx", "sy", "sz")):
+        if any(getattr(self, k).size != self.times.size for k in ("sx", "sy", "sz")):
             raise ValueError("trace component lengths differ")
 
     def __len__(self) -> int:
@@ -151,15 +147,17 @@ def _bloch_terms(bloch0) -> np.ndarray:
 
 def _bloch_curves(rows, terms: np.ndarray, t: np.ndarray) -> np.ndarray:
     """:func:`bloch_solution` as (K, 3 S, T) curves for terms = _bloch_terms(bloch0), t checked."""
-    sqrt = cmath.sqrt if np.iscomplexobj(rows) else math.sqrt
-    tmax2, monos, consts, cases = float(t.max(initial=0.0)) ** 2, [], [], []
+    sqrt, tmax = cmath.sqrt if np.iscomplexobj(rows) else math.sqrt, float(t.max(initial=0.0))
+    if not tmax < 1.34e154:  # where tmax ** 2 would raise OverflowError
+        raise ValueError(f"times must be below 1.34e154, where t^2 overflows, got {tmax}")
+    monos, consts, cases = [], [], []
     for g1, rphi, omega in np.asarray(rows).tolist():
         g2, w = g1 / 2 + rphi, 2 * math.pi * omega
         m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
         q = a * a - w * w
         vy, vz = (-w * g1 / det, g1 * g2 / det) if det else (0.0, 0.0)
         monos.append([p * v for p in (1, a, w) for v in (1, vy, vz)])
-        case = 0 if abs(q) * tmax2 < 1e-5 else 1 if q.real > 0 else 2  # series, s real, imaginary
+        case = 0 if abs(q) * tmax**2 < 1e-5 else 1 if q.real > 0 else 2  # series, s real, imaginary
         s = q if case == 0 else sqrt(q if case == 1 else -q)
         consts.append((det / (m - s) if case == 1 else m, -g2, s))  # m + s = det/(m - s)
         cases.append(case)
@@ -201,18 +199,29 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     return _bloch_curves(rows, _bloch_terms(bloch0), t).reshape(len(rows), len(bloch0), 3, -1)
 
 
+_STEP_TERMS = _bloch_terms(np.eye(4)[:, 1:])  # the starts 0, x, y, z, built once
+
+
+def _exact_step(rates: CanonicalRates, tau: float) -> np.ndarray:
+    """The exact one-step PTM E(tau): column 0 is (1, v_0) and column j is (0, v_j - v_0), with v_0
+    and v_j the closed form's Bloch vectors at tau from the start 0 and from the axis j."""
+    v = _bloch_curves([[rates.gamma1, rates.gamma_phi, rates.omega]], _STEP_TERMS, np.array([tau]))
+    step = np.eye(4)  # C order: matmul takes another BLAS kernel, with other bits, for F order
+    step[1:, 0], step[1:, 1:] = v[0, :3, 0], (v[0, 3:, 0].reshape(3, 3) - v[0, :3, 0]).T
+    return step
+
+
 def target_trace(rates: CanonicalRates, rho0: np.ndarray, tau0: float,
                  n_steps: int) -> EvolutionTrace:
-    """Exact evolution of rho0 by :func:`bloch_solution` at t = j*tau0, j = 0..n_steps, from
-    the Bloch row that validate_density_matrix checks and returns.
+    """Exact evolution of rho0 at t = j*tau0, j = 0..n_steps: the Bloch row validate_density_matrix
+    checks and returns, stepped by :func:`propagate` with the exact step E(tau0) of the closed form.
 
     Raises:
-        ValueError: When n_steps is not an integer >= 1, tau0 is not positive and finite, or rho0
-            fails validate_density_matrix (Hermiticity, then check_bloch_rows on its Bloch row).
+        ValueError: When n_steps is not an integer >= 1, tau0 is not positive and finite (or
+            not below 1.34e154), or rho0 fails validate_density_matrix.
     """
     check_count("n_steps", n_steps)
     check_positive("tau0", tau0)
-    v0 = validate_density_matrix(rho0, "rho0")[1:]
-    times = np.arange(n_steps + 1) * tau0
-    sx, sy, sz = bloch_solution([[rates.gamma1, rates.gamma_phi, rates.omega]], [v0], times)[0, 0]
-    return EvolutionTrace(times, sx, sy, sz, label="target")
+    row0 = validate_density_matrix(rho0, "rho0")
+    rows = propagate(_exact_step(rates, tau0), row0[:, None], n_steps)[:, 1:, 0]
+    return EvolutionTrace(np.arange(n_steps + 1.0) * tau0, *rows.T, label="target")

@@ -25,7 +25,7 @@ from .channels import elementary_ptms
 from .dilation import NoiseParams
 from .linalg import (KET_1, check_bloch_rows, check_count, check_positive, density,
                      validate_density_matrix)
-from .liouvillian import CanonicalRates, EvolutionTrace, bloch_solution, propagate
+from .liouvillian import CanonicalRates, EvolutionTrace, _exact_step, propagate
 
 __all__ = [
     "DEPHASING",
@@ -118,8 +118,7 @@ def _step_stack(schedule: TrotterSchedule, rates: CanonicalRates, keys: list[int
     ops = np.concatenate([np.eye(4)[None], ptms.reshape(-1, 4, 4)])
     step = ops[0]
     # order 1 alone takes 3 slots; order 2 alone builds no dt block, so its indices drop by 3
-    rows = np.take(_SCAN_ROWS, keys, 0)[:, 6 - 3 * orders[-1]:] - 3 * (orders[0] - 1)
-    for op in np.take(ops, rows.T, 0):
+    for op in ops[_SCAN_ROWS[keys, 6 - 3 * orders[-1]:].T - 3 * (orders[0] - 1)]:
         step = op @ step
     return step
 
@@ -130,14 +129,15 @@ def _initial_row(rho0: np.ndarray | None) -> np.ndarray:
 
 
 def _run_schedules(schedule: TrotterSchedule, rates: CanonicalRates, row0: np.ndarray,
-                   keys: list[int] | None = None) -> tuple[np.ndarray, list[str]]:
-    """The checked (K, n+1, 4) Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) of the scan rows keys
-    (default the schedule's own), stepped as one stack from the checked row row0, and labels."""
+                   keys: list[int] | None = None, extra=()) -> tuple[np.ndarray, list[str]]:
+    """Checked (K, n+1, 4) Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) of the scan rows keys (default
+    the schedule's own), then unchecked rows of the extra (4, 4) steps, stepped from row0 as one
+    stack; and the labels."""
     keys = [_SCAN.index((schedule.order, schedule.permutation))] if keys is None else keys
-    ptms = _step_stack(schedule, rates, keys)
-    rows = propagate(ptms, row0[:, None], schedule.n_steps)[..., 0].swapaxes(0, 1)
+    steps = np.concatenate([_step_stack(schedule, rates, keys), np.reshape(extra, (-1, 4, 4))])
+    rows = propagate(steps, row0[:, None], schedule.n_steps)[..., 0].swapaxes(0, 1)
     labels = [_SCAN_LABELS[k] for k in keys]
-    check_bloch_rows(rows, lambda kj: f"step {kj[1]} state of {labels[kj[0]]}")
+    check_bloch_rows(rows[: len(keys)], lambda kj: f"step {kj[1]} state of {labels[kj[0]]}")
     return rows, labels
 
 
@@ -158,11 +158,11 @@ def run_schedule(
         row checked by :func:`~trottersim.linalg.check_bloch_rows`.
     """
     rows, labels = _run_schedules(schedule, rates, _initial_row(rho0))
-    times = np.arange(schedule.n_steps + 1) * schedule.dt
+    times = np.arange(schedule.n_steps + 1.0) * schedule.dt
     return EvolutionTrace(times, *rows[0, :, 1:].T, label=labels[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccuracyReport:
     """Accuracy A of a trace against the exact target, with per-step residuals."""
 
@@ -211,12 +211,10 @@ def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
 
 def _accuracies(schedule: TrotterSchedule, rates: CanonicalRates, row0: np.ndarray,
                 keys: list[int] | None = None) -> list[AccuracyReport]:
-    """Accuracy of the runs of :func:`_run_schedules`, scored and checked as one array against
-    :func:`bloch_solution` from the same checked row row0."""
-    rows, labels = _run_schedules(schedule, rates, row0, keys)
-    times = np.arange(schedule.n_steps + 1) * schedule.dt
-    exact = bloch_solution([[rates.gamma1, rates.gamma_phi, rates.omega]], [row0[1:]], times)
-    a, residuals = _scores(rows[:, 1:, 1:] - exact[0, 0, :, 1:].T)
+    """Accuracy of the runs of :func:`_run_schedules` from the checked row row0, scored as one
+    array against the run of the exact step E(dt) stacked after them."""
+    rows, labels = _run_schedules(schedule, rates, row0, keys, [_exact_step(rates, schedule.dt)])
+    a, residuals = _scores(rows[:-1, 1:, 1:] - rows[-1, 1:, 1:])
     if not (np.isfinite(a).all() and np.isfinite(residuals).all()):  # once for all K reports
         return list(map(AccuracyReport, a.tolist(), residuals, labels))  # the first failure raises
     return list(map(AccuracyReport._checked, a.tolist(), residuals, labels))

@@ -88,6 +88,15 @@ def test_evolve_rejects_a_trace_outside_the_bloch_ball(tmp_path, monkeypatch, ca
     assert not (tmp_path / "evolve.csv").exists()
 
 
+def test_evolve_with_a_time_whose_square_overflows_exits_with_a_message(tmp_path, capsys):
+    # tau0 = 1e200 us gave an OverflowError traceback from the exact form's series test.
+    cfg = write_config(tmp_path, "angles: {tau0_us: 1.0e+200}\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: times must be below 1.34e154")
+    assert not (tmp_path / "evolve.csv").exists()
+
+
 # ----------------------------------------------------------------- trotter
 
 

@@ -25,6 +25,7 @@ from trottersim.liouvillian import (
     propagate,
     target_trace,
 )
+from trottersim import liouvillian
 from trottersim.trotter import _SCAN, TrotterSchedule, _step_stack
 
 RHO_1 = density(KET_1)
@@ -372,3 +373,83 @@ def test_bloch_solution_rejects_negative_or_non_finite_times(bad):
 def test_evolution_trace_shape_check():
     with pytest.raises(ValueError):
         EvolutionTrace(np.arange(3), np.zeros(3), np.zeros(2), np.zeros(3))
+
+
+# -------------------------------------------------- the exact step and the stepped target
+
+
+def _density_of(r):
+    """The density matrix of Bloch vector r."""
+    return (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
+
+
+@st.composite
+def exact_rates(draw):
+    """Rates, some undamped (gamma1 = gamma_phi = 0), undriven (omega = 0) or both, and some at
+    the exceptional point w = |a|, where q = a^2 - w^2 vanishes to rounding and the exact step
+    takes the series case."""
+    kind = draw(st.sampled_from(["free", "undamped", "undriven", "zero", "series"]))
+    g1, gamma_phi = draw(st.floats(0, 0.1)), draw(st.floats(0, 0.1))
+    omega = draw(st.floats(-0.2, 0.2))
+    if kind in ("undamped", "zero"):
+        g1 = gamma_phi = 0.0
+    if kind in ("undriven", "zero"):
+        omega = 0.0
+    if kind == "series":  # a = (G1 - G2)/2 = (g1/2 - gamma_phi)/2 and w = 2 pi omega = |a|
+        omega = abs(g1 / 2 - gamma_phi) / (4 * np.pi)
+    return CanonicalRates(g1, gamma_phi, omega)
+
+
+_BALL = st.tuples(*[st.floats(-1, 1)] * 3).map(lambda v: np.array(v) / max(1, np.linalg.norm(v)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rates=exact_rates(), tau=st.floats(0.01, 5.0), starts=st.lists(_BALL, min_size=1,
+                                                                         max_size=4))
+def test_exact_step_maps_each_start_to_the_closed_form_at_one_step(rates, tau, starts):
+    # E(tau) is affine in the start: its columns are the closed form's images of the start 0
+    # and the differences for the axes. Kills E built from undifferenced columns (v_j for
+    # v_j - v_0), which differs wherever damping moves the start 0.
+    step = liouvillian._exact_step(rates, tau)
+    assert step.flags.c_contiguous and step[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    got = step @ np.vstack([np.ones(len(starts)), np.transpose(starts)])
+    row = [[rates.gamma1, rates.gamma_phi, rates.omega]]
+    want = bloch_solution(row, starts, [tau])[0, :, :, 0]
+    np.testing.assert_allclose(got[1:].T, want, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rates=exact_rates(), tau=st.floats(0.01, 5.0), n=st.integers(1, 10_000), r=_BALL)
+@example(rates=CanonicalRates(0.0, 0.0, 0.2), tau=5.0, n=10_000, r=np.array([0.0, 0.6, 0.8]))
+def test_target_trace_follows_the_closed_form_at_every_sample(rates, tau, n, r):
+    # Stepping E(tau) reproduces the closed form at t = j*tau to 1e-13 wherever anything damps.
+    # Undamped, both forms carry their own rounding: stepping n ulps of norm, the closed form
+    # |w| t_n ulps of phase from its rounded argument (both about 1e-11 at this example), so
+    # the bound grows by those. Kills a target one sample off (stepped from E(tau) row0) and E
+    # built from undifferenced columns.
+    trace = target_trace(rates, _density_of(r), tau, n)
+    np.testing.assert_array_equal(trace.times, np.arange(n + 1) * tau)
+    row = [[rates.gamma1, rates.gamma_phi, rates.omega]]
+    exact = bloch_solution(row, [r], trace.times)[0, 0]
+    eps, phase = np.finfo(float).eps, abs(2 * np.pi * rates.omega) * trace.times[-1]
+    np.testing.assert_allclose(trace.as_matrix(), exact.T, rtol=0,
+                               atol=1e-13 + 2 * eps * (n + phase))
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: bloch_solution([[0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0]], [0.0, t]),
+    lambda t: target_trace(CanonicalRates(0.1, 0.1, 0.1), RHO_1, t, 13),
+], ids=["bloch_solution", "target_trace"])
+def test_times_whose_square_overflows_are_rejected(call):
+    # t^2 overflows above about 1.34e154; the series test squared the longest time and raised
+    # OverflowError, which no caller expects.
+    call(1.3e154)
+    with pytest.raises(ValueError, match="^times must be below 1.34e154, where t\\^2 overflows"):
+        call(1.0e200)
+
+
+def test_evolution_traces_compare_by_identity():
+    # A trace holds arrays, so a generated field-wise == raised numpy's ambiguous truth value.
+    trace = target_trace(CanonicalRates(0.1), RHO_1, 1.0, 3)
+    assert (trace == trace) is True
+    assert (trace == target_trace(CanonicalRates(0.1), RHO_1, 1.0, 3)) is False
