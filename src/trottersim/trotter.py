@@ -134,7 +134,8 @@ def _run_schedules(schedule: TrotterSchedule, rates: CanonicalRates, row0: np.nd
     the schedule's own), then unchecked rows of the extra (4, 4) steps, stepped from row0 as one
     stack; and the labels."""
     keys = [_SCAN.index((schedule.order, schedule.permutation))] if keys is None else keys
-    steps = np.concatenate([_step_stack(schedule, rates, keys), np.reshape(extra, (-1, 4, 4))])
+    steps = _step_stack(schedule, rates, keys)
+    steps = np.concatenate([steps, extra]) if len(extra) else steps
     rows = propagate(steps, row0[:, None], schedule.n_steps)[..., 0].swapaxes(0, 1)
     labels = [_SCAN_LABELS[k] for k in keys]
     check_bloch_rows(rows[: len(keys)], lambda kj: f"step {kj[1]} state of {labels[kj[0]]}")
@@ -211,8 +212,7 @@ def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
 
 def _accuracies(schedule: TrotterSchedule, rates: CanonicalRates, row0: np.ndarray,
                 keys: list[int] | None = None) -> list[AccuracyReport]:
-    """Accuracy of the runs of :func:`_run_schedules` from the checked row row0, scored as one
-    array against the run of the exact step E(dt) stacked after them."""
+    """Accuracy of the runs of :func:`_run_schedules` from row0 against E(dt)'s run stacked last."""
     rows, labels = _run_schedules(schedule, rates, row0, keys, [_exact_step(rates, schedule.dt)])
     a, residuals = _scores(rows[:-1, 1:, 1:] - rows[-1, 1:, 1:])
     if not (np.isfinite(a).all() and np.isfinite(residuals).all()):  # once for all K reports
