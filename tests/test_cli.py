@@ -89,7 +89,8 @@ def test_evolve_rejects_a_trace_outside_the_bloch_ball(tmp_path, monkeypatch, ca
 
 
 def test_evolve_with_a_time_whose_square_overflows_exits_with_a_message(tmp_path, capsys):
-    # tau0 = 1e200 us gave an OverflowError traceback from the exact form's series test.
+    # tau0 = 1e200 us squares past the largest float in the exact form's series test: a
+    # ValueError that main reports, not an OverflowError traceback.
     cfg = write_config(tmp_path, "angles: {tau0_us: 1.0e+200}\n")
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err

@@ -425,7 +425,7 @@ def test_target_trace_follows_the_closed_form_at_every_sample(rates, tau, n, r):
     # Stepping E(tau) reproduces the closed form at t = j*tau to 1e-13 wherever anything damps.
     # Undamped, both forms carry their own rounding: stepping n ulps of norm, the closed form
     # |w| t_n ulps of phase from its rounded argument (both about 1e-11 at this example), so
-    # the bound grows by those. Kills a target one sample off (stepped from E(tau) row0) and E
+    # the bound grows by those. Kills a target one sample off (its states one step late) and E
     # built from undifferenced columns.
     trace = target_trace(rates, _density_of(r), tau, n)
     np.testing.assert_array_equal(trace.times, np.arange(n + 1) * tau)
@@ -441,15 +441,15 @@ def test_target_trace_follows_the_closed_form_at_every_sample(rates, tau, n, r):
     lambda t: target_trace(CanonicalRates(0.1, 0.1, 0.1), RHO_1, t, 13),
 ], ids=["bloch_solution", "target_trace"])
 def test_times_whose_square_overflows_are_rejected(call):
-    # t^2 overflows above about 1.34e154; the series test squared the longest time and raised
-    # OverflowError, which no caller expects.
+    # t^2 overflows above about 1.34e154, and the series test squares the longest time: such a
+    # time is a ValueError, which callers handle, not an OverflowError.
     call(1.3e154)
     with pytest.raises(ValueError, match="^times must be below 1.34e154, where t\\^2 overflows"):
         call(1.0e200)
 
 
 def test_evolution_traces_compare_by_identity():
-    # A trace holds arrays, so a generated field-wise == raised numpy's ambiguous truth value.
+    # A trace holds arrays, whose field-wise == has no truth value: traces compare by identity.
     trace = target_trace(CanonicalRates(0.1), RHO_1, 1.0, 3)
     assert (trace == trace) is True
     assert (trace == target_trace(CanonicalRates(0.1), RHO_1, 1.0, 3)) is False

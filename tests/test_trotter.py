@@ -248,7 +248,7 @@ def test_result_records_reject_non_finite_values(build):
 
 
 def test_accuracy_reports_compare_by_identity():
-    # A report holds an array, so a generated field-wise == raised numpy's ambiguous truth value.
+    # A report holds an array, whose field-wise == has no truth value: reports compare by identity.
     report = AccuracyReport(0.1, [0.1, 0.2])
     assert (report == report) is True
     assert (report == AccuracyReport(0.1, [0.1, 0.2])) is False
