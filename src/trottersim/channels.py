@@ -23,10 +23,6 @@ from .liouvillian import BLOCH_ROWS, CanonicalRates
 
 __all__ = ["elementary_ptms"]
 
-# kraus PTM entries by row: indices into a duration's 0, 1, mu, nu, nu^2, 1 - nu^2, cos, -sin, sin
-_KRAUS_ENTRIES = np.array(list("1000020000200001" "1000030000305004" "1000010000670086"), int)
-
-
 def elementary_ptms(
     rates: CanonicalRates, durations: list[float], backend: str, noise: NoiseParams | None
 ) -> np.ndarray:
@@ -51,11 +47,13 @@ def elementary_ptms(
     if not abs(2 * np.pi * rates.omega * max(dt, default=0.0)) < np.inf:  # the longest's angle
         raise ValueError("drive angle 2 pi omega dt overflows: "
                          f"omega={rates.omega}, dt={max(durations)}")
-    args = np.array([[0.0, -rates.gamma_phi * d, -rates.gamma1 / 2 * d, 2 * np.pi * rates.omega * d]
-                     for d in dt]).reshape(-1, 4)  # exponents of 1, mu and nu, then theta
-    values = np.zeros((len(dt), 9))
-    np.exp(args[:, :3], out=values[:, 1:4])
-    np.subtract(1, np.multiply(values[:, 3], values[:, 3], out=values[:, 4]), out=values[:, 5])
-    np.cos(args[:, 3], out=values[:, 6])
-    np.negative(np.sin(args[:, 3], out=values[:, 8]), out=values[:, 7])
-    return np.take(values, _KRAUS_ENTRIES, 1).reshape(-1, 3, 4, 4)
+    mu, nu = np.exp([[-rates.gamma_phi * d for d in dt], [-rates.gamma1 * d / 2 for d in dt]])
+    theta = [2 * np.pi * rates.omega * d for d in dt]
+    cos, sin = np.cos(theta), np.sin(theta)
+    ptms = np.zeros((len(dt), 3, 4, 4)) + np.eye(4)
+    ptms[:, 0, 1, 1] = ptms[:, 0, 2, 2] = mu
+    ptms[:, 1, 1, 1] = ptms[:, 1, 2, 2] = nu
+    ptms[:, 1, 3, 3], ptms[:, 1, 3, 0] = nu * nu, 1 - nu * nu
+    ptms[:, 2, 2, 2] = ptms[:, 2, 3, 3] = cos
+    ptms[:, 2, 2, 3], ptms[:, 2, 3, 2] = -sin, sin
+    return ptms

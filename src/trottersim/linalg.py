@@ -141,7 +141,7 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     if not np.isfinite(rho).all():
         raise ValueError(f"{name} contains non-finite entries")
     (a, c), (b, d) = rho.tolist()  # Python complex numbers: an overflow is inf, rejected
-    herm_err = max(2 * max(abs(a.imag), abs(d.imag)), abs(b - c.conjugate()))
+    herm_err = max(2 * max(abs(a.imag), abs(d.imag)), math.hypot(b.real - c.real, b.imag + c.imag))
     if herm_err > 1e-12:
         raise ValueError(f"{name} is not Hermitian: max deviation {herm_err:.3e}")
     row = c0, x, y, z = a.real + d.real, 2 * b.real, 2 * b.imag, a.real - d.real

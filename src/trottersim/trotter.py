@@ -129,13 +129,13 @@ def _initial_row(rho0: np.ndarray | None) -> np.ndarray:
 
 
 def _run_schedules(schedule: TrotterSchedule, rates: CanonicalRates, row0: np.ndarray,
-                   keys: list[int] | None = None, extra=()) -> tuple[np.ndarray, list[str]]:
+                   keys: list[int] | None = None,
+                   extra=np.empty((0, 4, 4))) -> tuple[np.ndarray, list[str]]:
     """Checked (K, n+1, 4) Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) of the scan rows keys (default
     the schedule's own), then unchecked rows of the extra (4, 4) steps, stepped from row0 as one
     stack; and the labels."""
     keys = [_SCAN.index((schedule.order, schedule.permutation))] if keys is None else keys
-    steps = _step_stack(schedule, rates, keys)
-    steps = np.concatenate([steps, extra]) if len(extra) else steps
+    steps = np.concatenate([_step_stack(schedule, rates, keys), extra])
     rows = propagate(steps, row0[:, None], schedule.n_steps)[..., 0].swapaxes(0, 1)
     labels = [_SCAN_LABELS[k] for k in keys]
     check_bloch_rows(rows[: len(keys)], lambda kj: f"step {kj[1]} state of {labels[kj[0]]}")

@@ -191,11 +191,13 @@ def test_validate_density_matrix_single_matrix_messages(rho, message):
         (np.array([[0.5, 1e200], [1e200, 0.5]]), "rho has negative eigenvalue -1.000e+200"),
         (np.array([[0.5, 0.85e308 - 0.85e308j], [0.85e308 + 0.85e308j, 0.5]]),
          "rho has negative eigenvalue -inf"),
+        (np.array([[0.5, 1.5e308j], [1.5e308, 0.5]]), "rho is not Hermitian: max deviation inf"),
     ],
-    ids=["trace-overflows", "bloch-norm-overflows", "bloch-norm-past-the-largest-float"],
+    ids=["trace-overflows", "bloch-norm-overflows", "bloch-norm-past-the-largest-float",
+         "hermiticity-deviation-past-the-largest-float"],
 )
 def test_validate_density_matrix_names_an_overflowing_row_without_warnings(rho, message):
-    # Finite entries whose Bloch row overflows fail on the trace or the eigenvalue.
+    # Finite entries whose Hermiticity deviation or Bloch row overflows fail on that check.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as excinfo:

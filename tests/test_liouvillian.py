@@ -384,12 +384,13 @@ def _density_of(r):
 
 
 @st.composite
-def exact_rates(draw):
-    """Rates, some undamped (gamma1 = gamma_phi = 0), undriven (omega = 0) or both, and some at
-    the exceptional point w = |a|, where q = a^2 - w^2 vanishes to rounding and the exact step
-    takes the series case."""
-    kind = draw(st.sampled_from(["free", "undamped", "undriven", "zero", "series"]))
-    g1, gamma_phi = draw(st.floats(0, 0.1)), draw(st.floats(0, 0.1))
+def exact_rates(draw, kinds=("free", "undamped", "undriven", "zero", "series"),
+                gamma1=st.floats(0, 0.1)):
+    """Rates of the given kinds: free, undamped (gamma1 = gamma_phi = 0), undriven (omega = 0),
+    zero (both), or at the exceptional point w = |a|, where q = a^2 - w^2 vanishes to rounding
+    and the exact step takes the series case."""
+    kind = draw(st.sampled_from(kinds))
+    g1, gamma_phi = draw(gamma1), draw(st.floats(0, 0.1))
     omega = draw(st.floats(-0.2, 0.2))
     if kind in ("undamped", "zero"):
         g1 = gamma_phi = 0.0
@@ -418,22 +419,35 @@ def test_exact_step_maps_each_start_to_the_closed_form_at_one_step(rates, tau, s
     np.testing.assert_allclose(got[1:].T, want, rtol=0, atol=1e-15)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(rates=exact_rates(), tau=st.floats(0.01, 5.0), n=st.integers(1, 10_000), r=_BALL)
-@example(rates=CanonicalRates(0.0, 0.0, 0.2), tau=5.0, n=10_000, r=np.array([0.0, 0.6, 0.8]))
-def test_target_trace_follows_the_closed_form_at_every_sample(rates, tau, n, r):
-    # Stepping E(tau) reproduces the closed form at t = j*tau to 1e-13 wherever anything damps.
-    # Undamped, both forms carry their own rounding: stepping n ulps of norm, the closed form
-    # |w| t_n ulps of phase from its rounded argument (both about 1e-11 at this example), so
-    # the bound grows by those. Kills a target one sample off (its states one step late) and E
-    # built from undifferenced columns.
+def _target_error(rates, tau, n, r):
+    """Largest deviation of target_trace from the closed form at its samples t = j*tau."""
     trace = target_trace(rates, _density_of(r), tau, n)
     np.testing.assert_array_equal(trace.times, np.arange(n + 1) * tau)
-    row = [[rates.gamma1, rates.gamma_phi, rates.omega]]
-    exact = bloch_solution(row, [r], trace.times)[0, 0]
-    eps, phase = np.finfo(float).eps, abs(2 * np.pi * rates.omega) * trace.times[-1]
-    np.testing.assert_allclose(trace.as_matrix(), exact.T, rtol=0,
-                               atol=1e-13 + 2 * eps * (n + phase))
+    exact = bloch_solution([[rates.gamma1, rates.gamma_phi, rates.omega]], [r], trace.times)
+    return np.abs(trace.as_matrix() - exact[0, 0].T).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rates=exact_rates(("free", "undriven", "zero", "series"), st.floats(0.01, 0.1)),
+       tau=st.floats(0.5, 5.0), n=st.integers(1, 10_000), r=_BALL)
+@example(rates=CanonicalRates(0.01, 0.0, 0.2), tau=0.5, n=10_000, r=np.array([0.0, 0.6, 0.8]))
+def test_target_trace_follows_the_closed_form_at_every_sample(rates, tau, n, r):
+    # Stepping E(tau) reproduces the closed form at t = j*tau to 1e-13 where every Bloch
+    # component decays by at least gamma1 tau / 2 >= 2.5e-3 per step, and where nothing moves.
+    # Kills a target one sample off (its states one step late) and E built from undifferenced
+    # columns.
+    assert _target_error(rates, tau, n, r) <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="1e-13 to the closed form is not met where nothing damps")
+@pytest.mark.parametrize("rates", [CanonicalRates(0.0, 0.0, 0.2), CanonicalRates(1e-6, 0.0, 0.0)],
+                         ids=["undamped", "weakly-damped"])
+def test_target_trace_meets_the_closed_form_to_1e_13_where_nothing_damps(rates):
+    # A known miss of the 1e-13 tolerance (3e-12 and 1e-12 here): undamped or nearly so, the
+    # stepped target carries about n ulps of norm and the closed form |w| t_n ulps of phase
+    # from its rounded argument. Strict, so a target that meets the tolerance here shows up.
+    assert _target_error(rates, 5.0, 10_000, np.array([0.0, 0.6, 0.8])) <= 1e-13
 
 
 @pytest.mark.parametrize("call", [
