@@ -47,13 +47,12 @@ def elementary_ptms(
     if not abs(2 * np.pi * rates.omega * max(dt, default=0.0)) < np.inf:  # the longest's angle
         raise ValueError("drive angle 2 pi omega dt overflows: "
                          f"omega={rates.omega}, dt={max(durations)}")
-    mu, nu = np.exp([[-rates.gamma_phi * d for d in dt], [-rates.gamma1 * d / 2 for d in dt]])
-    theta = [2 * np.pi * rates.omega * d for d in dt]
-    cos, sin = np.cos(theta), np.sin(theta)
-    ptms = np.zeros((len(dt), 3, 4, 4)) + np.eye(4)
-    ptms[:, 0, 1, 1] = ptms[:, 0, 2, 2] = mu
-    ptms[:, 1, 1, 1] = ptms[:, 1, 2, 2] = nu
-    ptms[:, 1, 3, 3], ptms[:, 1, 3, 0] = nu * nu, 1 - nu * nu
-    ptms[:, 2, 2, 2] = ptms[:, 2, 3, 3] = cos
-    ptms[:, 2, 2, 3], ptms[:, 2, 3, 2] = -sin, sin
-    return ptms
+    exponents = [[-rates.gamma_phi * d for d in dt], [-rates.gamma1 * d / 2 for d in dt]]
+    mu, nu = np.exp(exponents).tolist()
+    theta = np.array([2 * np.pi * rates.omega * d for d in dt])
+    cos, sin = np.cos(theta).tolist(), np.sin(theta).tolist()
+    return np.array([x for m, n, c, s in zip(mu, nu, cos, sin) for x in (  # each R row by row
+        1, 0, 0, 0,  0, m, 0, 0,  0, 0, m, 0,  0, 0, 0, 1,              # dephasing
+        1, 0, 0, 0,  0, n, 0, 0,  0, 0, n, 0,  1 - n * n, 0, 0, n * n,  # damping
+        1, 0, 0, 0,  0, 1, 0, 0,  0, 0, c, -s,  0, 0, s, c,             # rotation
+    )], float).reshape(-1, 3, 4, 4)
