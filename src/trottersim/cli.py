@@ -640,6 +640,8 @@ def main(argv=None):
         if args.seed is not None:
             seed = CONFIG_TABLE["seed"][1](args.seed, "--seed")
             cfg = replace(cfg, seed=seed)
+        if cfg.shots is not None and cfg.seed is None:  # the sampler would draw OS entropy
+            raise ConfigError("shots needs a seed, from the config key seed or --seed")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

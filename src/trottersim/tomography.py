@@ -10,12 +10,12 @@ by construction. The model is liouvillian.bloch_solution's closed-form
 terms built once. The fit starts from the curves' own step: one linear
 least-squares solve recovers it from the four states' affine Bloch rows, and
 its invariants give the rates (exact for canonical curves and for Trotter
-products). From there one projected Levenberg-Marquardt run, written here in
-numpy, fits the 12*(N+1) residuals with an exact complex-step Jacobian and
-stops once its next step is under 1e-4 standard errors; a run that ends with
-1/T1 or Omega on a face of the box is repeated once from the start's drive
-mirrored in sign, and the lower cost is kept. The fit's covariance at the kept
-point gives the standard errors of T1, T2 and Omega.
+products). From there one projected Levenberg-Marquardt run (numpy over the
+12*(N+1) residuals and their exact complex-step Jacobian, Python floats for its
+3x3 algebra) stops once its next step is under 1e-4 standard errors; a run that
+ends with 1/T1 or Omega on a face of the box is repeated once from the start's
+drive mirrored in sign, and the lower cost is kept. The covariance at the kept
+point, from the same 3x3 solve, gives the standard errors of T1, T2 and Omega.
 Optional sampling noise replaces each expectation x by 2k/s - 1 with
 k ~ Binomial(s, (1+x)/2).
 """
@@ -177,9 +177,9 @@ class FitResult:
     stderr: tuple[float | None, float | None, float | None] = (None, None, None)
 
     def __post_init__(self):
-        if not np.isfinite([self.t1, self.t2, self.omega, self.residual]).all():
+        if not all(map(math.isfinite, (self.t1, self.t2, self.omega, self.residual))):
             raise ValueError(f"fit values must be finite, got {self}")
-        if len(self.stderr) != 3 or not all(e is None or 0 <= e < np.inf for e in self.stderr):
+        if len(self.stderr) != 3 or not all(e is None or 0 <= e < math.inf for e in self.stderr):
             raise ValueError(f"standard errors must be None or finite and >= 0, got {self.stderr}")
         if self.t2 > 2 * self.t1 * (1 + 1e-6):
             raise ValueError(f"unphysical fit: T2={self.t2} exceeds 2*T1={2 * self.t1}")
@@ -204,7 +204,7 @@ def _bloch_jacobian(u: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.nd
     return model[0].real, model.imag.T / _COMPLEX_STEP
 
 
-def _step_start(curves: np.ndarray, tau0: float) -> np.ndarray:
+def _step_start(curves: np.ndarray, tau0: float) -> tuple[float, float, float]:
     """The row (r1, rphi, omega) read from the (12, T) curves' own step.
 
     One least-squares solve over C_{j+1} = R C_j, on the four states' affine Bloch rows
@@ -219,7 +219,7 @@ def _step_start(curves: np.ndarray, tau0: float) -> np.ndarray:
     affine = np.concatenate([np.ones((4, 1, curves.shape[1])), curves.reshape(4, 3, -1)],
                             axis=1).transpose(2, 0, 1)  # (point, state, 4)
     step = np.linalg.lstsq(affine[:-1].reshape(-1, 4), affine[1:].reshape(-1, 4), rcond=None)[0].T
-    (byy, byz), (bzy, bzz) = step[2:, 2:]
+    (byy, byz), (bzy, bzz) = step[2:, 2:].tolist()
     g2 = -math.log(max(1e-300, step[1, 1])) / tau0
     det = max(1e-300, byy * bzz - byz * bzy)
     g1 = -math.log(det) / tau0 - g2
@@ -232,53 +232,66 @@ def _step_start(curves: np.ndarray, tau0: float) -> np.ndarray:
         e, f = (byy - bzz) / scale, (byz + bzy) / scale
         x = math.atan2(math.sqrt(max(0.0, d * d - e * e - f * f)), c)  # |s| tau0
         w = math.copysign(math.hypot((g1 - g2) / 2, x / tau0), d)
-    return np.array([g1, g2 - g1 / 2, w / (2 * math.pi)])
+    return g1, g2 - g1 / 2, w / (2 * math.pi)
 
 
 _LM_MAX_ITER = 100
 _STOP_SE = 1e-4  # a run stops once the rest of its way is under this many standard errors
 
 
+def _solve3(a, free, y):
+    """x = adj(M) y / det M for the symmetric 3x3 M of upper triangle a, with row and column k
+    the identity's where free[k] is False (x_k = y_k there); np.linalg.LinAlgError if singular."""
+    (a00, a01, a02, a11, a12, a22), (f0, f1, f2), (y0, y1, y2) = a, free, y
+    a00, a11, a22 = a00 if f0 else 1.0, a11 if f1 else 1.0, a22 if f2 else 1.0
+    a01, a02, a12 = a01 * (f0 and f1), a02 * (f0 and f2), a12 * (f1 and f2)
+    c00, c01, c02 = a11 * a22 - a12 * a12, a02 * a12 - a01 * a22, a01 * a12 - a02 * a11
+    c11, c12, c22 = a00 * a22 - a02 * a02, a01 * a02 - a00 * a12, a00 * a11 - a01 * a01
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    if det == 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return ((c00 * y0 + c01 * y1 + c02 * y2) / det, (c01 * y0 + c11 * y1 + c12 * y2) / det,
+            (c02 * y0 + c12 * y1 + c22 * y2) / det)
+
+
 def _levenberg_marquardt(fun, u, lo, hi):
     """Projected Levenberg-Marquardt (More, LNM 630 (1978)) from u in the box [lo, hi].
 
-    fun(u) gives M residuals r and their M x n Jacobian J. A step solves
-    (A + lam diag(A)) du = -g with A = J^T J and g = J^T r on the coordinates not on a bound
-    that -g points through, and is clipped into the box; lam is multiplied by 4 if the cost
-    r.r/2 rose, else divided by 3. Before each trial is evaluated the run stops at u on the
-    first of: 1 free gradient <= 1e-15 cost; 2 Gauss-Newton decrement g^T A^-1 g <=
-    (_STOP_SE s)^2 with s^2 = r.r/(M - n), so the Gauss-Newton step is under _STOP_SE
+    u, lo and hi hold three floats each; fun(u) gives M residuals r and their M x 3 Jacobian J.
+    A step solves (A + lam diag(A)) du = -g with A = J^T J and g = J^T r on the coordinates not
+    on a bound that -g points through, and is clipped into the box; lam is multiplied by 4 if
+    the cost r.r/2 rose, else divided by 3. Before each trial is evaluated the run stops at u on
+    the first of: 1 free gradient <= 1e-15 cost; 2 Gauss-Newton decrement g^T A^-1 g <=
+    (_STOP_SE s)^2 with s^2 = r.r/(M - 3), so the Gauss-Newton step is under _STOP_SE
     standard errors in the fit's covariance s^2 A^-1 (Madsen, Nielsen & Tingleff, "Methods
     for non-linear least squares problems" (2004)); 3 step <= 1e-14 |u|. Returns the last
-    accepted u, its r, and the rule that stopped the run, 0 for the iteration cap.
+    accepted u, its r and J, and the rule that stopped the run, 0 for the iteration cap.
     """
     r, jac = fun(u)
-    cost, lam, eye = r @ r / 2, 1e-3, np.eye(len(u))
-    decrement_tol = 2 * _STOP_SE**2 / (len(r) - len(u))  # times the cost: (_STOP_SE s)^2
+    cost, lam = float(r @ r) / 2, 1e-3
+    decrement_tol = 2 * _STOP_SE**2 / (len(r) - 3)  # times the cost: (_STOP_SE s)^2
     for _ in range(_LM_MAX_ITER):
-        ag = jac.T @ np.concatenate((jac, r[:, None]), axis=1)  # [A | g]
-        a, g = ag[:, :-1], ag[:, -1]
-        free = ~(((u <= lo) & (g > 0)) | ((u >= hi) & (g < 0)))
-        g = g * free
-        if math.sqrt(g @ g) <= 1e-15 * cost:
-            return u, r, 1
-        # a frozen coordinate's row and column become the identity's, and its du is 0;
-        # one solve gives the Gauss-Newton step and the damped one
-        gn, du = np.linalg.solve(np.where(free & free[:, None], [a, a + lam * (a * eye)], eye),
-                                 -g[:, None])[..., 0]
-        if -g @ gn <= decrement_tol * cost:
-            return u, r, 2
-        trial = np.minimum(np.maximum(u + du, lo), hi)
-        step = trial - u
-        if math.sqrt(step @ step) <= 1e-14 * math.sqrt(u @ u):
-            return u, r, 3
+        (a00, a01, a02, g0), (_, a11, a12, g1), (_, _, a22, g2) = (
+            jac.T @ np.concatenate((jac, r[:, None]), axis=1)).tolist()  # [A | g]
+        free = [not (v <= l and d > 0 or v >= h and d < 0)
+                for v, l, h, d in zip(u, lo, hi, (g0, g1, g2))]
+        g = g0 * free[0], g1 * free[1], g2 * free[2]
+        if math.hypot(*g) <= 1e-15 * cost:
+            return u, r, jac, 1
+        x = _solve3((a00, a01, a02, a11, a12, a22), free, g)  # the Gauss-Newton step is -x
+        if g[0] * x[0] + g[1] * x[1] + g[2] * x[2] <= decrement_tol * cost:
+            return u, r, jac, 2
+        x = _solve3((a00 + lam * a00, a01, a02, a11 + lam * a11, a12, a22 + lam * a22), free, g)
+        trial = tuple(min(max(v - d, l), h) for v, d, l, h in zip(u, x, lo, hi))
+        if math.dist(trial, u) <= 1e-14 * math.hypot(*u):
+            return u, r, jac, 3
         r_trial, jac_trial = fun(trial)
-        cost_trial = r_trial @ r_trial / 2
+        cost_trial = float(r_trial @ r_trial) / 2
         if cost_trial <= cost:
             u, r, jac, cost, lam = trial, r_trial, jac_trial, cost_trial, lam / 3
         else:
             lam *= 4
-    return u, r, 0
+    return u, r, jac, 0
 
 
 _RATE_NAMES = ("gamma1", "gamma_phi", "omega")
@@ -314,45 +327,44 @@ def global_fit(ts: TomographySet) -> FitResult:
         rates that end on a face of the box, and `stderr` holds the standard
         errors of (t1, t2, omega) from the covariance at the kept point.
     """
-    if ts.times.size < 6:
+    times = ts.times.tolist()
+    if len(times) < 6:
         raise ValueError("global fit needs at least 6 time points per curve")
-    steps = np.diff(ts.times)
-    if np.abs(steps - steps[0]).max() > 1e-9:
+    tau0 = times[1] - times[0]
+    if max(abs(b - a - tau0) for a, b in zip(times, times[1:])) > 1e-9:
         raise ValueError("global fit requires a uniform time grid")
-    tau0 = float(steps[0])
     data = ts.as_matrix()
-    lo = np.array([_RATE_FLOOR, 0.0, -0.5 / tau0])
-    hi = np.array([_RATE_CEIL, _RATE_CEIL, 0.5 / tau0])
-    evaluated = []  # (u, J) per model call: the kept u's J gives the standard errors
+    lo, hi = (_RATE_FLOOR, 0.0, -0.5 / tau0), (_RATE_CEIL, _RATE_CEIL, 0.5 / tau0)
+    evaluated = []  # the rows of the model calls
 
     def fun(u):
+        evaluated.append(u)
         model, jac = _bloch_jacobian(u, ts.times)
-        evaluated.append((u, jac))
         return model - data.ravel(), jac
 
-    start = np.clip(_step_start(data, tau0), lo, hi)
+    start = tuple(min(max(x, l), h) for x, l, h in zip(_step_start(data, tau0), lo, hi))
     runs = [_levenberg_marquardt(fun, start, lo, hi)]
-    face = (runs[0][0] == lo) | (runs[0][0] == hi)
     # Both faces count: exact curves at theta = (9.5, 57, 223.9) deg end the first run on the
-    # 1/T1 floor with omega inside the band, and only the mirrored run reaches the edge.
-    if face[0] or face[2]:  # the box is symmetric in omega, so the mirror needs no clip
-        runs.append(_levenberg_marquardt(fun, start * [1, 1, -1], lo, hi))
-    u, r, status = min(runs, key=lambda run: run[1] @ run[1])  # the first of a tie
+    # 1/T1 floor with omega inside the band, and only the mirrored run reaches the edge. The
+    # box is symmetric in omega, so the mirror needs no clip.
+    if runs[0][0][0] in (lo[0], hi[0]) or runs[0][0][2] in (lo[2], hi[2]):
+        runs.append(_levenberg_marquardt(fun, (start[0], start[1], -start[2]), lo, hi))
+    u, r, jac, status = min(runs, key=lambda run: run[1] @ run[1])  # the first of a tie
     r1, rphi, omega = u  # the box keeps r1 >= _RATE_FLOOR > 0
     t1, t2 = 1.0 / r1, 1.0 / (r1 / 2 + rphi)
-    on_face = (u == lo) | (u == hi)
+    on_face = [x == l or x == h for x, l, h in zip(u, lo, hi)]
     # s^2 (J^T J)^-1 over the rates off the box's faces (a rate on one keeps an identity
     # row and column), carried to T1 = 1/r1 and T2 = 1/(r1/2 + rphi) by the delta method
-    jac = next(j for v, j in evaluated if v is u)
-    off = ~on_face
-    s2 = r @ r / (len(r) - 3)
-    cov = np.linalg.inv(np.where(off & off[:, None], jac.T @ jac, np.eye(3))) * s2
-    (c11, c12, _), (_, c22, _), (_, _, c33) = cov.tolist()
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = (jac.T @ jac).tolist()
+    s2 = float(r @ r) / (len(r) - 3)
+    (c11, c12, _), (_, c22, _), (_, _, c33) = (  # s^2 A^-1 column by column
+        _solve3((a00, a01, a02, a11, a12, a22), [not face for face in on_face], col)
+        for col in ((s2, 0.0, 0.0), (0.0, s2, 0.0), (0.0, 0.0, s2)))
     var = (t1**4 * c11, t2**4 * (c11 / 4 + c12 + c22), c33)
-    face1, face_phi, face_omega = on_face.tolist()
+    face1, face_phi, face_omega = on_face
     stderr = tuple(None if face or not 0 <= v < math.inf else math.sqrt(v)
                    for face, v in zip((face1, face1 or face_phi, face_omega), var))
-    return FitResult(t1=t1, t2=t2, omega=float(omega),
+    return FitResult(t1=t1, t2=t2, omega=omega,
                      residual=float(np.sqrt(np.mean(r**2))), converged=status > 0,
                      evaluations=len(evaluated),
                      at_bound=tuple(n for n, on in zip(_RATE_NAMES, on_face) if on),

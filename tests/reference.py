@@ -112,3 +112,13 @@ def check_bloch_rows(rows, name):
             w = (c0 - math.hypot(x, y, z)) / 2
             raise ValueError(f"{name(index)} has negative eigenvalue {w:.3e}")
     return rows
+
+
+def damped_solve(a, g, free, lam):
+    """The Levenberg-Marquardt step du of (A + lam diag(A)) du = -g over the free coordinates:
+    g zeroed and the matrix's rows and columns made the identity's where free is False, then
+    one np.linalg.solve."""
+    a, free = np.asarray(a, dtype=float), np.asarray(free, dtype=bool)
+    eye = np.eye(len(a))
+    matrix = np.where(free & free[:, None], a + lam * (a * eye), eye)
+    return np.linalg.solve(matrix, -np.asarray(g, dtype=float) * free)

@@ -299,6 +299,17 @@ def test_fit_determinism_and_seed_override(tmp_path):
     assert json.loads((outs[2] / "fit.json").read_text())["seed"] == 8
 
 
+def test_fit_with_shots_and_no_seed_exits_1_and_names_the_seed(tmp_path, capsys):
+    # Without a seed the sampler would draw fresh entropy, and fit.json would differ per run.
+    cfg = write_config(tmp_path, "shots: 1000\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: shots needs a seed, from the config key seed or --seed\n")
+    assert not out.exists()
+    assert main(["fit", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == EXIT_OK
+
+
 def test_fit_without_convergence_keeps_its_artifacts_and_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "global_fit",
                         lambda curves: replace(global_fit(curves), converged=False))

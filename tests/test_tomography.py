@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import reference
 from reference import generator
 from trottersim.dilation import AngleParams, angle_to_rates
 from trottersim.liouvillian import (
@@ -493,7 +495,7 @@ def test_fit_that_ends_on_the_nyquist_edge_reruns_from_the_mirrored_rows(monkeyp
     monkeypatch.setattr(tomography, "_bloch_jacobian", counted)
     fit = global_fit(ts)
     assert len(runs) == 2
-    (u_edge, r_edge, _), (u_kept, r_kept, _) = runs
+    (u_edge, r_edge, _, _), (u_kept, r_kept, _, _) = runs
     assert u_edge[2] == 0.5 / TAU0 and abs(u_kept[2]) < 0.5 / TAU0
     assert r_kept @ r_kept < r_edge @ r_edge
     assert fit.omega == u_kept[2] and fit.converged
@@ -517,13 +519,13 @@ def test_fit_that_ends_on_the_t1_floor_reruns_from_the_mirrored_row(monkeypatch)
     monkeypatch.setattr(tomography, "_levenberg_marquardt", spy)
     fit = global_fit(_trotter_set(18.992553886700986, 44.17248115095125, 177.5444223629221))
     assert len(runs) == 2
-    (u_floor, r_floor, _), (u_kept, r_kept, _) = runs
+    (u_floor, r_floor, _, _), (u_kept, r_kept, _, _) = runs
     assert u_floor[0] == 1e-6 and rms(r_floor) == pytest.approx(0.19215, abs=5e-6)
     assert fit.residual == rms(r_kept) == pytest.approx(0.192064756942722, rel=1e-9)
     runs.clear()
     fit = global_fit(_trotter_set(6.820785868644059, 53.96476987852132, 154.78152913722073))
     assert len(runs) == 2
-    (u_floor, r_floor, _), (_, r_other, _) = runs
+    (u_floor, r_floor, _, _), (_, r_other, _, _) = runs
     assert u_floor[0] == 1e-6 and abs(u_floor[2]) < 0.5 / TAU0
     assert rms(r_other) > rms(r_floor) == fit.residual and fit.at_bound == ("gamma1",)
 
@@ -637,7 +639,7 @@ def _grid_only_fit(ts):
         model, jac = _bloch_jacobian(u, ts.times)
         return model - data.ravel(), jac
 
-    u, r, status = _levenberg_marquardt(fun, cands[np.argmin(scores)], lo, hi)
+    u, r, _, status = _levenberg_marquardt(fun, cands[np.argmin(scores)], lo, hi)
     return np.sqrt(np.mean(r**2)), status > 0
 
 
@@ -681,25 +683,27 @@ def test_fit_names_the_rates_on_a_face_of_the_box():
 #
 # _levenberg_marquardt returns the rule that stopped it: 1 free gradient, 2 a
 # Gauss-Newton step under _STOP_SE standard errors, 3 step size, 0 the iteration
-# cap. Linear residuals A u - b make each rule's turn predictable.
+# cap. Linear residuals A u - b in three parameters make each rule's turn predictable.
 
-_A = np.array([[1.0, 0.5], [0.2, 2.0], [1.5, -1.0], [0.3, 0.7]])
+_A = np.array([[1.0, 0.5, 0.2], [0.2, 2.0, -0.3], [1.5, -1.0, 0.4], [0.3, 0.7, 1.1],
+               [0.6, 0.1, -0.8]])
 
 
-def _linear(b):
+def _linear(b, a=_A):
     b = np.asarray(b, dtype=float)
-    return lambda u: (_A @ u - b, _A)
+    return lambda u: (a @ u - b, a)
 
 
 def test_lm_stops_on_the_free_gradient_in_a_corner():
-    # The unconstrained optimum (-1, -1) lies beyond the corner the run starts
-    # in: both coordinates freeze and the free gradient is empty.
+    # The unconstrained optimum (-1, -1, -1) lies beyond the corner the run starts
+    # in: every coordinate freezes and the free gradient is empty.
     evaluations = []
-    fun = _linear(_A @ [-1.0, -1.0])
+    fun = _linear(_A @ [-1.0, -1.0, -1.0])
     counted = lambda u: evaluations.append(u) or fun(u)
-    u, r, status = _levenberg_marquardt(counted, np.zeros(2), np.zeros(2), np.ones(2))
+    u, r, jac, status = _levenberg_marquardt(counted, np.zeros(3), np.zeros(3), np.ones(3))
     assert status == 1 and len(evaluations) == 1
-    np.testing.assert_array_equal(u, [0.0, 0.0])
+    np.testing.assert_array_equal(u, [0.0, 0.0, 0.0])
+    assert jac is _A
 
 
 def _stderrs(jac, r):
@@ -710,9 +714,9 @@ def _stderrs(jac, r):
 def test_lm_stops_on_the_decrement_with_a_residual():
     # Inconsistent data: the cost levels off above 0 at the least-squares point, and the
     # run stops once the Gauss-Newton step is under _STOP_SE standard errors.
-    b = np.array([1.0, -2.0, 0.5, 3.0])
-    u, r, status = _levenberg_marquardt(_linear(b), np.array([0.3, 0.1]), -10 * np.ones(2),
-                                        10 * np.ones(2))
+    b = np.array([1.0, -2.0, 0.5, 3.0, -1.5])
+    u, r, _, status = _levenberg_marquardt(_linear(b), np.array([0.3, 0.1, -0.2]),
+                                           -10 * np.ones(3), 10 * np.ones(3))
     assert status == 2
     want = np.linalg.lstsq(_A, b, rcond=None)[0]
     assert np.all(np.abs(u - want) <= 2 * tomography._STOP_SE * _stderrs(_A, _A @ want - b))
@@ -720,16 +724,16 @@ def test_lm_stops_on_the_decrement_with_a_residual():
 
 def test_lm_stops_on_the_step_size_at_a_zero_residual():
     # Consistent data: the cost falls to round-off, where only the step shrinks.
-    want = np.array([0.7, -0.4])
-    u, r, status = _levenberg_marquardt(_linear(_A @ want), np.array([0.3, 0.1]),
-                                        -10 * np.ones(2), 10 * np.ones(2))
+    want = np.array([0.7, -0.4, 0.25])
+    u, r, _, status = _levenberg_marquardt(_linear(_A @ want), np.array([0.3, 0.1, -0.2]),
+                                           -10 * np.ones(3), 10 * np.ones(3))
     assert status == 3
     np.testing.assert_allclose(u, want, rtol=1e-14)
 
 
 def test_lm_freezes_a_rate_on_its_bound():
     # No dephasing, Trotterized: the best fit sits on rphi = 0 with the gradient
-    # pointing below it. It must match the fit with rphi pinned to 0.
+    # pointing below it. It must match the fit with rphi pinned to 0 by a box of width 0.
     ts = _trotter_set(0.0, 30.0, 30.0)
     rates = angle_to_rates(AngleParams.from_degrees(0.0, 30.0, 30.0, TAU0))
     fit = global_fit(ts)
@@ -737,17 +741,49 @@ def test_lm_freezes_a_rate_on_its_bound():
     assert fit.t2 == pytest.approx(2 * fit.t1, rel=1e-15)
     data = ts.as_matrix().ravel()
 
-    def pinned(v):  # (r1, omega) with rphi = 0
-        model, jac = _bloch_jacobian([v[0], 0.0, v[1]], ts.times)
-        return model - data, jac[:, [0, 2]]
+    def fun(v):
+        model, jac = _bloch_jacobian(v, ts.times)
+        return model - data, jac
 
-    v, _, status = _levenberg_marquardt(pinned, np.array([rates.gamma1, rates.omega]),
-                                        np.array([1e-6, -1.0]), np.array([2.0, 1.0]))
-    assert status > 0
+    v, _, _, status = _levenberg_marquardt(fun, (rates.gamma1, 0.0, rates.omega),
+                                           (1e-6, 0.0, -1.0), (2.0, 0.0, 1.0))
+    assert status > 0 and v[1] == 0.0
     # Each run stops within _STOP_SE standard errors of the same optimum.
     assert fit.at_bound == ("gamma_phi",) and fit.stderr[1] is None
     assert abs(fit.t1 - 1 / v[0]) <= 2 * tomography._STOP_SE * fit.stderr[0]
-    assert abs(fit.omega - v[1]) <= 2 * tomography._STOP_SE * fit.stderr[2]
+    assert abs(fit.omega - v[2]) <= 2 * tomography._STOP_SE * fit.stderr[2]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(b=arrays(float, (4, 3), elements=st.floats(-1.0, 1.0)), shift=st.floats(0.01, 1.0),
+       log_scales=arrays(float, 3, elements=st.floats(-4.0, 4.0)),
+       g=arrays(float, 3, elements=st.floats(-1.0, 1.0)),
+       free=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       lam=st.floats(1e-12, 1e6))
+@example(b=np.zeros((4, 3)), shift=0.01, log_scales=np.zeros(3), g=np.ones(3),
+         free=(True, True, True), lam=1e-12)
+def test_straight_line_solve_matches_the_identity_row_solve(b, shift, log_scales, g, free, lam):
+    # A = D (B^T B + shift I) D with column scales D up to 1e4 either way, as the rates'
+    # Jacobian columns differ: in the scaled coordinates A has a condition number below
+    # 1.6e3, so both solves lie within a few 1e-13 of the exact step there.
+    scales = 10.0**log_scales
+    a = (b.T @ b + shift * np.eye(3)) * scales * scales[:, None]
+    for damping in (0.0, lam):
+        damped = a + damping * np.diag(np.diag(a))
+        want = reference.damped_solve(a, g, free, damping)
+        # the run passes the free gradient, its frozen entries 0
+        got = -np.array(tomography._solve3(damped[np.triu_indices(3)], free, g * free))
+        assert np.all(got[~np.array(free)] == 0.0)
+        scale = np.abs(want * scales).max()
+        assert np.abs((got - want) * scales).max() <= 1e-11 * scale
+
+
+def test_lm_on_a_zero_jacobian_column_raises_a_linear_algebra_error():
+    # A parameter the residuals do not depend on leaves A singular: the run raises
+    # np.linalg.LinAlgError (a ValueError would do), never ZeroDivisionError or NaN.
+    fun = _linear([1.0, -2.0, 0.5, 3.0, -1.5], _A * [1.0, 0.0, 1.0])
+    with pytest.raises((np.linalg.LinAlgError, ValueError)):
+        _levenberg_marquardt(fun, np.array([0.3, 0.1, -0.2]), -10 * np.ones(3), 10 * np.ones(3))
 
 
 def test_sweep_b_360_converges():

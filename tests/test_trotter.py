@@ -313,6 +313,20 @@ def test_commuting_schedule_saturates():
     assert max(res.accuracies) < 1e-13
 
 
+def test_slope_skips_runs_at_the_rounding_floor():
+    # Weak second-order families whose longer runs reach A < 1e-13, where A is rounding:
+    # a fit through those runs flattened the slope to -1.76, and a family with fewer than
+    # four runs above the floor read a slope of -1.70 instead of saturating.
+    weak = lambda s: CanonicalRates(gamma1=s, gamma_phi=s / 2, omega=s)
+    res = convergence_order(TrotterSchedule(order=2), weak(2.5e-5),
+                            n_list=(4, 8, 16, 32, 64, 128, 256, 512))
+    assert min(res.accuracies) < 1e-13 and not res.saturated
+    assert res.slope == pytest.approx(-2.0, abs=0.1)
+    res = convergence_order(TrotterSchedule(order=2), weak(4.6e-6))
+    assert max(res.accuracies) > 1e-12 and sum(a >= 1e-13 for a in res.accuracies) == 2
+    assert res.saturated and res.slope is None
+
+
 def test_accuracy_decreases_monotonically_with_n():
     res = convergence_order(TrotterSchedule(order=1), FIG4_RATES, t_total=13 * TAU0)
     accs = np.array(res.accuracies)
