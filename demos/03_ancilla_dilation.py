@@ -57,11 +57,14 @@ dilated = elementary_ptms(rates, [params.tau0], "dilation", None)[0]
 print(f"dilation backend vs closed forms: {np.abs(dilated - list(closed.values())).max():.2e}")
 
 # The damping dilation uses an adaptive correction; both of its
-# implementations (coherent feedback vs measure-and-feedforward) agree.
+# implementations (coherent feedback vs measure-and-feedforward) agree,
+# with injected ancilla decay and depolarization too.
 circuit = circuits["damping"]
-coherent = induced_channel(circuit, adaptive="coherent")
-measured = induced_channel(circuit, adaptive="feedforward")
-print(f"\nadaptive-correction implementations gap: {np.abs(coherent - measured).max():.2e}")
+for noise in (None, NoiseParams(p_grape=0.01, p_ancilla_decay=0.02)):
+    coherent = induced_channel(circuit, noise, adaptive="coherent")
+    measured = induced_channel(circuit, noise, adaptive="feedforward")
+    print(f"\nadaptive-correction implementations gap, noise={noise}: "
+          f"{np.abs(coherent - measured).max():.2e}")
 
 # Gate noise: depolarization with probability p per entangling gate acts
 # like an extra relaxation process with a characteristic time scale.

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dilation import _CIRCUIT_GATES, NoiseParams, _induced_channels, rates_to_angles
-from .liouvillian import BLOCH_ROWS, CanonicalRates
+from .dilation import _CIRCUIT_GATES, NoiseParams, _circuit_ptms, _rx_rows, rates_to_angles
+from .liouvillian import CanonicalRates
 
 __all__ = ["elementary_ptms"]
 
@@ -33,16 +33,15 @@ def elementary_ptms(
     The kraus closed forms: dephasing diag(1, mu, mu, 1), mu = e^(-gamma_phi dt); damping
     diag(1, nu, nu, nu^2) plus R_z0 = 1 - nu^2, nu = e^(-gamma1 dt/2); rx(theta) turns
     (<sy>, <sz>) by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. The dilation backends
-    contract each circuit's gate table at rates_to_angles' angles for all D durations at once
-    and convert the 3D superoperators S to Re(P^dag S P)/2, with P^dag = BLOCH_ROWS.
+    chain the real PTMs of each circuit's gate table on ancilla (x) data at rates_to_angles'
+    angles, for all D durations at once, and read off the data qubit's PTMs.
     """
     for dt in filter(lambda dt: not 0 <= dt < np.inf, durations):  # NaN too; 0 is the identity
         raise ValueError(f"dt must be nonnegative and finite, got {dt}")
     if backend != "kraus":
         angles = [rates_to_angles(rates, dt) for dt in durations]
-        thetas = np.array([(a.theta1, a.theta2, a.theta3) for a in angles]).T
-        supers = _induced_channels(list(zip(_CIRCUIT_GATES.values(), thetas)), noise)
-        return np.real(BLOCH_ROWS @ supers.swapaxes(0, 1) @ BLOCH_ROWS.conj().T) / 2
+        thetas = zip(*[(a.theta1, a.theta2, a.theta3) for a in angles])
+        return _circuit_ptms(list(zip(_CIRCUIT_GATES.values(), thetas)), noise).swapaxes(0, 1)
     dt = [float(d) for d in durations]  # Python floats: an overflowing rate x dt is inf, silently
     if not abs(2 * np.pi * rates.omega * max(dt, default=0.0)) < np.inf:  # the longest's angle
         raise ValueError("drive angle 2 pi omega dt overflows: "
@@ -54,5 +53,5 @@ def elementary_ptms(
     return np.array([x for m, n, c, s in zip(mu, nu, cos, sin) for x in (  # each R row by row
         1, 0, 0, 0,  0, m, 0, 0,  0, 0, m, 0,  0, 0, 0, 1,              # dephasing
         1, 0, 0, 0,  0, n, 0, 0,  0, 0, n, 0,  1 - n * n, 0, 0, n * n,  # damping
-        1, 0, 0, 0,  0, 1, 0, 0,  0, 0, c, -s,  0, 0, s, c,             # rotation
+        *_rx_rows(c, s),                                                # rotation
     )], float).reshape(-1, 3, 4, 4)

@@ -17,12 +17,13 @@ depolarization event per composite unitary (per circuit application).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, KET_0, SIGMA_MINUS, SIGMA_X, check_positive, kraus_superop, rx, vec
-from .liouvillian import CanonicalRates
+from .linalg import I2, check_positive, rx
+from .liouvillian import BLOCH_ROWS, CanonicalRates
 
 __all__ = [
     "Gate",
@@ -41,8 +42,6 @@ __all__ = [
 ]
 
 _KINDS = ("ancilla_rx", "cz", "cnot_ancilla_ctrl", "data_x", "reset_ancilla")
-# Ancilla z measurement and conditional data X; its Kraus pair sums to the CNOT.
-_FEEDFORWARD = np.stack([np.kron(np.diag([1.0, 0.0]), I2), np.kron(np.diag([0.0, 1.0]), SIGMA_X)])
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     if gate.kind == "cz":
         return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     if gate.kind == "cnot_ancilla_ctrl":
-        return _FEEDFORWARD.sum(axis=0)
+        return np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # X on the data where the ancilla is |e>
     raise ValueError(f"gate {gate.kind!r} has no unitary realization")
 
 
@@ -177,9 +176,20 @@ def rotation_circuit(theta3: float) -> DilationCircuit:
     return _circuit("rotation", theta3)
 
 
-# Kraus stacks (m, 4, 4) of the two-qubit gates; the load of ancilla |g> is |g> (x) I.
-_LOAD_G = np.kron(KET_0[:, None], I2)
-_CZ, _CNOT = (gate_unitary(Gate(kind))[None] for kind in ("cz", "cnot_ancilla_ctrl"))
+# The fixed gates' PTMs Re(V^dag (U (x) U*) V)/4, V^dag's rows the row-major ravels of s_a (x) s_d,
+# index 4a + d (BLOCH_ROWS holds each Pauli s as s.ravel()). The data rows load with ancilla |g>,
+# at a = I and a = Z; measuring the ancilla after the CNOT (the feedforward pair) keeps those rows.
+_PAULIS2 = np.einsum("aij,dkl->adikjl", *[BLOCH_ROWS.reshape(4, 2, 2)] * 2).reshape(16, 16)
+_GATES2 = np.stack([gate_unitary(Gate(kind)) for kind in ("cz", "cnot_ancilla_ctrl")])
+_CZ, _CNOT = np.real(_PAULIS2.conj() @ np.einsum("gik,gjl->gijkl", _GATES2, _GATES2.conj())
+                     .reshape(2, 16, 16) @ _PAULIS2.T) / 4
+_LOAD = np.eye(16, 4) + np.eye(16, 4, -12)
+_FEEDFORWARD = _CNOT * _LOAD.sum(1, keepdims=True)
+
+
+def _rx_rows(c: float, s: float) -> tuple:
+    """The PTM of rx(theta) row by row, c = cos theta, s = sin theta: [[c, -s], [s, c]] on y, z."""
+    return 1, 0, 0, 0,  0, 1, 0, 0,  0, 0, c, -s,  0, 0, s, c
 
 
 def induced_channel(
@@ -189,12 +199,10 @@ def induced_channel(
 ) -> np.ndarray:
     """Column-stacking superoperator of the data-qubit channel the circuit induces.
 
-    The gates compose on ancilla (x) data between the load of ancilla |g> and
-    the reset, so the data channel has the Kraus operators <a|E_k|g> of the
-    composite family E_k. The family is carried as the (k, 4, 2) stack E_k|g>;
-    a gate with m Kraus operators multiplies k by m, and a one-qubit gate acts
-    on its qubit's axis alone. This is the one-circuit case of the batched
-    contraction that builds the dilation backends' steps.
+    The gates compose on ancilla (x) data between the load of ancilla |g> and the reset as a
+    chain of real Pauli-transfer matrices (PTMs); the reset keeps the ancilla's identity rows,
+    the data channel's PTM R, whose superoperator is P R P^dag / 2 with P^dag = BLOCH_ROWS.
+    This is the one-circuit case of the batched chain that builds the dilation backends' steps.
 
     Args:
         circuit: Gate sequence ending in the ancilla reset.
@@ -206,37 +214,38 @@ def induced_channel(
             induced channel is identical).
     """
     gates = [(g.kind, g.theta) for g in circuit.gates[:-1]]  # each its own angle at 1; no reset
-    return _induced_channels([(gates, np.ones(1))], noise, adaptive)[0, 0]
+    ptm = _circuit_ptms([(gates, np.ones(1))], noise, adaptive)[0, 0]
+    return BLOCH_ROWS.conj().T @ ptm @ BLOCH_ROWS / 2
 
 
-def _induced_channels(circuits, noise: NoiseParams | None, adaptive: str = "coherent"):
-    """The (C, B, 4, 4) :func:`induced_channel` of C kinds, each its (gate kind, multiple) pairs
-    before the reset and (B,) angles, a gate turning by multiple times angle: one rx call, one
-    noise Kraus pair, one (B, k, 4, 2) family per kind and no Gate or DilationCircuit built."""
+def _circuit_ptms(circuits, noise: NoiseParams | None, adaptive: str = "coherent") -> np.ndarray:
+    """The (C, B, 4, 4) data PTMs of :func:`induced_channel` for C kinds, each its (gate kind,
+    multiple) pairs before the reset and B angles, a gate turning by multiple times angle. Each
+    gate multiplies the (B, 16, 4) ancilla (x) data rows once: by an x rotation's PTM on its
+    qubit's axis, or by a fixed gate's PTM and then the ancilla decay's on the ancilla axis."""
     if adaptive not in ("coherent", "feedforward"):
         raise ValueError(f"adaptive must be 'coherent' or 'feedforward', got {adaptive!r}")
-    p = 0.0 if noise is None else noise.p_ancilla_decay
-    decay = np.array([np.diag([1.0, np.sqrt(1.0 - p)]), np.sqrt(p) * SIGMA_MINUS]) if p else None
+    p, p_grape = (0.0, 0.0) if noise is None else (noise.p_ancilla_decay, noise.p_grape)
+    decay = np.diag([1, *[math.sqrt(1 - p)] * 2, 1 - p]) + p * np.eye(4, k=-3) if p else None
     fixed = {"cz": _CZ, "cnot_ancilla_ctrl": _FEEDFORWARD if adaptive == "feedforward" else _CNOT}
-    angles = [np.multiply.outer([m for _, m in gates], theta) for gates, theta in circuits]
-    turns, b, supers = iter(rx(np.concatenate(angles))[:, :, None]), len(circuits[0][1]), []
+    angles = [m * t for gates, theta in circuits for kind, m in gates if kind not in fixed
+              for t in theta]  # the x rotations' angles, B per gate, in gate order
+    turns = iter(np.array([v for x in angles for v in _rx_rows(math.cos(x), math.sin(x))],
+                          float).reshape(-1, len(circuits[0][1]), 4, 4))
+    ptms = []
     for gates, _ in circuits:
-        family = _LOAD_G[None, None].repeat(b, axis=0)  # per circuit, rows (a, i) of E_k|g>
-        for (kind, _), turn in zip(gates, turns):  # turn: (B, 1, 2, 2), unused by a fixed gate
+        rows = _LOAD[None]
+        for kind, _ in gates:
             if kind in fixed:
-                family = (fixed[kind][:, None] @ family[:, None]).reshape(b, -1, 4, 2)
-                if decay is not None:  # acts on the ancilla rows a
-                    family = (decay[:, None] @ family.reshape(b, 1, -1, 2, 4)).reshape(b, -1, 4, 2)
-            else:  # an x rotation of the ancilla (rows a) or of the data (rows i)
-                shape = (2, 4) if kind == "ancilla_rx" else (2, 2)
-                family = (turn @ family.reshape(b, -1, *shape)).reshape(b, -1, 4, 2)
-        supers.append(kraus_superop(family.reshape(b, -1, 2, 2)))  # <a|E_k|g>: rows 2a, 2a + 1
-    s = np.array(supers)
-    if noise is not None and noise.p_grape > 0:
-        # (1 - p) rho + p Tr(rho) I/2; rows 0 and 3 of s read the diagonal.
-        trace = vec(I2)[:, None] * (s[:, :, :1] + s[:, :, 3:])
-        s = (1 - noise.p_grape) * s + noise.p_grape * trace / 2
-    return s
+                rows = fixed[kind] @ rows
+                if decay is not None:
+                    rows = (decay @ rows.reshape(-1, 4, 16)).reshape(-1, 16, 4)
+            elif kind == "ancilla_rx":
+                rows = (next(turns) @ rows.reshape(-1, 4, 16)).reshape(-1, 16, 4)
+            else:  # data_x, on the data axis of the rows (a, d)
+                rows = (next(turns)[:, None] @ rows.reshape(-1, 4, 4, 4)).reshape(-1, 16, 4)
+        ptms.append(rows[:, :4])  # the reset keeps the rows of a = I
+    return np.array(ptms) * ([[1.0]] + [[1 - p_grape]] * 3)  # depolarizing: Bloch rows shrink
 
 
 def angle_to_rates(params: AngleParams) -> CanonicalRates:

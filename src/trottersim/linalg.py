@@ -22,7 +22,6 @@ __all__ = [
     "KET_0",
     "KET_1",
     "vec",
-    "kraus_superop",
     "rx",
     "check_bloch_rows",
     "validate_density_matrix",
@@ -56,12 +55,6 @@ def density(ket: np.ndarray) -> np.ndarray:
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: vec(|i><j|) = e_j (x) e_i."""
     return np.asarray(m).reshape(-1, order="F")
-
-
-def kraus_superop(ops: np.ndarray) -> np.ndarray:
-    """Column-stacking superoperator sum_k conj(E_k) (x) E_k of each (k, d, d) Kraus stack E."""
-    *batch, _, _, d = np.shape(ops)
-    return np.einsum("...kac,...kbd->...abcd", np.conj(ops), ops).reshape(*batch, d * d, d * d)
 
 
 def rx(theta: float | np.ndarray) -> np.ndarray:

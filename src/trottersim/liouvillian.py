@@ -145,38 +145,48 @@ def _bloch_terms(bloch0) -> np.ndarray:
     return terms.reshape(9, -1)
 
 
+def _rate_constants(g1, rphi, omega, tmax: float, sqrt=math.sqrt):
+    """One rate row's constants in :func:`bloch_solution` for times up to tmax: a, w, v_ss, the case
+    (0 series, 1 s real, 2 s imaginary) and (c0, -G2, s), c0 = m + s if s is real, else m. A tmax
+    past 1.34e154 or rates whose det M or q overflows are a ValueError."""
+    if not tmax < 1.34e154:  # where tmax ** 2 would raise OverflowError
+        raise ValueError(f"times must be below 1.34e154, where t^2 overflows, got {tmax}")
+    g2, w = g1 / 2 + rphi, 2 * math.pi * omega
+    m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
+    q = a * a - w * w
+    if not abs(det) + abs(q) < math.inf:  # NaN fails too
+        raise ValueError(f"the closed form overflows at rates gamma1={g1}, gamma_phi={rphi}, "
+                         f"omega={omega} (t up to {tmax})")
+    vy, vz = (-w * g1 / det, g1 * g2 / det) if det else (0.0, 0.0)
+    case = 0 if abs(q) * tmax**2 < 1e-5 else 1 if q.real > 0 else 2  # series, s real, imaginary
+    s = q if case == 0 else sqrt(q if case == 1 else -q)
+    return a, w, vy, vz, case, (det / (m - s) if case == 1 else m, -g2, s)  # m + s = det/(m - s)
+
+
+def _cosh_sinh(case: int, e, s, t, lib=math):
+    """e^{mt} cosh(st) and e^{mt} sinh(st)/s of a case from e = e^{c0 t}, by lib (math or numpy)."""
+    x = s * t
+    if case == 0:  # the series in z = (st)^2 = q t^2, |z| < 1e-5
+        z = x * t
+        return e * (1 + z / 2 + z * z / 24), e * t * (1 + z / 6 + z * z / 120)
+    if case == 1:  # e^{(m+s)t} and expm1(-2st) stay in [-1, 1]
+        d = lib.expm1(-2 * x)
+        return e * (1 + d / 2), e * d / (-2 * s)
+    return e * lib.cos(x), e * lib.sin(x) / s
+
+
 def _bloch_curves(rows, terms: np.ndarray, t: np.ndarray) -> np.ndarray:
     """:func:`bloch_solution` as (K, 3 S, T) curves for terms = _bloch_terms(bloch0), t checked."""
     sqrt, tmax = cmath.sqrt if np.iscomplexobj(rows) else math.sqrt, float(t.max(initial=0.0))
-    if not tmax < 1.34e154:  # where tmax ** 2 would raise OverflowError
-        raise ValueError(f"times must be below 1.34e154, where t^2 overflows, got {tmax}")
-    monos, consts, cases = [], [], []
-    for g1, rphi, omega in np.asarray(rows).tolist():
-        g2, w = g1 / 2 + rphi, 2 * math.pi * omega
-        m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
-        q = a * a - w * w
-        vy, vz = (-w * g1 / det, g1 * g2 / det) if det else (0.0, 0.0)
-        monos.append([p * v for p in (1, a, w) for v in (1, vy, vz)])
-        case = 0 if abs(q) * tmax**2 < 1e-5 else 1 if q.real > 0 else 2  # series, s real, imaginary
-        s = q if case == 0 else sqrt(q if case == 1 else -q)
-        consts.append((det / (m - s) if case == 1 else m, -g2, s))  # m + s = det/(m - s)
-        cases.append(case)
-    c = np.array(consts)
+    rc = [_rate_constants(*row, tmax, sqrt) for row in np.asarray(rows).tolist()]
+    monos = [[p * v for p in (1, a, w) for v in (1, vy, vz)] for a, w, vy, vz, _, _ in rc]
+    cases, c = [r[4] for r in rc], np.array([r[5] for r in rc])
     basis = np.empty((len(c), 4, t.size), c.dtype)  # 1, C, S, E; S is e^{c0 t} until its case
-    basis[:, 0], ct = 1, c[:, 2:] * t
+    basis[:, 0] = 1
     np.exp(np.multiply(c[:, :2, None], t, out=basis[:, 2:]), out=basis[:, 2:])
     for case in set(cases):
         k = np.equal(cases, case) if len(set(cases)) > 1 else slice(None)
-        e, x, s = basis[k, 2], ct[k], c[k, 2:]  # e = e^{mt}, or e^{(m+s)t} where s is real
-        if case == 0:  # the series in z = (st)^2 = q t^2, |z| < 1e-5
-            z = x * t
-            cs = e * (1 + z / 2 + z * z / 24), e * t * (1 + z / 6 + z * z / 120)
-        elif case == 1:  # e^{(m+s)t} and expm1(-2st) stay in [-1, 1]
-            d = np.expm1(-2 * x)
-            cs = e * (1 + d / 2), e * d / (-2 * s)
-        else:
-            cs = e * np.cos(x), e * np.sin(x) / s
-        basis[k, 1], basis[k, 2] = cs
+        basis[k, 1], basis[k, 2] = _cosh_sinh(case, basis[k, 2], c[k, 2:], t, np)
     return (np.array(monos)[:, None] @ terms).reshape(len(c), -1, 4) @ basis  # row by row
 
 
@@ -199,16 +209,15 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     return _bloch_curves(rows, _bloch_terms(bloch0), t).reshape(len(rows), len(bloch0), 3, -1)
 
 
-_STEP_TERMS = _bloch_terms(np.eye(4)[:, 1:])  # the starts 0, x, y, z, built once
-
-
 def _exact_step(rates: CanonicalRates, tau: float) -> np.ndarray:
-    """The exact one-step PTM E(tau): column 0 is (1, v_0) and column j is (0, v_j - v_0), with v_0
-    and v_j the closed form's Bloch vectors at tau from the start 0 and from the axis j."""
-    v = _bloch_curves([[rates.gamma1, rates.gamma_phi, rates.omega]], _STEP_TERMS, np.array([tau]))
-    step = np.eye(4)  # C order: matmul takes another BLAS kernel, with other bits, for F order
-    step[1:, 0], step[1:, 1:] = v[0, :3, 0], (v[0, 3:, 0].reshape(3, 3) - v[0, :3, 0]).T
-    return step
+    """The exact one-step PTM E(tau) from the closed form's constants, in Python floats: <x> decays
+    by e^{-G2 tau}, (<y>, <z>) maps to B (y, z) + (I - B) v_ss, B = e^{M tau} = C I + S [[a, -w],
+    [w, -a]], with C = e^{m tau} cosh(s tau) and S = e^{m tau} sinh(s tau)/s."""
+    a, w, vy, vz, case, (c0, c1, s) = _rate_constants(*vars(rates).values(), tau)
+    c, sn = _cosh_sinh(case, math.exp(c0 * tau), s, tau)
+    b = (c + sn * a, -sn * w), (sn * w, c - sn * a)
+    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, math.exp(c1 * tau), 0.0, 0.0]] + [  # C order
+        [v - by * vy - bz * vz, 0.0, by, bz] for v, (by, bz) in zip((vy, vz), b)])
 
 
 def target_trace(rates: CanonicalRates, rho0: np.ndarray, tau0: float,

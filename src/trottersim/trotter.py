@@ -255,9 +255,9 @@ def convergence_order(
         t_total: Fixed total evolution time in us.
 
     Returns:
-        ConvergenceResult; the slope fits only the runs with A >= 1e-13,
-        above the floating-point floor, and when fewer than four are left it
-        is meaningless: only the saturated flag is set.
+        ConvergenceResult; the slope fits only the runs with A >= max(1e-13, 4 N eps),
+        above the floating-point floor of N steps, and when fewer than four are
+        left it is meaningless: only the saturated flag is set.
     """
     check_positive("t_total", t_total)
     if len(n_list) < 4:
@@ -267,7 +267,7 @@ def convergence_order(
     schedules = [replace(template, n_steps=int(n), dt=t_total / n) for n in n_list]
     row0 = _initial_row(rho0)
     accs = [_accuracies(s, rates, row0)[0].a for s in schedules]
-    kept = [(n, a) for n, a in zip(n_list, accs) if a >= 1e-13]
+    kept = [(n, a) for n, a in zip(n_list, accs) if a >= max(1e-13, 4 * n * np.finfo(float).eps)]
     saturated = len(kept) < 4
     slope = None if saturated else float(np.polyfit(*np.log(kept).T, 1)[0])
     return ConvergenceResult(tuple(int(n) for n in n_list), tuple(accs), slope, saturated)

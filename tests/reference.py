@@ -1,6 +1,7 @@
 """The tests' exact oracles, independent of the package: the canonical qubit master equation
 of trottersim.liouvillian's docstring as a column-stacking generator, exponentiated by scipy;
-the dephasing and damping Kraus pairs of trottersim.channels' rate conventions; and the Choi
+the dephasing and damping Kraus pairs of trottersim.channels' rate conventions; the Kraus sum
+as a superoperator, and the dilation circuits composed gate by gate as Kraus families; the Choi
 matrix and CPTP check that channels are compared and judged by; and the Bloch-row check
 written out one row at a time.
 """
@@ -48,6 +49,46 @@ def damping_kraus(gamma1, tau):
     decays by nu^2, off-diagonals by nu."""
     nu = np.exp(-gamma1 * tau / 2)
     return np.array([np.diag([1.0, nu]), np.sqrt(1.0 - nu * nu) * SIGMA_MINUS], dtype=complex)
+
+
+def kraus_superop(ops):
+    """Column-stacking superoperator sum_k conj(E_k) (x) E_k of each (k, d, d) Kraus stack E."""
+    *batch, _, _, d = np.shape(ops)
+    return np.einsum("...kac,...kbd->...abcd", np.conj(ops), ops).reshape(*batch, d * d, d * d)
+
+
+def _rx(theta):
+    """exp(-i theta sigma_x / 2)."""
+    return np.cos(theta / 2) * EYE - 1j * np.sin(theta / 2) * SIGMA_X
+
+
+def _gate_kraus(kind, theta, adaptive):
+    """The Kraus operators of one dilation gate on ancilla (x) data, the ancilla the first factor:
+    one unitary, or the feedforward pair |g><g| (x) I, |e><e| (x) X (an ancilla z measurement
+    with a conditional data X) for the CNOT when adaptive is "feedforward"."""
+    proj_g, proj_e = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return {"ancilla_rx": [np.kron(_rx(theta), EYE)], "data_x": [np.kron(EYE, _rx(theta))],
+            "cz": [np.diag([1.0, 1.0, 1.0, -1.0])],
+            "cnot_ancilla_ctrl": [np.kron(proj_g, EYE), np.kron(proj_e, SIGMA_X)]
+            if adaptive == "feedforward" else [np.kron(proj_g, EYE) + np.kron(proj_e, SIGMA_X)]}[kind]
+
+
+def circuit_channel(gates, p_grape=0.0, p_decay=0.0, adaptive="coherent"):
+    """Column-stacking superoperator of the data channel a dilation circuit induces, for its
+    (kind, theta) gates before the reset: the gates' Kraus operators compose gate by gate into
+    one family E_k on ancilla (x) data, with the ancilla decay pair diag(1, sqrt(1 - p_decay)),
+    sqrt(p_decay) |g><e| on the ancilla after each two-qubit gate; the data Kraus operators are
+    <a|E_k|g> for a = g, e; one depolarization event then mixes in p_grape Tr(rho) I/2."""
+    decay = [np.kron(np.diag([1.0, np.sqrt(1.0 - p_decay)]), EYE),
+             np.kron(np.sqrt(p_decay) * SIGMA_MINUS, EYE)]
+    family = [np.eye(4)]
+    for kind, theta in gates:
+        family = [g @ e for g in _gate_kraus(kind, theta, adaptive) for e in family]
+        if kind in ("cz", "cnot_ancilla_ctrl"):
+            family = [d @ e for d in decay for e in family]
+    s = kraus_superop(np.array([e[2 * a: 2 * a + 2, :2] for e in family for a in (0, 1)]))
+    mixer = np.outer(EYE.ravel(), EYE.ravel()) / 2  # X -> Tr(X) I/2, vec(I) = I.ravel()
+    return (1 - p_grape) * s + p_grape * mixer @ s
 
 
 def unvec(v):

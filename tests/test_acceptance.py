@@ -8,7 +8,8 @@ import time
 
 import numpy as np
 
-from reference import choi_distance, damping_kraus, dephasing_kraus, is_cptp, superop_of
+from reference import (choi_distance, damping_kraus, dephasing_kraus, is_cptp, kraus_superop,
+                       superop_of)
 from trottersim.channels import elementary_ptms
 from trottersim.dilation import (
     AngleParams,
@@ -20,7 +21,6 @@ from trottersim.dilation import (
     induced_channel,
     rotation_circuit,
 )
-from trottersim.linalg import kraus_superop
 from trottersim.liouvillian import CanonicalRates
 from trottersim.mitigation import (
     NoisePoint,

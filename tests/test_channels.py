@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (choi, choi_distance, damping_kraus, dephasing_kraus, is_cptp, propagator,
-                       superop_of, unvec)
+from reference import (choi, choi_distance, damping_kraus, dephasing_kraus, is_cptp,
+                       kraus_superop, propagator, superop_of, unvec)
 from trottersim.channels import elementary_ptms
 from trottersim.linalg import (
     I2,
@@ -14,7 +14,6 @@ from trottersim.linalg import (
     KET_1,
     SIGMA_X,
     density,
-    kraus_superop,
     validate_density_matrix,
     vec,
 )

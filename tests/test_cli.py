@@ -16,13 +16,13 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import choi_distance, damping_kraus, dephasing_kraus
+from reference import choi_distance, damping_kraus, dephasing_kraus, kraus_superop
 import trottersim
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from trottersim.dilation import (AngleParams, angle_to_rates, damping_circuit, dephasing_circuit,
                                  effective_rates, induced_channel, rotation_circuit)
-from trottersim.linalg import kraus_superop, rx
+from trottersim.linalg import rx
 from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from trottersim.mitigation import check_scale_factors
 from trottersim.tomography import global_fit

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import (choi, choi_distance, damping_kraus, dephasing_kraus, is_cptp,
-                       partial_trace, propagator, unvec)
+from reference import (choi, choi_distance, circuit_channel, damping_kraus, dephasing_kraus,
+                       is_cptp, kraus_superop, partial_trace, propagator, superop_of, unvec)
+from trottersim.channels import elementary_ptms
 from trottersim.dilation import (
     AngleParams,
     DilationCircuit,
     Gate,
     NoiseParams,
     _CIRCUIT_GATES,
-    _induced_channels,
+    _circuit_ptms,
     angle_to_rates,
     damping_circuit,
     dephasing_circuit,
@@ -24,8 +25,8 @@ from trottersim.dilation import (
     rates_to_angles,
     rotation_circuit,
 )
-from trottersim.linalg import (I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, SIGMA_Z, density,
-                               kraus_superop, vec)
+from trottersim.linalg import I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, SIGMA_Z, density, vec
+from trottersim.liouvillian import BLOCH_ROWS, CanonicalRates
 
 TAU0 = 3.56
 THETA_GRID_DEG = np.arange(5, 90, 5)  # 5..85 degrees
@@ -178,17 +179,9 @@ _CIRCUITS = {
 _MIXER = np.outer(vec(I2), vec(I2)) / 2  # X -> Tr(X) I/2
 
 
-def _kraus_reference(circuit, p_decay):
-    """Data superoperator from 4x4 Kraus families composed gate by gate, with
-    ancilla decay after each two-qubit gate, read off as the blocks <a|E|g>."""
-    e0 = np.kron(np.diag([1.0, np.sqrt(1.0 - p_decay)]), I2)
-    decay = (e0, np.kron(np.sqrt(p_decay) * SIGMA_MINUS, I2))
-    composite = [np.eye(4)]
-    for gate in circuit.gates[:-1]:
-        composite = [gate_unitary(gate) @ e for e in composite]
-        if gate.kind in ("cz", "cnot_ancilla_ctrl"):
-            composite = [f @ e for f in decay for e in composite]
-    return kraus_superop(np.array([e[2 * a : 2 * a + 2, :2] for e in composite for a in (0, 1)]))
+def _gates(circuit):
+    """The circuit's (kind, theta) pairs before the reset."""
+    return [(g.kind, g.theta) for g in circuit.gates[:-1]]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -209,7 +202,7 @@ def test_induced_channel_properties(kind, theta, p_grape, p_decay, adaptive):
     # One depolarization event mixes the data channel with Tr(.) I/2.
     clean = induced_channel(circuit, NoiseParams(0.0, p_decay), adaptive)
     assert np.abs(s - ((1 - p_grape) * clean + p_grape * _MIXER)).max() < 1e-12
-    assert np.abs(clean - _kraus_reference(circuit, p_decay)).max() < 1e-12
+    assert np.abs(clean - circuit_channel(_gates(circuit), 0.0, p_decay, adaptive)).max() < 1e-12
     # Ancilla decay after the dephasing circuit's CZ, the last gate before the
     # reset, cannot reach the data; the rotation circuit has no two-qubit gate.
     if kind != "damping":
@@ -281,22 +274,51 @@ def test_induced_channel_matches_the_superoperator_composition(
 def test_batched_induced_channels_equal_each_circuit_bit_for_bit(
     kind, thetas, noise_kind, p_grape, p_decay, adaptive
 ):
-    # The dilation backends contract B circuits of one kind as one batch, from the kind's
-    # gate table and its B angles; each batch entry must be exactly the circuit's own
-    # induced_channel.
+    # The dilation backends chain the PTMs of B circuits of one kind as one batch, from the
+    # kind's gate table and its B angles; each batch entry R must be exactly the PTM of the
+    # circuit's own induced_channel, P R P^dag / 2 with P^dag = BLOCH_ROWS.
     noise = {"off": None, "decay": NoiseParams(0.0, p_decay),
              "both": NoiseParams(p_grape, p_decay)}[noise_kind]
     circuits = [_CIRCUITS[kind](theta) for theta in thetas]
-    (batch,) = _induced_channels([(_CIRCUIT_GATES[kind], np.array(thetas))], noise, adaptive)
+    (batch,) = _circuit_ptms([(_CIRCUIT_GATES[kind], np.array(thetas))], noise, adaptive)
     assert batch.shape == (len(circuits), 4, 4)
-    for circuit, s in zip(circuits, batch):
-        assert s.tobytes() == induced_channel(circuit, noise, adaptive).tobytes()
+    for circuit, ptm in zip(circuits, batch):
+        superop = BLOCH_ROWS.conj().T @ ptm @ BLOCH_ROWS / 2
+        assert superop.tobytes() == induced_channel(circuit, noise, adaptive).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
+    durations=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=3),
+    noise_kind=st.sampled_from(["off", "decay", "both"]),
+    p_grape=st.floats(0, 1),
+    p_decay=st.floats(0, 1),
+    adaptive=st.sampled_from(["coherent", "feedforward"]),
+)
+def test_ptm_chain_matches_the_gate_by_gate_kraus_composition(
+    rates, durations, noise_kind, p_grape, p_decay, adaptive
+):
+    # The real PTM chain on ancilla (x) data, behind the dilation backends and
+    # induced_channel, against the complex Kraus families composed gate by gate.
+    noise = {"off": None, "decay": NoiseParams(0.0, p_decay),
+             "both": NoiseParams(p_grape, p_decay)}[noise_kind]
+    oracle_noise = (0.0, 0.0) if noise is None else (noise.p_grape, noise.p_ancilla_decay)
+    rates = CanonicalRates(*rates)
+    backend = "dilation" if noise is None else "dilation+noise"
+    for dt, ptms in zip(durations, elementary_ptms(rates, durations, backend, noise)):
+        angles = rates_to_angles(rates, dt)
+        for kind, theta, ptm in zip(_CIRCUITS, (angles.theta1, angles.theta2, angles.theta3), ptms):
+            circuit = _CIRCUITS[kind](theta)
+            oracle = circuit_channel(_gates(circuit), *oracle_noise, adaptive)
+            assert np.abs(superop_of(ptm) - oracle).max() <= 1e-15
+            assert np.abs(induced_channel(circuit, noise, adaptive) - oracle).max() <= 1e-15
 
 
 def test_run_circuit_rejects_bad_adaptive_mode():
     # The batched contraction that runs the dilation backends' circuits checks the mode too.
     with pytest.raises(ValueError, match="adaptive"):
-        _induced_channels([(_CIRCUIT_GATES["damping"], np.ones(1))], None, adaptive="magic")
+        _circuit_ptms([(_CIRCUIT_GATES["damping"], np.ones(1))], None, adaptive="magic")
 
 
 def test_induced_channel_rejects_bad_adaptive_mode():

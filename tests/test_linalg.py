@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import partial_trace, unvec
+from reference import kraus_superop, partial_trace, unvec
 from trottersim.linalg import (
     I2,
     KET_0,
@@ -20,7 +20,6 @@ from trottersim.linalg import (
     SIGMA_Z,
     check_bloch_rows,
     density,
-    kraus_superop,
     rx,
     validate_density_matrix,
     vec,

@@ -26,7 +26,7 @@ from trottersim.liouvillian import (
     target_trace,
 )
 from trottersim import liouvillian
-from trottersim.trotter import _SCAN, TrotterSchedule, _step_stack
+from trottersim.trotter import _SCAN, TrotterSchedule, _step_stack, permutation_scan
 
 RHO_1 = density(KET_1)
 
@@ -417,6 +417,31 @@ def test_exact_step_maps_each_start_to_the_closed_form_at_one_step(rates, tau, s
     row = [[rates.gamma1, rates.gamma_phi, rates.omega]]
     want = bloch_solution(row, starts, [tau])[0, :, :, 0]
     np.testing.assert_allclose(got[1:].T, want, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rates=exact_rates(gamma1=st.floats(0, 2)), tau=st.floats(1e-3, 50.0))
+def test_exact_step_is_the_closed_form_read_out_at_one_step(rates, tau):
+    # Entry by entry: column 0 is (1, v_0) and column j is (0, v_j - v_0), with v_0 and v_j the
+    # closed form's Bloch vectors at tau from the start 0 and from the axis j, over every case
+    # of the closed form (series, s real, s imaginary).
+    row = [[rates.gamma1, rates.gamma_phi, rates.omega]]
+    v = bloch_solution(row, np.eye(4)[:, 1:], [tau])[0, :, :, 0]
+    want = np.eye(4)
+    want[1:, 0], want[1:, 1:] = v[0], (v[1:] - v[0]).T
+    np.testing.assert_allclose(liouvillian._exact_step(rates, tau), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rates: target_trace(rates, RHO_1, 1e10, 3),
+    lambda rates: permutation_scan(rates, dt=1e10),
+], ids=["target_trace", "permutation_scan"])
+def test_rates_that_overflow_the_closed_form_are_a_value_error(call):
+    # g1 g2 overflows at these rates: the exact step was NaN, which the scan then rejected as
+    # a non-finite accuracy. It is a ValueError naming the rates and the step duration.
+    with pytest.raises(ValueError, match=r"^the closed form overflows at rates gamma1=1e\+300, "
+                                         r"gamma_phi=1e\+300, omega=0\.1 \(t up to 10000000000\.0\)"):
+        call(CanonicalRates(1e300, 1e300, 0.1))
 
 
 def _target_error(rates, tau, n, r):

@@ -12,10 +12,10 @@ from trottersim.dilation import (AngleParams, NoiseParams, angle_to_rates, dampi
                                  dephasing_circuit, induced_channel, rates_to_angles,
                                  rotation_circuit)
 from trottersim.tomography import FitResult
-from reference import choi, damping_kraus, dephasing_kraus, superop_of
+from reference import choi, damping_kraus, dephasing_kraus, kraus_superop, superop_of
 from trottersim.channels import elementary_ptms
-from trottersim.linalg import (I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, kraus_superop,
-                               rx, vec)
+from trottersim.linalg import (I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, rx,
+                               vec)
 from trottersim.liouvillian import (BLOCH_ROWS, CanonicalRates, EvolutionTrace, propagate,
                                     target_trace)
 from trottersim.trotter import (
@@ -327,6 +327,19 @@ def test_slope_skips_runs_at_the_rounding_floor():
     assert res.saturated and res.slope is None
 
 
+def test_slope_floor_grows_with_the_step_count():
+    # The rounding of N steps grows past 1e-13 at large N: this family reads A = 5.3e-14 at
+    # N = 256 but 1.15e-13 at N = 512, all rounding, and a fixed 1e-13 floor kept N = 512 and
+    # read slope -1.28. The floor max(1e-13, 4 N eps) drops it; the five runs above it
+    # (N = 4..64) give the order 2.
+    rates = CanonicalRates(gamma1=1.5e-5, gamma_phi=7.5e-6, omega=1.5e-5)
+    res = convergence_order(TrotterSchedule(order=2), rates,
+                            n_list=(4, 8, 16, 32, 64, 128, 256, 512))
+    assert res.accuracies[-1] > 1e-13 > res.accuracies[-2]
+    assert not res.saturated
+    assert res.slope == pytest.approx(-2.0, abs=0.1)
+
+
 def test_accuracy_decreases_monotonically_with_n():
     res = convergence_order(TrotterSchedule(order=1), FIG4_RATES, t_total=13 * TAU0)
     accs = np.array(res.accuracies)
@@ -556,17 +569,18 @@ def test_every_elementary_ptm_is_cptp(backend, label, rates, noise, dt):
 def test_dilation_ptms_are_the_public_circuits_bit_for_bit(
     backend, with_noise, rates, noise, durations
 ):
-    # Each circuit's gates are written once: the backends contract them from angle arrays,
-    # and must give exactly Re(P^dag S P)/2 of induced_channel of the public builders'
-    # circuits at the angles rates_to_angles gives each duration.
+    # Each circuit's gates are written once: the backends chain their PTMs R from angle
+    # arrays, and P R P^dag / 2 (P^dag = BLOCH_ROWS) must be exactly induced_channel of the
+    # public builders' circuits at the angles rates_to_angles gives each duration.
     rates = CanonicalRates(*rates)
     noise = NoiseParams(*noise) if with_noise else None
     for dt, ptms in zip(durations, elementary_ptms(rates, durations, backend, noise)):
         angles = rates_to_angles(rates, dt)
         circuits = (dephasing_circuit(angles.theta1), damping_circuit(angles.theta2),
                     rotation_circuit(angles.theta3))
-        supers = np.array([induced_channel(circuit, noise) for circuit in circuits])
-        assert ptms.tobytes() == (np.real(BLOCH_ROWS @ supers @ BLOCH_ROWS.conj().T) / 2).tobytes()
+        for circuit, ptm in zip(circuits, ptms):
+            superop = BLOCH_ROWS.conj().T @ ptm @ BLOCH_ROWS / 2
+            assert superop.tobytes() == induced_channel(circuit, noise).tobytes()
 
 
 def test_stacked_run_names_unphysical_step_and_schedule(monkeypatch):
