@@ -31,8 +31,8 @@ def elementary_ptms(
     of trotter.ALL_LABELS. Each dt must be nonnegative and finite.
 
     The kraus closed forms: dephasing diag(1, mu, mu, 1), mu = e^(-gamma_phi dt); damping
-    diag(1, nu, nu, nu^2) plus R_z0 = 1 - nu^2, nu = e^(-gamma1 dt/2); rx(theta) turns
-    (<sy>, <sz>) by [[cos, -sin], [sin, cos]], theta = 2 pi omega dt. The dilation backends
+    diag(1, nu, nu, nu^2) plus R_z0 = 1 - nu^2, nu = e^(-gamma1 dt/2); the x rotation by
+    theta = 2 pi omega dt turns (<sy>, <sz>) by [[cos, -sin], [sin, cos]]. The dilation backends
     chain the real PTMs of each circuit's gate table on ancilla (x) data at rates_to_angles'
     angles, for all D durations at once, and read off the data qubit's PTMs.
     """

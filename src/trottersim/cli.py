@@ -30,7 +30,9 @@ configuration or usage, 2 numerical failure (diagnostic on stderr).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import re
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -42,8 +44,7 @@ from .channels import elementary_ptms
 from .dilation import AngleParams, NoiseParams, angle_to_rates, effective_rates
 from .linalg import check_bloch_rows, density
 from .liouvillian import CanonicalRates, EvolutionTrace, target_trace
-from .mitigation import (NoisePoint, _noise_rows, check_scale_factors, extrapolate,
-                         scaled_damping_t2)
+from .mitigation import NoisePoint, check_scale_factors, extrapolate, scaled_damping_t2
 from .tomography import INITIAL_STATES, OBS_LABELS, STATE_LABELS, generate_tomography, global_fit
 from .trotter import (
     ALL_LABELS,
@@ -249,8 +250,8 @@ def build_config(raw, mode):
             noise=NoiseParams(**noise) if "noise" in raw else None,
         )
         n_max = check_scale_factors(v["c_list"], v["n_max"] if simulated else 0, "c_list")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ValueError as exc:  # the schedule's dt is the config's angles.tau0_us
+        raise ConfigError(re.sub(r"\bdt\b", "angles.tau0_us", str(exc))) from None
 
     if not 0 <= deg["theta3_deg"] <= 360:
         raise ConfigError(f"angles.theta3_deg must lie in [0, 360], got {deg['theta3_deg']}")
@@ -454,6 +455,28 @@ def _scaled_points(cfg):
     t2s = [scaled_damping_t2(base, c, cfg.schedule) for c in cfg.c_list]
     return base, [NoisePoint(c=c, value=1.0 / t2 if cfg.variable == "rate" else t2)
                   for c, t2 in zip(cfg.c_list, t2s)]
+
+
+def _noise_rows(path):
+    """A noise-point CSV's (c, value[, sigma]) rows as float triples, unchecked: a non-numeric
+    first row is a header, blank lines are skipped and a missing or empty sigma is None. A row
+    of fewer than two cells or a malformed number is a ValueError."""
+    rows = []
+    with open(path, newline="") as fh:
+        for row_number, row in enumerate(csv.reader(fh)):
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if row_number == 0:
+                try:
+                    float(cells[0])
+                except ValueError:
+                    continue  # header row
+            if len(cells) < 2:
+                raise ValueError(f"row {row_number}: need at least c and value")
+            sigma = float(cells[2]) if len(cells) >= 3 and cells[2] else None
+            rows.append((float(cells[0]), float(cells[1]), sigma))
+    return rows
 
 
 def _run_mitigate(cfg):

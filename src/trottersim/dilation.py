@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, check_positive, rx
+from .linalg import check_positive
 from .liouvillian import BLOCH_ROWS, CanonicalRates
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "DilationCircuit",
     "AngleParams",
     "NoiseParams",
-    "gate_unitary",
     "dephasing_circuit",
     "damping_circuit",
     "rotation_circuit",
@@ -61,19 +60,6 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if not np.isfinite(self.theta):
             raise ValueError("gate angle must be finite")
-
-
-def gate_unitary(gate: Gate) -> np.ndarray:
-    """4x4 unitary of a non-reset gate in ancilla (x) data ordering."""
-    if gate.kind == "ancilla_rx":
-        return np.kron(rx(gate.theta), I2)
-    if gate.kind == "data_x":
-        return np.kron(I2, rx(gate.theta))
-    if gate.kind == "cz":
-        return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    if gate.kind == "cnot_ancilla_ctrl":
-        return np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # X on the data where the ancilla is |e>
-    raise ValueError(f"gate {gate.kind!r} has no unitary realization")
 
 
 @dataclass(frozen=True)
@@ -180,7 +166,8 @@ def rotation_circuit(theta3: float) -> DilationCircuit:
 # index 4a + d (BLOCH_ROWS holds each Pauli s as s.ravel()). The data rows load with ancilla |g>,
 # at a = I and a = Z; measuring the ancilla after the CNOT (the feedforward pair) keeps those rows.
 _PAULIS2 = np.einsum("aij,dkl->adikjl", *[BLOCH_ROWS.reshape(4, 2, 2)] * 2).reshape(16, 16)
-_GATES2 = np.stack([gate_unitary(Gate(kind)) for kind in ("cz", "cnot_ancilla_ctrl")])
+# CZ, and the CNOT: X on the data where the ancilla is |e>.
+_GATES2 = np.stack([np.diag([1.0, 1.0, 1.0, -1.0]), np.eye(4)[[0, 1, 3, 2]]]).astype(complex)
 _CZ, _CNOT = np.real(_PAULIS2.conj() @ np.einsum("gik,gjl->gijkl", _GATES2, _GATES2.conj())
                      .reshape(2, 16, 16) @ _PAULIS2.T) / 4
 _LOAD = np.eye(16, 4) + np.eye(16, 4, -12)
@@ -188,7 +175,7 @@ _FEEDFORWARD = _CNOT * _LOAD.sum(1, keepdims=True)
 
 
 def _rx_rows(c: float, s: float) -> tuple:
-    """The PTM of rx(theta) row by row, c = cos theta, s = sin theta: [[c, -s], [s, c]] on y, z."""
+    """An x rotation's PTM row by row, c = cos theta, s = sin theta: [[c, -s], [s, c]] on y, z."""
     return 1, 0, 0, 0,  0, 1, 0, 0,  0, 0, c, -s,  0, 0, s, c
 
 

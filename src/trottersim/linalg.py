@@ -14,15 +14,12 @@ import math
 import numpy as np
 
 __all__ = [
-    "I2",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "SIGMA_MINUS",
     "KET_0",
     "KET_1",
     "vec",
-    "rx",
     "check_bloch_rows",
     "validate_density_matrix",
     "check_count",
@@ -30,12 +27,9 @@ __all__ = [
     "density",
 ]
 
-I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-# Lowering operator |0><1| in the sigma_z eigenbasis with |0> the +1 state.
-SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 _MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
 KET_0 = np.array([1, 0], dtype=complex)
@@ -55,14 +49,6 @@ def density(ket: np.ndarray) -> np.ndarray:
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: vec(|i><j|) = e_j (x) e_i."""
     return np.asarray(m).reshape(-1, order="F")
-
-
-def rx(theta: float | np.ndarray) -> np.ndarray:
-    """x rotation exp(-i theta sigma_x / 2) = cos(theta/2) I - i sin(theta/2) sigma_x, per angle."""
-    out = np.empty(np.shape(theta) + (2, 2), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = np.cos(theta / 2)
-    out[..., 0, 1] = out[..., 1, 0] = -1j * np.sin(theta / 2)
-    return out
 
 
 def check_count(name: str, value) -> None:

@@ -17,7 +17,6 @@ T2* is the pure dephasing time.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ __all__ = [
     "richardson_coeffs",
     "extrapolate",
     "scaled_damping_t2",
-    "load_noise_points",
 ]
 
 _CONDITION_WARN_THRESHOLD = 1e8
@@ -229,43 +227,3 @@ def scaled_damping_t2(rates, c, schedule=TrotterSchedule()):
     )
     return global_fit(curves).t2
 
-
-def load_noise_points(path):
-    """Reads noise points from a CSV file of (c, value[, sigma]) rows.
-
-    A non-numeric first row is treated as a header and skipped; blank lines
-    are ignored; a missing or empty third column leaves sigma unset.
-
-    Args:
-        path: CSV file path.
-
-    Returns:
-        List of NoisePoint in file order.
-
-    Raises:
-        ValueError: If a data row has fewer than two columns or a malformed
-            number.
-    """
-    return [NoisePoint(*row) for row in _noise_rows(path)]
-
-
-def _noise_rows(path):
-    """A noise-point CSV's (c, value, sigma) float rows (sigma None where absent), unchecked."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row_number, row in enumerate(csv.reader(fh)):
-            cells = [cell.strip() for cell in row]
-            if not any(cells):
-                continue
-            if row_number == 0:
-                try:
-                    float(cells[0])
-                except ValueError:
-                    continue  # header row
-            if len(cells) < 2:
-                raise ValueError(f"row {row_number}: need at least c and value")
-            sigma = None
-            if len(cells) >= 3 and cells[2]:
-                sigma = float(cells[2])
-            rows.append((float(cells[0]), float(cells[1]), sigma))
-    return rows

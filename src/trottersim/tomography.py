@@ -111,7 +111,7 @@ def generate_tomography(
 
     Args:
         rates: Canonical rates of the generating dynamics.
-        tau0: Sample spacing in us, positive and finite.
+        tau0: Sample spacing in us, positive, with n_steps * tau0 below 1.34e154.
         n_steps: Number of steps, an integer >= 1 (n_steps + 1 samples per curve).
         shots: Per-point sampling depth, an integer >= 1; None for exact expectations.
         seed: Seed for the binomial sampler (fixed seed gives identical output).
@@ -127,6 +127,8 @@ def generate_tomography(
     if shots is not None:
         check_count("shots", shots)
     check_positive("tau0", tau0)
+    if not float(n_steps) * float(tau0) < 1.34e154:  # the last time's t^2 overflows, or inf
+        raise ValueError(f"n_steps * tau0 must be below 1.34e154, got {n_steps} * {tau0}")
     times = np.arange(n_steps + 1) * tau0
     if evolve is None:  # the fit's own model
         rows = [[rates.gamma1, rates.gamma_phi, rates.omega]]

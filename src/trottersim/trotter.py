@@ -65,7 +65,7 @@ class TrotterSchedule:
             reversed).
         n_steps: Number of Trotter steps N >= 1.
         dt: Step duration in us (tau0 for experiment replicas, t/N for
-            convergence studies).
+            convergence studies); n_steps * dt must be below 1.34e154.
         backend: "kraus", "dilation", or "dilation+noise".
         noise: Injected imperfections; required exactly when the backend is
             "dilation+noise".
@@ -90,6 +90,8 @@ class TrotterSchedule:
         if self.order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {self.order}")
         check_positive("dt", self.dt)
+        if not float(self.n_steps) * float(self.dt) < 1.34e154:  # the last time's t^2 overflows
+            raise ValueError(f"n_steps * dt must be below 1.34e154, got {self.n_steps} * {self.dt}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.backend == "dilation+noise" and self.noise is None:

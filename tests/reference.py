@@ -1,9 +1,9 @@
 """The tests' exact oracles, independent of the package: the canonical qubit master equation
 of trottersim.liouvillian's docstring as a column-stacking generator, exponentiated by scipy;
 the dephasing and damping Kraus pairs of trottersim.channels' rate conventions; the Kraus sum
-as a superoperator, and the dilation circuits composed gate by gate as Kraus families; the Choi
-matrix and CPTP check that channels are compared and judged by; and the Bloch-row check
-written out one row at a time.
+as a superoperator; the dilation gates' own unitaries and Kraus operators, and the circuits
+composed from them gate by gate as Kraus families; the Choi matrix and CPTP check that
+channels are compared and judged by; and the Bloch-row check written out one row at a time.
 """
 
 import math
@@ -57,17 +57,17 @@ def kraus_superop(ops):
     return np.einsum("...kac,...kbd->...abcd", np.conj(ops), ops).reshape(*batch, d * d, d * d)
 
 
-def _rx(theta):
+def rx(theta):
     """exp(-i theta sigma_x / 2)."""
     return np.cos(theta / 2) * EYE - 1j * np.sin(theta / 2) * SIGMA_X
 
 
-def _gate_kraus(kind, theta, adaptive):
+def gate_kraus(kind, theta, adaptive):
     """The Kraus operators of one dilation gate on ancilla (x) data, the ancilla the first factor:
     one unitary, or the feedforward pair |g><g| (x) I, |e><e| (x) X (an ancilla z measurement
     with a conditional data X) for the CNOT when adaptive is "feedforward"."""
     proj_g, proj_e = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    return {"ancilla_rx": [np.kron(_rx(theta), EYE)], "data_x": [np.kron(EYE, _rx(theta))],
+    return {"ancilla_rx": [np.kron(rx(theta), EYE)], "data_x": [np.kron(EYE, rx(theta))],
             "cz": [np.diag([1.0, 1.0, 1.0, -1.0])],
             "cnot_ancilla_ctrl": [np.kron(proj_g, EYE), np.kron(proj_e, SIGMA_X)]
             if adaptive == "feedforward" else [np.kron(proj_g, EYE) + np.kron(proj_e, SIGMA_X)]}[kind]
@@ -83,7 +83,7 @@ def circuit_channel(gates, p_grape=0.0, p_decay=0.0, adaptive="coherent"):
              np.kron(np.sqrt(p_decay) * SIGMA_MINUS, EYE)]
     family = [np.eye(4)]
     for kind, theta in gates:
-        family = [g @ e for g in _gate_kraus(kind, theta, adaptive) for e in family]
+        family = [g @ e for g in gate_kraus(kind, theta, adaptive) for e in family]
         if kind in ("cz", "cnot_ancilla_ctrl"):
             family = [d @ e for d in decay for e in family]
     s = kraus_superop(np.array([e[2 * a: 2 * a + 2, :2] for e in family for a in (0, 1)]))

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (choi, choi_distance, damping_kraus, dephasing_kraus, is_cptp,
+from reference import (EYE, choi, choi_distance, damping_kraus, dephasing_kraus, is_cptp,
                        kraus_superop, propagator, superop_of, unvec)
 from trottersim.channels import elementary_ptms
 from trottersim.linalg import (
-    I2,
     KET_0,
     KET_1,
     SIGMA_X,
@@ -122,7 +121,7 @@ def test_negative_inputs_rejected():
 
 
 def test_unitary_channel_basics():
-    np.testing.assert_allclose(kraus_superop(I2[None]), np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(kraus_superop(EYE[None]), np.eye(4), atol=1e-14)
     out = unvec(kraus_superop(SIGMA_X[None]) @ vec(density(KET_0)))
     np.testing.assert_allclose(out, density(KET_1), atol=1e-14)
 
@@ -136,9 +135,9 @@ def test_depolarizing_channel():
     rng = np.random.default_rng(5)
     rho = random_rho(rng)
     out = unvec(depolarizing(1.0) @ vec(rho))
-    np.testing.assert_allclose(out, I2 / 2, atol=1e-12)
+    np.testing.assert_allclose(out, EYE / 2, atol=1e-12)
     out = unvec(depolarizing(0.3) @ vec(rho))
-    np.testing.assert_allclose(out, 0.7 * rho + 0.3 * I2 / 2, atol=1e-12)
+    np.testing.assert_allclose(out, 0.7 * rho + 0.3 * EYE / 2, atol=1e-12)
     with pytest.raises(ValueError):
         NoiseParams(p_grape=1.5)
 

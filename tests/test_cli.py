@@ -16,13 +16,12 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import choi_distance, damping_kraus, dephasing_kraus, kraus_superop
+from reference import choi_distance, damping_kraus, dephasing_kraus, kraus_superop, rx
 import trottersim
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from trottersim.dilation import (AngleParams, angle_to_rates, damping_circuit, dephasing_circuit,
                                  effective_rates, induced_channel, rotation_circuit)
-from trottersim.linalg import rx
 from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from trottersim.mitigation import check_scale_factors
 from trottersim.tomography import global_fit
@@ -89,13 +88,25 @@ def test_evolve_rejects_a_trace_outside_the_bloch_ball(tmp_path, monkeypatch, ca
 
 
 def test_evolve_with_a_time_whose_square_overflows_exits_with_a_message(tmp_path, capsys):
-    # tau0 = 1e200 us squares past the largest float in the exact form's series test: a
-    # ValueError that main reports, not an OverflowError traceback.
+    # 13 steps of tau0 = 1e200 us end past 1.34e154, where t^2 overflows: the schedule rejects
+    # its grid while the config is built, a configuration error and not an OverflowError.
     cfg = write_config(tmp_path, "angles: {tau0_us: 1.0e+200}\n")
-    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: times must be below 1.34e154")
+    assert err.startswith("error: n_steps * angles.tau0_us must be below 1.34e154, got 13 * 1e+200")
     assert not (tmp_path / "evolve.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["trotter", "fit", "converge"])
+def test_a_grid_whose_last_time_overflows_exits_1_without_warnings(tmp_path, capsys, command):
+    # 13 * 1e308 is inf: no overflow warning on the way, and one error line naming the config's
+    # keys rather than the times grid it never builds, or converge's unset t_total_us.
+    cfg = write_config(tmp_path, "angles: {tau0_us: 1.0e+308}\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: n_steps * angles.tau0_us must be below 1.34e154, got 13 * 1e+308"]
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 # ----------------------------------------------------------------- trotter
@@ -338,6 +349,34 @@ def test_mitigate_from_csv(tmp_path):
     )
     assert summary["results"][0]["sigma_est"] == 0.5
     assert summary["source"] == str(table)
+
+
+def test_mitigate_input_csv_skips_a_header_and_blank_lines(tmp_path):
+    # A non-numeric first row is a header, a blank line is skipped and an empty sigma is unset.
+    table = tmp_path / "table.csv"
+    table.write_text("c,value,sigma\n1,35.56,0.5\n2.13,29.63,\n\n4.93,22.00,0.3\n")
+    cfg = write_config(tmp_path, f"input_csv: {table}\n")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "mitigate.json").read_text())
+    assert summary["points"] == [{"c": 1.0, "sigma": 0.5, "value": 35.56},
+                                 {"c": 2.13, "sigma": None, "value": 29.63},
+                                 {"c": 4.93, "sigma": 0.3, "value": 22.0}]
+    assert summary["results"][1]["estimate"] == pytest.approx(40.8078, abs=1e-3)
+
+
+def test_mitigate_input_csv_headerless_and_short_row(tmp_path, capsys):
+    bare = tmp_path / "bare.csv"
+    bare.write_text("1,10\n2,8\n")
+    cfg = write_config(tmp_path, f"input_csv: {bare}\n")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "mitigate.json").read_text())
+    assert [(p["c"], p["value"]) for p in summary["points"]] == [(1.0, 10.0), (2.0, 8.0)]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1\n")
+    cfg = write_config(tmp_path, f"input_csv: {bad}\n")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: cannot load noise points from {bad}: row 0: need "
+                                       "at least c and value\n")
 
 
 def test_mitigate_rate_variable(tmp_path):

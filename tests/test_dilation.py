@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import (choi, choi_distance, circuit_channel, damping_kraus, dephasing_kraus,
-                       is_cptp, kraus_superop, partial_trace, propagator, superop_of, unvec)
+from reference import (EYE, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, choi, choi_distance,
+                       circuit_channel, damping_kraus, dephasing_kraus, gate_kraus, is_cptp,
+                       kraus_superop, partial_trace, propagator, superop_of, unvec)
 from trottersim.channels import elementary_ptms
 from trottersim.dilation import (
     AngleParams,
@@ -14,18 +15,19 @@ from trottersim.dilation import (
     Gate,
     NoiseParams,
     _CIRCUIT_GATES,
+    _CNOT,
+    _CZ,
     _circuit_ptms,
     angle_to_rates,
     damping_circuit,
     dephasing_circuit,
     depolarization_equivalent_time,
     effective_rates,
-    gate_unitary,
     induced_channel,
     rates_to_angles,
     rotation_circuit,
 )
-from trottersim.linalg import I2, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, SIGMA_Z, density, vec
+from trottersim.linalg import KET_1, density, vec
 from trottersim.liouvillian import BLOCH_ROWS, CanonicalRates
 
 TAU0 = 3.56
@@ -35,20 +37,15 @@ THETA_GRID_DEG = np.arange(5, 90, 5)  # 5..85 degrees
 # ------------------------------------------------------------------ gates
 
 
-def test_gate_unitaries_are_unitary():
-    for gate in (
-        Gate("ancilla_rx", 0.7),
-        Gate("cz"),
-        Gate("cnot_ancilla_ctrl"),
-        Gate("data_x", -1.3),
-    ):
-        u = gate_unitary(gate)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
-
-
-def test_reset_gate_has_no_unitary():
-    with pytest.raises(ValueError):
-        gate_unitary(Gate("reset_ancilla"))
+def test_fixed_gate_ptms_are_those_of_the_reference_unitaries():
+    # The CZ and CNOT PTMs the circuits chain are exactly Tr(P_i U P_j U^dag)/4 of the oracle's
+    # unitaries, with P_i = s_a (x) s_d at index i = 4a + d.
+    paulis = [np.kron(a, d) for a in (EYE, SIGMA_X, SIGMA_Y, SIGMA_Z)
+              for d in (EYE, SIGMA_X, SIGMA_Y, SIGMA_Z)]
+    for ptm, kind in ((_CZ, "cz"), (_CNOT, "cnot_ancilla_ctrl")):
+        (u,) = gate_kraus(kind, 0.0, "coherent")
+        assert np.array_equal(ptm, [[np.trace(p @ u @ q @ u.conj().T).real / 4 for q in paulis]
+                                    for p in paulis])
 
 
 def test_unknown_gate_kind_rejected():
@@ -161,7 +158,7 @@ def test_dephasing_circuit_is_probabilistic_phase_flip():
     for theta in (0.2, 0.9, 1.4):
         s = induced_channel(dephasing_circuit(theta))
         p = np.sin(theta / 2) ** 2
-        mix = (1 - p) * kraus_superop(I2[None]) + p * kraus_superop(SIGMA_Z[None])
+        mix = (1 - p) * kraus_superop(EYE[None]) + p * kraus_superop(SIGMA_Z[None])
         assert np.abs(s - mix).max() < 1e-12
 
 
@@ -176,7 +173,7 @@ _CIRCUITS = {
     "damping": damping_circuit,
     "rotation": rotation_circuit,
 }
-_MIXER = np.outer(vec(I2), vec(I2)) / 2  # X -> Tr(X) I/2
+_MIXER = np.outer(EYE.ravel(), EYE.ravel()) / 2  # X -> Tr(X) I/2, vec(I) = I.ravel()
 
 
 def _gates(circuit):
@@ -220,19 +217,14 @@ def _superop_reference(circuit, noise, adaptive):
     ancilla |g>, each gate (ancilla decay after each two-qubit gate), then the reset that
     keeps sum_a <a| rho |a>; one depolarization event mixes in Tr(.) I/2 at the end."""
     p = 0.0 if noise is None else noise.p_ancilla_decay
-    decay = _kraus_superop(np.kron(np.diag([1.0, np.sqrt(1.0 - p)]), I2),
-                           np.kron(np.sqrt(p) * SIGMA_MINUS, I2))
-    proj_g, proj_e = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    feedforward = _kraus_superop(np.kron(proj_g, I2), np.kron(proj_e, SIGMA_X))
-    s = _kraus_superop(np.kron(KET_0[:, None], I2))
+    decay = _kraus_superop(np.kron(np.diag([1.0, np.sqrt(1.0 - p)]), EYE),
+                           np.kron(np.sqrt(p) * SIGMA_MINUS, EYE))
+    s = _kraus_superop(np.kron(EYE[:, :1], EYE))  # load |g>
     for gate in circuit.gates[:-1]:
-        if gate.kind == "cnot_ancilla_ctrl" and adaptive == "feedforward":
-            s = feedforward @ s
-        else:
-            s = _kraus_superop(gate_unitary(gate)) @ s
+        s = _kraus_superop(*gate_kraus(gate.kind, gate.theta, adaptive)) @ s
         if p > 0 and gate.kind in ("cz", "cnot_ancilla_ctrl"):
             s = decay @ s
-    s = _kraus_superop(np.kron(KET_0[None], I2), np.kron(KET_1[None], I2)) @ s
+    s = _kraus_superop(np.kron(EYE[:1], EYE), np.kron(EYE[1:], EYE)) @ s  # <g|, <e|
     p_grape = 0.0 if noise is None else noise.p_grape
     return (1 - p_grape) * s + p_grape * _MIXER @ s
 
@@ -259,7 +251,7 @@ def test_induced_channel_matches_the_superoperator_composition(
     j = choi(s)
     assert np.abs(j - j.conj().T).max() <= 1e-14
     assert np.linalg.eigvalsh(j).min() >= -1e-14
-    assert np.abs(partial_trace(j, (2, 2), keep=0) - I2).max() <= 1e-14
+    assert np.abs(partial_trace(j, (2, 2), keep=0) - EYE).max() <= 1e-14
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

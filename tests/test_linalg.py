@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import kraus_superop, partial_trace, unvec
+from reference import EYE, kraus_superop, partial_trace, rx, unvec
 from trottersim.linalg import (
-    I2,
     KET_0,
     KET_1,
     SIGMA_X,
@@ -20,7 +19,6 @@ from trottersim.linalg import (
     SIGMA_Z,
     check_bloch_rows,
     density,
-    rx,
     validate_density_matrix,
     vec,
 )
@@ -82,14 +80,14 @@ def test_partial_trace_preserves_positivity():
             assert w.min() >= -1e-10
 
 
-# ------------------------------------------------------------------- rx
+# ----------------------------------------------------- the oracle's x rotation rx
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, -2.1, np.pi, 3 * np.pi / 2, 7.5])
 def test_rx_is_the_exponential_of_sigma_x(theta):
     np.testing.assert_allclose(rx(theta), scipy.linalg.expm(-0.5j * theta * SIGMA_X), rtol=0,
                                atol=1e-15)
-    np.testing.assert_allclose(rx(theta) @ rx(theta).conj().T, I2, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rx(theta) @ rx(theta).conj().T, EYE, rtol=0, atol=1e-15)
 
 
 # ------------------------------------------- vec, and the oracle's inverse unvec
@@ -258,7 +256,7 @@ def assert_same_failure(rho, name):
 
 
 def bloch_state(r):
-    return (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
+    return (EYE + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
 
 
 NON_FINITE = [np.inf, -np.inf, np.nan, complex(0, np.inf), complex(np.nan, 1)]
@@ -287,7 +285,7 @@ def qubit_matrices(draw):
     else:
         m = bloch_state(draw_bloch_vector(draw, kind))
     if draw(st.booleans()):  # trace off by up to 3e-10
-        m = m + draw(st.floats(-3e-10, 3e-10)) * I2 / 2
+        m = m + draw(st.floats(-3e-10, 3e-10)) * EYE / 2
     entry = st.tuples(st.integers(0, 1), st.integers(0, 1))
     if draw(st.integers(0, 2)) == 0:  # one entry off Hermitian by up to 3e-12
         m[draw(entry)] += draw(st.complex_numbers(max_magnitude=3e-12))
@@ -320,7 +318,7 @@ def test_bloch_row_check_matches_the_eigvalsh_reference(shape, data):
     # failing (k, j) in C order.
     rows = np.array(data.draw(st.lists(bloch_rows(), min_size=shape[0] * shape[1],
                                        max_size=shape[0] * shape[1]))).reshape(*shape, 4)
-    paulis = np.array([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+    paulis = np.array([EYE, SIGMA_X, SIGMA_Y, SIGMA_Z])
     with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite row's matrix
         rho = np.einsum("kji,iab->kjab", rows.astype(complex), paulis) / 2
     try:

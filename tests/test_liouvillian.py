@@ -5,12 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import generator, propagator, unvec
+from reference import EYE, SIGMA_MINUS, generator, propagator, unvec
 from trottersim.linalg import (
-    I2,
     KET_0,
     KET_1,
-    SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -82,7 +80,7 @@ def test_superop_annihilates_trace_and_preserves_hermiticity():
     rng = np.random.default_rng(103)
     s = generator(0.02, 0.01, 0.1)
     # Trace annihilation: vec(I)^dag S = 0.
-    np.testing.assert_allclose(vec(I2).conj() @ s, np.zeros(4), atol=1e-10)
+    np.testing.assert_allclose(vec(EYE).conj() @ s, np.zeros(4), atol=1e-10)
     for _ in range(20):
         rho = random_rho(rng)
         out = unvec(s @ vec(rho))
@@ -308,7 +306,7 @@ def test_target_trace_matches_the_general_propagator(case, direction, radius, ta
     rates = _rates_case(*case)
     d = np.array(direction)
     bloch = radius * d / np.linalg.norm(d) if np.linalg.norm(d) > 1e-3 else np.zeros(3)
-    rho0 = (I2 + bloch[0] * SIGMA_X + bloch[1] * SIGMA_Y + bloch[2] * SIGMA_Z) / 2
+    rho0 = (EYE + bloch[0] * SIGMA_X + bloch[1] * SIGMA_Y + bloch[2] * SIGMA_Z) / 2
     tr = target_trace(rates, rho0, tau0, n_steps)
     row = rates.gamma1, rates.gamma_phi, rates.omega
     want = np.array([np.real(BLOCH_ROWS[1:] @ (propagator(*row, t) @ vec(rho0)))
@@ -380,7 +378,7 @@ def test_evolution_trace_shape_check():
 
 def _density_of(r):
     """The density matrix of Bloch vector r."""
-    return (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
+    return (EYE + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
 
 
 @st.composite

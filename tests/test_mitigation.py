@@ -13,7 +13,6 @@ from trottersim.mitigation import (
     NoisePoint,
     check_scale_factors,
     extrapolate,
-    load_noise_points,
     richardson_coeffs,
     scaled_damping_t2,
 )
@@ -244,25 +243,3 @@ def test_scaled_damping_t2_runs_the_given_schedule():
     t2 = scaled_damping_t2(base, 1.0, TrotterSchedule(order=2, n_steps=20, dt=2.0))
     assert t2 == pytest.approx(1.0 / (base.gamma1 / 2 + base.gamma_phi), rel=1e-5)
 
-
-# --------------------------------------------------------------- CSV input
-
-
-def test_load_noise_points(tmp_path):
-    path = tmp_path / "points.csv"
-    path.write_text("c,value,sigma\n1,35.56,0.5\n2.13,29.63,\n\n4.93,22.00,0.3\n")
-    pts = load_noise_points(path)
-    assert [p.c for p in pts] == [1.0, 2.13, 4.93]
-    assert pts[1].sigma is None
-    assert pts[2].sigma == 0.3
-    assert extrapolate(pts, 1).estimate == pytest.approx(40.8078, abs=1e-3)
-
-
-def test_load_noise_points_headerless_and_errors(tmp_path):
-    path = tmp_path / "bare.csv"
-    path.write_text("1,10\n2,8\n")
-    assert len(load_noise_points(path)) == 2
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1\n")
-    with pytest.raises(ValueError, match="at least"):
-        load_noise_points(bad)

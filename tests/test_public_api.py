@@ -1,14 +1,16 @@
-"""The package namespace re-exports exactly its modules' public names, and the
-benchmark's calls into the package still bind."""
+"""The package namespace re-exports exactly its modules' public names, each of them has a
+reader, and the benchmark's calls into the package still bind."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trottersim
 import trottersim.cli
-from trottersim import channels, dilation, liouvillian, mitigation, tomography, trotter
+from trottersim import channels, dilation, linalg, liouvillian, mitigation, tomography, trotter
 
 MODULES = (channels, dilation, liouvillian, mitigation, tomography, trotter)
 
@@ -25,6 +27,89 @@ def test_package_all_concatenates_the_module_lists():
 def test_each_name_is_its_module_object(module):
     for name in module.__all__:
         assert getattr(trottersim, name) is getattr(module, name), name
+
+
+# --------------------------------------------------- each public name's reader
+#
+# A name stays public while something reads it: the package outside the name's own definition,
+# a demo, the benchmark under perfbench/, or a public function that returns it. A name that
+# only tests read leaves the package, or is listed here with the reason it stays.
+ROOT = Path(__file__).resolve().parents[1]
+WALKED = {"trottersim": trottersim.__all__, "trottersim.linalg": linalg.__all__}
+UNREAD = {
+    "dephasing_time": "the pure-dephasing relation that acceptance criterion 7 "
+                      "(tests/test_acceptance.py) checks the fig3 pipeline against",
+}
+
+
+def _bound(stmt):
+    """The names a module-level statement binds: a def's or class's name, an assignment's."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def _reads(source, package):
+    """The names a file reads, and each module-level function's return-annotation names.
+
+    A read is an attribute taken (ts.global_fit), or a name loaded where the file imports it
+    from trottersim or, in a module of the package (package=True), binds it at module level;
+    neither in an annotation nor inside the module-level statement that binds the name."""
+    tree = ast.parse(source)
+    known = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or node.module.split(".")[0] == "trottersim")
+             for alias in node.names}
+    if package:
+        known = known.union(*map(_bound, tree.body))
+    reads, returns = set(), {}
+    for stmt in tree.body:
+        annotations = {id(part) for node in ast.walk(stmt)
+                       for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                       if ann is not None for part in ast.walk(ann)}
+        readable = known - _bound(stmt)
+        for node in ast.walk(stmt):
+            if id(node) in annotations:
+                continue
+            if isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.update({node.id} & readable)
+        if isinstance(stmt, ast.FunctionDef) and stmt.returns is not None:
+            returns[stmt.name] = {n.id for n in ast.walk(stmt.returns) if isinstance(n, ast.Name)}
+    return reads, returns
+
+
+def _read_names():
+    """Every name read in src/trottersim, demos/ and perfbench/, and every name that a public
+    function's return annotation names."""
+    public = {name for names in WALKED.values() for name in names}
+    read = set()
+    for path in sorted(ROOT.joinpath("src", "trottersim").glob("*.py")):
+        reads, returns = _reads(path.read_text(), package=True)
+        read |= reads.union(*(names for fn, names in returns.items() if fn in public))
+    for path in sorted([*ROOT.joinpath("demos").glob("*.py"),
+                        *ROOT.joinpath("perfbench").glob("*.py")]):
+        read |= _reads(path.read_text(), package=False)[0]
+    return read
+
+
+def test_reader_walk_skips_own_definitions_annotations_and_foreign_names():
+    source = ("from .m import a, b\nfrom os import c\nx = 1\n"
+              "def f(y: E) -> R:\n    return f(a, c, x, y.d)\n")
+    assert _reads(source, package=True) == ({"a", "d", "x"}, {"f": {"R"}})
+    assert _reads(source, package=False) == ({"a", "d"}, {"f": {"R"}})
+
+
+@pytest.mark.parametrize("module", WALKED)
+def test_each_public_name_has_a_reader(module):
+    # The allow-list holds exactly the unread names: a stale entry fails as well.
+    read = _read_names()
+    unread = [name for name in WALKED[module] if name not in read]
+    assert unread == [name for name in WALKED[module] if name in UNREAD]
 
 
 # ------------------------------------------------- the benchmark's calls

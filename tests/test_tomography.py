@@ -211,6 +211,17 @@ def test_tau0_is_checked_before_the_time_grid(tau0):
             generate_tomography(CanonicalRates(), tau0, 13)
 
 
+@pytest.mark.parametrize("n_steps, tau0",
+                         [(2, 1e154), (13, 1e308), (np.int64(13), np.float64(1e308))])
+def test_a_grid_whose_last_time_squares_past_the_largest_float_is_rejected(n_steps, tau0):
+    # Checked before the grid is built, so 13 * 1e308 neither warns nor reaches the evolve hook.
+    generate_tomography(CanonicalRates(), 1.3e154, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^n_steps \* tau0 must be below 1.34e154, got "):
+            generate_tomography(CanonicalRates(), tau0, n_steps, evolve=lambda rho0: 1 / 0)
+
+
 def test_evolve_hook_grid_must_match():
     rates = rates_from_times(30.0, 20.0, 0.02)
     wrong = lambda rho0: target_trace(rates, rho0, TAU0, 10)

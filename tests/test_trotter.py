@@ -12,10 +12,9 @@ from trottersim.dilation import (AngleParams, NoiseParams, angle_to_rates, dampi
                                  dephasing_circuit, induced_channel, rates_to_angles,
                                  rotation_circuit)
 from trottersim.tomography import FitResult
-from reference import choi, damping_kraus, dephasing_kraus, kraus_superop, superop_of
+from reference import EYE, choi, damping_kraus, dephasing_kraus, kraus_superop, rx, superop_of
 from trottersim.channels import elementary_ptms
-from trottersim.linalg import (I2, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, rx,
-                               vec)
+from trottersim.linalg import KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, vec
 from trottersim.liouvillian import (BLOCH_ROWS, CanonicalRates, EvolutionTrace, propagate,
                                     target_trace)
 from trottersim.trotter import (
@@ -64,6 +63,17 @@ def test_schedule_validation():
 def test_schedule_rejects_non_finite_dt(bad):
     with pytest.raises(ValueError, match="dt"):
         TrotterSchedule(dt=bad)
+
+
+@pytest.mark.parametrize("n_steps, dt",
+                         [(2, 1e154), (13, 1e308), (np.int64(13), np.float64(1e308))])
+def test_schedule_rejects_a_grid_whose_last_time_squares_past_the_largest_float(n_steps, dt):
+    # The grid ends at n_steps * dt, whose square overflows from 1.34e154 on; 13 * 1e308 is inf.
+    TrotterSchedule(n_steps=1, dt=1.3e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^n_steps \* dt must be below 1.34e154, got "):
+            TrotterSchedule(n_steps=n_steps, dt=dt)
 
 
 @pytest.mark.parametrize(
@@ -396,7 +406,7 @@ def test_permutation_scan_equals_single_runs_bit_for_bit(
     # for that schedule alone, and the scan builds its six elementary channels
     # (three labels at dt and at dt/2) in one block.
     r = np.array(bloch0) / max(1.0, np.linalg.norm(bloch0))
-    rho0 = (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
+    rho0 = (EYE + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
     rates = CanonicalRates(*rates)
     noise = NoiseParams(*noise) if backend == "dilation+noise" else None
     builds = []
@@ -432,7 +442,7 @@ def test_run_schedule_keeps_the_bloch_bound_under_every_backend(
     # Every recorded state passes the density-matrix check, which bounds its
     # Bloch norm by 1 + 3e-10 (eigenvalues >= -1e-10, trace within 1e-10).
     r = np.array(bloch0) / max(1.0, np.linalg.norm(bloch0))
-    rho0 = (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
+    rho0 = (EYE + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
     noise = NoiseParams(*noise) if backend == "dilation+noise" else None
     schedule = TrotterSchedule(permutation, order, n_steps, dt, backend, noise)
     trace = run_schedule(schedule, CanonicalRates(*rates), rho0)
@@ -459,7 +469,7 @@ def test_a_longer_run_starts_with_the_shorter_run(
     # (seen up to 1.4e-17). Kills a last doubling round that advances the block of states just
     # before it instead of the first one.
     r = np.array(bloch0) / max(1.0, np.linalg.norm(bloch0))
-    rho0 = (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
+    rho0 = (EYE + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
     rates = CanonicalRates(*rates)
     noise = NoiseParams(0.01, 0.02) if backend == "dilation+noise" else None
     runs = [run_schedule(TrotterSchedule(permutation, order, n, dt, backend, noise), rates, rho0)
