@@ -15,16 +15,16 @@ Subcommands:
     reproduce      Fixed figure protocols (required --figure fig2|fig3|fig4; no
                    --config) -> data bundles per protocol.
 
-Configs are YAML mappings with angles written in degrees; they are converted
-to radians at this boundary and validated in full, rejecting unknown keys,
-before any computation starts.  Each job (a subcommand runner or a figure
-protocol) yields its artifacts in write order as (file name, content) pairs;
-main writes each one into --out as it arrives and echoes the paths once the
-job has finished, so a job that fails keeps the files it yielded before.
-Trace CSV files always carry the header step,time_us,sx,sy,sz and every
-emitted trace is checked against the Bloch-norm bound.  Identical config and
-seed produce byte-identical artifacts.  Exit codes: 0 success, 1 invalid
-configuration or usage, 2 numerical failure (diagnostic on stderr).
+Configs are YAML mappings with angles written in degrees; they are converted to radians
+at this boundary and validated in full before any computation starts, rejecting unknown
+keys and any key that the subcommand does not read (CONFIG_TABLE lists the subcommands
+that read each key).  Each job (a subcommand runner or a figure protocol) yields its
+artifacts in write order as (file name, content) pairs; main writes each one into --out
+as it arrives and echoes the paths once the job has finished, so a job that fails keeps
+the files it yielded before.  Trace CSV files always carry the header
+step,time_us,sx,sy,sz and every emitted trace is checked against the Bloch-norm bound.
+Identical config and seed produce byte-identical artifacts.  Exit codes: 0 success, 1
+invalid configuration or usage, 2 numerical failure (diagnostic on stderr).
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class ExperimentConfig:
     Every field is resolved: defaults applied, the angles and intrinsic decay
     folded into ``rates``, the Trotter settings held by ``schedule`` (dt = tau0)
     and, for a simulated mitigate study, ``n_max`` set by the scale-factor rule.
-    Construction happens only through build_config, which rejects unknown keys
-    and out-of-range values before any computation.
+    Construction happens only through build_config, which rejects unknown keys, keys
+    the mode does not read and out-of-range values before any computation.
     """
 
     rates: CanonicalRates
@@ -99,14 +99,6 @@ class ExperimentConfig:
 
 
 # ----------------------------------------------------------- config parsing
-
-
-def _require_mapping(value, context):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context} must be a mapping, got {type(value).__name__}")
-    for key in value:
-        if not isinstance(key, str):
-            raise ConfigError(f"{context} keys must be strings, got {key!r}")
 
 
 def _real(value, context):
@@ -167,51 +159,67 @@ def _list_of(coerce, min_len=1):
     return coerce_list
 
 
-# Every config key but `mode` (build_config adds its row: the default is the
-# subcommand, the only accepted value) as key -> (default, coerce).  A coercer
-# checks the YAML type only; the physical ranges are checked by the objects
-# build_config makes (AngleParams, effective_rates, NoiseParams, TrotterSchedule)
-# and by the scale-factor rule (c_list, n_max).  A table in place of a coercer is
-# a nested section.  Only a key whose default is None may be null.
+# The modes that read a key; dilate-verify reads only tau0_us and its angle grid.
+_EVERY = ("evolve", "trotter", "scan", "dilate-verify", "fit", "mitigate", "converge")
+_RATES = tuple(m for m in _EVERY if m != "dilate-verify")
+_DRIVEN = tuple(m for m in _RATES if m != "mitigate")  # mitigate runs its schedule undriven
+_SCHEDULE = ("trotter", "fit", "mitigate", "converge")
+_NOISE = ("trotter", "scan", "fit", "converge")
+
+# Every config key but `mode` (build_config adds its row: the default is the subcommand, the
+# only accepted value) as key -> (default, coerce, the modes that read it); a key set for any
+# other mode is rejected.  A coercer checks the YAML type only; the physical ranges are checked
+# by the objects build_config makes (AngleParams, effective_rates, NoiseParams, TrotterSchedule)
+# and by the scale-factor rule (c_list, n_max).  A table in place of a coercer is a nested
+# section, whose keys carry their own modes.  Only a key whose default is None may be null.
 CONFIG_TABLE = {
     "angles": ({}, {
-        "theta1_deg": (20.0, _real),
-        "theta2_deg": (20.0, _real),
-        "theta3_deg": (51.4, _real),
-        "tau0_us": (3.56, _real),
-    }),
-    "intrinsic": ({}, {"t1_us": (np.inf, _time), "t2_us": (np.inf, _time)}),
-    "n_steps": (13, partial(_as_int, hi=100_000)),
-    "order": (1, _as_is),
-    "permutation": (ALL_LABELS, _list_of(_text)),
-    "backend": ("kraus", _as_is),
+        "theta1_deg": (20.0, _real, _RATES),
+        "theta2_deg": (20.0, _real, _RATES),
+        "theta3_deg": (51.4, _real, _DRIVEN),
+        "tau0_us": (3.56, _real, _EVERY),
+    }, _EVERY),
+    "intrinsic": ({}, {"t1_us": (np.inf, _time, _RATES), "t2_us": (np.inf, _time, _RATES)}, _RATES),
+    "n_steps": (13, partial(_as_int, hi=100_000), _RATES),
+    "order": (1, _as_is, _SCHEDULE),
+    "permutation": (ALL_LABELS, _list_of(_text), _SCHEDULE),
+    "backend": ("kraus", _as_is, ("trotter", "scan", "fit", "mitigate", "converge")),
     # The section's presence selects NoiseParams; the defaults fill its keys.
-    "noise": ({}, {"p_grape": (0.0, _real), "p_ancilla_decay": (0.0, _real)}),
-    "initial_state": ("1", _choice(*STATE_LABELS)),
-    "shots": (None, partial(_as_int, lo=1)),
-    "seed": (None, partial(_as_int, lo=0, hi=2**64 - 1)),
-    "n_list": ((4, 8, 16, 32, 64, 128), _list_of(partial(_as_int, lo=1), 4)),
-    "theta_grid_deg": (tuple(float(x) for x in range(5, 90, 5)), _list_of(_finite)),
-    "c_list": ((1.0, 2.13, 4.93, 9.96), _list_of(_real, 0)),
-    "n_max": (None, partial(_as_int, lo=0)),
-    "input_csv": (None, _text),
-    "variable": ("t2", _choice("t2", "rate")),
-    "t_total_us": (None, _finite),
+    "noise": ({}, {"p_grape": (0.0, _real, _NOISE), "p_ancilla_decay": (0.0, _real, _NOISE)},
+              _NOISE),
+    "initial_state": ("1", _choice(*STATE_LABELS), ("evolve", "trotter", "scan", "converge")),
+    "shots": (None, partial(_as_int, lo=1), ("fit",)),
+    "seed": (None, partial(_as_int, lo=0, hi=2**64 - 1), ("fit",)),
+    "n_list": ((4, 8, 16, 32, 64, 128), _list_of(partial(_as_int, lo=1, hi=100_000), 4),
+               ("converge",)),
+    "theta_grid_deg": (tuple(map(float, range(5, 90, 5))), _list_of(_finite), ("dilate-verify",)),
+    "c_list": ((1.0, 2.13, 4.93, 9.96), _list_of(_real, 0), ("mitigate",)),
+    "n_max": (None, partial(_as_int, lo=0), ("mitigate",)),
+    "input_csv": (None, _text, ("mitigate",)),
+    "variable": ("t2", _choice("t2", "rate"), ("mitigate",)),
+    "t_total_us": (None, _finite, ("converge",)),
 }
 
 
-def _resolve(raw, table, context=None):
-    """Coerce a config mapping through its table, filling in the defaults."""
-    _require_mapping(raw, context or "config")
+def _resolve(raw, table, mode, context=None):
+    """Coerce a config mapping through its table for mode, filling in the defaults."""
+    where = context or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(raw).__name__}")
+    for key in raw:
+        if not isinstance(key, str):
+            raise ConfigError(f"{where} keys must be strings, got {key!r}")
     unknown = sorted(set(raw) - set(table))
     if unknown:
-        raise ConfigError(f"unknown {context or 'config'} keys: {', '.join(unknown)}")
+        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
     values = {}
-    for key, (default, coerce) in table.items():
+    for key, (default, coerce, modes) in table.items():
         name = f"{context}.{key}" if context else key
+        if key in raw and mode not in modes:
+            raise ConfigError(f"{name} is not read by {mode}, only by {', '.join(modes)}")
         value = raw.get(key, default)
         if isinstance(coerce, dict):
-            values[key] = _resolve(value, coerce, name)
+            values[key] = _resolve(value, coerce, mode, name)
         else:
             values[key] = None if value is None and default is None else coerce(value, name)
     return values
@@ -228,10 +236,10 @@ def build_config(raw, mode):
         ExperimentConfig with defaults applied.
 
     Raises:
-        ConfigError: On unknown keys, type errors, or out-of-range values,
-            including every ValueError of the objects it builds.
+        ConfigError: On unknown keys, keys the mode does not read, type errors,
+            or out-of-range values, including every ValueError of the objects it builds.
     """
-    v = _resolve(raw, {"mode": (mode, _choice(mode)), **CONFIG_TABLE})
+    v = _resolve(raw, {"mode": (mode, _choice(mode), (mode,)), **CONFIG_TABLE}, mode)
     del v["mode"]  # checked against the subcommand, which picks the runner
     deg, intrinsic, noise = v.pop("angles"), v.pop("intrinsic"), v.pop("noise")
     try:
@@ -260,11 +268,10 @@ def build_config(raw, mode):
         raise ConfigError("n_list must be strictly increasing")
     if not all(0 <= x < 90 for x in v["theta_grid_deg"]):
         raise ConfigError("theta_grid_deg entries must lie in [0, 90) degrees")
-    if simulated and schedule.backend == "dilation+noise":
-        raise ConfigError("mitigate simulates without injected noise: backend "
-                          "dilation+noise needs input_csv")
-    if v["t_total_us"] is not None and v["t_total_us"] <= 0:
-        raise ConfigError(f"t_total_us must be positive, got {v['t_total_us']}")
+    t_total = v["t_total_us"]  # converge's finest step is t_total_us / max(n_list)
+    if t_total is not None and not (t_total / max(n_list) > 0 and t_total < 1.34e154):
+        raise ConfigError(f"t_total_us must be below 1.34e154 with t_total_us / max(n_list) "
+                          f"positive, got {t_total}")
     if simulated:
         v["n_max"] = n_max
     return ExperimentConfig(rates=rates, schedule=schedule, **v)
@@ -578,7 +585,7 @@ def _reproduce_fig2():
 # Dephasing from theta1 = 20 deg, no drive, and the damping of an intrinsic
 # T1 = 1/0.0090 us in place of a damping circuit.
 _FIG3_CONFIG = {
-    "angles": {"theta1_deg": 20.0, "theta2_deg": 0.0, "theta3_deg": 0.0},
+    "angles": {"theta1_deg": 20.0, "theta2_deg": 0.0},
     "intrinsic": {"t1_us": 1 / 0.0090},
 }
 
@@ -656,21 +663,14 @@ def _build_parser():
 
 def main(argv=None):
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
+    parser, paths = _build_parser(), []
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
-            seed = CONFIG_TABLE["seed"][1](args.seed, "--seed")
-            cfg = replace(cfg, seed=seed)
+            cfg = replace(cfg, seed=CONFIG_TABLE["seed"][1](args.seed, "--seed"))
         if cfg.shots is not None and cfg.seed is None:  # the sampler would draw OS entropy
             raise ConfigError("shots needs a seed, from the config key seed or --seed")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    paths = []
-    try:
         args.out.mkdir(parents=True, exist_ok=True)
         job = (_REPRODUCERS[args.figure]() if args.command == "reproduce"
                else RUNNERS[args.command](cfg))

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -469,10 +470,11 @@ def test_reproduce_fig3(tmp_path):
 
 
 def test_fig3_config_pins_the_paper_base_rates():
-    # fig3 runs the mitigate config cli._FIG3_CONFIG; its rates must stay exactly
-    # the paper's: gamma1 = 0.0090/us, dephasing of theta1 = 20 deg, no drive.
-    cfg = cli.build_config(cli._FIG3_CONFIG, "mitigate")
-    assert cfg.rates == CanonicalRates(
+    # fig3 runs the mitigate config cli._FIG3_CONFIG undriven; the base rates that its
+    # scaled points measure must stay exactly the paper's: gamma1 = 0.0090/us, dephasing of
+    # theta1 = 20 deg, no drive.
+    base, _ = cli._scaled_points(cli.build_config(cli._FIG3_CONFIG, "mitigate"))
+    assert base == CanonicalRates(
         gamma1=0.0090,
         gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0, 3.56)).gamma_phi,
         omega=0.0,
@@ -521,47 +523,134 @@ def test_reproduce_rejects_config_and_accepts_seed(tmp_path, capsys):
 
 # ------------------------------------------------------------- bad configs
 
+# A value other than its default for each leaf key of CONFIG_TABLE.  A subcommand that reads
+# a noise key also gets the backend that takes noise, and one that reads shots a seed.
+_LEAF_VALUES = {
+    "angles.theta1_deg": 30.0, "angles.theta2_deg": 30.0, "angles.theta3_deg": 25.7,
+    "angles.tau0_us": 2.0, "intrinsic.t1_us": 100.0, "intrinsic.t2_us": 100.0, "n_steps": 7,
+    "order": 2, "permutation": ["rotation", "damping", "dephasing"], "backend": "dilation",
+    "noise.p_grape": 0.01, "noise.p_ancilla_decay": 0.01, "initial_state": "0", "shots": 100,
+    "seed": 1, "n_list": [4, 8, 16, 32], "theta_grid_deg": [10.0, 20.0], "c_list": [1.0, 2.0],
+    "n_max": 1, "input_csv": "points.csv", "variable": "rate", "t_total_us": 20.0,
+}
+_COMPANIONS = {"noise": {"backend": "dilation+noise"}, "shots": {"seed": 1}}
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "banana: 1\n",
-        "angles: {theta1_deg: 20.0, theta9_deg: 1.0}\n",
-        "angles: {theta1_deg: 95.0}\n",
-        "angles: {tau0_us: -1.0}\n",
-        "backend: quantum\n",
-        "order: 3\n",
-        "permutation: [dephasing, damping]\n",
-        "permutation: [dephasing, dephasing, rotation]\n",
-        "noise: {p_grape: 0.01}\n",
-        "backend: dilation+noise\n",
-        "shots: 0\n",
-        "seed: -1\n",
-        "n_list: [4, 8]\n",
-        "n_list: [8, 4, 16, 32]\n",
-        "c_list: [2.0, 4.0]\n",
-        "intrinsic: {t1_us: 10.0, t2_us: 50.0}\n",
-        "intrinsic: {t1_us: -3.0}\n",
-        "mode: scan\n",
-        "variable: sideways\n",
-        "theta_grid_deg: [5.0, 92.0]\n",
-        "mode: mitigate\nbackend: dilation+noise\nnoise: {p_grape: 0.01}\n",
-        "mode: mitigate\nn_max: 4\n",
-    ],
-)
+
+def _leaf_modes():
+    """Each leaf key of CONFIG_TABLE, dotted inside a section -> (its section's modes, its own)."""
+    leaves = {}
+    for key, (_, coerce, modes) in CONFIG_TABLE.items():
+        if isinstance(coerce, dict):
+            leaves.update({f"{key}.{sub}": (modes, row[2]) for sub, row in coerce.items()})
+        else:
+            leaves[key] = (modes, modes)
+    return leaves
+
+
+def test_each_key_is_accepted_exactly_by_the_modes_that_read_it(tmp_path, capsys):
+    # Every (mode, leaf key) pair through main: a key its mode does not read exits 1 with one
+    # line naming the key (or its unread section) and the mode; a key it reads, set off its
+    # default, changes at least one artifact byte.  The one exception is mitigate's
+    # permutation: mitigate runs undriven, and the dephasing and damping channels commute.
+    leaves = _leaf_modes()
+    assert set(leaves) == set(_LEAF_VALUES) and len(leaves) == 22
+    for key, (_, coerce, modes) in CONFIG_TABLE.items():
+        assert set(modes) <= set(cli.RUNNERS), key
+        if isinstance(coerce, dict):  # a section is read where any of its keys is
+            assert set(modes) == {m for _, _, sub_modes in coerce.values() for m in sub_modes}
+    table = tmp_path / _LEAF_VALUES["input_csv"]
+    table.write_text("c,value\n1,35.56\n2.13,29.63\n")
+    values = {**_LEAF_VALUES, "input_csv": str(table)}
+
+    def run(mode, raw, out):
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        code = main([mode, "--config", str(cfg), "--out", str(out)])
+        artifacts = {p.name: p.read_bytes() for p in out.glob("*")}
+        return code, capsys.readouterr(), artifacts
+
+    read = 0
+    for mode in cli.RUNNERS:
+        code, _, default = run(mode, {}, tmp_path / mode)
+        assert code == EXIT_OK and default, mode
+        for i, (key, (section_modes, modes)) in enumerate(leaves.items()):
+            section, _, sub = key.partition(".")
+            raw = {section: {sub: values[key]}} if sub else {key: values[key]}
+            out = tmp_path / f"{mode}-{i}"
+            if mode not in modes:
+                code, io_, artifacts = run(mode, raw, out)
+                named, by = (key, modes) if mode in section_modes else (section, section_modes)
+                assert code == EXIT_CONFIG and not artifacts and io_.out == "", (mode, key)
+                assert io_.err == f"error: {named} is not read by {mode}, only by {', '.join(by)}\n"
+                continue
+            read += 1
+            code, io_, artifacts = run(mode, {**_COMPANIONS.get(section, {}), **raw}, out)
+            assert code == EXIT_OK, (mode, key, io_.err)
+            assert (artifacts == default) == ((mode, key) == ("mitigate", "permutation")), (
+                mode, key)
+    assert read == 76
+
+
+# Each bad config -> a subcommand that reads its keys, and a fragment of the message of the
+# check that rejects it.
+_INVALID = {
+    "banana: 1\n": ("evolve", "unknown config keys: banana"),
+    "angles: {theta1_deg: 20.0, theta9_deg: 1.0}\n": ("evolve", "unknown angles keys: theta9_deg"),
+    "angles: {theta1_deg: 95.0}\n": ("evolve", "theta1 must lie in [0, pi/2]"),
+    "angles: {tau0_us: -1.0}\n": ("dilate-verify", "tau0 must be positive and finite"),
+    "backend: quantum\n": ("scan", "backend must be one of"),
+    "order: 3\n": ("trotter", "order must be 1 or 2, got 3"),
+    "permutation: [dephasing, damping]\n": ("trotter", "permutation must contain each of"),
+    "permutation: [dephasing, dephasing, rotation]\n": ("fit", "permutation must contain each"),
+    "noise: {p_grape: 0.01}\n": ("trotter", "backend 'kraus' does not accept noise parameters"),
+    "backend: dilation+noise\n": ("scan", "backend 'dilation+noise' requires noise parameters"),
+    "shots: 0\n": ("fit", "shots must be >= 1, got 0"),
+    "seed: -1\n": ("fit", "seed must be >= 0, got -1"),
+    "n_list: [4, 8]\n": ("converge", "n_list must be a list of at least 4 entries"),
+    "n_list: [8, 4, 16, 32]\n": ("converge", "n_list must be strictly increasing"),
+    "n_list: [4, 8, 16, 100001]\n": ("converge", "n_list[3] must be <= 100000, got 100001"),
+    "c_list: [2.0, 4.0]\n": ("mitigate", "c_list must start with the unscaled factor 1"),
+    "intrinsic: {t1_us: 10.0, t2_us: 50.0}\n": ("evolve", "t2_intrinsic=50.0 exceeds 2*t1"),
+    "intrinsic: {t1_us: -3.0}\n": ("mitigate", "intrinsic times must be positive"),
+    "mode: scan\n": ("evolve", "mode must be one of evolve, got 'scan'"),
+    "variable: sideways\n": ("mitigate", "variable must be one of t2, rate, got 'sideways'"),
+    "theta_grid_deg: [5.0, 92.0]\n": ("dilate-verify", "theta_grid_deg entries must lie in"),
+    # mitigate simulates undriven and noiseless: it reads no noise section.
+    "mode: mitigate\nbackend: dilation+noise\nnoise: {p_grape: 0.01}\n": (
+        "mitigate", "noise is not read by mitigate, only by trotter, scan, fit, converge"),
+    "mode: mitigate\nn_max: 4\n": ("mitigate", "n_max=4 needs 5 points, c_list has 4"),
+}
+
+
+@pytest.mark.parametrize("text", _INVALID)
 def test_invalid_configs_exit_1(tmp_path, capsys, text):
+    command, message = _INVALID[text]
     cfg = write_config(tmp_path, text)
-    command = "mitigate" if text.startswith("mode: mitigate") else "evolve"
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("text", ["order: true\n", "order: 2.0\n", "n_steps: 13.0\n"])
-@pytest.mark.parametrize("command", ["trotter", "scan"])
+@pytest.mark.parametrize("command, text", [
+    ("trotter", "order: true\n"), ("trotter", "order: 2.0\n"), ("trotter", "n_steps: 13.0\n"),
+    ("fit", "order: true\n"), ("fit", "order: 2.0\n"), ("scan", "n_steps: 13.0\n"),
+])
 def test_non_integer_order_or_steps_exit_1(tmp_path, capsys, text, command):
     cfg = write_config(tmp_path, text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["1.0e+200", "5.0e-324"])
+def test_converge_rejects_a_total_time_no_step_grid_can_hold(tmp_path, capsys, value):
+    # 1e200 squares past the largest float; 5e-324 / 128 rounds to a zero step. Either is
+    # rejected with the config, naming t_total_us rather than the schedule's dt.
+    cfg = write_config(tmp_path, f"t_total_us: {value}\n")
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "error: t_total_us must be below 1.34e154 with t_total_us / max(n_list) positive, "
+        f"got {float(value)}"]
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize(
@@ -633,18 +722,11 @@ def test_mitigate_c_list_with_repeated_factor_exit_1(tmp_path, capsys):
     [
         ({"c_list": [1.0, 2.0, 2.0], "n_max": 1}, "mitigate"),  # the repeat is never used
         ({"c_list": [1.0, 1.0], "input_csv": "points.csv"}, "mitigate"),  # c_list unused
-        ({"c_list": [1.0, 1.0]}, "fit"),  # only mitigate extrapolates
-        ({"c_list": [1.0, 1.0], "n_max": 5}, "fit"),  # nor uses n_max
         ({"c_list": [1.0, 2.0], "n_max": 5, "input_csv": "points.csv"}, "mitigate"),
     ],
 )
 def test_c_list_repeats_that_no_extrapolation_uses_are_accepted(raw, mode):
     assert cli.build_config(raw, mode).c_list == tuple(raw["c_list"])
-
-
-def test_n_max_beyond_c_list_exits_0_outside_a_simulated_mitigate(tmp_path):
-    cfg = write_config(tmp_path, "n_max: 9\n")
-    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
 
 
 # Well separated factors, four times as likely as each bad one.
@@ -711,14 +793,18 @@ def test_scale_factor_rule_is_one_rule_before_any_measurement(tmp_path_factory, 
         assert from_rule.replace("c_list", f"the c column of {table}") in err.getvalue()
 
 
-def test_mitigate_from_csv_ignores_noisy_backend(tmp_path):
+def test_mitigate_from_csv_rejects_a_noisy_backend(tmp_path, capsys):
+    # mitigate reads no noise section, with input_csv or without.
     table = tmp_path / "table.csv"
     table.write_text("c,value\n1,35.56\n2.13,29.63\n")
     cfg = write_config(
         tmp_path,
         f"backend: dilation+noise\nnoise: {{p_grape: 0.01}}\ninput_csv: {table}\n",
     )
-    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: noise is not read by mitigate, only by trotter, scan, fit, converge\n")
+    assert not (tmp_path / "mitigate.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -730,8 +816,11 @@ def test_mitigate_from_csv_ignores_noisy_backend(tmp_path):
     ],
 )
 def test_only_keys_defaulting_to_null_accept_null(tmp_path, key, code):
+    # Each key under a subcommand that reads it; figure is read by none.
+    command = {"shots": "fit", "seed": "fit", "n_max": "mitigate", "input_csv": "mitigate",
+               "t_total_us": "converge", "noise": "trotter"}.get(key, "evolve")
     cfg = write_config(tmp_path, f"{key}: null\n")
-    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == code
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
 
 
 def test_fit_with_intrinsic_t1_only(tmp_path):
@@ -790,25 +879,43 @@ def test_angle_errors_name_the_section_as_written(tmp_path, capsys):
     assert "theta1_deg" in err and "100" in err
 
 
-def _readme_schema():
+def _readme_schema_block():
     text = README.read_text()
     block = text.split("### YAML config schema", 1)[1].split("```yaml\n", 1)[1]
-    return yaml.safe_load(block.split("```", 1)[0])
+    return block.split("```", 1)[0]
+
+
+def _readme_modes(block):
+    """Each schema key's dotted name -> the subcommands in brackets in its comment."""
+    modes, section = {}, None
+    for line in block.splitlines():
+        match = re.match(r"( *)(\w+):.*# \[([^\]]*)\]", line)
+        if match:
+            indent, key, names = match.groups()
+            section = section if indent else key
+            modes[f"{section}.{key}" if indent else key] = (
+                set(cli.RUNNERS) if names == "all" else set(names.split()))
+    return modes
 
 
 def test_readme_schema_matches_config_table():
-    schema = _readme_schema()
+    block = _readme_schema_block()
+    schema = yaml.safe_load(block)
     assert set(schema) == {"mode"} | set(CONFIG_TABLE)
-    for key, (default, coerce) in CONFIG_TABLE.items():
+    for key, (default, coerce, _) in CONFIG_TABLE.items():
         if isinstance(coerce, dict):
             assert set(schema[key]) == set(coerce), key
-            for sub, (sub_default, _) in coerce.items():
+            for sub, (sub_default, _, _) in coerce.items():
                 assert schema[key][sub] == sub_default, f"{key}.{sub}"
         elif isinstance(default, tuple):
             if "..." not in schema[key]:
                 assert tuple(schema[key]) == default, key
         else:
             assert schema[key] == default, key
+    table_modes = {"mode": set(cli.RUNNERS)}  # each mode reads its own name
+    table_modes.update({key: set(row[2]) for key, row in CONFIG_TABLE.items()})
+    table_modes.update({key: set(modes) for key, (_, modes) in _leaf_modes().items()})
+    assert _readme_modes(block) == table_modes
 
 
 def test_missing_config_file_exit_1(tmp_path, capsys):
