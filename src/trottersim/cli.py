@@ -105,7 +105,10 @@ def _real(value, context):
     """A YAML number as a float; NaN and inf are left to the range checks."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the largest float
+        raise ConfigError(f"{context} must lie in the float range, got a larger integer") from None
 
 
 def _finite(value, context):
@@ -382,7 +385,9 @@ def _run_scan(cfg):
     for (order, perm), report in _scan(cfg).items():
         results[str(order)]["-".join(perm)] = float(report.a)
     best = {o: min(table, key=lambda k: (table[k], k)) for o, table in results.items()}
-    yield "scan.json", {"best_permutation": best, "results": results, **_run_summary(cfg)}
+    summary = _run_summary(cfg)
+    del summary["engine"]["order"], summary["engine"]["permutation"]  # scan runs every one
+    yield "scan.json", {"best_permutation": best, "results": results, **summary}
 
 
 def _run_dilate_verify(cfg):

@@ -15,11 +15,7 @@ from trottersim.dilation import (
     AngleParams,
     NoiseParams,
     angle_to_rates,
-    damping_circuit,
-    dephasing_circuit,
     depolarization_equivalent_time,
-    induced_channel,
-    rotation_circuit,
 )
 from trottersim.liouvillian import CanonicalRates
 from trottersim.mitigation import (
@@ -68,16 +64,13 @@ def test_criterion_1_dilation_matches_analytic_channels():
     for theta_deg in range(5, 90, 5):
         params = AngleParams.from_degrees(theta_deg, theta_deg, 0.0, TAU0)
         rates = angle_to_rates(params)
+        dephasing, damping, _ = elementary_ptms(rates, [TAU0], "dilation", None)[0]
         worst = max(
             worst,
             choi_distance(
-                induced_channel(dephasing_circuit(params.theta1)),
-                kraus_superop(dephasing_kraus(rates.gamma_phi, TAU0)),
+                superop_of(dephasing), kraus_superop(dephasing_kraus(rates.gamma_phi, TAU0))
             ),
-            choi_distance(
-                induced_channel(damping_circuit(params.theta2)),
-                kraus_superop(damping_kraus(rates.gamma1, TAU0)),
-            ),
+            choi_distance(superop_of(damping), kraus_superop(damping_kraus(rates.gamma1, TAU0))),
         )
     elapsed = time.monotonic() - start
     _verdict(
@@ -244,13 +237,9 @@ def test_criterion_9_property_suites():
         rates = CanonicalRates(g1, gphi, theta / (2 * np.pi * TAU0))
         for ptm in elementary_ptms(rates, [TAU0], "kraus", None)[0]:
             cptp_ok &= is_cptp(superop_of(ptm))
-        cptp_ok &= is_cptp(induced_channel(rotation_circuit(0.0), NoiseParams(p_grape=p)))
-        cptp_ok &= is_cptp(
-            induced_channel(
-                damping_circuit(theta),
-                noise=NoiseParams(p_grape=0.01, p_ancilla_decay=0.01),
-            )
-        )
+        for noise in (NoiseParams(p_grape=p), NoiseParams(p_grape=0.01, p_ancilla_decay=0.01)):
+            for ptm in elementary_ptms(rates, [TAU0], "dilation+noise", noise)[0]:
+                cptp_ok &= is_cptp(superop_of(ptm))
 
     # Trotter runs keep states physical, including the noisy dilation backend.
     physical_ok = True

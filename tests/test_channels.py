@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circuits import circuit_ptm
 from reference import (EYE, choi, choi_distance, damping_kraus, dephasing_kraus, is_cptp,
                        kraus_superop, propagator, superop_of, unvec)
 from trottersim.channels import elementary_ptms
@@ -16,14 +17,7 @@ from trottersim.linalg import (
     validate_density_matrix,
     vec,
 )
-from trottersim.dilation import (
-    NoiseParams,
-    damping_circuit,
-    dephasing_circuit,
-    depolarization_equivalent_time,
-    induced_channel,
-    rotation_circuit,
-)
+from trottersim.dilation import CIRCUIT_GATES, NoiseParams, depolarization_equivalent_time
 from trottersim.liouvillian import CanonicalRates, target_trace
 from trottersim.trotter import TrotterSchedule
 
@@ -47,7 +41,7 @@ def rotation(theta):
 
 def depolarizing(p):
     """The dilation backend's one depolarization event, rho -> (1-p) rho + p I/2."""
-    return induced_channel(rotation_circuit(0.0), noise=NoiseParams(p_grape=p))
+    return superop_of(circuit_ptm("rotation", 0.0, NoiseParams(p_grape=p)))
 
 
 def choi_oracle(superop, d):
@@ -269,9 +263,7 @@ def test_constructed_channels_are_cptp(gamma_phi, gamma1, tau, p, theta, noise, 
         superop_of(rotation(theta)),
         kraus_superop(random_kraus(np.random.default_rng(seed))),
     ] + [
-        induced_channel(circuit(theta), noise=n)
-        for circuit in (dephasing_circuit, damping_circuit, rotation_circuit)
-        for n in (None, noise)
+        superop_of(circuit_ptm(kind, theta, n)) for kind in CIRCUIT_GATES for n in (None, noise)
     ]
     for s in channels:
         assert is_cptp(s)

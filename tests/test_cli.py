@@ -17,12 +17,12 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import choi_distance, damping_kraus, dephasing_kraus, kraus_superop, rx
+from circuits import circuit_ptm
+from reference import choi_distance, damping_kraus, dephasing_kraus, kraus_superop, rx, superop_of
 import trottersim
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from trottersim.dilation import (AngleParams, angle_to_rates, damping_circuit, dephasing_circuit,
-                                 effective_rates, induced_channel, rotation_circuit)
+from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
 from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from trottersim.mitigation import check_scale_factors
 from trottersim.tomography import global_fit
@@ -142,6 +142,15 @@ def test_scan_orders_separate(tmp_path):
     assert summary["best_permutation"]["2"] in second
 
 
+def test_scan_engine_echoes_only_the_settings_scan_reads(tmp_path):
+    # scan runs every permutation at both orders, so its engine block names neither; trotter,
+    # which runs one, keeps both.
+    for mode, keys in (("scan", {"backend", "n_steps", "tau0_us"}),
+                       ("trotter", {"backend", "n_steps", "order", "permutation", "tau0_us"})):
+        assert main([mode, "--out", str(tmp_path)]) == EXIT_OK
+        assert set(json.loads((tmp_path / f"{mode}.json").read_text())["engine"]) == keys
+
+
 # ----------------------------------------------------------- dilate-verify
 
 
@@ -218,12 +227,12 @@ def test_dilate_verify_distances_are_choi_distances_to_the_kraus_channels(theta_
         return
     _, report = next(job)
     oracles = {
-        "dephasing": (dephasing_circuit(params.theta1), dephasing_kraus(rates.gamma_phi, tau0)),
-        "damping": (damping_circuit(params.theta2), damping_kraus(rates.gamma1, tau0)),
-        "rotation": (rotation_circuit(params.theta3), rx(params.theta3)[None]),
+        "dephasing": (params.theta1, dephasing_kraus(rates.gamma_phi, tau0)),
+        "damping": (params.theta2, damping_kraus(rates.gamma1, tau0)),
+        "rotation": (params.theta3, rx(params.theta3)[None]),
     }
-    for label, (circuit, kraus) in oracles.items():
-        choi = choi_distance(induced_channel(circuit), kraus_superop(kraus))
+    for label, (theta, kraus) in oracles.items():
+        choi = choi_distance(superop_of(circuit_ptm(label, theta)), kraus_superop(kraus))
         assert abs(report["distances"][label][repr(theta_deg)] - choi) <= 1e-15
 
 
@@ -592,6 +601,7 @@ def test_each_key_is_accepted_exactly_by_the_modes_that_read_it(tmp_path, capsys
 
 # Each bad config -> a subcommand that reads its keys, and a fragment of the message of the
 # check that rejects it.
+_HUGE = "1" + "0" * 400  # a YAML integer that no float holds
 _INVALID = {
     "banana: 1\n": ("evolve", "unknown config keys: banana"),
     "angles: {theta1_deg: 20.0, theta9_deg: 1.0}\n": ("evolve", "unknown angles keys: theta9_deg"),
@@ -618,10 +628,14 @@ _INVALID = {
     "mode: mitigate\nbackend: dilation+noise\nnoise: {p_grape: 0.01}\n": (
         "mitigate", "noise is not read by mitigate, only by trotter, scan, fit, converge"),
     "mode: mitigate\nn_max: 4\n": ("mitigate", "n_max=4 needs 5 points, c_list has 4"),
+    # YAML integers beyond the largest float, through _real, _time and a list entry.
+    f"angles: {{tau0_us: {_HUGE}}}\n": ("evolve", "angles.tau0_us must lie in the float range"),
+    f"intrinsic: {{t1_us: {_HUGE}}}\n": ("fit", "intrinsic.t1_us must lie in the float range"),
+    f"c_list: [1.0, 2.0, {_HUGE}, 8.0]\n": ("mitigate", "c_list[2] must lie in the float range"),
 }
 
 
-@pytest.mark.parametrize("text", _INVALID)
+@pytest.mark.parametrize("text", _INVALID, ids=lambda text: text.replace(_HUGE, "1e400"))
 def test_invalid_configs_exit_1(tmp_path, capsys, text):
     command, message = _INVALID[text]
     cfg = write_config(tmp_path, text)

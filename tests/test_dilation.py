@@ -1,37 +1,41 @@
-"""Tests for ancilla dilation circuits, induced channels, and angle mappings."""
+"""Tests for the ancilla dilation circuits' gate table, the channels they induce, and the angle
+mappings."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuits import circuit_ptm
 from reference import (EYE, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, choi, choi_distance,
                        circuit_channel, damping_kraus, dephasing_kraus, gate_kraus, is_cptp,
                        kraus_superop, partial_trace, propagator, superop_of, unvec)
-from trottersim.channels import elementary_ptms
+from trottersim.channels import _CNOT, _CZ, _circuit_ptms, elementary_ptms
 from trottersim.dilation import (
+    CIRCUIT_GATES,
     AngleParams,
-    DilationCircuit,
-    Gate,
     NoiseParams,
-    _CIRCUIT_GATES,
-    _CNOT,
-    _CZ,
-    _circuit_ptms,
     angle_to_rates,
-    damping_circuit,
-    dephasing_circuit,
     depolarization_equivalent_time,
     effective_rates,
-    induced_channel,
     rates_to_angles,
-    rotation_circuit,
 )
 from trottersim.linalg import KET_1, density, vec
-from trottersim.liouvillian import BLOCH_ROWS, CanonicalRates
+from trottersim.liouvillian import CanonicalRates
+from trottersim.trotter import ALL_LABELS
 
 TAU0 = 3.56
 THETA_GRID_DEG = np.arange(5, 90, 5)  # 5..85 degrees
+
+
+def induced(kind, theta, noise=None):
+    """Column-stacking superoperator of the data channel circuit kind induces at angle theta."""
+    return superop_of(circuit_ptm(kind, theta, noise))
+
+
+def _gates(kind, theta):
+    """The circuit's (kind, angle) gates before the reset, for the oracles."""
+    return [(gate, m * theta) for gate, m in CIRCUIT_GATES[kind]]
 
 
 # ------------------------------------------------------------------ gates
@@ -48,60 +52,39 @@ def test_fixed_gate_ptms_are_those_of_the_reference_unitaries():
                                     for p in paulis])
 
 
-def test_unknown_gate_kind_rejected():
-    with pytest.raises(ValueError, match="kind"):
-        Gate("hadamard")
-
-
-def test_circuit_requires_single_trailing_reset():
-    with pytest.raises(ValueError, match="reset"):
-        DilationCircuit((Gate("cz"),))
-    with pytest.raises(ValueError, match="reset"):
-        DilationCircuit((Gate("reset_ancilla"), Gate("cz")))
-    with pytest.raises(ValueError, match="reset"):
-        DilationCircuit(
-            (Gate("reset_ancilla"), Gate("cz"), Gate("reset_ancilla"))
-        )
-
-
 def test_circuit_layouts():
-    deph = dephasing_circuit(0.3)
-    assert [g.kind for g in deph.gates] == ["ancilla_rx", "cz", "reset_ancilla"]
-    damp = damping_circuit(0.4)
-    assert [g.kind for g in damp.gates] == [
-        "ancilla_rx",
-        "cz",
-        "ancilla_rx",
-        "cnot_ancilla_ctrl",
-        "reset_ancilla",
-    ]
-    assert damp.gates[0].theta == pytest.approx(0.4)
-    assert damp.gates[2].theta == pytest.approx(-0.4)
+    # One circuit per Trotter label, in the label order; the damping circuit counter-rotates.
+    assert tuple(CIRCUIT_GATES) == ALL_LABELS
+    assert CIRCUIT_GATES["dephasing"] == (("ancilla_rx", 1), ("cz", 0))
+    assert CIRCUIT_GATES["damping"] == (
+        ("ancilla_rx", 1), ("cz", 0), ("ancilla_rx", -1), ("cnot_ancilla_ctrl", 0))
+    assert CIRCUIT_GATES["rotation"] == (("data_x", 1),)
+    assert _gates("damping", 0.4) == [("ancilla_rx", 0.4), ("cz", 0.0), ("ancilla_rx", -0.4),
+                                      ("cnot_ancilla_ctrl", 0.0)]
 
 
 # ------------------------------------------------------- induced channels
 
 
 def test_zero_angle_circuits_are_identity():
-    for circ in (dephasing_circuit(0.0), damping_circuit(0.0), rotation_circuit(0.0)):
-        s = induced_channel(circ)
-        np.testing.assert_allclose(s, np.eye(4), atol=1e-12)
+    for kind in CIRCUIT_GATES:
+        np.testing.assert_allclose(induced(kind, 0.0), np.eye(4), atol=1e-12)
 
 
 def test_complete_dephasing_at_right_angle():
-    s = induced_channel(dephasing_circuit(np.pi / 2))
+    s = induced("dephasing", np.pi / 2)
     rho = unvec(s @ vec(np.array([[0.5, 0.5], [0.5, 0.5]])))
     np.testing.assert_allclose(rho, np.diag([0.5, 0.5]), atol=1e-12)
 
 
 def test_dephasing_off_diagonal_multiplier_20_degrees():
-    s = induced_channel(dephasing_circuit(np.radians(20)))
+    s = induced("dephasing", np.radians(20))
     rho = unvec(s @ vec(np.array([[0.5, 0.5], [0.5, 0.5]])))
     assert rho[0, 1].real == pytest.approx(0.5 * 0.93969262, abs=1e-7)
 
 
 def test_damping_circuit_30_degrees_matches_kraus_pair():
-    s = induced_channel(damping_circuit(np.radians(30)))
+    s = induced("damping", np.radians(30))
     e0 = np.diag([1.0, np.cos(np.radians(30))])
     e1 = np.zeros((2, 2))
     e1[0, 1] = np.sin(np.radians(30))
@@ -110,7 +93,7 @@ def test_damping_circuit_30_degrees_matches_kraus_pair():
 
 
 def test_damping_circuit_right_angle_fully_relaxes():
-    s = induced_channel(damping_circuit(np.pi / 2))
+    s = induced("damping", np.pi / 2)
     rho = unvec(s @ vec(density(KET_1)))
     np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -120,7 +103,7 @@ def test_dephasing_circuit_matches_mapped_channel(theta_deg):
     theta = np.radians(theta_deg)
     gamma_phi = -np.log(2 * np.cos(theta / 2) ** 2 - 1) / TAU0
     d = choi_distance(
-        induced_channel(dephasing_circuit(theta)), kraus_superop(dephasing_kraus(gamma_phi, TAU0))
+        induced("dephasing", theta), kraus_superop(dephasing_kraus(gamma_phi, TAU0))
     )
     assert d < 1e-10
 
@@ -130,7 +113,7 @@ def test_damping_circuit_matches_mapped_channel(theta_deg):
     theta = np.radians(theta_deg)
     gamma1 = -np.log(np.cos(theta) ** 2) / TAU0
     d = choi_distance(
-        induced_channel(damping_circuit(theta)), kraus_superop(damping_kraus(gamma1, TAU0))
+        induced("damping", theta), kraus_superop(damping_kraus(gamma1, TAU0))
     )
     assert d < 1e-10
 
@@ -139,24 +122,31 @@ def test_induced_channels_are_cptp():
     rng = np.random.default_rng(31)
     for _ in range(20):
         theta = rng.uniform(0, np.pi / 2)
-        for circ in (dephasing_circuit(theta), damping_circuit(theta)):
-            assert is_cptp(induced_channel(circ))
-            assert is_cptp(
-                induced_channel(circ, noise=NoiseParams(0.01, 0.01))
-            )
+        for kind in ("dephasing", "damping"):
+            assert is_cptp(induced(kind, theta))
+            assert is_cptp(induced(kind, theta, NoiseParams(0.01, 0.01)))
 
 
-def test_measurement_feedforward_equivalence():
-    for theta_deg in (10, 30, 55, 80):
-        circ = damping_circuit(np.radians(theta_deg))
-        coherent = induced_channel(circ, adaptive="coherent")
-        feedforward = induced_channel(circ, adaptive="feedforward")
-        assert np.abs(coherent - feedforward).max() < 1e-12
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(list(CIRCUIT_GATES)),
+    theta=st.floats(-2 * np.pi, 2 * np.pi),
+    p_grape=st.floats(0, 1),
+    p_decay=st.floats(0, 1),
+    noisy=st.booleans(),
+)
+def test_measurement_feedforward_equivalence(kind, theta, p_grape, p_decay, noisy):
+    # The paper's adaptive step measures the ancilla in z and flips the data where it reads |e>;
+    # the circuits' coherent CNOT induces the same channel, with and without injected noise.
+    noise = (p_grape, p_decay) if noisy else (0.0, 0.0)
+    coherent = circuit_channel(_gates(kind, theta), *noise, adaptive="coherent")
+    feedforward = circuit_channel(_gates(kind, theta), *noise, adaptive="feedforward")
+    assert np.abs(coherent - feedforward).max() < 1e-12
 
 
 def test_dephasing_circuit_is_probabilistic_phase_flip():
     for theta in (0.2, 0.9, 1.4):
-        s = induced_channel(dephasing_circuit(theta))
+        s = induced("dephasing", theta)
         p = np.sin(theta / 2) ** 2
         mix = (1 - p) * kraus_superop(EYE[None]) + p * kraus_superop(SIGMA_Z[None])
         assert np.abs(s - mix).max() < 1e-12
@@ -164,46 +154,31 @@ def test_dephasing_circuit_is_probabilistic_phase_flip():
 
 def test_rotation_circuit_is_x_rotation():
     theta = np.radians(51.4)
-    s = induced_channel(rotation_circuit(theta))
+    s = induced("rotation", theta)
     assert choi_distance(s, propagator(0.0, 0.0, theta / (2 * np.pi), 1.0)) < 1e-12
 
 
-_CIRCUITS = {
-    "dephasing": dephasing_circuit,
-    "damping": damping_circuit,
-    "rotation": rotation_circuit,
-}
 _MIXER = np.outer(EYE.ravel(), EYE.ravel()) / 2  # X -> Tr(X) I/2, vec(I) = I.ravel()
-
-
-def _gates(circuit):
-    """The circuit's (kind, theta) pairs before the reset."""
-    return [(g.kind, g.theta) for g in circuit.gates[:-1]]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(sorted(_CIRCUITS)),
+    kind=st.sampled_from(list(CIRCUIT_GATES)),
     theta=st.floats(-2 * np.pi, 2 * np.pi),
     p_grape=st.floats(0, 1),
     p_decay=st.floats(0, 1),
-    adaptive=st.sampled_from(["coherent", "feedforward"]),
 )
-def test_induced_channel_properties(kind, theta, p_grape, p_decay, adaptive):
-    circuit = _CIRCUITS[kind](theta)
-    noise = NoiseParams(p_grape, p_decay)
-    s = induced_channel(circuit, noise, adaptive)
+def test_induced_channel_properties(kind, theta, p_grape, p_decay):
+    s = induced(kind, theta, NoiseParams(p_grape, p_decay))
     assert is_cptp(s)
-    other = "feedforward" if adaptive == "coherent" else "coherent"
-    assert np.abs(s - induced_channel(circuit, noise, other)).max() < 1e-12
     # One depolarization event mixes the data channel with Tr(.) I/2.
-    clean = induced_channel(circuit, NoiseParams(0.0, p_decay), adaptive)
+    clean = induced(kind, theta, NoiseParams(0.0, p_decay))
     assert np.abs(s - ((1 - p_grape) * clean + p_grape * _MIXER)).max() < 1e-12
-    assert np.abs(clean - circuit_channel(_gates(circuit), 0.0, p_decay, adaptive)).max() < 1e-12
+    assert np.abs(clean - circuit_channel(_gates(kind, theta), 0.0, p_decay)).max() < 1e-12
     # Ancilla decay after the dephasing circuit's CZ, the last gate before the
     # reset, cannot reach the data; the rotation circuit has no two-qubit gate.
     if kind != "damping":
-        no_decay = induced_channel(circuit, NoiseParams(p_grape, 0.0), adaptive)
+        no_decay = induced(kind, theta, NoiseParams(p_grape, 0.0))
         assert np.abs(s - no_decay).max() < 1e-12
 
 
@@ -212,42 +187,47 @@ def _kraus_superop(*kraus):
     return sum(np.kron(np.conj(e), e) for e in kraus)
 
 
-def _superop_reference(circuit, noise, adaptive):
+def _superop_reference(gates, noise):
     """The induced channel as a product of 16x16 superoperators on ancilla (x) data: load
-    ancilla |g>, each gate (ancilla decay after each two-qubit gate), then the reset that
-    keeps sum_a <a| rho |a>; one depolarization event mixes in Tr(.) I/2 at the end."""
+    ancilla |g>, each (kind, angle) gate (ancilla decay after each two-qubit gate), then the
+    reset that keeps sum_a <a| rho |a>; one depolarization event mixes in Tr(.) I/2 at the end."""
     p = 0.0 if noise is None else noise.p_ancilla_decay
     decay = _kraus_superop(np.kron(np.diag([1.0, np.sqrt(1.0 - p)]), EYE),
                            np.kron(np.sqrt(p) * SIGMA_MINUS, EYE))
     s = _kraus_superop(np.kron(EYE[:, :1], EYE))  # load |g>
-    for gate in circuit.gates[:-1]:
-        s = _kraus_superop(*gate_kraus(gate.kind, gate.theta, adaptive)) @ s
-        if p > 0 and gate.kind in ("cz", "cnot_ancilla_ctrl"):
+    for kind, theta in gates:
+        s = _kraus_superop(*gate_kraus(kind, theta, "coherent")) @ s
+        if p > 0 and kind in ("cz", "cnot_ancilla_ctrl"):
             s = decay @ s
     s = _kraus_superop(np.kron(EYE[:1], EYE), np.kron(EYE[1:], EYE)) @ s  # <g|, <e|
     p_grape = 0.0 if noise is None else noise.p_grape
     return (1 - p_grape) * s + p_grape * _MIXER @ s
 
 
+_NOISE_KINDS = st.sampled_from(["off", "decay", "both"])
+
+
+def _noise(noise_kind, p_grape, p_decay):
+    return {"off": None, "decay": NoiseParams(0.0, p_decay),
+            "both": NoiseParams(p_grape, p_decay)}[noise_kind]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(sorted(_CIRCUITS)),
+    kind=st.sampled_from(list(CIRCUIT_GATES)),
     theta=st.floats(allow_nan=False, allow_infinity=False),
-    noise_kind=st.sampled_from(["off", "decay", "both"]),
+    noise_kind=_NOISE_KINDS,
     p_grape=st.floats(0, 1),
     p_decay=st.floats(0, 1),
-    adaptive=st.sampled_from(["coherent", "feedforward"]),
 )
 def test_induced_channel_matches_the_superoperator_composition(
-    kind, theta, noise_kind, p_grape, p_decay, adaptive
+    kind, theta, noise_kind, p_grape, p_decay
 ):
-    # The Kraus-family contraction must reproduce the gate-by-gate 16x16
-    # superoperator product and stay completely positive and trace preserving.
-    noise = {"off": None, "decay": NoiseParams(0.0, p_decay),
-             "both": NoiseParams(p_grape, p_decay)}[noise_kind]
-    circuit = _CIRCUITS[kind](theta)
-    s = induced_channel(circuit, noise, adaptive)
-    assert np.abs(s - _superop_reference(circuit, noise, adaptive)).max() <= 1e-14
+    # The real PTM chain must reproduce the gate-by-gate 16x16 superoperator
+    # product and stay completely positive and trace preserving.
+    noise = _noise(noise_kind, p_grape, p_decay)
+    s = induced(kind, theta, noise)
+    assert np.abs(s - _superop_reference(_gates(kind, theta), noise)).max() <= 1e-14
     j = choi(s)
     assert np.abs(j - j.conj().T).max() <= 1e-14
     assert np.linalg.eigvalsh(j).min() >= -1e-14
@@ -256,66 +236,48 @@ def test_induced_channel_matches_the_superoperator_composition(
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(sorted(_CIRCUITS)),
+    kind=st.sampled_from(list(CIRCUIT_GATES)),
     thetas=st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=4),
-    noise_kind=st.sampled_from(["off", "decay", "both"]),
+    noise_kind=_NOISE_KINDS,
     p_grape=st.floats(0, 1),
     p_decay=st.floats(0, 1),
-    adaptive=st.sampled_from(["coherent", "feedforward"]),
 )
 def test_batched_induced_channels_equal_each_circuit_bit_for_bit(
-    kind, thetas, noise_kind, p_grape, p_decay, adaptive
+    kind, thetas, noise_kind, p_grape, p_decay
 ):
     # The dilation backends chain the PTMs of B circuits of one kind as one batch, from the
-    # kind's gate table and its B angles; each batch entry R must be exactly the PTM of the
-    # circuit's own induced_channel, P R P^dag / 2 with P^dag = BLOCH_ROWS.
-    noise = {"off": None, "decay": NoiseParams(0.0, p_decay),
-             "both": NoiseParams(p_grape, p_decay)}[noise_kind]
-    circuits = [_CIRCUITS[kind](theta) for theta in thetas]
-    (batch,) = _circuit_ptms([(_CIRCUIT_GATES[kind], np.array(thetas))], noise, adaptive)
-    assert batch.shape == (len(circuits), 4, 4)
-    for circuit, ptm in zip(circuits, batch):
-        superop = BLOCH_ROWS.conj().T @ ptm @ BLOCH_ROWS / 2
-        assert superop.tobytes() == induced_channel(circuit, noise, adaptive).tobytes()
+    # kind's gate table and its B angles; each batch entry must be exactly the PTM of the same
+    # circuit chained alone at its one angle.
+    noise = _noise(noise_kind, p_grape, p_decay)
+    (batch,) = _circuit_ptms([(CIRCUIT_GATES[kind], np.array(thetas))], noise)
+    assert batch.shape == (len(thetas), 4, 4)
+    for theta, ptm in zip(thetas, batch):
+        assert ptm.tobytes() == circuit_ptm(kind, theta, noise).tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
     durations=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=3),
-    noise_kind=st.sampled_from(["off", "decay", "both"]),
+    noise_kind=_NOISE_KINDS,
     p_grape=st.floats(0, 1),
     p_decay=st.floats(0, 1),
-    adaptive=st.sampled_from(["coherent", "feedforward"]),
 )
 def test_ptm_chain_matches_the_gate_by_gate_kraus_composition(
-    rates, durations, noise_kind, p_grape, p_decay, adaptive
+    rates, durations, noise_kind, p_grape, p_decay
 ):
-    # The real PTM chain on ancilla (x) data, behind the dilation backends and
-    # induced_channel, against the complex Kraus families composed gate by gate.
-    noise = {"off": None, "decay": NoiseParams(0.0, p_decay),
-             "both": NoiseParams(p_grape, p_decay)}[noise_kind]
+    # The real PTM chain on ancilla (x) data, behind the dilation backends, against the complex
+    # Kraus families composed gate by gate.
+    noise = _noise(noise_kind, p_grape, p_decay)
     oracle_noise = (0.0, 0.0) if noise is None else (noise.p_grape, noise.p_ancilla_decay)
     rates = CanonicalRates(*rates)
     backend = "dilation" if noise is None else "dilation+noise"
     for dt, ptms in zip(durations, elementary_ptms(rates, durations, backend, noise)):
         angles = rates_to_angles(rates, dt)
-        for kind, theta, ptm in zip(_CIRCUITS, (angles.theta1, angles.theta2, angles.theta3), ptms):
-            circuit = _CIRCUITS[kind](theta)
-            oracle = circuit_channel(_gates(circuit), *oracle_noise, adaptive)
+        for kind, theta, ptm in zip(CIRCUIT_GATES, (angles.theta1, angles.theta2, angles.theta3),
+                                    ptms):
+            oracle = circuit_channel(_gates(kind, theta), *oracle_noise)
             assert np.abs(superop_of(ptm) - oracle).max() <= 1e-15
-            assert np.abs(induced_channel(circuit, noise, adaptive) - oracle).max() <= 1e-15
-
-
-def test_run_circuit_rejects_bad_adaptive_mode():
-    # The batched contraction that runs the dilation backends' circuits checks the mode too.
-    with pytest.raises(ValueError, match="adaptive"):
-        _circuit_ptms([(_CIRCUIT_GATES["damping"], np.ones(1))], None, adaptive="magic")
-
-
-def test_induced_channel_rejects_bad_adaptive_mode():
-    with pytest.raises(ValueError, match="adaptive"):
-        induced_channel(damping_circuit(0.3), adaptive="magic")
 
 
 # ------------------------------------------------------------------ noise
@@ -326,16 +288,15 @@ def test_ancilla_decay_stays_small_relative_to_target():
     # channel by well under 5% of the channel's distance from identity.
     ident = np.eye(4)
     for theta_deg in (10, 20, 30):
-        circ = damping_circuit(np.radians(theta_deg))
-        clean = induced_channel(circ)
-        noisy = induced_channel(circ, noise=NoiseParams(p_ancilla_decay=0.01))
+        clean = induced("damping", np.radians(theta_deg))
+        noisy = induced("damping", np.radians(theta_deg), NoiseParams(p_ancilla_decay=0.01))
         ratio = choi_distance(noisy, clean) / choi_distance(clean, ident)
         assert ratio < 0.05
 
 
 def test_depolarization_shrinks_bloch_vector():
     p = 0.02
-    s = induced_channel(rotation_circuit(0.0), noise=NoiseParams(p_grape=p))
+    s = induced("rotation", 0.0, NoiseParams(p_grape=p))
     rho = unvec(s @ vec(density(KET_1)))
     np.testing.assert_allclose(rho, np.diag([p / 2, 1 - p / 2]), atol=1e-12)
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trottersim import liouvillian, trotter
-from trottersim.dilation import (AngleParams, NoiseParams, angle_to_rates, damping_circuit,
-                                 dephasing_circuit, induced_channel, rates_to_angles,
-                                 rotation_circuit)
+from circuits import circuit_ptm
+from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates, rates_to_angles
 from trottersim.tomography import FitResult
 from reference import EYE, choi, damping_kraus, dephasing_kraus, kraus_superop, rx, superop_of
 from trottersim.channels import elementary_ptms
@@ -579,18 +578,16 @@ def test_every_elementary_ptm_is_cptp(backend, label, rates, noise, dt):
 def test_dilation_ptms_are_the_public_circuits_bit_for_bit(
     backend, with_noise, rates, noise, durations
 ):
-    # Each circuit's gates are written once: the backends chain their PTMs R from angle
-    # arrays, and P R P^dag / 2 (P^dag = BLOCH_ROWS) must be exactly induced_channel of the
-    # public builders' circuits at the angles rates_to_angles gives each duration.
+    # Each circuit's gates are written once, in CIRCUIT_GATES: the backends chain the PTMs of
+    # all durations at once, and each must be exactly the PTM of its circuit chained alone at
+    # the angle rates_to_angles gives its duration.
     rates = CanonicalRates(*rates)
     noise = NoiseParams(*noise) if with_noise else None
     for dt, ptms in zip(durations, elementary_ptms(rates, durations, backend, noise)):
         angles = rates_to_angles(rates, dt)
-        circuits = (dephasing_circuit(angles.theta1), damping_circuit(angles.theta2),
-                    rotation_circuit(angles.theta3))
-        for circuit, ptm in zip(circuits, ptms):
-            superop = BLOCH_ROWS.conj().T @ ptm @ BLOCH_ROWS / 2
-            assert superop.tobytes() == induced_channel(circuit, noise).tobytes()
+        for label, theta, ptm in zip(ALL_LABELS, (angles.theta1, angles.theta2, angles.theta3),
+                                     ptms):
+            assert ptm.tobytes() == circuit_ptm(label, theta, noise).tobytes()
 
 
 def test_stacked_run_names_unphysical_step_and_schedule(monkeypatch):
