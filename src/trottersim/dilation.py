@@ -16,6 +16,7 @@ depolarization event per composite unitary (per circuit application).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +128,9 @@ def angle_to_rates(params: AngleParams) -> CanonicalRates:
 def rates_to_angles(rates: CanonicalRates, tau0: float = 3.56) -> AngleParams:
     """Inverse of :func:`angle_to_rates`: per-step angles realizing the rates over tau0."""
     check_positive("tau0", tau0)
-    theta1 = np.arccos(min(1.0, np.exp(-rates.gamma_phi * tau0)))
-    theta2 = np.arccos(min(1.0, np.exp(-rates.gamma1 * tau0 / 2)))
-    theta3 = 2 * np.pi * rates.omega * tau0
+    theta1 = math.acos(min(1.0, math.exp(-rates.gamma_phi * tau0)))  # in Python floats
+    theta2 = math.acos(min(1.0, math.exp(-rates.gamma1 * tau0 / 2)))
+    theta3 = 2 * math.pi * rates.omega * tau0
     return AngleParams(theta1, theta2, theta3, tau0)
 
 

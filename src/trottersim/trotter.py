@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import elementary_ptms
+from .channels import _check_backend, elementary_ptms
 from .dilation import NoiseParams
 from .linalg import (KET_1, check_bloch_rows, check_count, check_positive, density,
                      validate_density_matrix)
@@ -33,7 +33,6 @@ __all__ = [
     "ROTATION",
     "ALL_LABELS",
     "ALL_PERMUTATIONS",
-    "BACKENDS",
     "TrotterSchedule",
     "AccuracyReport",
     "ConvergenceResult",
@@ -49,9 +48,7 @@ DAMPING = "damping"
 ROTATION = "rotation"
 ALL_LABELS = (DEPHASING, DAMPING, ROTATION)
 ALL_PERMUTATIONS = tuple(itertools.permutations(ALL_LABELS))
-BACKENDS = ("kraus", "dilation", "dilation+noise")
-
-RHO_EXCITED = density(KET_1)
+_ROW_EXCITED = validate_density_matrix(density(KET_1), "rho0")  # the default start, checked once
 
 
 @dataclass(frozen=True)
@@ -92,42 +89,36 @@ class TrotterSchedule:
         check_positive("dt", self.dt)
         if not float(self.n_steps) * float(self.dt) < 1.34e154:  # the last time's t^2 overflows
             raise ValueError(f"n_steps * dt must be below 1.34e154, got {self.n_steps} * {self.dt}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.backend == "dilation+noise" and self.noise is None:
-            raise ValueError("backend 'dilation+noise' requires noise parameters")
-        if self.backend != "dilation+noise" and self.noise is not None:
-            raise ValueError(f"backend {self.backend!r} does not accept noise parameters")
+        _check_backend(self.backend, self.noise)
 
 
-# The twelve (order, permutation) schedules of a scan, their labels and their rows of indices into
-# [identity, labels over dt, labels over dt/2]: order 2 forward then reversed, order 1 padded.
+# The twelve (order, permutation) schedules of a scan, order 1 first, and their labels; each
+# permutation's labels as indices into ALL_LABELS, in order of application.
 _SCAN = tuple((order, perm) for order in (1, 2) for perm in ALL_PERMUTATIONS)
 _SCAN_LABELS = tuple(f"trotter-o{order}-{'-'.join(perm)}" for order, perm in _SCAN)
-_SCAN_ROWS = np.array([[0, 0, 0] + [1 + ALL_LABELS.index(label) for label in perm] if order == 1
-                       else [4 + ALL_LABELS.index(label) for label in perm + perm[::-1]]
-                       for order, perm in _SCAN])
+_SCAN_KEYS = list(range(len(_SCAN)))
+_PERMS = np.array([[ALL_LABELS.index(label) for label in perm] for perm in ALL_PERMUTATIONS]).T
 
 
 def _step_stack(schedule: TrotterSchedule, rates: CanonicalRates, keys: list[int]) -> np.ndarray:
     """The (K, 4, 4) one-step Pauli-transfer matrices of the K scan rows keys over the
     schedule's dt, backend and noise. One :func:`elementary_ptms` call builds the three labels
-    at each duration dt / order the rows use, keyed by (duration, label) behind the identity,
-    and one batched product per slot composes all K."""
-    orders = sorted({_SCAN[k][0] for k in keys})
-    ptms = elementary_ptms(rates, [schedule.dt / order for order in orders], schedule.backend,
-                           schedule.noise)
-    ops = np.concatenate([np.eye(4)[None], ptms.reshape(-1, 4, 4)])
-    step = ops[0]
-    # order 1 alone takes 3 slots; order 2 alone builds no dt block, so its indices drop by 3
-    for op in ops[_SCAN_ROWS[keys, 6 - 3 * orders[-1]:].T - 3 * (orders[0] - 1)]:
-        step = op @ step
-    return step
+    at dt and at dt / 2; two batched products over the (2, 6) stack form the six permutations'
+    first-order steps third @ (second @ first) at both durations, and order 2 continues the dt / 2
+    one with its labels reversed, three products over six, written over the dt / 2 block. A full
+    scan takes the twelve as they are; other keys pick their rows."""
+    ptms = elementary_ptms(rates, [schedule.dt, schedule.dt / 2], schedule.backend, schedule.noise)
+    labels = ptms.take(_PERMS, 1)  # (2, 3, 6, 4, 4): duration, slot, permutation
+    first, second, third = labels[:, 0], labels[:, 1], labels[:, 2]
+    steps = third @ (second @ first)
+    np.matmul(first[1], second[1] @ (third[1] @ steps[1]), out=steps[1])
+    steps = steps.reshape(-1, 4, 4)  # the _SCAN order: order 1, then order 2
+    return steps if keys == _SCAN_KEYS else steps[keys]
 
 
 def _initial_row(rho0: np.ndarray | None) -> np.ndarray:
     """The Bloch row of rho0 (|1><1| when None) that validate_density_matrix checks and returns."""
-    return validate_density_matrix(RHO_EXCITED if rho0 is None else rho0, "rho0")
+    return _ROW_EXCITED if rho0 is None else validate_density_matrix(rho0, "rho0")
 
 
 def _run_schedules(schedule: TrotterSchedule, rates: CanonicalRates, row0: np.ndarray,
@@ -286,8 +277,9 @@ def permutation_scan(
     """Accuracy of every generator permutation at both orders.
 
     One schedule checks the arguments; its six elementary channels (three labels
-    at dt and at dt/2) are built as one block and the twelve steps composed from
-    one index table, stepped as one stack and scored as one array.
+    at dt and at dt/2) are built as one block, and the twelve steps are composed
+    from the products the permutations share, stepped as one stack and scored as
+    one array.
 
     Returns:
         Mapping (order, permutation) -> AccuracyReport, keys in deterministic

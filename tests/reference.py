@@ -3,7 +3,8 @@ of trottersim.liouvillian's docstring as a column-stacking generator, exponentia
 the dephasing and damping Kraus pairs of trottersim.channels' rate conventions; the Kraus sum
 as a superoperator; the dilation gates' own unitaries and Kraus operators, and the circuits
 composed from them gate by gate as Kraus families; the Choi matrix and CPTP check that
-channels are compared and judged by; and the Bloch-row check written out one row at a time.
+channels are compared and judged by; the Bloch-row check written out one row at a time; and a
+Trotter step composed one label at a time.
 """
 
 import math
@@ -153,6 +154,18 @@ def check_bloch_rows(rows, name):
             w = (c0 - math.hypot(x, y, z)) / 2
             raise ValueError(f"{name(index)} has negative eigenvalue {w:.3e}")
     return rows
+
+
+def trotter_step(ptms, labels, order):
+    """One Trotter step composed one label at a time from the (2, 3, 4, 4) elementary
+    Pauli-transfer matrices at dt and at dt / 2, labels the permutation's indices into their
+    second axis: order 1 applies them at dt, the first label first; order 2 applies them at
+    dt / 2 forward, then reversed. Each product is label @ (the step so far)."""
+    sequence = list(labels) if order == 1 else list(labels) + list(labels)[::-1]
+    step = ptms[order - 1][sequence[0]]
+    for label in sequence[1:]:
+        step = ptms[order - 1][label] @ step
+    return step
 
 
 def damped_solve(a, g, free, lam):

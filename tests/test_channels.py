@@ -316,3 +316,28 @@ def test_elementary_ptms_rejects_a_negative_or_non_finite_duration(backend, bad)
     # expanding dephasing PTM (mu = 1.105) and reported inf as an overflowing drive angle.
     with pytest.raises(ValueError, match=rf"^dt must be nonnegative and finite, got {bad}$"):
         elementary_ptms(CanonicalRates(0.1, 0.1, 0.0), [1.0, bad], backend, None)
+
+
+@pytest.mark.parametrize("backend, noise, message", [
+    ("bogus", None, r"^backend must be one of \('kraus', 'dilation', 'dilation\+noise'\), "
+                    r"got 'bogus'$"),
+    ("dilation+noise", None, r"^backend 'dilation\+noise' requires noise parameters$"),
+    ("kraus", NoiseParams(0.01), r"^backend 'kraus' does not accept noise parameters$"),
+    ("dilation", NoiseParams(0.01), r"^backend 'dilation' does not accept noise parameters$"),
+], ids=["unknown-backend", "noise-missing", "kraus-with-noise", "dilation-with-noise"])
+def test_elementary_ptms_rejects_what_a_schedule_rejects(backend, noise, message):
+    # One backend rule, with the same messages: an unknown backend ran the dilation circuits,
+    # "dilation+noise" without noise ran noiseless, noise beside "kraus" went unread and noise
+    # beside "dilation" ran the noisy circuits.
+    for build in (lambda: elementary_ptms(CanonicalRates(0.1, 0.1, 0.1), [1.0], backend, noise),
+                  lambda: TrotterSchedule(backend=backend, noise=noise)):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+@pytest.mark.parametrize("backend", ["kraus", "dilation", "dilation+noise"])
+def test_elementary_ptms_of_no_durations_is_an_empty_block(backend):
+    # The dilation backends raised IndexError where kraus returned the empty block.
+    noise = NoiseParams(0.01, 0.01) if backend == "dilation+noise" else None
+    ptms = elementary_ptms(CanonicalRates(0.1, 0.1, 0.1), [], backend, noise)
+    assert ptms.shape == (0, 3, 4, 4) and ptms.dtype == float

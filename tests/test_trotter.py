@@ -11,15 +11,15 @@ from trottersim import liouvillian, trotter
 from circuits import circuit_ptm
 from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates, rates_to_angles
 from trottersim.tomography import FitResult
-from reference import EYE, choi, damping_kraus, dephasing_kraus, kraus_superop, rx, superop_of
-from trottersim.channels import elementary_ptms
+from reference import (EYE, choi, damping_kraus, dephasing_kraus, kraus_superop, rx, superop_of,
+                       trotter_step)
+from trottersim.channels import BACKENDS, elementary_ptms
 from trottersim.linalg import KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, vec
 from trottersim.liouvillian import (BLOCH_ROWS, CanonicalRates, EvolutionTrace, propagate,
                                     target_trace)
 from trottersim.trotter import (
     ALL_LABELS,
     ALL_PERMUTATIONS,
-    BACKENDS,
     DAMPING,
     DEPHASING,
     ROTATION,
@@ -570,24 +570,72 @@ def test_every_elementary_ptm_is_cptp(backend, label, rates, noise, dt):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     backend=st.sampled_from(["dilation", "dilation+noise"]),
-    with_noise=st.booleans(),
     rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
     noise=st.tuples(st.floats(0, 1), st.floats(0, 1)),
     durations=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=3),
 )
-def test_dilation_ptms_are_the_public_circuits_bit_for_bit(
-    backend, with_noise, rates, noise, durations
-):
+def test_dilation_ptms_are_the_public_circuits_bit_for_bit(backend, rates, noise, durations):
     # Each circuit's gates are written once, in CIRCUIT_GATES: the backends chain the PTMs of
     # all durations at once, and each must be exactly the PTM of its circuit chained alone at
-    # the angle rates_to_angles gives its duration.
+    # the angle rates_to_angles gives its duration. Noise comes with "dilation+noise" alone.
     rates = CanonicalRates(*rates)
-    noise = NoiseParams(*noise) if with_noise else None
+    noise = NoiseParams(*noise) if backend == "dilation+noise" else None
     for dt, ptms in zip(durations, elementary_ptms(rates, durations, backend, noise)):
         angles = rates_to_angles(rates, dt)
         for label, theta, ptm in zip(ALL_LABELS, (angles.theta1, angles.theta2, angles.theta3),
                                      ptms):
             assert ptm.tobytes() == circuit_ptm(label, theta, noise).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    backend=st.sampled_from(BACKENDS),
+    rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
+    noise=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    dt=st.floats(0.01, 5.0),
+    key=st.integers(0, 11),
+)
+def test_step_stack_is_the_one_label_at_a_time_composition(backend, rates, noise, dt, key):
+    # The scan's twelve steps share their products, each chain in the association of one label
+    # at a time, first label first; a re-association would move bits and fail here.
+    rates = CanonicalRates(*rates)
+    noise = NoiseParams(*noise) if backend == "dilation+noise" else None
+    schedule = TrotterSchedule(dt=dt, backend=backend, noise=noise)
+    ptms = elementary_ptms(rates, [dt, dt / 2], backend, noise)
+    steps = trotter._step_stack(schedule, rates, list(range(12)))
+    assert steps.shape == (12, 4, 4)
+    for step, (order, perm) in zip(steps, trotter._SCAN):
+        oracle = trotter_step(ptms, [ALL_LABELS.index(label) for label in perm], order)
+        assert step.tobytes() == oracle.tobytes()
+    assert trotter._step_stack(schedule, rates, [key]).tobytes() == steps[key].tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    backend=st.sampled_from(BACKENDS),
+    rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
+    noise=st.tuples(st.floats(0, 0.05), st.floats(0, 0.05)),
+    order=st.sampled_from((1, 2)),
+    permutation=st.sampled_from(ALL_PERMUTATIONS),
+    n_steps=st.integers(1, 40),
+    dt=st.floats(0.01, 5.0),
+    bloch0=st.tuples(*[st.floats(-1, 1)] * 3),
+)
+def test_reversing_the_drive_mirrors_the_y_component_exactly(
+    backend, rates, noise, order, permutation, n_steps, dt, bloch0
+):
+    # omega -> -omega with y0 -> -y0 negates <sy> and keeps <sx>, <sz> exactly: the rotation
+    # turns the other way, and dephasing, damping and the exact step commute with the y flip.
+    r = np.array(bloch0) / max(1.0, np.linalg.norm(bloch0))
+    rho0, mirrored0 = ((EYE + r[0] * SIGMA_X + y * SIGMA_Y + r[2] * SIGMA_Z) / 2
+                       for y in (r[1], -r[1]))
+    rates, mirrored = CanonicalRates(*rates), CanonicalRates(*rates[:2], -rates[2])
+    noise = NoiseParams(*noise) if backend == "dilation+noise" else None
+    schedule = TrotterSchedule(permutation, order, n_steps, dt, backend, noise)
+    for a, b in [(run_schedule(schedule, rates, rho0), run_schedule(schedule, mirrored, mirrored0)),
+                 (target_trace(rates, rho0, dt, n_steps),
+                  target_trace(mirrored, mirrored0, dt, n_steps))]:
+        np.testing.assert_array_equal(b.as_matrix(), a.as_matrix() * [1, -1, 1])
 
 
 def test_stacked_run_names_unphysical_step_and_schedule(monkeypatch):
