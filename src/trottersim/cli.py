@@ -62,8 +62,6 @@ EXIT_NUMERICAL = 2
 TRACE_HEADER = "step,time_us,sx,sy,sz"
 DISTANCE_TOL = 1e-10
 
-FIGURES = ("fig2", "fig3", "fig4")
-
 
 class ConfigError(ValueError):
     """Invalid configuration or command line; maps to exit code 1."""
@@ -242,6 +240,8 @@ def build_config(raw, mode):
         ConfigError: On unknown keys, keys the mode does not read, type errors,
             or out-of-range values, including every ValueError of the objects it builds.
     """
+    if mode == "mitigate" and isinstance(raw, dict) and raw.get("backend") == "dilation+noise":
+        raise ConfigError("backend 'dilation+noise' needs noise, which mitigate does not read")
     v = _resolve(raw, {"mode": (mode, _choice(mode), (mode,)), **CONFIG_TABLE}, mode)
     del v["mode"]  # checked against the subcommand, which picks the runner
     deg, intrinsic, noise = v.pop("angles"), v.pop("intrinsic"), v.pop("noise")
@@ -371,18 +371,11 @@ def _run_trotter(cfg):
     yield "trotter.json", {"accuracy": float(report.a), **_run_summary(cfg)}
 
 
-def _scan(cfg):
-    """Accuracy of every permutation at both orders, at the configured engine."""
-    schedule = cfg.schedule
-    return permutation_scan(
-        cfg.rates, n_steps=schedule.n_steps, dt=schedule.dt, rho0=_rho0(cfg),
-        backend=schedule.backend, noise=schedule.noise,
-    )
-
-
 def _run_scan(cfg):
-    results = {"1": {}, "2": {}}
-    for (order, perm), report in _scan(cfg).items():
+    schedule, results = cfg.schedule, {"1": {}, "2": {}}
+    scan = permutation_scan(cfg.rates, n_steps=schedule.n_steps, dt=schedule.dt, rho0=_rho0(cfg),
+                            backend=schedule.backend, noise=schedule.noise)
+    for (order, perm), report in scan.items():
         results[str(order)]["-".join(perm)] = float(report.a)
     best = {o: min(table, key=lambda k: (table[k], k)) for o, table in results.items()}
     summary = _run_summary(cfg)
@@ -419,18 +412,13 @@ def _run_dilate_verify(cfg):
         )
 
 
-def _tomography(cfg):
-    """Simulated tomography curves of the configured schedule and their global fit."""
+def _run_fit(cfg):
     rates, schedule = cfg.rates, cfg.schedule
     curves = generate_tomography(
         rates, schedule.dt, schedule.n_steps, shots=cfg.shots, seed=cfg.seed,
         evolve=lambda rho0: run_schedule(schedule, rates, rho0),
     )
-    return curves, global_fit(curves)
-
-
-def _run_fit(cfg):
-    curves, fit = _tomography(cfg)
+    fit = global_fit(curves)
     yield "fit_curves.csv", ("step,time_us,state,obs,value", (
         (j, t, state, obs, v)
         for state in STATE_LABELS for obs in OBS_LABELS
@@ -461,14 +449,6 @@ def _run_fit(cfg):
         raise NumericalFailure("tomography fit did not converge")
 
 
-def _scaled_points(cfg):
-    """Undriven base rates and one fitted point per c_list factor c, damping scaled by c."""
-    base = replace(cfg.rates, omega=0.0)
-    t2s = [scaled_damping_t2(base, c, cfg.schedule) for c in cfg.c_list]
-    return base, [NoisePoint(c=c, value=1.0 / t2 if cfg.variable == "rate" else t2)
-                  for c, t2 in zip(cfg.c_list, t2s)]
-
-
 def _noise_rows(path):
     """A noise-point CSV's (c, value[, sigma]) rows as float triples, unchecked: a non-numeric
     first row is a header, blank lines are skipped and a missing or empty sigma is None. A row
@@ -494,8 +474,11 @@ def _noise_rows(path):
 def _run_mitigate(cfg):
     payload = {"variable": cfg.variable, "source": str(cfg.input_csv or "simulated")}
     if cfg.input_csv is None:  # build_config has checked c_list and resolved n_max
-        base, points = _scaled_points(cfg)
-        n_max = cfg.n_max
+        # Undriven base rates and one fitted point per c_list factor c, damping scaled by c.
+        base, n_max = replace(cfg.rates, omega=0.0), cfg.n_max
+        t2s = [scaled_damping_t2(base, c, cfg.schedule) for c in cfg.c_list]
+        points = [NoisePoint(c=c, value=1.0 / t2 if cfg.variable == "rate" else t2)
+                  for c, t2 in zip(cfg.c_list, t2s)]
         payload["base_rates"] = _rates_summary(base)
         if base.gamma_phi > 0:
             limit = 1.0 / base.gamma_phi
@@ -560,6 +543,21 @@ RUNNERS = {
 #
 # Each figure protocol is a set of configs that fix their own angles (and, for
 # fig3, an intrinsic T1); tau0, N, the order and c_list come from the defaults.
+# Each config runs through its mode's runner, and the figure tabulates the runner's
+# <mode>.json: a figure point fails exactly as its mode does.
+
+
+def _replay(mode, raw):
+    """The config built from raw for mode, and the <mode>.json payload of its runner."""
+    cfg = build_config(raw, mode)
+    return cfg, dict(RUNNERS[mode](cfg))[f"{mode}.json"]  # the other artifacts go unread
+
+
+def _sweep(mode, name, grid, fixed):
+    """(angle, payload) per grid angle of name, in degrees, with the fixed angles held."""
+    return [(a, _replay(mode, {"angles": {**fixed, f"{name}_deg": a}})[1])
+            for a in map(float, grid)]
+
 
 # Swept angle -> (its grid in degrees, the two angles it holds fixed).
 _FIG2_SWEEPS = {
@@ -570,21 +568,19 @@ _FIG2_SWEEPS = {
 
 
 def _reproduce_fig2():
-    sweeps = {}
+    sweeps, keys = {}, ("t1_us", "t2_us", "omega_mhz")
     for name, (grid, fixed) in _FIG2_SWEEPS.items():
-        grid, rows = [float(x) for x in grid], []
-        for angle_deg in grid:
-            cfg = build_config({"angles": {**fixed, f"{name}_deg": angle_deg}}, "fit")
-            fit, rates = _tomography(cfg)[1], cfg.rates
-            rows.append((angle_deg, fit.t1, fit.t2, fit.omega, rates.t1, rates.t2, rates.omega))
-        sweeps[name] = {"file": f"fig2_{name}.csv", "fixed_deg": fixed, "grid_deg": grid}
+        points = _sweep("fit", name, grid, fixed)
+        sweeps[name] = {"file": f"fig2_{name}.csv", "fixed_deg": fixed,
+                        "grid_deg": [a for a, _ in points]}
         yield sweeps[name]["file"], (
-            "angle_deg,t1_us,t2_us,omega_mhz,t1_pred_us,t2_pred_us,omega_pred_mhz", rows
+            "angle_deg,t1_us,t2_us,omega_mhz,t1_pred_us,t2_pred_us,omega_pred_mhz",
+            [(a, *(p["fitted"][k] for k in keys), *(p["predicted"][k] for k in keys))
+             for a, p in points],
         )
-    yield "fig2.json", {  # every sweep point runs the default tau0, N and order
-        "n_steps": cfg.schedule.n_steps, "order": cfg.schedule.order,
-        "sweeps": sweeps, "tau0_us": cfg.schedule.dt,
-    }
+    engine = points[-1][1]["engine"]  # every sweep point runs the default tau0, N and order
+    yield "fig2.json", {"n_steps": engine["n_steps"], "order": engine["order"],
+                        "sweeps": sweeps, "tau0_us": engine["tau0_us"]}
 
 
 # Dephasing from theta1 = 20 deg, no drive, and the damping of an intrinsic
@@ -596,48 +592,36 @@ _FIG3_CONFIG = {
 
 
 def _reproduce_fig3():
-    cfg = build_config(_FIG3_CONFIG, "mitigate")
-    base, points = _scaled_points(cfg)
-    yield "fig3_points.csv", ("c,t2star_us", [(p.c, p.value) for p in points])
-    truth = 1.0 / base.gamma_phi
-    results = [extrapolate(points, n) for n in range(len(points))]
+    cfg, payload = _replay("mitigate", _FIG3_CONFIG)
+    yield "fig3_points.csv", ("c,t2star_us", [(p["c"], p["value"]) for p in payload["points"]])
+    truth = payload["zero_damping_limit"]  # the pure-dephasing time 1/gamma_phi
     yield "fig3.json", {
-        "base_rates": _rates_summary(base),
+        "base_rates": payload["base_rates"],
         "c_list": list(cfg.c_list),
         "extrapolations": [
-            {"estimate": float(r.estimate), "order": r.order,
-             "relative_error": float((r.estimate - truth) / truth)}
-            for r in results
+            {"estimate": r["estimate"], "order": r["order"],
+             "relative_error": (r["estimate"] - truth) / truth}
+            for r in payload["results"]
         ],
-        "n_steps": cfg.schedule.n_steps,
-        "order": cfg.schedule.order,
-        "tau0_us": cfg.schedule.dt,
+        "n_steps": cfg.schedule.n_steps, "order": cfg.schedule.order, "tau0_us": cfg.schedule.dt,
         "theta1_deg": _FIG3_CONFIG["angles"]["theta1_deg"],
         "zero_damping_dephasing_time_us": truth,
     }
 
 
 def _reproduce_fig4():
-    theta2_grid = tuple(float(x) for x in range(5, 75, 5))
-    rows = []
-    for theta2_deg in theta2_grid:
-        cfg = build_config(
-            {"angles": {"theta1_deg": 20.0, "theta2_deg": theta2_deg, "theta3_deg": 25.7}}, "scan"
-        )
-        rows += [(order, "-".join(perm), theta2_deg, report.a)
-                 for (order, perm), report in _scan(cfg).items()]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    fixed = {"theta1_deg": 20.0, "theta3_deg": 25.7}
+    points = _sweep("scan", "theta2", range(5, 75, 5), fixed)
+    rows = sorted((int(order), perm, a, acc) for a, p in points
+                  for order, table in p["results"].items() for perm, acc in table.items())
     yield "fig4_accuracy.csv", ("order,permutation,theta2_deg,accuracy", rows)
-    yield "fig4.json", {
-        "n_steps": cfg.schedule.n_steps,
-        "tau0_us": cfg.schedule.dt,
-        "theta1_deg": 20.0,
-        "theta2_grid_deg": list(theta2_grid),
-        "theta3_deg": 25.7,
-    }
+    engine = points[-1][1]["engine"]
+    yield "fig4.json", {"n_steps": engine["n_steps"], "tau0_us": engine["tau0_us"],
+                        "theta2_grid_deg": [a for a, _ in points], **fixed}
 
 
 _REPRODUCERS = {"fig2": _reproduce_fig2, "fig3": _reproduce_fig3, "fig4": _reproduce_fig4}
+FIGURES = tuple(_REPRODUCERS)
 
 
 # --------------------------------------------------------------- CLI shell

@@ -1,10 +1,11 @@
-"""Dense complex linear algebra kernel for small (dim <= 16) matrices.
+"""The package's input checks and its one-qubit constants.
 
-Everything downstream (superoperators, dilation circuits, Pauli-transfer
-matrices) is built on plain complex ndarrays plus the checks in this module.
-The vectorization convention is fixed once here and used everywhere: ``vec``
-stacks columns, so the superoperator acting as ``A @ rho @ B`` on a vectorized
-state is ``np.kron(B.T, A)``.
+Checks, each a ValueError naming its input: ``check_count`` and ``check_positive`` for counts
+and durations, ``check_bloch_rows`` for arrays of Bloch rows c = (Tr rho, <sx>, <sy>, <sz>), and
+``validate_density_matrix`` for one 2x2 state, which it reads out as its checked Bloch row.
+Constants: the Pauli matrices, the kets |0> and |1>, ``density`` and ``vec``. ``vec`` stacks
+columns, so the superoperator acting as ``A @ rho @ B`` on a vectorized state is
+``np.kron(B.T, A)``.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_MAX, _MIN, SIGMA_X, SIGMA_Y, SIGMA_Z, check_count, check_positive,
-                     validate_density_matrix, vec)
+from .linalg import (_MAX, _MIN, SIGMA_X, SIGMA_Y, SIGMA_Z, check_bloch_rows, check_count,
+                     check_positive, validate_density_matrix, vec)
 
 __all__ = [
     "CanonicalRates",
@@ -202,10 +202,21 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     e^{-G2 t}) times the monomials (1, a, w) x (1, v_ss) by a map of the start. A row takes
     one case: the series in q t^2 where |q| t_max^2 < 1e-5 (t = 0 alone, or s near 0), else
     s real or imaginary. Real for real rows and analytic: a complex step gives a derivative.
+
+    Raises:
+        ValueError: On a negative or non-finite time, a start outside the Bloch ball or not
+            finite (check_bloch_rows on (1, x, y, z)), a rate row not finite, or rates whose
+            closed form overflows.
     """
     t = np.asarray(times, dtype=float)
     if not (_MIN(t, None, initial=np.inf) >= 0 and _MAX(t, None, initial=0) < np.inf):  # NaN fails
         raise ValueError(f"times must be finite and nonnegative, got {t}")
+    check_bloch_rows(np.insert(np.asarray(bloch0, dtype=float), 0, 1.0, axis=-1),
+                     lambda j: f"bloch0[{j[0]}]")
+    finite = np.isfinite(rows).all(axis=-1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"rate row {k} is not finite: {np.asarray(rows)[k].tolist()}")
     return _bloch_curves(rows, _bloch_terms(bloch0), t).reshape(len(rows), len(bloch0), 3, -1)
 
 

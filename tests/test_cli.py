@@ -23,7 +23,7 @@ import trottersim
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
-from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
+from trottersim.liouvillian import EvolutionTrace, target_trace
 from trottersim.mitigation import check_scale_factors
 from trottersim.tomography import global_fit
 
@@ -478,16 +478,16 @@ def test_reproduce_fig3(tmp_path):
     assert abs(order1["relative_error"]) < 0.15
 
 
-def test_fig3_config_pins_the_paper_base_rates():
+def test_fig3_config_pins_the_paper_base_rates(tmp_path):
     # fig3 runs the mitigate config cli._FIG3_CONFIG undriven; the base rates that its
     # scaled points measure must stay exactly the paper's: gamma1 = 0.0090/us, dephasing of
     # theta1 = 20 deg, no drive.
-    base, _ = cli._scaled_points(cli.build_config(cli._FIG3_CONFIG, "mitigate"))
-    assert base == CanonicalRates(
-        gamma1=0.0090,
-        gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0, 3.56)).gamma_phi,
-        omega=0.0,
-    )
+    assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == EXIT_OK
+    assert json.loads((tmp_path / "fig3.json").read_text())["base_rates"] == {
+        "gamma1_per_us": 0.0090,
+        "gamma_phi_per_us": angle_to_rates(AngleParams.from_degrees(20, 0, 0, 3.56)).gamma_phi,
+        "omega_mhz": 0.0,
+    }
 
 
 def test_reproduce_fig4(tmp_path):
@@ -512,6 +512,16 @@ def test_reproduce_fig2(tmp_path):
     assert summary["sweeps"]["theta1"]["fixed_deg"] == {
         "theta2_deg": 20.0, "theta3_deg": 51.4,
     }
+
+
+def test_fig2_point_that_does_not_converge_exits_2(tmp_path, monkeypatch, capsys):
+    # A figure point fails as its mode does: fit exits 2 on a fit that did not converge, so
+    # fig2 does too, before any of its tables is written.
+    monkeypatch.setattr(cli, "global_fit",
+                        lambda curves: replace(global_fit(curves), converged=False))
+    assert main(["reproduce", "--figure", "fig2", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", "numerical failure: tomography fit did not converge\n")
+    assert list(tmp_path.glob("fig2*")) == []
 
 
 def test_reproduce_without_figure_fails(tmp_path, capsys):
@@ -625,8 +635,11 @@ _INVALID = {
     "variable: sideways\n": ("mitigate", "variable must be one of t2, rate, got 'sideways'"),
     "theta_grid_deg: [5.0, 92.0]\n": ("dilate-verify", "theta_grid_deg entries must lie in"),
     # mitigate simulates undriven and noiseless: it reads no noise section.
+    # mitigate simulates noiseless: dilation+noise is rejected with or without a noise section.
     "mode: mitigate\nbackend: dilation+noise\nnoise: {p_grape: 0.01}\n": (
-        "mitigate", "noise is not read by mitigate, only by trotter, scan, fit, converge"),
+        "mitigate", "backend 'dilation+noise' needs noise, which mitigate does not read"),
+    "mode: mitigate\nbackend: dilation+noise\n": (
+        "mitigate", "backend 'dilation+noise' needs noise, which mitigate does not read"),
     "mode: mitigate\nn_max: 4\n": ("mitigate", "n_max=4 needs 5 points, c_list has 4"),
     # YAML integers beyond the largest float, through _real, _time and a list entry.
     f"angles: {{tau0_us: {_HUGE}}}\n": ("evolve", "angles.tau0_us must lie in the float range"),
@@ -808,7 +821,7 @@ def test_scale_factor_rule_is_one_rule_before_any_measurement(tmp_path_factory, 
 
 
 def test_mitigate_from_csv_rejects_a_noisy_backend(tmp_path, capsys):
-    # mitigate reads no noise section, with input_csv or without.
+    # mitigate runs no noisy backend, with input_csv or without.
     table = tmp_path / "table.csv"
     table.write_text("c,value\n1,35.56\n2.13,29.63\n")
     cfg = write_config(
@@ -817,7 +830,7 @@ def test_mitigate_from_csv_rejects_a_noisy_backend(tmp_path, capsys):
     )
     assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "error: noise is not read by mitigate, only by trotter, scan, fit, converge\n")
+        "error: backend 'dilation+noise' needs noise, which mitigate does not read\n")
     assert not (tmp_path / "mitigate.json").exists()
 
 

@@ -368,6 +368,26 @@ def test_bloch_solution_rejects_negative_or_non_finite_times(bad):
         bloch_solution([[0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0]], [0.0, bad])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start, message", [
+    ((np.nan, 0.0, 0.0), "contains non-finite entries"),  # gave NaN curves
+    ((3.0, 0.0, 1.0), "has negative eigenvalue -1.081e+00"),  # gave <x> = 3 at t = 0
+], ids=["nan", "outside-the-ball"])
+def test_bloch_solution_rejects_a_start_that_is_not_a_state(start, message):
+    # Each start is checked as the Bloch row (1, x, y, z), and named by its index.
+    with pytest.raises(ValueError) as info:
+        bloch_solution([[0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0], start], [0.0, 1.0])
+    assert str(info.value) == f"bloch0[1] {message}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bloch_solution_calls_a_rate_that_is_not_finite_so(bad):
+    # A NaN or inf rate was reported as "the closed form overflows", which names no input.
+    with pytest.raises(ValueError, match=rf"^rate row 1 is not finite: \[0\.1, {bad}, 0\.1\]$"):
+        bloch_solution([[0.1, 0.1, 0.1], [0.1, bad, 0.1]], [[0.0, 0.0, 1.0]], [0.0, 1.0])
+
+
 def test_evolution_trace_shape_check():
     with pytest.raises(ValueError):
         EvolutionTrace(np.arange(3), np.zeros(3), np.zeros(2), np.zeros(3))

@@ -552,15 +552,18 @@ def test_noisy_fit_whose_first_run_pins_t1_ends_off_the_floor():
     assert fit.residual <= 0.2546815860229208 * (1 + 1e-9)
 
 
-def test_fig2_fits_cost_at_most_217_evaluations():
+def test_fig2_fits_cost_at_most_217_evaluations(tmp_path, monkeypatch):
     # A count, so it guards the cost of fig2's 23 Trotter fits without timing them:
     # each fit starts from its curves' step and at most reruns from the mirrored drive.
-    total = 0
-    for name, (grid, fixed) in cli._FIG2_SWEEPS.items():
-        for angle_deg in grid:
-            cfg = cli.build_config({"angles": {**fixed, f"{name}_deg": float(angle_deg)}}, "fit")
-            total += cli._tomography(cfg)[1].evaluations
-    assert total <= 217
+    fits = []
+
+    def counted(curves):
+        fits.append(global_fit(curves))
+        return fits[-1]
+
+    monkeypatch.setattr(cli, "global_fit", counted)
+    assert cli.main(["reproduce", "--figure", "fig2", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(fits) == 23 and sum(fit.evaluations for fit in fits) <= 217
 
 
 # ------------------------------------------------ starts from the data's step
