@@ -2,9 +2,10 @@
 
 A channel E acts on Bloch rows c = (Tr rho, <sx>, <sy>, <sz>) through its real Pauli-transfer
 matrix (PTM) R_ij = Tr(s_i E(s_j))/2, with s = (I, sigma_x, sigma_y, sigma_z). The PTM is the
-column-stacking superoperator S in the Pauli basis, R = Re(P^dag S P)/2 with P^dag = BLOCH_ROWS;
-P/sqrt(2) is unitary, so the Frobenius distance of two PTMs is that of their superoperators, and
-of their Choi matrices, which only move the superoperators' entries.
+column-stacking superoperator S in the Pauli basis, R = Re(P^dag S P)/2, P's columns the s_j each
+stacked by columns; P/sqrt(2) is unitary, so the Frobenius distance of two PTMs is that of their
+superoperators, and of their Choi matrices, which only move the superoperators' entries. The
+package builds no superoperator: every PTM here is a closed form or a literal table.
 
 Rate conventions follow the canonical form documented in
 :mod:`trottersim.liouvillian`: the dephasing channel multiplies off-diagonals
@@ -24,21 +25,22 @@ import math
 import numpy as np
 
 from .dilation import CIRCUIT_GATES, NoiseParams, rates_to_angles
-from .liouvillian import BLOCH_ROWS, CanonicalRates
+from .liouvillian import CanonicalRates
 
 __all__ = ["BACKENDS", "elementary_ptms"]
 
 BACKENDS = ("kraus", "dilation", "dilation+noise")
 
 
-# The fixed gates' PTMs Re(V^dag (U (x) U*) V)/4, V^dag's rows the row-major ravels of s_a (x) s_d,
-# index 4a + d (BLOCH_ROWS holds each Pauli s as s.ravel()). The data rows load with ancilla |g>,
-# at a = I and a = Z.
-_PAULIS2 = np.einsum("aij,dkl->adikjl", *[BLOCH_ROWS.reshape(4, 2, 2)] * 2).reshape(16, 16)
-# CZ, and the CNOT: X on the data where the ancilla is |e>.
-_GATES2 = np.stack([np.diag([1.0, 1.0, 1.0, -1.0]), np.eye(4)[[0, 1, 3, 2]]]).astype(complex)
-_CZ, _CNOT = np.real(_PAULIS2.conj() @ np.einsum("gik,gjl->gijkl", _GATES2, _GATES2.conj())
-                     .reshape(2, 16, 16) @ _PAULIS2.T) / 4
+# The fixed gates' PTMs Re(V^dag (U (x) U*) V)/4, V's columns the Paulis s_a (x) s_d at index
+# 4a + d. CZ and CNOT are Clifford gates, so each maps every Pauli to one signed Pauli: row 4a + d
+# holds one +-1, in that Pauli's column. CZ, and the CNOT: X on the data where the ancilla is |e>.
+# The data rows load with ancilla |g>, at a = I and a = Z.
+_CZ, _CNOT = np.zeros((2, 16, 16))
+_CZ[range(16), [0, 13, 14, 3, 7, 10, 9, 4, 11, 6, 5, 8, 12, 1, 2, 15]] = [
+    1, 1, 1, 1, 1, 1, -1, 1, 1, -1, 1, 1, 1, 1, 1, 1]
+_CNOT[range(16), [0, 1, 14, 15, 5, 4, 11, 10, 9, 8, 7, 6, 12, 13, 2, 3]] = [
+    1, 1, 1, 1, 1, 1, 1, -1, 1, 1, -1, 1, 1, 1, 1, 1]
 _FIXED = {"cz": _CZ, "cnot_ancilla_ctrl": _CNOT}
 _FIXED_ROWS = np.array([_CZ, _CNOT]).reshape(2, 4, 64)  # rows by ancilla index a
 _LOAD = np.eye(16, 4) + np.eye(16, 4, -12)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .channels import elementary_ptms
 from .dilation import AngleParams, NoiseParams, angle_to_rates, effective_rates
-from .linalg import check_bloch_rows, density
+from .linalg import check_bloch_rows
 from .liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from .mitigation import NoisePoint, check_scale_factors, extrapolate, scaled_damping_t2
 from .tomography import INITIAL_STATES, OBS_LABELS, STATE_LABELS, generate_tomography, global_fit
@@ -353,7 +353,7 @@ def _run_summary(cfg):
 
 def _rho0(cfg):
     """The density matrix of the configured initial state."""
-    return density(INITIAL_STATES[cfg.initial_state])
+    return INITIAL_STATES[cfg.initial_state]
 
 
 def _run_evolve(cfg):

@@ -1,11 +1,8 @@
-"""The package's input checks and its one-qubit constants.
+"""The package's input checks, each a ValueError naming its input.
 
-Checks, each a ValueError naming its input: ``check_count`` and ``check_positive`` for counts
-and durations, ``check_bloch_rows`` for arrays of Bloch rows c = (Tr rho, <sx>, <sy>, <sz>), and
-``validate_density_matrix`` for one 2x2 state, which it reads out as its checked Bloch row.
-Constants: the Pauli matrices, the kets |0> and |1>, ``density`` and ``vec``. ``vec`` stacks
-columns, so the superoperator acting as ``A @ rho @ B`` on a vectorized state is
-``np.kron(B.T, A)``.
+``check_count`` and ``check_positive`` check counts and durations, ``check_bloch_rows`` arrays of
+Bloch rows c = (Tr rho, <sx>, <sy>, <sz>), and ``validate_density_matrix`` one 2x2 state, which
+it reads out as its checked Bloch row: the package's one read-out of a state.
 """
 
 from __future__ import annotations
@@ -14,42 +11,9 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "KET_0",
-    "KET_1",
-    "vec",
-    "check_bloch_rows",
-    "validate_density_matrix",
-    "check_count",
-    "check_positive",
-    "density",
-]
+__all__ = ["check_bloch_rows", "validate_density_matrix", "check_count", "check_positive"]
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _MAX, _MIN = np.maximum.reduce, np.minimum.reduce
-
-KET_0 = np.array([1, 0], dtype=complex)
-KET_1 = np.array([0, 1], dtype=complex)
-
-
-def density(ket: np.ndarray) -> np.ndarray:
-    """Rank-one density matrix |psi><psi| from a (not necessarily normalized) ket."""
-    ket = np.asarray(ket, dtype=complex).ravel()
-    norm = np.linalg.norm(ket)
-    if norm == 0:
-        raise ValueError("cannot build a density matrix from the zero vector")
-    ket = ket / norm
-    return np.outer(ket, ket.conj())
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization: vec(|i><j|) = e_j (x) e_i."""
-    return np.asarray(m).reshape(-1, order="F")
 
 
 def check_count(name: str, value) -> None:

@@ -13,6 +13,8 @@ Conventions fixed here and used across the package:
 * Drive Hamiltonian H = pi * omega * sigma_x with ``omega`` a full-cycle
   Rabi frequency in MHz: a step of duration tau rotates by 2*pi*omega*tau.
 * Basis |0>, |1> with <sigma_z>(|0>) = +1.
+* States are real Bloch rows c = (Tr rho, <sx>, <sy>, <sz>), read from a 2x2 density matrix by
+  linalg.validate_density_matrix, and channels act on them as real 4x4 Pauli-transfer matrices.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_MAX, _MIN, SIGMA_X, SIGMA_Y, SIGMA_Z, check_bloch_rows, check_count,
-                     check_positive, validate_density_matrix, vec)
+from .linalg import (_MAX, _MIN, check_bloch_rows, check_count, check_positive,
+                     validate_density_matrix)
 
 __all__ = [
     "CanonicalRates",
     "EvolutionTrace",
-    "BLOCH_ROWS",
     "propagate",
     "bloch_solution",
     "target_trace",
@@ -70,11 +71,6 @@ class CanonicalRates:
         """Coherence time 1/(gamma1/2 + gamma_phi) (inf when lossless)."""
         total = self.gamma1 / 2 + self.gamma_phi
         return np.inf if total == 0 else 1.0 / total
-
-
-# Rows conj(vec(s)) for s = I, sigma_x, sigma_y, sigma_z: the P^dag that turns a superoperator S
-# into its Pauli-transfer matrix Re(P^dag S P)/2. States are read by validate_density_matrix.
-BLOCH_ROWS = np.stack([vec(m).conj() for m in (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
 def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -204,19 +200,22 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     s real or imaginary. Real for real rows and analytic: a complex step gives a derivative.
 
     Raises:
-        ValueError: On a negative or non-finite time, a start outside the Bloch ball or not
-            finite (check_bloch_rows on (1, x, y, z)), a rate row not finite, or rates whose
-            closed form overflows.
+        ValueError: On a negative or non-finite time, rows not (K, 3) or bloch0 not (S, 3), a
+            start outside the Bloch ball or not finite (check_bloch_rows on (1, x, y, z)), a
+            rate row not finite, or rates whose closed form overflows.
     """
     t = np.asarray(times, dtype=float)
     if not (_MIN(t, None, initial=np.inf) >= 0 and _MAX(t, None, initial=0) < np.inf):  # NaN fails
         raise ValueError(f"times must be finite and nonnegative, got {t}")
-    check_bloch_rows(np.insert(np.asarray(bloch0, dtype=float), 0, 1.0, axis=-1),
-                     lambda j: f"bloch0[{j[0]}]")
+    rows, bloch0 = np.asarray(rows), np.asarray(bloch0, dtype=float)
+    for name, a, n in (("rows", rows, "K"), ("bloch0", bloch0, "S")):
+        if a.ndim != 2 or a.shape[1] != 3:
+            raise ValueError(f"{name} must have shape ({n}, 3), got {a.shape}")
+    check_bloch_rows(np.insert(bloch0, 0, 1.0, axis=-1), lambda j: f"bloch0[{j[0]}]")
     finite = np.isfinite(rows).all(axis=-1)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise ValueError(f"rate row {k} is not finite: {np.asarray(rows)[k].tolist()}")
+        raise ValueError(f"rate row {k} is not finite: {rows[k].tolist()}")
     return _bloch_curves(rows, _bloch_terms(bloch0), t).reshape(len(rows), len(bloch0), 3, -1)
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import KET_0, KET_1, check_count, check_positive, density, validate_density_matrix
+from .linalg import check_count, check_positive, validate_density_matrix
 from .liouvillian import (CanonicalRates, EvolutionTrace, _bloch_curves, _bloch_terms,
                           bloch_solution)
 
@@ -48,11 +48,11 @@ OBS_LABELS = ("x", "y", "z")
 
 _KEYS = tuple((s, o) for s in STATE_LABELS for o in OBS_LABELS)  # as_matrix's row order
 
-INITIAL_STATES = {
-    "0": KET_0,
-    "+": (KET_0 + KET_1) / np.sqrt(2),
-    "+i": (KET_0 + 1j * KET_1) / np.sqrt(2),
-    "1": KET_1,
+INITIAL_STATES = {  # the density matrices |0><0|, |+><+|, |+i><+i| and |1><1|, in exact halves
+    "0": np.array([[1, 0], [0, 0]], dtype=complex),
+    "+": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
+    "+i": np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
+    "1": np.array([[0, 0], [0, 1]], dtype=complex),
 }
 
 _RATE_FLOOR = 1e-6  # 1/us lower bound keeping infinite-coherence limits stable
@@ -134,7 +134,7 @@ def generate_tomography(
         rows = [[rates.gamma1, rates.gamma_phi, rates.omega]]
         curves = bloch_solution(rows, _BLOCH0, times).reshape(12, -1)
     else:
-        traces = [evolve(density(INITIAL_STATES[s])) for s in STATE_LABELS]
+        traces = [evolve(INITIAL_STATES[s]) for s in STATE_LABELS]
         if any(len(tr) != n_steps + 1 or not np.abs(tr.times - times).max() <= 1e-9
                for tr in traces):  # also true for a NaN time
             raise ValueError("evolve returned a trace on a different time grid")
@@ -187,7 +187,7 @@ class FitResult:
             raise ValueError(f"unphysical fit: T2={self.t2} exceeds 2*T1={2 * self.t1}")
 
 
-_BLOCH0 = np.array([validate_density_matrix(density(INITIAL_STATES[s]))[1:] for s in STATE_LABELS])
+_BLOCH0 = np.array([validate_density_matrix(INITIAL_STATES[s])[1:] for s in STATE_LABELS])
 _TERMS = _bloch_terms(_BLOCH0)
 _COMPLEX_STEP = 1e-20
 _COMPLEX_STEPS = 1j * _COMPLEX_STEP * np.eye(3)  # row k steps parameter k

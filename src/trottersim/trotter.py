@@ -23,8 +23,7 @@ import numpy as np
 
 from .channels import _check_backend, elementary_ptms
 from .dilation import NoiseParams
-from .linalg import (KET_1, check_bloch_rows, check_count, check_positive, density,
-                     validate_density_matrix)
+from .linalg import check_bloch_rows, check_count, check_positive, validate_density_matrix
 from .liouvillian import CanonicalRates, EvolutionTrace, _exact_step, propagate
 
 __all__ = [
@@ -48,7 +47,7 @@ DAMPING = "damping"
 ROTATION = "rotation"
 ALL_LABELS = (DEPHASING, DAMPING, ROTATION)
 ALL_PERMUTATIONS = tuple(itertools.permutations(ALL_LABELS))
-_ROW_EXCITED = validate_density_matrix(density(KET_1), "rho0")  # the default start, checked once
+_ROW_EXCITED = np.array([1.0, 0.0, 0.0, -1.0])  # the default start |1><1|, as its Bloch row
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""The tests' exact oracles, independent of the package: the canonical qubit master equation
-of trottersim.liouvillian's docstring as a column-stacking generator, exponentiated by scipy;
-the dephasing and damping Kraus pairs of trottersim.channels' rate conventions; the Kraus sum
-as a superoperator; the dilation gates' own unitaries and Kraus operators, and the circuits
-composed from them gate by gate as Kraus families; the Choi matrix and CPTP check that
-channels are compared and judged by; the Bloch-row check written out one row at a time; and a
-Trotter step composed one label at a time.
+"""The tests' exact oracles, independent of the package: the Pauli matrices, the kets |0> and
+|1>, density matrices, column-stacking vec and the Pauli basis that turns a superoperator into
+its Pauli-transfer matrix; the canonical qubit master equation of trottersim.liouvillian's
+docstring as a column-stacking generator, exponentiated by scipy; the dephasing and damping
+Kraus pairs of trottersim.channels' rate conventions; the Kraus sum as a superoperator; the
+dilation gates' own unitaries and Kraus operators, and the circuits composed from them gate by
+gate as Kraus families; the Choi matrix and CPTP check that channels are compared and judged
+by; the Bloch-row check written out one row at a time; and a Trotter step composed one label at
+a time.
 """
 
 import math
@@ -17,8 +19,27 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.diag([1, -1]).astype(complex)
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|, |0> the +1 state of sigma_z
-# Columns vec(I), vec(sx), vec(sy), vec(sz), vec stacking columns.
-PAULI_COLUMNS = np.stack([m.reshape(-1, order="F") for m in (EYE, SIGMA_X, SIGMA_Y, SIGMA_Z)], 1)
+KET_0 = np.array([1, 0], dtype=complex)
+KET_1 = np.array([0, 1], dtype=complex)
+
+
+def vec(m):
+    """Column-stacking vectorization: vec(|i><j|) = e_j (x) e_i, so the superoperator of
+    A @ rho @ B is np.kron(B.T, A)."""
+    return np.asarray(m).reshape(-1, order="F")
+
+
+def density(ket):
+    """Rank-one density matrix |psi><psi| of a nonzero ket, normalized first."""
+    ket = np.asarray(ket, dtype=complex).ravel()
+    ket = ket / np.linalg.norm(ket)
+    return np.outer(ket, ket.conj())
+
+
+# Columns vec(I), vec(sx), vec(sy), vec(sz): the P of a PTM's superoperator P R P^dag / 2. Its
+# conjugate transpose P^dag, rows conj(vec(s)), turns a superoperator S into Re(P^dag S P)/2.
+PAULI_COLUMNS = np.stack([vec(m) for m in (EYE, SIGMA_X, SIGMA_Y, SIGMA_Z)], 1)
+BLOCH_ROWS = PAULI_COLUMNS.conj().T
 
 
 def generator(gamma1=0.0, gamma_phi=0.0, omega=0.0):

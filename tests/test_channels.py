@@ -6,17 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circuits import circuit_ptm
-from reference import (EYE, choi, choi_distance, damping_kraus, dephasing_kraus, is_cptp,
-                       kraus_superop, propagator, superop_of, unvec)
+from reference import (EYE, KET_0, KET_1, SIGMA_X, choi, choi_distance, damping_kraus, density,
+                       dephasing_kraus, is_cptp, kraus_superop, propagator, superop_of, unvec,
+                       vec)
 from trottersim.channels import elementary_ptms
-from trottersim.linalg import (
-    KET_0,
-    KET_1,
-    SIGMA_X,
-    density,
-    validate_density_matrix,
-    vec,
-)
+from trottersim.linalg import validate_density_matrix
 from trottersim.dilation import CIRCUIT_GATES, NoiseParams, depolarization_equivalent_time
 from trottersim.liouvillian import CanonicalRates, target_trace
 from trottersim.trotter import TrotterSchedule

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuits import circuit_ptm
-from reference import (EYE, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, choi, choi_distance,
-                       circuit_channel, damping_kraus, dephasing_kraus, gate_kraus, is_cptp,
-                       kraus_superop, partial_trace, propagator, superop_of, unvec)
+from reference import (EYE, KET_1, PAULI_COLUMNS, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, choi,
+                       choi_distance, circuit_channel, damping_kraus, density, dephasing_kraus,
+                       gate_kraus, is_cptp, kraus_superop, partial_trace, propagator, superop_of,
+                       unvec, vec)
 from trottersim.channels import _CNOT, _CZ, _circuit_ptms, elementary_ptms
 from trottersim.dilation import (
     CIRCUIT_GATES,
@@ -20,7 +21,6 @@ from trottersim.dilation import (
     effective_rates,
     rates_to_angles,
 )
-from trottersim.linalg import KET_1, density, vec
 from trottersim.liouvillian import CanonicalRates
 from trottersim.trotter import ALL_LABELS
 
@@ -43,13 +43,19 @@ def _gates(kind, theta):
 
 def test_fixed_gate_ptms_are_those_of_the_reference_unitaries():
     # The CZ and CNOT PTMs the circuits chain are exactly Tr(P_i U P_j U^dag)/4 of the oracle's
-    # unitaries, with P_i = s_a (x) s_d at index i = 4a + d.
+    # unitaries, with P_i = s_a (x) s_d at index i = 4a + d. The literal signed-permutation tables
+    # also equal Re(V^dag S V)/4 byte for byte, S the unitary's column-stacking superoperator and
+    # V's columns vec(P_i), the Paulis read back from PAULI_COLUMNS.
     paulis = [np.kron(a, d) for a in (EYE, SIGMA_X, SIGMA_Y, SIGMA_Z)
               for d in (EYE, SIGMA_X, SIGMA_Y, SIGMA_Z)]
+    s = [unvec(column) for column in PAULI_COLUMNS.T]
+    v = np.stack([vec(np.kron(a, d)) for a in s for d in s], 1)
     for ptm, kind in ((_CZ, "cz"), (_CNOT, "cnot_ancilla_ctrl")):
         (u,) = gate_kraus(kind, 0.0, "coherent")
         assert np.array_equal(ptm, [[np.trace(p @ u @ q @ u.conj().T).real / 4 for q in paulis]
                                     for p in paulis])
+        assert ptm.tobytes() == (np.real(v.conj().T @ kraus_superop(u[None]) @ v) / 4).tobytes()
+        assert (np.abs(ptm).sum(axis=0) == 1).all() and (np.abs(ptm).sum(axis=1) == 1).all()
 
 
 def test_circuit_layouts():

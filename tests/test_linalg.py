@@ -1,4 +1,4 @@
-"""Tests for the dense linear-algebra kernel."""
+"""Tests for the package's input checks and for the oracles' linear algebra in reference.py."""
 
 import math
 import warnings
@@ -10,18 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import EYE, kraus_superop, partial_trace, rx, unvec
-from trottersim.linalg import (
-    KET_0,
-    KET_1,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    check_bloch_rows,
-    density,
-    validate_density_matrix,
-    vec,
-)
+from reference import (EYE, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, kraus_superop,
+                       partial_trace, rx, unvec, vec)
+from trottersim.linalg import check_bloch_rows, validate_density_matrix
 from trottersim.dilation import AngleParams, depolarization_equivalent_time, rates_to_angles
 from trottersim.liouvillian import CanonicalRates, target_trace
 from trottersim.mitigation import NoisePoint
@@ -90,7 +81,7 @@ def test_rx_is_the_exponential_of_sigma_x(theta):
     np.testing.assert_allclose(rx(theta) @ rx(theta).conj().T, EYE, rtol=0, atol=1e-15)
 
 
-# ------------------------------------------- vec, and the oracle's inverse unvec
+# ------------------------------------------- the oracle's vec and its inverse unvec
 
 
 def test_vec_column_stacking():

@@ -5,18 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import EYE, SIGMA_MINUS, generator, propagator, unvec
-from trottersim.linalg import (
-    KET_0,
-    KET_1,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    density,
-    vec,
-)
+from reference import (BLOCH_ROWS, EYE, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                       density, generator, propagator, unvec, vec)
 from trottersim.liouvillian import (
-    BLOCH_ROWS,
     CanonicalRates,
     EvolutionTrace,
     bloch_solution,
@@ -386,6 +377,23 @@ def test_bloch_solution_calls_a_rate_that_is_not_finite_so(bad):
     # A NaN or inf rate was reported as "the closed form overflows", which names no input.
     with pytest.raises(ValueError, match=rf"^rate row 1 is not finite: \[0\.1, {bad}, 0\.1\]$"):
         bloch_solution([[0.1, 0.1, 0.1], [0.1, bad, 0.1]], [[0.0, 0.0, 1.0]], [0.0, 1.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows, bloch0, message", [
+    ([[0.1, 0.1, 0.1]], [0.0, 0.0, 1.0], "bloch0 must have shape (S, 3), got (3,)"),
+    ([[0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0, 0.0]], "bloch0 must have shape (S, 3), got (1, 4)"),
+    ([[0.1, 0.1, 0.1]], [[0.0, 0.0]], "bloch0 must have shape (S, 3), got (1, 2)"),
+    ([0.1, 0.1, 0.1], [[0.0, 0.0, 1.0]], "rows must have shape (K, 3), got (3,)"),
+    ([[0.1, 0.1]], [[0.0, 0.0, 1.0]], "rows must have shape (K, 3), got (1, 2)"),
+    ([[0.1, 0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0]], "rows must have shape (K, 3), got (1, 4)"),
+], ids=["flat-start", "start-of-four", "start-of-two", "flat-rates", "rates-of-two",
+        "rates-of-four"])
+def test_bloch_solution_names_an_argument_of_the_wrong_shape(rows, bloch0, message):
+    # These raised an IndexError, unpacking errors that name no input, or unrelated TypeErrors.
+    with pytest.raises(ValueError) as info:
+        bloch_solution(rows, bloch0, [0.0, 1.0])
+    assert str(info.value) == message
 
 
 def test_evolution_trace_shape_check():

@@ -220,8 +220,8 @@ def test_damping_scaling_pipeline():
     cs = (1.0, 2.13, 4.93, 9.96)
     points = [NoisePoint(c, scaled_damping_t2(base, c)) for c in cs]
     results = [extrapolate(points, n) for n in range(len(cs))]
-    assert [r.estimate for r in results] == [45.51122741162157, 53.080284629976376,
-                                             54.90967958211716, 55.56120363068385]
+    assert [r.estimate for r in results] == [45.51122741162157, 53.08028462997628,
+                                             54.909679582117015, 55.56120363068368]
     # Order 0 is the biased raw measurement, higher orders close in on the
     # zero-damping limit monotonically.
     assert results[1].estimate == pytest.approx(truth, rel=0.15)

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
-from reference import generator
+from reference import BLOCH_ROWS, generator, vec
 from trottersim.dilation import AngleParams, angle_to_rates
 from trottersim.liouvillian import (
-    BLOCH_ROWS,
     CanonicalRates,
     EvolutionTrace,
     bloch_solution,
@@ -36,14 +35,14 @@ from trottersim.tomography import (
     global_fit,
 )
 from trottersim.trotter import TrotterSchedule, run_schedule
-from trottersim.linalg import density, validate_density_matrix, vec
+from trottersim.linalg import validate_density_matrix
 
 TAU0 = 3.56
 
 # The Lindblad generator is linear in each canonical rate: unit-rate templates
 # built by tests/reference.py, one per fit parameter (gamma1, gamma_phi, omega).
 _GENERATORS = np.stack([generator(*unit) for unit in np.eye(3)])
-_STATE_COLS = np.stack([vec(density(INITIAL_STATES[s])) for s in STATE_LABELS], axis=1)
+_STATE_COLS = np.stack([vec(INITIAL_STATES[s]) for s in STATE_LABELS], axis=1)
 
 
 def _exact_steps(gens):
@@ -89,6 +88,18 @@ def rates_from_times(t1, t2, omega):
 # -------------------------------------------------------------- generation
 
 
+@pytest.mark.parametrize("state, bloch", [("0", (0, 0, 1)), ("+", (1, 0, 0)), ("+i", (0, 1, 0)),
+                                          ("1", (0, 0, -1))])
+def test_initial_states_are_the_exact_density_matrices_of_their_bloch_vectors(state, bloch):
+    # Each start is (I + r.sigma)/2 in exact halves, so its read-out row is exactly (1, r):
+    # c0 == 1.0, with no rounding from a normalized ket.
+    x, y, z = bloch
+    want = (reference.EYE + x * reference.SIGMA_X + y * reference.SIGMA_Y
+            + z * reference.SIGMA_Z) / 2
+    assert np.array_equal(INITIAL_STATES[state], want)
+    assert validate_density_matrix(INITIAL_STATES[state]).tolist() == [1.0, x, y, z]
+
+
 def test_zero_rates_plus_state_constant():
     ts = generate_tomography(CanonicalRates(), TAU0, 13)
     np.testing.assert_allclose(ts.curve("+", "x"), np.ones(14), atol=1e-12)
@@ -102,7 +113,7 @@ def test_noiseless_equals_target_trace():
     ts = generate_tomography(rates, TAU0, 13)
     row = [[rates.gamma1, rates.gamma_phi, rates.omega]]
     for state in STATE_LABELS:
-        rho0 = density(INITIAL_STATES[state])
+        rho0 = INITIAL_STATES[state]
         exact = bloch_solution(row, [validate_density_matrix(rho0)[1:]], ts.times)[0, 0]
         tgt = target_trace(rates, rho0, TAU0, 13)
         for obs, ref, stepped in zip(OBS_LABELS, exact, (tgt.sx, tgt.sy, tgt.sz)):

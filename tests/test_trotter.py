@@ -11,12 +11,11 @@ from trottersim import liouvillian, trotter
 from circuits import circuit_ptm
 from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates, rates_to_angles
 from trottersim.tomography import FitResult
-from reference import (EYE, choi, damping_kraus, dephasing_kraus, kraus_superop, rx, superop_of,
-                       trotter_step)
+from reference import (BLOCH_ROWS, EYE, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, choi,
+                       damping_kraus, density, dephasing_kraus, kraus_superop, rx, superop_of,
+                       trotter_step, vec)
 from trottersim.channels import BACKENDS, elementary_ptms
-from trottersim.linalg import KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, vec
-from trottersim.liouvillian import (BLOCH_ROWS, CanonicalRates, EvolutionTrace, propagate,
-                                    target_trace)
+from trottersim.liouvillian import CanonicalRates, EvolutionTrace, propagate, target_trace
 from trottersim.trotter import (
     ALL_LABELS,
     ALL_PERMUTATIONS,
@@ -636,6 +635,29 @@ def test_reversing_the_drive_mirrors_the_y_component_exactly(
                  (target_trace(rates, rho0, dt, n_steps),
                   target_trace(mirrored, mirrored0, dt, n_steps))]:
         np.testing.assert_array_equal(b.as_matrix(), a.as_matrix() * [1, -1, 1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
+    permutation=st.sampled_from(ALL_PERMUTATIONS),
+    n_steps=st.integers(2, 100),
+    dt=st.floats(0.01, 5.0),
+    bloch0=st.tuples(*[st.floats(-1, 1)] * 3),
+)
+def test_a_cyclic_shift_of_the_permutation_moves_one_label_across_the_run(
+    rates, permutation, n_steps, dt, bloch0
+):
+    # (CBA)^j = CB (ACB)^(j-1) A: at order 1, step j of the permutation (A, B, C) is C.B applied
+    # to step j - 1 of (B, C, A) run from A.c0, for j = 1..N, A, B and C the elementary PTMs.
+    rates = CanonicalRates(*rates)
+    row0 = np.array([1.0, *(np.array(bloch0) / max(1.0, np.linalg.norm(bloch0)))])
+    ptms = elementary_ptms(rates, [dt], "kraus", None)[0]
+    a, b, c = (ptms[ALL_LABELS.index(label)] for label in permutation)
+    run, _ = trotter._run_schedules(TrotterSchedule(permutation, 1, n_steps, dt), rates, row0)
+    shifted, _ = trotter._run_schedules(
+        TrotterSchedule(permutation[1:] + permutation[:1], 1, n_steps - 1, dt), rates, a @ row0)
+    assert np.abs(run[0, 1:] - shifted[0] @ (c @ b).T).max() <= 1e-14
 
 
 def test_stacked_run_names_unphysical_step_and_schedule(monkeypatch):
