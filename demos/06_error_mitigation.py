@@ -13,11 +13,14 @@ from trottersim import (
     AngleParams,
     CanonicalRates,
     NoisePoint,
+    TrotterSchedule,
     angle_to_rates,
     check_scale_factors,
     extrapolate,
+    generate_tomography,
+    global_fit,
     richardson_coeffs,
-    scaled_damping_t2,
+    run_schedule,
 )
 
 # Measured Ramsey coherence times at four damping amplifications.
@@ -60,7 +63,21 @@ base = CanonicalRates(
 truth = 1.0 / base.gamma_phi
 cs = (1.0, 2.13, 4.93, 9.96)
 n_max = check_scale_factors(cs, 3, "c_list")
-points = [NoisePoint(c, scaled_damping_t2(base, c)) for c in cs]
+schedule = TrotterSchedule()  # first order, 13 steps of tau0 = 3.56 us
+
+
+def scaled_t2(c):
+    """T2* fitted from Trotterized tomography with the damping rate scaled by c."""
+    scaled = CanonicalRates(gamma1=c * base.gamma1, gamma_phi=base.gamma_phi)
+    curves = generate_tomography(scaled, schedule.dt, schedule.n_steps,
+                                 evolve=lambda rho0: run_schedule(schedule, scaled, rho0))
+    fit = global_fit(curves)
+    if not fit.converged:  # a point that is not a measurement must not be extrapolated
+        raise RuntimeError(f"the fit at c = {c} did not converge")
+    return fit.t2
+
+
+points = [NoisePoint(c, scaled_t2(c)) for c in cs]
 study = [extrapolate(points, n) for n in range(n_max + 1)]
 print(f"\nsynthetic study (true zero-damping T2* = {truth:.2f} us):")
 for result in study:

@@ -44,7 +44,7 @@ from .channels import elementary_ptms
 from .dilation import AngleParams, NoiseParams, angle_to_rates, effective_rates
 from .linalg import check_bloch_rows
 from .liouvillian import CanonicalRates, EvolutionTrace, target_trace
-from .mitigation import NoisePoint, check_scale_factors, extrapolate, scaled_damping_t2
+from .mitigation import NoisePoint, check_scale_factors, extrapolate
 from .tomography import INITIAL_STATES, OBS_LABELS, STATE_LABELS, generate_tomography, global_fit
 from .trotter import (
     ALL_LABELS,
@@ -474,9 +474,10 @@ def _noise_rows(path):
 def _run_mitigate(cfg):
     payload = {"variable": cfg.variable, "source": str(cfg.input_csv or "simulated")}
     if cfg.input_csv is None:  # build_config has checked c_list and resolved n_max
-        # Undriven base rates and one fitted point per c_list factor c, damping scaled by c.
+        # Per factor c, fit's T2* at the undriven rates, damping scaled by c: it fails as fit does.
         base, n_max = replace(cfg.rates, omega=0.0), cfg.n_max
-        t2s = [scaled_damping_t2(base, c, cfg.schedule) for c in cfg.c_list]
+        t2s = [_payload("fit", replace(cfg, rates=replace(base, gamma1=c * base.gamma1)))
+               ["fitted"]["t2_us"] for c in cfg.c_list]
         points = [NoisePoint(c=c, value=1.0 / t2 if cfg.variable == "rate" else t2)
                   for c, t2 in zip(cfg.c_list, t2s)]
         payload["base_rates"] = _rates_summary(base)
@@ -528,6 +529,11 @@ def _run_converge(cfg):
     }
 
 
+def _payload(mode, cfg):
+    """The <mode>.json payload of mode's runner on cfg; the other artifacts go unread."""
+    return dict(RUNNERS[mode](cfg))[f"{mode}.json"]
+
+
 RUNNERS = {
     "evolve": _run_evolve,
     "trotter": _run_trotter,
@@ -547,15 +553,9 @@ RUNNERS = {
 # <mode>.json: a figure point fails exactly as its mode does.
 
 
-def _replay(mode, raw):
-    """The config built from raw for mode, and the <mode>.json payload of its runner."""
-    cfg = build_config(raw, mode)
-    return cfg, dict(RUNNERS[mode](cfg))[f"{mode}.json"]  # the other artifacts go unread
-
-
 def _sweep(mode, name, grid, fixed):
     """(angle, payload) per grid angle of name, in degrees, with the fixed angles held."""
-    return [(a, _replay(mode, {"angles": {**fixed, f"{name}_deg": a}})[1])
+    return [(a, _payload(mode, build_config({"angles": {**fixed, f"{name}_deg": a}}, mode)))
             for a in map(float, grid)]
 
 
@@ -592,7 +592,8 @@ _FIG3_CONFIG = {
 
 
 def _reproduce_fig3():
-    cfg, payload = _replay("mitigate", _FIG3_CONFIG)
+    cfg = build_config(_FIG3_CONFIG, "mitigate")
+    payload = _payload("mitigate", cfg)
     yield "fig3_points.csv", ("c,t2star_us", [(p["c"], p["value"]) for p in payload["points"]])
     truth = payload["zero_damping_limit"]  # the pure-dephasing time 1/gamma_phi
     yield "fig3.json", {

@@ -1,8 +1,8 @@
 """The package's input checks, each a ValueError naming its input.
 
-``check_count`` and ``check_positive`` check counts and durations, ``check_bloch_rows`` arrays of
-Bloch rows c = (Tr rho, <sx>, <sy>, <sz>), and ``validate_density_matrix`` one 2x2 state, which
-it reads out as its checked Bloch row: the package's one read-out of a state.
+``check_count``, ``check_positive`` and ``check_grid`` check counts, durations and time grids,
+``check_bloch_rows`` Bloch rows c = (Tr rho, <sx>, <sy>, <sz>), and ``validate_density_matrix``
+one 2x2 state, read out as its checked Bloch row: the package's one read-out of a state.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-__all__ = ["check_bloch_rows", "validate_density_matrix", "check_count", "check_positive"]
+__all__ = ["check_bloch_rows", "validate_density_matrix", "check_count", "check_positive",
+           "check_grid"]
 
 _MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
@@ -26,6 +27,13 @@ def check_positive(name: str, value) -> None:
     """Reject a value that is not positive and finite (NaN included), naming it."""
     if not 0 < value < np.inf:  # also true for NaN
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_grid(gap, t_max, message: str) -> None:
+    """Raise ValueError(message) unless gap <= c eps t_max, c = 4, a NaN failing: gap is a grid's
+    largest deviation from another grid or of a spacing from its first, t_max its largest |t|."""
+    if not gap <= 4 * math.ulp(1.0) * t_max:  # j*tau0 rounds once: spacings move <= 2 eps t_max
+        raise ValueError(message)
 
 
 def check_bloch_rows(rows: np.ndarray, name) -> np.ndarray:

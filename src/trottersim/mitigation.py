@@ -9,10 +9,10 @@ the order-n estimate E*_n = sum_i gamma_i E(lambda_i) with error O(lambda^(n+1))
 The coefficients gamma_i are computed with a Lagrange product formula rather
 than generic elimination, which makes the conditioning of the underlying
 Vandermonde system easy to diagnose; poorly separated scale factors emit a
-warning.  A study checks its factors (check_scale_factors) before measuring one
-NoisePoint per factor with scaled_damping_t2, which scales the damping rate
-and fits the Ramsey time T2*, then extrapolates at each order: at zero damping
-T2* is the pure dephasing time.
+warning.  A study checks its factors (check_scale_factors) before it measures
+one NoisePoint per factor, then extrapolates at each order; the CLI's simulated
+study fits T2* with the damping rate scaled by c, and at zero damping T2* is
+the pure dephasing time.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import check_positive
-from .liouvillian import CanonicalRates
-from .tomography import generate_tomography, global_fit
-from .trotter import TrotterSchedule, run_schedule
 
 __all__ = [
     "NoisePoint",
@@ -33,7 +30,6 @@ __all__ = [
     "check_scale_factors",
     "richardson_coeffs",
     "extrapolate",
-    "scaled_damping_t2",
 ]
 
 _CONDITION_WARN_THRESHOLD = 1e8
@@ -198,32 +194,4 @@ def extrapolate(points, n):
         order=n, gammas=tuple(float(g) for g in gammas), estimate=estimate,
         sigma_est=sigma_est,
     )
-
-
-def scaled_damping_t2(rates, c, schedule=TrotterSchedule()):
-    """Measures T2* with the amplitude-damping rate scaled by c.
-
-    Runs the repeated dephasing-plus-damping Trotter sequence (no drive) with
-    the base damping rate multiplied by c and the dephasing rate held fixed,
-    then fits the simulated tomography curves.  As c goes to zero the fitted
-    T2* approaches the pure dephasing time of the base rates, which makes
-    this the natural observable for zero-noise extrapolation of damping.
-
-    Args:
-        rates: Base canonical rates; omega is ignored (the experiment runs
-            without drive).
-        c: Damping scale factor.
-        schedule: Trotter run plan; its step dt is the sampling period tau0.
-
-    Returns:
-        Fitted T2* in microseconds.
-    """
-    scaled = CanonicalRates(
-        gamma1=c * rates.gamma1, gamma_phi=rates.gamma_phi, omega=0.0
-    )
-    curves = generate_tomography(
-        scaled, schedule.dt, schedule.n_steps,
-        evolve=lambda rho0: run_schedule(schedule, scaled, rho0),
-    )
-    return global_fit(curves).t2
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import check_count, check_positive, validate_density_matrix
+from .linalg import check_count, check_grid, check_positive, validate_density_matrix
 from .liouvillian import (CanonicalRates, EvolutionTrace, _bloch_curves, _bloch_terms,
                           bloch_solution)
 
@@ -54,6 +54,8 @@ INITIAL_STATES = {  # the density matrices |0><0|, |+><+|, |+i><+i| and |1><1|, 
     "+i": np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
     "1": np.array([[0, 0], [0, 1]], dtype=complex),
 }
+for _rho in INITIAL_STATES.values():  # read-only: a write would part cli._rho0's from _BLOCH0
+    _rho.flags.writeable = False
 
 _RATE_FLOOR = 1e-6  # 1/us lower bound keeping infinite-coherence limits stable
 _RATE_CEIL = 2.0
@@ -135,9 +137,9 @@ def generate_tomography(
         curves = bloch_solution(rows, _BLOCH0, times).reshape(12, -1)
     else:
         traces = [evolve(INITIAL_STATES[s]) for s in STATE_LABELS]
-        if any(len(tr) != n_steps + 1 or not np.abs(tr.times - times).max() <= 1e-9
-               for tr in traces):  # also true for a NaN time
-            raise ValueError("evolve returned a trace on a different time grid")
+        for tr in traces:  # a trace of another length fails as a NaN gap
+            gap = np.abs(tr.times - times).max() if len(tr) == n_steps + 1 else np.nan
+            check_grid(gap, times[-1], "evolve returned a trace on a different time grid")
         curves = np.concatenate([tr.as_matrix().T for tr in traces])
     if shots is not None:
         p = np.clip((1.0 + curves) / 2.0, 0.0, 1.0)
@@ -332,9 +334,9 @@ def global_fit(ts: TomographySet) -> FitResult:
     times = ts.times.tolist()
     if len(times) < 6:
         raise ValueError("global fit needs at least 6 time points per curve")
-    tau0 = times[1] - times[0]
-    if max(abs(b - a - tau0) for a, b in zip(times, times[1:])) > 1e-9:
-        raise ValueError("global fit requires a uniform time grid")
+    tau0 = times[1] - times[0]  # times are >= 0 and increasing, so times[-1] is max|t|
+    check_grid(max(abs(b - a - tau0) for a, b in zip(times, times[1:])), times[-1],
+               "global fit requires a uniform time grid")
     data = ts.as_matrix()
     lo, hi = (_RATE_FLOOR, 0.0, -0.5 / tau0), (_RATE_CEIL, _RATE_CEIL, 0.5 / tau0)
     evaluated = []  # the rows of the model calls

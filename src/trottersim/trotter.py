@@ -23,7 +23,8 @@ import numpy as np
 
 from .channels import _check_backend, elementary_ptms
 from .dilation import NoiseParams
-from .linalg import check_bloch_rows, check_count, check_positive, validate_density_matrix
+from .linalg import (check_bloch_rows, check_count, check_grid, check_positive,
+                     validate_density_matrix)
 from .liouvillian import CanonicalRates, EvolutionTrace, _exact_step, propagate
 
 __all__ = [
@@ -192,12 +193,12 @@ def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
         AccuracyReport with per-step Euclidean residuals (j = 1..N).
 
     Raises:
-        ValueError: On length or time-grid mismatch.
+        ValueError: On length or time-grid mismatch (check_grid, relative to the target's).
     """
     if len(trace) != len(target):
         raise ValueError(f"trace lengths differ: {len(trace)} vs {len(target)}")
-    if not np.abs(trace.times - target.times).max() <= 1e-9:  # also true for NaN
-        raise ValueError("trace time grids differ")
+    check_grid(np.abs(trace.times - target.times).max(), np.abs(target.times).max(),
+               "trace time grids differ")
     a, residuals = _scores(trace.as_matrix()[1:] - target.as_matrix()[1:])
     return AccuracyReport(float(a), residuals, descriptor=trace.label)
 

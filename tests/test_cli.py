@@ -26,6 +26,7 @@ from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
 from trottersim.liouvillian import EvolutionTrace, target_trace
 from trottersim.mitigation import check_scale_factors
 from trottersim.tomography import global_fit
+from trottersim.trotter import run_schedule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -420,18 +421,35 @@ def test_mitigate_simulated_study(tmp_path):
 
 
 def test_mitigate_simulates_the_configured_schedule(tmp_path, monkeypatch):
+    # Each scale factor c steps the four tomography states through the configured schedule at
+    # the undriven base rates with the damping scaled by c.
     text = ("c_list: [1.0, 2.0]\norder: 2\nn_steps: 7\nbackend: dilation\n"
             "permutation: [rotation, damping, dephasing]\n")
     seen = []
 
-    def fake_t2(rates, c, schedule):
-        seen.append(schedule)
-        return 40.0 / c
+    def recorded(schedule, rates, rho0):
+        seen.append((schedule, rates))
+        return run_schedule(schedule, rates, rho0)
 
-    monkeypatch.setattr(cli, "scaled_damping_t2", fake_t2)
+    monkeypatch.setattr(cli, "run_schedule", recorded)
     cfg = write_config(tmp_path, text)
     assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
-    assert seen == 2 * [cli.build_config(yaml.safe_load(text), "mitigate").schedule]
+    built = cli.build_config(yaml.safe_load(text), "mitigate")
+    base = replace(built.rates, omega=0.0)
+    assert seen == [(built.schedule, replace(base, gamma1=c * base.gamma1))
+                    for c in (1.0, 2.0) for _ in range(4)]
+
+
+@pytest.mark.parametrize("argv", [["mitigate"], ["reproduce", "--figure", "fig3"]],
+                         ids=["mitigate", "fig3"])
+def test_mitigate_point_that_does_not_converge_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # A mitigate point is a fit: a scale factor whose fit did not converge makes mitigate exit 2,
+    # and fig3 with it, before mitigate.json or any fig3 file is written.
+    monkeypatch.setattr(cli, "global_fit",
+                        lambda curves: replace(global_fit(curves), converged=False))
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", "numerical failure: tomography fit did not converge\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulated_mitigate_runs_the_scale_factor_rule_once(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import reference
 from reference import (EYE, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, kraus_superop,
                        partial_trace, rx, unvec, vec)
-from trottersim.linalg import check_bloch_rows, validate_density_matrix
+from trottersim.linalg import check_bloch_rows, check_grid, validate_density_matrix
 from trottersim.dilation import AngleParams, depolarization_equivalent_time, rates_to_angles
 from trottersim.liouvillian import CanonicalRates, target_trace
 from trottersim.mitigation import NoisePoint
@@ -409,3 +409,30 @@ def test_step_lengths_must_be_positive_and_finite(caller, bad):
     name, call = _POSITIVE_CALLERS[caller]
     with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {bad}$"):
         call(bad)
+
+
+# ------------------------------------------------------------- time grids
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_steps=st.integers(1, 100_000), tau0=st.floats(1e-300, 1e149),
+       start=st.integers(0, 3))
+def test_every_cli_grid_passes_the_grid_rule(n_steps, tau0, start):
+    # The grids the CLI builds, j*tau0 up to n_steps = 100000 (from any first step, as a fit of
+    # a grid's tail sees it), pass global_fit's uniform-spacing check, and run_schedule's and
+    # generate_tomography's builds of one grid match.
+    if not n_steps * tau0 < 1.34e154:
+        return
+    times = np.arange(n_steps + 1.0) * tau0
+    tail = times[start:]
+    if tail.size >= 2:
+        check_grid(np.abs(np.diff(tail) - (tail[1] - tail[0])).max(), tail[-1], "uniform")
+    check_grid(np.abs(times - np.arange(n_steps + 1) * tau0).max(), times[-1], "match")
+
+
+@pytest.mark.parametrize("gap, t_max", [(9e-27, 1e-11), (np.nan, 1.0), (0.0, np.nan),
+                                        (1e-9, 1.0)])
+def test_grid_rule_is_four_eps_of_the_span(gap, t_max):
+    check_grid(4 * np.finfo(float).eps * 1e-11, 1e-11, "passes")
+    with pytest.raises(ValueError, match="^named$"):
+        check_grid(gap, t_max, "named")

@@ -1,11 +1,14 @@
 """Tests for Richardson zero-noise extrapolation and the damping-scaling study."""
 
+import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from trottersim import cli
 from trottersim.dilation import AngleParams, angle_to_rates
 from trottersim.liouvillian import CanonicalRates
 from trottersim.mitigation import (
@@ -14,7 +17,6 @@ from trottersim.mitigation import (
     check_scale_factors,
     extrapolate,
     richardson_coeffs,
-    scaled_damping_t2,
 )
 from trottersim.tomography import dephasing_time
 from trottersim.trotter import TrotterSchedule
@@ -209,37 +211,46 @@ def test_study_rejects_a_repeated_factor_before_measuring():
     assert check_scale_factors((1.0, 2.0, 2.0), 1, "c_list") == 1  # the repeat is never used
 
 
-def test_damping_scaling_pipeline():
-    # Demo 06's study: gamma1 = 0.0090/us, gamma_phi from theta1 = 20 deg, no drive.
+def test_damping_scaling_pipeline(tmp_path):
+    # Demo 06's study, which reproduce --figure fig3 runs: gamma1 = 0.0090/us, gamma_phi from
+    # theta1 = 20 deg, no drive.
     base = CanonicalRates(
         gamma1=0.0090,
         gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0)).gamma_phi,
         omega=0.0,
     )
     truth = 1.0 / base.gamma_phi  # pure dephasing time at zero damping
-    cs = (1.0, 2.13, 4.93, 9.96)
-    points = [NoisePoint(c, scaled_damping_t2(base, c)) for c in cs]
-    results = [extrapolate(points, n) for n in range(len(cs))]
-    assert [r.estimate for r in results] == [45.51122741162157, 53.08028462997628,
-                                             54.909679582117015, 55.56120363068368]
+    assert cli.main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == cli.EXIT_OK
+    fig3 = json.loads((tmp_path / "fig3.json").read_text())
+    assert fig3["base_rates"] == {"gamma1_per_us": base.gamma1,
+                                  "gamma_phi_per_us": base.gamma_phi, "omega_mhz": 0.0}
+    assert fig3["c_list"] == [1.0, 2.13, 4.93, 9.96]
+    results = fig3["extrapolations"]
+    assert [r["estimate"] for r in results] == [45.51122741162157, 53.08028462997628,
+                                                54.909679582117015, 55.56120363068368]
     # Order 0 is the biased raw measurement, higher orders close in on the
     # zero-damping limit monotonically.
-    assert results[1].estimate == pytest.approx(truth, rel=0.15)
-    errors = [abs(r.estimate - truth) for r in results]
+    assert results[1]["estimate"] == pytest.approx(truth, rel=0.15)
+    errors = [abs(r["estimate"] - truth) for r in results]
     assert errors == sorted(errors, reverse=True)
     assert errors[1] / truth < 0.08
 
 
+def _unscaled_point(base, **fields):
+    """The c = 1 point of the simulated mitigate study at the base rates."""
+    cfg = replace(cli.build_config({"c_list": [1.0]}, "mitigate"), rates=base, **fields)
+    return cli._payload("mitigate", cfg)["points"][0]["value"]
+
+
 def test_pipeline_matches_dephasing_time_identity():
     base = CanonicalRates(gamma1=0.0090, gamma_phi=0.0174728, omega=0.0)
-    t2_unscaled = scaled_damping_t2(base, 1.0)
+    t2_unscaled = _unscaled_point(base)
     assert dephasing_time(1.0 / base.gamma1, t2_unscaled) == pytest.approx(
         1.0 / base.gamma_phi, rel=1e-5
     )
 
 
-def test_scaled_damping_t2_runs_the_given_schedule():
+def test_a_mitigate_point_runs_the_given_schedule():
     base = CanonicalRates(gamma1=0.0090, gamma_phi=0.0174728, omega=0.0)
-    t2 = scaled_damping_t2(base, 1.0, TrotterSchedule(order=2, n_steps=20, dt=2.0))
+    t2 = _unscaled_point(base, schedule=TrotterSchedule(order=2, n_steps=20, dt=2.0))
     assert t2 == pytest.approx(1.0 / (base.gamma1 / 2 + base.gamma_phi), rel=1e-5)
-

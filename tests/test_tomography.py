@@ -100,6 +100,16 @@ def test_initial_states_are_the_exact_density_matrices_of_their_bloch_vectors(st
     assert validate_density_matrix(INITIAL_STATES[state]).tolist() == [1.0, x, y, z]
 
 
+@pytest.mark.parametrize("state", STATE_LABELS)
+def test_initial_states_are_read_only(state):
+    # The runners start from these arrays (cli._rho0) and the fit model from their rows, read
+    # once at import (_BLOCH0): a write into one would part the two silently.
+    with pytest.raises(ValueError, match="read-only"):
+        INITIAL_STATES[state][:] = np.eye(2) / 2
+    row = tomography._BLOCH0[STATE_LABELS.index(state)]
+    assert validate_density_matrix(INITIAL_STATES[state])[1:].tolist() == row.tolist()
+
+
 def test_zero_rates_plus_state_constant():
     ts = generate_tomography(CanonicalRates(), TAU0, 13)
     np.testing.assert_allclose(ts.curve("+", "x"), np.ones(14), atol=1e-12)
@@ -239,6 +249,22 @@ def test_evolve_hook_grid_must_match():
     with pytest.raises(ValueError, match="grid"):
         generate_tomography(rates, TAU0, 13, evolve=wrong)
 
+
+
+def test_evolve_hook_grid_is_matched_relative_to_its_span():
+    # A grid three times too coarse is rejected whatever its unit; under an absolute 1e-9 us
+    # tolerance it passed at tau0 = 1e-11 us.
+    rates = rates_from_times(30.0, 20.0, 0.02)
+    coarse = lambda rho0: target_trace(rates, rho0, 3e-11, 13)
+    with pytest.raises(ValueError, match="^evolve returned a trace on a different time grid$"):
+        generate_tomography(rates, 1e-11, 13, evolve=coarse)
+
+    def rounded(rho0):  # a 1e150 us grid built another way differs by rounding alone
+        trace = target_trace(rates, rho0, 1e150, 13)
+        return EvolutionTrace(np.linspace(0, 13e150, 14), trace.sx, trace.sy, trace.sz)
+
+    assert np.abs(rounded(INITIAL_STATES["0"]).times - np.arange(14) * 1e150).max() > 1e-9
+    generate_tomography(rates, 1e150, 13, evolve=rounded)
 
 
 def test_evolve_hook_grid_with_a_nan_time_is_rejected():
@@ -923,6 +949,20 @@ def test_fit_input_validation():
     bad_times[-1] += 1.0
     with pytest.raises(ValueError, match="uniform"):
         global_fit(TomographySet(bad_times, warped))
+
+
+def test_fit_grid_rule_is_relative_to_the_grid():
+    # Spacings from 0.02 to 2.65 tau0 on a 1e-11 us grid are not uniform, though they all stray
+    # by less than an absolute 1e-9 us; a uniform 1e150 us grid is, though rounding alone moves
+    # its spacings by more than that.
+    rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.05)
+    tiny = generate_tomography(rates, 1e-11, 13)
+    uneven = np.concatenate([[0.0], np.cumsum(1e-11 * np.linspace(0.02, 2.65, 13))])
+    with pytest.raises(ValueError, match="^global fit requires a uniform time grid$"):
+        global_fit(TomographySet(uneven, tiny.data))
+    huge = generate_tomography(rates, 1e150, 13)
+    assert np.ptp(np.diff(huge.times)) > 1e-9
+    global_fit(huge)
 
 
 def test_fit_result_physicality_enforced():

@@ -220,6 +220,19 @@ def test_accuracy_rejects_mismatched_traces():
         accuracy(t1, t3)
 
 
+def test_accuracy_grid_rule_is_relative_to_the_grid():
+    # 1e-11 and 3e-11 us grids differ by whole steps, though by less than an absolute 1e-9 us.
+    fine = target_trace(FIG4_RATES, density(KET_1), 1e-11, 13)
+    coarse = target_trace(FIG4_RATES, density(KET_1), 3e-11, 13)
+    with pytest.raises(ValueError, match="^trace time grids differ$"):
+        accuracy(fine, coarse)
+    # 1e150 us grids built two ways differ by rounding alone, by far more than 1e-9 us.
+    huge = target_trace(FIG4_RATES, density(KET_1), 1e150, 13)
+    rounded = EvolutionTrace(np.linspace(0, 13e150, 14), huge.sx, huge.sy, huge.sz)
+    assert np.abs(rounded.times - huge.times).max() > 1e-9
+    assert accuracy(rounded, huge).a == 0.0
+
+
 def test_accuracy_rejects_a_nan_time():
     target = target_trace(FIG4_RATES, density(KET_1), TAU0, 3)
     times = target.times.copy()
