@@ -62,7 +62,7 @@ base = CanonicalRates(
 )
 truth = 1.0 / base.gamma_phi
 cs = (1.0, 2.13, 4.93, 9.96)
-n_max = check_scale_factors(cs, 3, "c_list")
+check_scale_factors(cs, "c_list")
 schedule = TrotterSchedule()  # first order, 13 steps of tau0 = 3.56 us
 
 
@@ -78,7 +78,7 @@ def scaled_t2(c):
 
 
 points = [NoisePoint(c, scaled_t2(c)) for c in cs]
-study = [extrapolate(points, n) for n in range(n_max + 1)]
+study = [extrapolate(points, n) for n in range(len(points))]
 print(f"\nsynthetic study (true zero-damping T2* = {truth:.2f} us):")
 for result in study:
     err = result.estimate / truth - 1

@@ -76,8 +76,7 @@ class ExperimentConfig:
     """Fully validated experiment description.
 
     Every field is resolved: defaults applied, the angles and intrinsic decay
-    folded into ``rates``, the Trotter settings held by ``schedule`` (dt = tau0)
-    and, for a simulated mitigate study, ``n_max`` set by the scale-factor rule.
+    folded into ``rates`` and the Trotter settings held by ``schedule`` (dt = tau0).
     Construction happens only through build_config, which rejects unknown keys, keys
     the mode does not read and out-of-range values before any computation.
     """
@@ -90,7 +89,6 @@ class ExperimentConfig:
     n_list: tuple[int, ...]
     theta_grid_deg: tuple[float, ...]
     c_list: tuple[float, ...]
-    n_max: int | None
     input_csv: str | None
     variable: str
     t_total_us: float | None
@@ -171,7 +169,7 @@ _NOISE = ("trotter", "scan", "fit", "converge")
 # only accepted value) as key -> (default, coerce, the modes that read it); a key set for any
 # other mode is rejected.  A coercer checks the YAML type only; the physical ranges are checked
 # by the objects build_config makes (AngleParams, effective_rates, NoiseParams, TrotterSchedule)
-# and by the scale-factor rule (c_list, n_max).  A table in place of a coercer is a nested
+# and by the scale-factor rule (c_list).  A table in place of a coercer is a nested
 # section, whose keys carry their own modes.  Only a key whose default is None may be null.
 CONFIG_TABLE = {
     "angles": ({}, {
@@ -195,7 +193,6 @@ CONFIG_TABLE = {
                ("converge",)),
     "theta_grid_deg": (tuple(map(float, range(5, 90, 5))), _list_of(_finite), ("dilate-verify",)),
     "c_list": ((1.0, 2.13, 4.93, 9.96), _list_of(_real, 0), ("mitigate",)),
-    "n_max": (None, partial(_as_int, lo=0), ("mitigate",)),
     "input_csv": (None, _text, ("mitigate",)),
     "variable": ("t2", _choice("t2", "rate"), ("mitigate",)),
     "t_total_us": (None, _finite, ("converge",)),
@@ -251,8 +248,6 @@ def build_config(raw, mode):
         )
     except ValueError as exc:  # in radians under the field name: name the section as written
         raise ConfigError(f"angles {raw.get('angles')}: {exc}") from None
-    # Only a simulated mitigate study extrapolates over c_list and uses n_max.
-    simulated = mode == "mitigate" and v["input_csv"] is None
     try:
         rates = effective_rates(angles, intrinsic["t1_us"], intrinsic["t2_us"])
         schedule = TrotterSchedule(
@@ -260,7 +255,7 @@ def build_config(raw, mode):
             dt=angles.tau0, backend=v.pop("backend"),
             noise=NoiseParams(**noise) if "noise" in raw else None,
         )
-        n_max = check_scale_factors(v["c_list"], v["n_max"] if simulated else 0, "c_list")
+        check_scale_factors(v["c_list"], "c_list")
     except ValueError as exc:  # the schedule's dt is the config's angles.tau0_us
         raise ConfigError(re.sub(r"\bdt\b", "angles.tau0_us", str(exc))) from None
 
@@ -275,8 +270,6 @@ def build_config(raw, mode):
     if t_total is not None and not (t_total / max(n_list) > 0 and t_total < 1.34e154):
         raise ConfigError(f"t_total_us must be below 1.34e154 with t_total_us / max(n_list) "
                           f"positive, got {t_total}")
-    if simulated:
-        v["n_max"] = n_max
     return ExperimentConfig(rates=rates, schedule=schedule, **v)
 
 
@@ -473,9 +466,9 @@ def _noise_rows(path):
 
 def _run_mitigate(cfg):
     payload = {"variable": cfg.variable, "source": str(cfg.input_csv or "simulated")}
-    if cfg.input_csv is None:  # build_config has checked c_list and resolved n_max
+    if cfg.input_csv is None:  # build_config has checked c_list
         # Per factor c, fit's T2* at the undriven rates, damping scaled by c: it fails as fit does.
-        base, n_max = replace(cfg.rates, omega=0.0), cfg.n_max
+        base = replace(cfg.rates, omega=0.0)
         t2s = [_payload("fit", replace(cfg, rates=replace(base, gamma1=c * base.gamma1)))
                ["fitted"]["t2_us"] for c in cfg.c_list]
         points = [NoisePoint(c=c, value=1.0 / t2 if cfg.variable == "rate" else t2)
@@ -492,15 +485,14 @@ def _run_mitigate(cfg):
         if len(rows) < 1:
             raise ConfigError(f"no noise points found in {cfg.input_csv}")
         try:  # the rule reads the c column before NoisePoint checks each c
-            n_max = check_scale_factors([row[0] for row in rows], cfg.n_max,
-                                        f"the c column of {cfg.input_csv}")
+            check_scale_factors([row[0] for row in rows], f"the c column of {cfg.input_csv}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         try:
             points = [NoisePoint(*row) for row in rows]
         except ValueError as exc:  # a row's value or sigma
             raise ConfigError(f"cannot load noise points from {cfg.input_csv}: {exc}") from exc
-    results = [extrapolate(points, n) for n in range(n_max + 1)]
+    results = [extrapolate(points, n) for n in range(len(points))]
     payload["points"] = [
         {"c": float(p.c), "sigma": None if p.sigma is None else float(p.sigma),
          "value": float(p.value)}

@@ -10,9 +10,9 @@ The coefficients gamma_i are computed with a Lagrange product formula rather
 than generic elimination, which makes the conditioning of the underlying
 Vandermonde system easy to diagnose; poorly separated scale factors emit a
 warning.  A study checks its factors (check_scale_factors) before it measures
-one NoisePoint per factor, then extrapolates at each order; the CLI's simulated
-study fits T2* with the damping rate scaled by c, and at zero damping T2* is
-the pure dephasing time.
+one NoisePoint per factor, then extrapolates at every order its N factors
+allow, 0 to N - 1; the CLI's simulated study fits T2* with the damping rate
+scaled by c, and at zero damping T2* is the pure dephasing time.
 """
 
 from __future__ import annotations
@@ -92,26 +92,18 @@ class ExtrapolationResult:
             raise ValueError(f"coefficients must sum to 1, got {total}")
 
 
-def check_scale_factors(cs, n_max, source):
-    """The one scale-factor rule, in order: n_max None or >= 0, all positive and finite, the first
-    1, n_max + 1 <= len(cs) (None: len(cs) - 1), the first n_max + 1 distinct; returns n_max.
-    A study runs it before it measures anything; source names the factors in its messages."""
-    if n_max is not None and n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+def check_scale_factors(cs, source):
+    """The one scale-factor rule, in order: all positive and finite, the first 1, all distinct.
+    A study runs it before it measures anything and extrapolates at every order 0..len(cs) - 1;
+    source names the factors in its messages."""
     cs = list(cs)
     if not all(0 < c < np.inf for c in cs):  # also false for NaN
         raise ValueError(f"{source} scale factors must be positive and finite, got {cs}")
     if not cs or abs(cs[0] - 1.0) > 1e-12:
         got = cs[0] if cs else "nothing"
         raise ValueError(f"{source} must start with the unscaled factor 1, got {got}")
-    n_max = len(cs) - 1 if n_max is None else n_max
-    if n_max + 1 > len(cs):
-        raise ValueError(f"n_max={n_max} needs {n_max + 1} points, "
-                         f"{source} has {len(cs)} scale factors")
-    used = cs[: n_max + 1]
-    if len(set(used)) < len(used):
-        raise ValueError(f"{source} repeats a scale factor among the {len(used)} used: {used}")
-    return n_max
+    if len(set(cs)) < len(cs):
+        raise ValueError(f"{source} repeats a scale factor among the {len(cs)} used: {cs}")
 
 
 def richardson_coeffs(c, n):

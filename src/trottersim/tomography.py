@@ -29,8 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import check_count, check_grid, check_positive, validate_density_matrix
-from .liouvillian import (CanonicalRates, EvolutionTrace, _bloch_curves, _bloch_terms,
-                          bloch_solution)
+from .liouvillian import CanonicalRates, EvolutionTrace, _bloch_curves, _bloch_terms
 
 __all__ = [
     "STATE_LABELS",
@@ -133,8 +132,7 @@ def generate_tomography(
         raise ValueError(f"n_steps * tau0 must be below 1.34e154, got {n_steps} * {tau0}")
     times = np.arange(n_steps + 1) * tau0
     if evolve is None:  # the fit's own model
-        rows = [[rates.gamma1, rates.gamma_phi, rates.omega]]
-        curves = bloch_solution(rows, _BLOCH0, times).reshape(12, -1)
+        curves = _bloch_model([[rates.gamma1, rates.gamma_phi, rates.omega]], times)[0]
     else:
         traces = [evolve(INITIAL_STATES[s]) for s in STATE_LABELS]
         for tr in traces:  # a trace of another length fails as a NaN gap

@@ -460,10 +460,11 @@ def test_simulated_mitigate_runs_the_scale_factor_rule_once(tmp_path, monkeypatc
         return check_scale_factors(*args)
 
     monkeypatch.setattr(cli, "check_scale_factors", counted)
-    cfg = write_config(tmp_path, "c_list: [1.0, 2.0, 3.0]\nn_max: 1\n")
+    cfg = write_config(tmp_path, "c_list: [1.0, 2.0, 3.0]\n")
     assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
-    assert calls == [((1.0, 2.0, 3.0), 1, "c_list")]
-    assert len(json.loads((tmp_path / "mitigate.json").read_text())["results"]) == 2
+    assert calls == [((1.0, 2.0, 3.0), "c_list")]
+    results = json.loads((tmp_path / "mitigate.json").read_text())["results"]
+    assert [r["order"] for r in results] == [0, 1, 2]  # every order the three factors allow
 
 
 # ---------------------------------------------------------------- converge
@@ -568,7 +569,7 @@ _LEAF_VALUES = {
     "order": 2, "permutation": ["rotation", "damping", "dephasing"], "backend": "dilation",
     "noise.p_grape": 0.01, "noise.p_ancilla_decay": 0.01, "initial_state": "0", "shots": 100,
     "seed": 1, "n_list": [4, 8, 16, 32], "theta_grid_deg": [10.0, 20.0], "c_list": [1.0, 2.0],
-    "n_max": 1, "input_csv": "points.csv", "variable": "rate", "t_total_us": 20.0,
+    "input_csv": "points.csv", "variable": "rate", "t_total_us": 20.0,
 }
 _COMPANIONS = {"noise": {"backend": "dilation+noise"}, "shots": {"seed": 1}}
 
@@ -590,7 +591,7 @@ def test_each_key_is_accepted_exactly_by_the_modes_that_read_it(tmp_path, capsys
     # default, changes at least one artifact byte.  The one exception is mitigate's
     # permutation: mitigate runs undriven, and the dephasing and damping channels commute.
     leaves = _leaf_modes()
-    assert set(leaves) == set(_LEAF_VALUES) and len(leaves) == 22
+    assert set(leaves) == set(_LEAF_VALUES) and len(leaves) == 21
     for key, (_, coerce, modes) in CONFIG_TABLE.items():
         assert set(modes) <= set(cli.RUNNERS), key
         if isinstance(coerce, dict):  # a section is read where any of its keys is
@@ -624,7 +625,7 @@ def test_each_key_is_accepted_exactly_by_the_modes_that_read_it(tmp_path, capsys
             assert code == EXIT_OK, (mode, key, io_.err)
             assert (artifacts == default) == ((mode, key) == ("mitigate", "permutation")), (
                 mode, key)
-    assert read == 76
+    assert read == 75 and len(leaves) * len(cli.RUNNERS) == 147
 
 
 # Each bad config -> a subcommand that reads its keys, and a fragment of the message of the
@@ -658,7 +659,8 @@ _INVALID = {
         "mitigate", "backend 'dilation+noise' needs noise, which mitigate does not read"),
     "mode: mitigate\nbackend: dilation+noise\n": (
         "mitigate", "backend 'dilation+noise' needs noise, which mitigate does not read"),
-    "mode: mitigate\nn_max: 4\n": ("mitigate", "n_max=4 needs 5 points, c_list has 4"),
+    # The scale factors set the extrapolation orders: n_max is not a key.
+    "mode: mitigate\nn_max: 4\n": ("mitigate", "unknown config keys: n_max"),
     # YAML integers beyond the largest float, through _real, _time and a list entry.
     f"angles: {{tau0_us: {_HUGE}}}\n": ("evolve", "angles.tau0_us must lie in the float range"),
     f"intrinsic: {{t1_us: {_HUGE}}}\n": ("fit", "intrinsic.t1_us must lie in the float range"),
@@ -699,17 +701,16 @@ def test_converge_rejects_a_total_time_no_step_grid_can_hold(tmp_path, capsys, v
 
 
 @pytest.mark.parametrize(
-    "table, extra, message",
+    "table, message",
     [
-        ("c,value,sigma\n", "", "no noise points found"),
-        ("c,value\n1,35.56\n2.13,29.63\n", "n_max: 2\n", "needs 3 points"),
+        ("c,value,sigma\n", "no noise points found"),
     ],
-    ids=["header-only", "two-rows-n_max-2"],
+    ids=["header-only"],
 )
-def test_mitigate_input_csv_with_too_few_points_exit_1(tmp_path, capsys, table, extra, message):
+def test_mitigate_input_csv_with_too_few_points_exit_1(tmp_path, capsys, table, message):
     path = tmp_path / "table.csv"
     path.write_text(table)
-    cfg = write_config(tmp_path, f"input_csv: {path}\n{extra}")
+    cfg = write_config(tmp_path, f"input_csv: {path}\n")
     assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "mitigate.json").exists()
@@ -742,17 +743,10 @@ def test_mitigate_input_csv_overflow_is_a_numerical_failure(tmp_path, capsys, ta
     # traceback and no RuntimeWarning (an error under this suite's filter).
     path = tmp_path / "table.csv"
     path.write_text(table)
-    cfg = write_config(tmp_path, f"input_csv: {path}\nn_max: 1\n")
+    cfg = write_config(tmp_path, f"input_csv: {path}\n")
     assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.strip() == f"numerical failure: {message}"
     assert not (tmp_path / "mitigate.json").exists()
-
-
-def test_mitigate_input_csv_repeat_beyond_n_max_is_unused(tmp_path):
-    table = tmp_path / "table.csv"
-    table.write_text("c,value\n1,35.56\n2.13,29.63\n2.13,29.60\n")
-    cfg = write_config(tmp_path, f"input_csv: {table}\nn_max: 1\n")
-    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_mitigate_c_list_with_repeated_factor_exit_1(tmp_path, capsys):
@@ -762,79 +756,83 @@ def test_mitigate_c_list_with_repeated_factor_exit_1(tmp_path, capsys):
     assert not (tmp_path / "mitigate.json").exists()
 
 
-@pytest.mark.parametrize(
-    "raw, mode",
-    [
-        ({"c_list": [1.0, 2.0, 2.0], "n_max": 1}, "mitigate"),  # the repeat is never used
-        ({"c_list": [1.0, 1.0], "input_csv": "points.csv"}, "mitigate"),  # c_list unused
-        ({"c_list": [1.0, 2.0], "n_max": 5, "input_csv": "points.csv"}, "mitigate"),
-    ],
-)
-def test_c_list_repeats_that_no_extrapolation_uses_are_accepted(raw, mode):
-    assert cli.build_config(raw, mode).c_list == tuple(raw["c_list"])
+@pytest.mark.parametrize("text, message", [
+    ("n_max: 2\n", "unknown config keys: n_max"),
+    ("input_csv: {table}\nc_list: [1.0, 1.0]\n",
+     "c_list repeats a scale factor among the 2 used: [1.0, 1.0]"),
+], ids=["n_max", "c_list-beside-input_csv"])
+def test_mitigate_takes_no_order_and_checks_an_unused_c_list(tmp_path, capsys, text, message):
+    # The factors set the extrapolation orders, so there is no n_max key; and c_list passes
+    # the scale-factor rule even where an input_csv study leaves it unused.
+    table = tmp_path / "table.csv"
+    table.write_text("c,value\n1,35.56\n2.13,29.63\n")
+    cfg = write_config(tmp_path, text.format(table=table))
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "mitigate.json").exists()
 
 
 # Well separated factors, four times as likely as each bad one.
 _FACTOR = st.sampled_from([1.0, 2.0, 3.5, 5.0] * 4 + [0.0, -2.0, np.nan, np.inf, -np.inf])
 
 
-def _rule_failure(cs, n_max):
+def _rule_failure(cs):
     """The kind of failure the scale-factor rule names first, or None when cs passes."""
     if not all(0 < c < np.inf for c in cs):
         return "positive and finite"
     if not cs or cs[0] != 1.0:
         return "must start with the unscaled factor 1"
-    n_max = len(cs) - 1 if n_max is None else n_max
-    if n_max + 1 > len(cs):
-        return f"n_max={n_max} needs {n_max + 1} points"
-    if len(set(cs[: n_max + 1])) <= n_max:
+    if len(set(cs)) < len(cs):
         return "repeats a scale factor"
     return None
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@example(cs=[], n_max=None)
-@example(cs=[1.0, -2.0], n_max=None)
-@example(cs=[1.0, 0.0], n_max=None)
-@example(cs=[1.0, np.nan], n_max=None)
-@example(cs=[1.0, np.inf], n_max=None)
-@example(cs=[2.0, 4.0], n_max=None)
-@example(cs=[1.0, 2.0, 2.0], n_max=None)
-@example(cs=[1.0, 2.0, 2.0], n_max=1)  # the repeat is never used
-@example(cs=[1.0, 2.0], n_max=5)
+@example(cs=[])
+@example(cs=[1.0, -2.0])
+@example(cs=[1.0, 0.0])
+@example(cs=[1.0, np.nan])
+@example(cs=[1.0, np.inf])
+@example(cs=[2.0, 4.0])
+@example(cs=[1.0, 2.0, 2.0])
 @given(cs=st.one_of(st.lists(_FACTOR, max_size=5),
-                    st.lists(_FACTOR, max_size=5).map(lambda tail: [1.0, *tail])),
-       n_max=st.one_of(st.none(), st.integers(0, 6)))
-def test_scale_factor_rule_is_one_rule_before_any_measurement(tmp_path_factory, cs, n_max):
-    # build_config (simulated mitigate), mitigate from input_csv and check_scale_factors
-    # accept and reject the same factor lists with the same message.
-    failure = _rule_failure(cs, n_max)
-    try:
-        cli.build_config({"c_list": cs, "n_max": n_max}, "mitigate")
-        from_config = None
-    except cli.ConfigError as exc:
-        from_config = str(exc)
+                    st.lists(_FACTOR, max_size=5).map(lambda tail: [1.0, *tail])))
+def test_scale_factor_rule_is_one_rule_before_any_measurement(tmp_path_factory, cs):
+    # build_config (simulated mitigate, or c_list beside an input_csv), mitigate from
+    # input_csv and check_scale_factors accept and reject the same factor lists with the
+    # same message; a list that passes gives one result per factor, orders 0 to len - 1.
+    failure = _rule_failure(cs)
+    from_config = []
+    for extra in ({}, {"input_csv": "points.csv"}):
+        try:
+            cli.build_config({"c_list": cs, **extra}, "mitigate")
+            from_config.append(None)
+        except cli.ConfigError as exc:
+            from_config.append(str(exc))
 
     try:
-        check_scale_factors(cs, n_max, "c_list")
+        assert check_scale_factors(cs, "c_list") is None
         from_rule = None
     except ValueError as exc:
         from_rule = str(exc)
-    assert from_config == from_rule
+    assert from_config == [from_rule, from_rule]
     assert (from_rule is None) == (failure is None)
     assert failure is None or failure in from_rule
 
     out = tmp_path_factory.mktemp("csv")
     table = out / "t.csv"
     table.write_text("c,value\n" + "".join(f"{c!r},1.0\n" for c in cs))
-    cfg = write_config(out, f"input_csv: {table}\nn_max: {'null' if n_max is None else n_max}\n")
+    cfg = write_config(out, f"input_csv: {table}\n")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["mitigate", "--config", str(cfg), "--out", str(out)])
     assert code == (EXIT_OK if failure is None else EXIT_CONFIG)
-    if not cs:
+    if failure is None:
+        results = json.loads((out / "mitigate.json").read_text())["results"]
+        assert [r["order"] for r in results] == list(range(len(cs)))
+    elif not cs:
         assert "no noise points found" in err.getvalue()
-    elif failure is not None:  # the rule's message, before NoisePoint sees a bad c
+    else:  # the rule's message, before NoisePoint sees a bad c
         assert from_rule.replace("c_list", f"the c column of {table}") in err.getvalue()
 
 
@@ -855,14 +853,14 @@ def test_mitigate_from_csv_rejects_a_noisy_backend(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, code",
     [
-        ("shots", EXIT_OK), ("seed", EXIT_OK), ("n_max", EXIT_OK), ("input_csv", EXIT_OK),
+        ("shots", EXIT_OK), ("seed", EXIT_OK), ("input_csv", EXIT_OK),
         ("t_total_us", EXIT_OK), ("noise", EXIT_CONFIG), ("mode", EXIT_CONFIG),
         ("figure", EXIT_CONFIG),  # not a config key: reproduce takes --figure only
     ],
 )
 def test_only_keys_defaulting_to_null_accept_null(tmp_path, key, code):
     # Each key under a subcommand that reads it; figure is read by none.
-    command = {"shots": "fit", "seed": "fit", "n_max": "mitigate", "input_csv": "mitigate",
+    command = {"shots": "fit", "seed": "fit", "input_csv": "mitigate",
                "t_total_us": "converge", "noise": "trotter"}.get(key, "evolve")
     cfg = write_config(tmp_path, f"{key}: null\n")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code

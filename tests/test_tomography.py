@@ -430,6 +430,23 @@ def test_noiseless_round_trip_property(t1, t2_share, omega, sign):
     np.testing.assert_allclose([fit.t1, fit.t2, fit.omega], [t1, t2, omega], rtol=1e-6)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(r1=st.floats(0.005, 0.3), rphi=st.floats(0.001, 0.3), share=st.floats(0.01, 0.48))
+def test_mirrored_drive_fits_the_same_times_and_the_opposite_omega(r1, rphi, share):
+    # The mirror relation at the fit: exact canonical curves at -omega fit the same T1 and
+    # T2 and the opposite omega, each within 1e-12 relative, off every face of the box.
+    # |omega| is a share of the Nyquist half-band 1/(2 tau0). The step read-out takes 1/T1
+    # as a difference of rates, so its round-off grows as 1/T2 over 1/T1: r1 stops at
+    # 0.005/us (T1 = 200 us, beyond the record), where that round-off stays near 2e-13.
+    omega = share / (2 * TAU0)
+    plus, minus = (global_fit(generate_tomography(
+        CanonicalRates(gamma1=r1, gamma_phi=rphi, omega=sign * omega), TAU0, 13))
+        for sign in (1.0, -1.0))
+    assert plus.at_bound == minus.at_bound == ()
+    np.testing.assert_allclose([minus.t1, minus.t2, -minus.omega],
+                               [plus.t1, plus.t2, plus.omega], rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("t2", [0.5, 1.0, 2.0])
 def test_fast_dephasing_fit_starts_from_the_step_read_out(t2):
     # With T2 below tau0, <x> of |+> falls by e^{-tau0/T2} per step, yet the curves'
