@@ -54,4 +54,4 @@ print(f"\norder-2 Trotter fit: T1={fit_trotter.t1:.2f} (formula {t1_pred:.2f})  
 
 # The curves themselves: one example, the driven ground state under sz.
 key = ("0", "z")
-print(f"\ncurve {key}: {np.round(curves.data[key], 4)}")
+print(f"\ncurve {key}: {np.round(curves.curve(*key), 4)}")

@@ -17,10 +17,10 @@ __all__ = ["check_bloch_rows", "validate_density_matrix", "check_count", "check_
 _MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
 
-def check_count(name: str, value) -> None:
-    """Reject a bool, a non-integer or a value < 1 for a count, naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value, lo: int = 1) -> None:
+    """Reject a bool, a non-integer or a value < lo for a count, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 def check_positive(name: str, value) -> None:

@@ -171,10 +171,11 @@ def _cosh_sinh(case: int, e, s, t, lib=math):
     return e * lib.cos(x), e * lib.sin(x) / s
 
 
-def _bloch_curves(rows, terms: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """:func:`bloch_solution` as (K, 3 S, T) curves for terms = _bloch_terms(bloch0), t checked."""
-    sqrt, tmax = cmath.sqrt if np.iscomplexobj(rows) else math.sqrt, float(t.max(initial=0.0))
-    rc = [_rate_constants(*row, tmax, sqrt) for row in np.asarray(rows).tolist()]
+def _bloch_curves(rows: list, terms: np.ndarray, t: np.ndarray, tmax: float) -> np.ndarray:
+    """:func:`bloch_solution` as (K, 3 S, T) curves for terms = _bloch_terms(bloch0), t checked
+    with largest time tmax, and rows a list of K rate triples, all Python floats or all complex."""
+    sqrt = cmath.sqrt if isinstance(rows[0][0], complex) else math.sqrt
+    rc = [_rate_constants(*row, tmax, sqrt) for row in rows]
     monos = [[p * v for p in (1, a, w) for v in (1, vy, vz)] for a, w, vy, vz, _, _ in rc]
     cases, c = [r[4] for r in rc], np.array([r[5] for r in rc])
     basis = np.empty((len(c), 4, t.size), c.dtype)  # 1, C, S, E; S is e^{c0 t} until its case
@@ -205,7 +206,8 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
             rate row not finite, or rates whose closed form overflows.
     """
     t = np.asarray(times, dtype=float)
-    if not (_MIN(t, None, initial=np.inf) >= 0 and _MAX(t, None, initial=0) < np.inf):  # NaN fails
+    tmax = float(_MAX(t, None, initial=0.0))
+    if not (_MIN(t, None, initial=np.inf) >= 0 and tmax < np.inf):  # NaN fails
         raise ValueError(f"times must be finite and nonnegative, got {t}")
     rows, bloch0 = np.asarray(rows), np.asarray(bloch0, dtype=float)
     for name, a, n in (("rows", rows, "K"), ("bloch0", bloch0, "S")):
@@ -216,7 +218,8 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(f"rate row {k} is not finite: {rows[k].tolist()}")
-    return _bloch_curves(rows, _bloch_terms(bloch0), t).reshape(len(rows), len(bloch0), 3, -1)
+    curves = _bloch_curves(rows.tolist(), _bloch_terms(bloch0), t, tmax)
+    return curves.reshape(len(rows), len(bloch0), 3, -1)
 
 
 def _exact_step(rates: CanonicalRates, tau: float) -> np.ndarray:

@@ -45,7 +45,8 @@ __all__ = [
 STATE_LABELS = ("0", "+", "+i", "1")
 OBS_LABELS = ("x", "y", "z")
 
-_KEYS = tuple((s, o) for s in STATE_LABELS for o in OBS_LABELS)  # as_matrix's row order
+_KEYS = tuple((s, o) for s in STATE_LABELS for o in OBS_LABELS)  # the curves' row order
+_ROWS = {key: k for k, key in enumerate(_KEYS)}
 
 INITIAL_STATES = {  # the density matrices |0><0|, |+><+|, |+i><+i| and |1><1|, in exact halves
     "0": np.array([[1, 0], [0, 0]], dtype=complex),
@@ -62,42 +63,39 @@ _RATE_CEIL = 2.0
 
 @dataclass(frozen=True, eq=False)
 class TomographySet:
-    """Twelve evolution curves keyed by (initial state, observable).
+    """Twelve evolution curves on a shared time grid.
 
-    data maps (state label, observable label) to an expectation array on the
-    shared times grid, t >= 0; shots records the sampling depth (None = noiseless).
+    curves is the (12, len(times)) array of expectations, one row per (state label,
+    observable label) in state-major, observable-minor order; times holds t >= 0; both are
+    read-only copies. shots records the sampling depth (None = noiseless).
     """
 
     times: np.ndarray
-    data: dict[tuple[str, str], np.ndarray]
+    curves: np.ndarray
     shots: int | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = np.array(self.times, dtype=float)
+        if times.ndim != 1:
+            raise ValueError(f"times must be a 1-D grid, got shape {times.shape}")
         if not (np.all((times >= 0) & (times < np.inf)) and np.all(np.diff(times) > 0)):
             raise ValueError(f"times must be >= 0, finite and strictly increasing, got {times}")
-        object.__setattr__(self, "times", times)
-        if set(self.data) != set(_KEYS):
-            raise ValueError("tomography set must hold exactly the 12 state/observable curves")
+        curves = np.array(self.curves, dtype=float)
+        if curves.shape != (12, times.size):
+            raise ValueError(f"curves must have shape (12, {times.size}), got {curves.shape}")
         if self.shots is not None:
             check_count("shots", self.shots)
         eps = 3.0 / np.sqrt(self.shots) if self.shots else 1e-8
-        clean = {}
-        for key, values in self.data.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.shape != times.shape:
-                raise ValueError(f"curve {key} length {arr.shape} != times {times.shape}")
-            if not np.all(np.abs(arr) <= 1 + eps):  # also false for NaN
-                raise ValueError(f"curve {key} is not finite within the expectation range [-1, 1]")
-            clean[key] = arr
-        object.__setattr__(self, "data", clean)
+        bad = ~(np.abs(curves) <= 1 + eps).all(axis=1)  # also true for NaN
+        if bad.any():
+            raise ValueError(f"curve {_KEYS[np.argmax(bad)]} is not finite within the "
+                             "expectation range [-1, 1]")
+        times.flags.writeable = curves.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "curves", curves)
 
     def curve(self, state: str, obs: str) -> np.ndarray:
-        return self.data[(state, obs)]
-
-    def as_matrix(self) -> np.ndarray:
-        """(12, npoints) array, rows in (state-major, observable-minor) order."""
-        return np.stack([self.data[key] for key in _KEYS])
+        return self.curves[_ROWS[(state, obs)]]
 
 
 def generate_tomography(
@@ -115,7 +113,8 @@ def generate_tomography(
         tau0: Sample spacing in us, positive, with n_steps * tau0 below 1.34e154.
         n_steps: Number of steps, an integer >= 1 (n_steps + 1 samples per curve).
         shots: Per-point sampling depth, an integer >= 1; None for exact expectations.
-        seed: Seed for the binomial sampler (fixed seed gives identical output).
+        seed: Seed for the binomial sampler, None or an integer >= 0 (fixed seed gives
+            identical output).
         evolve: Optional replacement dynamics, called per initial state as
             evolve(rho0) -> EvolutionTrace on the same grid (e.g. a
             Trotterized engine run); defaults to the exact closed-form
@@ -127,6 +126,8 @@ def generate_tomography(
     check_count("n_steps", n_steps)
     if shots is not None:
         check_count("shots", shots)
+    if seed is not None:
+        check_count("seed", seed, lo=0)
     check_positive("tau0", tau0)
     if not float(n_steps) * float(tau0) < 1.34e154:  # the last time's t^2 overflows, or inf
         raise ValueError(f"n_steps * tau0 must be below 1.34e154, got {n_steps} * {tau0}")
@@ -142,7 +143,7 @@ def generate_tomography(
     if shots is not None:
         p = np.clip((1.0 + curves) / 2.0, 0.0, 1.0)
         curves = 2.0 * np.random.default_rng(seed).binomial(shots, p) / shots - 1.0
-    return TomographySet(times, dict(zip(_KEYS, curves)), shots=shots)
+    return TomographySet(times, curves, shots=shots)
 
 
 @dataclass(frozen=True)
@@ -190,19 +191,23 @@ class FitResult:
 _BLOCH0 = np.array([validate_density_matrix(INITIAL_STATES[s])[1:] for s in STATE_LABELS])
 _TERMS = _bloch_terms(_BLOCH0)
 _COMPLEX_STEP = 1e-20
-_COMPLEX_STEPS = 1j * _COMPLEX_STEP * np.eye(3)  # row k steps parameter k
 
 
 def _bloch_model(u: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(K, 12, len(times)) model curves for (K, 3) rows u of (r1, rphi, omega); times checked."""
-    return _bloch_curves(u, _TERMS, times)
+    """(K, 12, len(times)) model curves for (K, 3) rows u of (r1, rphi, omega); times checked
+    and increasing."""
+    return _bloch_curves(np.asarray(u).tolist(), _TERMS, times, float(times[-1]))
 
 
-def _bloch_jacobian(u: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (12*len(times),) model curves at row u and their (12*len(times), 3) derivatives:
-    a step i*h in parameter k puts h times its derivative, exact, in the imaginary part."""
-    rows = np.asarray(u) + _COMPLEX_STEPS
-    model = _bloch_model(rows, times).reshape(3, -1)
+def _bloch_jacobian(u, times: np.ndarray, tmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (12*len(times),) model curves at the row u of three floats and their (12*len(times),
+    3) derivatives, on checked times with largest time tmax: a step i*h in parameter k puts h
+    times its derivative, exact, in the imaginary part."""
+    r1, rphi, omega = map(float, u)
+    h = 1j * _COMPLEX_STEP
+    rows = [(r1 + h, rphi + 0j, omega + 0j), (r1 + 0j, rphi + h, omega + 0j),
+            (r1 + 0j, rphi + 0j, omega + h)]
+    model = _bloch_curves(rows, _TERMS, times, tmax).reshape(3, -1)
     return model[0].real, model.imag.T / _COMPLEX_STEP
 
 
@@ -218,8 +223,8 @@ def _step_start(curves: np.ndarray, tau0: float) -> tuple[float, float, float]:
     near 0 and pi, and w^2 = a^2 + |s|^2 with a = (G1 - G2)/2 and the sign of d. Each log and
     root argument is clipped into its domain; the box clips the row.
     """
-    affine = np.concatenate([np.ones((4, 1, curves.shape[1])), curves.reshape(4, 3, -1)],
-                            axis=1).transpose(2, 0, 1)  # (point, state, 4)
+    affine = np.empty((curves.shape[1], 4, 4))  # (point, state, (1, x, y, z))
+    affine[..., 0], affine[..., 1:] = 1.0, curves.reshape(4, 3, -1).transpose(2, 0, 1)
     step = np.linalg.lstsq(affine[:-1].reshape(-1, 4), affine[1:].reshape(-1, 4), rcond=None)[0].T
     (byy, byz), (bzy, bzz) = step[2:, 2:].tolist()
     g2 = -math.log(max(1e-300, step[1, 1])) / tau0
@@ -335,16 +340,16 @@ def global_fit(ts: TomographySet) -> FitResult:
     tau0 = times[1] - times[0]  # times are >= 0 and increasing, so times[-1] is max|t|
     check_grid(max(abs(b - a - tau0) for a, b in zip(times, times[1:])), times[-1],
                "global fit requires a uniform time grid")
-    data = ts.as_matrix()
+    t, tmax, data = ts.times, times[-1], ts.curves.ravel()  # read once per fit
     lo, hi = (_RATE_FLOOR, 0.0, -0.5 / tau0), (_RATE_CEIL, _RATE_CEIL, 0.5 / tau0)
     evaluated = []  # the rows of the model calls
 
     def fun(u):
         evaluated.append(u)
-        model, jac = _bloch_jacobian(u, ts.times)
-        return model - data.ravel(), jac
+        model, jac = _bloch_jacobian(u, t, tmax)
+        return model - data, jac
 
-    start = tuple(min(max(x, l), h) for x, l, h in zip(_step_start(data, tau0), lo, hi))
+    start = tuple(min(max(x, l), h) for x, l, h in zip(_step_start(ts.curves, tau0), lo, hi))
     runs = [_levenberg_marquardt(fun, start, lo, hi)]
     # Both faces count: exact curves at theta = (9.5, 57, 223.9) deg end the first run on the
     # 1/T1 floor with omega inside the band, and only the mirrored run reaches the edge. The
@@ -367,8 +372,8 @@ def global_fit(ts: TomographySet) -> FitResult:
     stderr = tuple(None if face or not 0 <= v < math.inf else math.sqrt(v)
                    for face, v in zip((face1, face1 or face_phi, face_omega), var))
     return FitResult(t1=t1, t2=t2, omega=omega,
-                     residual=float(np.sqrt(np.mean(r**2))), converged=status > 0,
-                     evaluations=len(evaluated),
+                     residual=math.sqrt(float(np.add.reduce(r * r)) / len(r)),
+                     converged=status > 0, evaluations=len(evaluated),
                      at_bound=tuple(n for n, on in zip(_RATE_NAMES, on_face) if on),
                      stderr=stderr)
 

@@ -283,7 +283,7 @@ def test_criterion_9_property_suites():
     rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.04)
     a = generate_tomography(rates, TAU0, 13, shots=500, seed=11)
     b = generate_tomography(rates, TAU0, 13, shots=500, seed=11)
-    seed_ok = all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
+    seed_ok = np.array_equal(a.curves, b.curves)
 
     elapsed = time.monotonic() - start
     ok = cptp_ok and physical_ok and fit_ok and poly_ok and seed_ok and elapsed < 120.0

@@ -159,3 +159,40 @@ def test_benchmark_cli_commands_parse(command):
     argv = [*command.split(), "--out", "out", "--seed", "7"]
     args = trottersim.cli._build_parser().parse_args(argv)
     assert (args.out.name, args.seed) == ("out", 7)
+
+
+# ------------------------------------------------- the benchmark's reads
+#
+# perfbench/workloads.py reads these attributes of what the calls above return; each object
+# is built as the benchmark builds it.
+def _benchmark_result(name):
+    fn, args, kwargs = BENCHMARK_CALLS[name]
+    return fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["generate_tomography-evolve", "generate_tomography-shots"])
+def test_benchmark_reads_each_tomography_curve(name):
+    curves = _benchmark_result(name)
+    data = np.array([curves.curve(s, o) for s in ("0", "+", "+i", "1") for o in ("x", "y", "z")])
+    assert data.shape == (12, 14) and np.isfinite(data).all()
+
+
+@pytest.mark.parametrize("name, length", [("run_schedule", 14), ("target_trace", 101)])
+def test_benchmark_reads_each_trace_field(name, length):
+    trace = _benchmark_result(name)
+    assert len(trace) == length
+    for field in (trace.times, trace.sx, trace.sy, trace.sz):
+        assert np.shape(field) == (length,)
+
+
+def test_benchmark_reads_each_fit_field():
+    fit = _benchmark_result("global_fit")
+    assert all(isinstance(v, float) for v in (fit.t1, fit.t2, fit.omega, fit.residual))
+    assert fit.converged is True
+
+
+def test_benchmark_reads_each_scan_accuracy():
+    scan = _benchmark_result("permutation_scan")
+    assert len(scan) == 12
+    for (order, perm), rep in scan.items():
+        assert order in (1, 2) and len(tuple(perm)) == 3 and np.isfinite(rep.a)

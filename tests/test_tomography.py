@@ -1,5 +1,6 @@
 """Tests for tomography-curve generation and the global coherence fit."""
 
+import re
 import warnings
 
 import numpy as np
@@ -135,17 +136,16 @@ def test_sampling_determinism():
     rates = rates_from_times(28.6, 19.0, 0.0401)
     a = generate_tomography(rates, TAU0, 13, shots=500, seed=42)
     b = generate_tomography(rates, TAU0, 13, shots=500, seed=42)
-    for key in a.data:
-        np.testing.assert_array_equal(a.data[key], b.data[key])
+    np.testing.assert_array_equal(a.curves, b.curves)
     c = generate_tomography(rates, TAU0, 13, shots=500, seed=43)
-    assert any(not np.array_equal(a.data[k], c.data[k]) for k in a.data)
+    assert not np.array_equal(a.curves, c.curves)
 
 
 def test_sampled_values_are_valid_expectations():
     rates = rates_from_times(50.0, 40.0, 0.02)
     ts = generate_tomography(rates, TAU0, 13, shots=64, seed=7)
     assert ts.shots == 64
-    for arr in ts.data.values():
+    for arr in ts.curves:
         assert np.abs(arr).max() <= 1.0
         # 2k/s - 1 lands on the shot lattice.
         np.testing.assert_allclose((arr + 1) * 32, np.round((arr + 1) * 32), atol=1e-12)
@@ -153,27 +153,22 @@ def test_sampled_values_are_valid_expectations():
 
 def test_tomography_set_validation():
     times = np.arange(3.0)
-    good = {(s, o): np.zeros(3) for s in STATE_LABELS for o in OBS_LABELS}
-    missing = dict(good)
-    missing.pop(("1", "z"))
     with pytest.raises(ValueError, match="12"):
-        TomographySet(times, missing)
-    bad_len = dict(good)
-    bad_len[("1", "z")] = np.zeros(4)
-    with pytest.raises(ValueError, match="length"):
-        TomographySet(times, bad_len)
-    bad_range = dict(good)
-    bad_range[("1", "z")] = np.array([0.0, 2.0, 0.0])
+        TomographySet(times, np.zeros((11, 3)))  # a curve missing
+    with pytest.raises(ValueError, match="shape"):
+        TomographySet(times, np.zeros((12, 4)))
+    bad_range = np.zeros((12, 3))
+    bad_range[11] = [0.0, 2.0, 0.0]
     with pytest.raises(ValueError, match="range"):
         TomographySet(times, bad_range)
 
 
 def test_tomography_set_shot_range_is_three_standard_errors():
     # With 100 shots a curve may leave [-1, 1] by 3/sqrt(100) = 0.3 and no further.
-    data = {(s, o): np.zeros(3) for s in STATE_LABELS for o in OBS_LABELS}
-    data[("+", "y")] = np.array([0.0, 1.29, -1.29])
+    data = np.zeros((12, 3))
+    data[4] = [0.0, 1.29, -1.29]  # the row of ("+", "y")
     TomographySet(np.arange(3.0), data, shots=100)
-    data[("+", "y")] = np.array([0.0, 1.45, 0.0])
+    data[4] = [0.0, 1.45, 0.0]
     with pytest.raises(ValueError, match=r"curve \('\+', 'y'\) is not finite within"):
         TomographySet(np.arange(3.0), data, shots=100)
 
@@ -182,10 +177,71 @@ def test_tomography_set_shot_range_is_three_standard_errors():
 @pytest.mark.parametrize("shots", [None, 500])
 def test_tomography_set_rejects_non_finite_curves(value, shots):
     # A NaN passes an |x| > 1 range test; global_fit would only stop inside scipy.
-    data = {(s, o): np.zeros(3) for s in STATE_LABELS for o in OBS_LABELS}
-    data[("+", "y")] = np.array([0.0, value, 0.0])
+    data = np.zeros((12, 3))
+    data[4] = [0.0, value, 0.0]  # the row of ("+", "y")
     with pytest.raises(ValueError, match=r"curve \('\+', 'y'\) is not finite"):
         TomographySet(np.arange(3.0), data, shots=shots)
+
+
+@pytest.mark.parametrize("shape", [(7, 2), (2, 7)])
+def test_tomography_set_rejects_a_time_grid_that_is_not_1d(shape):
+    # A (7, 2) grid with matching curves passed and global_fit died on list arithmetic; a
+    # (2, 7) grid failed as "at least 6 time points per curve", although it holds 14.
+    want = f"^times must be a 1-D grid, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=want):
+        TomographySet(np.arange(14.0).reshape(shape), np.zeros((12, 14)))
+
+
+@pytest.mark.parametrize("shape", [(12,), (12, 4), (13, 3), (1, 12, 3)])
+def test_tomography_set_rejects_curves_that_are_not_12_by_the_grid(shape):
+    with pytest.raises(ValueError, match=r"^curves must have shape \(12, 3\), got"):
+        TomographySet(np.arange(3.0), np.zeros(shape))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(row=st.integers(0, 11), col=st.integers(0, 13),
+       value=st.sampled_from((np.nan, np.inf, -np.inf)), shots=st.sampled_from((None, 500)))
+def test_tomography_set_names_the_curve_of_a_non_finite_point(row, col, value, shots):
+    # One check over the (12, T) array, naming the (state, obs) of the first bad row.
+    data = np.zeros((12, 14))
+    data[row, col] = value
+    key = tomography._KEYS[row]
+    with pytest.raises(ValueError, match=rf"^curve \('{re.escape(key[0])}', '{key[1]}'\) is "
+                                         r"not finite within the expectation range \[-1, 1\]$"):
+        TomographySet(np.arange(14.0), data, shots=shots)
+
+
+def test_tomography_set_curves_are_read_only_rows_in_key_order():
+    ts = generate_tomography(rates_from_times(50.0, 40.0, 0.02), TAU0, 13, shots=64, seed=3)
+    assert ts.curves.shape == (12, 14)
+    for k, (state, obs) in enumerate(tomography._KEYS):
+        row = ts.curve(state, obs)
+        assert np.shares_memory(row, ts.curves) and np.array_equal(row, ts.curves[k])
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+    # A write into the checked grid doubled its spacing, and the fit returned T1 = 66.7 us for
+    # curves of T1 = 33.3 us; the caller's arrays stay writable.
+    times, curves = np.arange(14.0), np.zeros((12, 14))
+    copy = TomographySet(times, curves)
+    with pytest.raises(ValueError, match="read-only"):
+        copy.times[:] = 2 * times
+    times[0], curves[0, 0] = 0.5, 0.5
+    assert copy.times[0] == copy.curves[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "3"])
+def test_generate_tomography_rejects_a_seed_that_is_not_a_nonnegative_integer(bad):
+    # numpy named no input: -1 gave "expected non-negative integer", 1.5 a SeedSequence TypeError.
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {bad!r}$"):
+        generate_tomography(rates_from_times(50.0, 40.0, 0.02), TAU0, 13, shots=64, seed=bad)
+
+
+def test_generate_tomography_accepts_a_zero_or_numpy_integer_seed():
+    rates = rates_from_times(50.0, 40.0, 0.02)
+    for seed in (0, 7):
+        want = generate_tomography(rates, TAU0, 13, shots=64, seed=seed).curves
+        got = generate_tomography(rates, TAU0, 13, shots=64, seed=np.uint64(seed)).curves
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", ["n_steps", "shots"])
@@ -206,7 +262,7 @@ def test_generate_tomography_accepts_numpy_integer_counts():
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
 def test_tomography_set_rejects_bad_shots(bad):
-    data = {(s, o): np.zeros(3) for s in STATE_LABELS for o in OBS_LABELS}
+    data = np.zeros((12, 3))
     with pytest.raises(ValueError, match="^shots must be an integer >= 1, got"):
         TomographySet(np.arange(3.0), data, shots=bad)
 
@@ -218,7 +274,7 @@ def test_tomography_set_rejects_bad_shots(bad):
 def test_tomography_set_rejects_bad_times(times):
     # Else global_fit dies in LAPACK (NaN, inf) or in scipy's bound check (decreasing).
     # Times before the t = 0 preparation would be fitted by a backward evolution.
-    data = {(s, o): np.zeros(3) for s in STATE_LABELS for o in OBS_LABELS}
+    data = np.zeros((12, 3))
     with pytest.raises(ValueError, match="finite and strictly increasing"):
         TomographySet(np.array(times), data)
 
@@ -335,7 +391,7 @@ def test_fit_converges_on_trotter_curves(angles_deg):
     assert fit.converged
     u = [1.0 / fit.t1, 1.0 / fit.t2 - 0.5 / fit.t1, fit.omega]
     model = reference_model([u], TAU0, 14)[0]
-    rms = np.sqrt(np.mean((model - ts.as_matrix()) ** 2))
+    rms = np.sqrt(np.mean((model - ts.curves) ** 2))
     assert fit.residual == pytest.approx(rms, rel=1e-9)
 
 
@@ -399,7 +455,7 @@ def test_closed_form_matches_stepped_reference(rows, tau0, npoints):
 def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
     u = np.array(_bloch_row(*row, tau0))
     times = np.arange(npoints) * tau0
-    model, jac = _bloch_jacobian(u, times)
+    model, jac = _bloch_jacobian(u, times, times[-1])
     np.testing.assert_allclose(model, _bloch_model(u[None], times).ravel(),
                                rtol=0, atol=1e-15)
     # Five-point central differences, with steps small against the curves' time
@@ -453,7 +509,7 @@ def test_fast_dephasing_fit_starts_from_the_step_read_out(t2):
     # step still reads 1/T2 exactly, and the fit from it ends on the rates.
     rates = rates_from_times(50.0, t2, 0.02)
     ts = generate_tomography(rates, TAU0, 13)
-    r1, rphi, _ = _step_start(ts.as_matrix(), TAU0)
+    r1, rphi, _ = _step_start(ts.curves, TAU0)
     np.testing.assert_allclose(rphi + r1 / 2, 1 / t2, rtol=1e-12)
     fit = global_fit(ts)
     assert fit.converged
@@ -467,7 +523,7 @@ def test_fit_evaluates_the_model_at_the_data_times():
     # j*tau0 from 0 would be one step behind the data.
     rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.05)
     full = generate_tomography(rates, TAU0, 13)
-    shifted = TomographySet(full.times[1:], {key: v[1:] for key, v in full.data.items()})
+    shifted = TomographySet(full.times[1:], full.curves[:, 1:])
     fit = global_fit(shifted)
     assert fit.converged
     np.testing.assert_allclose(
@@ -521,7 +577,7 @@ def test_fit_runs_one_lm_from_the_best_scored_row(monkeypatch):
     np.testing.assert_array_equal(lo, [1e-6, 0.0, -0.5 / TAU0])
     np.testing.assert_array_equal(hi, [2.0, 2.0, 0.5 / TAU0])
     # The one run starts from the row read from the curves' step, clipped into the box.
-    np.testing.assert_array_equal(u0, np.clip(_step_start(ts.as_matrix(), TAU0), lo, hi))
+    np.testing.assert_array_equal(u0, np.clip(_step_start(ts.curves, TAU0), lo, hi))
 
 
 @pytest.mark.parametrize("angles_deg", [(5.8, 36.1, 166.0), (10.0, 40.0, 170.0)])
@@ -552,9 +608,9 @@ def test_fit_that_ends_on_the_nyquist_edge_reruns_from_the_mirrored_rows(monkeyp
         runs.append(_levenberg_marquardt(fun, u, lo, hi))
         return runs[-1]
 
-    def counted(u, times):
+    def counted(u, times, tmax):
         calls.append(u)
-        return _bloch_jacobian(u, times)
+        return _bloch_jacobian(u, times, tmax)
 
     monkeypatch.setattr(tomography, "_levenberg_marquardt", spy)
     monkeypatch.setattr(tomography, "_bloch_jacobian", counted)
@@ -645,7 +701,7 @@ def test_step_starts_recover_canonical_rates(row, first):
     # (G1, G2 - G1/2, omega) within 1e-9 relative.
     r1, rphi, omega = _bloch_row(*row, TAU0)
     ts = generate_tomography(CanonicalRates(gamma1=r1, gamma_phi=rphi, omega=omega), TAU0, 13)
-    g1, rphi_read, omega_read = _step_start(ts.as_matrix()[:, first:], TAU0)
+    g1, rphi_read, omega_read = _step_start(ts.curves[:, first:], TAU0)
     np.testing.assert_allclose([g1, rphi_read + g1 / 2], [r1, r1 / 2 + rphi], rtol=1e-9, atol=0)
     # omega = 0 reads as round-off, small against the rates
     np.testing.assert_allclose(omega_read, omega, rtol=1e-9, atol=1e-9 * (r1 / 2 + rphi))
@@ -663,7 +719,7 @@ def test_step_starts_recover_the_decay_rates_of_trotter_products(theta1, theta2,
     schedule = TrotterSchedule(order=order, n_steps=13, dt=TAU0)
     ts = generate_tomography(rates, TAU0, 13,
                              evolve=lambda rho0: run_schedule(schedule, rates, rho0))
-    g1, rphi, _ = _step_start(ts.as_matrix(), TAU0)
+    g1, rphi, _ = _step_start(ts.curves, TAU0)
     np.testing.assert_allclose([g1, g1 / 2 + rphi],
                                [rates.gamma1, rates.gamma1 / 2 + rates.gamma_phi], rtol=1e-9, atol=0)
 
@@ -698,13 +754,13 @@ def _start_grid(step_row):
 
 def _grid_only_fit(ts):
     """The fit from a start grid alone, without the step's row: one run from its best row."""
-    data = ts.as_matrix()
+    data = ts.curves
     lo, hi = np.array([1e-6, 0.0, -0.5 / TAU0]), np.array([2.0, 2.0, 0.5 / TAU0])
     cands = np.clip(_start_grid(_step_start(data, TAU0)), lo, hi)
     scores = ((_bloch_model(cands, ts.times) - data) ** 2).sum(axis=(1, 2))
 
     def fun(u):
-        model, jac = _bloch_jacobian(u, ts.times)
+        model, jac = _bloch_jacobian(u, ts.times, ts.times[-1])
         return model - data.ravel(), jac
 
     u, r, _, status = _levenberg_marquardt(fun, cands[np.argmin(scores)], lo, hi)
@@ -807,10 +863,10 @@ def test_lm_freezes_a_rate_on_its_bound():
     fit = global_fit(ts)
     assert fit.converged
     assert fit.t2 == pytest.approx(2 * fit.t1, rel=1e-15)
-    data = ts.as_matrix().ravel()
+    data = ts.curves.ravel()
 
     def fun(v):
-        model, jac = _bloch_jacobian(v, ts.times)
+        model, jac = _bloch_jacobian(v, ts.times, ts.times[-1])
         return model - data, jac
 
     v, _, _, status = _levenberg_marquardt(fun, (rates.gamma1, 0.0, rates.omega),
@@ -876,8 +932,7 @@ def test_exact_canonical_curves_stop_after_one_evaluation(angles_deg):
 
 def _nudged(ts, direction):
     """ts with every point moved one ulp toward direction."""
-    data = np.nextafter(ts.as_matrix(), direction)
-    return TomographySet(ts.times, dict(zip(ts.data, data)), shots=ts.shots)
+    return TomographySet(ts.times, np.nextafter(ts.curves, direction), shots=ts.shots)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -921,9 +976,9 @@ def test_fit_standard_errors_match_an_independent_covariance(seed):
     u = np.array([1 / fit.t1, 1 / fit.t2 - 0.5 / fit.t1, fit.omega])
 
     def curves(v):
-        return generate_tomography(CanonicalRates(*v), TAU0, 13).as_matrix().ravel()
+        return generate_tomography(CanonicalRates(*v), TAU0, 13).curves.ravel()
 
-    r = curves(u) - ts.as_matrix().ravel()
+    r = curves(u) - ts.curves.ravel()
     jac = np.stack([(curves(u + 1e-6 * e) - curves(u - 1e-6 * e)) / 2e-6 for e in np.eye(3)], 1)
     cov = np.linalg.inv(jac.T @ jac) * (r @ r / (r.size - 3))
     expected = (fit.t1**2 * np.sqrt(cov[0, 0]),
@@ -961,11 +1016,10 @@ def test_fit_input_validation():
     with pytest.raises(ValueError, match="6"):
         global_fit(short)
     ts = generate_tomography(rates, TAU0, 13)
-    warped = {k: v.copy() for k, v in ts.data.items()}
     bad_times = ts.times.copy()
     bad_times[-1] += 1.0
     with pytest.raises(ValueError, match="uniform"):
-        global_fit(TomographySet(bad_times, warped))
+        global_fit(TomographySet(bad_times, ts.curves))
 
 
 def test_fit_grid_rule_is_relative_to_the_grid():
@@ -976,7 +1030,7 @@ def test_fit_grid_rule_is_relative_to_the_grid():
     tiny = generate_tomography(rates, 1e-11, 13)
     uneven = np.concatenate([[0.0], np.cumsum(1e-11 * np.linspace(0.02, 2.65, 13))])
     with pytest.raises(ValueError, match="^global fit requires a uniform time grid$"):
-        global_fit(TomographySet(uneven, tiny.data))
+        global_fit(TomographySet(uneven, tiny.curves))
     huge = generate_tomography(rates, 1e150, 13)
     assert np.ptp(np.diff(huge.times)) > 1e-9
     global_fit(huge)

@@ -638,6 +638,9 @@ def test_reversing_the_drive_mirrors_the_y_component_exactly(
 ):
     # omega -> -omega with y0 -> -y0 negates <sy> and keeps <sx>, <sz> exactly: the rotation
     # turns the other way, and dephasing, damping and the exact step commute with the y flip.
+    # The relation is in omega, not in the angle: theta3 -> 360 deg - theta3 turns a full step
+    # as -theta3 does, but an order-2 half step by 180 deg - theta3/2 rather than -theta3/2, so
+    # it is no symmetry of order 2 and stays out of the order-2 properties.
     r = np.array(bloch0) / max(1.0, np.linalg.norm(bloch0))
     rho0, mirrored0 = ((EYE + r[0] * SIGMA_X + y * SIGMA_Y + r[2] * SIGMA_Z) / 2
                        for y in (r[1], -r[1]))
