@@ -19,7 +19,6 @@ from trottersim import (
     extrapolate,
     generate_tomography,
     global_fit,
-    richardson_coeffs,
     run_schedule,
 )
 
@@ -34,20 +33,22 @@ print("measured T2* (us) at damping scale c:")
 for p in table:
     print(f"  c={p.c:5.2f}  {p.value:6.2f}")
 
-# The combination weights depend only on the scale factors.
+# One call extrapolates at every order the four factors allow.  The weights
+# depend only on the scale factors; the condition number of each order's
+# Vandermonde system says how much they amplify the noise.
+study = extrapolate(table)
 for n in range(1, 4):
     cs = [p.c for p in table[: n + 1]]
-    gammas = richardson_coeffs(cs, n)
-    print(f"order {n} weights for c={cs}: {np.round(gammas, 4)}")
+    print(f"order {n} weights for c={cs}: {np.round(study[n].gammas, 4)} "
+          f"(condition {study[n].condition:.1e})")
 
 print("\nextrapolated zero-damping T2*:")
-for n in range(4):
-    result = extrapolate(table, n)
-    print(f"  order {n}: {result.estimate:.3f} us")
+for result in study:
+    print(f"  order {result.order}: {result.estimate:.3f} us")
 
 # With reported error bars the weights also propagate the uncertainty.
 with_sigma = tuple(NoisePoint(p.c, p.value, sigma=0.5) for p in table)
-result = extrapolate(with_sigma, 1)
+result = extrapolate(with_sigma)[1]
 print(f"order 1 with 0.5 us error bars: {result.estimate:.2f} "
       f"+/- {result.sigma_est:.2f} us")
 
@@ -78,7 +79,7 @@ def scaled_t2(c):
 
 
 points = [NoisePoint(c, scaled_t2(c)) for c in cs]
-study = [extrapolate(points, n) for n in range(len(points))]
+study = extrapolate(points)
 print(f"\nsynthetic study (true zero-damping T2* = {truth:.2f} us):")
 for result in study:
     err = result.estimate / truth - 1

@@ -34,7 +34,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -492,17 +492,13 @@ def _run_mitigate(cfg):
             points = [NoisePoint(*row) for row in rows]
         except ValueError as exc:  # a row's value or sigma
             raise ConfigError(f"cannot load noise points from {cfg.input_csv}: {exc}") from exc
-    results = [extrapolate(points, n) for n in range(len(points))]
+    results = extrapolate(points)
     payload["points"] = [
         {"c": float(p.c), "sigma": None if p.sigma is None else float(p.sigma),
          "value": float(p.value)}
         for p in points
     ]
-    payload["results"] = [
-        {"estimate": float(r.estimate), "gammas": [float(g) for g in r.gammas],
-         "order": r.order, "sigma_est": None if r.sigma_est is None else float(r.sigma_est)}
-        for r in results
-    ]
+    payload["results"] = [asdict(r) for r in results]
     yield "mitigate.json", payload
 
 

@@ -201,9 +201,9 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     s real or imaginary. Real for real rows and analytic: a complex step gives a derivative.
 
     Raises:
-        ValueError: On a negative or non-finite time, rows not (K, 3) or bloch0 not (S, 3), a
-            start outside the Bloch ball or not finite (check_bloch_rows on (1, x, y, z)), a
-            rate row not finite, or rates whose closed form overflows.
+        ValueError: On a negative or non-finite time, rows not (K, 3) or bloch0 not (S, 3), K
+            or S zero, a start outside the Bloch ball or not finite (check_bloch_rows on
+            (1, x, y, z)), a rate row not finite, or rates whose closed form overflows.
     """
     t = np.asarray(times, dtype=float)
     tmax = float(_MAX(t, None, initial=0.0))
@@ -211,8 +211,8 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
         raise ValueError(f"times must be finite and nonnegative, got {t}")
     rows, bloch0 = np.asarray(rows), np.asarray(bloch0, dtype=float)
     for name, a, n in (("rows", rows, "K"), ("bloch0", bloch0, "S")):
-        if a.ndim != 2 or a.shape[1] != 3:
-            raise ValueError(f"{name} must have shape ({n}, 3), got {a.shape}")
+        if a.ndim != 2 or a.shape[1] != 3 or not len(a):
+            raise ValueError(f"{name} must have shape ({n}, 3) with {n} >= 1, got {a.shape}")
     check_bloch_rows(np.insert(bloch0, 0, 1.0, axis=-1), lambda j: f"bloch0[{j[0]}]")
     finite = np.isfinite(rows).all(axis=-1)
     if not finite.all():

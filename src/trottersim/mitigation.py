@@ -6,18 +6,17 @@ E at several scaled intensities lambda_i = c_i * lambda (c_0 = 1) and solving
 the resulting linear system eliminates the first n Taylor coefficients, giving
 the order-n estimate E*_n = sum_i gamma_i E(lambda_i) with error O(lambda^(n+1)).
 
-The coefficients gamma_i are computed with a Lagrange product formula rather
-than generic elimination, which makes the conditioning of the underlying
-Vandermonde system easy to diagnose; poorly separated scale factors emit a
-warning.  A study checks its factors (check_scale_factors) before it measures
-one NoisePoint per factor, then extrapolates at every order its N factors
-allow, 0 to N - 1; the CLI's simulated study fits T2* with the damping rate
+A study checks its factors (check_scale_factors) before it measures one
+NoisePoint per factor; one extrapolate call then returns every order its N
+factors allow, 0 to N - 1.  The coefficients gamma_i come from a Lagrange
+product formula rather than generic elimination, and each order records the
+condition number of its Vandermonde system, which says how much the weights
+amplify the noise.  The CLI's simulated study fits T2* with the damping rate
 scaled by c, and at zero damping T2* is the pure dephasing time.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +27,9 @@ __all__ = [
     "NoisePoint",
     "ExtrapolationResult",
     "check_scale_factors",
-    "richardson_coeffs",
     "extrapolate",
 ]
 
-_CONDITION_WARN_THRESHOLD = 1e8
 _MOMENT_TOL = 1e-8
 
 
@@ -42,7 +39,7 @@ class NoisePoint:
 
     Attributes:
         c: Dimensionless noise scale factor, > 0.  The reference measurement
-            has c = 1 and must come first in any sequence fed to extrapolate.
+            has c = 1 and comes first in any sequence fed to extrapolate.
         value: Measured expectation value at this intensity.
         sigma: Optional standard deviation of value, >= 0.
     """
@@ -69,6 +66,8 @@ class ExtrapolationResult:
         order: Extrapolation order n (0 means no mitigation).
         gammas: Combination coefficients, one per noise point used.
         estimate: Zero-noise estimate sum_i gammas[i] * value_i.
+        condition: 2-norm condition number, >= 1, of the transposed Vandermonde
+            matrix c_i^k (k, i = 0..n): how much the weights can amplify noise.
         sigma_est: Propagated standard deviation sqrt(sum gammas^2 sigma^2),
             or None when any input sigma was missing.
     """
@@ -76,6 +75,7 @@ class ExtrapolationResult:
     order: int
     gammas: tuple[float, ...]
     estimate: float
+    condition: float
     sigma_est: float | None = None
 
     def __post_init__(self):
@@ -87,6 +87,8 @@ class ExtrapolationResult:
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.sigma_est is not None and self.sigma_est < 0:
             raise ValueError(f"sigma_est must be nonnegative, got {self.sigma_est}")
+        if not self.condition >= 1:  # also true for NaN
+            raise ValueError(f"condition must be at least 1, got {self.condition}")
         total = sum(self.gammas)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"coefficients must sum to 1, got {total}")
@@ -94,7 +96,7 @@ class ExtrapolationResult:
 
 def check_scale_factors(cs, source):
     """The one scale-factor rule, in order: all positive and finite, the first 1, all distinct.
-    A study runs it before it measures anything and extrapolates at every order 0..len(cs) - 1;
+    A study runs it before it measures anything, and extrapolate runs it on its points' factors;
     source names the factors in its messages."""
     cs = list(cs)
     if not all(0 < c < np.inf for c in cs):  # also false for NaN
@@ -106,84 +108,52 @@ def check_scale_factors(cs, source):
         raise ValueError(f"{source} repeats a scale factor among the {len(cs)} used: {cs}")
 
 
-def richardson_coeffs(c, n):
-    """Solves for the extrapolation coefficients at order n.
-
-    The coefficients satisfy the moment conditions sum_i gamma_i c_i^k =
-    delta_{k0} for k = 0..n, so that the linear combination cancels every
-    noise term up to order n.  They are evaluated in closed form as
-    gamma_i = prod_{j != i} c_j / (c_j - c_i), the Lagrange basis polynomials
-    of the c grid evaluated at zero.
-
-    Args:
-        c: Sequence of at least n + 1 distinct positive, finite scale factors; only
-            the first n + 1 are used.
-        n: Extrapolation order, >= 0.
-
-    Returns:
-        Array of n + 1 coefficients.
-
-    Raises:
-        ValueError: If n is negative, fewer than n + 1 factors are given,
-            a factor is not positive and finite, or two factors coincide (the
-            system is singular).
-    """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    cs = np.asarray(c, dtype=float).ravel()[: n + 1]
-    if cs.size != n + 1:
-        raise ValueError(f"order {n} needs {n + 1} scale factors, got {cs.size}")
-    if not np.all((cs > 0) & (cs < np.inf)):  # also false for NaN
-        raise ValueError(f"scale factors must be positive and finite, got {cs.tolist()}")
+def _weights(cs):
+    """The Lagrange weights gamma_i = prod_{j != i} c_j / (c_j - c_i) of the factors cs, an
+    array that passed check_scale_factors, and the condition number of the transposed
+    Vandermonde matrix.  The weights meet the moment conditions sum_i gamma_i c_i^k =
+    delta_{k0} for k < len(cs), or a ValueError says they do not; an overflowing power always
+    misses them, so the matrix is finite where its condition number is taken."""
     diffs = cs[None, :] - cs[:, None]  # diffs[i, j] = c_j - c_i
     np.fill_diagonal(diffs, 1.0)
-    if np.any(diffs == 0):
-        raise ValueError("duplicate scale factors make the system singular")
     gammas = np.prod(cs[None, :] / diffs, axis=1) / cs
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or NaN below
-        powers = cs[None, :] ** np.arange(n + 1)[:, None]  # the transposed Vandermonde matrix
-        residual = powers @ gammas - np.eye(n + 1)[0]
-    condition = np.linalg.cond(powers) if np.isfinite(powers).all() else np.inf
-    if condition > _CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"extrapolation system condition estimate {condition:.2e}; "
-            "coefficients may amplify noise severely",
-            stacklevel=2,
-        )
+        powers = cs[None, :] ** np.arange(cs.size)[:, None]  # the transposed Vandermonde matrix
+        residual = powers @ gammas - np.eye(cs.size)[0]
     if not np.abs(residual).max() <= _MOMENT_TOL:  # also true for NaN
         raise ValueError("moment conditions not met; scale factors too ill-conditioned")
-    return gammas
+    return gammas, float(np.linalg.cond(powers))
 
 
-def extrapolate(points, n):
-    """Combines measured noise points into an order-n zero-noise estimate.
+def extrapolate(points):
+    """Combines measured noise points into a zero-noise estimate at every order they allow.
 
     Args:
-        points: Sequence of NoisePoint; the first must have c = 1 and at
-            least n + 1 points are required.  Only the first n + 1 are used.
-        n: Extrapolation order.
+        points: Sequence of N NoisePoint whose factors pass check_scale_factors.
 
     Returns:
-        ExtrapolationResult with the estimate and, when every point used
-        carries a sigma, the propagated standard deviation.
+        Tuple of N ExtrapolationResult, order n from the first n + 1 points.  Each carries
+        its system's condition number and, when every point it uses carries a sigma, the
+        propagated standard deviation.
 
     Raises:
-        ValueError: If there are fewer than n + 1 points or the first scale
-            factor is not 1.
+        ValueError: If the factors break the rule, or an order's weights miss their moment
+            conditions: its system is too ill-conditioned.
     """
     points = list(points)
-    if len(points) < n + 1:
-        raise ValueError(f"order {n} needs {n + 1} points, got {len(points)}")
-    if abs(points[0].c - 1.0) > 1e-12:
-        raise ValueError(f"first noise point must have c = 1, got {points[0].c}")
-    used = points[: n + 1]
-    gammas = richardson_coeffs([p.c for p in used], n)
-    sigmas = [p.sigma for p in used]
-    with np.errstate(over="ignore"):  # an overflow reads as inf, which ExtrapolationResult rejects
-        estimate = float(gammas @ [p.value for p in used])
-        sigma_est = None if None in sigmas else float(np.sqrt(gammas**2 @ np.square(sigmas)))
-    return ExtrapolationResult(
-        order=n, gammas=tuple(float(g) for g in gammas), estimate=estimate,
-        sigma_est=sigma_est,
-    )
-
+    cs = np.array([p.c for p in points], dtype=float)
+    check_scale_factors(cs.tolist(), "points")
+    values = np.array([p.value for p in points], dtype=float)
+    sigmas = [p.sigma for p in points]
+    results = []
+    for n in range(len(points)):
+        gammas, condition = _weights(cs[: n + 1])
+        used = sigmas[: n + 1]
+        with np.errstate(over="ignore"):  # an overflow reads as inf, which the result rejects
+            estimate = float(gammas @ values[: n + 1])
+            sigma_est = None if None in used else float(np.sqrt(gammas**2 @ np.square(used)))
+        results.append(ExtrapolationResult(
+            order=n, gammas=tuple(float(g) for g in gammas), estimate=estimate,
+            condition=condition, sigma_est=sigma_est,
+        ))
+    return tuple(results)

@@ -23,7 +23,6 @@ from trottersim.liouvillian import CanonicalRates
 from trottersim.mitigation import (
     NoisePoint,
     extrapolate,
-    richardson_coeffs,
 )
 from trottersim.tomography import dephasing_time, generate_tomography, global_fit
 from trottersim.trotter import (
@@ -171,13 +170,14 @@ def test_criterion_5_rabi_rate_anchor():
 
 def test_criterion_6_extrapolation_on_measured_ramsey_times():
     start = time.monotonic()
-    first = extrapolate(RAMSEY_POINTS, 1)
-    estimates = [extrapolate(RAMSEY_POINTS, n).estimate for n in range(4)]
-    cs = [p.c for p in RAMSEY_POINTS]
+    study = extrapolate(RAMSEY_POINTS)
+    first = study[1]
+    estimates = [r.estimate for r in study]
+    cs = np.array([p.c for p in RAMSEY_POINTS])
     moment_residual = max(
-        abs(richardson_coeffs(cs, n) @ np.asarray(cs[: n + 1]) ** k - (k == 0))
-        for n in range(4)
-        for k in range(n + 1)
+        abs(np.asarray(r.gammas) @ cs[: r.order + 1] ** k - (k == 0))
+        for r in study
+        for k in range(r.order + 1)
     )
     monotone = all(a < b for a, b in zip(estimates, estimates[1:]))
     elapsed = time.monotonic() - start
@@ -277,7 +277,7 @@ def test_criterion_9_property_suites():
         cs = np.concatenate([[1.0], np.sort(rng.uniform(1.5, 9.0, n))])
         pts = [NoisePoint(c, np.polyval(coeffs[::-1], c)) for c in cs]
         scale = max(1.0, np.abs(coeffs).max())
-        poly_ok &= abs(extrapolate(pts, n).estimate - coeffs[0]) < 1e-8 * scale
+        poly_ok &= abs(extrapolate(pts)[n].estimate - coeffs[0]) < 1e-8 * scale
 
     # Fixed seeds reproduce sampled tomography exactly.
     rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.04)

@@ -375,6 +375,27 @@ def test_mitigate_input_csv_skips_a_header_and_blank_lines(tmp_path):
     assert summary["results"][1]["estimate"] == pytest.approx(40.8078, abs=1e-3)
 
 
+def test_mitigate_input_csv_rejects_a_negative_sigma(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text("c,value,sigma\n1,35.56,0.5\n2.13,29.63,-0.5\n")
+    cfg = write_config(tmp_path, f"input_csv: {table}\n")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: cannot load noise points from {table}: sigma "
+                                       "must be nonnegative, got -0.5\n")
+    assert not (tmp_path / "mitigate.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_mitigate_records_the_condition_of_a_far_factor_without_a_warning(tmp_path, capsys):
+    # c = 1e154 passes the scale-factor rule, and order 1's system has condition number about
+    # 1e154: mitigate.json records it, and nothing warns (a warning is an error under -W error).
+    cfg = write_config(tmp_path, "c_list: [1, 1.0e+154]\n")
+    assert main(["mitigate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    results = json.loads((tmp_path / "mitigate.json").read_text())["results"]
+    assert [r["condition"] for r in results] == [1.0, pytest.approx(1e154, rel=1e-12)]
+
+
 def test_mitigate_input_csv_headerless_and_short_row(tmp_path, capsys):
     bare = tmp_path / "bare.csv"
     bare.write_text("1,10\n2,8\n")
@@ -665,6 +686,12 @@ _INVALID = {
     f"angles: {{tau0_us: {_HUGE}}}\n": ("evolve", "angles.tau0_us must lie in the float range"),
     f"intrinsic: {{t1_us: {_HUGE}}}\n": ("fit", "intrinsic.t1_us must lie in the float range"),
     f"c_list: [1.0, 2.0, {_HUGE}, 8.0]\n": ("mitigate", "c_list[2] must lie in the float range"),
+    # A value that is not a number, a non-finite grid angle and a key that is not a string are
+    # named as written; a drive angle past a full turn is out of range.
+    "angles: {theta1_deg: abc}\n": ("evolve", "angles.theta1_deg must be a number, got 'abc'"),
+    "theta_grid_deg: [5.0, .inf]\n": ("dilate-verify", "theta_grid_deg[1] must be finite, got inf"),
+    "1: 2\n": ("evolve", "config keys must be strings, got 1"),
+    "angles: {theta3_deg: 400}\n": ("evolve", "angles.theta3_deg must lie in [0, 360], got 400.0"),
 }
 
 

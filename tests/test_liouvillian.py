@@ -381,14 +381,18 @@ def test_bloch_solution_calls_a_rate_that_is_not_finite_so(bad):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rows, bloch0, message", [
-    ([[0.1, 0.1, 0.1]], [0.0, 0.0, 1.0], "bloch0 must have shape (S, 3), got (3,)"),
-    ([[0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0, 0.0]], "bloch0 must have shape (S, 3), got (1, 4)"),
-    ([[0.1, 0.1, 0.1]], [[0.0, 0.0]], "bloch0 must have shape (S, 3), got (1, 2)"),
-    ([0.1, 0.1, 0.1], [[0.0, 0.0, 1.0]], "rows must have shape (K, 3), got (3,)"),
-    ([[0.1, 0.1]], [[0.0, 0.0, 1.0]], "rows must have shape (K, 3), got (1, 2)"),
-    ([[0.1, 0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0]], "rows must have shape (K, 3), got (1, 4)"),
+    ([[0.1, 0.1, 0.1]], [0.0, 0.0, 1.0], "bloch0 must have shape (S, 3) with S >= 1, got (3,)"),
+    ([[0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0, 0.0]],
+     "bloch0 must have shape (S, 3) with S >= 1, got (1, 4)"),
+    ([[0.1, 0.1, 0.1]], [[0.0, 0.0]], "bloch0 must have shape (S, 3) with S >= 1, got (1, 2)"),
+    ([0.1, 0.1, 0.1], [[0.0, 0.0, 1.0]], "rows must have shape (K, 3) with K >= 1, got (3,)"),
+    ([[0.1, 0.1]], [[0.0, 0.0, 1.0]], "rows must have shape (K, 3) with K >= 1, got (1, 2)"),
+    ([[0.1, 0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0]],
+     "rows must have shape (K, 3) with K >= 1, got (1, 4)"),
+    (np.zeros((0, 3)), [[0.0, 0.0, 1.0]], "rows must have shape (K, 3) with K >= 1, got (0, 3)"),
+    ([[0.1, 0.1, 0.1]], np.zeros((0, 3)), "bloch0 must have shape (S, 3) with S >= 1, got (0, 3)"),
 ], ids=["flat-start", "start-of-four", "start-of-two", "flat-rates", "rates-of-two",
-        "rates-of-four"])
+        "rates-of-four", "no-rates", "no-starts"])
 def test_bloch_solution_names_an_argument_of_the_wrong_shape(rows, bloch0, message):
     # These raised an IndexError, unpacking errors that name no input, or unrelated TypeErrors.
     with pytest.raises(ValueError) as info:

@@ -2,11 +2,12 @@
 
 import json
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trottersim import cli
 from trottersim.dilation import AngleParams, angle_to_rates
@@ -16,7 +17,6 @@ from trottersim.mitigation import (
     NoisePoint,
     check_scale_factors,
     extrapolate,
-    richardson_coeffs,
 )
 from trottersim.tomography import dephasing_time, global_fit
 from trottersim.trotter import TrotterSchedule
@@ -33,45 +33,41 @@ RAMSEY_POINTS = (
 # ------------------------------------------------------------ coefficients
 
 
+def _points(cs, value=0.0):
+    return [NoisePoint(c, value) for c in cs]
+
+
 def test_coeffs_two_point_solves():
-    np.testing.assert_allclose(richardson_coeffs((1, 2), 1), [2.0, -1.0], atol=1e-12)
+    assert [r.gammas for r in extrapolate(_points((1, 2)))] == [(1.0,), (2.0, -1.0)]
     np.testing.assert_allclose(
-        richardson_coeffs((1, 2.13), 1), [1.88495575, -0.88495575], atol=1e-7
+        extrapolate(_points((1, 2.13)))[1].gammas, [1.88495575, -0.88495575], atol=1e-7
     )
-    np.testing.assert_allclose(richardson_coeffs((1,), 0), [1.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_coeffs_moment_conditions(n):
+    # One call on n + 1 factors: order m's weights meet the moment conditions for k <= m.
     rng = np.random.default_rng(100 + n)
     for _ in range(20):
         cs = np.concatenate([[1.0], np.sort(rng.uniform(1.2, 12.0, n))])
-        gammas = richardson_coeffs(cs, n)
-        for k in range(n + 1):
-            target = 1.0 if k == 0 else 0.0
-            assert abs(gammas @ cs**k - target) < 1e-8
+        for m, result in enumerate(extrapolate(_points(cs))):
+            for k in range(m + 1):
+                target = 1.0 if k == 0 else 0.0
+                assert abs(np.asarray(result.gammas) @ cs[: m + 1] ** k - target) < 1e-8
 
 
 def test_coeffs_input_errors():
-    with pytest.raises(ValueError, match="singular"):
-        richardson_coeffs((1.0, 1.0), 1)
-    with pytest.raises(ValueError, match="scale factors"):
-        richardson_coeffs((1.0,), 1)
-    with pytest.raises(ValueError, match="positive"):
-        richardson_coeffs((1.0, -2.0), 1)
-    for bad in (np.inf, np.nan):  # rejected before any arithmetic or warning
-        with pytest.raises(ValueError, match="scale factors must be positive and finite"):
-            richardson_coeffs((1.0, bad), 1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        richardson_coeffs((1.0, 2.0), -1)
-    # c^2 overflows: the moments are NaN and the Vandermonde matrix is not finite, so the
-    # condition warning reads inf and no overflow or LAPACK warning is raised.
-    with warnings.catch_warnings(record=True) as caught, \
-            pytest.raises(ValueError, match="moment conditions not met"):
-        warnings.simplefilter("always")
-        richardson_coeffs((1.0, 1e200, 2e200), 2)
-    assert [w.category for w in caught] == [UserWarning]
-    assert "condition estimate inf;" in str(caught[0].message)
+    with pytest.raises(ValueError, match=r"^points repeats a scale factor among the 2 used"):
+        extrapolate(_points((1.0, 1.0)))
+    with pytest.raises(ValueError, match=r"^points must start with the unscaled factor 1, got 2"):
+        extrapolate(_points((2.0, 1.0)))
+    with pytest.raises(ValueError, match="got nothing"):
+        extrapolate([])
+    # c^2 overflows: the moments are NaN and the call raises, without an overflow or LAPACK
+    # warning, although orders 0 and 1 alone would succeed.
+    with pytest.raises(ValueError, match="moment conditions not met"):
+        extrapolate(_points((1.0, 1e200, 2e200)))
+    assert extrapolate(_points((1.0, 1e200)))[1].condition == pytest.approx(1e200)
 
 
 def test_coeffs_reject_a_moment_residual_above_1e_8():
@@ -81,33 +77,35 @@ def test_coeffs_reject_a_moment_residual_above_1e_8():
     gammas = [math.prod(ci / (ci - cj) for ci in cs if ci != cj) for cj in cs]
     residual = max(abs(sum(g * c**k for g, c in zip(gammas, cs)) - (k == 0)) for k in range(5))
     assert 1e-7 < residual < 1e-3
-    with pytest.warns(UserWarning, match="condition"), \
-            pytest.raises(ValueError, match="moment conditions not met"):
-        richardson_coeffs(cs, 4)
+    with pytest.raises(ValueError, match="moment conditions not met"):
+        extrapolate(_points(cs))
 
 
-def test_coeffs_ill_conditioned_warns():
-    with pytest.warns(UserWarning, match="condition"):
-        richardson_coeffs((1.0, 1.0 + 1e-9), 1)
+def test_an_ill_conditioned_order_records_its_condition():
+    # Two factors 1e-9 apart: the weights still meet their moments, and the result says how
+    # far from singular the system is.
+    cs = (1.0, 1.0 + 1e-9)
+    result = extrapolate(_points(cs))[1]
+    assert result.condition == np.linalg.cond(np.array([[1.0, 1.0], list(cs)]))
+    assert result.condition == pytest.approx(4e9, rel=1e-7)
 
 
 # ------------------------------------------------------------- extrapolate
 
 
 def test_constant_values_recovered_at_any_order():
-    pts = [NoisePoint(c, 7.25) for c in (1.0, 2.0, 3.0, 4.0)]
-    for n in range(4):
-        assert extrapolate(pts, n).estimate == pytest.approx(7.25, rel=1e-12)
+    results = extrapolate(_points((1.0, 2.0, 3.0, 4.0), 7.25))
+    assert [r.estimate for r in results] == pytest.approx([7.25] * 4, rel=1e-12)
 
 
 def test_ramsey_first_pair_extrapolation():
-    res = extrapolate(RAMSEY_POINTS, 1)
+    res = extrapolate(RAMSEY_POINTS)[1]
     assert res.estimate == pytest.approx(40.81, abs=0.01)
     np.testing.assert_allclose(res.gammas, [1.88495575, -0.88495575], atol=1e-7)
 
 
 def test_ramsey_all_orders():
-    estimates = [extrapolate(RAMSEY_POINTS, n).estimate for n in range(4)]
+    estimates = [r.estimate for r in extrapolate(RAMSEY_POINTS)]
     np.testing.assert_allclose(
         estimates, [35.56, 40.8077876, 42.1751000, 42.7531478], rtol=1e-7
     )
@@ -115,12 +113,11 @@ def test_ramsey_all_orders():
 
 def test_sigma_propagation():
     pts = [NoisePoint(1.0, 5.0, sigma=1.0), NoisePoint(2.0, 3.0, sigma=1.0)]
-    res = extrapolate(pts, 1)
+    res0, res = extrapolate(pts)
     assert res.sigma_est == pytest.approx(np.sqrt(5.0), rel=1e-12)
-    res0 = extrapolate(pts, 0)
     assert res0.sigma_est == pytest.approx(1.0)
     no_sigma = [NoisePoint(1.0, 5.0, sigma=1.0), NoisePoint(2.0, 3.0)]
-    assert extrapolate(no_sigma, 1).sigma_est is None
+    assert [r.sigma_est for r in extrapolate(no_sigma)] == [1.0, None]
 
 
 def test_extrapolate_is_linear_in_values():
@@ -129,30 +126,69 @@ def test_extrapolate_is_linear_in_values():
     v, w = rng.normal(size=3), rng.normal(size=3)
     a, b = 1.7, -0.4
     combo = [NoisePoint(c, a * vi + b * wi) for c, vi, wi in zip(cs, v, w)]
-    ev = extrapolate([NoisePoint(c, x) for c, x in zip(cs, v)], 2).estimate
-    ew = extrapolate([NoisePoint(c, x) for c, x in zip(cs, w)], 2).estimate
-    assert extrapolate(combo, 2).estimate == pytest.approx(a * ev + b * ew, rel=1e-12)
+    ev = extrapolate([NoisePoint(c, x) for c, x in zip(cs, v)])[2].estimate
+    ew = extrapolate([NoisePoint(c, x) for c, x in zip(cs, w)])[2].estimate
+    assert extrapolate(combo)[2].estimate == pytest.approx(a * ev + b * ew, rel=1e-12)
 
 
-def test_polynomial_exactness():
-    rng = np.random.default_rng(17)
-    for n in range(1, 5):
-        coeffs = rng.normal(size=n + 1)
-        cs = np.concatenate([[1.0], np.sort(rng.uniform(1.5, 8.0, n))])
-        pts = [NoisePoint(c, np.polyval(coeffs[::-1], c)) for c in cs]
-        scale = max(1.0, np.abs(coeffs).max())
-        assert abs(extrapolate(pts, n).estimate - coeffs[0]) < 1e-8 * scale
+def _bits(result):
+    """Every float of a result as its hex string, so that equal means bit-identical."""
+    floats = (*result.gammas, result.estimate, result.condition, result.sigma_est)
+    return result.order, [None if x is None else float(x).hex() for x in floats]
+
+
+# Distinct factors after the unscaled 1, a quarter apart in (0, 5]: every order of six such
+# factors meets its moment conditions.
+_FACTORS = st.lists(st.sampled_from([k / 4 for k in range(1, 21) if k != 4]),
+                    max_size=6, unique=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(extra=[2.13, 4.93, 9.96], coeffs=[35.56, -6.0, 0.5, 0.01, 0.0, 0.0, 0.0],
+         sigmas=None)
+@given(extra=_FACTORS, coeffs=st.lists(st.floats(-10, 10), min_size=7, max_size=7),
+       sigmas=st.one_of(st.none(), st.lists(st.floats(0, 2), min_size=7, max_size=7)))
+def test_one_call_extrapolates_every_order(extra, coeffs, sigmas):
+    # N factors give N orders; each order's weights sum to 1 and carry the propagated sigma, the
+    # top order recovers the constant term of a polynomial of degree below N, each condition is
+    # that of the Vandermonde system built here, and one more factor leaves every earlier order
+    # bit-identical.
+    *cs, last = [1.0, *extra]
+    if not cs:
+        cs, last = [last], None
+    n_points = len(cs)
+    a = coeffs[:n_points]
+    sigmas = sigmas or [None] * 7
+    points = [NoisePoint(c, sum(ak * c**k for k, ak in enumerate(a)), sigma)
+              for c, sigma in zip(cs, sigmas)]
+    results = extrapolate(points)
+    assert [r.order for r in results] == list(range(n_points))
+    for r in results:
+        assert abs(sum(r.gammas) - 1.0) < 1e-10
+        powers = np.array([[c**k for c in cs[: r.order + 1]] for k in range(r.order + 1)])
+        assert r.condition == np.linalg.cond(powers)
+        if sigmas[0] is None:
+            assert r.sigma_est is None
+        else:
+            variance = sum((g * s) ** 2 for g, s in zip(r.gammas, sigmas))
+            assert r.sigma_est == pytest.approx(math.sqrt(variance), rel=1e-12, abs=1e-300)
+    top = results[-1]
+    scale = sum(abs(g) * sum(abs(ak) * c**k for k, ak in enumerate(a))
+                for g, c in zip(top.gammas, cs))
+    assert abs(top.estimate - a[0]) <= 1e-10 * max(scale, 1.0)
+    if last is not None:
+        longer = extrapolate([*points, NoisePoint(last, 1.0, sigmas[n_points])])
+        assert len(longer) == n_points + 1
+        assert [_bits(r) for r in longer[:-1]] == [_bits(r) for r in results]
 
 
 def test_extrapolate_input_errors():
-    with pytest.raises(ValueError, match="points"):
-        extrapolate(RAMSEY_POINTS[:2], 2)
-    with pytest.raises(ValueError, match="c = 1"):
-        extrapolate([NoisePoint(2.0, 1.0), NoisePoint(3.0, 1.0)], 1)
+    with pytest.raises(ValueError, match="must start with the unscaled factor 1"):
+        extrapolate([NoisePoint(2.0, 1.0), NoisePoint(3.0, 1.0)])
     with pytest.raises(ValueError, match="positive"):
         NoisePoint(c=0.0, value=1.0)
     with pytest.raises(ValueError, match="sum to 1"):
-        ExtrapolationResult(order=1, gammas=(1.5, 0.5), estimate=0.0)
+        ExtrapolationResult(order=1, gammas=(1.5, 0.5), estimate=0.0, condition=3.0)
 
 
 @pytest.mark.parametrize("field", ["c", "value", "sigma"])
@@ -163,6 +199,12 @@ def test_noise_point_rejects_non_finite(field, bad):
         NoisePoint(**kwargs)
 
 
+def test_noise_point_rejects_a_negative_sigma():
+    with pytest.raises(ValueError, match=r"^sigma must be nonnegative, got -0\.1$"):
+        NoisePoint(c=1.0, value=2.0, sigma=-0.1)
+    assert NoisePoint(c=1.0, value=2.0, sigma=0.0).sigma == 0.0
+
+
 @pytest.mark.parametrize("kwargs, field", [
     ({"estimate": np.nan}, "estimate"),
     ({"estimate": np.inf}, "estimate"),
@@ -171,10 +213,17 @@ def test_noise_point_rejects_non_finite(field, bad):
     ({"sigma_est": np.nan}, "sigma_est"),
     ({"sigma_est": np.inf}, "sigma_est"),
     ({"sigma_est": -1.0}, "sigma_est must be nonnegative"),
+    ({"condition": np.nan}, "condition must be at least 1"),
+    ({"condition": 0.5}, "condition must be at least 1"),
+    ({"gammas": (0.5, 0.5)}, r"need exactly order \+ 1 coefficients"),
+    ({"order": 1}, r"need exactly order \+ 1 coefficients"),
+    ({"order": -1, "gammas": ()}, r"need exactly order \+ 1 coefficients"),
 ], ids=["estimate-nan", "estimate-inf", "gammas-nan", "gammas-inf", "sigma_est-nan",
-        "sigma_est-inf", "sigma_est-negative"])
+        "sigma_est-inf", "sigma_est-negative", "condition-nan", "condition-below-1",
+        "gammas-too-many", "gammas-too-few", "order-negative"])
 def test_extrapolation_result_rejects_non_finite(kwargs, field):
-    fields = {"order": 0, "gammas": (1.0,), "estimate": 2.0, "sigma_est": 0.1, **kwargs}
+    fields = {"order": 0, "gammas": (1.0,), "estimate": 2.0, "condition": 1.0, "sigma_est": 0.1,
+              **kwargs}
     with pytest.raises(ValueError, match=field):
         ExtrapolationResult(**fields)
 
@@ -189,7 +238,7 @@ def test_study_order_zero_is_unmitigated():
     cs = (1.0, 2.0, 3.0)
     check_scale_factors(cs, "c_list")
     points = [NoisePoint(c, 5.0 - c + 0.5 * c**2) for c in cs]
-    res = [extrapolate(points, n) for n in range(len(points))]
+    res = extrapolate(points)
     assert [r.order for r in res] == [0, 1, 2]
     assert res[0].estimate == pytest.approx(5.0 - 1.0 + 0.5)
     assert res[2].estimate == pytest.approx(5.0, abs=1e-10)
