@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import elementary_ptms
-from .dilation import AngleParams, NoiseParams, angle_to_rates, effective_rates
+from .dilation import AngleParams, NoiseParams, angle_to_rates
 from .linalg import check_bloch_rows
 from .liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from .mitigation import NoisePoint, check_scale_factors, extrapolate
@@ -168,7 +168,7 @@ _NOISE = ("trotter", "scan", "fit", "converge")
 # Every config key but `mode` (build_config adds its row: the default is the subcommand, the
 # only accepted value) as key -> (default, coerce, the modes that read it); a key set for any
 # other mode is rejected.  A coercer checks the YAML type only; the physical ranges are checked
-# by the objects build_config makes (AngleParams, effective_rates, NoiseParams, TrotterSchedule)
+# by the objects build_config makes (AngleParams, angle_to_rates, NoiseParams, TrotterSchedule)
 # and by the scale-factor rule (c_list).  A table in place of a coercer is a nested
 # section, whose keys carry their own modes.  Only a key whose default is None may be null.
 CONFIG_TABLE = {
@@ -249,7 +249,7 @@ def build_config(raw, mode):
     except ValueError as exc:  # in radians under the field name: name the section as written
         raise ConfigError(f"angles {raw.get('angles')}: {exc}") from None
     try:
-        rates = effective_rates(angles, intrinsic["t1_us"], intrinsic["t2_us"])
+        rates = angle_to_rates(angles, intrinsic["t1_us"], intrinsic["t2_us"])
         schedule = TrotterSchedule(
             permutation=v.pop("permutation"), order=v.pop("order"), n_steps=v.pop("n_steps"),
             dt=angles.tau0, backend=v.pop("backend"),

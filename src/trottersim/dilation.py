@@ -2,8 +2,9 @@
 
 Each step's circuit acts on the 4-dimensional composite space ancilla (x) data (ancilla the
 first Kronecker factor), from ancilla |g> to an ancilla reset (trace out, reload |g>).
-CIRCUIT_GATES is the circuits' one description; channels.elementary_ptms builds the data-qubit
-channels they induce (backends "dilation" and "dilation+noise") at the angles of the mappings
+CIRCUIT_GATES is the circuits' one description, read only here: induced_ptms chains its gates'
+real Pauli-transfer matrices (PTMs) into the data-qubit channels that channels.elementary_ptms
+returns for the backends "dilation" and "dilation+noise", at the angles of the mappings
 
     gamma_phi = -ln(2 cos^2(theta1/2) - 1) / tau0
     gamma1    = -ln(cos^2(theta2)) / tau0
@@ -30,7 +31,6 @@ __all__ = [
     "CIRCUIT_GATES",
     "angle_to_rates",
     "rates_to_angles",
-    "effective_rates",
     "depolarization_equivalent_time",
 ]
 
@@ -94,17 +94,93 @@ CIRCUIT_GATES = {
     "rotation": (("data_x", 1),),
 }
 
-def angle_to_rates(params: AngleParams) -> CanonicalRates:
-    """Map per-step circuit angles to canonical rates.
 
-    gamma_phi = -ln(2cos^2(theta1/2) - 1)/tau0, gamma1 = -ln(cos^2 theta2)/tau0,
-    omega = theta3/(2 pi tau0).
+# The fixed gates' PTMs Re(V^dag (U (x) U*) V)/4, V's columns the Paulis s_a (x) s_d at index
+# 4a + d. CZ and CNOT are Clifford gates, so each maps every Pauli to one signed Pauli: row 4a + d
+# holds one +-1, in that Pauli's column. CZ, and the CNOT: X on the data where the ancilla is |e>.
+# The data rows load with ancilla |g>, at a = I and a = Z.
+_CZ, _CNOT = np.zeros((2, 16, 16))
+_CZ[range(16), [0, 13, 14, 3, 7, 10, 9, 4, 11, 6, 5, 8, 12, 1, 2, 15]] = [
+    1, 1, 1, 1, 1, 1, -1, 1, 1, -1, 1, 1, 1, 1, 1, 1]
+_CNOT[range(16), [0, 1, 14, 15, 5, 4, 11, 10, 9, 8, 7, 6, 12, 13, 2, 3]] = [
+    1, 1, 1, 1, 1, 1, 1, -1, 1, 1, -1, 1, 1, 1, 1, 1]
+_FIXED = {"cz": _CZ, "cnot_ancilla_ctrl": _CNOT}
+_FIXED_ROWS = np.array([_CZ, _CNOT]).reshape(2, 4, 64)  # rows by ancilla index a
+_LOAD = np.eye(16, 4) + np.eye(16, 4, -12)
+
+
+def _rx_rows(c: float, s: float) -> tuple:
+    """An x rotation's PTM row by row, c = cos theta, s = sin theta: [[c, -s], [s, c]] on y, z."""
+    return 1.0, 0.0, 0.0, 0.0,  0.0, 1.0, 0.0, 0.0,  0.0, 0.0, c, -s,  0.0, 0.0, s, c
+
+
+def _circuit_ptms(circuits, noise: NoiseParams | None) -> np.ndarray:
+    """The (C, B, 4, 4) real Pauli-transfer matrices (PTMs) of the data channels C circuits induce,
+    each its CIRCUIT_GATES pairs and B angles, a gate turning by multiple times angle. Each gate
+    multiplies the (B, 16, 4) ancilla (x) data rows once: by an x rotation's PTM on its qubit's
+    axis, or by a fixed gate's PTM, into which one (4, 4) @ (2, 4, 64) product per call folds the
+    ancilla decay's PTM on the ancilla axis. The reset keeps the rows of ancilla I; one
+    depolarization event shrinks the data's Bloch rows."""
+    p, p_grape = (0.0, 0.0) if noise is None else (noise.p_ancilla_decay, noise.p_grape)
+    fixed = _FIXED
+    if p:  # the ancilla decay's PTM after each fixed gate, folded into the gates' rows (a, d x j)
+        decay = np.diag([1, *[math.sqrt(1 - p)] * 2, 1 - p]) + p * np.eye(4, k=-3)
+        fixed = dict(zip(_FIXED, (decay @ _FIXED_ROWS).reshape(2, 16, 16)))
+    entries = []
+    for x in [m * t for gates, theta in circuits for kind, m in gates if kind not in _FIXED
+              for t in theta]:  # the x rotations' angles, B per gate, in gate order
+        entries += _rx_rows(math.cos(x), math.sin(x))
+    turns = iter(np.fromiter(entries, float, len(entries)).reshape(-1, len(circuits[0][1]), 4, 4))
+    ptms = np.empty((len(circuits), len(circuits[0][1]), 4, 4))
+    for ptm, (gates, _) in zip(ptms, circuits):
+        rows = _LOAD[None]
+        for kind, _ in gates:
+            if kind in fixed:
+                rows = fixed[kind] @ rows
+            elif kind == "ancilla_rx":
+                rows = (next(turns) @ rows.reshape(-1, 4, 16)).reshape(-1, 16, 4)
+            else:  # data_x, on the data axis of the rows (a, d)
+                rows = (next(turns)[:, None] @ rows.reshape(-1, 4, 4, 4)).reshape(-1, 16, 4)
+        ptm[:] = rows[:, :4]  # the reset keeps the rows of a = I
+    ptms[..., 1:, :] *= 1 - p_grape  # depolarizing: the Bloch rows shrink
+    return ptms
+
+
+def _angles(rates: CanonicalRates, tau0: float) -> tuple[float, float, float]:
+    """The angles (theta1, theta2, theta3) realizing the rates over tau0 >= 0, in Python floats,
+    unchecked: tau0 = 0 gives (0, 0, 0)."""
+    return (math.acos(min(1.0, math.exp(-rates.gamma_phi * tau0))),
+            math.acos(min(1.0, math.exp(-rates.gamma1 * tau0 / 2))),
+            2 * math.pi * rates.omega * tau0)
+
+
+def induced_ptms(rates: CanonicalRates, durations: list[float],
+                 noise: NoiseParams | None) -> np.ndarray:
+    """The (D, 3, 4, 4) data PTMs the three circuits induce, in CIRCUIT_GATES order, at the
+    angles of each of D nonnegative durations, all D at once: the dilation backends of
+    channels.elementary_ptms, which checks the durations and the drive angle."""
+    thetas = zip(*[_angles(rates, dt) for dt in durations])
+    return _circuit_ptms(list(zip(CIRCUIT_GATES.values(), thetas)), noise).swapaxes(0, 1)
+
+
+def angle_to_rates(params: AngleParams, t1_intrinsic: float = np.inf,
+                   t2_intrinsic: float = np.inf) -> CanonicalRates:
+    """The canonical rates the circuits realize at the per-step angles (the mappings above),
+    plus intrinsic hardware decay: gamma1 gains 1/T1_intrinsic and gamma_phi the intrinsic pure
+    dephasing 1/T2_intrinsic - 1/(2 T1_intrinsic), so that 1/T2 gains 1/T2_intrinsic. An infinite
+    time means no intrinsic decay of that kind: t2_intrinsic = inf leaves T2 limited by
+    T1_intrinsic alone. A zero decay rate is +0.0.
 
     Raises:
-        ValueError: When theta1 >= pi/2 or theta2 = pi/2 (the logarithm
-            argument hits zero; no finite rate reproduces the step), or when
+        ValueError: When an intrinsic time is not positive, or when a finite t2_intrinsic
+            exceeds 2*t1_intrinsic (negative pure dephasing); when theta1 >= pi/2 or theta2 =
+            pi/2 (the logarithm argument hits zero; no finite rate reproduces the step); or when
             tau0 is so small that a rate overflows.
     """
+    if not (t1_intrinsic > 0 and t2_intrinsic > 0):
+        raise ValueError("intrinsic times must be positive (np.inf for ideal)")
+    if np.isfinite(t2_intrinsic) and t2_intrinsic > 2 * t1_intrinsic * (1 + 1e-9):
+        raise ValueError(f"t2_intrinsic={t2_intrinsic} exceeds 2*t1_intrinsic={2 * t1_intrinsic}")
     # The thresholds guard the logarithm domain against rounding at pi/2.
     arg_phi = 2 * np.cos(params.theta1 / 2) ** 2 - 1
     if arg_phi <= 1e-12:
@@ -122,46 +198,15 @@ def angle_to_rates(params: AngleParams) -> CanonicalRates:
         omega = params.theta3 / (2 * np.pi * params.tau0)
     if not np.isfinite([gamma1, gamma_phi, omega]).all():
         raise ValueError(f"tau0 is too small for finite rates, got {params.tau0}")
-    return CanonicalRates(gamma1=gamma1, gamma_phi=gamma_phi, omega=omega)
+    inv_t1, inv_t2 = 1.0 / t1_intrinsic, 1.0 / t2_intrinsic  # 0.0 for an infinite time
+    return CanonicalRates(gamma1=gamma1 + inv_t1,
+                          gamma_phi=gamma_phi + max(0.0, inv_t2 - inv_t1 / 2), omega=omega)
 
 
 def rates_to_angles(rates: CanonicalRates, tau0: float = 3.56) -> AngleParams:
-    """Inverse of :func:`angle_to_rates`: per-step angles realizing the rates over tau0."""
+    """Inverse of :func:`angle_to_rates` without intrinsic decay: the angles for tau0."""
     check_positive("tau0", tau0)
-    theta1 = math.acos(min(1.0, math.exp(-rates.gamma_phi * tau0)))  # in Python floats
-    theta2 = math.acos(min(1.0, math.exp(-rates.gamma1 * tau0 / 2)))
-    theta3 = 2 * math.pi * rates.omega * tau0
-    return AngleParams(theta1, theta2, theta3, tau0)
-
-
-def effective_rates(
-    params: AngleParams,
-    t1_intrinsic: float = np.inf,
-    t2_intrinsic: float = np.inf,
-) -> CanonicalRates:
-    """Rates the circuits realize plus intrinsic hardware decay.
-
-    gamma1 gains 1/T1_intrinsic and gamma_phi gains the intrinsic pure
-    dephasing 1/T2_intrinsic - 1/(2 T1_intrinsic), so that 1/T2 gains
-    1/T2_intrinsic. An infinite time means no intrinsic decay of that kind:
-    t2_intrinsic = inf leaves T2 limited by T1_intrinsic alone.
-
-    Raises:
-        ValueError: When an intrinsic time is not positive, or when a finite
-            t2_intrinsic exceeds 2*t1_intrinsic (negative pure dephasing).
-    """
-    if not (t1_intrinsic > 0 and t2_intrinsic > 0):
-        raise ValueError("intrinsic times must be positive (np.inf for ideal)")
-    if np.isfinite(t2_intrinsic) and t2_intrinsic > 2 * t1_intrinsic * (1 + 1e-9):
-        raise ValueError(f"t2_intrinsic={t2_intrinsic} exceeds 2*t1_intrinsic={2 * t1_intrinsic}")
-    chan = angle_to_rates(params)
-    inv_t1 = 0.0 if np.isinf(t1_intrinsic) else 1.0 / t1_intrinsic
-    inv_t2 = 0.0 if np.isinf(t2_intrinsic) else 1.0 / t2_intrinsic
-    return CanonicalRates(
-        gamma1=chan.gamma1 + inv_t1,
-        gamma_phi=chan.gamma_phi + max(0.0, inv_t2 - inv_t1 / 2),
-        omega=chan.omega,
-    )
+    return AngleParams(*_angles(rates, tau0), tau0)
 
 
 def depolarization_equivalent_time(p_grape: float, tau0: float = 3.56) -> float:

@@ -255,6 +255,8 @@ def convergence_order(
     check_positive("t_total", t_total)
     if len(n_list) < 4:
         raise ValueError("n_list needs at least 4 entries for a slope fit")
+    for i, n in enumerate(n_list):
+        check_count(f"n_list[{i}]", n)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     schedules = [replace(template, n_steps=int(n), dt=t_total / n) for n in n_list]
@@ -309,6 +311,7 @@ def compare_orders(
     Returns:
         {1: AccuracyReport, 2: AccuracyReport}.
     """
+    check_count("n_steps", n_steps)
     check_positive("dt", dt)
     base = TrotterSchedule(permutation, backend=backend, noise=noise)
     schedules = [replace(base, order=1, n_steps=2 * n_steps, dt=dt / 2),

@@ -3,8 +3,7 @@ an angle no finite rate gives (theta = pi/2, a negative angle) or one circuit's 
 
 import numpy as np
 
-from trottersim.channels import _circuit_ptms
-from trottersim.dilation import CIRCUIT_GATES
+from trottersim.dilation import CIRCUIT_GATES, _circuit_ptms
 
 
 def circuit_ptm(kind, theta, noise=None):

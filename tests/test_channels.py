@@ -335,3 +335,16 @@ def test_elementary_ptms_of_no_durations_is_an_empty_block(backend):
     noise = NoiseParams(0.01, 0.01) if backend == "dilation+noise" else None
     ptms = elementary_ptms(CanonicalRates(0.1, 0.1, 0.1), [], backend, noise)
     assert ptms.shape == (0, 3, 4, 4) and ptms.dtype == float
+
+
+def test_a_zero_duration_builds_on_every_backend():
+    # A zero duration is a channel of no duration on the dilation backends too.
+    rates = CanonicalRates(0.1, 0.1, 0.1)
+    kraus = elementary_ptms(rates, [0.0, 1.0], "kraus", None)
+    assert np.array_equal(kraus[0], np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert np.array_equal(elementary_ptms(rates, [0.0, 1.0], "dilation", None)[0], kraus[0])
+    # Injected noise acts at no duration too: a finite, trace-preserving block.
+    noisy = elementary_ptms(rates, [0.0], "dilation+noise", NoiseParams(0.01, 0.01))[0]
+    assert np.isfinite(noisy).all()
+    assert np.array_equal(noisy[:, 0], np.broadcast_to([1.0, 0.0, 0.0, 0.0], (3, 4)))
+    assert not np.array_equal(noisy, kraus[0])

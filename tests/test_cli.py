@@ -22,7 +22,7 @@ from reference import choi_distance, damping_kraus, dephasing_kraus, kraus_super
 import trottersim
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from trottersim.dilation import AngleParams, angle_to_rates, effective_rates
+from trottersim.dilation import AngleParams, angle_to_rates
 from trottersim.liouvillian import EvolutionTrace, target_trace
 from trottersim.mitigation import check_scale_factors
 from trottersim.tomography import global_fit
@@ -196,15 +196,15 @@ def test_dilate_verify_fails_on_a_nan_distance(tmp_path, monkeypatch, capsys):
 
 
 def test_dilate_verify_checks_the_angles_the_dilation_backend_runs(tmp_path, monkeypatch):
-    # A relative 1e-6 error in the damping angle that rates_to_angles hands the
-    # dilation backend must fail the check.
-    to_angles = trottersim.channels.rates_to_angles
+    # A relative 1e-6 error in the damping angle that the dilation backend builds its circuit
+    # at must fail the check.
+    to_angles = trottersim.dilation._angles
 
     def skewed(rates, tau0):
-        angles = to_angles(rates, tau0)
-        return replace(angles, theta2=angles.theta2 * (1 + 1e-6))
+        theta1, theta2, theta3 = to_angles(rates, tau0)
+        return theta1, theta2 * (1 + 1e-6), theta3
 
-    monkeypatch.setattr(trottersim.channels, "rates_to_angles", skewed)
+    monkeypatch.setattr(trottersim.dilation, "_angles", skewed)
     assert main(["dilate-verify", "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert json.loads((tmp_path / "dilate_verify.json").read_text())["pass"] is False
 
@@ -922,7 +922,7 @@ def test_config_accepts_angles_and_intrinsic_iff_effective_rates_does(
     }
     try:
         params = AngleParams.from_degrees(theta1, theta2, 51.4, tau0)
-        effective_rates(params, *(np.inf if isinstance(t, str) else t for t in (t1, t2)))
+        angle_to_rates(params, *(np.inf if isinstance(t, str) else t for t in (t1, t2)))
         physical = True
     except ValueError:
         physical = False

@@ -11,14 +11,16 @@ from reference import (EYE, KET_1, PAULI_COLUMNS, SIGMA_MINUS, SIGMA_X, SIGMA_Y,
                        choi_distance, circuit_channel, damping_kraus, density, dephasing_kraus,
                        gate_kraus, is_cptp, kraus_superop, partial_trace, propagator, superop_of,
                        unvec, vec)
-from trottersim.channels import _CNOT, _CZ, _circuit_ptms, elementary_ptms
+from trottersim.channels import elementary_ptms
 from trottersim.dilation import (
+    _CNOT,
+    _CZ,
     CIRCUIT_GATES,
     AngleParams,
     NoiseParams,
+    _circuit_ptms,
     angle_to_rates,
     depolarization_equivalent_time,
-    effective_rates,
     rates_to_angles,
 )
 from trottersim.liouvillian import CanonicalRates
@@ -380,20 +382,20 @@ def test_rates_to_angles_round_trip():
 
 
 def test_effective_rates_ideal_passthrough():
-    rates = effective_rates(AngleParams(0, 0, 0.3), 114.0, 80.0)
+    rates = angle_to_rates(AngleParams(0, 0, 0.3), 114.0, 80.0)
     assert rates.t1 == pytest.approx(114.0)
     assert rates.t2 == pytest.approx(80.0)
 
 
 def test_effective_rates_with_intrinsic_decay():
-    rates = effective_rates(AngleParams.from_degrees(0, 20, 0), t1_intrinsic=114.0)
+    rates = angle_to_rates(AngleParams.from_degrees(0, 20, 0), t1_intrinsic=114.0)
     assert rates.t1 == pytest.approx(22.874, abs=2e-3)
 
 
 def test_effective_rates_combined_formula():
     params = AngleParams.from_degrees(25, 35, 10)
     rates = angle_to_rates(params)
-    t2 = effective_rates(params).t2
+    t2 = angle_to_rates(params).t2
     assert 1 / t2 == pytest.approx(rates.gamma_phi + rates.gamma1 / 2, rel=1e-12)
 
 
@@ -409,7 +411,7 @@ def test_effective_rates_matches_rate_sum(angles_deg, t1_intrinsic, t2_share):
     params = AngleParams.from_degrees(*angles_deg)
     t2_intrinsic = t2_share * 2 * t1_intrinsic if np.isfinite(t1_intrinsic) else 1e3 * t2_share
     chan = angle_to_rates(params)
-    rates = effective_rates(params, t1_intrinsic, t2_intrinsic)
+    rates = angle_to_rates(params, t1_intrinsic, t2_intrinsic)
     assert 1 / rates.t1 == pytest.approx(chan.gamma1 + 1 / t1_intrinsic, rel=1e-12)
     assert 1 / rates.t2 == pytest.approx(
         chan.gamma_phi + chan.gamma1 / 2 + 1 / t2_intrinsic, rel=1e-12
@@ -420,12 +422,12 @@ def test_effective_rates_matches_rate_sum(angles_deg, t1_intrinsic, t2_share):
 @pytest.mark.parametrize("t1_intrinsic, t2_intrinsic", [(50.0, 100.1), (0.0, 10.0), (np.nan, 10.0)])
 def test_intrinsic_rates_reject_unphysical_times(t1_intrinsic, t2_intrinsic):
     with pytest.raises(ValueError):
-        effective_rates(AngleParams.from_degrees(20, 20, 0), t1_intrinsic, t2_intrinsic)
+        angle_to_rates(AngleParams.from_degrees(20, 20, 0), t1_intrinsic, t2_intrinsic)
 
 
 def test_infinite_intrinsic_t2_is_limited_by_intrinsic_t1():
     params = AngleParams.from_degrees(0, 0, 30)
-    rates = effective_rates(params, t1_intrinsic=114.0)
+    rates = angle_to_rates(params, t1_intrinsic=114.0)
     assert (rates.t1, rates.t2) == pytest.approx((114.0, 228.0))
 
 

@@ -305,10 +305,11 @@ def test_overflowing_drive_angle_is_rejected_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         message = r"^drive angle 2 pi omega dt overflows: omega=1e\+308, dt=3\.56$"
-        with pytest.raises(ValueError, match=message):
-            run_schedule(TrotterSchedule(dt=TAU0), rates)
-        with pytest.raises(ValueError, match="theta3 must be finite"):
-            run_schedule(TrotterSchedule(dt=TAU0, backend="dilation"), rates)
+        # One message on every backend, naming the caller's omega and dt.
+        for backend in BACKENDS:
+            noise = NoiseParams(0.01, 0.01) if backend == "dilation+noise" else None
+            with pytest.raises(ValueError, match=message):
+                run_schedule(TrotterSchedule(dt=TAU0, backend=backend, noise=noise), rates)
 
 
 # ------------------------------------------------------------- convergence
@@ -372,6 +373,14 @@ def test_convergence_input_validation():
         convergence_order(TrotterSchedule(), FIG4_RATES, n_list=(4, 8, 16))
     with pytest.raises(ValueError, match="increasing"):
         convergence_order(TrotterSchedule(), FIG4_RATES, n_list=(4, 8, 8, 16))
+    # Each entry is a count: 32.5 or True must not run as a truncated step count.
+    for n_list, message in [((4, 8, 16, 32.5), r"^n_list\[3\] must be an integer >= 1, got 32\.5$"),
+                            ((True, 8, 16, 32), r"^n_list\[0\] must be an integer >= 1, got True$")]:
+        with pytest.raises(ValueError, match=message):
+            convergence_order(TrotterSchedule(), FIG4_RATES, n_list=n_list)
+    # compare_orders names the step count it was given, not the doubled first-order one (5.0).
+    with pytest.raises(ValueError, match=r"^n_steps must be an integer >= 1, got 2\.5$"):
+        compare_orders(FIG4_RATES, n_steps=2.5)
 
 
 # -------------------------------------------------------- permutation scan
@@ -390,6 +399,18 @@ def test_permutation_scan_structure():
     o1 = [rep.a for (order, _), rep in scan.items() if order == 1]
     o2 = [rep.a for (order, _), rep in scan.items() if order == 2]
     assert max(o2) < min(o1)
+
+
+@pytest.mark.parametrize("backend, noise", [("dilation", None),
+                                            ("dilation+noise", NoiseParams(0.01, 0.01))])
+def test_a_dilation_scan_builds_no_angle_params(monkeypatch, backend, noise):
+    # A build computes the circuits' angles once, in Python floats, and builds no AngleParams.
+    built = []
+    monkeypatch.setattr(AngleParams, "__post_init__", lambda self: built.append(self))
+    permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0, backend=backend, noise=noise)
+    assert built == []
+    rates_to_angles(FIG4_RATES, TAU0)  # the spy sees a construction
+    assert len(built) == 1
 
 
 def test_permutation_scan_all_commuting_point():
