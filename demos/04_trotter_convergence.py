@@ -6,8 +6,9 @@ coincide (commuting pairs) and which order wins, and fits the error
 scaling A ~ N^-order as the step count grows at fixed total time.
 """
 
+import numpy as np
+
 from trottersim import (
-    AngleParams,
     TrotterSchedule,
     angle_to_rates,
     compare_orders,
@@ -16,8 +17,8 @@ from trottersim import (
     run_schedule,
 )
 
-rates = angle_to_rates(AngleParams.from_degrees(20, 30, 25.7))
 n_steps, tau0 = 13, 3.56
+rates = angle_to_rates(*np.radians([20, 30, 25.7]), tau0)
 
 # First vs second order at a matched budget: order 2 runs N steps of tau0,
 # order 1 runs 2N steps of tau0/2, so both apply 6N elementary channels.

@@ -11,7 +11,6 @@ instead of the exact channel.
 import numpy as np
 
 from trottersim import (
-    AngleParams,
     CanonicalRates,
     TrotterSchedule,
     angle_to_rates,
@@ -40,8 +39,8 @@ print(f"1000-shot fit:  T1={fit_noisy.t1:.3f}  T2={fit_noisy.t2:.3f}  "
 
 # Trotterized curves: the fit reports the simulator's effective coherence
 # times, which the angle dictionary predicts in closed form.
-params = AngleParams.from_degrees(20, 20, 51.4)
-rates = angle_to_rates(params)
+angles = np.radians([20, 20, 51.4])  # theta1, theta2, theta3
+rates = angle_to_rates(*angles, tau0)
 schedule = TrotterSchedule(order=2, n_steps=n_steps, dt=tau0)
 trotter_curves = generate_tomography(
     rates, tau0, n_steps, evolve=lambda rho0: run_schedule(schedule, rates, rho0))
@@ -50,7 +49,7 @@ t1_pred, t2_pred = rates.t1, rates.t2
 print(f"\norder-2 Trotter fit: T1={fit_trotter.t1:.2f} (formula {t1_pred:.2f})  "
       f"T2={fit_trotter.t2:.2f} (formula {t2_pred:.2f})  "
       f"omega={fit_trotter.omega:.6f} "
-      f"(formula {np.degrees(params.theta3) / (360 * tau0):.6f})")
+      f"(formula {np.degrees(angles[2]) / (360 * tau0):.6f})")
 
 # The curves themselves: one example, the driven ground state under sz.
 key = ("0", "z")

@@ -10,7 +10,6 @@ synthetic pipeline where the true zero-noise answer is known.
 import numpy as np
 
 from trottersim import (
-    AngleParams,
     CanonicalRates,
     NoisePoint,
     TrotterSchedule,
@@ -58,7 +57,7 @@ print(f"order 1 with 0.5 us error bars: {result.estimate:.2f} "
 # zero-damping limit 1/gamma_phi.
 base = CanonicalRates(
     gamma1=0.0090,
-    gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0)).gamma_phi,
+    gamma_phi=angle_to_rates(*np.radians([20, 0, 0]), 3.56).gamma_phi,
     omega=0.0,
 )
 truth = 1.0 / base.gamma_phi

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import elementary_ptms
-from .dilation import AngleParams, NoiseParams, angle_to_rates
+from .dilation import NoiseParams, angle_to_rates
 from .linalg import check_bloch_rows
 from .liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from .mitigation import NoisePoint, check_scale_factors, extrapolate
@@ -168,9 +168,10 @@ _NOISE = ("trotter", "scan", "fit", "converge")
 # Every config key but `mode` (build_config adds its row: the default is the subcommand, the
 # only accepted value) as key -> (default, coerce, the modes that read it); a key set for any
 # other mode is rejected.  A coercer checks the YAML type only; the physical ranges are checked
-# by the objects build_config makes (AngleParams, angle_to_rates, NoiseParams, TrotterSchedule)
-# and by the scale-factor rule (c_list).  A table in place of a coercer is a nested
-# section, whose keys carry their own modes.  Only a key whose default is None may be null.
+# by the calls build_config makes (angle_to_rates, also once per theta_grid_deg entry,
+# NoiseParams, TrotterSchedule) and by the scale-factor rule (c_list).  A table in place of a
+# coercer is a nested section, whose keys carry their own modes.  Only a key whose default is
+# None may be null.
 CONFIG_TABLE = {
     "angles": ({}, {
         "theta1_deg": (20.0, _real, _RATES),
@@ -242,17 +243,17 @@ def build_config(raw, mode):
     v = _resolve(raw, {"mode": (mode, _choice(mode), (mode,)), **CONFIG_TABLE}, mode)
     del v["mode"]  # checked against the subcommand, which picks the runner
     deg, intrinsic, noise = v.pop("angles"), v.pop("intrinsic"), v.pop("noise")
+    tau0 = deg["tau0_us"]
     try:
-        angles = AngleParams.from_degrees(
-            deg["theta1_deg"], deg["theta2_deg"], deg["theta3_deg"], deg["tau0_us"]
-        )
-    except ValueError as exc:  # in radians under the field name: name the section as written
-        raise ConfigError(f"angles {raw.get('angles')}: {exc}") from None
+        rates = angle_to_rates(*(np.radians(deg[f"theta{i}_deg"]) for i in (1, 2, 3)), tau0,
+                               intrinsic["t1_us"], intrinsic["t2_us"])
+    except ValueError as exc:  # each message names its argument: name its section as written
+        section = "intrinsic" if "_intrinsic" in str(exc) else "angles"
+        raise ConfigError(f"{section} {raw.get(section)}: {exc}") from None
     try:
-        rates = angle_to_rates(angles, intrinsic["t1_us"], intrinsic["t2_us"])
         schedule = TrotterSchedule(
             permutation=v.pop("permutation"), order=v.pop("order"), n_steps=v.pop("n_steps"),
-            dt=angles.tau0, backend=v.pop("backend"),
+            dt=tau0, backend=v.pop("backend"),
             noise=NoiseParams(**noise) if "noise" in raw else None,
         )
         check_scale_factors(v["c_list"], "c_list")
@@ -264,8 +265,11 @@ def build_config(raw, mode):
     n_list = v["n_list"]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
-    if not all(0 <= x < 90 for x in v["theta_grid_deg"]):
-        raise ConfigError("theta_grid_deg entries must lie in [0, 90) degrees")
+    for i, x in enumerate(v["theta_grid_deg"] if mode == "dilate-verify" else ()):
+        try:  # the runner's rates: the entry is all three angles
+            angle_to_rates(*[np.radians(x)] * 3, tau0)
+        except ValueError as exc:
+            raise ConfigError(f"theta_grid_deg[{i}] = {x}: {exc}") from None
     t_total = v["t_total_us"]  # converge's finest step is t_total_us / max(n_list)
     if t_total is not None and not (t_total / max(n_list) > 0 and t_total < 1.34e154):
         raise ConfigError(f"t_total_us must be below 1.34e154 with t_total_us / max(n_list) "
@@ -382,7 +386,7 @@ def _run_dilate_verify(cfg):
     tau0 = cfg.schedule.dt
     distances = {label: {} for label in ALL_LABELS}
     for theta_deg in cfg.theta_grid_deg:
-        rates = angle_to_rates(AngleParams.from_degrees(theta_deg, theta_deg, theta_deg, tau0))
+        rates = angle_to_rates(*[np.radians(theta_deg)] * 3, tau0)
         gaps = (elementary_ptms(rates, [tau0], "dilation", None)[0]
                 - elementary_ptms(rates, [tau0], "kraus", None)[0])
         for label, gap in zip(ALL_LABELS, gaps):

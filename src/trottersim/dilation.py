@@ -10,6 +10,10 @@ returns for the backends "dilation" and "dilation+noise", at the angles of the m
     gamma1    = -ln(cos^2(theta2)) / tau0
     omega     = theta3 / (2 pi tau0)      (theta3 in radians)
 
+The angles are three numbers in radians: angle_to_rates(theta1, theta2, theta3, tau0) evaluates
+the mappings and is the one check of their domain (finite, theta1 and theta2 in [0, pi/2)), and
+rates_to_angles returns the (theta1, theta2, theta3) tuple that inverts them.
+
 Optional injected noise models imperfect hardware: ancilla amplitude decay
 with some probability after every two-qubit gate, plus one data-qubit
 depolarization event per composite unitary (per circuit application).
@@ -26,7 +30,6 @@ from .linalg import check_positive
 from .liouvillian import CanonicalRates
 
 __all__ = [
-    "AngleParams",
     "NoiseParams",
     "CIRCUIT_GATES",
     "angle_to_rates",
@@ -49,37 +52,6 @@ class NoiseParams:
             if not 0 <= v <= 1:
                 raise ValueError(f"{name} must be a probability in [0, 1], got {v}")
             object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class AngleParams:
-    """Per-step circuit angles (radians) and the step period tau0 (us).
-
-    theta1 steers dephasing, theta2 damping, theta3 the x rotation;
-    theta1 and theta2 live in [0, pi/2].
-    """
-
-    theta1: float = 0.0
-    theta2: float = 0.0
-    theta3: float = 0.0
-    tau0: float = 3.56
-
-    def __post_init__(self):
-        for name in ("theta1", "theta2", "theta3"):
-            v = float(getattr(self, name))
-            if not -np.inf < v < np.inf:  # also true for NaN
-                raise ValueError(f"{name} must be finite, got {v}")
-        for name in ("theta1", "theta2"):
-            v = float(getattr(self, name))
-            if not 0 <= v <= np.pi / 2:
-                raise ValueError(f"{name} must lie in [0, pi/2], got {v}")
-        check_positive("tau0", float(self.tau0))
-
-    @classmethod
-    def from_degrees(
-        cls, theta1: float, theta2: float, theta3: float, tau0: float = 3.56
-    ) -> "AngleParams":
-        return cls(np.radians(theta1), np.radians(theta2), np.radians(theta3), tau0)
 
 
 # Each circuit's gates before the reset, in the label order, as (gate kind, multiple of the
@@ -163,50 +135,56 @@ def induced_ptms(rates: CanonicalRates, durations: list[float],
     return _circuit_ptms(list(zip(CIRCUIT_GATES.values(), thetas)), noise).swapaxes(0, 1)
 
 
-def angle_to_rates(params: AngleParams, t1_intrinsic: float = np.inf,
-                   t2_intrinsic: float = np.inf) -> CanonicalRates:
-    """The canonical rates the circuits realize at the per-step angles (the mappings above),
-    plus intrinsic hardware decay: gamma1 gains 1/T1_intrinsic and gamma_phi the intrinsic pure
-    dephasing 1/T2_intrinsic - 1/(2 T1_intrinsic), so that 1/T2 gains 1/T2_intrinsic. An infinite
-    time means no intrinsic decay of that kind: t2_intrinsic = inf leaves T2 limited by
-    T1_intrinsic alone. A zero decay rate is +0.0.
+def angle_to_rates(theta1: float, theta2: float, theta3: float, tau0: float = 3.56,
+                   t1_intrinsic: float = np.inf, t2_intrinsic: float = np.inf) -> CanonicalRates:
+    """The canonical rates the circuits realize at the per-step angles (radians) over the step
+    period tau0 (us), by the mappings above, plus intrinsic hardware decay: gamma1 gains
+    1/T1_intrinsic and gamma_phi the intrinsic pure dephasing 1/T2_intrinsic - 1/(2 T1_intrinsic),
+    so that 1/T2 gains 1/T2_intrinsic. An infinite time means no intrinsic decay of that kind:
+    t2_intrinsic = inf leaves T2 limited by T1_intrinsic alone. A zero decay rate is +0.0.
 
     Raises:
-        ValueError: When an intrinsic time is not positive, or when a finite t2_intrinsic
-            exceeds 2*t1_intrinsic (negative pure dephasing); when theta1 >= pi/2 or theta2 =
-            pi/2 (the logarithm argument hits zero; no finite rate reproduces the step); or when
-            tau0 is so small that a rate overflows.
+        ValueError: Naming the argument: an angle that is not finite; theta1 or theta2 outside
+            [0, pi/2) (at pi/2 no finite rate reproduces the step); tau0 not positive and finite,
+            or so small that a rate overflows; an intrinsic time not positive or with an
+            overflowing inverse, or a finite t2_intrinsic above 2*t1_intrinsic.
     """
-    if not (t1_intrinsic > 0 and t2_intrinsic > 0):
-        raise ValueError("intrinsic times must be positive (np.inf for ideal)")
+    for name, theta in (("theta1", theta1), ("theta2", theta2), ("theta3", theta3)):
+        if not -np.inf < theta < np.inf:  # also true for NaN
+            raise ValueError(f"{name} must be finite, got {theta}")
+    check_positive("tau0", tau0)
+    # The thresholds guard the logarithm domain against rounding at pi/2.
+    arg_phi = 2 * np.cos(theta1 / 2) ** 2 - 1
+    if not (0 <= theta1 < np.pi / 2 and arg_phi > 1e-12):
+        raise ValueError(f"theta1 must lie in [0, pi/2) for a finite dephasing rate, got {theta1}")
+    arg_damp = np.cos(theta2) ** 2
+    if not (0 <= theta2 < np.pi / 2 and arg_damp > 1e-12):
+        raise ValueError(f"theta2 must lie in [0, pi/2) for a finite damping rate, got {theta2}")
+    for name, t in (("t1_intrinsic", t1_intrinsic), ("t2_intrinsic", t2_intrinsic)):
+        if not (t > 0 and 1.0 / float(t) < np.inf):
+            raise ValueError(f"{name} must be positive with a finite inverse (inf for none), "
+                             f"got {t}")
     if np.isfinite(t2_intrinsic) and t2_intrinsic > 2 * t1_intrinsic * (1 + 1e-9):
         raise ValueError(f"t2_intrinsic={t2_intrinsic} exceeds 2*t1_intrinsic={2 * t1_intrinsic}")
-    # The thresholds guard the logarithm domain against rounding at pi/2.
-    arg_phi = 2 * np.cos(params.theta1 / 2) ** 2 - 1
-    if arg_phi <= 1e-12:
-        raise ValueError(
-            f"theta1 must be below pi/2 for a finite dephasing rate, got {params.theta1}"
-        )
-    arg_damp = np.cos(params.theta2) ** 2
-    if arg_damp <= 1e-12:
-        raise ValueError(
-            f"theta2 must be below pi/2 for a finite damping rate, got {params.theta2}"
-        )
     with np.errstate(over="ignore"):  # reported below as a tau0 error
-        gamma1 = -np.log(arg_damp) / params.tau0
-        gamma_phi = -np.log(arg_phi) / params.tau0
-        omega = params.theta3 / (2 * np.pi * params.tau0)
+        gamma1 = -np.log(arg_damp) / tau0
+        gamma_phi = -np.log(arg_phi) / tau0
+        omega = theta3 / (2 * np.pi * tau0)
     if not np.isfinite([gamma1, gamma_phi, omega]).all():
-        raise ValueError(f"tau0 is too small for finite rates, got {params.tau0}")
+        raise ValueError(f"tau0 is too small for finite rates, got {tau0}")
     inv_t1, inv_t2 = 1.0 / t1_intrinsic, 1.0 / t2_intrinsic  # 0.0 for an infinite time
     return CanonicalRates(gamma1=gamma1 + inv_t1,
                           gamma_phi=gamma_phi + max(0.0, inv_t2 - inv_t1 / 2), omega=omega)
 
 
-def rates_to_angles(rates: CanonicalRates, tau0: float = 3.56) -> AngleParams:
-    """Inverse of :func:`angle_to_rates` without intrinsic decay: the angles for tau0."""
+def rates_to_angles(rates: CanonicalRates, tau0: float = 3.56) -> tuple[float, float, float]:
+    """Inverse of :func:`angle_to_rates` without intrinsic decay: the angles (theta1, theta2,
+    theta3) for tau0, rejecting a drive angle that overflows."""
     check_positive("tau0", tau0)
-    return AngleParams(*_angles(rates, tau0), tau0)
+    angles = _angles(rates, tau0)
+    if not math.isfinite(angles[2]):
+        raise ValueError(f"theta3 must be finite, got {angles[2]}")
+    return angles
 
 
 def depolarization_equivalent_time(p_grape: float, tau0: float = 3.56) -> float:

@@ -14,7 +14,6 @@ from reference import (choi_distance, damping_kraus, dephasing_kraus, is_cptp, k
 from trottersim import cli
 from trottersim.channels import elementary_ptms
 from trottersim.dilation import (
-    AngleParams,
     NoiseParams,
     angle_to_rates,
     depolarization_equivalent_time,
@@ -34,7 +33,7 @@ from trottersim.trotter import (
 )
 
 TAU0 = 3.56
-FIG4_ANGLES = AngleParams.from_degrees(20, 30, 25.7)
+FIG4_RATES = angle_to_rates(*np.radians([20, 30, 25.7]), TAU0)
 RAMSEY_POINTS = (
     NoisePoint(c=1.0, value=35.56),
     NoisePoint(c=2.13, value=29.63),
@@ -48,11 +47,11 @@ def _verdict(label, ok, detail):
     assert ok, f"{label}: {detail}"
 
 
-def _fit_trotterized(params, order=2, n_steps=13):
-    rates = angle_to_rates(params)
-    schedule = TrotterSchedule(order=order, n_steps=n_steps, dt=params.tau0)
+def _fit_trotterized(angles_deg, order=2, n_steps=13):
+    rates = angle_to_rates(*np.radians(angles_deg), TAU0)
+    schedule = TrotterSchedule(order=order, n_steps=n_steps, dt=TAU0)
     curves = generate_tomography(
-        rates, params.tau0, n_steps,
+        rates, TAU0, n_steps,
         evolve=lambda rho0: run_schedule(schedule, rates, rho0),
     )
     return rates, global_fit(curves)
@@ -62,8 +61,7 @@ def test_criterion_1_dilation_matches_analytic_channels():
     start = time.monotonic()
     worst = 0.0
     for theta_deg in range(5, 90, 5):
-        params = AngleParams.from_degrees(theta_deg, theta_deg, 0.0, TAU0)
-        rates = angle_to_rates(params)
+        rates = angle_to_rates(*np.radians([theta_deg, theta_deg, 0.0]), TAU0)
         dephasing, damping, _ = elementary_ptms(rates, [TAU0], "dilation", None)[0]
         worst = max(
             worst,
@@ -82,7 +80,7 @@ def test_criterion_1_dilation_matches_analytic_channels():
 
 def test_criterion_2_trotter_convergence_slopes():
     start = time.monotonic()
-    rates = angle_to_rates(FIG4_ANGLES)
+    rates = FIG4_RATES
     slopes = {}
     for order in (1, 2):
         template = TrotterSchedule(order=order, n_steps=13, dt=TAU0)
@@ -102,7 +100,7 @@ def test_criterion_2_trotter_convergence_slopes():
 
 def test_criterion_3_permutation_structure():
     start = time.monotonic()
-    rates = angle_to_rates(FIG4_ANGLES)
+    rates = FIG4_RATES
     scan = permutation_scan(rates, n_steps=13, dt=TAU0)
     acc = {key: report.a for key, report in scan.items()}
     commuting_pairs = (
@@ -129,13 +127,13 @@ def test_criterion_3_permutation_structure():
 def test_criterion_4_coherence_formulas_over_sweeps():
     start = time.monotonic()
     sweeps = (
-        [AngleParams.from_degrees(a, 20, 51.4) for a in range(5, 45, 5)]
-        + [AngleParams.from_degrees(20, a, 38.6) for a in range(5, 45, 5)]
-        + [AngleParams.from_degrees(20, 20, a) for a in range(10, 80, 10)]
+        [(a, 20, 51.4) for a in range(5, 45, 5)]
+        + [(20, a, 38.6) for a in range(5, 45, 5)]
+        + [(20, 20, a) for a in range(10, 80, 10)]
     )
     worst = {"t1": 0.0, "t2": 0.0, "omega": 0.0}
-    for params in sweeps:
-        rates, fit = _fit_trotterized(params)
+    for angles_deg in sweeps:
+        rates, fit = _fit_trotterized(angles_deg)
         worst["t1"] = max(worst["t1"], abs(fit.t1 / rates.t1 - 1))
         worst["t2"] = max(worst["t2"], abs(fit.t2 / rates.t2 - 1))
         worst["omega"] = max(worst["omega"], abs(fit.omega / rates.omega - 1))
@@ -155,9 +153,8 @@ def test_criterion_4_coherence_formulas_over_sweeps():
 
 
 def test_criterion_5_rabi_rate_anchor():
-    params = AngleParams.from_degrees(20, 20, 38.6, TAU0)
     omega_khz = 1e3 * 38.6 / (360.0 * TAU0)
-    _, fit = _fit_trotterized(params)
+    _, fit = _fit_trotterized((20, 20, 38.6))
     fitted_khz = 1e3 * fit.omega
     ok = abs(omega_khz - 30.1) < 0.05 and abs(fitted_khz - omega_khz) <= 0.01 * omega_khz
     _verdict(
@@ -200,7 +197,7 @@ def test_criterion_7_dephasing_time_and_pipeline():
     tphi = dephasing_time(1 / 0.0090, 35.56)
     base = CanonicalRates(
         gamma1=0.0090,
-        gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0)).gamma_phi,
+        gamma_phi=angle_to_rates(np.radians(20), 0.0, 0.0).gamma_phi,
         omega=0.0,
     )
     truth = 1.0 / base.gamma_phi
@@ -251,7 +248,7 @@ def test_criterion_9_property_suites():
         ("dilation+noise", NoiseParams(p_grape=0.02, p_ancilla_decay=0.01)),
     ):
         schedule = TrotterSchedule(order=2, n_steps=13, dt=TAU0, backend=backend, noise=noise)
-        trace = run_schedule(schedule, angle_to_rates(FIG4_ANGLES))
+        trace = run_schedule(schedule, FIG4_RATES)
         physical_ok &= bool(trace.bloch_norms().max() <= 1 + 1e-8)
 
     # Noiseless fit round trip recovers 200 random rate triples within 1%.

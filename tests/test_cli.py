@@ -22,7 +22,7 @@ from reference import choi_distance, damping_kraus, dephasing_kraus, kraus_super
 import trottersim
 import trottersim.cli as cli
 from trottersim.cli import CONFIG_TABLE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from trottersim.dilation import AngleParams, angle_to_rates
+from trottersim.dilation import angle_to_rates
 from trottersim.liouvillian import EvolutionTrace, target_trace
 from trottersim.mitigation import check_scale_factors
 from trottersim.tomography import global_fit
@@ -215,24 +215,23 @@ def test_dilate_verify_checks_the_angles_the_dilation_backend_runs(tmp_path, mon
 @given(theta_deg=st.floats(0, 90, exclude_max=True), tau0=st.floats(0.01, 100))
 def test_dilate_verify_distances_are_choi_distances_to_the_kraus_channels(theta_deg, tau0):
     # Each distance in dilate_verify.json is the Choi distance between the circuit
-    # induced at the grid angle and the Kraus channel at the angle's rates.
-    cfg = cli.build_config({"theta_grid_deg": [theta_deg], "angles": {"tau0_us": tau0}},
-                           "dilate-verify")
-    job = cli._run_dilate_verify(cfg)
-    params = AngleParams.from_degrees(theta_deg, theta_deg, theta_deg, tau0)
+    # induced at the grid angle and the Kraus channel at the angle's rates. A grid angle that
+    # angle_to_rates rejects is a config error, named before the run.
+    raw = {"theta_grid_deg": [theta_deg], "angles": {"tau0_us": tau0}}
+    theta = np.radians(theta_deg)
     try:
-        rates = angle_to_rates(params)
+        rates = angle_to_rates(theta, theta, theta, tau0)
     except ValueError:  # no finite rate reproduces a step this close to 90 degrees
-        with pytest.raises(ValueError):
-            next(job)
+        with pytest.raises(cli.ConfigError, match=r"^theta_grid_deg\[0\] = "):
+            cli.build_config(raw, "dilate-verify")
         return
-    _, report = next(job)
+    _, report = next(cli._run_dilate_verify(cli.build_config(raw, "dilate-verify")))
     oracles = {
-        "dephasing": (params.theta1, dephasing_kraus(rates.gamma_phi, tau0)),
-        "damping": (params.theta2, damping_kraus(rates.gamma1, tau0)),
-        "rotation": (params.theta3, rx(params.theta3)[None]),
+        "dephasing": dephasing_kraus(rates.gamma_phi, tau0),
+        "damping": damping_kraus(rates.gamma1, tau0),
+        "rotation": rx(theta)[None],
     }
-    for label, (theta, kraus) in oracles.items():
+    for label, kraus in oracles.items():
         choi = choi_distance(superop_of(circuit_ptm(label, theta)), kraus_superop(kraus))
         assert abs(report["distances"][label][repr(theta_deg)] - choi) <= 1e-15
 
@@ -525,7 +524,7 @@ def test_fig3_config_pins_the_paper_base_rates(tmp_path):
     assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == EXIT_OK
     assert json.loads((tmp_path / "fig3.json").read_text())["base_rates"] == {
         "gamma1_per_us": 0.0090,
-        "gamma_phi_per_us": angle_to_rates(AngleParams.from_degrees(20, 0, 0, 3.56)).gamma_phi,
+        "gamma_phi_per_us": angle_to_rates(np.radians(20), 0.0, 0.0, 3.56).gamma_phi,
         "omega_mhz": 0.0,
     }
 
@@ -655,7 +654,7 @@ _HUGE = "1" + "0" * 400  # a YAML integer that no float holds
 _INVALID = {
     "banana: 1\n": ("evolve", "unknown config keys: banana"),
     "angles: {theta1_deg: 20.0, theta9_deg: 1.0}\n": ("evolve", "unknown angles keys: theta9_deg"),
-    "angles: {theta1_deg: 95.0}\n": ("evolve", "theta1 must lie in [0, pi/2]"),
+    "angles: {theta1_deg: 95.0}\n": ("evolve", "angles {'theta1_deg': 95.0}: theta1 must lie in"),
     "angles: {tau0_us: -1.0}\n": ("dilate-verify", "tau0 must be positive and finite"),
     "backend: quantum\n": ("scan", "backend must be one of"),
     "order: 3\n": ("trotter", "order must be 1 or 2, got 3"),
@@ -670,10 +669,10 @@ _INVALID = {
     "n_list: [4, 8, 16, 100001]\n": ("converge", "n_list[3] must be <= 100000, got 100001"),
     "c_list: [2.0, 4.0]\n": ("mitigate", "c_list must start with the unscaled factor 1"),
     "intrinsic: {t1_us: 10.0, t2_us: 50.0}\n": ("evolve", "t2_intrinsic=50.0 exceeds 2*t1"),
-    "intrinsic: {t1_us: -3.0}\n": ("mitigate", "intrinsic times must be positive"),
+    "intrinsic: {t1_us: -3.0}\n": ("mitigate", "intrinsic {'t1_us': -3.0}: t1_intrinsic must be"),
     "mode: scan\n": ("evolve", "mode must be one of evolve, got 'scan'"),
     "variable: sideways\n": ("mitigate", "variable must be one of t2, rate, got 'sideways'"),
-    "theta_grid_deg: [5.0, 92.0]\n": ("dilate-verify", "theta_grid_deg entries must lie in"),
+    "theta_grid_deg: [5.0, 92.0]\n": ("dilate-verify", "theta_grid_deg[1] = 92.0: theta1 must"),
     # mitigate simulates undriven and noiseless: it reads no noise section.
     # mitigate simulates noiseless: dilation+noise is rejected with or without a noise section.
     "mode: mitigate\nbackend: dilation+noise\nnoise: {p_grape: 0.01}\n": (
@@ -692,6 +691,19 @@ _INVALID = {
     "theta_grid_deg: [5.0, .inf]\n": ("dilate-verify", "theta_grid_deg[1] must be finite, got inf"),
     "1: 2\n": ("evolve", "config keys must be strings, got 1"),
     "angles: {theta3_deg: 400}\n": ("evolve", "angles.theta3_deg must lie in [0, 360], got 400.0"),
+    # angle_to_rates checks the angles, tau0 and the intrinsic times once, each error naming its
+    # argument under the section as written: the logarithm's pole at 90 degrees, a negative or
+    # NaN angle, a zero tau0, an intrinsic time whose inverse overflows, and a grid entry within
+    # the pole's guard, which dilate-verify's runner would reject after the run started.
+    "angles: {theta1_deg: 90}\n": ("evolve", "angles {'theta1_deg': 90}: theta1 must lie in [0, "),
+    "angles: {theta2_deg: 90}\n": ("evolve", "angles {'theta2_deg': 90}: theta2 must lie in [0, "),
+    "angles: {theta2_deg: -1}\n": ("fit", "angles {'theta2_deg': -1}: theta2 must lie in [0, pi"),
+    "angles: {theta3_deg: .nan}\n": ("trotter", "angles {'theta3_deg': nan}: theta3 must be"),
+    "angles: {tau0_us: 0}\n": ("scan", "angles {'tau0_us': 0}: tau0 must be positive and finite"),
+    "intrinsic: {t2_us: 1.0e-320}\n": (
+        "trotter", "intrinsic {'t2_us': 1e-320}: t2_intrinsic must be positive with a finite"),
+    "theta_grid_deg: [0, 89.9999999999]\n": (
+        "dilate-verify", "theta_grid_deg[1] = 89.9999999999: theta2 must lie in [0, pi/2)"),
 }
 
 
@@ -897,7 +909,7 @@ def test_fit_with_intrinsic_t1_only(tmp_path):
     cfg = write_config(tmp_path, "intrinsic: {t1_us: 114.0}\n")
     assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     predicted = json.loads((tmp_path / "fit.json").read_text())["predicted"]
-    channel = angle_to_rates(AngleParams.from_degrees(20.0, 20.0, 51.4))
+    channel = angle_to_rates(*np.radians([20.0, 20.0, 51.4]))
     assert 1.0 / predicted["t1_us"] == pytest.approx(channel.gamma1 + 1.0 / 114.0, rel=1e-12)
     assert 1.0 / predicted["t2_us"] == pytest.approx(1.0 / channel.t2 + 1.0 / 228.0, rel=1e-12)
 
@@ -921,8 +933,8 @@ def test_config_accepts_angles_and_intrinsic_iff_effective_rates_does(
         "intrinsic": {"t1_us": t1, "t2_us": t2},
     }
     try:
-        params = AngleParams.from_degrees(theta1, theta2, 51.4, tau0)
-        angle_to_rates(params, *(np.inf if isinstance(t, str) else t for t in (t1, t2)))
+        angle_to_rates(*np.radians([theta1, theta2, 51.4]), tau0,
+                       *(np.inf if isinstance(t, str) else t for t in (t1, t2)))
         physical = True
     except ValueError:
         physical = False

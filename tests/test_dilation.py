@@ -16,7 +16,6 @@ from trottersim.dilation import (
     _CNOT,
     _CZ,
     CIRCUIT_GATES,
-    AngleParams,
     NoiseParams,
     _circuit_ptms,
     angle_to_rates,
@@ -281,9 +280,7 @@ def test_ptm_chain_matches_the_gate_by_gate_kraus_composition(
     rates = CanonicalRates(*rates)
     backend = "dilation" if noise is None else "dilation+noise"
     for dt, ptms in zip(durations, elementary_ptms(rates, durations, backend, noise)):
-        angles = rates_to_angles(rates, dt)
-        for kind, theta, ptm in zip(CIRCUIT_GATES, (angles.theta1, angles.theta2, angles.theta3),
-                                    ptms):
+        for kind, theta, ptm in zip(CIRCUIT_GATES, rates_to_angles(rates, dt), ptms):
             oracle = circuit_channel(_gates(kind, theta), *oracle_noise)
             assert np.abs(superop_of(ptm) - oracle).max() <= 1e-15
 
@@ -320,83 +317,81 @@ def test_noise_params_validation():
 
 
 def test_angle_to_rates_zero():
-    r = angle_to_rates(AngleParams(0.0, 0.0, 0.0, TAU0))
+    r = angle_to_rates(0.0, 0.0, 0.0, TAU0)
     assert (r.gamma1, r.gamma_phi, r.omega) == (0.0, 0.0, 0.0)
 
 
 def test_angle_to_rates_damping_20_degrees():
-    r = angle_to_rates(AngleParams.from_degrees(0, 20, 0, TAU0))
+    r = angle_to_rates(0.0, np.radians(20), 0.0, TAU0)
     assert r.gamma1 == pytest.approx(0.0349452, abs=1e-6)
     assert 1 / r.gamma1 == pytest.approx(28.616, abs=2e-3)
 
 
 def test_angle_to_rates_rabi_anchor():
-    r = angle_to_rates(AngleParams.from_degrees(0, 0, 38.6, TAU0))
+    r = angle_to_rates(0.0, 0.0, np.radians(38.6), TAU0)
     assert r.omega * 1e3 == pytest.approx(30.1186, abs=1e-3)  # kHz
 
 
 def test_angle_to_rates_rejects_domain_boundary():
-    with pytest.raises(ValueError, match="theta1"):
-        angle_to_rates(AngleParams(theta1=np.pi / 2))
-    with pytest.raises(ValueError, match="theta2"):
-        angle_to_rates(AngleParams(theta2=np.pi / 2))
+    # pi/2 itself, and an angle below it that the 1e-12 guard on the logarithm argument rejects.
+    for theta in (np.pi / 2, np.pi / 2 - 5e-13):
+        with pytest.raises(ValueError, match=r"^theta1 must lie in \[0, pi/2\)"):
+            angle_to_rates(theta, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^theta2 must lie in \[0, pi/2\)"):
+            angle_to_rates(0.0, theta, 0.0)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tau0", [2.2e-311, 1e-320, 1e-308])
 def test_angle_to_rates_rejects_tau0_that_overflows_the_rates(tau0):
-    params = AngleParams.from_degrees(20, 89.9999, 51.4, tau0)
-    with pytest.raises(ValueError, match="tau0"):
-        angle_to_rates(params)
+    with pytest.raises(ValueError, match="^tau0 is too small for finite rates"):
+        angle_to_rates(*np.radians([20, 89.9999, 51.4]), tau0)
 
 
 def test_angle_params_range_validation():
-    with pytest.raises(ValueError):
-        AngleParams(theta1=-0.1)
-    with pytest.raises(ValueError):
-        AngleParams(theta2=2.0)
-    with pytest.raises(ValueError):
-        AngleParams(tau0=0.0)
+    with pytest.raises(ValueError, match="^theta1 must lie in"):
+        angle_to_rates(-0.1, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^theta2 must lie in"):
+        angle_to_rates(0.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match="^tau0 must be positive and finite, got 0.0$"):
+        angle_to_rates(0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("field", ["theta1", "theta2", "theta3", "tau0"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_angle_params_reject_non_finite(field, bad):
-    with pytest.raises(ValueError, match=field):
-        AngleParams(**{field: bad})
+    args = {"theta1": 0.0, "theta2": 0.0, "theta3": 0.0, "tau0": TAU0, field: bad}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        angle_to_rates(**args)
 
 
-def test_rates_to_angles_round_trip():
-    rng = np.random.default_rng(37)
-    for _ in range(50):
-        params = AngleParams(
-            theta1=rng.uniform(0, 1.4),
-            theta2=rng.uniform(0, 1.4),
-            theta3=rng.uniform(0, 2 * np.pi),
-            tau0=rng.uniform(0.5, 10),
-        )
-        back = rates_to_angles(angle_to_rates(params), params.tau0)
-        assert back.theta1 == pytest.approx(params.theta1, abs=1e-10)
-        assert back.theta2 == pytest.approx(params.theta2, abs=1e-10)
-        assert back.theta3 == pytest.approx(params.theta3, abs=1e-10)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta1=st.floats(0, 1.4), theta2=st.floats(0, 1.4), theta3=st.floats(0, 2 * np.pi),
+       tau0=st.floats(0.5, 10))
+def test_rates_to_angles_round_trip(theta1, theta2, theta3, tau0):
+    back = rates_to_angles(angle_to_rates(theta1, theta2, theta3, tau0), tau0)
+    assert back == pytest.approx((theta1, theta2, theta3), abs=1e-10)
+
+
+def test_rates_to_angles_rejects_a_drive_angle_that_overflows():
+    with pytest.raises(ValueError, match="^theta3 must be finite, got inf$"):
+        rates_to_angles(CanonicalRates(omega=1e300), 1e10)
 
 
 def test_effective_rates_ideal_passthrough():
-    rates = angle_to_rates(AngleParams(0, 0, 0.3), 114.0, 80.0)
+    rates = angle_to_rates(0.0, 0.0, 0.3, TAU0, 114.0, 80.0)
     assert rates.t1 == pytest.approx(114.0)
     assert rates.t2 == pytest.approx(80.0)
 
 
 def test_effective_rates_with_intrinsic_decay():
-    rates = angle_to_rates(AngleParams.from_degrees(0, 20, 0), t1_intrinsic=114.0)
+    rates = angle_to_rates(0.0, np.radians(20), 0.0, t1_intrinsic=114.0)
     assert rates.t1 == pytest.approx(22.874, abs=2e-3)
 
 
 def test_effective_rates_combined_formula():
-    params = AngleParams.from_degrees(25, 35, 10)
-    rates = angle_to_rates(params)
-    t2 = angle_to_rates(params).t2
-    assert 1 / t2 == pytest.approx(rates.gamma_phi + rates.gamma1 / 2, rel=1e-12)
+    rates = angle_to_rates(*np.radians([25, 35, 10]))
+    assert 1 / rates.t2 == pytest.approx(rates.gamma_phi + rates.gamma1 / 2, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -408,10 +403,10 @@ def test_effective_rates_combined_formula():
 def test_effective_rates_matches_rate_sum(angles_deg, t1_intrinsic, t2_share):
     # 1/T1 = gamma1 + 1/T1_intrinsic and 1/T2 = gamma_phi + gamma1/2 + 1/T2_intrinsic
     # whenever T2_intrinsic <= 2*T1_intrinsic.
-    params = AngleParams.from_degrees(*angles_deg)
+    angles = np.radians(angles_deg)
     t2_intrinsic = t2_share * 2 * t1_intrinsic if np.isfinite(t1_intrinsic) else 1e3 * t2_share
-    chan = angle_to_rates(params)
-    rates = angle_to_rates(params, t1_intrinsic, t2_intrinsic)
+    chan = angle_to_rates(*angles)
+    rates = angle_to_rates(*angles, TAU0, t1_intrinsic, t2_intrinsic)
     assert 1 / rates.t1 == pytest.approx(chan.gamma1 + 1 / t1_intrinsic, rel=1e-12)
     assert 1 / rates.t2 == pytest.approx(
         chan.gamma_phi + chan.gamma1 / 2 + 1 / t2_intrinsic, rel=1e-12
@@ -419,15 +414,18 @@ def test_effective_rates_matches_rate_sum(angles_deg, t1_intrinsic, t2_share):
     assert rates.omega == chan.omega
 
 
-@pytest.mark.parametrize("t1_intrinsic, t2_intrinsic", [(50.0, 100.1), (0.0, 10.0), (np.nan, 10.0)])
+# The last three: a time whose inverse overflows, also as a numpy float, is named too.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t1_intrinsic, t2_intrinsic", [
+    (50.0, 100.1), (0.0, 10.0), (np.nan, 10.0), (1e-310, np.inf), (np.inf, 1e-320),
+    (1e-300, np.float64(5e-324))])
 def test_intrinsic_rates_reject_unphysical_times(t1_intrinsic, t2_intrinsic):
-    with pytest.raises(ValueError):
-        angle_to_rates(AngleParams.from_degrees(20, 20, 0), t1_intrinsic, t2_intrinsic)
+    with pytest.raises(ValueError, match="^t[12]_intrinsic"):
+        angle_to_rates(*np.radians([20, 20, 0]), TAU0, t1_intrinsic, t2_intrinsic)
 
 
 def test_infinite_intrinsic_t2_is_limited_by_intrinsic_t1():
-    params = AngleParams.from_degrees(0, 0, 30)
-    rates = angle_to_rates(params, t1_intrinsic=114.0)
+    rates = angle_to_rates(0.0, 0.0, np.radians(30), t1_intrinsic=114.0)
     assert (rates.t1, rates.t2) == pytest.approx((114.0, 228.0))
 
 

@@ -13,7 +13,7 @@ import reference
 from reference import (EYE, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, kraus_superop,
                        partial_trace, rx, unvec, vec)
 from trottersim.linalg import check_bloch_rows, check_grid, validate_density_matrix
-from trottersim.dilation import AngleParams, depolarization_equivalent_time, rates_to_angles
+from trottersim.dilation import angle_to_rates, depolarization_equivalent_time, rates_to_angles
 from trottersim.liouvillian import CanonicalRates, target_trace
 from trottersim.mitigation import NoisePoint
 from trottersim.tomography import generate_tomography
@@ -390,7 +390,7 @@ _POSITIVE_CALLERS = {  # caller -> (the argument it names, the call)
     "target_trace": ("tau0", lambda v: target_trace(CanonicalRates(), density(KET_1), v, 5)),
     "depolarization_equivalent_time": ("tau0", lambda v: depolarization_equivalent_time(0.1, v)),
     "TrotterSchedule": ("dt", lambda v: TrotterSchedule(dt=v)),
-    "AngleParams": ("tau0", lambda v: AngleParams(tau0=v)),
+    "angle_to_rates": ("tau0", lambda v: angle_to_rates(0.0, 0.0, 0.0, v)),
     "rates_to_angles": ("tau0", lambda v: rates_to_angles(CanonicalRates(0.03, 0.02, 0.01), v)),
     "convergence_order": ("t_total", lambda v: convergence_order(TrotterSchedule(),
                                                                   CanonicalRates(), t_total=v)),

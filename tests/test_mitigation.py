@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottersim import cli
-from trottersim.dilation import AngleParams, angle_to_rates
+from trottersim.dilation import angle_to_rates
 from trottersim.liouvillian import CanonicalRates
 from trottersim.mitigation import (
     ExtrapolationResult,
@@ -261,7 +261,7 @@ def test_damping_scaling_pipeline(tmp_path):
     # theta1 = 20 deg, no drive.
     base = CanonicalRates(
         gamma1=0.0090,
-        gamma_phi=angle_to_rates(AngleParams.from_degrees(20, 0, 0)).gamma_phi,
+        gamma_phi=angle_to_rates(np.radians(20), 0.0, 0.0).gamma_phi,
         omega=0.0,
     )
     truth = 1.0 / base.gamma_phi  # pure dephasing time at zero damping

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import reference
 from reference import BLOCH_ROWS, generator, vec
-from trottersim.dilation import AngleParams, angle_to_rates
+from trottersim.dilation import angle_to_rates
 from trottersim.liouvillian import (
     CanonicalRates,
     EvolutionTrace,
@@ -365,8 +365,7 @@ def test_round_trip_random_triples():
 
 
 def test_fit_on_trotterized_dynamics():
-    params = AngleParams.from_degrees(20, 20, 51.4, TAU0)
-    rates = angle_to_rates(params)
+    rates = angle_to_rates(*np.radians([20, 20, 51.4]), TAU0)
     t1_pred, t2_pred = rates.t1, rates.t2
     sched = TrotterSchedule(order=1, n_steps=13, dt=TAU0)
     ts = generate_tomography(
@@ -382,7 +381,7 @@ def test_fit_on_trotterized_dynamics():
 def test_fit_converges_on_trotter_curves(angles_deg):
     # A simplex fit with an absolute objective tolerance below the objective's
     # round-off stopped unconverged on the first set, and near the second.
-    rates = angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0))
+    rates = angle_to_rates(*np.radians(angles_deg), TAU0)
     sched = TrotterSchedule(order=1, n_steps=13, dt=TAU0)
     ts = generate_tomography(
         rates, TAU0, 13, evolve=lambda rho0: run_schedule(sched, rates, rho0)
@@ -555,7 +554,7 @@ def test_fit_with_shot_noise_ensemble():
 
 def _trotter_set(*angles_deg, shots=None, seed=None):
     """Twelve first-order Trotter curves, 13 steps of TAU0, at the given dilation angles."""
-    rates = angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0))
+    rates = angle_to_rates(*np.radians(angles_deg), TAU0)
     schedule = TrotterSchedule(n_steps=13, dt=TAU0)
     return generate_tomography(rates, TAU0, 13, shots=shots, seed=seed,
                                evolve=lambda rho0: run_schedule(schedule, rates, rho0))
@@ -586,7 +585,7 @@ def test_fit_near_the_nyquist_edge_tries_the_other_sign(angles_deg):
     # the drive is positive, so no sign can be read from that step alone. The
     # row read from the curves' step carries the drive's own sign, so the fit
     # starts at the optimum and needs no mirrored run.
-    rates = angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0))
+    rates = angle_to_rates(*np.radians(angles_deg), TAU0)
     ts = generate_tomography(rates, TAU0, 13)
     sy = ts.curve("1", "y")
     assert sy[1] < sy[0] and rates.omega > 0
@@ -715,7 +714,7 @@ def test_step_starts_recover_canonical_rates(row, first):
 def test_step_starts_recover_the_decay_rates_of_trotter_products(theta1, theta2, theta3, order):
     # A kraus Trotter step scales <x> by e^{-G2 tau0} and the y-z block's determinant
     # by e^{-(G1 + G2) tau0}, in any order of its three channels.
-    rates = angle_to_rates(AngleParams.from_degrees(theta1, theta2, theta3, TAU0))
+    rates = angle_to_rates(*np.radians([theta1, theta2, theta3]), TAU0)
     schedule = TrotterSchedule(order=order, n_steps=13, dt=TAU0)
     ts = generate_tomography(rates, TAU0, 13,
                              evolve=lambda rho0: run_schedule(schedule, rates, rho0))
@@ -775,7 +774,7 @@ def test_step_rows_never_leave_the_fit_worse_than_the_grid_alone():
     for i in range(40):
         angles = (rng.uniform(2, 60), rng.uniform(2, 60), rng.uniform(150, 210))
         order, seed = int(rng.integers(1, 3)), int(rng.integers(2**31))
-        rates = angle_to_rates(AngleParams.from_degrees(*angles, TAU0))
+        rates = angle_to_rates(*np.radians(angles), TAU0)
         schedule = TrotterSchedule(order=order, n_steps=13, dt=TAU0)
         ts = generate_tomography(rates, TAU0, 13, shots=1000 if i % 2 else None, seed=seed,
                                  evolve=lambda rho0: run_schedule(schedule, rates, rho0))
@@ -788,15 +787,15 @@ def test_step_rows_never_leave_the_fit_worse_than_the_grid_alone():
 def test_fit_names_the_rates_on_a_face_of_the_box():
     # A second-order Trotter set whose best fit pins 1/T1 to the 1e-6 floor: T1 = 1e6 us
     # there is a bound, not a measurement. Exact curves of the same rates end inside the box.
-    rates = angle_to_rates(AngleParams.from_degrees(48.37255180111569, 14.841168224909438,
-                                                    169.87152881491664, TAU0))
+    rates = angle_to_rates(
+        *np.radians([48.37255180111569, 14.841168224909438, 169.87152881491664]), TAU0)
     schedule = TrotterSchedule(order=2, n_steps=13, dt=TAU0)
     fit = global_fit(generate_tomography(rates, TAU0, 13,
                                          evolve=lambda rho0: run_schedule(schedule, rates, rho0)))
     assert fit.at_bound == ("gamma1",) and fit.t1 == 1e6
     assert global_fit(generate_tomography(rates, TAU0, 13)).at_bound == ()
     # Exact curves of a drive beyond the band (theta3 > 180 deg, not folded) end on its top.
-    beyond = angle_to_rates(AngleParams.from_degrees(9.5, 57.0, 223.9, TAU0))
+    beyond = angle_to_rates(*np.radians([9.5, 57.0, 223.9]), TAU0)
     assert beyond.omega > 0.5 / TAU0
     fit = global_fit(generate_tomography(beyond, TAU0, 13))
     assert fit.at_bound == ("omega",) and fit.omega == 0.5 / TAU0
@@ -859,7 +858,7 @@ def test_lm_freezes_a_rate_on_its_bound():
     # No dephasing, Trotterized: the best fit sits on rphi = 0 with the gradient
     # pointing below it. It must match the fit with rphi pinned to 0 by a box of width 0.
     ts = _trotter_set(0.0, 30.0, 30.0)
-    rates = angle_to_rates(AngleParams.from_degrees(0.0, 30.0, 30.0, TAU0))
+    rates = angle_to_rates(*np.radians([0.0, 30.0, 30.0]), TAU0)
     fit = global_fit(ts)
     assert fit.converged
     assert fit.t2 == pytest.approx(2 * fit.t1, rel=1e-15)
@@ -926,7 +925,7 @@ def test_exact_canonical_curves_stop_after_one_evaluation(angles_deg):
     # The start read from the curves' step is the optimum to round-off, so the first
     # step is under 1e-14 of the row and the run stops before evaluating it.
     fit = global_fit(generate_tomography(
-        angle_to_rates(AngleParams.from_degrees(*angles_deg, TAU0)), TAU0, 13))
+        angle_to_rates(*np.radians(angles_deg), TAU0), TAU0, 13))
     assert fit.converged and fit.evaluations == 1
 
 
@@ -943,7 +942,7 @@ def test_one_ulp_moves_the_fit_by_under_1e_10(kind, theta1, theta2, theta3, seed
     if kind == "trotter":
         ts = _trotter_set(theta1, theta2, theta3)
     else:
-        rates = angle_to_rates(AngleParams.from_degrees(theta1, theta2, theta3, TAU0))
+        rates = angle_to_rates(*np.radians([theta1, theta2, theta3]), TAU0)
         ts = generate_tomography(rates, TAU0, 13, shots=2000 if kind == "shot" else None,
                                  seed=seed)
     fit = global_fit(ts)
@@ -988,8 +987,8 @@ def test_fit_standard_errors_match_an_independent_covariance(seed):
 
 def test_fit_standard_errors_are_none_for_a_value_on_a_face():
     # 1/T1 on its floor: T1 and T2 are bounds, and only omega gets a standard error.
-    rates = angle_to_rates(AngleParams.from_degrees(48.37255180111569, 14.841168224909438,
-                                                    169.87152881491664, TAU0))
+    rates = angle_to_rates(
+        *np.radians([48.37255180111569, 14.841168224909438, 169.87152881491664]), TAU0)
     schedule = TrotterSchedule(order=2, n_steps=13, dt=TAU0)
     fit = global_fit(generate_tomography(rates, TAU0, 13,
                                          evolve=lambda rho0: run_schedule(schedule, rates, rho0)))

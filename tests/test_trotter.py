@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from trottersim import liouvillian, trotter
 from circuits import circuit_ptm
-from trottersim.dilation import AngleParams, NoiseParams, angle_to_rates, rates_to_angles
+from trottersim.dilation import NoiseParams, angle_to_rates, rates_to_angles
 from trottersim.tomography import FitResult
 from reference import (BLOCH_ROWS, EYE, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, choi,
                        damping_kraus, density, dephasing_kraus, kraus_superop, rx, superop_of,
@@ -33,8 +33,7 @@ from trottersim.trotter import (
 )
 
 TAU0 = 3.56
-FIG4_ANGLES = AngleParams.from_degrees(20, 30, 25.7, TAU0)
-FIG4_RATES = angle_to_rates(FIG4_ANGLES)
+FIG4_RATES = angle_to_rates(*np.radians([20, 30, 25.7]), TAU0)
 
 
 # -------------------------------------------------------------- schedules
@@ -163,7 +162,7 @@ def test_run_schedule_rejects_unphysical_initial_state():
 def test_driven_long_run_stays_physical():
     # A rotation unitary off unitarity by 1e-14 lets the trace drift past the
     # 1e-10 state check within a few thousand steps.
-    rates = angle_to_rates(AngleParams.from_degrees(25.705, 25.717, 87.840))
+    rates = angle_to_rates(*np.radians([25.705, 25.717, 87.840]))
     sched = TrotterSchedule(order=1, n_steps=10_000, dt=TAU0 / 4)
     tr = run_schedule(sched, rates, density(KET_1))
     assert len(tr) == 10_001
@@ -401,18 +400,6 @@ def test_permutation_scan_structure():
     assert max(o2) < min(o1)
 
 
-@pytest.mark.parametrize("backend, noise", [("dilation", None),
-                                            ("dilation+noise", NoiseParams(0.01, 0.01))])
-def test_a_dilation_scan_builds_no_angle_params(monkeypatch, backend, noise):
-    # A build computes the circuits' angles once, in Python floats, and builds no AngleParams.
-    built = []
-    monkeypatch.setattr(AngleParams, "__post_init__", lambda self: built.append(self))
-    permutation_scan(FIG4_RATES, n_steps=13, dt=TAU0, backend=backend, noise=noise)
-    assert built == []
-    rates_to_angles(FIG4_RATES, TAU0)  # the spy sees a construction
-    assert len(built) == 1
-
-
 def test_permutation_scan_all_commuting_point():
     rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.0)
     scan = permutation_scan(rates, n_steps=13, dt=TAU0)
@@ -614,9 +601,7 @@ def test_dilation_ptms_are_the_public_circuits_bit_for_bit(backend, rates, noise
     rates = CanonicalRates(*rates)
     noise = NoiseParams(*noise) if backend == "dilation+noise" else None
     for dt, ptms in zip(durations, elementary_ptms(rates, durations, backend, noise)):
-        angles = rates_to_angles(rates, dt)
-        for label, theta, ptm in zip(ALL_LABELS, (angles.theta1, angles.theta2, angles.theta3),
-                                     ptms):
+        for label, theta, ptm in zip(ALL_LABELS, rates_to_angles(rates, dt), ptms):
             assert ptm.tobytes() == circuit_ptm(label, theta, noise).tobytes()
 
 
