@@ -19,7 +19,6 @@ Conventions fixed here and used across the package:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -141,7 +140,7 @@ def _bloch_terms(bloch0) -> np.ndarray:
     return terms.reshape(9, -1)
 
 
-def _rate_constants(g1, rphi, omega, tmax: float, sqrt=math.sqrt):
+def _rate_constants(g1, rphi, omega, tmax: float):
     """One rate row's constants in :func:`bloch_solution` for times up to tmax: a, w, v_ss, the case
     (0 series, 1 s real, 2 s imaginary) and (c0, -G2, s), c0 = m + s if s is real, else m. A tmax
     past 1.34e154 or rates whose det M or q overflows are a ValueError."""
@@ -154,8 +153,8 @@ def _rate_constants(g1, rphi, omega, tmax: float, sqrt=math.sqrt):
         raise ValueError(f"the closed form overflows at rates gamma1={g1}, gamma_phi={rphi}, "
                          f"omega={omega} (t up to {tmax})")
     vy, vz = (-w * g1 / det, g1 * g2 / det) if det else (0.0, 0.0)
-    case = 0 if abs(q) * tmax**2 < 1e-5 else 1 if q.real > 0 else 2  # series, s real, imaginary
-    s = q if case == 0 else sqrt(q if case == 1 else -q)
+    case = 0 if abs(q) * tmax**2 < 1e-5 else 1 if q > 0 else 2  # series, s real, imaginary
+    s = q if case == 0 else math.sqrt(abs(q))
     return a, w, vy, vz, case, (det / (m - s) if case == 1 else m, -g2, s)  # m + s = det/(m - s)
 
 
@@ -173,12 +172,11 @@ def _cosh_sinh(case: int, e, s, t, lib=math):
 
 def _bloch_curves(rows: list, terms: np.ndarray, t: np.ndarray, tmax: float) -> np.ndarray:
     """:func:`bloch_solution` as (K, 3 S, T) curves for terms = _bloch_terms(bloch0), t checked
-    with largest time tmax, and rows a list of K rate triples, all Python floats or all complex."""
-    sqrt = cmath.sqrt if isinstance(rows[0][0], complex) else math.sqrt
-    rc = [_rate_constants(*row, tmax, sqrt) for row in rows]
+    with largest time tmax, and rows a list of K rate triples of Python floats."""
+    rc = [_rate_constants(*row, tmax) for row in rows]
     monos = [[p * v for p in (1, a, w) for v in (1, vy, vz)] for a, w, vy, vz, _, _ in rc]
     cases, c = [r[4] for r in rc], np.array([r[5] for r in rc])
-    basis = np.empty((len(c), 4, t.size), c.dtype)  # 1, C, S, E; S is e^{c0 t} until its case
+    basis = np.empty((len(c), 4, t.size))  # 1, C, S, E; S is e^{c0 t} until its case
     basis[:, 0] = 1
     np.exp(np.multiply(c[:, :2, None], t, out=basis[:, 2:]), out=basis[:, 2:])
     for case in set(cases):
@@ -198,11 +196,11 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     and a = (G1 - G2)/2. So a curve is the basis (1, e^{mt} cosh(st), e^{mt} sinh(st)/s,
     e^{-G2 t}) times the monomials (1, a, w) x (1, v_ss) by a map of the start. A row takes
     one case: the series in q t^2 where |q| t_max^2 < 1e-5 (t = 0 alone, or s near 0), else
-    s real or imaginary. Real for real rows and analytic: a complex step gives a derivative.
+    s real or imaginary.
 
     Raises:
-        ValueError: On a negative or non-finite time, rows not (K, 3) or bloch0 not (S, 3), K
-            or S zero, a start outside the Bloch ball or not finite (check_bloch_rows on
+        ValueError: On a negative or non-finite time, rows not (K, 3) and real or bloch0 not
+            (S, 3), K or S zero, a start outside the Bloch ball or not finite (check_bloch_rows on
             (1, x, y, z)), a rate row not finite, or rates whose closed form overflows.
     """
     t = np.asarray(times, dtype=float)
@@ -213,6 +211,8 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     for name, a, n in (("rows", rows, "K"), ("bloch0", bloch0, "S")):
         if a.ndim != 2 or a.shape[1] != 3 or not len(a):
             raise ValueError(f"{name} must have shape ({n}, 3) with {n} >= 1, got {a.shape}")
+    if np.iscomplexobj(rows):
+        raise ValueError(f"rows must be real rate rows, got dtype {rows.dtype}")
     check_bloch_rows(np.insert(bloch0, 0, 1.0, axis=-1), lambda j: f"bloch0[{j[0]}]")
     finite = np.isfinite(rows).all(axis=-1)
     if not finite.all():

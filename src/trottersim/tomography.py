@@ -10,8 +10,9 @@ by construction. The model is liouvillian.bloch_solution's closed-form
 terms built once. The fit starts from the curves' own step: one linear
 least-squares solve recovers it from the four states' affine Bloch rows, and
 its invariants give the rates (exact for canonical curves and for Trotter
-products). From there one projected Levenberg-Marquardt run (numpy over the
-12*(N+1) residuals and their exact complex-step Jacobian, Python floats for its
+products). From there one projected Levenberg-Marquardt run (one real kernel
+of the curves and their forward-mode derivatives, reduced to the 4x4 Gram matrix
+of the Jacobian and the 12*(N+1) residuals, per evaluation; Python floats for its
 3x3 algebra) stops once its next step is under 1e-4 standard errors; a run that
 ends with 1/T1 or Omega on a face of the box is repeated once from the start's
 drive mirrored in sign, and the lower cost is kept. The covariance at the kept
@@ -29,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .linalg import check_count, check_grid, check_positive, validate_density_matrix
-from .liouvillian import CanonicalRates, EvolutionTrace, _bloch_curves, _bloch_terms
+from .liouvillian import (CanonicalRates, EvolutionTrace, _bloch_curves, _bloch_terms, _cosh_sinh,
+                          _rate_constants)
 
 __all__ = [
     "STATE_LABELS",
@@ -190,7 +192,13 @@ class FitResult:
 
 _BLOCH0 = np.array([validate_density_matrix(INITIAL_STATES[s])[1:] for s in STATE_LABELS])
 _TERMS = _bloch_terms(_BLOCH0)
-_COMPLEX_STEP = 1e-20
+# Four monomial rows [x0, x1, x2, x3] to coefficients on (1, C, S, E, tC, tS, tE, dS/dq): x0 onto
+# (1, C, S, E) by _TERMS; by the chain rule x1 (times dm) puts C's coefficient on tC and S's on
+# tS, x2 (times dG2) E's on -tE, and x3 (times dq) C's on tS/2 = dC/dq and S's on dS/dq.
+_CHAIN = np.zeros((4, 4, 8))
+_CHAIN[0, range(4), range(4)] = _CHAIN[1, (1, 2), (4, 5)] = 1.0
+_CHAIN[2, 3, 6], _CHAIN[3, (1, 2), (5, 7)] = -1.0, (0.5, 1.0)
+_CHAIN_TERMS = np.einsum("mkb,jbx->jmkx", _TERMS.reshape(9, 12, 4), _CHAIN).reshape(36, 96)
 
 
 def _bloch_model(u: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -199,16 +207,40 @@ def _bloch_model(u: np.ndarray, times: np.ndarray) -> np.ndarray:
     return _bloch_curves(np.asarray(u).tolist(), _TERMS, times, float(times[-1]))
 
 
-def _bloch_jacobian(u, times: np.ndarray, tmax: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (12*len(times),) model curves at the row u of three floats and their (12*len(times),
-    3) derivatives, on checked times with largest time tmax: a step i*h in parameter k puts h
-    times its derivative, exact, in the imaginary part."""
+def _bloch_jacobian(u, t: np.ndarray, tmax: float) -> np.ndarray:
+    """The (4, 12*len(t)) block of the model's derivatives in r1, rphi and omega, then its
+    curves, at the row u of three floats, r1 > 0, on checked times t with largest time tmax.
+
+    Forward mode (Griewank & Walther, "Evaluating Derivatives" (2008)): the derivatives of m,
+    a, w, det, q, v_ss and the monomials (1, a, w) x (1, vy, vz) are Python floats, and one
+    product by _CHAIN_TERMS gives the rows' coefficients on one real basis, with dS/dq =
+    (tC - S)/(2q), or e^{mt} t^3 (1/6 + z/60 + z^2/1680), z = q t^2, in the series case.
+    """
     r1, rphi, omega = map(float, u)
-    h = 1j * _COMPLEX_STEP
-    rows = [(r1 + h, rphi + 0j, omega + 0j), (r1 + 0j, rphi + h, omega + 0j),
-            (r1 + 0j, rphi + 0j, omega + h)]
-    model = _bloch_curves(rows, _TERMS, times, tmax).reshape(3, -1)
-    return model[0].real, model.imag.T / _COMPLEX_STEP
+    a, w, vy, vz, case, (c0, c1, s) = _rate_constants(r1, rphi, omega, tmax)
+    g2, tw = r1 / 2 + rphi, 4 * math.pi * w  # tw = d(w^2)/d(omega)
+    det, q, dd = r1 * g2 + w * w, a * a - w * w, g2 + r1 / 2  # dd = d(det)/d(r1)
+    dvy = (-w - vy * dd) / det, -vy * r1 / det, (-2 * math.pi * r1 - vy * tw) / det
+    dvz = (1 - vz) * dd / det, (1 - vz) * r1 / det, -vz * tw / det
+    monos = [1.0, vy, vz, a, a * vy, a * vz, w, w * vy, w * vz]
+    # rows r1, rphi, omega: d(monos), then monos times dm, dG2 and dq; the curves: monos
+    left = np.multiply.outer([[0.0, -0.75, 0.5, a / 2], [0.0, -0.5, 1.0, -a],
+                              [0.0, 0.0, 0.0, -tw], [1.0, 0.0, 0.0, 0.0]], monos)
+    left[:3, 0] = [[0.0, y, z, da, da * vy + a * y, da * vz + a * z, dw, dw * vy + w * y,
+                    dw * vz + w * z]  # da and dw are d(a, w) in the row's rate
+                   for y, z, da, dw in zip(dvy, dvz, (0.25, -0.5, 0.0), (0.0, 0.0, 2 * math.pi))]
+    basis = np.empty((8, t.size))  # 1, C, S, E, tC, tS, tE, dS/dq; S is e^{c0 t} until its case
+    basis[0] = 1.0
+    np.exp(np.multiply([[c0], [c1]], t, out=basis[2:4]), out=basis[2:4])
+    if case == 0:
+        z = s * t * t  # s is q in the series case
+        basis[7] = basis[2] * t**3 * (1 / 6 + z / 60 + z * z / 1680)
+    basis[1], basis[2] = _cosh_sinh(case, basis[2], s, t, np)
+    np.multiply(basis[1:4], t, out=basis[4:7])
+    if case:
+        np.subtract(basis[4], basis[2], out=basis[7])
+        basis[7] /= 2 * q
+    return ((left.reshape(4, 36) @ _CHAIN_TERMS).reshape(4, 12, 8) @ basis).reshape(4, -1)
 
 
 def _step_start(curves: np.ndarray, tau0: float) -> tuple[float, float, float]:
@@ -261,44 +293,44 @@ def _solve3(a, free, y):
             (c02 * y0 + c12 * y1 + c22 * y2) / det)
 
 
-def _levenberg_marquardt(fun, u, lo, hi):
+def _levenberg_marquardt(fun, u, lo, hi, m):
     """Projected Levenberg-Marquardt (More, LNM 630 (1978)) from u in the box [lo, hi].
 
-    u, lo and hi hold three floats each; fun(u) gives M residuals r and their M x 3 Jacobian J.
-    A step solves (A + lam diag(A)) du = -g with A = J^T J and g = J^T r on the coordinates not
-    on a bound that -g points through, and is clipped into the box; lam is multiplied by 4 if
-    the cost r.r/2 rose, else divided by 3. Before each trial is evaluated the run stops at u on
-    the first of: 1 free gradient <= 1e-15 cost; 2 Gauss-Newton decrement g^T A^-1 g <=
-    (_STOP_SE s)^2 with s^2 = r.r/(M - 3), so the Gauss-Newton step is under _STOP_SE
+    u, lo and hi hold three floats each; fun(u) gives the Gram matrix [[A, g], [g^T, r.r]] of
+    [J | r] as four lists of four floats, for m residuals r and their m x 3 Jacobian J. A step
+    solves (A + lam diag(A)) du = -g on the coordinates not on a bound that -g points through,
+    and is clipped into the box; lam is multiplied by 4 if the cost r.r/2 rose, else divided
+    by 3. Before each trial is evaluated the run stops at u on the first of: 1 free gradient
+    <= 1e-15 cost; 2 Gauss-Newton decrement g^T A^-1 g <=
+    (_STOP_SE s)^2 with s^2 = r.r/(m - 3), so the Gauss-Newton step is under _STOP_SE
     standard errors in the fit's covariance s^2 A^-1 (Madsen, Nielsen & Tingleff, "Methods
     for non-linear least squares problems" (2004)); 3 step <= 1e-14 |u|. Returns the last
-    accepted u, its r and J, and the rule that stopped the run, 0 for the iteration cap.
+    accepted u, its Gram matrix, and the rule that stopped the run, 0 for the iteration cap.
     """
-    r, jac = fun(u)
-    cost, lam = float(r @ r) / 2, 1e-3
-    decrement_tol = 2 * _STOP_SE**2 / (len(r) - 3)  # times the cost: (_STOP_SE s)^2
+    gram = fun(u)
+    cost, lam = gram[3][3] / 2, 1e-3
+    decrement_tol = 2 * _STOP_SE**2 / (m - 3)  # times the cost: (_STOP_SE s)^2
     for _ in range(_LM_MAX_ITER):
-        (a00, a01, a02, g0), (_, a11, a12, g1), (_, _, a22, g2) = (
-            jac.T @ np.concatenate((jac, r[:, None]), axis=1)).tolist()  # [A | g]
+        (a00, a01, a02, g0), (_, a11, a12, g1), (_, _, a22, g2), _ = gram
         free = [not (v <= l and d > 0 or v >= h and d < 0)
                 for v, l, h, d in zip(u, lo, hi, (g0, g1, g2))]
         g = g0 * free[0], g1 * free[1], g2 * free[2]
         if math.hypot(*g) <= 1e-15 * cost:
-            return u, r, jac, 1
+            return u, gram, 1
         x = _solve3((a00, a01, a02, a11, a12, a22), free, g)  # the Gauss-Newton step is -x
         if g[0] * x[0] + g[1] * x[1] + g[2] * x[2] <= decrement_tol * cost:
-            return u, r, jac, 2
+            return u, gram, 2
         x = _solve3((a00 + lam * a00, a01, a02, a11 + lam * a11, a12, a22 + lam * a22), free, g)
         trial = tuple(min(max(v - d, l), h) for v, d, l, h in zip(u, x, lo, hi))
         if math.dist(trial, u) <= 1e-14 * math.hypot(*u):
-            return u, r, jac, 3
-        r_trial, jac_trial = fun(trial)
-        cost_trial = float(r_trial @ r_trial) / 2
+            return u, gram, 3
+        gram_trial = fun(trial)
+        cost_trial = gram_trial[3][3] / 2
         if cost_trial <= cost:
-            u, r, jac, cost, lam = trial, r_trial, jac_trial, cost_trial, lam / 3
+            u, gram, cost, lam = trial, gram_trial, cost_trial, lam / 3
         else:
             lam *= 4
-    return u, r, jac, 0
+    return u, gram, 0
 
 
 _RATE_NAMES = ("gamma1", "gamma_phi", "omega")
@@ -308,8 +340,9 @@ def global_fit(ts: TomographySet) -> FitResult:
     """Fit (T1, T2, Omega) to all twelve curves by least squares.
 
     Projected Levenberg-Marquardt over the internal parameters (1/T1,
-    pure-dephasing rate, Omega) with the closed-form model's complex-step
-    Jacobian, run from the row read from the curves' own step: a linear
+    pure-dephasing rate, Omega) with the closed-form model's forward-mode
+    Jacobian, each evaluation reduced to the 4x4 Gram matrix of [J | r], run
+    from the row read from the curves' own step: a linear
     least-squares fit of C_{j+1} = R C_j over the four states' affine Bloch
     rows, whose invariants give the rates exactly for canonical curves and
     for Trotter products.
@@ -340,30 +373,31 @@ def global_fit(ts: TomographySet) -> FitResult:
     tau0 = times[1] - times[0]  # times are >= 0 and increasing, so times[-1] is max|t|
     check_grid(max(abs(b - a - tau0) for a, b in zip(times, times[1:])), times[-1],
                "global fit requires a uniform time grid")
-    t, tmax, data = ts.times, times[-1], ts.curves.ravel()  # read once per fit
+    t, tmax, data, m = ts.times, times[-1], ts.curves.ravel(), ts.curves.size  # read once
     lo, hi = (_RATE_FLOOR, 0.0, -0.5 / tau0), (_RATE_CEIL, _RATE_CEIL, 0.5 / tau0)
     evaluated = []  # the rows of the model calls
 
     def fun(u):
         evaluated.append(u)
-        model, jac = _bloch_jacobian(u, t, tmax)
-        return model - data, jac
+        block = _bloch_jacobian(u, t, tmax)
+        block[3] -= data  # the residuals
+        return (block @ block.T).tolist()
 
     start = tuple(min(max(x, l), h) for x, l, h in zip(_step_start(ts.curves, tau0), lo, hi))
-    runs = [_levenberg_marquardt(fun, start, lo, hi)]
+    runs = [_levenberg_marquardt(fun, start, lo, hi, m)]
     # Both faces count: exact curves at theta = (9.5, 57, 223.9) deg end the first run on the
     # 1/T1 floor with omega inside the band, and only the mirrored run reaches the edge. The
     # box is symmetric in omega, so the mirror needs no clip.
     if runs[0][0][0] in (lo[0], hi[0]) or runs[0][0][2] in (lo[2], hi[2]):
-        runs.append(_levenberg_marquardt(fun, (start[0], start[1], -start[2]), lo, hi))
-    u, r, jac, status = min(runs, key=lambda run: run[1] @ run[1])  # the first of a tie
+        runs.append(_levenberg_marquardt(fun, (start[0], start[1], -start[2]), lo, hi, m))
+    u, gram, status = min(runs, key=lambda run: run[1][3][3])  # the first of a tie
     r1, rphi, omega = u  # the box keeps r1 >= _RATE_FLOOR > 0
     t1, t2 = 1.0 / r1, 1.0 / (r1 / 2 + rphi)
     on_face = [x == l or x == h for x, l, h in zip(u, lo, hi)]
     # s^2 (J^T J)^-1 over the rates off the box's faces (a rate on one keeps an identity
     # row and column), carried to T1 = 1/r1 and T2 = 1/(r1/2 + rphi) by the delta method
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = (jac.T @ jac).tolist()
-    s2 = float(r @ r) / (len(r) - 3)
+    (a00, a01, a02, _), (_, a11, a12, _), (_, _, a22, _), (_, _, _, rr) = gram
+    s2 = rr / (m - 3)
     (c11, c12, _), (_, c22, _), (_, _, c33) = (  # s^2 A^-1 column by column
         _solve3((a00, a01, a02, a11, a12, a22), [not face for face in on_face], col)
         for col in ((s2, 0.0, 0.0), (0.0, s2, 0.0), (0.0, 0.0, s2)))
@@ -371,8 +405,7 @@ def global_fit(ts: TomographySet) -> FitResult:
     face1, face_phi, face_omega = on_face
     stderr = tuple(None if face or not 0 <= v < math.inf else math.sqrt(v)
                    for face, v in zip((face1, face1 or face_phi, face_omega), var))
-    return FitResult(t1=t1, t2=t2, omega=omega,
-                     residual=math.sqrt(float(np.add.reduce(r * r)) / len(r)),
+    return FitResult(t1=t1, t2=t2, omega=omega, residual=math.sqrt(rr / m),
                      converged=status > 0, evaluations=len(evaluated),
                      at_bound=tuple(n for n, on in zip(_RATE_NAMES, on_face) if on),
                      stderr=stderr)

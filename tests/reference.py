@@ -6,9 +6,10 @@ Kraus pairs of trottersim.channels' rate conventions; the Kraus sum as a superop
 dilation gates' own unitaries and Kraus operators, and the circuits composed from them gate by
 gate as Kraus families; the Choi matrix and CPTP check that channels are compared and judged
 by; the Bloch-row check written out one row at a time; and a Trotter step composed one label at
-a time.
+a time; and Torrey's closed form in complex arithmetic, whose complex step differentiates it.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -197,3 +198,41 @@ def damped_solve(a, g, free, lam):
     eye = np.eye(len(a))
     matrix = np.where(free & free[:, None], a + lam * (a * eye), eye)
     return np.linalg.solve(matrix, -np.asarray(g, dtype=float) * free)
+
+
+def closed_form_curves(row, bloch0, t):
+    """The (S, 3, T) Bloch curves of Torrey's closed form, as trottersim.liouvillian.bloch_solution
+    states it, for one rate row (gamma1, gamma_phi, omega) of floats or complex numbers, the
+    (S, 3) starts bloch0 and the T times t, in complex arithmetic. Where |q| t_max^2 < 1e-5 the
+    series in z = q t^2 to z^2; else, for Re q > 0, e^{mt} cosh(st) and e^{mt} sinh(st)/s from
+    e^{(m+s)t} = e^{det t/(m - s)} and e^{(m-s)t}, so that no exponent grows, and for Re q < 0
+    e^{mt} cos(st) and e^{mt} sin(st)/s with s^2 = -q: each value is real at a real row, so a
+    complex step's imaginary parts stay its own."""
+    g1, rphi, omega = map(complex, row)
+    g2, w = g1 / 2 + rphi, 2 * math.pi * omega
+    m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
+    q = a * a - w * w
+    t = np.asarray(t, dtype=float)
+    if abs(q) * t.max() ** 2 < 1e-5:
+        z, e = q * t * t, np.exp(m * t)
+        c, sn = e * (1 + z / 2 + z * z / 24), e * t * (1 + z / 6 + z * z / 120)
+    elif q.real > 0:
+        s = cmath.sqrt(q)
+        e, d = np.exp(det / (m - s) * t), np.expm1(-2 * s * t)
+        c, sn = e * (1 + d / 2), e * d / (-2 * s)
+    else:
+        s, e = cmath.sqrt(-q), np.exp(m * t)
+        c, sn = e * np.cos(s * t), e * np.sin(s * t) / s
+    vy, vz = -w * g1 / det, g1 * g2 / det
+    x0, dy, dz = (np.asarray(bloch0)[:, k, None] - v for k, v in enumerate((0, vy, vz)))
+    return np.stack([x0 * np.exp(-g2 * t), vy + c * dy + sn * (a * dy - w * dz),
+                     vz + c * dz + sn * (w * dy - a * dz)], axis=1)
+
+
+def complex_step_block(row, bloch0, t, h=1e-20):
+    """The (4, 3 S T) block of :func:`closed_form_curves`' derivatives in the row's three rates,
+    each Im f(row + i h e_k) / h (the complex step: Squire & Trapp, SIAM Rev. 40, 110 (1998)),
+    then its curves, each of the S starts' three components over t in turn."""
+    row = np.asarray(row, dtype=float)
+    steps = [closed_form_curves(row + 1j * h * e, bloch0, t).imag / h for e in np.eye(3)]
+    return np.array(steps + [closed_form_curves(row, bloch0, t).real]).reshape(4, -1)

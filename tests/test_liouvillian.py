@@ -317,7 +317,6 @@ _BOUNDARY_CASES = [(2.733167e-4, 0.0, 0.0, "free"), (2.733173e-4, 0.0, 0.0, "fre
                              st.floats(-0.2, 0.2),
                              st.sampled_from(("free", "zero", "ep+", "ep-"))),
                    min_size=1, max_size=8),
-    complex_step=st.sampled_from([None, 0, 1, 2]),
     starts=st.integers(1, 4),
     tau0=st.floats(0.1, 10.0),
     n_steps=st.integers(0, 60),
@@ -325,24 +324,15 @@ _BOUNDARY_CASES = [(2.733167e-4, 0.0, 0.0, "free"), (2.733173e-4, 0.0, 0.0, "fre
 )
 @example(cases=[(0.1, 0.0, 0.0, "free"), (0.02, 0.01, 0.1, "free"), (0.05, 0.0, 0.0, "ep+"),
                 (0.05, 0.01, 0.0, "ep-"), (0.0, 0.0, 0.0, "zero"), (0.0, 0.02, 0.0, "zero")],
-         complex_step=None, starts=4, tau0=3.56, n_steps=13, seed=0)
-@example(cases=[(0.1, 0.0, 0.0, "free"), (0.02, 0.01, 0.1, "free"), (0.05, 0.0, 0.0, "ep+")],
-         complex_step=1, starts=2, tau0=3.56, n_steps=13, seed=1)
+         starts=4, tau0=3.56, n_steps=13, seed=0)
 # Rows on each side of the series boundary |q| t_max^2 = 1e-5 (t_max = 13 * 3.56), s real and
-# s imaginary, beside a row with q = 0 exactly, in real and complex-step batches.
-@example(cases=_BOUNDARY_CASES, complex_step=None, starts=4, tau0=3.56, n_steps=13, seed=2)
-@example(cases=_BOUNDARY_CASES, complex_step=0, starts=4, tau0=3.56, n_steps=13, seed=2)
-@example(cases=_BOUNDARY_CASES, complex_step=2, starts=4, tau0=3.56, n_steps=13, seed=2)
-def test_bloch_solution_on_a_batch_equals_each_row_alone(cases, complex_step, starts, tau0,
-                                                         n_steps, seed):
+# s imaginary, beside a row with q = 0 exactly.
+@example(cases=_BOUNDARY_CASES, starts=4, tau0=3.56, n_steps=13, seed=2)
+def test_bloch_solution_on_a_batch_equals_each_row_alone(cases, starts, tau0, n_steps, seed):
     # Real-s and imaginary-s rows, exceptional points and zero rates in one batch: each
     # row takes its own case, so a row's curves do not depend on the rows beside it.
     rates = [_rates_case(*case) for case in cases]
-    rows = np.array([[r.gamma1, r.gamma_phi, r.omega] for r in rates], dtype=complex)
-    if complex_step is None:
-        rows = rows.real
-    else:  # complex-step rows, as _bloch_jacobian passes them
-        rows[:, complex_step] += 1e-20j
+    rows = np.array([[r.gamma1, r.gamma_phi, r.omega] for r in rates])
     rng = np.random.default_rng(seed)
     bloch0 = rng.uniform(-1, 1, (starts, 3)) / np.sqrt(3)
     times = np.arange(n_steps + 1) * tau0
@@ -350,6 +340,13 @@ def test_bloch_solution_on_a_batch_equals_each_row_alone(cases, complex_step, st
     assert batch.shape == (len(rows), starts, 3, n_steps + 1)
     assert all(np.array_equal(batch[k], bloch_solution(rows[k : k + 1], bloch0, times)[0])
                for k in range(len(rows)))
+
+
+def test_bloch_solution_rejects_complex_rows():
+    # The closed form is real: a complex row, such as a complex-step probe, is refused by name
+    # rather than evaluated in complex arithmetic.
+    with pytest.raises(ValueError, match="^rows must be real rate rows, got dtype complex128$"):
+        bloch_solution([[0.1 + 1e-20j, 0.1, 0.1]], [[0.0, 0.0, 1.0]], [0.0, 1.0])
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])

@@ -1,5 +1,6 @@
 """Tests for tomography-curve generation and the global coherence fit."""
 
+import math
 import re
 import warnings
 
@@ -36,7 +37,7 @@ from trottersim.tomography import (
     global_fit,
 )
 from trottersim.trotter import TrotterSchedule, run_schedule
-from trottersim.linalg import validate_density_matrix
+from trottersim.linalg import check_grid, validate_density_matrix
 
 TAU0 = 3.56
 
@@ -450,11 +451,12 @@ def test_closed_form_matches_stepped_reference(rows, tau0, npoints):
 @example(row=_BOUNDARY_ROWS[1], tau0=3.56, npoints=14)
 @example(row=_BOUNDARY_ROWS[2], tau0=3.56, npoints=14)
 @example(row=_BOUNDARY_ROWS[3], tau0=3.56, npoints=14)
-@example(row=_BOUNDARY_ROWS[4], tau0=3.56, npoints=14)  # q = 0 exactly, complex-step rows
+@example(row=_BOUNDARY_ROWS[4], tau0=3.56, npoints=14)  # q = 0 exactly
 def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
     u = np.array(_bloch_row(*row, tau0))
     times = np.arange(npoints) * tau0
-    model, jac = _bloch_jacobian(u, times, times[-1])
+    block = _bloch_jacobian(u, times, times[-1])
+    model, jac = block[3], block[:3].T
     np.testing.assert_allclose(model, _bloch_model(u[None], times).ravel(),
                                rtol=0, atol=1e-15)
     # Five-point central differences, with steps small against the curves' time
@@ -466,6 +468,69 @@ def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
         values = reference_model(shifted, tau0, npoints).reshape(4, -1)
         fd[:, k] = np.array([-1, 8, -8, 1]) @ values / (12 * h[k])
     assert np.abs(jac - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+# Rows in the series case near its bound, q t_max^2 = +-0.9e-5 at t_max = 13 * 3.56, with
+# a = (G1 - G2)/2 = 0.05: there the series' z terms in dS/dq show in the derivatives. As "free"
+# rows, omega = share * 0.5 / tau0.
+_SERIES_EDGE = [(0.2, 0.0, math.sqrt(0.05**2 - sign * 0.9e-5 / (13 * 3.56) ** 2) / math.pi * 3.56,
+                 "free") for sign in (1, -1)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(row=st.tuples(st.floats(1e-4, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+                     st.sampled_from(("free", "undriven", "over", "ep+", "ep-", "ep0"))),
+       tau0=st.floats(0.5, 6.0), npoints=st.integers(2, 101))
+@example(row=_BOUNDARY_ROWS[0], tau0=3.56, npoints=14)
+@example(row=_BOUNDARY_ROWS[1], tau0=3.56, npoints=14)
+@example(row=_BOUNDARY_ROWS[2], tau0=3.56, npoints=14)
+@example(row=_BOUNDARY_ROWS[3], tau0=3.56, npoints=14)
+@example(row=_BOUNDARY_ROWS[4], tau0=3.56, npoints=14)
+@example(row=_SERIES_EDGE[0], tau0=3.56, npoints=14)
+@example(row=_SERIES_EDGE[1], tau0=3.56, npoints=14)
+def test_jacobian_block_matches_the_complex_step_of_the_closed_form(row, tau0, npoints):
+    # Series, s real and s imaginary rows: the forward-mode derivatives against the complex step
+    # of the closed form in complex arithmetic, and the curves against _bloch_model, each row of
+    # the block within 1e-10 of its largest entry. Rates from 1e-4 and tau0 to 6 keep each
+    # derivative well above the round-off of the curves, which both sides carry.
+    u = _bloch_row(*row, tau0)
+    times = np.arange(npoints) * tau0
+    block = _bloch_jacobian(u, times, times[-1])
+    want = reference.complex_step_block(u, tomography._BLOCH0, times)
+    want[3] = _bloch_model(np.array([u]), times).ravel()
+    assert block.shape == want.shape
+    assert np.all(np.abs(block - want) <= 1e-10 * np.abs(want).max(axis=1, keepdims=True))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(row=_ROW, shots=st.sampled_from((None, 1000)),
+       u=st.tuples(st.floats(1e-6, 2.0), st.floats(0.0, 2.0), st.floats(-1.0, 1.0)))
+def test_fit_evaluation_is_the_gram_matrix_of_the_block_less_the_data(row, shots, u):
+    # global_fit's evaluation, taken from its run, at a row u of the box: each entry of the four
+    # lists is the explicit sum over the kernel's block with the data subtracted from its curves'
+    # row, [[J^T J, J^T r], [r^T J, r.r]], within 1e-12 of the Cauchy-Schwarz bound on it.
+    ts = generate_tomography(CanonicalRates(*_bloch_row(*row, TAU0)), TAU0, 13, shots=shots,
+                             seed=0 if shots else None)
+    runs = []
+
+    def spy(fun, start, lo, hi, m):
+        runs.append((fun, m))
+        return _levenberg_marquardt(fun, start, lo, hi, m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tomography, "_levenberg_marquardt", spy)
+        global_fit(ts)
+    fun, m = runs[0]
+    u = (u[0], u[1], u[2] * 0.5 / TAU0)
+    block = _bloch_jacobian(u, ts.times, ts.times[-1])
+    rows = [*block[:3].tolist(), (block[3] - ts.curves.ravel()).tolist()]
+    want = [[math.fsum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+    gram = fun(u)
+    assert m == len(rows[3]) == 168 and isinstance(gram, list) and len(gram) == 4
+    for i in range(4):
+        assert isinstance(gram[i], list) and len(gram[i]) == 4
+        for j in range(4):
+            assert abs(gram[i][j] - want[i][j]) <= 1e-12 * math.sqrt(want[i][i] * want[j][j])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -565,9 +630,9 @@ def test_fit_runs_one_lm_from_the_best_scored_row(monkeypatch):
     ts = _trotter_set(20.0, 20.0, 51.4)
     calls = []
 
-    def spy(fun, u, lo, hi):
+    def spy(fun, u, lo, hi, m):
         calls.append((np.array(u), lo, hi))
-        return _levenberg_marquardt(fun, u, lo, hi)
+        return _levenberg_marquardt(fun, u, lo, hi, m)
 
     monkeypatch.setattr(tomography, "_levenberg_marquardt", spy)
     assert global_fit(ts).converged
@@ -603,8 +668,8 @@ def test_fit_that_ends_on_the_nyquist_edge_reruns_from_the_mirrored_rows(monkeyp
     ts = _trotter_set(24.810621805668866, 56.63397090773057, 171.99120281121148)
     runs, calls = [], []
 
-    def spy(fun, u, lo, hi):
-        runs.append(_levenberg_marquardt(fun, u, lo, hi))
+    def spy(fun, u, lo, hi, m):
+        runs.append(_levenberg_marquardt(fun, u, lo, hi, m))
         return runs[-1]
 
     def counted(u, times, tmax):
@@ -615,9 +680,9 @@ def test_fit_that_ends_on_the_nyquist_edge_reruns_from_the_mirrored_rows(monkeyp
     monkeypatch.setattr(tomography, "_bloch_jacobian", counted)
     fit = global_fit(ts)
     assert len(runs) == 2
-    (u_edge, r_edge, _, _), (u_kept, r_kept, _, _) = runs
+    (u_edge, gram_edge, _), (u_kept, gram_kept, _) = runs
     assert u_edge[2] == 0.5 / TAU0 and abs(u_kept[2]) < 0.5 / TAU0
-    assert r_kept @ r_kept < r_edge @ r_edge
+    assert gram_kept[3][3] < gram_edge[3][3]  # r.r
     assert fit.omega == u_kept[2] and fit.converged
     assert fit.evaluations == len(calls) > 2
 
@@ -629,25 +694,25 @@ def test_fit_that_ends_on_the_t1_floor_reruns_from_the_mirrored_row(monkeypatch)
     # the mirrored run ends higher.
     runs = []
 
-    def spy(fun, u, lo, hi):
-        runs.append(_levenberg_marquardt(fun, u, lo, hi))
+    def spy(fun, u, lo, hi, m):
+        runs.append(_levenberg_marquardt(fun, u, lo, hi, m))
         return runs[-1]
 
-    def rms(r):
-        return np.sqrt(np.mean(r**2))
+    def rms(gram):  # over the 12 * 14 residuals, from r.r
+        return math.sqrt(gram[3][3] / 168)
 
     monkeypatch.setattr(tomography, "_levenberg_marquardt", spy)
     fit = global_fit(_trotter_set(18.992553886700986, 44.17248115095125, 177.5444223629221))
     assert len(runs) == 2
-    (u_floor, r_floor, _, _), (u_kept, r_kept, _, _) = runs
-    assert u_floor[0] == 1e-6 and rms(r_floor) == pytest.approx(0.19215, abs=5e-6)
-    assert fit.residual == rms(r_kept) == pytest.approx(0.192064756942722, rel=1e-9)
+    (u_floor, gram_floor, _), (u_kept, gram_kept, _) = runs
+    assert u_floor[0] == 1e-6 and rms(gram_floor) == pytest.approx(0.19215, abs=5e-6)
+    assert fit.residual == rms(gram_kept) == pytest.approx(0.192064756942722, rel=1e-9)
     runs.clear()
     fit = global_fit(_trotter_set(6.820785868644059, 53.96476987852132, 154.78152913722073))
     assert len(runs) == 2
-    (u_floor, r_floor, _, _), (_, r_other, _, _) = runs
+    (u_floor, gram_floor, _), (_, gram_other, _) = runs
     assert u_floor[0] == 1e-6 and abs(u_floor[2]) < 0.5 / TAU0
-    assert rms(r_other) > rms(r_floor) == fit.residual and fit.at_bound == ("gamma1",)
+    assert rms(gram_other) > rms(gram_floor) == fit.residual and fit.at_bound == ("gamma1",)
 
 
 def test_noisy_fit_whose_first_run_pins_t1_ends_off_the_floor():
@@ -751,19 +816,28 @@ def _start_grid(step_row):
     return cands.reshape(-1, 3)
 
 
+def _gram_fun(ts):
+    """global_fit's evaluation on ts: the Gram matrix of the kernel's block at u, as lists, with
+    the data subtracted from its curves' row, so [[J^T J, J^T r], [r^T J, r.r]]."""
+    data = ts.curves.ravel()
+
+    def fun(u):
+        block = _bloch_jacobian(u, ts.times, ts.times[-1])
+        block[3] -= data
+        return (block @ block.T).tolist()
+
+    return fun
+
+
 def _grid_only_fit(ts):
     """The fit from a start grid alone, without the step's row: one run from its best row."""
     data = ts.curves
     lo, hi = np.array([1e-6, 0.0, -0.5 / TAU0]), np.array([2.0, 2.0, 0.5 / TAU0])
     cands = np.clip(_start_grid(_step_start(data, TAU0)), lo, hi)
     scores = ((_bloch_model(cands, ts.times) - data) ** 2).sum(axis=(1, 2))
-
-    def fun(u):
-        model, jac = _bloch_jacobian(u, ts.times, ts.times[-1])
-        return model - data.ravel(), jac
-
-    u, r, _, status = _levenberg_marquardt(fun, cands[np.argmin(scores)], lo, hi)
-    return np.sqrt(np.mean(r**2)), status > 0
+    u, gram, status = _levenberg_marquardt(_gram_fun(ts), cands[np.argmin(scores)], lo, hi,
+                                           data.size)
+    return math.sqrt(gram[3][3] / data.size), status > 0
 
 
 def test_step_rows_never_leave_the_fit_worse_than_the_grid_alone():
@@ -813,8 +887,14 @@ _A = np.array([[1.0, 0.5, 0.2], [0.2, 2.0, -0.3], [1.5, -1.0, 0.4], [0.3, 0.7, 1
 
 
 def _linear(b, a=_A):
+    """Residuals a u - b in three parameters, as the Gram matrix of [a | a u - b] in lists."""
     b = np.asarray(b, dtype=float)
-    return lambda u: (a @ u - b, a)
+
+    def fun(u):
+        block = np.column_stack((a, a @ np.asarray(u) - b))
+        return (block.T @ block).tolist()
+
+    return fun
 
 
 def test_lm_stops_on_the_free_gradient_in_a_corner():
@@ -823,10 +903,10 @@ def test_lm_stops_on_the_free_gradient_in_a_corner():
     evaluations = []
     fun = _linear(_A @ [-1.0, -1.0, -1.0])
     counted = lambda u: evaluations.append(u) or fun(u)
-    u, r, jac, status = _levenberg_marquardt(counted, np.zeros(3), np.zeros(3), np.ones(3))
+    u, gram, status = _levenberg_marquardt(counted, np.zeros(3), np.zeros(3), np.ones(3), 5)
     assert status == 1 and len(evaluations) == 1
     np.testing.assert_array_equal(u, [0.0, 0.0, 0.0])
-    assert jac is _A
+    assert gram == fun(np.zeros(3))
 
 
 def _stderrs(jac, r):
@@ -838,8 +918,8 @@ def test_lm_stops_on_the_decrement_with_a_residual():
     # Inconsistent data: the cost levels off above 0 at the least-squares point, and the
     # run stops once the Gauss-Newton step is under _STOP_SE standard errors.
     b = np.array([1.0, -2.0, 0.5, 3.0, -1.5])
-    u, r, _, status = _levenberg_marquardt(_linear(b), np.array([0.3, 0.1, -0.2]),
-                                           -10 * np.ones(3), 10 * np.ones(3))
+    u, _, status = _levenberg_marquardt(_linear(b), np.array([0.3, 0.1, -0.2]),
+                                        -10 * np.ones(3), 10 * np.ones(3), 5)
     assert status == 2
     want = np.linalg.lstsq(_A, b, rcond=None)[0]
     assert np.all(np.abs(u - want) <= 2 * tomography._STOP_SE * _stderrs(_A, _A @ want - b))
@@ -848,8 +928,8 @@ def test_lm_stops_on_the_decrement_with_a_residual():
 def test_lm_stops_on_the_step_size_at_a_zero_residual():
     # Consistent data: the cost falls to round-off, where only the step shrinks.
     want = np.array([0.7, -0.4, 0.25])
-    u, r, _, status = _levenberg_marquardt(_linear(_A @ want), np.array([0.3, 0.1, -0.2]),
-                                           -10 * np.ones(3), 10 * np.ones(3))
+    u, _, status = _levenberg_marquardt(_linear(_A @ want), np.array([0.3, 0.1, -0.2]),
+                                        -10 * np.ones(3), 10 * np.ones(3), 5)
     assert status == 3
     np.testing.assert_allclose(u, want, rtol=1e-14)
 
@@ -862,14 +942,8 @@ def test_lm_freezes_a_rate_on_its_bound():
     fit = global_fit(ts)
     assert fit.converged
     assert fit.t2 == pytest.approx(2 * fit.t1, rel=1e-15)
-    data = ts.curves.ravel()
-
-    def fun(v):
-        model, jac = _bloch_jacobian(v, ts.times, ts.times[-1])
-        return model - data, jac
-
-    v, _, _, status = _levenberg_marquardt(fun, (rates.gamma1, 0.0, rates.omega),
-                                           (1e-6, 0.0, -1.0), (2.0, 0.0, 1.0))
+    v, _, status = _levenberg_marquardt(_gram_fun(ts), (rates.gamma1, 0.0, rates.omega),
+                                        (1e-6, 0.0, -1.0), (2.0, 0.0, 1.0), ts.curves.size)
     assert status > 0 and v[1] == 0.0
     # Each run stops within _STOP_SE standard errors of the same optimum.
     assert fit.at_bound == ("gamma_phi",) and fit.stderr[1] is None
@@ -907,7 +981,8 @@ def test_lm_on_a_zero_jacobian_column_raises_a_linear_algebra_error():
     # np.linalg.LinAlgError (a ValueError would do), never ZeroDivisionError or NaN.
     fun = _linear([1.0, -2.0, 0.5, 3.0, -1.5], _A * [1.0, 0.0, 1.0])
     with pytest.raises((np.linalg.LinAlgError, ValueError)):
-        _levenberg_marquardt(fun, np.array([0.3, 0.1, -0.2]), -10 * np.ones(3), 10 * np.ones(3))
+        _levenberg_marquardt(fun, np.array([0.3, 0.1, -0.2]), -10 * np.ones(3), 10 * np.ones(3),
+                             5)
 
 
 def test_sweep_b_360_converges():
@@ -1024,7 +1099,9 @@ def test_fit_input_validation():
 def test_fit_grid_rule_is_relative_to_the_grid():
     # Spacings from 0.02 to 2.65 tau0 on a 1e-11 us grid are not uniform, though they all stray
     # by less than an absolute 1e-9 us; a uniform 1e150 us grid is, though rounding alone moves
-    # its spacings by more than that.
+    # its spacings by more than that. Its fit then fails on the curves, not on the grid: every
+    # sample after t = 0 sits at the steady state, so neither 1/T1 nor the dephasing rate moves
+    # them and J^T J is singular.
     rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.05)
     tiny = generate_tomography(rates, 1e-11, 13)
     uneven = np.concatenate([[0.0], np.cumsum(1e-11 * np.linspace(0.02, 2.65, 13))])
@@ -1032,7 +1109,10 @@ def test_fit_grid_rule_is_relative_to_the_grid():
         global_fit(TomographySet(uneven, tiny.curves))
     huge = generate_tomography(rates, 1e150, 13)
     assert np.ptp(np.diff(huge.times)) > 1e-9
-    global_fit(huge)
+    times = huge.times.tolist()
+    check_grid(max(abs(b - a - 1e150) for a, b in zip(times, times[1:])), times[-1], "not uniform")
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        global_fit(huge)
 
 
 def test_fit_result_physicality_enforced():
