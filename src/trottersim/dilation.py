@@ -6,9 +6,11 @@ CIRCUIT_GATES is the circuits' one description, read only here: induced_ptms cha
 real Pauli-transfer matrices (PTMs) into the data-qubit channels that channels.elementary_ptms
 returns for the backends "dilation" and "dilation+noise", at the angles of the mappings
 
-    gamma_phi = -ln(2 cos^2(theta1/2) - 1) / tau0
-    gamma1    = -ln(cos^2(theta2)) / tau0
+    gamma_phi = -ln(2 cos^2(theta1/2) - 1) / tau0 = log1p(tan^2(theta1)) / (2 tau0)
+    gamma1    = -ln(cos^2(theta2)) / tau0         = log1p(tan^2(theta2)) / tau0
     omega     = theta3 / (2 pi tau0)      (theta3 in radians)
+
+taken in their log1p forms and inverted by atan2, which keep every digit at small angles.
 
 The angles are three numbers in radians: angle_to_rates(theta1, theta2, theta3, tau0) evaluates
 the mappings and is the one check of their domain (finite, theta1 and theta2 in [0, pi/2)), and
@@ -121,9 +123,9 @@ def _circuit_ptms(circuits, noise: NoiseParams | None) -> np.ndarray:
 def _angles(rates: CanonicalRates, tau0: float) -> tuple[float, float, float]:
     """The angles (theta1, theta2, theta3) realizing the rates over tau0 >= 0, in Python floats,
     unchecked: tau0 = 0 gives (0, 0, 0)."""
-    return (math.acos(min(1.0, math.exp(-rates.gamma_phi * tau0))),
-            math.acos(min(1.0, math.exp(-rates.gamma1 * tau0 / 2))),
-            2 * math.pi * rates.omega * tau0)
+    theta1, theta2 = (math.atan2(math.sqrt(-math.expm1(-2 * x)), math.exp(-x))  # cos = e^{-x}
+                      for x in (rates.gamma_phi * tau0, rates.gamma1 * tau0 / 2))
+    return theta1, theta2, 2 * math.pi * rates.omega * tau0
 
 
 def induced_ptms(rates: CanonicalRates, durations: list[float],
@@ -138,7 +140,7 @@ def induced_ptms(rates: CanonicalRates, durations: list[float],
 def angle_to_rates(theta1: float, theta2: float, theta3: float, tau0: float = 3.56,
                    t1_intrinsic: float = np.inf, t2_intrinsic: float = np.inf) -> CanonicalRates:
     """The canonical rates the circuits realize at the per-step angles (radians) over the step
-    period tau0 (us), by the mappings above, plus intrinsic hardware decay: gamma1 gains
+    period tau0 (us), by the log1p forms above, plus intrinsic hardware decay: gamma1 gains
     1/T1_intrinsic and gamma_phi the intrinsic pure dephasing 1/T2_intrinsic - 1/(2 T1_intrinsic),
     so that 1/T2 gains 1/T2_intrinsic. An infinite time means no intrinsic decay of that kind:
     t2_intrinsic = inf leaves T2 limited by T1_intrinsic alone. A zero decay rate is +0.0.
@@ -167,8 +169,8 @@ def angle_to_rates(theta1: float, theta2: float, theta3: float, tau0: float = 3.
     if np.isfinite(t2_intrinsic) and t2_intrinsic > 2 * t1_intrinsic * (1 + 1e-9):
         raise ValueError(f"t2_intrinsic={t2_intrinsic} exceeds 2*t1_intrinsic={2 * t1_intrinsic}")
     with np.errstate(over="ignore"):  # reported below as a tau0 error
-        gamma1 = -np.log(arg_damp) / tau0
-        gamma_phi = -np.log(arg_phi) / tau0
+        gamma1 = np.log1p(np.tan(theta2) ** 2) / tau0
+        gamma_phi = np.log1p(np.tan(theta1) ** 2) / (2 * tau0)
         omega = theta3 / (2 * np.pi * tau0)
     if not np.isfinite([gamma1, gamma_phi, omega]).all():
         raise ValueError(f"tau0 is too small for finite rates, got {tau0}")

@@ -271,8 +271,8 @@ def test_damping_scaling_pipeline(tmp_path):
                                   "gamma_phi_per_us": base.gamma_phi, "omega_mhz": 0.0}
     assert fig3["c_list"] == [1.0, 2.13, 4.93, 9.96]
     results = fig3["extrapolations"]
-    assert [r["estimate"] for r in results] == [45.51122741162157, 53.08028462997628,
-                                                54.909679582117015, 55.56120363068368]
+    assert [r["estimate"] for r in results] == [45.51122741162129, 53.080284629975594,
+                                                54.90967958211609, 55.561203630682606]
     # Order 0 is the biased raw measurement, higher orders close in on the
     # zero-damping limit monotonically.
     assert results[1]["estimate"] == pytest.approx(truth, rel=0.15)
