@@ -301,11 +301,11 @@ def _levenberg_marquardt(fun, u, lo, hi, m):
     solves (A + lam diag(A)) du = -g on the coordinates not on a bound that -g points through,
     and is clipped into the box; lam is multiplied by 4 if the cost r.r/2 rose, else divided
     by 3. Before each trial is evaluated the run stops at u on the first of: 1 free gradient
-    <= 1e-15 cost; 2 Gauss-Newton decrement g^T A^-1 g <=
-    (_STOP_SE s)^2 with s^2 = r.r/(m - 3), so the Gauss-Newton step is under _STOP_SE
-    standard errors in the fit's covariance s^2 A^-1 (Madsen, Nielsen & Tingleff, "Methods
-    for non-linear least squares problems" (2004)); 3 step <= 1e-14 |u|. Returns the last
-    accepted u, its Gram matrix, and the rule that stopped the run, 0 for the iteration cap.
+    <= 1e-15 cost; 2 Gauss-Newton decrement g^T A^-1 g <= (_STOP_SE s)^2 with s^2 = r.r/(m - 3),
+    so the Gauss-Newton step is under _STOP_SE standard errors in the fit's covariance s^2 A^-1
+    (Madsen, Nielsen & Tingleff, "Methods for non-linear least squares problems" (2004)); 3
+    step <= 1e-14 |u|. Returns the last accepted u, its Gram matrix, and the rule that stopped
+    the run, 0 for the iteration cap.
     """
     gram = fun(u)
     cost, lam = gram[3][3] / 2, 1e-3
