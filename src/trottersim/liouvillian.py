@@ -127,9 +127,17 @@ class EvolutionTrace:
         return np.sqrt(self.sx**2 + self.sy**2 + self.sz**2)
 
 
-def _bloch_terms(bloch0) -> np.ndarray:
-    """The (9, 12 S) map from a rate row's monomials (1, a, w) x (1, v_y, v_z) to the
-    coefficients of the basis (1, C, S, E) in the three components of each of S starts."""
+_CHAIN = np.zeros((4, 4, 8))  # the chain rule's map: row of monomials, (1, C, S, E), basis
+_CHAIN[0, range(4), range(4)] = _CHAIN[1, (1, 2), (4, 5)] = 1.0
+_CHAIN[2, 3, 6], _CHAIN[3, (1, 2), (5, 7)] = -1.0, (0.5, 1.0)
+
+
+def _chain_terms(bloch0) -> np.ndarray:
+    """The (36, 24 S) map from the kernel's four rows of the monomials (1, a, w) x (1, v_y, v_z)
+    to coefficients on the basis (1, C, S, E, tC, tS, tE, dS/dq) in the three components of each
+    of S starts. A start's terms take the first row onto (1, C, S, E); by the chain rule the
+    second (times dm) puts C's coefficient on tC and S's on tS, the third (times dG2) E's on -tE,
+    and the fourth (times dq) C's on tS/2 = dC/dq and S's on dS/dq."""
     bloch0 = np.asarray(bloch0, dtype=float)
     terms = np.zeros((3, 3, len(bloch0), 3, 4))  # (1, a, w), (1, v_y, v_z), start, component, basis
     terms[0, 0, :, 0, 3], terms[0, 1, :, 1, 0], terms[0, 2, :, 2, 0] = bloch0[:, 0], 1, 1
@@ -137,7 +145,7 @@ def _bloch_terms(bloch0) -> np.ndarray:
     d[0], d[1, :, 0], d[2, :, 1] = bloch0[:, 1:], -1, -1
     terms[1, :, :, 1:, 2] = d * [1, -1]  # (M - mI) d = a (d_y, -d_z) + w (-d_z, d_y) on S
     terms[2, :, :, 1, 2], terms[2, :, :, 2, 2] = -d[..., 1], d[..., 0]
-    return terms.reshape(9, -1)
+    return (terms.reshape(-1, 4) @ _CHAIN).reshape(36, -1)  # one nonzero term per entry
 
 
 def _rate_constants(g1, rphi, omega, tmax: float):
@@ -170,19 +178,47 @@ def _cosh_sinh(case: int, e, s, t, lib=math):
     return e * lib.cos(x), e * lib.sin(x) / s
 
 
-def _bloch_curves(rows: list, terms: np.ndarray, t: np.ndarray, tmax: float) -> np.ndarray:
-    """:func:`bloch_solution` as (K, 3 S, T) curves for terms = _bloch_terms(bloch0), t checked
-    with largest time tmax, and rows a list of K rate triples of Python floats."""
-    rc = [_rate_constants(*row, tmax) for row in rows]
-    monos = [[p * v for p in (1, a, w) for v in (1, vy, vz)] for a, w, vy, vz, _, _ in rc]
-    cases, c = [r[4] for r in rc], np.array([r[5] for r in rc])
-    basis = np.empty((len(c), 4, t.size))  # 1, C, S, E; S is e^{c0 t} until its case
-    basis[:, 0] = 1
-    np.exp(np.multiply(c[:, :2, None], t, out=basis[:, 2:]), out=basis[:, 2:])
-    for case in set(cases):
-        k = np.equal(cases, case) if len(set(cases)) > 1 else slice(None)
-        basis[k, 1], basis[k, 2] = _cosh_sinh(case, basis[k, 2], c[k, 2:], t, np)
-    return (np.array(monos)[:, None] @ terms).reshape(len(c), -1, 4) @ basis  # row by row
+def _bloch_jacobian(u, chain_terms: np.ndarray, t: np.ndarray, tmax: float,
+                    derivatives: bool = True) -> np.ndarray:
+    """The (4, 3 S len(t)) block of the closed form's derivatives in r1 = gamma1, rphi = gamma_phi
+    and omega, then its curves, at the row u of three rates, for chain_terms = _chain_terms(bloch0)
+    of S starts and checked times t with largest time tmax. Each row runs over the starts' three
+    components, and over t within each. With derivatives False, only the curves, as (3 S, len(t)).
+
+    Forward mode (Griewank & Walther, "Evaluating Derivatives" (2008)): the derivatives of m,
+    a, w, det, q, v_ss and the monomials (1, a, w) x (1, vy, vz) are Python floats, and one
+    product by chain_terms gives the rows' coefficients on one real basis, with dS/dq =
+    (tC - S)/(2q), or e^{mt} t^3 (1/6 + z/60 + z^2/1680), z = q t^2, in the series case. The
+    derivatives divide by det M, so they need det M > 0 (the fit's r1 >= 1e-6 keeps it); the
+    curves alone read only (1, C, S, E), which stay finite wherever the closed form does.
+    """
+    r1, rphi, omega = map(float, u)
+    a, w, vy, vz, case, (c0, c1, s) = _rate_constants(r1, rphi, omega, tmax)
+    monos = [1.0, vy, vz, a, a * vy, a * vz, w, w * vy, w * vz]
+    basis = np.empty((8, t.size))  # 1, C, S, E, tC, tS, tE, dS/dq; S is e^{c0 t} until its case
+    basis[0] = 1.0
+    np.exp(np.multiply([[c0], [c1]], t, out=basis[2:4]), out=basis[2:4])
+    if case == 0 and derivatives:
+        z = s * t * t  # s is q in the series case
+        basis[7] = basis[2] * t**3 * (1 / 6 + z / 60 + z * z / 1680)
+    basis[1], basis[2] = _cosh_sinh(case, basis[2], s, t, np)
+    if not derivatives:
+        return (np.array(monos) @ chain_terms[:9]).reshape(-1, 8)[:, :4] @ basis[:4]
+    g2, tw = r1 / 2 + rphi, 4 * math.pi * w  # tw = d(w^2)/d(omega)
+    det, q, dd = r1 * g2 + w * w, a * a - w * w, g2 + r1 / 2  # dd = d(det)/d(r1)
+    dvy = (-w - vy * dd) / det, -vy * r1 / det, (-2 * math.pi * r1 - vy * tw) / det
+    dvz = (1 - vz) * dd / det, (1 - vz) * r1 / det, -vz * tw / det
+    # rows r1, rphi, omega: d(monos), then monos times dm, dG2 and dq; the curves: monos
+    left = np.multiply.outer([[0.0, -0.75, 0.5, a / 2], [0.0, -0.5, 1.0, -a],
+                              [0.0, 0.0, 0.0, -tw], [1.0, 0.0, 0.0, 0.0]], monos)
+    left[:3, 0] = [[0.0, y, z, da, da * vy + a * y, da * vz + a * z, dw, dw * vy + w * y,
+                    dw * vz + w * z]  # da and dw are d(a, w) in the row's rate
+                   for y, z, da, dw in zip(dvy, dvz, (0.25, -0.5, 0.0), (0.0, 0.0, 2 * math.pi))]
+    np.multiply(basis[1:4], t, out=basis[4:7])
+    if case:
+        np.subtract(basis[4], basis[2], out=basis[7])
+        basis[7] /= 2 * q
+    return ((left.reshape(4, 36) @ chain_terms).reshape(4, -1, 8) @ basis).reshape(4, -1)
 
 
 def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -196,7 +232,8 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     and a = (G1 - G2)/2. So a curve is the basis (1, e^{mt} cosh(st), e^{mt} sinh(st)/s,
     e^{-G2 t}) times the monomials (1, a, w) x (1, v_ss) by a map of the start. A row takes
     one case: the series in q t^2 where |q| t_max^2 < 1e-5 (t = 0 alone, or s near 0), else
-    s real or imaginary.
+    s real or imaginary. Each row is one call of the kernel _bloch_jacobian, for the curves
+    alone, with the starts' map built once.
 
     Raises:
         ValueError: On a negative or non-finite time, rows not (K, 3) and real or bloch0 not
@@ -218,14 +255,15 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(f"rate row {k} is not finite: {rows[k].tolist()}")
-    curves = _bloch_curves(rows.tolist(), _bloch_terms(bloch0), t, tmax)
-    return curves.reshape(len(rows), len(bloch0), 3, -1)
+    terms = _chain_terms(bloch0)
+    curves = [_bloch_jacobian(row, terms, t, tmax, derivatives=False) for row in rows.tolist()]
+    return np.reshape(curves, (len(rows), len(bloch0), 3, -1))
 
 
 def _exact_step(rates: CanonicalRates, tau: float) -> np.ndarray:
-    """The exact one-step PTM E(tau) from the closed form's constants, in Python floats: <x> decays
-    by e^{-G2 tau}, (<y>, <z>) maps to B (y, z) + (I - B) v_ss, B = e^{M tau} = C I + S [[a, -w],
-    [w, -a]], with C = e^{m tau} cosh(s tau) and S = e^{m tau} sinh(s tau)/s."""
+    """The exact one-step PTM E(tau) from _bloch_jacobian's constants and terms, in Python floats:
+    <x> decays by e^{-G2 tau}, (<y>, <z>) maps to B (y, z) + (I - B) v_ss, B = e^{M tau} = C I +
+    S [[a, -w], [w, -a]], with C = e^{m tau} cosh(s tau) and S = e^{m tau} sinh(s tau)/s."""
     a, w, vy, vz, case, (c0, c1, s) = _rate_constants(*vars(rates).values(), tau)
     c, sn = _cosh_sinh(case, math.exp(c0 * tau), s, tau)
     b = (c + sn * a, -sn * w), (sn * w, c - sn * a)

@@ -5,12 +5,12 @@ twelve evolution curves on a shared time grid. The global fit minimizes the
 unweighted sum of squared deviations between those curves and the exact
 master-equation model, parameterized internally by the rates
 (1/T1, pure dephasing, Omega) so the physicality constraint T2 <= 2*T1 holds
-by construction. The model is liouvillian.bloch_solution's closed-form
-(Torrey) kernel, called on the set's checked grid with the four states' start
-terms built once. The fit starts from the curves' own step: one linear
-least-squares solve recovers it from the four states' affine Bloch rows, and
-its invariants give the rates (exact for canonical curves and for Trotter
-products). From there one projected Levenberg-Marquardt run (one real kernel
+by construction. The model is liouvillian's one closed-form (Torrey) kernel,
+which also writes the exact curves, called on the set's checked grid with the
+four states' map built once at import. The fit starts from the curves' own
+step: one linear least-squares solve recovers it from the four states' affine
+Bloch rows, and its invariants give the rates (exact for canonical curves and
+for Trotter products). From there one projected Levenberg-Marquardt run (one real kernel
 of the curves and their forward-mode derivatives, reduced to the 4x4 Gram matrix
 of the Jacobian and the 12*(N+1) residuals, per evaluation; Python floats for its
 3x3 algebra) stops once its next step is under 1e-4 standard errors; a run that
@@ -30,8 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import check_count, check_grid, check_positive, validate_density_matrix
-from .liouvillian import (CanonicalRates, EvolutionTrace, _bloch_curves, _bloch_terms, _cosh_sinh,
-                          _rate_constants)
+from .liouvillian import CanonicalRates, EvolutionTrace, _bloch_jacobian, _chain_terms
 
 __all__ = [
     "STATE_LABELS",
@@ -135,7 +134,8 @@ def generate_tomography(
         raise ValueError(f"n_steps * tau0 must be below 1.34e154, got {n_steps} * {tau0}")
     times = np.arange(n_steps + 1) * tau0
     if evolve is None:  # the fit's own model
-        curves = _bloch_model([[rates.gamma1, rates.gamma_phi, rates.omega]], times)[0]
+        row = rates.gamma1, rates.gamma_phi, rates.omega
+        curves = _bloch_jacobian(row, _CHAIN_TERMS, times, float(times[-1]), derivatives=False)
     else:
         traces = [evolve(INITIAL_STATES[s]) for s in STATE_LABELS]
         for tr in traces:  # a trace of another length fails as a NaN gap
@@ -191,56 +191,7 @@ class FitResult:
 
 
 _BLOCH0 = np.array([validate_density_matrix(INITIAL_STATES[s])[1:] for s in STATE_LABELS])
-_TERMS = _bloch_terms(_BLOCH0)
-# Four monomial rows [x0, x1, x2, x3] to coefficients on (1, C, S, E, tC, tS, tE, dS/dq): x0 onto
-# (1, C, S, E) by _TERMS; by the chain rule x1 (times dm) puts C's coefficient on tC and S's on
-# tS, x2 (times dG2) E's on -tE, and x3 (times dq) C's on tS/2 = dC/dq and S's on dS/dq.
-_CHAIN = np.zeros((4, 4, 8))
-_CHAIN[0, range(4), range(4)] = _CHAIN[1, (1, 2), (4, 5)] = 1.0
-_CHAIN[2, 3, 6], _CHAIN[3, (1, 2), (5, 7)] = -1.0, (0.5, 1.0)
-_CHAIN_TERMS = np.einsum("mkb,jbx->jmkx", _TERMS.reshape(9, 12, 4), _CHAIN).reshape(36, 96)
-
-
-def _bloch_model(u: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(K, 12, len(times)) model curves for (K, 3) rows u of (r1, rphi, omega); times checked
-    and increasing."""
-    return _bloch_curves(np.asarray(u).tolist(), _TERMS, times, float(times[-1]))
-
-
-def _bloch_jacobian(u, t: np.ndarray, tmax: float) -> np.ndarray:
-    """The (4, 12*len(t)) block of the model's derivatives in r1, rphi and omega, then its
-    curves, at the row u of three floats, r1 > 0, on checked times t with largest time tmax.
-
-    Forward mode (Griewank & Walther, "Evaluating Derivatives" (2008)): the derivatives of m,
-    a, w, det, q, v_ss and the monomials (1, a, w) x (1, vy, vz) are Python floats, and one
-    product by _CHAIN_TERMS gives the rows' coefficients on one real basis, with dS/dq =
-    (tC - S)/(2q), or e^{mt} t^3 (1/6 + z/60 + z^2/1680), z = q t^2, in the series case.
-    """
-    r1, rphi, omega = map(float, u)
-    a, w, vy, vz, case, (c0, c1, s) = _rate_constants(r1, rphi, omega, tmax)
-    g2, tw = r1 / 2 + rphi, 4 * math.pi * w  # tw = d(w^2)/d(omega)
-    det, q, dd = r1 * g2 + w * w, a * a - w * w, g2 + r1 / 2  # dd = d(det)/d(r1)
-    dvy = (-w - vy * dd) / det, -vy * r1 / det, (-2 * math.pi * r1 - vy * tw) / det
-    dvz = (1 - vz) * dd / det, (1 - vz) * r1 / det, -vz * tw / det
-    monos = [1.0, vy, vz, a, a * vy, a * vz, w, w * vy, w * vz]
-    # rows r1, rphi, omega: d(monos), then monos times dm, dG2 and dq; the curves: monos
-    left = np.multiply.outer([[0.0, -0.75, 0.5, a / 2], [0.0, -0.5, 1.0, -a],
-                              [0.0, 0.0, 0.0, -tw], [1.0, 0.0, 0.0, 0.0]], monos)
-    left[:3, 0] = [[0.0, y, z, da, da * vy + a * y, da * vz + a * z, dw, dw * vy + w * y,
-                    dw * vz + w * z]  # da and dw are d(a, w) in the row's rate
-                   for y, z, da, dw in zip(dvy, dvz, (0.25, -0.5, 0.0), (0.0, 0.0, 2 * math.pi))]
-    basis = np.empty((8, t.size))  # 1, C, S, E, tC, tS, tE, dS/dq; S is e^{c0 t} until its case
-    basis[0] = 1.0
-    np.exp(np.multiply([[c0], [c1]], t, out=basis[2:4]), out=basis[2:4])
-    if case == 0:
-        z = s * t * t  # s is q in the series case
-        basis[7] = basis[2] * t**3 * (1 / 6 + z / 60 + z * z / 1680)
-    basis[1], basis[2] = _cosh_sinh(case, basis[2], s, t, np)
-    np.multiply(basis[1:4], t, out=basis[4:7])
-    if case:
-        np.subtract(basis[4], basis[2], out=basis[7])
-        basis[7] /= 2 * q
-    return ((left.reshape(4, 36) @ _CHAIN_TERMS).reshape(4, 12, 8) @ basis).reshape(4, -1)
+_CHAIN_TERMS = _chain_terms(_BLOCH0)
 
 
 def _step_start(curves: np.ndarray, tau0: float) -> tuple[float, float, float]:
@@ -379,7 +330,7 @@ def global_fit(ts: TomographySet) -> FitResult:
 
     def fun(u):
         evaluated.append(u)
-        block = _bloch_jacobian(u, t, tmax)
+        block = _bloch_jacobian(u, _CHAIN_TERMS, t, tmax)
         block[3] -= data  # the residuals
         return (block @ block.T).tolist()
 

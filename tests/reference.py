@@ -207,7 +207,7 @@ def closed_form_curves(row, bloch0, t):
     series in z = q t^2 to z^2; else, for Re q > 0, e^{mt} cosh(st) and e^{mt} sinh(st)/s from
     e^{(m+s)t} = e^{det t/(m - s)} and e^{(m-s)t}, so that no exponent grows, and for Re q < 0
     e^{mt} cos(st) and e^{mt} sin(st)/s with s^2 = -q: each value is real at a real row, so a
-    complex step's imaginary parts stay its own."""
+    complex step's imaginary parts stay its own. v_ss is 0 where det M = 0, as there."""
     g1, rphi, omega = map(complex, row)
     g2, w = g1 / 2 + rphi, 2 * math.pi * omega
     m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
@@ -223,7 +223,7 @@ def closed_form_curves(row, bloch0, t):
     else:
         s, e = cmath.sqrt(-q), np.exp(m * t)
         c, sn = e * np.cos(s * t), e * np.sin(s * t) / s
-    vy, vz = -w * g1 / det, g1 * g2 / det
+    vy, vz = (-w * g1 / det, g1 * g2 / det) if det else (0, 0)
     x0, dy, dz = (np.asarray(bloch0)[:, k, None] - v for k, v in enumerate((0, vy, vz)))
     return np.stack([x0 * np.exp(-g2 * t), vy + c * dy + sn * (a * dy - w * dz),
                      vz + c * dz + sn * (w * dy - a * dz)], axis=1)

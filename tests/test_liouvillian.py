@@ -1,12 +1,14 @@
 """Tests for the exact evolution of the canonical qubit and its reference generator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (BLOCH_ROWS, EYE, KET_0, KET_1, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                       density, generator, propagator, unvec, vec)
+                       closed_form_curves, density, generator, propagator, unvec, vec)
 from trottersim.liouvillian import (
     CanonicalRates,
     EvolutionTrace,
@@ -15,6 +17,7 @@ from trottersim.liouvillian import (
     target_trace,
 )
 from trottersim import liouvillian
+from trottersim.tomography import generate_tomography
 from trottersim.trotter import _SCAN, TrotterSchedule, _step_stack, permutation_scan
 
 RHO_1 = density(KET_1)
@@ -340,6 +343,62 @@ def test_bloch_solution_on_a_batch_equals_each_row_alone(cases, starts, tau0, n_
     assert batch.shape == (len(rows), starts, 3, n_steps + 1)
     assert all(np.array_equal(batch[k], bloch_solution(rows[k : k + 1], bloch0, times)[0])
                for k in range(len(rows)))
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cases=st.lists(st.tuples(st.sampled_from([0.0, 1e-4, 0.5]) | st.floats(0.0, 2.0),
+                             st.sampled_from([0.0, 1e-4, 0.5]) | st.floats(0.0, 2.0),
+                             st.just(0.0) | st.floats(-1.0, 1.0),
+                             st.sampled_from(("free", "zero", "ep+", "ep-"))),
+                   min_size=1, max_size=4),
+    starts=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=5),
+    tau0=st.floats(0.01, 8.0),
+    n_steps=st.integers(0, 60),
+)
+# det M = 0 rows (gamma1 = omega = 0, with and without dephasing) beside a row of each case:
+# the series at an exceptional point, s real and s imaginary; then each side of the series
+# boundary |q| t_max^2 = 1e-5 (t_max = 13 * 3.56) and q = 0 exactly.
+@example(cases=[(0.0, 0.0, 0.0, "zero"), (0.0, 0.3, 0.0, "zero"), (0.05, 0.0, 0.0, "ep+"),
+                (0.1, 0.0, 0.0, "free"), (0.02, 0.01, 0.1, "free")],
+         starts=[(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.3, -0.2, 0.5),
+                 (0.0, 0.0, 0.0)], tau0=3.56, n_steps=13)
+@example(cases=_BOUNDARY_CASES, starts=[(0.6, 0.0, -0.8)], tau0=3.56, n_steps=13)
+def test_curves_match_the_closed_form_in_complex_arithmetic_within_4_eps(cases, starts, tau0,
+                                                                        n_steps):
+    # bloch_solution on several rows at once, and the kernel's curves row beside its
+    # derivatives where det M > 0, each within 4 eps absolute of the closed form taken in
+    # complex arithmetic (tests/reference.py), row by row; curves lie in [-1, 1], and 2 eps is
+    # the largest gap seen over 40 000 random rows of every case. Both sides take v_ss = 0
+    # where det M = 0, where the kernel has no derivatives.
+    rows = np.array([[r.gamma1, r.gamma_phi, r.omega] for r in map(_rates_case, *zip(*cases))])
+    bloch0 = np.array(starts) / max(1.0, np.linalg.norm(starts, axis=1).max())
+    times = np.arange(n_steps + 1) * tau0
+    got = bloch_solution(rows, bloch0, times)
+    terms = liouvillian._chain_terms(bloch0)
+    for k, (g1, rphi, omega) in enumerate(rows.tolist()):
+        want = closed_form_curves((g1, rphi, omega), bloch0, times).real
+        assert np.abs(got[k] - want).max() <= 4 * _EPS
+        w = 2 * math.pi * omega
+        if g1 * (g1 / 2 + rphi) + w * w > 0:
+            block = liouvillian._bloch_jacobian((g1, rphi, omega), terms, times, times[-1])
+            assert np.abs(block[3] - want.ravel()).max() <= 4 * _EPS
+
+
+def test_curves_stay_finite_where_the_derivatives_overflow():
+    # At t = 1e153 the kernel's derivative basis overflows: t^3 in the series at zero rates, and
+    # (tC - S)/(2q) with q = -w^2 under a drive of 1e-100 MHz. The curves are finite there, and
+    # bloch_solution and the generator read them alone, with no warning (an error here).
+    rows, bloch0, times = [[0.0, 0.0, 0.0], [0.0, 0.0, 1e-100]], [[0.6, 0.0, 0.8]], [0.0, 1e153]
+    got = bloch_solution(rows, bloch0, times)
+    for k, row in enumerate(rows):
+        want = closed_form_curves(row, bloch0, times).real
+        assert np.abs(got[k] - want).max() <= 4 * _EPS
+    curves = generate_tomography(CanonicalRates(omega=1e-100), 1e152, 10).curves
+    assert np.isfinite(curves).all() and np.abs(curves).max() <= 1
 
 
 def test_bloch_solution_rejects_complex_rows():

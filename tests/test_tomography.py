@@ -16,6 +16,7 @@ from trottersim.dilation import angle_to_rates
 from trottersim.liouvillian import (
     CanonicalRates,
     EvolutionTrace,
+    _bloch_jacobian,
     bloch_solution,
     propagate,
     target_trace,
@@ -28,8 +29,6 @@ from trottersim.tomography import (
     STATE_LABELS,
     FitResult,
     TomographySet,
-    _bloch_jacobian,
-    _bloch_model,
     _levenberg_marquardt,
     _step_start,
     dephasing_time,
@@ -440,7 +439,8 @@ _ROW = st.tuples(
 @example(rows=_BOUNDARY_ROWS, tau0=3.56, npoints=14)
 def test_closed_form_matches_stepped_reference(rows, tau0, npoints):
     u = np.array([_bloch_row(*row, tau0) for row in rows])
-    model = _bloch_model(u, np.arange(npoints) * tau0)
+    model = bloch_solution(u, tomography._BLOCH0, np.arange(npoints) * tau0)
+    model = model.reshape(len(u), 12, npoints)
     assert model.dtype == float and np.isfinite(model).all()
     np.testing.assert_allclose(model, reference_model(u, tau0, npoints), rtol=0, atol=1e-12)
 
@@ -455,10 +455,10 @@ def test_closed_form_matches_stepped_reference(rows, tau0, npoints):
 def test_jacobian_matches_central_differences_of_reference(row, tau0, npoints):
     u = np.array(_bloch_row(*row, tau0))
     times = np.arange(npoints) * tau0
-    block = _bloch_jacobian(u, times, times[-1])
+    block = _bloch_jacobian(u, tomography._CHAIN_TERMS, times, times[-1])
     model, jac = block[3], block[:3].T
-    np.testing.assert_allclose(model, _bloch_model(u[None], times).ravel(),
-                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(model, reference.closed_form_curves(u, tomography._BLOCH0, times)
+                               .real.ravel(), rtol=0, atol=4 * np.finfo(float).eps)
     # Five-point central differences, with steps small against the curves' time
     # scale t_max (2 pi t_max for omega): truncation and round-off stay near 1e-9.
     h = 3e-3 / (tau0 * (npoints - 1)) * np.array([1.0, 1.0, 1.0 / (2 * np.pi)])
@@ -490,14 +490,13 @@ _SERIES_EDGE = [(0.2, 0.0, math.sqrt(0.05**2 - sign * 0.9e-5 / (13 * 3.56) ** 2)
 @example(row=_SERIES_EDGE[1], tau0=3.56, npoints=14)
 def test_jacobian_block_matches_the_complex_step_of_the_closed_form(row, tau0, npoints):
     # Series, s real and s imaginary rows: the forward-mode derivatives against the complex step
-    # of the closed form in complex arithmetic, and the curves against _bloch_model, each row of
-    # the block within 1e-10 of its largest entry. Rates from 1e-4 and tau0 to 6 keep each
+    # of the closed form in complex arithmetic, and the curves against that closed form, each row
+    # of the block within 1e-10 of its largest entry. Rates from 1e-4 and tau0 to 6 keep each
     # derivative well above the round-off of the curves, which both sides carry.
     u = _bloch_row(*row, tau0)
     times = np.arange(npoints) * tau0
-    block = _bloch_jacobian(u, times, times[-1])
+    block = _bloch_jacobian(u, tomography._CHAIN_TERMS, times, times[-1])
     want = reference.complex_step_block(u, tomography._BLOCH0, times)
-    want[3] = _bloch_model(np.array([u]), times).ravel()
     assert block.shape == want.shape
     assert np.all(np.abs(block - want) <= 1e-10 * np.abs(want).max(axis=1, keepdims=True))
 
@@ -522,7 +521,7 @@ def test_fit_evaluation_is_the_gram_matrix_of_the_block_less_the_data(row, shots
         global_fit(ts)
     fun, m = runs[0]
     u = (u[0], u[1], u[2] * 0.5 / TAU0)
-    block = _bloch_jacobian(u, ts.times, ts.times[-1])
+    block = _bloch_jacobian(u, tomography._CHAIN_TERMS, ts.times, ts.times[-1])
     rows = [*block[:3].tolist(), (block[3] - ts.curves.ravel()).tolist()]
     want = [[math.fsum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
     gram = fun(u)
@@ -672,9 +671,9 @@ def test_fit_that_ends_on_the_nyquist_edge_reruns_from_the_mirrored_rows(monkeyp
         runs.append(_levenberg_marquardt(fun, u, lo, hi, m))
         return runs[-1]
 
-    def counted(u, times, tmax):
+    def counted(u, terms, times, tmax):
         calls.append(u)
-        return _bloch_jacobian(u, times, tmax)
+        return _bloch_jacobian(u, terms, times, tmax)
 
     monkeypatch.setattr(tomography, "_levenberg_marquardt", spy)
     monkeypatch.setattr(tomography, "_bloch_jacobian", counted)
@@ -822,7 +821,7 @@ def _gram_fun(ts):
     data = ts.curves.ravel()
 
     def fun(u):
-        block = _bloch_jacobian(u, ts.times, ts.times[-1])
+        block = _bloch_jacobian(u, tomography._CHAIN_TERMS, ts.times, ts.times[-1])
         block[3] -= data
         return (block @ block.T).tolist()
 
@@ -834,7 +833,8 @@ def _grid_only_fit(ts):
     data = ts.curves
     lo, hi = np.array([1e-6, 0.0, -0.5 / TAU0]), np.array([2.0, 2.0, 0.5 / TAU0])
     cands = np.clip(_start_grid(_step_start(data, TAU0)), lo, hi)
-    scores = ((_bloch_model(cands, ts.times) - data) ** 2).sum(axis=(1, 2))
+    model = bloch_solution(cands, tomography._BLOCH0, ts.times).reshape(len(cands), 12, -1)
+    scores = ((model - data) ** 2).sum(axis=(1, 2))
     u, gram, status = _levenberg_marquardt(_gram_fun(ts), cands[np.argmin(scores)], lo, hi,
                                            data.size)
     return math.sqrt(gram[3][3] / data.size), status > 0
