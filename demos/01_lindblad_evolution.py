@@ -30,7 +30,7 @@ for t, sx, sy, sz in zip(trace.times, trace.sx, trace.sy, trace.sz):
 # |0><0|, agrees with the last stepped sample of the trace to rounding.
 row = [[rates.gamma1, rates.gamma_phi, rates.omega]]
 final = bloch_solution(row, [[0.0, 0.0, 1.0]], [n_steps * tau0])[0, 0, :, 0]
-gap = np.abs(final - trace.as_matrix()[-1]).max()
+gap = np.abs(final - trace.rows[-1, 1:]).max()
 print(f"\nsingle-shot vs sampled trace gap at t = {n_steps * tau0:.2f} us: {gap:.2e}")
 
 # With the drive off, populations relax at exactly 1/T1.

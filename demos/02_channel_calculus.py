@@ -39,7 +39,7 @@ starts = [plus, np.diag([0.0, 1.0]), np.array([[0.5, -0.5j], [0.5j, 0.5]])]
 for name, step, model in (("undriven", damp @ deph, undriven),
                           ("driven", rot @ damp @ deph, rates)):
     gap = max(np.abs((step @ validate_density_matrix(rho))[1:]
-                     - target_trace(model, rho, tau0, 1).as_matrix()[-1]).max()
+                     - target_trace(model, rho, tau0, 1).rows[-1, 1:]).max()
               for rho in starts)
     print(f"{name:8s} product vs exact step gap on |+>, |1>, |+i>: {gap:.2e}")
 

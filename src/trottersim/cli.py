@@ -22,7 +22,7 @@ that read each key).  Each job (a subcommand runner or a figure protocol) yields
 artifacts in write order as (file name, content) pairs; main writes each one into --out
 as it arrives and echoes the paths once the job has finished, so a job that fails keeps
 the files it yielded before.  Trace CSV files always carry the header
-step,time_us,sx,sy,sz and every emitted trace is checked against the Bloch-norm bound.
+step,time_us,sx,sy,sz and every emitted trace's Bloch rows are checked as stored.
 Identical config and seed produce byte-identical artifacts.  Exit codes: 0 success, 1
 invalid configuration or usage, 2 numerical failure (diagnostic on stderr).
 """
@@ -301,12 +301,11 @@ def _fmt(x):
 
 
 def _write(path, content):
-    """Write one artifact: an EvolutionTrace as a trace CSV after its Bloch-row check, a
+    """Write one artifact: an EvolutionTrace as a trace CSV after the check of its rows, a
     (header, rows) table as CSV (floats as repr, other cells as text), anything else as strict
     JSON, a non-finite float written as null."""
     if isinstance(content, EvolutionTrace):
-        bloch = np.column_stack([np.ones(len(content)), content.as_matrix()])  # (1, sx, sy, sz)
-        check_bloch_rows(bloch, lambda j: f"trace {content.label!r} step {j[0]}")
+        check_bloch_rows(content.rows, lambda j: f"trace {content.label!r} step {j[0]}")
         columns = (content.times, content.sx, content.sy, content.sz)
         content = (TRACE_HEADER, ((j, *v) for j, v in enumerate(zip(*columns))))
     if isinstance(content, tuple):
@@ -374,7 +373,9 @@ def _run_scan(cfg):
                             backend=schedule.backend, noise=schedule.noise)
     for (order, perm), report in scan.items():
         results[str(order)]["-".join(perm)] = float(report.a)
-    best = {o: min(table, key=lambda k: (table[k], k)) for o, table in results.items()}
+    # Commuting twins tie up to round-off: the name-first within 1e-12 relative of the least A.
+    lows = {o: min(table.values()) * (1 + 1e-12) for o, table in results.items()}
+    best = {o: min(k for k, a in table.items() if a <= lows[o]) for o, table in results.items()}
     summary = _run_summary(cfg)
     del summary["engine"]["order"], summary["engine"]["permutation"]  # scan runs every one
     yield "scan.json", {"best_permutation": best, "results": results, **summary}
@@ -514,7 +515,7 @@ def _run_converge(cfg):
     yield "converge.json", {
         "accuracies": [float(a) for a in result.accuracies],
         "n_values": [int(n) for n in result.n_values],
-        "saturated": bool(result.saturated),
+        "saturated": result.slope is None,
         "slope": None if result.slope is None else float(result.slope),
         "t_total_us": float(t_total),
         **_run_summary(cfg),

@@ -30,8 +30,8 @@ def check_positive(name: str, value) -> None:
 
 
 def check_grid(gap, t_max, message: str) -> None:
-    """Raise ValueError(message) unless gap <= c eps t_max, c = 4, a NaN failing: gap is a grid's
-    largest deviation from another grid or of a spacing from its first, t_max its largest |t|."""
+    """Raise ValueError(message) unless gap <= c eps t_max, c = 4, a NaN failing: gap, t_max are
+    two steps' |dt - dt0|, dt0, or a grid's largest spacing deviation from the first, max |t|."""
     if not gap <= 4 * math.ulp(1.0) * t_max:  # j*tau0 rounds once: spacings move <= 2 eps t_max
         raise ValueError(message)
 

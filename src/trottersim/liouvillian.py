@@ -97,34 +97,34 @@ def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionTrace:
-    """Bloch-vector record of a stepped qubit evolution.
-
-    times holds N+1 sample instants (t=0 included); sx, sy, sz are the
-    matching Pauli expectation values.
+    """Bloch record of a stepped qubit evolution: the finite (N+1, 4) block rows of Bloch rows
+    c = (Tr rho, <sx>, <sy>, <sz>) at t = j*dt, j = 0..N, kept without a copy; times is that
+    grid, and sx, sy, sz are views of rows' columns. A dt that is not positive and finite, other
+    rows, or a last time N*dt that overflows is a ValueError naming dt or rows.
     """
 
-    times: np.ndarray
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
+    dt: float
+    rows: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        for name in ("times", "sx", "sy", "sz"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if any(getattr(self, k).size != self.times.size for k in ("sx", "sy", "sz")):
-            raise ValueError("trace component lengths differ")
+        check_positive("dt", self.dt)
+        dt, rows = float(self.dt), np.asarray(self.rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 4 or not len(rows):
+            raise ValueError(f"rows must be an (N+1, 4) block, got shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ValueError("rows contains non-finite entries")
+        if not (len(rows) - 1) * dt < math.inf:
+            raise ValueError(f"the last time N*dt overflows: {len(rows) - 1} * {dt}")
+        self.__dict__.update(dt=dt, rows=rows)
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return len(self.rows)
 
-    def as_matrix(self) -> np.ndarray:
-        """(N+1, 3) array with columns sx, sy, sz."""
-        return np.column_stack([self.sx, self.sy, self.sz])
-
-    def bloch_norms(self) -> np.ndarray:
-        """Euclidean Bloch-vector norms, one per sample; <= 1 for physical states."""
-        return np.sqrt(self.sx**2 + self.sy**2 + self.sz**2)
+    times = property(lambda self: np.arange(len(self.rows), dtype=float) * self.dt)
+    sx = property(lambda self: self.rows[:, 1])
+    sy = property(lambda self: self.rows[:, 2])
+    sz = property(lambda self: self.rows[:, 3])
 
 
 _CHAIN = np.zeros((4, 4, 8))  # the chain rule's map: row of monomials, (1, C, S, E), basis
@@ -283,5 +283,5 @@ def target_trace(rates: CanonicalRates, rho0: np.ndarray, tau0: float,
     check_count("n_steps", n_steps)
     check_positive("tau0", tau0)
     row0 = validate_density_matrix(rho0, "rho0")
-    rows = propagate(_exact_step(rates, tau0), row0[:, None], n_steps)[:, 1:, 0]
-    return EvolutionTrace(np.arange(n_steps + 1.0) * tau0, *rows.T, label="target")
+    rows = propagate(_exact_step(rates, tau0), row0[:, None], n_steps)[..., 0]
+    return EvolutionTrace(tau0, rows, label="target")

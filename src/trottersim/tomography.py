@@ -116,10 +116,10 @@ def generate_tomography(
         shots: Per-point sampling depth, an integer >= 1; None for exact expectations.
         seed: Seed for the binomial sampler, None or an integer >= 0 (fixed seed gives
             identical output).
-        evolve: Optional replacement dynamics, called per initial state as
-            evolve(rho0) -> EvolutionTrace on the same grid (e.g. a
-            Trotterized engine run); defaults to the exact closed-form
-            solution at `rates`, the model global_fit fits.
+        evolve: Optional replacement dynamics, called per initial state as evolve(rho0) ->
+            EvolutionTrace (e.g. a Trotterized engine run), whose constructor checked its dt
+            and its finite (N+1, 4) Bloch rows; n_steps + 1 rows, dt within 4 eps of tau0,
+            give the curves. Defaults to the closed form at `rates`, the model global_fit fits.
 
     Returns:
         TomographySet on the grid t = j*tau0.
@@ -139,9 +139,9 @@ def generate_tomography(
     else:
         traces = [evolve(INITIAL_STATES[s]) for s in STATE_LABELS]
         for tr in traces:  # a trace of another length fails as a NaN gap
-            gap = np.abs(tr.times - times).max() if len(tr) == n_steps + 1 else np.nan
-            check_grid(gap, times[-1], "evolve returned a trace on a different time grid")
-        curves = np.concatenate([tr.as_matrix().T for tr in traces])
+            gap = abs(tr.dt - tau0) if len(tr) == n_steps + 1 else np.nan
+            check_grid(gap, tau0, "evolve returned a trace on a different time grid")
+        curves = np.concatenate([tr.rows[:, 1:].T for tr in traces])
     if shots is not None:
         p = np.clip((1.0 + curves) / 2.0, 0.0, 1.0)
         curves = 2.0 * np.random.default_rng(seed).binomial(shots, p) / shots - 1.0

@@ -152,8 +152,7 @@ def run_schedule(
         row checked by :func:`~trottersim.linalg.check_bloch_rows`.
     """
     rows, labels = _run_schedules(schedule, rates, _initial_row(rho0))
-    times = np.arange(schedule.n_steps + 1.0) * schedule.dt
-    return EvolutionTrace(times, *rows[0, :, 1:].T, label=labels[0])
+    return EvolutionTrace(schedule.dt, rows[0], label=labels[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,13 +192,12 @@ def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
         AccuracyReport with per-step Euclidean residuals (j = 1..N).
 
     Raises:
-        ValueError: On length or time-grid mismatch (check_grid, relative to the target's).
+        ValueError: On length or step mismatch (check_grid, relative to the target's step).
     """
     if len(trace) != len(target):
         raise ValueError(f"trace lengths differ: {len(trace)} vs {len(target)}")
-    check_grid(np.abs(trace.times - target.times).max(), np.abs(target.times).max(),
-               "trace time grids differ")
-    a, residuals = _scores(trace.as_matrix()[1:] - target.as_matrix()[1:])
+    check_grid(abs(trace.dt - target.dt), target.dt, "trace time grids differ")
+    a, residuals = _scores(trace.rows[1:, 1:] - target.rows[1:, 1:])
     return AccuracyReport(float(a), residuals, descriptor=trace.label)
 
 
@@ -215,12 +213,11 @@ def _accuracies(schedule: TrotterSchedule, rates: CanonicalRates, row0: np.ndarr
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    """Log-log slope of A vs N, or a saturation flag when A is at the floor."""
+    """Log-log slope of A vs N, None when A is at the floor (saturated)."""
 
     n_values: tuple[int, ...]
     accuracies: tuple[float, ...]
     slope: float | None
-    saturated: bool
 
     def __post_init__(self):
         if not np.isfinite([*self.accuracies, 0.0 if self.slope is None else self.slope]).all():
@@ -250,7 +247,7 @@ def convergence_order(
     Returns:
         ConvergenceResult; the slope fits only the runs with A >= max(1e-13, 4 N eps),
         above the floating-point floor of N steps, and when fewer than four are
-        left it is meaningless: only the saturated flag is set.
+        left it is None: the family is saturated.
     """
     check_positive("t_total", t_total)
     if len(n_list) < 4:
@@ -263,9 +260,8 @@ def convergence_order(
     row0 = _initial_row(rho0)
     accs = [_accuracies(s, rates, row0)[0].a for s in schedules]
     kept = [(n, a) for n, a in zip(n_list, accs) if a >= max(1e-13, 4 * n * np.finfo(float).eps)]
-    saturated = len(kept) < 4
-    slope = None if saturated else float(np.polyfit(*np.log(kept).T, 1)[0])
-    return ConvergenceResult(tuple(int(n) for n in n_list), tuple(accs), slope, saturated)
+    slope = None if len(kept) < 4 else float(np.polyfit(*np.log(kept).T, 1)[0])
+    return ConvergenceResult(tuple(int(n) for n in n_list), tuple(accs), slope)
 
 
 def permutation_scan(

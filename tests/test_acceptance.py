@@ -249,7 +249,7 @@ def test_criterion_9_property_suites():
     ):
         schedule = TrotterSchedule(order=2, n_steps=13, dt=TAU0, backend=backend, noise=noise)
         trace = run_schedule(schedule, FIG4_RATES)
-        physical_ok &= bool(trace.bloch_norms().max() <= 1 + 1e-8)
+        physical_ok &= bool(np.linalg.norm(trace.rows[:, 1:], axis=1).max() <= 1 + 1e-8)
 
     # Noiseless fit round trip recovers 200 random rate triples within 1%.
     fit_ok, worst_rel = True, 0.0

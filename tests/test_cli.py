@@ -26,7 +26,7 @@ from trottersim.dilation import angle_to_rates
 from trottersim.liouvillian import EvolutionTrace, target_trace
 from trottersim.mitigation import check_scale_factors
 from trottersim.tomography import global_fit
-from trottersim.trotter import run_schedule
+from trottersim.trotter import ALL_PERMUTATIONS, AccuracyReport, run_schedule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -79,13 +79,28 @@ def test_evolve_rejects_a_trace_outside_the_bloch_ball(tmp_path, monkeypatch, ca
     # One sample with Bloch norm 1 + 1e-9: past the 1e-10 row check, so no evolve.csv.
     def outside(rates, rho0, tau0, n_steps):
         trace = target_trace(rates, rho0, tau0, n_steps)
-        v = trace.as_matrix()
-        v[3] *= (1 + 1e-9) / np.linalg.norm(v[3])
-        return EvolutionTrace(trace.times, *v.T, label=trace.label)
+        rows = trace.rows.copy()
+        rows[3, 1:] *= (1 + 1e-9) / np.linalg.norm(rows[3, 1:])
+        return EvolutionTrace(trace.dt, rows, label=trace.label)
 
     monkeypatch.setattr(cli, "target_trace", outside)
     assert main(["evolve", "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert "trace 'target' step 3 has negative eigenvalue" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
+def test_evolve_checks_the_trace_rows_as_stored(tmp_path, monkeypatch, capsys):
+    # The writer checks the rows' own Tr rho column: 1 + 2e-10 at step 3 fails the trace
+    # check, though <sx>, <sy> and <sz> are untouched.
+    def leaky(rates, rho0, tau0, n_steps):
+        trace = target_trace(rates, rho0, tau0, n_steps)
+        rows = trace.rows.copy()
+        rows[3, 0] = 1 + 2e-10
+        return EvolutionTrace(trace.dt, rows, label=trace.label)
+
+    monkeypatch.setattr(cli, "target_trace", leaky)
+    assert main(["evolve", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "trace 'target' step 3 trace deviates from 1 by 2.000e-10" in capsys.readouterr().err
     assert not (tmp_path / "evolve.csv").exists()
 
 
@@ -141,6 +156,23 @@ def test_scan_orders_separate(tmp_path):
     assert len(first) == len(second) == 6
     assert max(second.values()) < min(first.values())
     assert summary["best_permutation"]["2"] in second
+
+
+@pytest.mark.parametrize("toward", [np.inf, -np.inf], ids=["ulp-above", "ulp-below"])
+def test_scan_best_permutation_does_not_flip_on_round_off(tmp_path, monkeypatch, toward):
+    # Permutations that differ by the order of the commuting dephasing and damping channels
+    # tie up to round-off. With the later-named twin one ulp above or below the other, and
+    # both below every other permutation, the name-first twin is best at either order.
+    first, later = ("rotation", "damping", "dephasing"), ("rotation", "dephasing", "damping")
+    low = 0.0123456789
+    table = {perm: 1.0 + k for k, perm in enumerate(ALL_PERMUTATIONS)}
+    table.update({first: low, later: np.nextafter(low, toward)})
+    scan = {(order, perm): AccuracyReport(a, [a]) for order in (1, 2) for perm, a in table.items()}
+    monkeypatch.setattr(cli, "permutation_scan", lambda *args, **kwargs: scan)
+    assert main(["scan", "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "scan.json").read_text())
+    assert summary["best_permutation"] == {"1": "-".join(first), "2": "-".join(first)}
+    assert summary["results"]["2"]["-".join(later)] != low
 
 
 def test_scan_engine_echoes_only_the_settings_scan_reads(tmp_path):

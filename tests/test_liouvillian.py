@@ -241,7 +241,7 @@ def test_target_trace_rabi_oscillation():
 def test_target_trace_states_stay_physical():
     rates = CanonicalRates(gamma1=0.02, gamma_phi=0.01, omega=0.05)
     tr = target_trace(rates, density(KET_0 + 1j * KET_1), tau0=2.0, n_steps=20)
-    assert np.all(tr.bloch_norms() <= 1 + 1e-10)
+    assert np.all(np.linalg.norm(tr.rows[:, 1:], axis=1) <= 1 + 1e-10)
 
 
 def test_target_trace_input_validation():
@@ -305,7 +305,7 @@ def test_target_trace_matches_the_general_propagator(case, direction, radius, ta
     row = rates.gamma1, rates.gamma_phi, rates.omega
     want = np.array([np.real(BLOCH_ROWS[1:] @ (propagator(*row, t) @ vec(rho0)))
                      for t in tr.times])
-    np.testing.assert_allclose(tr.as_matrix(), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tr.rows[:, 1:], want, rtol=0, atol=1e-12)
 
 
 _BOUNDARY_CASES = [(2.733167e-4, 0.0, 0.0, "free"), (2.733173e-4, 0.0, 0.0, "free"),
@@ -457,8 +457,41 @@ def test_bloch_solution_names_an_argument_of_the_wrong_shape(rows, bloch0, messa
 
 
 def test_evolution_trace_shape_check():
-    with pytest.raises(ValueError):
-        EvolutionTrace(np.arange(3), np.zeros(3), np.zeros(2), np.zeros(3))
+    # Rows of five entries; split columns of unequal lengths can no longer be passed.
+    with pytest.raises(ValueError, match=r"^rows must be an \(N\+1, 4\) block, got shape"):
+        EvolutionTrace(1.0, np.zeros((3, 5)))
+
+
+_ROWS3 = np.tile([1.0, 0.0, 0.0, -1.0], (3, 1))
+
+
+@pytest.mark.parametrize("dt, rows, message", [
+    (np.nan, _ROWS3, "dt must be positive and finite, got nan"),
+    (np.inf, _ROWS3, "dt must be positive and finite, got inf"),
+    (0.0, _ROWS3, "dt must be positive and finite, got 0.0"),
+    (-1.0, _ROWS3, "dt must be positive and finite, got -1.0"),
+    (1.0, np.where(np.eye(3, 4), np.nan, _ROWS3), "rows contains non-finite entries"),
+    (1.0, np.where(np.eye(3, 4), -np.inf, _ROWS3), "rows contains non-finite entries"),
+    (1.0, _ROWS3[:, :3], "rows must be an (N+1, 4) block, got shape (3, 3)"),
+    (1.0, _ROWS3[0], "rows must be an (N+1, 4) block, got shape (4,)"),
+    (1.0, _ROWS3[:0], "rows must be an (N+1, 4) block, got shape (0, 4)"),
+    (1e308, _ROWS3, "the last time N*dt overflows: 2 * 1e+308"),
+], ids=["dt-nan", "dt-inf", "dt-zero", "dt-negative", "rows-nan", "rows-inf", "rows-n-by-3",
+        "rows-1d", "rows-empty", "last-time-overflows"])
+def test_evolution_trace_rejects_what_it_cannot_represent(dt, rows, message):
+    # The record is a step and finite Bloch rows: a NaN or inf in either, rows of another
+    # shape, or a last time that overflows cannot be built, and each error names its field.
+    with pytest.raises(ValueError) as info:
+        EvolutionTrace(dt, rows)
+    assert str(info.value) == message
+
+
+def test_evolution_trace_keeps_its_rows_without_a_copy():
+    rows = _ROWS3.copy()
+    trace = EvolutionTrace(2, rows, label="held")
+    assert trace.rows is rows and trace.dt == 2.0 and type(trace.dt) is float
+    assert len(trace) == 3 and trace.times.tolist() == [0.0, 2.0, 4.0]
+    EvolutionTrace(1e308, rows[:2])  # the last time 1e308 is finite
 
 
 # -------------------------------------------------- the exact step and the stepped target
@@ -535,7 +568,7 @@ def _target_error(rates, tau, n, r):
     trace = target_trace(rates, _density_of(r), tau, n)
     np.testing.assert_array_equal(trace.times, np.arange(n + 1) * tau)
     exact = bloch_solution([[rates.gamma1, rates.gamma_phi, rates.omega]], [r], trace.times)
-    return np.abs(trace.as_matrix() - exact[0, 0].T).max()
+    return np.abs(trace.rows[:, 1:] - exact[0, 0].T).max()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

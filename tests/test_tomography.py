@@ -315,24 +315,21 @@ def test_evolve_hook_grid_is_matched_relative_to_its_span():
     with pytest.raises(ValueError, match="^evolve returned a trace on a different time grid$"):
         generate_tomography(rates, 1e-11, 13, evolve=coarse)
 
-    def rounded(rho0):  # a 1e150 us grid built another way differs by rounding alone
-        trace = target_trace(rates, rho0, 1e150, 13)
-        return EvolutionTrace(np.linspace(0, 13e150, 14), trace.sx, trace.sy, trace.sz)
-
-    assert np.abs(rounded(INITIAL_STATES["0"]).times - np.arange(14) * 1e150).max() > 1e-9
-    generate_tomography(rates, 1e150, 13, evolve=rounded)
+    for off in (np.inf, 0.0):  # a 1e150 us step one ulp off differs by rounding alone
+        step = np.nextafter(1e150, off)
+        rounded = lambda rho0: EvolutionTrace(step, target_trace(rates, rho0, 1e150, 13).rows)
+        assert np.abs(rounded(INITIAL_STATES["0"]).times - np.arange(14) * 1e150).max() > 1e-9
+        generate_tomography(rates, 1e150, 13, evolve=rounded)
 
 
 def test_evolve_hook_grid_with_a_nan_time_is_rejected():
+    # A hook cannot return a trace with a NaN time: the trace's constructor rejects a NaN step.
     rates = rates_from_times(30.0, 20.0, 0.02)
 
     def nan_time(rho0):
-        trace = target_trace(rates, rho0, TAU0, 13)
-        times = trace.times.copy()
-        times[1] = np.nan
-        return EvolutionTrace(times, trace.sx, trace.sy, trace.sz)
+        return EvolutionTrace(np.nan, target_trace(rates, rho0, TAU0, 13).rows)
 
-    with pytest.raises(ValueError, match="evolve returned a trace on a different time grid"):
+    with pytest.raises(ValueError, match="^dt must be positive and finite, got nan$"):
         generate_tomography(rates, TAU0, 13, evolve=nan_time)
 
 

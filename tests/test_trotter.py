@@ -101,7 +101,7 @@ def test_commuting_schedule_matches_target_exactly():
     sched = TrotterSchedule(order=1, n_steps=13, dt=TAU0)
     tr = run_schedule(sched, rates)
     tgt = target_trace(rates, density(KET_1), TAU0, 13)
-    assert np.abs(tr.as_matrix() - tgt.as_matrix()).max() < 1e-12
+    assert np.abs(tr.rows[:, 1:] - tgt.rows[:, 1:]).max() < 1e-12
 
 
 def test_commuting_pair_permutations_coincide():
@@ -112,7 +112,7 @@ def test_commuting_pair_permutations_coincide():
     tr_b = run_schedule(
         TrotterSchedule(permutation=(DAMPING, DEPHASING, ROTATION), **kwargs), FIG4_RATES
     )
-    assert np.abs(tr_a.as_matrix() - tr_b.as_matrix()).max() < 1e-12
+    assert np.abs(tr_a.rows[:, 1:] - tr_b.rows[:, 1:]).max() < 1e-12
 
 
 def test_second_order_beats_first_order_at_every_step():
@@ -131,14 +131,14 @@ def test_trotter_states_stay_physical_all_backends():
     ):
         sched = TrotterSchedule(order=2, n_steps=20, dt=TAU0, backend=backend, noise=noise)
         tr = run_schedule(sched, FIG4_RATES, density(KET_0 + 1j * KET_1))
-        assert tr.bloch_norms().max() <= 1 + 1e-8
+        assert np.linalg.norm(tr.rows[:, 1:], axis=1).max() <= 1 + 1e-8
 
 
 def test_dilation_backend_matches_kraus_backend():
     for order in (1, 2):
         tr_k = run_schedule(TrotterSchedule(order=order, backend="kraus"), FIG4_RATES)
         tr_d = run_schedule(TrotterSchedule(order=order, backend="dilation"), FIG4_RATES)
-        assert np.abs(tr_k.as_matrix() - tr_d.as_matrix()).max() < 1e-10
+        assert np.abs(tr_k.rows[:, 1:] - tr_d.rows[:, 1:]).max() < 1e-10
 
 
 def test_noise_backend_degrades_accuracy():
@@ -166,7 +166,7 @@ def test_driven_long_run_stays_physical():
     sched = TrotterSchedule(order=1, n_steps=10_000, dt=TAU0 / 4)
     tr = run_schedule(sched, rates, density(KET_1))
     assert len(tr) == 10_001
-    assert tr.bloch_norms().max() <= 1 + 1e-8
+    assert np.linalg.norm(tr.rows[:, 1:], axis=1).max() <= 1 + 1e-8
 
 
 def test_run_schedule_names_first_unphysical_step(monkeypatch):
@@ -188,25 +188,28 @@ def test_accuracy_zero_for_identical_traces():
     np.testing.assert_array_equal(rep.residuals, np.zeros(13))
 
 
+def _unit_step_trace(sx, sy, sz):
+    """The trace of Bloch rows (1, sx, sy, sz) at t = j us."""
+    return EvolutionTrace(1.0, np.column_stack([np.ones(len(sx)), sx, sy, sz]))
+
+
 def test_accuracy_offset_algebra():
-    times = np.arange(6) * 1.0
     zeros = np.zeros(6)
-    base = EvolutionTrace(times, zeros, zeros, zeros)
+    base = _unit_step_trace(zeros, zeros, zeros)
     delta = 0.01
     shift = np.full(6, delta)
     shift[0] = 0.0  # j=0 is shared by construction
-    one_obs = EvolutionTrace(times, shift, zeros, zeros)
+    one_obs = _unit_step_trace(shift, zeros, zeros)
     assert accuracy(one_obs, base).a == pytest.approx(delta, rel=1e-12)
-    all_obs = EvolutionTrace(times, shift, shift, shift)
+    all_obs = _unit_step_trace(shift, shift, shift)
     assert accuracy(all_obs, base).a == pytest.approx(np.sqrt(3) * delta, rel=1e-12)
 
 
 def test_accuracy_excludes_initial_point():
-    times = np.arange(4) * 1.0
     zeros = np.zeros(4)
-    base = EvolutionTrace(times, zeros, zeros, zeros)
+    base = _unit_step_trace(zeros, zeros, zeros)
     sx = np.array([0.5, 0.0, 0.0, 0.0])  # offset only at j=0
-    assert accuracy(EvolutionTrace(times, sx, zeros, zeros), base).a == 0.0
+    assert accuracy(_unit_step_trace(sx, zeros, zeros), base).a == 0.0
 
 
 def test_accuracy_rejects_mismatched_traces():
@@ -225,20 +228,19 @@ def test_accuracy_grid_rule_is_relative_to_the_grid():
     coarse = target_trace(FIG4_RATES, density(KET_1), 3e-11, 13)
     with pytest.raises(ValueError, match="^trace time grids differ$"):
         accuracy(fine, coarse)
-    # 1e150 us grids built two ways differ by rounding alone, by far more than 1e-9 us.
+    # 1e150 us grids whose steps are one ulp apart differ by far more than 1e-9 us.
     huge = target_trace(FIG4_RATES, density(KET_1), 1e150, 13)
-    rounded = EvolutionTrace(np.linspace(0, 13e150, 14), huge.sx, huge.sy, huge.sz)
-    assert np.abs(rounded.times - huge.times).max() > 1e-9
-    assert accuracy(rounded, huge).a == 0.0
+    for off in (np.inf, 0.0):
+        ulp_off = EvolutionTrace(np.nextafter(1e150, off), huge.rows)
+        assert np.abs(ulp_off.times - huge.times).max() > 1e-9
+        assert accuracy(ulp_off, huge).a == 0.0
 
 
 def test_accuracy_rejects_a_nan_time():
+    # A trace cannot hold a NaN time: its constructor rejects a NaN step.
     target = target_trace(FIG4_RATES, density(KET_1), TAU0, 3)
-    times = target.times.copy()
-    times[1] = np.nan
-    trace = EvolutionTrace(times, target.sx, target.sy, target.sz)
-    with pytest.raises(ValueError, match="trace time grids differ"):
-        accuracy(trace, target)
+    with pytest.raises(ValueError, match="^dt must be positive and finite, got nan$"):
+        accuracy(EvolutionTrace(np.nan, target.rows), target)
 
 
 def test_accuracy_report_validation():
@@ -251,10 +253,10 @@ def test_accuracy_report_validation():
     lambda: AccuracyReport(np.inf, np.zeros(3)),
     lambda: AccuracyReport(0.1, [np.nan]),
     lambda: AccuracyReport(0.1, [0.0, np.inf]),
-    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, np.nan, 1e-3, 1e-4), -1.0, False),
-    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, 1e-3, 1e-3, np.inf), None, False),
-    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, 1e-3, 1e-3, 1e-4), np.nan, False),
-    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, 1e-3, 1e-3, 1e-4), -np.inf, False),
+    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, np.nan, 1e-3, 1e-4), -1.0),
+    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, 1e-3, 1e-3, np.inf), None),
+    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, 1e-3, 1e-3, 1e-4), np.nan),
+    lambda: ConvergenceResult((4, 8, 16, 32), (1e-2, 1e-3, 1e-3, 1e-4), -np.inf),
     lambda: FitResult(np.nan, 10.0, 0.0, 0.0, True),
     lambda: FitResult(np.inf, 10.0, 0.0, 0.0, True),
     lambda: FitResult(10.0, np.nan, 0.0, 0.0, True),
@@ -276,7 +278,7 @@ def test_accuracy_reports_compare_by_identity():
 
 def test_result_records_accept_finite_values_and_a_missing_slope():
     assert AccuracyReport(0.0, [0.0, 0.1]).a == 0.0
-    assert ConvergenceResult((4, 8, 16, 32), (0.0,) * 4, None, True).slope is None
+    assert ConvergenceResult((4, 8, 16, 32), (0.0,) * 4, None).slope is None
     assert FitResult(10.0, 20.0, -0.1, 0.0, False).t2 == 20.0
 
 
@@ -316,20 +318,19 @@ def test_overflowing_drive_angle_is_rejected_without_warnings():
 
 def test_first_order_slope():
     res = convergence_order(TrotterSchedule(order=1), FIG4_RATES, t_total=13 * TAU0)
-    assert not res.saturated
+    assert res.slope is not None
     assert res.slope == pytest.approx(-1.0, abs=0.3)
 
 
 def test_second_order_slope():
     res = convergence_order(TrotterSchedule(order=2), FIG4_RATES, t_total=13 * TAU0)
-    assert not res.saturated
+    assert res.slope is not None
     assert res.slope == pytest.approx(-2.0, abs=0.3)
 
 
 def test_commuting_schedule_saturates():
     rates = CanonicalRates(gamma1=0.02, gamma_phi=0.01, omega=0.0)
     res = convergence_order(TrotterSchedule(order=1), rates, t_total=13 * TAU0)
-    assert res.saturated
     assert res.slope is None
     assert max(res.accuracies) < 1e-13
 
@@ -341,11 +342,11 @@ def test_slope_skips_runs_at_the_rounding_floor():
     weak = lambda s: CanonicalRates(gamma1=s, gamma_phi=s / 2, omega=s)
     res = convergence_order(TrotterSchedule(order=2), weak(2.5e-5),
                             n_list=(4, 8, 16, 32, 64, 128, 256, 512))
-    assert min(res.accuracies) < 1e-13 and not res.saturated
+    assert min(res.accuracies) < 1e-13 and res.slope is not None
     assert res.slope == pytest.approx(-2.0, abs=0.1)
     res = convergence_order(TrotterSchedule(order=2), weak(4.6e-6))
     assert max(res.accuracies) > 1e-12 and sum(a >= 1e-13 for a in res.accuracies) == 2
-    assert res.saturated and res.slope is None
+    assert res.slope is None
 
 
 def test_slope_floor_grows_with_the_step_count():
@@ -357,7 +358,7 @@ def test_slope_floor_grows_with_the_step_count():
     res = convergence_order(TrotterSchedule(order=2), rates,
                             n_list=(4, 8, 16, 32, 64, 128, 256, 512))
     assert res.accuracies[-1] > 1e-13 > res.accuracies[-2]
-    assert not res.saturated
+    assert res.slope is not None
     assert res.slope == pytest.approx(-2.0, abs=0.1)
 
 
@@ -465,7 +466,31 @@ def test_run_schedule_keeps_the_bloch_bound_under_every_backend(
     noise = NoiseParams(*noise) if backend == "dilation+noise" else None
     schedule = TrotterSchedule(permutation, order, n_steps, dt, backend, noise)
     trace = run_schedule(schedule, CanonicalRates(*rates), rho0)
-    assert trace.bloch_norms().max() <= 1 + 3e-10
+    assert np.linalg.norm(trace.rows[:, 1:], axis=1).max() <= 1 + 3e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    backend=st.sampled_from(BACKENDS),
+    order=st.sampled_from((1, 2)),
+    rates=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1)),
+    n_steps=st.integers(1, 400),
+    dt=st.floats(1e-3, 1e3),
+)
+def test_a_trace_reads_its_grid_and_columns_from_its_step_and_rows(
+    backend, order, rates, n_steps, dt
+):
+    # A trace holds dt and its (N+1, 4) rows alone: times is the grid j*dt bit for bit, and
+    # sx, sy, sz are rows' columns bit for bit, as views of rows, not copies.
+    noise = NoiseParams(0.01, 0.02) if backend == "dilation+noise" else None
+    rates = CanonicalRates(*rates)
+    schedule = TrotterSchedule(order=order, n_steps=n_steps, dt=dt, backend=backend, noise=noise)
+    for trace in (run_schedule(schedule, rates), target_trace(rates, density(KET_1), dt, n_steps)):
+        assert trace.dt == dt and trace.rows.shape == (len(trace), 4) == (n_steps + 1, 4)
+        assert trace.times.tobytes() == (np.arange(len(trace)) * dt).tobytes()
+        for k, column in enumerate((trace.sx, trace.sy, trace.sz), 1):
+            assert column.tobytes() == trace.rows[:, k].tobytes()
+            assert np.shares_memory(column, trace.rows)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -496,7 +521,7 @@ def test_a_longer_run_starts_with_the_shorter_run(
     targets = [target_trace(rates, rho0, dt, n) for n in (n_steps, n_steps + more)]
     for short, long in (runs, targets):
         np.testing.assert_array_equal(long.times[: n_steps + 1], short.times)
-        np.testing.assert_allclose(long.as_matrix()[: n_steps + 1], short.as_matrix(), rtol=0,
+        np.testing.assert_allclose(long.rows[: n_steps + 1, 1:], short.rows[:, 1:], rtol=0,
                                    atol=1e-13)
 
 
@@ -536,7 +561,7 @@ def test_run_schedule_matches_the_complex_superoperator_path(
     rates = CanonicalRates(*rates)
     trace = run_schedule(schedule, rates, rho0)
     reference = complex_reference_run(schedule, rates, rho0)
-    assert np.abs(trace.as_matrix() - reference).max() <= 1e-13
+    assert np.abs(trace.rows[:, 1:] - reference).max() <= 1e-13
 
 
 def test_run_schedule_names_a_step_that_inflates_the_bloch_vector(monkeypatch):
@@ -656,7 +681,7 @@ def test_reversing_the_drive_mirrors_the_y_component_exactly(
     for a, b in [(run_schedule(schedule, rates, rho0), run_schedule(schedule, mirrored, mirrored0)),
                  (target_trace(rates, rho0, dt, n_steps),
                   target_trace(mirrored, mirrored0, dt, n_steps))]:
-        np.testing.assert_array_equal(b.as_matrix(), a.as_matrix() * [1, -1, 1])
+        np.testing.assert_array_equal(b.rows[:, 1:], a.rows[:, 1:] * [1, -1, 1])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -739,8 +764,8 @@ def test_stepped_and_exact_traces_start_from_the_checked_row():
     b = 0.2 + 0.1j
     rho0 = np.array([[0.6, np.conj(b) + 5e-13], [b, 0.4]])
     want = [2 * b.real, 2 * b.imag, 0.6 - 0.4]
-    assert run_schedule(TrotterSchedule(), FIG4_RATES, rho0).as_matrix()[0].tolist() == want
-    assert target_trace(FIG4_RATES, rho0, TAU0, 13).as_matrix()[0].tolist() == want
+    assert run_schedule(TrotterSchedule(), FIG4_RATES, rho0).rows[:, 1:][0].tolist() == want
+    assert target_trace(FIG4_RATES, rho0, TAU0, 13).rows[:, 1:][0].tolist() == want
 
 
 # ------------------------------------------------------------ order compare
