@@ -418,9 +418,9 @@ def _run_fit(cfg):
     )
     fit = global_fit(curves)
     yield "fit_curves.csv", ("step,time_us,state,obs,value", (
-        (j, t, state, obs, v)
+        (j, j * curves.dt, state, obs, v)
         for state in STATE_LABELS for obs in OBS_LABELS
-        for j, (t, v) in enumerate(zip(curves.times, curves.curve(state, obs)))
+        for j, v in enumerate(curves.curve(state, obs))
     ))
     omega, band = cfg.rates.omega, 1.0 / cfg.schedule.dt  # samples dt apart see omega mod 1/dt
     yield "fit.json", {

@@ -1,8 +1,8 @@
 """The package's input checks, each a ValueError naming its input.
 
-``check_count``, ``check_positive`` and ``check_grid`` check counts, durations and time grids,
-``check_bloch_rows`` Bloch rows c = (Tr rho, <sx>, <sy>, <sz>), and ``validate_density_matrix``
-one 2x2 state, read out as its checked Bloch row: the package's one read-out of a state.
+``check_count``, ``check_positive``, ``check_samples`` and ``check_grid`` check counts, durations,
+records sampled at t = j*dt and two steps, ``check_bloch_rows`` Bloch rows c = (Tr rho, <sx>,
+<sy>, <sz>), and ``validate_density_matrix`` one 2x2 state, read out as its checked Bloch row.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 __all__ = ["check_bloch_rows", "validate_density_matrix", "check_count", "check_positive",
-           "check_grid"]
+           "check_samples", "check_grid"]
 
 _MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
@@ -24,15 +24,27 @@ def check_count(name: str, value, lo: int = 1) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    """Reject a value that is not positive and finite (NaN included), naming it."""
-    if not 0 < value < np.inf:  # also true for NaN
+    """Reject a value that is not one positive finite number (NaN, an array included), naming it."""
+    if not (getattr(value, "ndim", 0) == 0 and 0 < value < np.inf):  # also true for NaN
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def check_grid(gap, t_max, message: str) -> None:
-    """Raise ValueError(message) unless gap <= c eps t_max, c = 4, a NaN failing: gap, t_max are
-    two steps' |dt - dt0|, dt0, or a grid's largest spacing deviation from the first, max |t|."""
-    if not gap <= 4 * math.ulp(1.0) * t_max:  # j*tau0 rounds once: spacings move <= 2 eps t_max
+def check_samples(dt, block: np.ndarray, name: str, axis: int) -> tuple[float, np.ndarray]:
+    """float(dt) and a read-only float view of a real block sampled at t = j*dt, j = 0..N, on axis;
+    a dt not positive and finite, a complex block or a last time N*dt that overflows is rejected."""
+    check_positive("dt", dt)
+    if block.dtype.kind == "c":  # a float conversion would drop the imaginary part
+        raise ValueError(f"{name} must be real, got dtype {block.dtype}")
+    dt, n, view = float(dt), block.shape[axis] - 1, np.asarray(block, dtype=float).view()
+    if not n * dt < math.inf:
+        raise ValueError(f"the last time N*dt overflows: {n} * {dt}")
+    view.flags.writeable = False  # the view's flag alone: the caller's array stays writable
+    return dt, view
+
+
+def check_grid(dt, dt0, message: str) -> None:
+    """Raise ValueError(message) unless step dt is dt0 to rounding: |dt - dt0| <= 4 eps dt0."""
+    if not abs(dt - dt0) <= 4 * math.ulp(1.0) * dt0:  # one rounding apart is <= 2 eps dt0
         raise ValueError(message)
 
 

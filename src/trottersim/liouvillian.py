@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_MAX, _MIN, check_bloch_rows, check_count, check_positive,
+from .linalg import (_MAX, _MIN, check_bloch_rows, check_count, check_positive, check_samples,
                      validate_density_matrix)
 
 __all__ = [
@@ -97,25 +97,22 @@ def propagate(step: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionTrace:
-    """Bloch record of a stepped qubit evolution: the finite (N+1, 4) block rows of Bloch rows
-    c = (Tr rho, <sx>, <sy>, <sz>) at t = j*dt, j = 0..N, kept without a copy; times is that
-    grid, and sx, sy, sz are views of rows' columns. A dt that is not positive and finite, other
-    rows, or a last time N*dt that overflows is a ValueError naming dt or rows.
-    """
+    """Bloch record of a stepped qubit evolution: the finite real (N+1, 4) block rows of Bloch
+    rows c = (Tr rho, <sx>, <sy>, <sz>) at t = j*dt, j = 0..N, kept as a read-only view, not a
+    copy; times is that grid, and sx, sy, sz are views of rows' columns. Other rows, or what
+    linalg.check_samples rejects, is a ValueError naming dt or rows."""
 
     dt: float
     rows: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        check_positive("dt", self.dt)
-        dt, rows = float(self.dt), np.asarray(self.rows, dtype=float)
+        rows = np.asarray(self.rows)
         if rows.ndim != 2 or rows.shape[1] != 4 or not len(rows):
             raise ValueError(f"rows must be an (N+1, 4) block, got shape {rows.shape}")
+        dt, rows = check_samples(self.dt, rows, "rows", axis=0)
         if not np.isfinite(rows).all():
             raise ValueError("rows contains non-finite entries")
-        if not (len(rows) - 1) * dt < math.inf:
-            raise ValueError(f"the last time N*dt overflows: {len(rows) - 1} * {dt}")
         self.__dict__.update(dt=dt, rows=rows)
 
     def __len__(self) -> int:

@@ -1,12 +1,12 @@
 """Twelve-curve tomography generation and global (T1, T2, Omega) fitting.
 
-Four initial states (|0>, |+>, |+i>, |1>) times three Pauli observables give
-twelve evolution curves on a shared time grid. The global fit minimizes the
+Four initial states (|0>, |+>, |+i>, |1>) times three Pauli observables give twelve
+evolution curves, read on the grid t = j*tau0 from the prepared state. The global fit minimizes the
 unweighted sum of squared deviations between those curves and the exact
 master-equation model, parameterized internally by the rates
 (1/T1, pure dephasing, Omega) so the physicality constraint T2 <= 2*T1 holds
 by construction. The model is liouvillian's one closed-form (Torrey) kernel,
-which also writes the exact curves, called on the set's checked grid with the
+which also writes the exact curves, called on the set's grid with the
 four states' map built once at import. The fit starts from the curves' own
 step: one linear least-squares solve recovers it from the four states' affine
 Bloch rows, and its invariants give the rates (exact for canonical curves and
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import check_count, check_grid, check_positive, validate_density_matrix
+from .linalg import check_count, check_grid, check_positive, check_samples, validate_density_matrix
 from .liouvillian import CanonicalRates, EvolutionTrace, _bloch_jacobian, _chain_terms
 
 __all__ = [
@@ -47,7 +47,6 @@ STATE_LABELS = ("0", "+", "+i", "1")
 OBS_LABELS = ("x", "y", "z")
 
 _KEYS = tuple((s, o) for s in STATE_LABELS for o in OBS_LABELS)  # the curves' row order
-_ROWS = {key: k for k, key in enumerate(_KEYS)}
 
 INITIAL_STATES = {  # the density matrices |0><0|, |+><+|, |+i><+i| and |1><1|, in exact halves
     "0": np.array([[1, 0], [0, 0]], dtype=complex),
@@ -64,26 +63,20 @@ _RATE_CEIL = 2.0
 
 @dataclass(frozen=True, eq=False)
 class TomographySet:
-    """Twelve evolution curves on a shared time grid.
+    """Twelve evolution curves sampled at t = j*dt, j = 0..N, from the prepared state: curves is
+    the real (12, N+1) array of expectations, one row per (state label, observable label) in
+    state-major, observable-minor order, kept as a read-only copy, and times is that grid. shots
+    records the sampling depth (None = noiseless)."""
 
-    curves is the (12, len(times)) array of expectations, one row per (state label,
-    observable label) in state-major, observable-minor order; times holds t >= 0; both are
-    read-only copies. shots records the sampling depth (None = noiseless).
-    """
-
-    times: np.ndarray
+    dt: float
     curves: np.ndarray
     shots: int | None = None
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        if times.ndim != 1:
-            raise ValueError(f"times must be a 1-D grid, got shape {times.shape}")
-        if not (np.all((times >= 0) & (times < np.inf)) and np.all(np.diff(times) > 0)):
-            raise ValueError(f"times must be >= 0, finite and strictly increasing, got {times}")
-        curves = np.array(self.curves, dtype=float)
-        if curves.shape != (12, times.size):
-            raise ValueError(f"curves must have shape (12, {times.size}), got {curves.shape}")
+        curves = np.array(self.curves)  # a copy: a write to the caller's array cannot reach it
+        if curves.ndim != 2 or curves.shape[0] != 12 or not curves.shape[1]:
+            raise ValueError(f"curves must be a (12, N+1) block, got shape {curves.shape}")
+        dt, curves = check_samples(self.dt, curves, "curves", axis=1)
         if self.shots is not None:
             check_count("shots", self.shots)
         eps = 3.0 / np.sqrt(self.shots) if self.shots else 1e-8
@@ -91,12 +84,12 @@ class TomographySet:
         if bad.any():
             raise ValueError(f"curve {_KEYS[np.argmax(bad)]} is not finite within the "
                              "expectation range [-1, 1]")
-        times.flags.writeable = curves.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "curves", curves)
+        self.__dict__.update(dt=dt, curves=curves)
+
+    times = property(lambda self: np.arange(self.curves.shape[1], dtype=float) * self.dt)
 
     def curve(self, state: str, obs: str) -> np.ndarray:
-        return self.curves[_ROWS[(state, obs)]]
+        return self.curves[_KEYS.index((state, obs))]
 
 
 def generate_tomography(
@@ -138,14 +131,14 @@ def generate_tomography(
         curves = _bloch_jacobian(row, _CHAIN_TERMS, times, float(times[-1]), derivatives=False)
     else:
         traces = [evolve(INITIAL_STATES[s]) for s in STATE_LABELS]
-        for tr in traces:  # a trace of another length fails as a NaN gap
-            gap = abs(tr.dt - tau0) if len(tr) == n_steps + 1 else np.nan
-            check_grid(gap, tau0, "evolve returned a trace on a different time grid")
+        for tr in traces:  # a trace of another length fails as a NaN step
+            check_grid(tr.dt if len(tr) == n_steps + 1 else np.nan, tau0,
+                       "evolve returned a trace on a different time grid")
         curves = np.concatenate([tr.rows[:, 1:].T for tr in traces])
     if shots is not None:
         p = np.clip((1.0 + curves) / 2.0, 0.0, 1.0)
         curves = 2.0 * np.random.default_rng(seed).binomial(shots, p) / shots - 1.0
-    return TomographySet(times, curves, shots=shots)
+    return TomographySet(tau0, curves, shots=shots)
 
 
 @dataclass(frozen=True)
@@ -309,7 +302,7 @@ def global_fit(ts: TomographySet) -> FitResult:
     or on a vanishing gradient or step (see _levenberg_marquardt).
 
     Args:
-        ts: Tomography curves on a uniform time grid with >= 6 points.
+        ts: Tomography curves with >= 6 points, fitted on their grid t = j*ts.dt.
 
     Returns:
         FitResult of the kept run; `converged` is True when it ended on one of
@@ -318,13 +311,10 @@ def global_fit(ts: TomographySet) -> FitResult:
         rates that end on a face of the box, and `stderr` holds the standard
         errors of (t1, t2, omega) from the covariance at the kept point.
     """
-    times = ts.times.tolist()
-    if len(times) < 6:
+    t, tau0, data, m = ts.times, ts.dt, ts.curves.ravel(), ts.curves.size  # read once
+    if len(t) < 6:
         raise ValueError("global fit needs at least 6 time points per curve")
-    tau0 = times[1] - times[0]  # times are >= 0 and increasing, so times[-1] is max|t|
-    check_grid(max(abs(b - a - tau0) for a, b in zip(times, times[1:])), times[-1],
-               "global fit requires a uniform time grid")
-    t, tmax, data, m = ts.times, times[-1], ts.curves.ravel(), ts.curves.size  # read once
+    tmax = float(t[-1])
     lo, hi = (_RATE_FLOOR, 0.0, -0.5 / tau0), (_RATE_CEIL, _RATE_CEIL, 0.5 / tau0)
     evaluated = []  # the rows of the model calls
 

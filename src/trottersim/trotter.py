@@ -196,7 +196,7 @@ def accuracy(trace: EvolutionTrace, target: EvolutionTrace) -> AccuracyReport:
     """
     if len(trace) != len(target):
         raise ValueError(f"trace lengths differ: {len(trace)} vs {len(target)}")
-    check_grid(abs(trace.dt - target.dt), target.dt, "trace time grids differ")
+    check_grid(trace.dt, target.dt, "trace time grids differ")
     a, residuals = _scores(trace.rows[1:, 1:] - target.rows[1:, 1:])
     return AccuracyReport(float(a), residuals, descriptor=trace.label)
 

@@ -14,9 +14,9 @@ from reference import (EYE, KET_0, KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, density, kr
                        partial_trace, rx, unvec, vec)
 from trottersim.linalg import check_bloch_rows, check_grid, validate_density_matrix
 from trottersim.dilation import angle_to_rates, depolarization_equivalent_time, rates_to_angles
-from trottersim.liouvillian import CanonicalRates, target_trace
+from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from trottersim.mitigation import NoisePoint
-from trottersim.tomography import generate_tomography
+from trottersim.tomography import TomographySet, generate_tomography
 from trottersim.trotter import TrotterSchedule, compare_orders, convergence_order
 
 
@@ -415,24 +415,25 @@ def test_step_lengths_must_be_positive_and_finite(caller, bad):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(n_steps=st.integers(1, 100_000), tau0=st.floats(1e-300, 1e149),
-       start=st.integers(0, 3))
-def test_every_cli_grid_passes_the_grid_rule(n_steps, tau0, start):
-    # The grids the CLI builds, j*tau0 up to n_steps = 100000 (from any first step, as a fit of
-    # a grid's tail sees it), pass global_fit's uniform-spacing check, and run_schedule's and
-    # generate_tomography's builds of one grid match.
+@given(n_steps=st.integers(1, 100_000), tau0=st.floats(1e-300, 1e149))
+def test_every_cli_grid_passes_the_grid_rule(n_steps, tau0):
+    # The grids the CLI builds, j*tau0 up to n_steps = 100000, are one grid in both records: a
+    # trace's and a tomography set's times are generate_tomography's np.arange(n_steps + 1) * tau0
+    # bit for bit. A step read back from the grid's span, t_N / N, rounds twice and passes.
     if not n_steps * tau0 < 1.34e154:
         return
-    times = np.arange(n_steps + 1.0) * tau0
-    tail = times[start:]
-    if tail.size >= 2:
-        check_grid(np.abs(np.diff(tail) - (tail[1] - tail[0])).max(), tail[-1], "uniform")
-    check_grid(np.abs(times - np.arange(n_steps + 1) * tau0).max(), times[-1], "match")
+    trace = EvolutionTrace(tau0, np.zeros((n_steps + 1, 4)))
+    ts = TomographySet(tau0, np.zeros((12, n_steps + 1)))
+    want = (np.arange(n_steps + 1) * tau0).tobytes()
+    assert trace.times.tobytes() == ts.times.tobytes() == want
+    check_grid(trace.times[-1] / n_steps, tau0, "span")
 
 
-@pytest.mark.parametrize("gap, t_max", [(9e-27, 1e-11), (np.nan, 1.0), (0.0, np.nan),
-                                        (1e-9, 1.0)])
-def test_grid_rule_is_four_eps_of_the_span(gap, t_max):
-    check_grid(4 * np.finfo(float).eps * 1e-11, 1e-11, "passes")
+@pytest.mark.parametrize("gap, dt0", [(9e-27, 1e-11), (np.nan, 1.0), (0.0, np.nan),
+                                      (1e-9, 1.0)])
+def test_grid_rule_is_four_eps_of_the_span(gap, dt0):
+    # Two steps pass within 4 eps of the reference step, a NaN in either failing: 1e-11 plus 5
+    # ulps (8.1e-27) passes, plus 9e-27 (6 ulps once rounded) does not.
+    check_grid(1e-11 + 5 * math.ulp(1e-11), 1e-11, "passes")
     with pytest.raises(ValueError, match="^named$"):
-        check_grid(gap, t_max, "named")
+        check_grid(dt0 + gap, dt0, "named")

@@ -476,11 +476,14 @@ _ROWS3 = np.tile([1.0, 0.0, 0.0, -1.0], (3, 1))
     (1.0, _ROWS3[0], "rows must be an (N+1, 4) block, got shape (4,)"),
     (1.0, _ROWS3[:0], "rows must be an (N+1, 4) block, got shape (0, 4)"),
     (1e308, _ROWS3, "the last time N*dt overflows: 2 * 1e+308"),
+    (1.0, _ROWS3 + 1e-3j, "rows must be real, got dtype complex128"),
 ], ids=["dt-nan", "dt-inf", "dt-zero", "dt-negative", "rows-nan", "rows-inf", "rows-n-by-3",
-        "rows-1d", "rows-empty", "last-time-overflows"])
+        "rows-1d", "rows-empty", "last-time-overflows", "rows-complex"])
 def test_evolution_trace_rejects_what_it_cannot_represent(dt, rows, message):
-    # The record is a step and finite Bloch rows: a NaN or inf in either, rows of another
-    # shape, or a last time that overflows cannot be built, and each error names its field.
+    # The record is a step and finite real Bloch rows: a NaN or inf in either, rows of another
+    # shape or complex rows (a float conversion dropped the imaginary part, with a
+    # ComplexWarning), or a last time that overflows cannot be built, and each error names its
+    # field.
     with pytest.raises(ValueError) as info:
         EvolutionTrace(dt, rows)
     assert str(info.value) == message
@@ -489,9 +492,21 @@ def test_evolution_trace_rejects_what_it_cannot_represent(dt, rows, message):
 def test_evolution_trace_keeps_its_rows_without_a_copy():
     rows = _ROWS3.copy()
     trace = EvolutionTrace(2, rows, label="held")
-    assert trace.rows is rows and trace.dt == 2.0 and type(trace.dt) is float
+    assert np.shares_memory(trace.rows, rows) and trace.dt == 2.0 and type(trace.dt) is float
     assert len(trace) == 3 and trace.times.tolist() == [0.0, 2.0, 4.0]
     EvolutionTrace(1e308, rows[:2])  # the last time 1e308 is finite
+
+
+def test_evolution_trace_rows_are_read_only_after_the_check():
+    # A write through trace.rows left a checked trace whose sx read NaN. The record holds a
+    # read-only view: the producer's block stays writable, and target_trace's rows are guarded.
+    rows = _ROWS3.copy()
+    trace = EvolutionTrace(1.0, rows)
+    for held in (trace.rows, trace.sx, target_trace(CanonicalRates(), np.eye(2) / 2, 1.0, 3).rows):
+        with pytest.raises(ValueError, match="read-only"):
+            held[1] = np.nan
+    rows[1, 1] = 0.5
+    assert rows.flags.writeable and trace.sx[1] == 0.5
 
 
 # -------------------------------------------------- the exact step and the stepped target

@@ -36,7 +36,8 @@ from trottersim.tomography import (
     global_fit,
 )
 from trottersim.trotter import TrotterSchedule, run_schedule
-from trottersim.linalg import check_grid, validate_density_matrix
+from trottersim.dilation import NoiseParams
+from trottersim.linalg import validate_density_matrix
 
 TAU0 = 3.56
 
@@ -152,25 +153,22 @@ def test_sampled_values_are_valid_expectations():
 
 
 def test_tomography_set_validation():
-    times = np.arange(3.0)
     with pytest.raises(ValueError, match="12"):
-        TomographySet(times, np.zeros((11, 3)))  # a curve missing
-    with pytest.raises(ValueError, match="shape"):
-        TomographySet(times, np.zeros((12, 4)))
+        TomographySet(1.0, np.zeros((11, 3)))  # a curve missing
     bad_range = np.zeros((12, 3))
     bad_range[11] = [0.0, 2.0, 0.0]
     with pytest.raises(ValueError, match="range"):
-        TomographySet(times, bad_range)
+        TomographySet(1.0, bad_range)
 
 
 def test_tomography_set_shot_range_is_three_standard_errors():
     # With 100 shots a curve may leave [-1, 1] by 3/sqrt(100) = 0.3 and no further.
     data = np.zeros((12, 3))
     data[4] = [0.0, 1.29, -1.29]  # the row of ("+", "y")
-    TomographySet(np.arange(3.0), data, shots=100)
+    TomographySet(1.0, data, shots=100)
     data[4] = [0.0, 1.45, 0.0]
     with pytest.raises(ValueError, match=r"curve \('\+', 'y'\) is not finite within"):
-        TomographySet(np.arange(3.0), data, shots=100)
+        TomographySet(1.0, data, shots=100)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -180,22 +178,15 @@ def test_tomography_set_rejects_non_finite_curves(value, shots):
     data = np.zeros((12, 3))
     data[4] = [0.0, value, 0.0]  # the row of ("+", "y")
     with pytest.raises(ValueError, match=r"curve \('\+', 'y'\) is not finite"):
-        TomographySet(np.arange(3.0), data, shots=shots)
+        TomographySet(1.0, data, shots=shots)
 
 
-@pytest.mark.parametrize("shape", [(7, 2), (2, 7)])
-def test_tomography_set_rejects_a_time_grid_that_is_not_1d(shape):
-    # A (7, 2) grid with matching curves passed and global_fit died on list arithmetic; a
-    # (2, 7) grid failed as "at least 6 time points per curve", although it holds 14.
-    want = f"^times must be a 1-D grid, got shape {re.escape(str(shape))}$"
-    with pytest.raises(ValueError, match=want):
-        TomographySet(np.arange(14.0).reshape(shape), np.zeros((12, 14)))
-
-
-@pytest.mark.parametrize("shape", [(12,), (12, 4), (13, 3), (1, 12, 3)])
+@pytest.mark.parametrize("shape", [(12,), (12, 0), (13, 3), (1, 12, 3)])
 def test_tomography_set_rejects_curves_that_are_not_12_by_the_grid(shape):
-    with pytest.raises(ValueError, match=r"^curves must have shape \(12, 3\), got"):
-        TomographySet(np.arange(3.0), np.zeros(shape))
+    # The grid is the curves' own length: twelve rows of N+1 >= 1 samples.
+    want = rf"^curves must be a \(12, N\+1\) block, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=want):
+        TomographySet(1.0, np.zeros(shape))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -208,7 +199,7 @@ def test_tomography_set_names_the_curve_of_a_non_finite_point(row, col, value, s
     key = tomography._KEYS[row]
     with pytest.raises(ValueError, match=rf"^curve \('{re.escape(key[0])}', '{key[1]}'\) is "
                                          r"not finite within the expectation range \[-1, 1\]$"):
-        TomographySet(np.arange(14.0), data, shots=shots)
+        TomographySet(1.0, data, shots=shots)
 
 
 def test_tomography_set_curves_are_read_only_rows_in_key_order():
@@ -219,14 +210,14 @@ def test_tomography_set_curves_are_read_only_rows_in_key_order():
         assert np.shares_memory(row, ts.curves) and np.array_equal(row, ts.curves[k])
         with pytest.raises(ValueError, match="read-only"):
             row[0] = 0.0
-    # A write into the checked grid doubled its spacing, and the fit returned T1 = 66.7 us for
-    # curves of T1 = 33.3 us; the caller's arrays stay writable.
-    times, curves = np.arange(14.0), np.zeros((12, 14))
-    copy = TomographySet(times, curves)
-    with pytest.raises(ValueError, match="read-only"):
-        copy.times[:] = 2 * times
-    times[0], curves[0, 0] = 0.5, 0.5
-    assert copy.times[0] == copy.curves[0, 0] == 0.0
+    # A write into a stored grid once doubled its spacing, and the fit returned T1 = 66.7 us for
+    # curves of T1 = 33.3 us. The grid is now read from dt afresh, the curves are a copy, and
+    # the caller's array stays writable.
+    curves = np.zeros((12, 14))
+    copy = TomographySet(1.0, curves)
+    copy.times[:] = 2.0
+    curves[0, 0] = 0.5
+    assert copy.times.tolist() == list(range(14)) and copy.curves[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, True, "3"])
@@ -264,19 +255,31 @@ def test_generate_tomography_accepts_numpy_integer_counts():
 def test_tomography_set_rejects_bad_shots(bad):
     data = np.zeros((12, 3))
     with pytest.raises(ValueError, match="^shots must be an integer >= 1, got"):
-        TomographySet(np.arange(3.0), data, shots=bad)
+        TomographySet(1.0, data, shots=bad)
 
 
-@pytest.mark.parametrize(
-    "times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 2.0, 1.0], [-1.0, 0.0, 1.0]],
-    ids=["nan", "inf", "decreasing", "negative"],
-)
-def test_tomography_set_rejects_bad_times(times):
-    # Else global_fit dies in LAPACK (NaN, inf) or in scipy's bound check (decreasing).
-    # Times before the t = 0 preparation would be fitted by a backward evolution.
-    data = np.zeros((12, 3))
-    with pytest.raises(ValueError, match="finite and strictly increasing"):
-        TomographySet(np.array(times), data)
+_CURVES3 = np.zeros((12, 3))
+
+
+@pytest.mark.parametrize("dt, curves, message", [
+    (np.nan, _CURVES3, "dt must be positive and finite, got nan"),
+    (np.inf, _CURVES3, "dt must be positive and finite, got inf"),
+    (0.0, _CURVES3, "dt must be positive and finite, got 0.0"),
+    (-1.0, _CURVES3, "dt must be positive and finite, got -1.0"),
+    (1e308, _CURVES3, "the last time N*dt overflows: 2 * 1e+308"),
+    (np.arange(3.0), _CURVES3, "dt must be positive and finite, got [0. 1. 2.]"),
+    (1.0, _CURVES3 + 1e-3j, "curves must be real, got dtype complex128"),
+], ids=["dt-nan", "dt-inf", "dt-zero", "dt-negative", "last-time-overflows", "dt-a-grid",
+        "curves-complex"])
+def test_tomography_set_rejects_what_it_cannot_represent(dt, curves, message):
+    # A set is its step and its curves on t = j*dt, the trace's rules: a step that is not one
+    # positive finite number gives no grid (NaN, inf, flat or backward times; a times array in
+    # its place failed on numpy's ambiguous truth value), a last time that overflows none that
+    # the fit can read, and complex curves lost their imaginary part.
+    with pytest.raises(ValueError) as info:
+        TomographySet(dt, curves)
+    assert str(info.value) == message
+    TomographySet(1e308, _CURVES3[:, :2])  # the last time 1e308 is finite
 
 
 @pytest.mark.parametrize("tau0", [np.inf, np.nan, 0.0, -1.0])
@@ -331,6 +334,34 @@ def test_evolve_hook_grid_with_a_nan_time_is_rejected():
 
     with pytest.raises(ValueError, match="^dt must be positive and finite, got nan$"):
         generate_tomography(rates, TAU0, 13, evolve=nan_time)
+
+
+@pytest.mark.parametrize("source", ["exact", "shots"] + [
+    (backend, order) for backend in ("kraus", "dilation", "dilation+noise") for order in (1, 2)],
+    ids=lambda source: source if isinstance(source, str) else "{}-order-{}".format(*source))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(tau0=st.floats(0.05, 20.0), n_steps=st.integers(5, 20), theta3=st.floats(20.0, 160.0),
+       seed=st.integers(0, 2**31))
+def test_every_set_carries_its_step_and_derives_its_grid(source, tau0, n_steps, theta3, seed):
+    # Closed-form, shot-sampled and Trotter sets on every backend and order: the set's step is
+    # tau0, its times are the grid generate_tomography once stored, np.arange(n + 1) * tau0, bit
+    # for bit, its curves are read-only, and a write into a times array reaches no later fit.
+    rates = angle_to_rates(*np.radians((20.0, 20.0, theta3)), tau0)
+    kwargs = {"shots": 2000, "seed": seed} if source == "shots" else {}
+    if isinstance(source, tuple):
+        backend, order = source
+        noise = NoiseParams(p_grape=0.01, p_ancilla_decay=0.01) if "noise" in backend else None
+        schedule = TrotterSchedule(order=order, n_steps=n_steps, dt=tau0, backend=backend,
+                                   noise=noise)
+        kwargs["evolve"] = lambda rho0: run_schedule(schedule, rates, rho0)
+    ts = generate_tomography(rates, tau0, n_steps, **kwargs)
+    assert ts.dt == tau0 and type(ts.dt) is float
+    assert ts.times.tobytes() == (np.arange(n_steps + 1) * tau0).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        ts.curves[0, 0] = 0.0
+    fit = global_fit(ts)
+    ts.times[:] = 2 * ts.times
+    assert global_fit(ts) == fit
 
 
 # ------------------------------------------------------------- global fit
@@ -579,15 +610,14 @@ def test_fast_dephasing_fit_starts_from_the_step_read_out(t2):
 
 
 def test_fit_evaluates_the_model_at_the_data_times():
-    # Exact curves whose first sample is at t = tau0, not 0: a model on the grid
-    # j*tau0 from 0 would be one step behind the data.
+    # The curves of step tau0 read as sampled 2 tau0 apart: the fit's model runs on the set's
+    # grid j*dt, so every rate halves and T1, T2 and 1/omega double.
     rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.05)
-    full = generate_tomography(rates, TAU0, 13)
-    shifted = TomographySet(full.times[1:], full.curves[:, 1:])
-    fit = global_fit(shifted)
+    stretched = TomographySet(2 * TAU0, generate_tomography(rates, TAU0, 13).curves)
+    fit = global_fit(stretched)
     assert fit.converged
     np.testing.assert_allclose(
-        [fit.t1, fit.t2, fit.omega], [rates.t1, rates.t2, rates.omega], rtol=1e-9
+        [fit.t1, fit.t2, fit.omega], [2 * rates.t1, 2 * rates.t2, rates.omega / 2], rtol=1e-9
     )
     assert fit.residual < 1e-12
 
@@ -1003,7 +1033,7 @@ def test_exact_canonical_curves_stop_after_one_evaluation(angles_deg):
 
 def _nudged(ts, direction):
     """ts with every point moved one ulp toward direction."""
-    return TomographySet(ts.times, np.nextafter(ts.curves, direction), shots=ts.shots)
+    return TomographySet(ts.dt, np.nextafter(ts.curves, direction), shots=ts.shots)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -1084,30 +1114,18 @@ def test_fit_at_the_iteration_cap_is_not_converged(monkeypatch):
 def test_fit_input_validation():
     rates = rates_from_times(30.0, 20.0, 0.02)
     short = generate_tomography(rates, TAU0, 4)  # 5 points
-    with pytest.raises(ValueError, match="6"):
+    with pytest.raises(ValueError, match="^global fit needs at least 6 time points per curve$"):
         global_fit(short)
-    ts = generate_tomography(rates, TAU0, 13)
-    bad_times = ts.times.copy()
-    bad_times[-1] += 1.0
-    with pytest.raises(ValueError, match="uniform"):
-        global_fit(TomographySet(bad_times, ts.curves))
 
 
 def test_fit_grid_rule_is_relative_to_the_grid():
-    # Spacings from 0.02 to 2.65 tau0 on a 1e-11 us grid are not uniform, though they all stray
-    # by less than an absolute 1e-9 us; a uniform 1e150 us grid is, though rounding alone moves
-    # its spacings by more than that. Its fit then fails on the curves, not on the grid: every
-    # sample after t = 0 sits at the steady state, so neither 1/T1 nor the dephasing rate moves
-    # them and J^T J is singular.
+    # A 1e150 us grid is fitted as any other, though rounding alone moves its spacings by more
+    # than 1e-9 us. Its fit then fails on the curves, not on the grid: every sample after t = 0
+    # sits at the steady state, so neither 1/T1 nor the dephasing rate moves them and J^T J is
+    # singular.
     rates = CanonicalRates(gamma1=0.03, gamma_phi=0.02, omega=0.05)
-    tiny = generate_tomography(rates, 1e-11, 13)
-    uneven = np.concatenate([[0.0], np.cumsum(1e-11 * np.linspace(0.02, 2.65, 13))])
-    with pytest.raises(ValueError, match="^global fit requires a uniform time grid$"):
-        global_fit(TomographySet(uneven, tiny.curves))
     huge = generate_tomography(rates, 1e150, 13)
     assert np.ptp(np.diff(huge.times)) > 1e-9
-    times = huge.times.tolist()
-    check_grid(max(abs(b - a - 1e150) for a, b in zip(times, times[1:])), times[-1], "not uniform")
     with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
         global_fit(huge)
 
