@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -42,7 +41,7 @@ import numpy as np
 
 from .channels import elementary_ptms
 from .dilation import NoiseParams, angle_to_rates
-from .linalg import check_bloch_rows
+from .linalg import _SPAN, _SPAN_TEXT, check_bloch_rows, check_span
 from .liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from .mitigation import NoisePoint, check_scale_factors, extrapolate
 from .tomography import INITIAL_STATES, OBS_LABELS, STATE_LABELS, generate_tomography, global_fit
@@ -250,15 +249,16 @@ def build_config(raw, mode):
     except ValueError as exc:  # each message names its argument: name its section as written
         section = "intrinsic" if "_intrinsic" in str(exc) else "angles"
         raise ConfigError(f"{section} {raw.get(section)}: {exc}") from None
-    try:
+    try:  # the grid first, named as the config writes it: the schedule's dt is angles.tau0_us
+        check_span(v["n_steps"], tau0, "n_steps", "angles.tau0_us")
         schedule = TrotterSchedule(
             permutation=v.pop("permutation"), order=v.pop("order"), n_steps=v.pop("n_steps"),
             dt=tau0, backend=v.pop("backend"),
             noise=NoiseParams(**noise) if "noise" in raw else None,
         )
         check_scale_factors(v["c_list"], "c_list")
-    except ValueError as exc:  # the schedule's dt is the config's angles.tau0_us
-        raise ConfigError(re.sub(r"\bdt\b", "angles.tau0_us", str(exc))) from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     if not 0 <= deg["theta3_deg"] <= 360:
         raise ConfigError(f"angles.theta3_deg must lie in [0, 360], got {deg['theta3_deg']}")
@@ -271,8 +271,8 @@ def build_config(raw, mode):
         except ValueError as exc:
             raise ConfigError(f"theta_grid_deg[{i}] = {x}: {exc}") from None
     t_total = v["t_total_us"]  # converge's finest step is t_total_us / max(n_list)
-    if t_total is not None and not (t_total / max(n_list) > 0 and t_total < 1.34e154):
-        raise ConfigError(f"t_total_us must be below 1.34e154 with t_total_us / max(n_list) "
+    if t_total is not None and not (t_total / max(n_list) > 0 and t_total < _SPAN):
+        raise ConfigError(f"t_total_us must be below {_SPAN_TEXT} with t_total_us / max(n_list) "
                           f"positive, got {t_total}")
     return ExperimentConfig(rates=rates, schedule=schedule, **v)
 

@@ -1,8 +1,8 @@
 """The package's input checks, each a ValueError naming its input.
 
-``check_count``, ``check_positive``, ``check_samples`` and ``check_grid`` check counts, durations,
-records sampled at t = j*dt and two steps, ``check_bloch_rows`` Bloch rows c = (Tr rho, <sx>,
-<sy>, <sz>), and ``validate_density_matrix`` one 2x2 state, read out as its checked Bloch row.
+``check_count``, ``check_positive``, ``check_span``, ``check_samples`` and ``check_grid`` check
+counts, durations, each grid t = j*dt's span, records on it and two steps, ``check_bloch_rows``
+Bloch rows, and ``validate_density_matrix`` one 2x2 state, read out as its checked Bloch row.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ import math
 import numpy as np
 
 __all__ = ["check_bloch_rows", "validate_density_matrix", "check_count", "check_positive",
-           "check_samples", "check_grid"]
+           "check_span", "check_samples", "check_grid"]
 
 _MAX, _MIN = np.maximum.reduce, np.minimum.reduce
+_SPAN, _SPAN_TEXT = 1.34e154, "1.34e154"  # a grid's last time t, where t^2 stays finite
 
 
 def check_count(name: str, value, lo: int = 1) -> None:
@@ -29,15 +30,20 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def check_span(n, dt, n_name: str, dt_name: str) -> None:
+    """Reject a grid t = j*dt, j = 0..n, unless dt > 0 is finite and n*dt < 1.34e154, by name."""
+    check_positive(dt_name, dt)
+    if not float(n) * float(dt) < _SPAN:  # inf fails too
+        raise ValueError(f"{n_name} * {dt_name} must be below {_SPAN_TEXT}, got {n} * {dt}")
+
+
 def check_samples(dt, block: np.ndarray, name: str, axis: int) -> tuple[float, np.ndarray]:
     """float(dt) and a read-only float view of a real block sampled at t = j*dt, j = 0..N, on axis;
-    a dt not positive and finite, a complex block or a last time N*dt that overflows is rejected."""
-    check_positive("dt", dt)
+    a complex block or a grid that :func:`check_span` rejects, named N and dt, is a ValueError."""
+    check_span(block.shape[axis] - 1, dt, "N", "dt")
     if block.dtype.kind == "c":  # a float conversion would drop the imaginary part
         raise ValueError(f"{name} must be real, got dtype {block.dtype}")
-    dt, n, view = float(dt), block.shape[axis] - 1, np.asarray(block, dtype=float).view()
-    if not n * dt < math.inf:
-        raise ValueError(f"the last time N*dt overflows: {n} * {dt}")
+    dt, view = float(dt), np.asarray(block, dtype=float).view()
     view.flags.writeable = False  # the view's flag alone: the caller's array stays writable
     return dt, view
 

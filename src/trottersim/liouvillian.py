@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_MAX, _MIN, check_bloch_rows, check_count, check_positive, check_samples,
-                     validate_density_matrix)
+from .linalg import (_MAX, _MIN, _SPAN, _SPAN_TEXT, check_bloch_rows, check_count, check_samples,
+                     check_span, validate_density_matrix)
 
 __all__ = [
     "CanonicalRates",
@@ -100,7 +100,7 @@ class EvolutionTrace:
     """Bloch record of a stepped qubit evolution: the finite real (N+1, 4) block rows of Bloch
     rows c = (Tr rho, <sx>, <sy>, <sz>) at t = j*dt, j = 0..N, kept as a read-only view, not a
     copy; times is that grid, and sx, sy, sz are views of rows' columns. Other rows, or what
-    linalg.check_samples rejects, is a ValueError naming dt or rows."""
+    linalg.check_samples rejects, the span rule included, is a ValueError naming dt or rows."""
 
     dt: float
     rows: np.ndarray
@@ -147,10 +147,9 @@ def _chain_terms(bloch0) -> np.ndarray:
 
 def _rate_constants(g1, rphi, omega, tmax: float):
     """One rate row's constants in :func:`bloch_solution` for times up to tmax: a, w, v_ss, the case
-    (0 series, 1 s real, 2 s imaginary) and (c0, -G2, s), c0 = m + s if s is real, else m. A tmax
-    past 1.34e154 or rates whose det M or q overflows are a ValueError."""
-    if not tmax < 1.34e154:  # where tmax ** 2 would raise OverflowError
-        raise ValueError(f"times must be below 1.34e154, where t^2 overflows, got {tmax}")
+    (0 series, 1 s real, 2 s imaginary) and (c0, -G2, s), c0 = m + s if s is real, else m; tmax
+    < 1.34e154 (check_span's grids, bloch_solution's checked times) keeps tmax**2 from raising
+    OverflowError. Rates whose det M or q overflows are a ValueError."""
     g2, w = g1 / 2 + rphi, 2 * math.pi * omega
     m, a, det = -(g1 + g2) / 2, (g1 - g2) / 2, g1 * g2 + w * w
     q = a * a - w * w
@@ -233,14 +232,16 @@ def bloch_solution(rows: np.ndarray, bloch0: np.ndarray, times: np.ndarray) -> n
     alone, with the starts' map built once.
 
     Raises:
-        ValueError: On a negative or non-finite time, rows not (K, 3) and real or bloch0 not
-            (S, 3), K or S zero, a start outside the Bloch ball or not finite (check_bloch_rows on
-            (1, x, y, z)), a rate row not finite, or rates whose closed form overflows.
+        ValueError: On a time negative, not finite or not below 1.34e154, rows not (K, 3) and
+            real or bloch0 not (S, 3), K or S zero, a start outside the Bloch ball or not finite
+            (check_bloch_rows on (1, x, y, z)), a non-finite rate row or an overflowing closed form.
     """
     t = np.asarray(times, dtype=float)
     tmax = float(_MAX(t, None, initial=0.0))
     if not (_MIN(t, None, initial=np.inf) >= 0 and tmax < np.inf):  # NaN fails
         raise ValueError(f"times must be finite and nonnegative, got {t}")
+    if not tmax < _SPAN:
+        raise ValueError(f"times must be below {_SPAN_TEXT}, where t^2 overflows, got {tmax}")
     rows, bloch0 = np.asarray(rows), np.asarray(bloch0, dtype=float)
     for name, a, n in (("rows", rows, "K"), ("bloch0", bloch0, "S")):
         if a.ndim != 2 or a.shape[1] != 3 or not len(a):
@@ -274,11 +275,11 @@ def target_trace(rates: CanonicalRates, rho0: np.ndarray, tau0: float,
     checks and returns, stepped by :func:`propagate` with the exact step E(tau0) of the closed form.
 
     Raises:
-        ValueError: When n_steps is not an integer >= 1, tau0 is not positive and finite (or
-            not below 1.34e154), or rho0 fails validate_density_matrix.
+        ValueError: When n_steps is not an integer >= 1, the grid fails linalg.check_span
+            (tau0 positive and finite, n_steps * tau0 < 1.34e154) or rho0 validate_density_matrix.
     """
     check_count("n_steps", n_steps)
-    check_positive("tau0", tau0)
+    check_span(n_steps, tau0, "n_steps", "tau0")
     row0 = validate_density_matrix(rho0, "rho0")
     rows = propagate(_exact_step(rates, tau0), row0[:, None], n_steps)[..., 0]
     return EvolutionTrace(tau0, rows, label="target")

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import check_count, check_grid, check_positive, check_samples, validate_density_matrix
+from .linalg import check_count, check_grid, check_samples, check_span, validate_density_matrix
 from .liouvillian import CanonicalRates, EvolutionTrace, _bloch_jacobian, _chain_terms
 
 __all__ = [
@@ -79,9 +79,9 @@ class TomographySet:
         dt, curves = check_samples(self.dt, curves, "curves", axis=1)
         if self.shots is not None:
             check_count("shots", self.shots)
-        eps = 3.0 / np.sqrt(self.shots) if self.shots else 1e-8
-        bad = ~(np.abs(curves) <= 1 + eps).all(axis=1)  # also true for NaN
-        if bad.any():
+        hi = 1 + (3.0 / np.sqrt(self.shots) if self.shots else 1e-8)
+        if not (curves.max() <= hi and curves.min() >= -hi):  # NaN propagates, and fails
+            bad = ~(np.abs(curves) <= hi).all(axis=1)  # the first row that fails the same test
             raise ValueError(f"curve {_KEYS[np.argmax(bad)]} is not finite within the "
                              "expectation range [-1, 1]")
         self.__dict__.update(dt=dt, curves=curves)
@@ -104,7 +104,7 @@ def generate_tomography(
 
     Args:
         rates: Canonical rates of the generating dynamics.
-        tau0: Sample spacing in us, positive, with n_steps * tau0 below 1.34e154.
+        tau0: Sample spacing in us, positive, with n_steps * tau0 < 1.34e154 (linalg.check_span).
         n_steps: Number of steps, an integer >= 1 (n_steps + 1 samples per curve).
         shots: Per-point sampling depth, an integer >= 1; None for exact expectations.
         seed: Seed for the binomial sampler, None or an integer >= 0 (fixed seed gives
@@ -122,9 +122,7 @@ def generate_tomography(
         check_count("shots", shots)
     if seed is not None:
         check_count("seed", seed, lo=0)
-    check_positive("tau0", tau0)
-    if not float(n_steps) * float(tau0) < 1.34e154:  # the last time's t^2 overflows, or inf
-        raise ValueError(f"n_steps * tau0 must be below 1.34e154, got {n_steps} * {tau0}")
+    check_span(n_steps, tau0, "n_steps", "tau0")  # before the grid: 13 * 1e308 would warn
     times = np.arange(n_steps + 1) * tau0
     if evolve is None:  # the fit's own model
         row = rates.gamma1, rates.gamma_phi, rates.omega

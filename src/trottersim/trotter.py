@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import _check_backend, elementary_ptms
 from .dilation import NoiseParams
-from .linalg import (check_bloch_rows, check_count, check_grid, check_positive,
+from .linalg import (check_bloch_rows, check_count, check_grid, check_positive, check_span,
                      validate_density_matrix)
 from .liouvillian import CanonicalRates, EvolutionTrace, _exact_step, propagate
 
@@ -62,7 +62,7 @@ class TrotterSchedule:
             reversed).
         n_steps: Number of Trotter steps N >= 1.
         dt: Step duration in us (tau0 for experiment replicas, t/N for
-            convergence studies); n_steps * dt must be below 1.34e154.
+            convergence studies); n_steps * dt < 1.34e154 (linalg.check_span).
         backend: "kraus", "dilation", or "dilation+noise".
         noise: Injected imperfections; required exactly when the backend is
             "dilation+noise".
@@ -86,9 +86,7 @@ class TrotterSchedule:
             check_count(name, getattr(self, name))
         if self.order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {self.order}")
-        check_positive("dt", self.dt)
-        if not float(self.n_steps) * float(self.dt) < 1.34e154:  # the last time's t^2 overflows
-            raise ValueError(f"n_steps * dt must be below 1.34e154, got {self.n_steps} * {self.dt}")
+        check_span(self.n_steps, self.dt, "n_steps", "dt")
         _check_backend(self.backend, self.noise)
 
 
@@ -242,7 +240,7 @@ def convergence_order(
         rho0: Initial state, default |1><1|.
         n_list: At least 4 increasing step counts (geometric spacing
             intended).
-        t_total: Fixed total evolution time in us.
+        t_total: Fixed total evolution time in us, run as n steps of t_total / n (check_span).
 
     Returns:
         ConvergenceResult; the slope fits only the runs with A >= max(1e-13, 4 N eps),
@@ -252,8 +250,9 @@ def convergence_order(
     check_positive("t_total", t_total)
     if len(n_list) < 4:
         raise ValueError("n_list needs at least 4 entries for a slope fit")
-    for i, n in enumerate(n_list):
+    for i, n in enumerate(n_list):  # each run's grid, n steps of t_total / n, named as given
         check_count(f"n_list[{i}]", n)
+        check_span(n, t_total / n, f"n_list[{i}]", f"t_total / n_list[{i}]")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     schedules = [replace(template, n_steps=int(n), dt=t_total / n) for n in n_list]
@@ -307,10 +306,6 @@ def compare_orders(
     Returns:
         {1: AccuracyReport, 2: AccuracyReport}.
     """
-    check_count("n_steps", n_steps)
-    check_positive("dt", dt)
-    base = TrotterSchedule(permutation, backend=backend, noise=noise)
-    schedules = [replace(base, order=1, n_steps=2 * n_steps, dt=dt / 2),
-                 replace(base, order=2, n_steps=n_steps, dt=dt)]
-    row0 = _initial_row(rho0)
-    return {s.order: _accuracies(s, rates, row0)[0] for s in schedules}
+    second = TrotterSchedule(permutation, 2, n_steps, dt, backend, noise)  # checks the arguments
+    first, row0 = replace(second, order=1, n_steps=2 * n_steps, dt=dt / 2), _initial_row(rho0)
+    return {s.order: _accuracies(s, rates, row0)[0] for s in (first, second)}

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -16,7 +16,7 @@ from trottersim.linalg import check_bloch_rows, check_grid, validate_density_mat
 from trottersim.dilation import angle_to_rates, depolarization_equivalent_time, rates_to_angles
 from trottersim.liouvillian import CanonicalRates, EvolutionTrace, target_trace
 from trottersim.mitigation import NoisePoint
-from trottersim.tomography import TomographySet, generate_tomography
+from trottersim.tomography import TomographySet, generate_tomography, global_fit
 from trottersim.trotter import TrotterSchedule, compare_orders, convergence_order
 
 
@@ -427,6 +427,60 @@ def test_every_cli_grid_passes_the_grid_rule(n_steps, tau0):
     want = (np.arange(n_steps + 1) * tau0).tobytes()
     assert trace.times.tobytes() == ts.times.tobytes() == want
     check_grid(trace.times[-1] / n_steps, tau0, "span")
+
+
+@st.composite
+def _spans(draw):
+    """(n, dt): a step a few ulps either side of 1.34e154 / n, 1e308, a subnormal, any float
+    (not positive or finite ones included) or one of the CLI's steps, with n up to 100000."""
+    n = draw(st.one_of(st.integers(1, 64), st.integers(1, 100_000)))
+    kind = draw(st.sampled_from(["edge", "edge", "huge", "subnormal", "any", "cli"]))
+    if kind == "edge":
+        dt, ulps = 1.34e154 / n, draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            dt = float(np.nextafter(dt, math.copysign(np.inf, ulps)))
+    else:
+        dt = draw({"huge": st.just(1e308), "subnormal": st.floats(5e-324, 2.2e-308),
+                   "any": st.floats(allow_subnormal=True), "cli": st.floats(1e-3, 1e3)}[kind])
+    return n, dt
+
+
+_SPAN_RECORDS = {  # each producer and record of a grid t = j*dt, j = 0..n
+    "TrotterSchedule": lambda n, dt: TrotterSchedule(n_steps=n, dt=dt),
+    "generate_tomography": lambda n, dt: generate_tomography(CanonicalRates(0.03, 0.02, 0.01), dt,
+                                                             n),
+    "target_trace": lambda n, dt: target_trace(CanonicalRates(0.03, 0.02, 0.01), density(KET_1),
+                                               dt, n),
+    "EvolutionTrace": lambda n, dt: EvolutionTrace(dt, np.zeros((n + 1, 4))),
+    "TomographySet": lambda n, dt: TomographySet(dt, np.zeros((12, n + 1))),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(span=_spans())
+@example(span=(1, 1.34e154)).via("the bound itself is refused")
+@example(span=(1, float(np.nextafter(1.34e154, 0)))).via("one ulp below it is accepted")
+@example(span=(13, 1e308)).via("13 * 1e308 overflows to inf")
+@example(span=(100_000, 1.3e149)).via("the CLI's step cap")
+def test_every_grid_producer_and_record_accepts_the_same_spans(span):
+    # One span rule, linalg.check_span: each accepts exactly when dt is positive and finite and
+    # n*dt < 1.34e154, so no record holds a grid that a producer refuses. Every accepted set
+    # fits or fails in global_fit without the closed form's t^2 overflow, on its own grid.
+    n, dt = span
+    want = 0 < dt < math.inf and n * dt < 1.34e154
+    for name, build in _SPAN_RECORDS.items():
+        try:
+            built = build(n, dt)
+        except ValueError as exc:
+            assert not want, f"{name} refused {n} * {dt}: {exc}"
+        else:
+            assert want, f"{name} accepted {n} * {dt}"
+    if want and n < 2000:  # a fit costs about n; the edge draws reach the bound at small n too
+        try:
+            global_fit(built)
+            global_fit(_SPAN_RECORDS["generate_tomography"](n, dt))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            assert "t^2 overflows" not in str(exc)
 
 
 @pytest.mark.parametrize("gap, dt0", [(9e-27, 1e-11), (np.nan, 1.0), (0.0, np.nan),

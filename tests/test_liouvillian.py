@@ -475,14 +475,14 @@ _ROWS3 = np.tile([1.0, 0.0, 0.0, -1.0], (3, 1))
     (1.0, _ROWS3[:, :3], "rows must be an (N+1, 4) block, got shape (3, 3)"),
     (1.0, _ROWS3[0], "rows must be an (N+1, 4) block, got shape (4,)"),
     (1.0, _ROWS3[:0], "rows must be an (N+1, 4) block, got shape (0, 4)"),
-    (1e308, _ROWS3, "the last time N*dt overflows: 2 * 1e+308"),
+    (1e308, _ROWS3, "N * dt must be below 1.34e154, got 2 * 1e+308"),
     (1.0, _ROWS3 + 1e-3j, "rows must be real, got dtype complex128"),
 ], ids=["dt-nan", "dt-inf", "dt-zero", "dt-negative", "rows-nan", "rows-inf", "rows-n-by-3",
         "rows-1d", "rows-empty", "last-time-overflows", "rows-complex"])
 def test_evolution_trace_rejects_what_it_cannot_represent(dt, rows, message):
     # The record is a step and finite real Bloch rows: a NaN or inf in either, rows of another
     # shape or complex rows (a float conversion dropped the imaginary part, with a
-    # ComplexWarning), or a last time that overflows cannot be built, and each error names its
+    # ComplexWarning), or a last time past the span rule cannot be built, and each error names its
     # field.
     with pytest.raises(ValueError) as info:
         EvolutionTrace(dt, rows)
@@ -494,7 +494,7 @@ def test_evolution_trace_keeps_its_rows_without_a_copy():
     trace = EvolutionTrace(2, rows, label="held")
     assert np.shares_memory(trace.rows, rows) and trace.dt == 2.0 and type(trace.dt) is float
     assert len(trace) == 3 and trace.times.tolist() == [0.0, 2.0, 4.0]
-    EvolutionTrace(1e308, rows[:2])  # the last time 1e308 is finite
+    EvolutionTrace(1.3e154, rows[:2])  # the last time 1.3e154 is below the span rule's bound
 
 
 def test_evolution_trace_rows_are_read_only_after_the_check():
@@ -609,15 +609,18 @@ def test_target_trace_meets_the_closed_form_to_1e_13_where_nothing_damps(rates):
     assert _target_error(rates, 5.0, 10_000, np.array([0.0, 0.6, 0.8])) <= 1e-13
 
 
-@pytest.mark.parametrize("call", [
-    lambda t: bloch_solution([[0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0]], [0.0, t]),
-    lambda t: target_trace(CanonicalRates(0.1, 0.1, 0.1), RHO_1, t, 13),
+@pytest.mark.parametrize("call, message", [
+    (lambda t: bloch_solution([[0.1, 0.1, 0.1]], [[0.0, 0.0, 1.0]], [0.0, t]),
+     "^times must be below 1.34e154, where t\\^2 overflows, got 1e\\+200$"),
+    (lambda t: target_trace(CanonicalRates(0.1, 0.1, 0.1), RHO_1, t, 1),
+     "^n_steps \\* tau0 must be below 1.34e154, got 1 \\* 1e\\+200$"),
 ], ids=["bloch_solution", "target_trace"])
-def test_times_whose_square_overflows_are_rejected(call):
+def test_times_whose_square_overflows_are_rejected(call, message):
     # t^2 overflows above about 1.34e154, and the series test squares the longest time: such a
-    # time is a ValueError, which callers handle, not an OverflowError.
+    # time is a ValueError, which callers handle, not an OverflowError. bloch_solution checks its
+    # free times, target_trace its grid by the span rule, which one step of 1.3e154 obeys.
     call(1.3e154)
-    with pytest.raises(ValueError, match="^times must be below 1.34e154, where t\\^2 overflows"):
+    with pytest.raises(ValueError, match=message):
         call(1.0e200)
 
 

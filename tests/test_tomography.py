@@ -202,6 +202,31 @@ def test_tomography_set_names_the_curve_of_a_non_finite_point(row, col, value, s
         TomographySet(1.0, data, shots=shots)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shots=st.sampled_from((None, 100, 500)), cols=st.sampled_from((1, 14)),
+       points=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 13), st.sampled_from(
+           ("nan", "inf", "-inf", "hi", "-hi", "above", "-above", "below", "-below"))),
+           max_size=4))
+def test_tomography_set_range_check_rejects_what_the_per_row_pass_rejects(shots, cols, points):
+    # The set takes the whole block's max and min first and runs the per-row pass only when they
+    # fail: both reject the same sets and name the same first curve, NaN included (it propagates
+    # through the max), at the bound 1 + eps and one ulp either side, in any of the 12 rows.
+    hi = 1 + (3.0 / np.sqrt(shots) if shots else 1e-8)
+    values = {"nan": np.nan, "inf": np.inf, "hi": hi, "above": np.nextafter(hi, np.inf),
+              "below": np.nextafter(hi, 0)}
+    data = np.zeros((12, cols))
+    for row, col, name in points:
+        data[row, col % cols] = -values[name[1:]] if name[0] == "-" else values[name]
+    bad = ~(np.abs(data) <= hi).all(axis=1)  # the per-row pass, applied to every set
+    if not bad.any():
+        TomographySet(1.0, data, shots=shots)
+        return
+    key = tomography._KEYS[np.argmax(bad)]
+    with pytest.raises(ValueError, match=rf"^curve \('{re.escape(key[0])}', '{key[1]}'\) is "
+                                         r"not finite within the expectation range \[-1, 1\]$"):
+        TomographySet(1.0, data, shots=shots)
+
+
 def test_tomography_set_curves_are_read_only_rows_in_key_order():
     ts = generate_tomography(rates_from_times(50.0, 40.0, 0.02), TAU0, 13, shots=64, seed=3)
     assert ts.curves.shape == (12, 14)
@@ -266,7 +291,7 @@ _CURVES3 = np.zeros((12, 3))
     (np.inf, _CURVES3, "dt must be positive and finite, got inf"),
     (0.0, _CURVES3, "dt must be positive and finite, got 0.0"),
     (-1.0, _CURVES3, "dt must be positive and finite, got -1.0"),
-    (1e308, _CURVES3, "the last time N*dt overflows: 2 * 1e+308"),
+    (1e308, _CURVES3, "N * dt must be below 1.34e154, got 2 * 1e+308"),
     (np.arange(3.0), _CURVES3, "dt must be positive and finite, got [0. 1. 2.]"),
     (1.0, _CURVES3 + 1e-3j, "curves must be real, got dtype complex128"),
 ], ids=["dt-nan", "dt-inf", "dt-zero", "dt-negative", "last-time-overflows", "dt-a-grid",
@@ -274,12 +299,12 @@ _CURVES3 = np.zeros((12, 3))
 def test_tomography_set_rejects_what_it_cannot_represent(dt, curves, message):
     # A set is its step and its curves on t = j*dt, the trace's rules: a step that is not one
     # positive finite number gives no grid (NaN, inf, flat or backward times; a times array in
-    # its place failed on numpy's ambiguous truth value), a last time that overflows none that
+    # its place failed on numpy's ambiguous truth value), a last time past the span rule none that
     # the fit can read, and complex curves lost their imaginary part.
     with pytest.raises(ValueError) as info:
         TomographySet(dt, curves)
     assert str(info.value) == message
-    TomographySet(1e308, _CURVES3[:, :2])  # the last time 1e308 is finite
+    TomographySet(1.3e154, _CURVES3[:, :2])  # the last time 1.3e154 is below the span bound
 
 
 @pytest.mark.parametrize("tau0", [np.inf, np.nan, 0.0, -1.0])

@@ -73,6 +73,21 @@ def test_schedule_rejects_a_grid_whose_last_time_squares_past_the_largest_float(
             TrotterSchedule(n_steps=n_steps, dt=dt)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [
+    (lambda: compare_orders(FIG4_RATES, 1000, 1e152),
+     r"^n_steps \* dt must be below 1.34e154, got 1000 \* 1e\+152$"),
+    (lambda: convergence_order(TrotterSchedule(), FIG4_RATES, t_total=1e155),
+     r"^n_list\[0\] \* t_total / n_list\[0\] must be below 1.34e154, got 4 \* 2.5e\+154$"),
+], ids=["compare_orders", "convergence_order"])
+def test_a_span_past_the_rule_is_named_by_the_callers_arguments(call, message):
+    # compare_orders runs order 1 as 2 n_steps of dt / 2 and convergence_order each n as n steps
+    # of t_total / n: each checks its own arguments first, so the error names no schedule the
+    # caller never built (2000 * 5e+151, 4 * 2.5e+154).
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize(
     "field, bad",
     [("order", True), ("order", 2.0), ("order", np.bool_(True)), ("order", "1"),
